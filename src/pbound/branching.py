@@ -126,9 +126,6 @@ class MultiplicityResult:
     diagnostics: tuple = ()
     flags: tuple = ()
 
-    def is_finite(self):
-        return self.status == "finite"
-
 
 @dataclass(frozen=True)
 class _Node:
@@ -229,7 +226,7 @@ class _Expander:
             leaves.append(self._leaf(node, "cap-exceeded", flags=("depth-cap",)))
             return leaves
 
-        for lam, alpha, d, child_sys, conj_note in self._children(node, prof, diagram):
+        for lam, alpha, d, child_sys, conj_note in self._steps_from_diagram(node, prof, diagram):
             if child_sys is None:
                 leaves.append(self._leaf(node, "cap-exceeded", flags=(conj_note,)))
                 continue
@@ -331,9 +328,6 @@ class _Expander:
         return [self._leaf(cur, "cap-exceeded", flags=("resonance-cap",))]
 
     # -- edge roots -> child steps ---------------------------------------------
-
-    def _children(self, node: _Node, prof: CoeffProfile, diagram):
-        return self._steps_from_diagram(node, prof, diagram)
 
     def _steps_from_diagram(self, node: _Node, prof: CoeffProfile, diagram):
         sys = node.system
@@ -583,10 +577,4 @@ def replace_branches_with_extensions(result: MultiplicityResult, tree: BranchTre
                 flags=branch.flags,
             )
         extended.append(branch)
-    return replace_dataclass(result, branches=tuple(extended))
-
-
-def replace_dataclass(obj, **kw):
-    from dataclasses import replace as _r
-
-    return _r(obj, **kw)
+    return replace(result, branches=tuple(extended))

@@ -26,6 +26,7 @@ from .exact import (
     UniPoly,
     adjoin_root,
     as_fraction,
+    bareiss_det,
     f_inv,
     f_is_zero,
     factor_univariate,
@@ -544,38 +545,7 @@ def _resultant_r(a: BiPoly, b: BiPoly) -> Optional[UniPoly]:
     for i in range(m):
         for j, c in enumerate(rb):
             mat[n + i][i + (n - j)] = c
-    return _bareiss_det(mat, lambda x, y: x.exact_div(y), zero, UniPoly([Q(1)], var="z"))
-
-
-def _bareiss_det(mat, divexact, zero, one):
-    """Fraction-free determinant; entries must form an integral domain."""
-    n = len(mat)
-    if n == 0:
-        return one
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            swap = None
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    swap = i
-                    break
-            if swap is None:
-                return zero
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = divexact(num, prev)
-            m[i][k] = zero
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    if sign < 0:
-        det = -det
-    return det
+    return bareiss_det(mat, lambda x, y: x.exact_div(y), zero, UniPoly([Q(1)], var="z"))
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +590,7 @@ def extactic_determinant(sys: OdeSystem, n: int) -> BiPoly:
             raise DarbouxError("inexact division in determinant")
         return out
 
-    return _bareiss_det(mat, div, zero, one)
+    return bareiss_det(mat, div, zero, one)
 
 
 def invariant_core(sys: OdeSystem, e: BiPoly) -> BiPoly:

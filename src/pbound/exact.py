@@ -916,16 +916,6 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
-    def shift_var(self, a):
-        """p(x + a)"""
-        out = UniPoly([], var=self.var, tower=self.tower)
-        xa = UniPoly([a, self._one_c()], var=self.var, tower=self.tower)
-        power = UniPoly([self._one_c()], var=self.var, tower=self.tower)
-        for c in self.coeffs:
-            out = out + power.scale(c)
-            power = power * xa
-        return out
-
     def gcd(self, other):
         if (self.tower is None or self.tower.is_trivial()) and all(
             not isinstance(c, ExtElem) for c in self.coeffs + other.coeffs

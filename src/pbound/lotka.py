@@ -37,9 +37,6 @@ class LvParams:
     b: Fraction
     c: Fraction
 
-    def as_tuple(self):
-        return (self.a, self.b, self.c)
-
     def to_report(self):
         return {"a": str(self.a), "b": str(self.b), "c": str(self.c)}
 

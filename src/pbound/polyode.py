@@ -34,10 +34,6 @@ class OdeError(Exception):
     """Invalid system or transform request."""
 
 
-def _binomial(n, k):
-    return math.comb(n, k)
-
-
 class BiPoly:
     """Sparse exact polynomial in z and w; z-exponents are nonnegative
     rationals sharing the denominator ``ram``, w-exponents integers >= 0."""
@@ -104,9 +100,6 @@ class BiPoly:
 
     def coeff(self, ze, we):
         return self.terms.get((Q(ze), int(we)), field_zero(self.tower))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1]))
 
     # -- ring operations -------------------------------------------------------
 
@@ -186,35 +179,33 @@ class BiPoly:
     # -- substitution ----------------------------------------------------------
 
     def subst_w_series(self, series: "BiPoly", with_remainder: bool):
-        """Substitute w -> series(z) + w1 (or just series(z) if no remainder)."""
+        """Substitute w -> series(z) + w1 (or just series(z) if no remainder).
+
+        Each w-power's expansion is built once, and every product lands in
+        one dict, so the work is linear in the number of products formed.
+        """
         tower = self.tower or series.tower
-        max_w = self.w_degree()
         pows = [BiPoly.const(field_one(tower), tower=tower)]
-        for _ in range(max(max_w, 0)):
+        for _ in range(max(self.w_degree(), 0)):
             pows.append(pows[-1] * series)
-        out = BiPoly.zero(tower)
+        expansions = {}
+        out = {}
+        ram = 1
         for (ze, we), c in self.terms.items():
-            base = BiPoly.monomial(c, ze, 0, tower=tower)
-            if with_remainder:
-                acc = BiPoly.zero(tower)
-                for j in range(we + 1):
-                    piece = pows[we - j].scale(Q(_binomial(we, j)))
-                    piece = BiPoly(
-                        {(pze, j): pc for (pze, _), pc in piece.terms.items()},
-                        tower=tower,
-                    )
-                    acc = acc + piece
-                out = out + base * acc
-            else:
-                out = out + base * pows[we]
-        return out
+            expansion = expansions.get(we)
+            if expansion is None:
+                expansion = expansions[we] = (
+                    _binomial_expansion(pows, we, tower) if with_remainder else pows[we]
+                )
+            ram = _lcm(ram, _lcm(ze.denominator, expansion.ram))
+            _accumulate(out, c, ze, expansion)
+        return BiPoly(out, ram=ram, tower=tower)
 
     def subst_affine(self, z_expr: "BiPoly", w_expr: "BiPoly"):
         """Substitute z -> z_expr, w -> w_expr (plain polynomials only)."""
         if self.ram != 1:
             raise OdeError("affine substitution requires integer exponents")
         tower = self.tower
-        out = BiPoly.zero(tower)
         zpows = {0: BiPoly.const(field_one(tower), tower=tower)}
         wpows = {0: BiPoly.const(field_one(tower), tower=tower)}
 
@@ -223,10 +214,14 @@ class BiPoly:
                 cache[n] = power(cache, basep, n - 1) * basep
             return cache[n]
 
+        out = {}
+        ram = 1
         for (ze, we), c in self.terms.items():
             piece = power(zpows, z_expr, int(ze)) * power(wpows, w_expr, we)
-            out = out + piece.scale(c)
-        return out
+            tower = tower or piece.tower
+            ram = _lcm(ram, piece.ram)
+            _accumulate(out, c, 0, piece)
+        return BiPoly(out, ram=ram, tower=tower)
 
     def eval_w_series(self, series: "BiPoly"):
         return self.subst_w_series(series, with_remainder=False)
@@ -260,6 +255,26 @@ class BiPoly:
 
 def _lcm(a, b):
     return a * b // math.gcd(a, b)
+
+
+def _binomial_expansion(pows, k, tower):
+    """(s + w)^k = sum_j C(k, j) s^(k-j) w^j, from pows[i] = s^i."""
+    terms = {}
+    for j in range(k + 1):
+        binom = Q(math.comb(k, j))
+        for (pze, _), pc in pows[k - j].terms.items():
+            terms[(pze, j)] = pc * binom
+    return BiPoly(terms, tower=tower)
+
+
+def _accumulate(out, c, ze, poly):
+    """out += c z^ze poly on a plain term dict; zeros stay until the caller
+    builds its BiPoly."""
+    for (pze, pwe), pc in poly.terms.items():
+        key = (ze + pze, pwe)
+        prod = c * pc
+        cur = out.get(key)
+        out[key] = prod if cur is None else cur + prod
 
 
 def bipoly_str(p: BiPoly, zvar="z", wvar="w") -> str:
@@ -580,14 +595,6 @@ class CoeffProfile:
     p: dict
     q: dict
 
-    def k(self, i):
-        entry = self.p.get(i)
-        return entry[0] if entry else None
-
-    def el(self, i):
-        entry = self.q.get(i)
-        return entry[0] if entry else None
-
 
 def _leading_entries(poly: BiPoly):
     out = {}
@@ -762,16 +769,15 @@ def substitute_branch(sys: OdeSystem, lam, alpha, check_acceptable=True) -> OdeS
         raise OdeError("branch exponent must be positive")
     if f_is_zero(alpha):
         raise OdeError("branch coefficient must be nonzero")
+    if check_acceptable and not _pair_acceptable(sys, lam, alpha):
+        raise OdeError("not an acceptable pair")
     tower = sys.tower
     lead = BiPoly({(lam, 0): alpha}, tower=tower)
     Q1 = sys.Q.subst_w_series(lead, with_remainder=True)
     Psub = sys.P.subst_w_series(lead, with_remainder=True)
     deriv_head = BiPoly({(lam - 1, 0): alpha * lam}, tower=tower)
     P1 = Psub - deriv_head * Q1
-    if check_acceptable and not _pair_acceptable(sys, lam, alpha):
-        raise OdeError("not an acceptable pair")
-    out = OdeSystem(P1, Q1, tower=tower).normalized()
-    return out
+    return OdeSystem(P1, Q1, tower=tower).normalized()
 
 
 def _pair_acceptable(sys: OdeSystem, lam, alpha) -> bool:

@@ -252,10 +252,6 @@ def print_system(sys: OdeSystem) -> str:
 # report emission
 # ---------------------------------------------------------------------------
 
-def fraction_str(x) -> str:
-    return str(x)
-
-
 def coeff_str(c) -> str:
     if is_rational_value(c):
         return str(as_fraction(c))

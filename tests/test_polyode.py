@@ -1,6 +1,7 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pbound.exact import QQ_TOWER, UniPoly, adjoin_root
 from pbound.polyode import (
@@ -238,3 +239,108 @@ def test_residual_regular_point():
 
     wrong = PuiseuxBranch(terms=((Q(1), Q(1)),), ram=1, base=("point", 0, 0))
     assert residual_valuation(sys, wrong) == Q(0)
+
+
+# ---------------------------------------------------------------------------
+# substitution kernels against term-by-term references
+# ---------------------------------------------------------------------------
+
+# Derandomized and without an example database, so every run draws the
+# same examples.
+KERNEL_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+SQRT2_TOWER, SQRT2 = adjoin_root(QQ_TOWER, UniPoly([Q(-2), Q(0), Q(1)]))
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def sqrt2_values(draw):
+    a, b = draw(rationals), draw(rationals)
+    return SQRT2_TOWER.from_fraction(a) + SQRT2_TOWER.from_fraction(b) * SQRT2
+
+
+@st.composite
+def bipolys(draw, rams, z_range, max_w, min_terms=0, max_terms=6, coeffs=rationals, tower=None):
+    """Sum of c z^(n/ram) w^k over distinct (n, k) with n in z_range, k <= max_w."""
+    ram = draw(st.sampled_from(rams))
+    keys = draw(
+        st.lists(
+            st.tuples(st.integers(*z_range), st.integers(0, max_w)),
+            min_size=min_terms,
+            max_size=max_terms,
+            unique=True,
+        )
+    )
+    return BiPoly({(Q(n, ram), k): draw(coeffs) for n, k in keys}, tower=tower)
+
+
+def ramified_polys(coeffs=rationals, tower=None):
+    return bipolys((1, 2, 3), (0, 6), 6, coeffs=coeffs, tower=tower)
+
+
+def series_polys(coeffs=rationals, tower=None):
+    """Monomial or multi-term series in z alone, positive exponents."""
+    return bipolys((1, 2, 3), (1, 6), 0, min_terms=1, max_terms=3, coeffs=coeffs, tower=tower)
+
+
+def binomial_reference(poly, series, with_remainder):
+    """sum c z^e (s + w)^k, or sum c z^e s^k, by plain BiPoly products."""
+    tower = poly.tower or series.tower
+    base = series + BiPoly.var_w(tower) if with_remainder else series
+    out = BiPoly.zero(tower)
+    for (ze, we), c in poly.terms.items():
+        term = BiPoly.monomial(c, ze, 0, tower=tower)
+        for _ in range(we):
+            term = term * base
+        out = out + term
+    return out
+
+
+def assert_same_poly(got, want):
+    assert got.terms == want.terms
+    assert got.ram == want.ram
+
+
+@KERNEL_SETTINGS
+@given(ramified_polys(), series_polys(), st.booleans())
+def test_subst_w_series_matches_binomial_reference(poly, series, with_remainder):
+    got = poly.subst_w_series(series, with_remainder=with_remainder)
+    assert_same_poly(got, binomial_reference(poly, series, with_remainder))
+
+
+@KERNEL_SETTINGS
+@given(
+    ramified_polys(sqrt2_values(), SQRT2_TOWER),
+    series_polys(sqrt2_values(), SQRT2_TOWER),
+    st.booleans(),
+)
+def test_subst_w_series_over_sqrt2_tower(poly, series, with_remainder):
+    got = poly.subst_w_series(series, with_remainder=with_remainder)
+    assert got.tower == SQRT2_TOWER
+    assert_same_poly(got, binomial_reference(poly, series, with_remainder))
+
+
+def test_subst_w_series_ram_ignores_the_input_declaration():
+    # a declared ram that no exponent uses does not survive the substitution;
+    # the series' exponents set it
+    poly = BiPoly({(Q(1), 2): Q(1)}, ram=3)
+    got = poly.subst_w_series(BiPoly({(Q(1, 2), 0): Q(1)}), with_remainder=True)
+    assert got.ram == 2
+    assert got.terms == {(Q(2), 0): Q(1), (Q(3, 2), 1): Q(2), (Q(1), 2): Q(1)}
+
+
+@KERNEL_SETTINGS
+@given(
+    bipolys((1,), (0, 4), 4),
+    bipolys((1,), (0, 1), 1, max_terms=3),
+    bipolys((1,), (0, 1), 1, max_terms=3),
+)
+def test_subst_affine_matches_power_reference(poly, z_expr, w_expr):
+    want = BiPoly.zero()
+    for (ze, we), c in poly.terms.items():
+        term = BiPoly.const(c)
+        for _ in range(int(ze)):
+            term = term * z_expr
+        for _ in range(we):
+            term = term * w_expr
+        want = want + term
+    assert_same_poly(poly.subst_affine(z_expr, w_expr), want)
