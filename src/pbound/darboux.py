@@ -37,6 +37,8 @@ from .polyode import (
     BiPoly,
     OdeSystem,
     _normalize_biv,
+    _wpoly_degree,
+    _wpoly_pseudo_divmod,
     bipoly_divexact,
     bipoly_str,
     bipoly_to_wpoly,
@@ -117,8 +119,6 @@ def verify_darboux(sys: OdeSystem, f: BiPoly):
 
 def _division_witness(num: BiPoly, den: BiPoly) -> BiPoly:
     """A nonzero remainder witnessing num not divisible by den."""
-    from .polyode import _wpoly_pseudo_divmod, _wpoly_degree
-
     rn, rd = bipoly_to_wpoly(num), bipoly_to_wpoly(den)
     if _wpoly_degree(rd) == 0:
         # denominator is a z-polynomial: witness the first failing coefficient

@@ -46,9 +46,13 @@ class BiPoly:
             for (ze, we), c in terms.items():
                 if f_is_zero(c):
                     continue
-                ze = Q(ze)
-                clean[(ze, int(we))] = c
-                ram = _lcm(ram, ze.denominator)
+                if type(ze) is not Fraction:
+                    ze = Q(ze)
+                if type(we) is not int:
+                    we = int(we)
+                clean[(ze, we)] = c
+                if ze.denominator != 1:
+                    ram = _lcm(ram, ze.denominator)
         self.terms = clean
         self.ram = ram
         self.tower = tower
@@ -382,7 +386,11 @@ def _wpoly_divide_content(rows, content):
 
 
 def _wpoly_pseudo_divmod(num, den):
-    """Pseudo-division in w over the z-polynomial ring: lc^e * num = q*den + r."""
+    """Pseudo-division in w over the z-polynomial ring: lc^e * num = q*den + r.
+
+    Only the non-Darboux witness (``darboux._division_witness``) uses it, and
+    its remainder is the one that witness reports; ``bipoly_divexact`` divides
+    exactly instead."""
     num = [r for r in num]
     dd = _wpoly_degree(den)
     lc = den[dd]
@@ -434,12 +442,25 @@ def _wpoly_prem_controlled(num, den):
 
 
 def biv_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
-    """Primitive-PRS gcd of plain bivariate polynomials (monic-normalized)."""
+    """gcd of plain bivariate polynomials (monic-normalized).
+
+    Over Q a one-point certificate comes first.  For z0 = 1, -1, 2, -2, ...,
+    skipping 0 (singular points sit on the axes) and the roots of either
+    w-leading coefficient, if gcd(a(z0, w), b(z0, w)) is constant for one of
+    at most three such z0, the gcd is the gcd of the contents in Q[z]: the
+    w-leading coefficient of G = gcd(a, b) divides that of a, which is
+    nonzero at z0, so G(z0, w) keeps the w-degree of G and divides a
+    constant, which forces deg_w G = 0.  Otherwise, and over towers, the
+    primitive PRS computes the gcd.
+    """
     if a.is_zero():
         return _normalize_biv(b)
     if b.is_zero():
         return _normalize_biv(a)
     ra, rb = bipoly_to_wpoly(a), bipoly_to_wpoly(b)
+    if _coprime_at_a_point(ra, rb):
+        content = _wpoly_content(ra + rb)
+        return _normalize_biv(wpoly_to_bipoly([content], tower=a.tower or b.tower))
     ca, cb = _wpoly_content(ra), _wpoly_content(rb)
     content = ca.gcd(cb)
     pa = _wpoly_divide_content(ra, ca)
@@ -469,6 +490,27 @@ def biv_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
     return _normalize_biv(result)
 
 
+def _coprime_at_a_point(ra, rb) -> bool:
+    """True when a(z0, w) and b(z0, w), given as w-major rows over Q, are
+    coprime at one of the first three z0 in 1, -1, 2, -2, ... where neither
+    w-leading coefficient vanishes; False at once over a tower."""
+    if any(isinstance(c, ExtElem) for r in ra + rb for c in r.coeffs):
+        return False
+    la, lb = ra[-1], rb[-1]
+    z0 = 0
+    tried = 0
+    while tried < 3:
+        z0 = -z0 if z0 > 0 else 1 - z0
+        if la.eval(z0) == 0 or lb.eval(z0) == 0:
+            continue
+        at_a = UniPoly([r.eval(z0) for r in ra], var="w")
+        at_b = UniPoly([r.eval(z0) for r in rb], var="w")
+        if at_a.gcd(at_b).degree() == 0:
+            return True
+        tried += 1
+    return False
+
+
 def _normalize_biv(p: BiPoly) -> BiPoly:
     if p.is_zero():
         return p
@@ -477,42 +519,54 @@ def _normalize_biv(p: BiPoly) -> BiPoly:
 
 
 def bipoly_divexact(num: BiPoly, den: BiPoly) -> Optional[BiPoly]:
-    """num / den when the division is exact, else None (plain exponents)."""
+    """num / den when the division is exact, else None (plain exponents).
+
+    Plain division in (w, z) lex order on dense w-major rows of num: each
+    leading term of the remainder is divided by the leading term of den and
+    that multiple of den subtracted.  Every remainder of an exact division
+    is a multiple of den, so its leading term is divisible by den's and its
+    quotient terms are terms of num/den, whose z-degree is
+    deg_z num - deg_z den; the first term that breaks either proves the
+    division inexact.
+    """
     if den.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
+    tower = num.tower or den.tower
     if num.is_zero():
-        return BiPoly.zero(num.tower or den.tower)
-    rn, rd = bipoly_to_wpoly(num), bipoly_to_wpoly(den)
-    dd = _wpoly_degree(rd)
-    if dd == 0:
-        zq = rd[0]
-        out = []
-        for r in rn:
-            if r.is_zero():
-                out.append(r)
-                continue
-            q, rem = r.divmod(zq)
-            if not rem.is_zero():
-                return None
-            out.append(q)
-        return wpoly_to_bipoly(out, tower=num.tower or den.tower)
-    q, rem, e = _wpoly_pseudo_divmod(rn, rd)
-    if _wpoly_degree(_wpoly_trim(rem)) >= 0:
+        return BiPoly.zero(tower)
+    if num.ram != 1 or den.ram != 1:
+        raise OdeError("exact division requires integer exponents")
+    nz, nw = int(num.z_degree()), num.w_degree()
+    dw = den.w_degree()
+    qz_max = nz - int(den.z_degree())
+    if qz_max < 0 or nw < dw:
         return None
-    lc = rd[dd]
-    scale = UniPoly([field_one(lc.tower)], var="z", tower=lc.tower)
-    for _ in range(e):
-        scale = scale * lc
-    out = []
-    for r in q:
-        if r.is_zero():
-            out.append(r)
-            continue
-        quo, rr = r.divmod(scale)
-        if not rr.is_zero():
-            return None
-        out.append(quo)
-    return wpoly_to_bipoly(out, tower=num.tower or den.tower)
+    zero = field_zero(tower)
+    rows = [[zero] * (nz + 1) for _ in range(nw + 1)]
+    for (ze, we), c in num.terms.items():
+        rows[we][int(ze)] = c
+    dz = max(int(ze) for (ze, we) in den.terms if we == dw)
+    lc_inv = f_inv(den.terms[(Q(dz), dw)])
+    rest = [(we, int(ze), c) for (ze, we), c in den.terms.items() if (ze, we) != (dz, dw)]
+    quotient = {}
+    for i in range(nw, dw - 1, -1):
+        row = rows[i]
+        qw = i - dw
+        for k in range(nz, -1, -1):
+            c = row[k]
+            if f_is_zero(c):
+                continue
+            qz = k - dz
+            if not 0 <= qz <= qz_max:
+                return None
+            qc = c * lc_inv
+            quotient[(Q(qz), qw)] = qc
+            for we, ze, dc in rest:
+                target = rows[qw + we]
+                target[qz + ze] -= qc * dc
+    if any(not f_is_zero(c) for row in rows[:dw] for c in row):
+        return None
+    return BiPoly(quotient, tower=tower)
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,8 @@ def test_not_darboux_returns_witness():
     bad = bp({(1, 0): 1, (0, 1): 1, (0, 0): -5})  # z + w = 5
     res = verify_darboux(sys, bad)
     assert isinstance(res, NotDarboux)
-    assert not res.remainder.is_zero()
+    # the w-pseudo-remainder of X(f) by f, as `NotDarboux.to_report` gives it
+    assert bipoly_str(res.remainder) == "2*z^2 - 12*z + 30"
 
 
 def test_constant_candidate_rejected():

@@ -56,6 +56,11 @@ def test_bipoly_str_and_ram():
     p = BiPoly({(Q(5, 2), 0): Q(2), (Q(0), 1): Q(-1)})
     assert p.ram == 2
     assert bipoly_str(p) == "2*z^(5/2) - w"
+    # other key types are converted and zero coefficients dropped
+    p = BiPoly({("5/2", 0): Q(2), (0, Q(1)): Q(-1), (1, 3): Q(0)}, ram=3)
+    assert p.ram == 6
+    assert p.terms == {(Q(5, 2), 0): Q(2), (Q(0), 1): Q(-1)}
+    assert all(type(ze) is Q and type(we) is int for ze, we in p.terms)
 
 
 def test_biv_gcd_detects_common_factor():
@@ -344,3 +349,162 @@ def test_subst_affine_matches_power_reference(poly, z_expr, w_expr):
             term = term * w_expr
         want = want + term
     assert_same_poly(poly.subst_affine(z_expr, w_expr), want)
+
+
+# ---------------------------------------------------------------------------
+# bivariate gcd and exact division against sympy
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def sp():
+    return pytest.importorskip("sympy")
+
+
+def to_sympy(sp, p):
+    """A plain BiPoly as a sympy Poly in (w, z) over QQ, so that sympy's lex
+    order and monic normalization match pbound's (w, z) leading term."""
+    w, z = sp.symbols("w z")
+    data = {(we, int(ze)): sp.Rational(c.numerator, c.denominator) for (ze, we), c in p.terms.items()}
+    return sp.Poly.from_dict(data, w, z, domain="QQ")
+
+
+def from_sympy(poly):
+    return BiPoly({(Q(ze), we): Q(int(c.p), int(c.q)) for (we, ze), c in poly.terms() if c})
+
+
+def sympy_gcd(sp, a, b):
+    g = sp.gcd(to_sympy(sp, a), to_sympy(sp, b))
+    return from_sympy(g.monic() if not g.is_zero else g)
+
+
+def sympy_divexact(sp, num, den):
+    q, r = sp.div(to_sympy(sp, num), to_sympy(sp, den))
+    return from_sympy(q) if r.is_zero else None
+
+
+def lex_below(p, bound):
+    """The terms of p below the (w, z) leading term of bound."""
+    top = max((we, ze) for (ze, we) in bound.terms)
+    return BiPoly({k: c for k, c in p.terms.items() if (k[1], k[0]) < top})
+
+
+plain_polys = bipolys((1,), (0, 2), 2, max_terms=4)
+nonzero_plain = bipolys((1,), (0, 2), 2, min_terms=1, max_terms=4).filter(lambda p: not p.is_zero())
+
+
+@KERNEL_SETTINGS
+@given(nonzero_plain, plain_polys, plain_polys)
+def test_biv_gcd_matches_sympy_on_shared_factors(sp, f, g, h):
+    a, b = f * g, f * h
+    assert biv_gcd(a, b).terms == sympy_gcd(sp, a, b).terms
+
+
+@KERNEL_SETTINGS
+@given(plain_polys, plain_polys)
+def test_biv_gcd_matches_sympy_on_random_pairs(sp, a, b):
+    assert biv_gcd(a, b).terms == sympy_gcd(sp, a, b).terms
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # content-only common factor z - 3
+        (bp({(1, 1): 1, (1, 0): 1, (0, 1): -3, (0, 0): -3}), bp({(1, 1): 1, (0, 1): -3})),
+        # (z w - w + 1)(w + 2) and (z w - w + 1)(w + 3): the common factor is
+        # constant in w at z = 1, a root of both w-leading coefficients
+        (
+            bp({(1, 1): 1, (0, 1): -1, (0, 0): 1}) * bp({(0, 1): 1, (0, 0): 2}),
+            bp({(1, 1): 1, (0, 1): -1, (0, 0): 1}) * bp({(0, 1): 1, (0, 0): 3}),
+        ),
+        # a pure z-polynomial against a polynomial with that content
+        (bp({(2, 0): 1, (0, 0): -1}), bp({(1, 2): 1, (0, 2): 1, (1, 0): 1, (0, 0): 1})),
+    ],
+)
+def test_biv_gcd_matches_sympy_on_examples(sp, a, b):
+    assert biv_gcd(a, b).terms == sympy_gcd(sp, a, b).terms
+
+
+def count_prs_steps(monkeypatch):
+    import pbound.polyode as polyode
+
+    calls = []
+    original = polyode._wpoly_prem_controlled
+
+    def counted(num, den):
+        calls.append(1)
+        return original(num, den)
+
+    monkeypatch.setattr(polyode, "_wpoly_prem_controlled", counted)
+    return calls
+
+
+def test_biv_gcd_falls_back_to_prs_when_every_point_shares_a_factor(monkeypatch):
+    # b(z0, w) = w at each admissible z0 = 1, -1, 2, so the certificate fails
+    # and the PRS must prove a and b coprime
+    calls = count_prs_steps(monkeypatch)
+    a = bp({(0, 1): 1})
+    b = a + bp({(0, 0): 1}) * bp({(1, 0): 1, (0, 0): -1}) * bp({(1, 0): 1, (0, 0): 1}) * bp(
+        {(1, 0): 1, (0, 0): -2}
+    )
+    assert biv_gcd(a, b).terms == bp({(0, 0): 1}).terms
+    assert calls
+
+
+def test_biv_gcd_coprime_certificate_skips_prs(monkeypatch):
+    calls = count_prs_steps(monkeypatch)
+    a = bp({(0, 1): 1, (1, 0): 1})  # w + z
+    b = bp({(0, 1): 1, (1, 0): -1})  # w - z
+    assert biv_gcd(a, b).terms == bp({(0, 0): 1}).terms
+    assert not calls
+
+
+@KERNEL_SETTINGS
+@given(nonzero_plain, plain_polys)
+def test_bipoly_divexact_matches_sympy_on_products(sp, f, g):
+    num = f * g
+    got = bipoly_divexact(num, f)
+    assert got is not None
+    assert got.terms == sympy_divexact(sp, num, f).terms
+
+
+@KERNEL_SETTINGS
+@given(nonzero_plain, plain_polys, plain_polys)
+def test_bipoly_divexact_matches_sympy_on_perturbed_products(sp, f, g, r):
+    num = f * g
+    # a remainder below the leading term keeps that term divisible
+    num = num + (lex_below(r, num) if not num.is_zero() else r)
+    want = sympy_divexact(sp, num, f)
+    got = bipoly_divexact(num, f)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and got.terms == want.terms
+
+
+def test_bipoly_divexact_rejects_ramified_and_zero_divisors():
+    half = BiPoly({(Q(1, 2), 0): Q(1)})
+    w = bp({(0, 1): 1})
+    with pytest.raises(OdeError):
+        bipoly_divexact(half, w)
+    with pytest.raises(OdeError):
+        bipoly_divexact(w, half)
+    with pytest.raises(ZeroDivisionError):
+        bipoly_divexact(w, BiPoly.zero())
+
+
+sqrt2_plain = bipolys((1,), (0, 2), 2, max_terms=4, coeffs=sqrt2_values(), tower=SQRT2_TOWER)
+
+
+@KERNEL_SETTINGS
+@given(sqrt2_plain.filter(lambda p: not p.is_zero()), sqrt2_plain)
+def test_bipoly_divexact_over_sqrt2_multiplies_back(f, g):
+    num = f * g
+    got = bipoly_divexact(num, f)
+    assert got is not None
+    assert (got * f).terms == num.terms
+    perturbed = num + BiPoly.const(SQRT2, tower=SQRT2_TOWER)
+    got = bipoly_divexact(perturbed, f)
+    if f.total_degree() > 0:
+        assert got is None
+    else:
+        assert (got * f).terms == perturbed.terms
