@@ -8,6 +8,7 @@ inconclusive (a cap was hit or a certification is merely presumed).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -229,6 +230,7 @@ def _cmd_analyze(args) -> int:
     return _emit(args, report)
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pbound",

@@ -35,6 +35,7 @@ from .exact import (
 )
 from .polyode import (
     BiPoly,
+    OdeError,
     OdeSystem,
     _normalize_biv,
     _wpoly_degree,
@@ -569,7 +570,30 @@ class SearchOutcome:
 
 
 def extactic_determinant(sys: OdeSystem, n: int) -> BiPoly:
-    """det of (X^i applied to the degree-<=n monomial basis)."""
+    """det of (X^i applied to the degree-<=n monomial basis), over Q.
+
+    The determinant is computed on integers.  Row i of the matrix is scaled
+    by d_i, the lcm of its coefficient denominators, giving an integer
+    matrix M' with det M = det M' / prod d_i.  Let DZ = 1 + sum_i max_j
+    deg_z M'_ij, B = prod_i max(1, sum_j ||M'_ij||_1) and
+    b = bitlength(B) + 1, and let phi be the ring map Z[z, w] -> Z sending
+    z to 2^b and w to 2^(b DZ).  Every minor of M' has z-degree below DZ
+    and, expanding it over permutations, coefficients of absolute value at
+    most B < 2^(b-1); on such polynomials phi is injective, since z^a w^c
+    lands on the base-2^b digit a + DZ c and each digit is recovered as the
+    balanced residue in (-2^(b-1), 2^(b-1)).
+
+    Bareiss on M' keeps every entry and pivot equal to +- a minor of M' (of
+    the row-swapped matrix), and Sylvester's identity makes each step's
+    numerator the previous pivot times the next minor.  Run on phi(M'), the
+    same steps therefore see phi of those polynomials: a pivot is zero
+    exactly when the polynomial one is, each integer division is exact, and
+    its quotient is phi of the next minor.  The last entry is phi(det M'),
+    which is unpacked digit by digit, borrowing on negative digits, and
+    divided by prod d_i.
+    """
+    if sys.ram != 1:
+        raise OdeError("extactic determinant requires integer exponents")
     basis = [
         BiPoly({(Q(i), j): Q(1)})
         for total in range(n + 1)
@@ -580,17 +604,53 @@ def extactic_determinant(sys: OdeSystem, n: int) -> BiPoly:
     rows = [basis]
     for _ in range(size - 1):
         rows.append([derive_along(sys, g) for g in rows[-1]])
-    mat = [[rows[i][j] for j in range(size)] for i in range(size)]
-    zero = BiPoly.zero()
-    one = BiPoly.const(Q(1))
+    scale = dz = bound = 1
+    int_rows = []
+    for row in rows:
+        coeffs = [c for g in row for c in g.terms.values()]
+        if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+            raise DarbouxError("extactic determinant requires rational coefficients")
+        d = math.lcm(*(c.denominator for c in coeffs))
+        ints = [
+            {(int(ze), we): c.numerator * (d // c.denominator) for (ze, we), c in g.terms.items()}
+            for g in row
+        ]
+        scale *= d
+        dz += max((ze for g in ints for (ze, _) in g), default=0)
+        bound *= max(1, sum(abs(c) for g in ints for c in g.values()))
+        int_rows.append(ints)
+    b = bound.bit_length() + 1
+    mat = [[sum(c << b * (ze + dz * we) for (ze, we), c in g.items()) for g in row] for row in int_rows]
+    return _unpack(bareiss_det(mat, _int_divexact, 0, 1), b, dz, scale)
 
-    def div(a, b):
-        out = bipoly_divexact(a, b)
-        if out is None:
-            raise DarbouxError("inexact division in determinant")
-        return out
 
-    return bareiss_det(mat, div, zero, one)
+def _int_divexact(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise DarbouxError("inexact division in determinant")
+    return q
+
+
+def _unpack(packed: int, b: int, dz: int, scale: int) -> BiPoly:
+    """The polynomial over Q whose image under z -> 2^b, w -> 2^(b dz) is
+    packed, given balanced base-2^b digits, divided by scale."""
+    sign = -1 if packed < 0 else 1
+    bits = format(abs(packed), "b")
+    count = len(bits) // b + 1  # room for a borrow out of the top digit
+    bits = bits.zfill(count * b)
+    half, full = 1 << (b - 1), 1 << b
+    terms = {}
+    borrow = 0
+    for k in range(count):
+        lo = (count - 1 - k) * b
+        digit = int(bits[lo : lo + b], 2) + borrow
+        borrow = digit >= half
+        if borrow:
+            digit -= full
+        if digit:
+            we, ze = divmod(k, dz)
+            terms[(Q(ze), we)] = Q(sign * digit, scale)
+    return BiPoly(terms)
 
 
 def invariant_core(sys: OdeSystem, e: BiPoly) -> BiPoly:
@@ -634,6 +694,12 @@ def search_darboux(
             notes.append("degree %d skipped: determinant dimension %d exceeds cap %d" % (n, size, dim_cap))
             partial = True
             break
+        if dicritical:
+            # Along a trajectory E_n is the Wronskian of the degree-<=n
+            # monomials; once those of degree <= n - 1 are dependent along
+            # every trajectory (E_{n-1} == 0), so are these: E_n == 0.
+            dicritical.append(n)
+            continue
         e = extactic_determinant(sys, n)
         if e.is_zero():
             dicritical.append(n)

@@ -566,7 +566,11 @@ def ensure_regular(x) -> bool:
 
 
 def bareiss_det(mat, divexact, zero, one):
-    """Fraction-free determinant over an integral domain."""
+    """Fraction-free determinant over an integral domain.
+
+    Entries are ints or polynomials whose zero is canonical: a pivot is
+    tested by ``== zero``.  ``divexact`` divides the Sylvester numerator by
+    the previous pivot and must raise if the division leaves a remainder."""
     n = len(mat)
     if n == 0:
         return one
@@ -574,10 +578,10 @@ def bareiss_det(mat, divexact, zero, one):
     sign = 1
     prev = one
     for k in range(n - 1):
-        if m[k][k].is_zero():
+        if m[k][k] == zero:
             swap = None
             for i in range(k + 1, n):
-                if not m[i][k].is_zero():
+                if m[i][k] != zero:
                     swap = i
                     break
             if swap is None:

@@ -1,7 +1,9 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pbound import darboux
 from pbound.darboux import (
     DarbouxCertificate,
     DarbouxError,
@@ -10,9 +12,11 @@ from pbound.darboux import (
     extactic_determinant,
     search_darboux,
     strictness_check,
+    derive_along,
     verify_darboux,
 )
-from pbound.polyode import BiPoly, bipoly_str, make_system
+from pbound.exact import QQ_TOWER, UniPoly, adjoin_root, bareiss_det
+from pbound.polyode import BiPoly, OdeError, OdeSystem, bipoly_divexact, bipoly_str, make_system
 
 
 def bp(entries):
@@ -224,3 +228,154 @@ def test_extactic_conic_member_lv_special():
     cert = verify_darboux(sys, conic)
     assert isinstance(cert, DarbouxCertificate)
     assert cert.strict
+
+
+# ---------------------------------------------------------------------------
+# packed-integer extactic determinant against references
+# ---------------------------------------------------------------------------
+
+# Derandomized and without an example database, so every run draws the
+# same examples.
+DET_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def quadratic_systems(draw):
+    """zdot = Q, wdot = P with random rational terms of total degree <= 2."""
+    monomials = [(i, d - i) for d in range(3) for i in range(d + 1)]
+
+    def poly():
+        keys = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=4, unique=True))
+        return BiPoly({(Q(i), j): draw(rationals) for i, j in keys})
+
+    P, Q_ = poly(), poly()
+    if P.is_zero() and Q_.is_zero():
+        Q_ = bp({(0, 0): 1})
+    return OdeSystem(P, Q_)
+
+
+def extactic_matrix(sys, n):
+    """Rows X^i(monomial basis of degree <= n), as in extactic_determinant."""
+    basis = [bp({(i, total - i): 1}) for total in range(n + 1) for i in range(total + 1)]
+    rows = [basis]
+    for _ in range(len(basis) - 1):
+        rows.append([derive_along(sys, g) for g in rows[-1]])
+    return rows
+
+
+def bipoly_bareiss_reference(sys, n):
+    """Bareiss over Q[z, w] with BiPoly products and exact division."""
+
+    def div(a, b):
+        out = bipoly_divexact(a, b)
+        assert out is not None
+        return out
+
+    return bareiss_det(extactic_matrix(sys, n), div, BiPoly.zero(), bp({(0, 0): 1}))
+
+
+@DET_SETTINGS
+@given(quadratic_systems(), st.sampled_from([1, 2]))
+def test_extactic_matches_bipoly_bareiss(sys, n):
+    assert extactic_determinant(sys, n).terms == bipoly_bareiss_reference(sys, n).terms
+
+
+def test_extactic_matches_bipoly_bareiss_with_negative_digits():
+    # every sign and denominator at once: E_2 of a dense system
+    sys = OdeSystem(
+        bp({(0, 0): Q(-7, 2), (1, 0): Q(3, 4), (0, 1): -5, (2, 0): Q(-1, 3), (1, 1): 2, (0, 2): Q(-9, 4)}),
+        bp({(0, 0): Q(5, 3), (1, 0): -4, (0, 1): Q(1, 2), (2, 0): 3, (1, 1): Q(-5, 4), (0, 2): -1}),
+    )
+    e = extactic_determinant(sys, 2)
+    assert not e.is_zero()
+    assert any(c < 0 for c in e.terms.values())
+    assert any(c.denominator != 1 for c in e.terms.values())
+    assert e.terms == bipoly_bareiss_reference(sys, 2).terms
+
+
+@pytest.fixture(scope="module")
+def sp():
+    return pytest.importorskip("sympy")
+
+
+def sympy_extactic(sp, sys, n):
+    """E_n by sympy's own derivatives and Matrix.det."""
+    z, w = sp.symbols("z w")
+
+    def to_expr(p):
+        return sum(sp.Rational(c.numerator, c.denominator) * z ** int(ze) * w**we for (ze, we), c in p.terms.items())
+
+    zdot, wdot = to_expr(sys.Q), to_expr(sys.P)
+    rows = [[z**i * w ** (total - i) for total in range(n + 1) for i in range(total + 1)]]
+    for _ in range(len(rows[0]) - 1):
+        rows.append([sp.expand(zdot * sp.diff(f, z) + wdot * sp.diff(f, w)) for f in rows[-1]])
+    det = sp.Poly(sp.Matrix(rows).det(method="berkowitz"), z, w)
+    return {(Q(ze), we): Q(int(c.p), int(c.q)) for (ze, we), c in det.terms() if c}
+
+
+@DET_SETTINGS
+@given(quadratic_systems())
+def test_extactic_degree_one_matches_sympy(sp, sys):
+    assert extactic_determinant(sys, 1).terms == sympy_extactic(sp, sys, 1)
+
+
+def test_extactic_inexact_division_raises(monkeypatch):
+    # a perturbed numerator no longer divides: the remainder must be caught
+    # (the first two pivots are 1, so degree 2 is the first that can tell)
+    real = darboux.bareiss_det
+
+    def skewed(mat, divexact, zero, one):
+        return real(mat, lambda a, b: divexact(a + 1, b), zero, one)
+
+    monkeypatch.setattr(darboux, "bareiss_det", skewed)
+    with pytest.raises(DarbouxError, match="inexact division"):
+        extactic_determinant(lv_system(Q(-1), Q(5), Q(0)), 2)
+
+
+def test_extactic_rejects_tower_coefficients():
+    tower, root = adjoin_root(QQ_TOWER, UniPoly([Q(-2), Q(0), Q(1)]))
+    sys = OdeSystem(
+        BiPoly({(Q(0), 1): root}, tower=tower),
+        BiPoly({(Q(1), 0): tower.one()}, tower=tower),
+        tower=tower,
+    )
+    with pytest.raises(DarbouxError):
+        extactic_determinant(sys, 1)
+
+
+def test_extactic_rejects_ramified_exponents():
+    sys = OdeSystem(BiPoly({(Q(1, 2), 1): Q(1), (Q(0), 0): Q(1)}), bp({(1, 0): 1}))
+    with pytest.raises(OdeError):
+        extactic_determinant(sys, 1)
+
+
+# ---------------------------------------------------------------------------
+# an identically zero extactic determinant stays zero one degree up
+# ---------------------------------------------------------------------------
+
+RADIAL = OdeSystem(bp({(0, 1): 1}), bp({(1, 0): 1}))  # zdot = z, wdot = w
+CENTER = OdeSystem(bp({(1, 0): 1}), bp({(0, 1): -1}))  # zdot = -w, wdot = z
+CUBIC_ENERGY = OdeSystem(bp({(2, 0): 1, (1, 0): -1}), bp({(0, 1): 1}))  # zdot = w, wdot = z^2 - z
+
+
+@pytest.mark.parametrize(
+    "sys, n",
+    [(RADIAL, 1), (CENTER, 2), (lv_system(Q(-1), Q(0), Q(0)), 2)],
+    ids=["radial", "center", "lv(-1,0,0)"],
+)
+def test_extactic_zero_stays_zero_one_degree_up(sys, n):
+    assert extactic_determinant(sys, n).is_zero()
+    assert extactic_determinant(sys, n + 1).is_zero()
+
+
+def test_search_lv_special_degree_three_dicritical():
+    out = search_darboux(lv_system(Q(-1), Q(0), Q(0)), 3)
+    assert out.dicritical_degrees == (2, 3)
+
+
+def test_extactic_first_zero_at_the_first_integral_degree():
+    # w^2/2 - z^3/3 + z^2/2 is a first integral: E_3 == 0 but E_2 != 0
+    assert not extactic_determinant(CUBIC_ENERGY, 2).is_zero()
+    assert extactic_determinant(CUBIC_ENERGY, 3).is_zero()
+    assert search_darboux(CUBIC_ENERGY, 3).dicritical_degrees == (3,)
