@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .branching import Caps, DEFAULT_CAPS, MultiplicityResult, multiplicity_at
-from .darboux import DarbouxCertificate, verify_darboux
+from .darboux import DarbouxCertificate, _swap_zw, verify_darboux
 from .exact import (
     ExactError,
     Q,
@@ -236,10 +236,7 @@ def axis_multiplicity_bound(sys: OdeSystem, caps: Caps = DEFAULT_CAPS) -> BoundR
 
 def _swap_system(sys: OdeSystem) -> OdeSystem:
     """Exchange the roles of z and w (dz/dw = Q~/P~)."""
-    def swap(p: BiPoly) -> BiPoly:
-        return BiPoly({(Q(we), int(ze)): c for (ze, we), c in p.terms.items()}, tower=p.tower)
-
-    return OdeSystem(P=swap(sys.Q), Q=swap(sys.P), tower=sys.tower)
+    return OdeSystem(P=_swap_zw(sys.Q), Q=_swap_zw(sys.P), tower=sys.tower)
 
 
 def line_transform(sys: OdeSystem, line):

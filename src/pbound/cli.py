@@ -16,7 +16,7 @@ from fractions import Fraction
 from .bounds import BoundsError, axis_multiplicity_bound, invariant_line_bound
 from .branching import Caps, multiplicity_at
 from .darboux import search_darboux
-from .exact import Q
+from .exact import ExactError, Q
 from .lotka import LvParams, classify, triple_report
 from .polyode import OdeError
 from .sysparse import (
@@ -300,13 +300,14 @@ def main(argv=None) -> int:
     json_out = getattr(args, "json", False)
     try:
         return args.func(args)
-    except (ParseError, OdeError, BoundsError, ValueError) as exc:
+    except (ParseError, OdeError, BoundsError, ValueError, ExactError) as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         if json_out:
             sys.stdout.write(emit_report(payload, "json").decode())
         else:
             sys.stderr.write("error: %s\n" % exc)
-        return EXIT_INPUT
+        # ExactError stops the exact arithmetic (a cap, most often): not bad input
+        return EXIT_INCONCLUSIVE if isinstance(exc, ExactError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

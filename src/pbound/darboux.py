@@ -38,6 +38,7 @@ from .polyode import (
     OdeError,
     OdeSystem,
     _normalize_biv,
+    _wpoly_content,
     _wpoly_degree,
     _wpoly_pseudo_divmod,
     bipoly_divexact,
@@ -107,7 +108,7 @@ def verify_darboux(sys: OdeSystem, f: BiPoly):
     if not xf.is_zero():
         assert quotient.total_degree() <= m - 1, "cofactor degree bound violated"
     strict, offenders = strictness_check(f)
-    irreducible, certified = _irreducibility(f)
+    irreducible, certified = _irreducibility(f, offenders)
     return DarbouxCertificate(
         f=f,
         cofactor=quotient,
@@ -137,92 +138,73 @@ def _division_witness(num: BiPoly, den: BiPoly) -> BiPoly:
 def strictness_check(f: BiPoly):
     """Strict iff f carries no component z = z0 or w = w0 (over C).
 
-    Such a component exists exactly when the monomial content is nontrivial or
-    the gcd of the coefficients in one variable is nonconstant, so no root
-    isolation is needed.
+    Such a component exists exactly when the content of f in z or in w is
+    nonconstant, so no root isolation is needed.  The offenders are "z" and
+    "w" for a power of the variable and "z-factor c" / "w-factor c" for the
+    rest c of the content.
     """
     if f.is_zero():
         raise DarbouxError("zero candidate")
     if f.total_degree() == 0:
         raise DarbouxError("constant candidate")
     offenders = []
-    min_z = min(ze for (ze, _) in f.terms)
-    min_w = min(we for (_, we) in f.terms)
-    if min_z > 0:
-        offenders.append("z")
-    if min_w > 0:
-        offenders.append("w")
-    rows = bipoly_to_wpoly(f)
-    zc = None
-    for r in rows:
-        if r.is_zero():
-            continue
-        zc = r if zc is None else zc.gcd(r)
-        if zc.degree() == 0:
-            break
-    if zc is not None and zc.degree() > 0:
-        stripped = _strip_var_powers(zc)
-        if stripped.degree() > 0:
-            offenders.append("z-factor %s" % str(stripped))
-    cols = bipoly_to_wpoly(_swap_zw(f))
-    wc = None
-    for r in cols:
-        if r.is_zero():
-            continue
-        wc = r if wc is None else wc.gcd(r)
-        if wc.degree() == 0:
-            break
-    if wc is not None and wc.degree() > 0:
-        stripped = _strip_var_powers(wc)
-        if stripped.degree() > 0:
-            offenders.append("w-factor %s" % str(stripped).replace("z", "w"))
-    offenders = sorted(set(offenders))
+    for var in ("z", "w"):
+        k, c = _univariate_content(f, var)
+        if k > 0:
+            offenders.append(var)
+        if c.degree() > 0:
+            offenders.append("%s-factor %s" % (var, c))
+    offenders = sorted(offenders)
     return (not offenders), tuple(offenders)
 
 
-def _strip_var_powers(p: UniPoly) -> UniPoly:
-    coeffs = list(p.coeffs)
-    while coeffs and f_is_zero(coeffs[0]):
-        coeffs.pop(0)
-    return UniPoly(coeffs, var=p.var, tower=p.tower)
+def _univariate_content(f: BiPoly, var: str):
+    """(k, c) with var^k c(var) the gcd of the coefficients of f in the other
+    variable and c(0) != 0; c is a UniPoly in var, zero when f is."""
+    g = _wpoly_content(bipoly_to_wpoly(f if var == "z" else _swap_zw(f)))
+    coeffs = g.coeffs if g is not None else ()
+    k = next((i for i, c in enumerate(coeffs) if not f_is_zero(c)), 0)
+    return k, UniPoly(coeffs[k:], var=var, tower=f.tower)
 
 
 def _swap_zw(p: BiPoly) -> BiPoly:
     return BiPoly({(Q(we), int(ze)): c for (ze, we), c in p.terms.items()}, tower=p.tower)
 
 
-def _irreducibility(f: BiPoly):
-    """Best-effort irreducibility over Q: (verdict, certified)."""
+def _lift(p: UniPoly, var: str) -> BiPoly:
+    """The UniPoly p in var as a BiPoly."""
+    out = BiPoly({(Q(i), 0): c for i, c in enumerate(p.coeffs)}, tower=p.tower)
+    return out if var == "z" else _swap_zw(out)
+
+
+def _content_factors(f: BiPoly, var: str):
+    """[(factor, multiplicity)] of the content of f in var over Q: var itself
+    first when it divides f, then the irreducible factors of the rest."""
+    k, c = _univariate_content(f, var)
+    out = [(UniPoly([Q(0), Q(1)], var=var), k)] if k > 0 else []
+    if c.degree() > 0:
+        out.extend((fac.poly, fac.multiplicity) for fac in factor_univariate(c))
+    return out
+
+
+def _irreducibility(f: BiPoly, offenders):
+    """Irreducibility over Q: (verdict, certified).
+
+    Degree one is irreducible.  A polynomial in one variable is factored.
+    One in both variables is reducible when strictness_check found an
+    offender, which is then a proper factor, and presumed irreducible
+    otherwise.
+    """
     if f.total_degree() == 1:
         return True, True
-    strict, offenders = strictness_check(f)
-    if offenders and f.total_degree() > 1:
-        mono = [o for o in offenders if o in ("z", "w")]
-        if mono or len(offenders) > 0:
-            # a constant component of lower degree certifies reducibility
-            if f.total_degree() > max(1, _max_offender_degree(offenders)):
-                return False, True
-    if f.w_degree() == 0:
-        rows = bipoly_to_wpoly(f)
-        facs = factor_univariate(rows[0])
+    if f.w_degree() == 0 or f.z_degree() == 0:
+        facs = factor_univariate(bipoly_to_wpoly(f if f.w_degree() == 0 else _swap_zw(f))[0])
         if len(facs) == 1 and facs[0].multiplicity == 1:
             return True, facs[0].certified
         return False, True
-    if f.z_degree() == 0:
-        cols = bipoly_to_wpoly(_swap_zw(f))
-        facs = factor_univariate(cols[0])
-        if len(facs) == 1 and facs[0].multiplicity == 1:
-            return True, facs[0].certified
+    if offenders:
         return False, True
     return True, False  # presumed irreducible
-
-
-def _max_offender_degree(offenders):
-    deg = 1
-    for o in offenders:
-        if "factor" in o:
-            deg = max(deg, o.count("^") + 1)
-    return deg
 
 
 # ---------------------------------------------------------------------------
@@ -272,27 +254,15 @@ def detect_invariant_lines(sys: OdeSystem, caps=None) -> LineDetection:
     notes = []
     dicritical = False
 
-    # z-lines: (z - z0) | A
-    for fac, is_line in _axis_line_factors(A, "z"):
-        if is_line:
-            z0 = -as_fraction(fac.coeffs[0])
-            cand = BiPoly({(Q(1), 0): Q(1), (Q(0), 0): -z0})
-            cert = verify_darboux(sys, cand)
-            if isinstance(cert, DarbouxCertificate):
-                lines.append(cert)
-        else:
-            families.append(LineFamily(kind="z", factor=fac, degree=fac.degree()))
-
-    # w-lines: (w - w0) | B
-    for fac, is_line in _axis_line_factors(_swap_zw(B), "w"):
-        if is_line:
-            w0 = -as_fraction(fac.coeffs[0])
-            cand = BiPoly({(Q(0), 1): Q(1), (Q(0), 0): -w0})
-            cert = verify_darboux(sys, cand)
-            if isinstance(cert, DarbouxCertificate):
-                lines.append(cert)
-        else:
-            families.append(LineFamily(kind="w", factor=fac, degree=fac.degree()))
+    # axis-parallel lines: (z - z0) | A and (w - w0) | B
+    for var, field in (("z", A), ("w", B)):
+        for fac, _ in _content_factors(field, var):
+            if fac.degree() == 1:
+                cert = verify_darboux(sys, _lift(fac, var))
+                if isinstance(cert, DarbouxCertificate):
+                    lines.append(cert)
+            else:
+                families.append(LineFamily(kind=var, factor=fac, degree=fac.degree()))
 
     # sloped lines w = s z + r: (B - s A)(z, s z + r) == 0 identically in z
     conditions = _sloped_line_conditions(A, B)
@@ -316,33 +286,6 @@ def detect_invariant_lines(sys: OdeSystem, caps=None) -> LineDetection:
 
     lines = _dedupe_certs(lines)
     return LineDetection(lines=lines, families=families, dicritical=dicritical, notes=tuple(notes))
-
-
-def _axis_line_factors(p: BiPoly, var):
-    """Irreducible factors of the gcd of the w-major coefficients of p."""
-    rows = bipoly_to_wpoly(p)
-    g = None
-    for r in rows:
-        if r.is_zero():
-            continue
-        g = r if g is None else g.gcd(r)
-        if g.degree() == 0:
-            break
-    out = []
-    if g is None or g.degree() == 0:
-        return out
-    g = _strip_var_powers(g)
-    if len(g.coeffs) != 0 and g.degree() > 0:
-        for fac in factor_univariate(g):
-            if fac.poly.degree() == 1:
-                out.append((fac.poly, True))
-            else:
-                out.append((fac.poly, False))
-    # a pure z^k content is the line z = 0 itself
-    rows_min = min((min((i for i, c in enumerate(r.coeffs) if not f_is_zero(c)), default=0) for r in rows if not r.is_zero()), default=0)
-    if rows_min > 0:
-        out.insert(0, (UniPoly([Q(0), Q(1)]), True))
-    return out
 
 
 def _sloped_line_conditions(A: BiPoly, B: BiPoly):
@@ -433,13 +376,7 @@ def _solve_two_var_system(polys, tower_cap=16):
             # single condition: its r-leading coefficient bounds s
             rows = bipoly_to_wpoly(base)
             s_constraints.append(rows[-1])
-    gs = None
-    for c in s_constraints:
-        if c.is_zero():
-            continue
-        gs = c if gs is None else gs.gcd(c)
-        if gs.degree() == 0:
-            break
+    gs = _wpoly_content(s_constraints)
     if gs is None:
         return "partial", [], ("could not bound line slopes",)
     if gs.degree() == 0:
@@ -474,14 +411,8 @@ def _solve_r_given_s(polys, s_val, tower):
             return []  # inconsistent at this s
         if not u.is_zero():
             r_polys.append(u)
-    if not r_polys:
-        return []
-    g = r_polys[0]
-    for p in r_polys[1:]:
-        g = g.gcd(p)
-        if g.degree() == 0:
-            return []
-    if g.degree() == 0:
+    g = _wpoly_content(r_polys)
+    if g is None or g.degree() == 0:
         return []
     if tower is None:
         for fac in factor_univariate(g):
@@ -747,36 +678,12 @@ def _core_factors(core: BiPoly, n: int):
     work = _normalize_biv(core)
     if work.total_degree() == 0:
         return out, None
-    # monomial content
-    min_z = min(ze for (ze, _) in work.terms)
-    min_w = min(we for (_, we) in work.terms)
-    if min_z > 0:
-        out.append(BiPoly({(Q(1), 0): Q(1)}))
-    if min_w > 0:
-        out.append(BiPoly({(Q(0), 1): Q(1)}))
-    if min_z > 0 or min_w > 0:
-        work = BiPoly(
-            {(ze - min_z, we - min_w): c for (ze, we), c in work.terms.items()}
-        )
-    # univariate contents in each variable peel off axis-parallel factors
-    for swap in (False, True):
-        probe = _swap_zw(work) if swap else work
-        rows = bipoly_to_wpoly(probe)
-        g = None
-        for r in rows:
-            if r.is_zero():
-                continue
-            g = r if g is None else g.gcd(r)
-            if g.degree() == 0:
-                break
-        if g is None or g.degree() == 0:
-            continue
-        for fac in factor_univariate(g):
-            cand = BiPoly({(Q(i), 0): c for i, c in enumerate(fac.poly.coeffs)})
-            if swap:
-                cand = _swap_zw(cand)
+    # the contents in each variable peel off axis-parallel factors
+    for var in ("z", "w"):
+        for fac, mult in _content_factors(work, var):
+            cand = _lift(fac, var)
             out.append(cand)
-            for _ in range(fac.multiplicity):
+            for _ in range(mult):
                 nxt = bipoly_divexact(work, cand)
                 if nxt is None:
                     break
@@ -787,4 +694,4 @@ def _core_factors(core: BiPoly, n: int):
         out.append(work)
     elif work.total_degree() > n:
         note = "unsplit invariant factor of degree %d" % int(work.total_degree())
-    return [o for o in out if not o.is_zero() and o.total_degree() > 0], note
+    return out, note

@@ -806,9 +806,6 @@ class UniPoly:
     def _zero_c(self):
         return field_zero(self.tower)
 
-    def _one_c(self):
-        return field_one(self.tower)
-
     # -- basic queries ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -1213,53 +1210,40 @@ def _mod_mul(a, b, m, p):
             continue
         for j, y in enumerate(b):
             prod[i + j] = (prod[i + j] + x * y) % p
-    return _mod_rem(prod, m, p)
+    return _mod_divmod(prod, m, p)[1]
 
 
-def _mod_rem(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm:
-        if a[-1] == 0:
-            a.pop()
+def _mod_divmod(a, b, p):
+    """Quotient and remainder of a by b (b nonzero) over F_p, both trimmed."""
+    r = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], p - 2, p)
+    q = [0] * max(len(r) - db, 0)
+    while len(r) - 1 >= db:
+        if r[-1] == 0:
+            r.pop()
             continue
-        c = a[-1] * inv_lead % p
-        off = len(a) - 1 - dm
-        for j in range(dm + 1):
-            a[off + j] = (a[off + j] - c * m[j]) % p
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+        c = r[-1] * inv % p
+        off = len(r) - 1 - db
+        q[off] = c
+        for j in range(db + 1):
+            r[off + j] = (r[off + j] - c * b[j]) % p
+        r.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    while q and q[-1] == 0:
+        q.pop()
+    return q, r
 
 
 def _mod_gcd(a, b, p):
     a = [c % p for c in a]
     b = [c % p for c in b]
     while b:
-        a, b = b, _mod_poly_rem(a, b, p)
+        a, b = b, _mod_divmod(a, b, p)[1]
     if a:
         inv = pow(a[-1], p - 2, p)
         a = [c * inv % p for c in a]
-    return a
-
-
-def _mod_poly_rem(a, b, p):
-    a = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    while len(a) - 1 >= db and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = a[-1] * inv % p
-        off = len(a) - 1 - db
-        for j in range(db + 1):
-            a[off + j] = (a[off + j] - c * b[j]) % p
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
     return a
 
 
@@ -1305,28 +1289,10 @@ def _distinct_degree_pattern(ints, p):
             deg = len(g) - 1
             for _ in range(deg // d):
                 pattern.append(d)
-            rem = _mod_poly_rem_exact(rem, g, p)
+            rem = _mod_divmod(rem, g, p)[0]
     if len(rem) > 1:
         pattern.append(len(rem) - 1)
     return pattern
-
-
-def _mod_poly_rem_exact(a, b, p):
-    # exact quotient a // b mod p (b | a)
-    a = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    q = [0] * (len(a) - db)
-    while len(a) - 1 >= db:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = a[-1] * inv % p
-        q[len(a) - 1 - db] = c
-        for j in range(db + 1):
-            a[len(a) - 1 - db + j] = (a[len(a) - 1 - db + j] - c * b[j]) % p
-        a.pop()
-    return q
 
 
 def _subset_sums(pattern):
@@ -1359,18 +1325,11 @@ def _kronecker_split(ints, effort=DEFAULT_KRONECKER_EFFORT):
     """Search a nontrivial factor of a squarefree primitive integer polynomial
     by divisor interpolation; returns integer coefficient list or None."""
     n = len(ints) - 1
-
-    def evaluate(x):
-        acc = 0
-        for c in reversed(ints):
-            acc = acc * x + c
-        return acc
-
     for d in range(2, n // 2 + 1):
         points = []
         x = 0
         while len(points) < d + 1 and abs(x) <= 40:
-            v = evaluate(x)
+            v = _int_eval(ints, x)
             if v != 0:
                 points.append((x, v))
             x = -x + (1 if x <= 0 else 0)

@@ -25,7 +25,6 @@ from .exact import (
     field_one,
     field_zero,
     is_rational_value,
-    sort_key,
     transport_elem,
 )
 
@@ -692,12 +691,6 @@ class PuiseuxBranch:
     def series(self, tower=None) -> BiPoly:
         t = tower
         return BiPoly({(mu, 0): c for mu, c in self.terms}, ram=self.ram, tower=t)
-
-    def sort_token(self):
-        if not self.terms:
-            return (Q(0), (), ())
-        mu0, a0 = self.terms[0]
-        return (mu0,) + sort_key(a0)
 
     def __str__(self):
         if not self.terms:

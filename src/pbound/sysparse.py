@@ -160,12 +160,6 @@ class _Parser:
         raise ParseError("expected a polynomial atom", line, col)
 
 
-def _split_bindings(text):
-    """Separate the equation part from trailing parameter bindings."""
-    parts = [p for p in text.split(";")]
-    return parts
-
-
 _BINDING_RE = re.compile(
     r"^\s*([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(-?\d+(?:/\d+)?)\s*$"
 )
@@ -173,10 +167,9 @@ _BINDING_RE = re.compile(
 
 def parse_system(text):
     """Parse a system description; returns (OdeSystem, SystemSource)."""
-    pieces = _split_bindings(text)
     bindings = {}
     eq_pieces = []
-    for piece in pieces:
+    for piece in text.split(";"):
         m = _BINDING_RE.match(piece)
         if m and m.group(1) not in ("z", "w"):
             name, val = m.group(1), m.group(2)

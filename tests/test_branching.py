@@ -10,6 +10,7 @@ from pbound.branching import (
     multiplicity_at,
     tree_multiplicity,
 )
+from pbound.exact import sort_key
 from pbound.polyode import (
     BiPoly,
     PuiseuxBranch,
@@ -143,7 +144,7 @@ def test_mu_five_resonance_order_hit():
     assert "resonance-order-hit" in dead[0].flags
     alive = sorted(
         [b for b in b_list(res) if b.status in ("closed", "exact")],
-        key=lambda b: b.sort_token(),
+        key=lambda b: (b.terms[0][0],) + sort_key(b.terms[0][1]),
     )
     assert {b.terms[0][1] for b in alive} == {Q(3), Q(-3)}
 

@@ -142,3 +142,20 @@ def test_text_output(capsys):
     assert code == 0
     assert "status: finite" in out
     assert "mul: 3" in out
+
+
+def test_exact_arithmetic_cap_is_inconclusive_not_a_crash(capsys):
+    # P(0, w) = w^9 + 2 has degree 9, over the factor cap of 8
+    code, data = run_json(capsys, ["bound", "--system", "dw/dz = (w^9 + z + 2) / (z)"])
+    assert code == 3
+    assert data == {"error": {"type": "ExactError", "message": "factor cap exceeded"}}
+
+
+def test_darboux_univariate_cubic_certified_irreducible(capsys):
+    code, data = run_json(
+        capsys, ["darboux", "--system", "dz/dt = z^3 + 2; dw/dt = w", "--max-degree", "3"]
+    )
+    assert code == 3  # the degree-3 core extraction is capped
+    (cert,) = [c for c in data["certificates"] if c["poly"] == "z^3 + 2"]
+    assert cert["irreducible"] is True
+    assert cert["irreducibility"] == "certified"

@@ -126,6 +126,41 @@ def test_strictness_complex_component():
 
 
 # ---------------------------------------------------------------------------
+# irreducibility
+# ---------------------------------------------------------------------------
+
+def hamiltonian(f):
+    """zdot = -f_w, wdot = f_z: f is a first integral, so Darboux with cofactor 0."""
+    return OdeSystem(f.diff_z(), f.diff_w().scale(Q(-1)))
+
+
+def test_univariate_cubic_in_z_certified_irreducible():
+    # z^3 + 2 has no rational root, so it is irreducible over Q
+    f = bp({(3, 0): 1, (0, 0): 2})
+    cert = verify_darboux(make_system(bp({(0, 1): 1}), f), f)
+    assert isinstance(cert, DarbouxCertificate)
+    assert cert.offending == ("z-factor z^3 + 2",)
+    assert cert.irreducible and cert.certified
+
+
+def test_univariate_cubic_in_w_certified_irreducible():
+    f = bp({(0, 3): 1, (0, 0): 2})
+    cert = verify_darboux(make_system(f, bp({(1, 0): 1})), f)
+    assert isinstance(cert, DarbouxCertificate)
+    assert cert.offending == ("w-factor w^3 + 2",)
+    assert cert.irreducible and cert.certified
+
+
+def test_bivariate_with_axis_parallel_component_certified_reducible():
+    # (z^2 + 1)(w - z): the offender z^2 + 1 is a proper factor
+    f = bp({(2, 0): 1, (0, 0): 1}) * bp({(0, 1): 1, (1, 0): -1})
+    cert = verify_darboux(hamiltonian(f), f)
+    assert isinstance(cert, DarbouxCertificate)
+    assert cert.offending == ("z-factor z^2 + 1",)
+    assert not cert.irreducible and cert.certified
+
+
+# ---------------------------------------------------------------------------
 # line detection
 # ---------------------------------------------------------------------------
 
@@ -153,6 +188,16 @@ def test_detect_lines_complex_pair():
     assert len(det.families) == 1
     fam = det.families[0]
     assert fam.kind == "z" and fam.degree == 2
+
+
+def test_detect_lines_conjugate_families_name_their_variable():
+    # zdot = z^2 - 2, wdot = w^2 - 3: z = +-sqrt(2) and w = +-sqrt(3)
+    sys = make_system(bp({(0, 2): 1, (0, 0): -3}), bp({(2, 0): 1, (0, 0): -2}))
+    axis = [f.to_report() for f in detect_invariant_lines(sys).families if f.kind != "sloped"]
+    assert axis == [
+        {"kind": "z", "defining_polynomial": "z^2 - 2", "conjugates": 2},
+        {"kind": "w", "defining_polynomial": "w^2 - 3", "conjugates": 2},
+    ]
 
 
 def test_detect_lines_saddle_fixture():
@@ -299,14 +344,15 @@ def sp():
     return pytest.importorskip("sympy")
 
 
+def sympy_expr(sp, p):
+    z, w = sp.symbols("z w")
+    return sum(sp.Rational(c.numerator, c.denominator) * z ** int(ze) * w**we for (ze, we), c in p.terms.items())
+
+
 def sympy_extactic(sp, sys, n):
     """E_n by sympy's own derivatives and Matrix.det."""
     z, w = sp.symbols("z w")
-
-    def to_expr(p):
-        return sum(sp.Rational(c.numerator, c.denominator) * z ** int(ze) * w**we for (ze, we), c in p.terms.items())
-
-    zdot, wdot = to_expr(sys.Q), to_expr(sys.P)
+    zdot, wdot = sympy_expr(sp, sys.Q), sympy_expr(sp, sys.P)
     rows = [[z**i * w ** (total - i) for total in range(n + 1) for i in range(total + 1)]]
     for _ in range(len(rows[0]) - 1):
         rows.append([sp.expand(zdot * sp.diff(f, z) + wdot * sp.diff(f, w)) for f in rows[-1]])
@@ -379,3 +425,41 @@ def test_extactic_first_zero_at_the_first_integral_degree():
     assert not extactic_determinant(CUBIC_ENERGY, 2).is_zero()
     assert extactic_determinant(CUBIC_ENERGY, 3).is_zero()
     assert search_darboux(CUBIC_ENERGY, 3).dicritical_degrees == (3,)
+
+
+FACTOR_MONOMIALS = {
+    "z": [(i, 0) for i in range(4)],
+    "w": [(0, j) for j in range(4)],
+    "zw": [(i, d - i) for d in range(4) for i in range(d + 1)],
+}
+
+
+def factors(kind):
+    """Random integer polynomials of degree <= 3 in z alone, w alone or both."""
+    terms = st.dictionaries(
+        st.sampled_from(FACTOR_MONOMIALS[kind]), st.integers(-3, 3).filter(bool), min_size=1, max_size=5
+    )
+    return terms.map(bp).filter(lambda p: (p.z_degree() > 0) + (p.w_degree() > 0) == len(kind))
+
+
+@st.composite
+def factored_polys(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(FACTOR_MONOMIALS)), min_size=1, max_size=2))
+    f = bp({(0, 0): 1})
+    for kind in kinds:
+        f = f * draw(factors(kind))
+    return f
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(factored_polys())
+def test_certificates_match_sympy_factor_list(sp, f):
+    cert = verify_darboux(hamiltonian(f), f)
+    assert isinstance(cert, DarbouxCertificate)
+    _, facs = sp.factor_list(sympy_expr(sp, f))
+    # strict exactly when no irreducible factor over Q lies in one variable
+    assert cert.strict == all(len(g.free_symbols) == 2 for g, _ in facs)
+    if not cert.strict and f.z_degree() > 0 and f.w_degree() > 0:
+        assert cert.certified  # an offender is a proper factor
+    if cert.certified:
+        assert cert.irreducible == (len(facs) == 1 and facs[0][1] == 1)

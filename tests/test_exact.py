@@ -11,6 +11,7 @@ from pbound.exact import (
     Split,
     Tower,
     UniPoly,
+    _mod_divmod,
     adjoin_root,
     factor_univariate,
     in_q_minus,
@@ -153,6 +154,24 @@ def test_factor_quartic_biquadratic():
 
 def test_modular_irreducibility_certifies():
     assert modular_irreducibility(poly(2, 0, 0, 0, 1)) is True  # x^4 + 2 (Eisenstein)
+
+
+def test_mod_divmod_roundtrip():
+    # q * b + r == a over F_p with deg r < deg b, both trimmed
+    rng = random.Random(5)
+    for p in (2, 7, 101):
+        for _ in range(40):
+            a = [rng.randrange(p) for _ in range(rng.randrange(0, 9))]
+            b = [rng.randrange(p) for _ in range(rng.randrange(0, 5))] + [rng.randrange(1, p)]
+            q, r = _mod_divmod(a, b, p)
+            prod = [0] * max(len(q) + len(b) - 1, len(a), 1)
+            for i, x in enumerate(q):
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+            for i, x in enumerate(r):
+                prod[i] += x
+            assert [c % p for c in prod] == a + [0] * (len(prod) - len(a))
+            assert len(r) < len(b) and (not r or r[-1]) and (not q or q[-1])
 
 
 def test_factor_cap():
