@@ -52,6 +52,8 @@ def _parse_caps(text: str, base: Caps) -> Caps:
             if key not in fields:
                 raise ValueError("unknown cap %r" % key)
             fields[key] = int(val)
+            if fields[key] < 0:
+                raise ValueError("cap %r must not be negative" % key)
     return Caps(
         depth=fields["depth"],
         ram=fields["ram"],
@@ -78,21 +80,28 @@ def _load_system(args):
     return parse_system(text)
 
 
+def _rational(text):
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
+
+
 def _parse_point(text):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
         raise ValueError("point must be 'z0,w0' or 'z0,inf'")
-    z0 = Fraction(parts[0])
+    z0 = _rational(parts[0])
     if parts[1] in ("inf", "oo", "infinity"):
         return ("inf", z0)
-    return ("point", z0, Fraction(parts[1]))
+    return ("point", z0, _rational(parts[1]))
 
 
 def _parse_triple(text):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
         raise ValueError("expected three comma-separated rationals")
-    return tuple(Fraction(p) for p in parts)
+    return tuple(_rational(p) for p in parts)
 
 
 def _inconclusive(report) -> bool:

@@ -168,12 +168,12 @@ def _univariate_content(f: BiPoly, var: str):
 
 
 def _swap_zw(p: BiPoly) -> BiPoly:
-    return BiPoly({(Q(we), int(ze)): c for (ze, we), c in p.terms.items()}, tower=p.tower)
+    return BiPoly({(we, ze): c for (ze, we), c in p.terms.items()}, tower=p.tower)
 
 
 def _lift(p: UniPoly, var: str) -> BiPoly:
     """The UniPoly p in var as a BiPoly."""
-    out = BiPoly({(Q(i), 0): c for i, c in enumerate(p.coeffs)}, tower=p.tower)
+    out = BiPoly({(i, 0): c for i, c in enumerate(p.coeffs)}, tower=p.tower)
     return out if var == "z" else _swap_zw(out)
 
 
@@ -301,7 +301,7 @@ def _sloped_line_conditions(A: BiPoly, B: BiPoly):
             for k in range(we + 1):
                 koeff = sign * c * math.comb(we, k)
                 m = int(ze) + k
-                key = (Q(k + extra_s_power), we - k)
+                key = (k + extra_s_power, we - k)
                 bucket = conditions.setdefault(m, {})
                 bucket[key] = bucket.get(key, Q(0)) + koeff
 
@@ -526,7 +526,7 @@ def extactic_determinant(sys: OdeSystem, n: int) -> BiPoly:
     if sys.ram != 1:
         raise OdeError("extactic determinant requires integer exponents")
     basis = [
-        BiPoly({(Q(i), j): Q(1)})
+        BiPoly({(i, j): Q(1)})
         for total in range(n + 1)
         for i in range(total + 1)
         for j in [total - i]
@@ -580,7 +580,7 @@ def _unpack(packed: int, b: int, dz: int, scale: int) -> BiPoly:
             digit -= full
         if digit:
             we, ze = divmod(k, dz)
-            terms[(Q(ze), we)] = Q(sign * digit, scale)
+            terms[(ze, we)] = Q(sign * digit, scale)
     return BiPoly(terms)
 
 

@@ -10,6 +10,8 @@ on each.  No floating point is used anywhere.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -176,6 +178,8 @@ def _mul(levels, a, b):
     if not levels:
         return a * b
     sub = levels[:-1]
+    if not sub:
+        return _mul_rational(levels[0], a, b)
     d = levels[-1].degree
     prod = [_zero(sub) for _ in range(2 * d - 1)]
     for i, x in enumerate(a):
@@ -186,6 +190,30 @@ def _mul(levels, a, b):
                 continue
             prod[i + j] = _add(sub, prod[i + j], _mul_sub(sub, x, y))
     return _reduce_list(levels, prod)
+
+
+def _mul_rational(level, a, b):
+    """Product in Q[x]/(m) on integers: both operands are scaled to integer
+    vectors over one denominator each, multiplied, and reduced with the
+    level's table of x^(d+k) mod m; only the d results become Fractions."""
+    da = math.lcm(*[x.denominator for x in a])
+    db = math.lcm(*[y.denominator for y in b])
+    ia = [x.numerator * (da // x.denominator) for x in a]
+    ib = [y.numerator * (db // y.denominator) for y in b]
+    d = level.degree
+    prod = [0] * (2 * d - 1)
+    for i, x in enumerate(ia):
+        if x:
+            for j, y in enumerate(ib):
+                prod[i + j] += x * y
+    rows, den = level.reduction
+    out = [v * den for v in prod[:d]]
+    for v, row in zip(prod[d:], rows):
+        if v:
+            for j, r in enumerate(row):
+                out[j] += v * r
+    total = da * db * den
+    return tuple([Q(v, total) for v in out])
 
 
 def _polydeg(sub, coeffs):
@@ -275,6 +303,21 @@ class Level:
     minpoly: tuple  # monic coefficient list (reps over the sub-tower)
     degree: int
     presumed: bool = False
+
+    @functools.cached_property
+    def reduction(self):
+        """(rows, den) with x^(d+k) = sum_j rows[k][j] x^j / den modulo the
+        modulus, for k = 0 .. d-2; only for a level over Q."""
+        d = self.degree
+        m = self.minpoly
+        row = [-c for c in m[:d]]
+        fracs = []
+        for _ in range(d - 1):
+            fracs.append(row)
+            top = row[-1]
+            row = [-top * m[0]] + [row[j - 1] - top * m[j] for j in range(1, d)]
+        den = math.lcm(*[c.denominator for r in fracs for c in r])
+        return [[c.numerator * (den // c.denominator) for c in r] for r in fracs], den
 
 
 class Tower:
@@ -560,7 +603,9 @@ def ensure_regular(x) -> bool:
     """
     if f_is_zero(x):
         return True
-    if isinstance(x, ExtElem) and not x.tower.is_trivial():
+    # over certified-irreducible levels the tower is a field: a nonzero
+    # element is a unit, and only a presumed modulus can hide a zero divisor
+    if isinstance(x, ExtElem) and any(lv.presumed for lv in x.tower.levels):
         x.inverse()  # raises TowerSplitError on a zero divisor
     return False
 
@@ -704,7 +749,9 @@ def adjoin_root(tower: Tower, m: "UniPoly", name: Optional[str] = None):
             min_coeffs.append(tower.coerce(c).rep)
         else:
             min_coeffs.append(_const(sub, Q(c)))
-    presumed = not getattr(m, "certified_irreducible", False)
+    # irreducible over Q says nothing over Q(theta): only a level over Q
+    # keeps the certificate
+    presumed = bool(sub) or not getattr(m, "certified_irreducible", False)
     level = Level(name=name, minpoly=tuple(min_coeffs), degree=m.degree(), presumed=presumed)
     new_tower = Tower(sub + (level,), cap=tower.cap)
     root = new_tower.generator(len(sub))

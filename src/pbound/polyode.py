@@ -35,7 +35,11 @@ class OdeError(Exception):
 
 class BiPoly:
     """Sparse exact polynomial in z and w; z-exponents are nonnegative
-    rationals sharing the denominator ``ram``, w-exponents integers >= 0."""
+    rationals sharing the denominator ``ram``, w-exponents integers >= 0.
+
+    A z-exponent key is an ``int`` when it is integral and a ``Fraction``
+    only when it is not, so unramified arithmetic never touches Fractions;
+    ``hash`` and ``==`` agree across the two types."""
 
     __slots__ = ("terms", "ram", "tower")
 
@@ -45,13 +49,16 @@ class BiPoly:
             for (ze, we), c in terms.items():
                 if f_is_zero(c):
                     continue
-                if type(ze) is not Fraction:
-                    ze = Q(ze)
+                if type(ze) is not int:
+                    if type(ze) is not Fraction:
+                        ze = Q(ze)
+                    if ze.denominator == 1:
+                        ze = ze.numerator
+                    else:
+                        ram = _lcm(ram, ze.denominator)
                 if type(we) is not int:
                     we = int(we)
                 clean[(ze, we)] = c
-                if ze.denominator != 1:
-                    ram = _lcm(ram, ze.denominator)
         self.terms = clean
         self.ram = ram
         self.tower = tower
@@ -64,19 +71,19 @@ class BiPoly:
 
     @classmethod
     def const(cls, c, tower=None):
-        return cls({(Q(0), 0): c}, tower=tower)
+        return cls({(0, 0): c}, tower=tower)
 
     @classmethod
     def var_z(cls, tower=None):
-        return cls({(Q(1), 0): field_one(tower)}, tower=tower)
+        return cls({(1, 0): field_one(tower)}, tower=tower)
 
     @classmethod
     def var_w(cls, tower=None):
-        return cls({(Q(0), 1): field_one(tower)}, tower=tower)
+        return cls({(0, 1): field_one(tower)}, tower=tower)
 
     @classmethod
     def monomial(cls, c, ze, we, tower=None):
-        return cls({(Q(ze), int(we)): c}, tower=tower)
+        return cls({(ze, we): c}, tower=tower)
 
     # -- queries -------------------------------------------------------------
 
@@ -87,10 +94,10 @@ class BiPoly:
         return max((we for (_, we) in self.terms), default=-1)
 
     def z_degree(self):
-        return max((ze for (ze, _) in self.terms), default=Q(-1))
+        return max((ze for (ze, _) in self.terms), default=-1)
 
     def total_degree(self):
-        return max((ze + we for (ze, we) in self.terms), default=Q(-1))
+        return max((ze + we for (ze, we) in self.terms), default=-1)
 
     def w_parts(self):
         """Mapping w-power -> ascending list of (z-exponent, coefficient)."""
@@ -102,7 +109,7 @@ class BiPoly:
         return parts
 
     def coeff(self, ze, we):
-        return self.terms.get((Q(ze), int(we)), field_zero(self.tower))
+        return self.terms.get((ze, int(we)), field_zero(self.tower))
 
     # -- ring operations -------------------------------------------------------
 
@@ -143,6 +150,8 @@ class BiPoly:
     def shift_z(self, delta):
         """Multiply by z^delta (delta may be any rational)."""
         delta = Q(delta)
+        if delta.denominator == 1:
+            delta = delta.numerator
         return BiPoly(
             {(ze + delta, we): c for (ze, we), c in self.terms.items()},
             ram=_lcm(self.ram, delta.denominator),
@@ -347,7 +356,7 @@ def wpoly_to_bipoly(rows, tower=None):
     for we, row in enumerate(rows):
         for ze, c in enumerate(row.coeffs):
             if not f_is_zero(c):
-                terms[(Q(ze), we)] = c
+                terms[(ze, we)] = c
     return BiPoly(terms, tower=tower)
 
 
@@ -545,7 +554,7 @@ def bipoly_divexact(num: BiPoly, den: BiPoly) -> Optional[BiPoly]:
     for (ze, we), c in num.terms.items():
         rows[we][int(ze)] = c
     dz = max(int(ze) for (ze, we) in den.terms if we == dw)
-    lc_inv = f_inv(den.terms[(Q(dz), dw)])
+    lc_inv = f_inv(den.terms[(dz, dw)])
     rest = [(we, int(ze), c) for (ze, we), c in den.terms.items() if (ze, we) != (dz, dw)]
     quotient = {}
     for i in range(nw, dw - 1, -1):
@@ -559,7 +568,7 @@ def bipoly_divexact(num: BiPoly, den: BiPoly) -> Optional[BiPoly]:
             if not 0 <= qz <= qz_max:
                 return None
             qc = c * lc_inv
-            quotient[(Q(qz), qw)] = qc
+            quotient[(qz, qw)] = qc
             for we, ze, dc in rest:
                 target = rows[qw + we]
                 target[qz + ze] -= qc * dc
@@ -712,8 +721,8 @@ def translate_point(sys: OdeSystem, z0, w0) -> OdeSystem:
     """Move the point (z0, w0) to the origin."""
     tower = sys.tower
     one = field_one(tower)
-    z_expr = BiPoly({(Q(1), 0): one, (Q(0), 0): _coerce_scalar(tower, z0)}, tower=tower)
-    w_expr = BiPoly({(Q(0), 1): one, (Q(0), 0): _coerce_scalar(tower, w0)}, tower=tower)
+    z_expr = BiPoly({(1, 0): one, (0, 0): _coerce_scalar(tower, z0)}, tower=tower)
+    w_expr = BiPoly({(0, 1): one, (0, 0): _coerce_scalar(tower, w0)}, tower=tower)
     return OdeSystem(
         sys.P.subst_affine(z_expr, w_expr), sys.Q.subst_affine(z_expr, w_expr), tower=tower
     )
@@ -742,7 +751,7 @@ def invert_at_infinity(sys: OdeSystem, z0=Q(0)) -> OdeSystem:
         newQ[key] = c if cur is None else cur + c
     Pb = BiPoly(newP, tower=tower)
     Qb = BiPoly(newQ, tower=tower)
-    dz = min(min((ze for (ze, _) in Pb.terms), default=Q(0)), min((ze for (ze, _) in Qb.terms), default=Q(0)))
+    dz = min(min((ze for (ze, _) in Pb.terms), default=0), min((ze for (ze, _) in Qb.terms), default=0))
     dw = min(min((we for (_, we) in Pb.terms), default=0), min((we for (_, we) in Qb.terms), default=0))
     if dz or dw:
         Pb = BiPoly({(ze - dz, we - dw): c for (ze, we), c in Pb.terms.items()}, tower=tower)
@@ -758,14 +767,14 @@ def shear_point(sys: OdeSystem, a, b, c, z0=Q(0), w0=Q(0)) -> OdeSystem:
     tower = sys.tower
     # inverse substitution: z = z0 + Z/c, w = w0 + W/a - (b/(a c)) Z
     z_expr = BiPoly(
-        {(Q(1), 0): _frac_c(tower, Q(1) / c), (Q(0), 0): _coerce_scalar(tower, z0)},
+        {(1, 0): _frac_c(tower, Q(1) / c), (0, 0): _coerce_scalar(tower, z0)},
         tower=tower,
     )
     w_expr = BiPoly(
         {
-            (Q(0), 1): _frac_c(tower, Q(1) / a),
-            (Q(1), 0): _frac_c(tower, -b / (a * c)),
-            (Q(0), 0): _coerce_scalar(tower, w0),
+            (0, 1): _frac_c(tower, Q(1) / a),
+            (1, 0): _frac_c(tower, -b / (a * c)),
+            (0, 0): _coerce_scalar(tower, w0),
         },
         tower=tower,
     )

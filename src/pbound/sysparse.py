@@ -43,9 +43,10 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(text):
+    """(kind, value, offset) triples, then an eof token; line and column are
+    worked out from the offset only when an error is reported."""
     tokens = []
     pos = 0
-    line, col = 1, 1
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m or m.end() == pos:
@@ -53,14 +54,11 @@ def _tokenize(text):
             if not stripped:
                 break
             skip = len(text[pos:]) - len(stripped)
-            _line, _col = _position(text, pos + skip)
-            raise ParseError("unexpected character %r" % stripped[0], _line, _col)
-        start = m.start(m.lastgroup)
-        line, col = _position(text, start)
+            raise ParseError("unexpected character %r" % stripped[0], *_position(text, pos + skip))
         kind = m.lastgroup
-        tokens.append((kind, m.group(kind), line, col))
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
-    tokens.append(("eof", "", *_position(text, len(text))))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
@@ -70,8 +68,17 @@ def _position(text, pos):
     return line, col
 
 
+def _literal(val):
+    """The rational written as ``[-]n`` or ``[-]n/d``; None when d is 0."""
+    num, _, den = val.partition("/")
+    if den and int(den) == 0:
+        return None
+    return Q(int(num), int(den or 1))
+
+
 class _Parser:
     def __init__(self, text, params):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.params = params
@@ -86,16 +93,13 @@ class _Parser:
         return tok
 
     def expect(self, value, what=None):
-        kind, val, line, col = self.peek()
-        if val != value:
-            raise ParseError(
-                "expected %r" % (what or value), line, col
-            )
+        if self.peek()[1] != value:
+            self.fail("expected %r" % (what or value))
         return self.next()
 
-    def fail(self, message):
-        _, _, line, col = self.peek()
-        raise ParseError(message, line, col)
+    def fail(self, message, tok=None):
+        """Raise a ParseError at ``tok``, by default the next token."""
+        raise ParseError(message, *_position(self.text, (tok or self.peek())[2]))
 
     # -- polynomial parsing --------------------------------------------------
 
@@ -124,10 +128,10 @@ class _Parser:
         base = self.atom()
         if self.peek()[1] == "^":
             self.next()
-            kind, val, line, col = self.next()
-            if kind != "num" or "/" in val:
-                raise ParseError("exponent must be a nonnegative integer", line, col)
-            n = int(val)
+            tok = self.next()
+            if tok[0] != "num" or "/" in tok[1]:
+                self.fail("exponent must be a nonnegative integer", tok)
+            n = int(tok[1])
             out = BiPoly.const(Q(1))
             for _ in range(n):
                 out = out * base
@@ -135,18 +139,19 @@ class _Parser:
         return base
 
     def atom(self) -> BiPoly:
-        kind, val, line, col = self.peek()
+        tok = self.peek()
+        kind, val, _ = tok
         if val == "(":
             self.next()
             inner = self.poly()
             self.expect(")")
             return inner
         if kind == "num":
+            value = _literal(val)
+            if value is None:
+                self.fail("zero denominator in %s" % val)
             self.next()
-            if "/" in val:
-                a, b = val.split("/")
-                return BiPoly.const(Q(int(a), int(b)))
-            return BiPoly.const(Q(int(val)))
+            return BiPoly.const(value)
         if kind == "name":
             self.next()
             if val == "z":
@@ -156,8 +161,8 @@ class _Parser:
             if val in self.params:
                 self.used_params.add(val)
                 return BiPoly.const(self.params[val])
-            raise ParseError("unbound parameter %r" % val, line, col)
-        raise ParseError("expected a polynomial atom", line, col)
+            self.fail("unbound parameter %r" % val, tok)
+        self.fail("expected a polynomial atom")
 
 
 _BINDING_RE = re.compile(
@@ -169,21 +174,22 @@ def parse_system(text):
     """Parse a system description; returns (OdeSystem, SystemSource)."""
     bindings = {}
     eq_pieces = []
+    offset = 0
     for piece in text.split(";"):
         m = _BINDING_RE.match(piece)
         if m and m.group(1) not in ("z", "w"):
             name, val = m.group(1), m.group(2)
-            if "/" in val:
-                a, b = val.split("/")
-                bindings[name] = Q(int(a), int(b))
-            else:
-                bindings[name] = Q(int(val))
+            value = _literal(val)
+            if value is None:
+                raise ParseError("zero denominator in %s" % val, *_position(text, offset + m.start(2)))
+            bindings[name] = value
         else:
             eq_pieces.append(piece)
+        offset += len(piece) + 1
     eq_text = ";".join(eq_pieces)
     parser = _Parser(eq_text, bindings)
 
-    kind, val, line, col = parser.peek()
+    kind, val, _ = parser.peek()
     if kind != "name" or val not in ("dw", "dz"):
         parser.fail("expected 'dw/dz' or 'dz/dt'")
     if val == "dw":
@@ -191,7 +197,7 @@ def parse_system(text):
         parser.expect("/")
         tok = parser.next()
         if tok[1] != "dz":
-            raise ParseError("expected 'dw/dz'", tok[2], tok[3])
+            parser.fail("expected 'dw/dz'", tok)
         parser.expect("=")
         p_poly = parser.poly()
         parser.expect("/", what="'/' between numerator and denominator")
@@ -202,23 +208,22 @@ def parse_system(text):
         parser.expect("/")
         tok = parser.next()
         if tok[1] != "dt":
-            raise ParseError("expected 'dz/dt'", tok[2], tok[3])
+            parser.fail("expected 'dz/dt'", tok)
         parser.expect("=")
         q_poly = parser.poly()  # dz/dt is the denominator of dw/dz
         parser.expect(";")
         tok = parser.next()
         if tok[1] != "dw":
-            raise ParseError("expected 'dw/dt'", tok[2], tok[3])
+            parser.fail("expected 'dw/dt'", tok)
         parser.expect("/")
         tok = parser.next()
         if tok[1] != "dt":
-            raise ParseError("expected 'dw/dt'", tok[2], tok[3])
+            parser.fail("expected 'dw/dt'", tok)
         parser.expect("=")
         p_poly = parser.poly()
         form = "autonomous"
-    kind, val, line, col = parser.peek()
-    if kind != "eof":
-        raise ParseError("unexpected trailing input", line, col)
+    if parser.peek()[0] != "eof":
+        parser.fail("unexpected trailing input")
 
     axis = _divisible_by_z(q_poly)
     axis_factor = q_poly.shift_z(-1) if axis else None

@@ -95,6 +95,24 @@ def test_parse_error_json(capsys):
     assert data["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "argv, error_type",
+    [
+        (["mul", "--system", EX45, "--at", "0,1/0"], "ValueError"),
+        (["bound", "--system", LV, "--line", "1,0,1/0"], "ValueError"),
+        (["lv", "--params", "1/0,0,0"], "ValueError"),
+        (["mul", "--system", "dw/dz = (z^2 + m*w) / (z + w^2); m = 1/0", "--at", "0,0"], "ParseError"),
+        (["mul", "--system", "dw/dz = (z^2 + 1/0*w) / (z + w^2)", "--at", "0,0"], "ParseError"),
+        (["mul", "--system", EX45, "--at", "0,0", "--caps", "depth=-5"], "ValueError"),
+    ],
+    ids=["at", "line", "lv-params", "binding", "literal", "negative-cap"],
+)
+def test_bad_rational_input_exits_2(capsys, argv, error_type):
+    code, data = run_json(capsys, argv)
+    assert code == 2
+    assert data["error"]["type"] == error_type
+
+
 def test_cap_exit_code(capsys):
     # depth 1 leaves the ramified branch unresolved: capped, exit 3
     code, data = run_json(

@@ -3,16 +3,22 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pbound import exact
 from pbound.exact import (
     ExactError,
+    ExtElem,
     Inverse,
+    Level,
     QQ_TOWER,
     Split,
     Tower,
+    TowerSplitError,
     UniPoly,
     _mod_divmod,
     adjoin_root,
+    ensure_regular,
     factor_univariate,
     in_q_minus,
     in_q_plus,
@@ -298,3 +304,128 @@ def test_str_round_shapes():
     t, theta = adjoin_root(QQ_TOWER, poly(9, 0, 1))
     assert str(theta) == "t0"
     assert str(theta * 2 + 1) == "1 + 2*t0"
+
+
+# ---------------------------------------------------------------------------
+# number-field products and the regularity test
+# ---------------------------------------------------------------------------
+
+# Derandomized and without an example database, so every run draws the
+# same examples.
+FIELD_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@pytest.fixture(scope="module")
+def sp():
+    return pytest.importorskip("sympy")
+
+
+def rational_level(name, low):
+    """The level Q[x]/(x^d + low[d-1] x^(d-1) + ... + low[0]), marked presumed
+    because nothing checks that the modulus is irreducible."""
+    return Level(name=name, minpoly=tuple(low) + (Q(1),), degree=len(low), presumed=True)
+
+
+def sympy_expr(sp, coeffs, var):
+    return sum(sp.Rational(c.numerator, c.denominator) * var**i for i, c in enumerate(coeffs))
+
+
+def sympy_coeffs(sp, expr, var, d):
+    coeffs = [Q(int(c.p), int(c.q)) for c in reversed(sp.Poly(expr, var, domain="QQ").all_coeffs())]
+    return coeffs + [Q(0)] * (d - len(coeffs))
+
+
+@FIELD_SETTINGS
+@given(st.integers(1, 5).flatmap(
+    lambda d: st.tuples(*[st.lists(fractions, min_size=d, max_size=d)] * 3)
+))
+def test_rational_level_product_matches_sympy_rem(sp, data):
+    low, a, b = data
+    d = len(low)
+    t = Tower((rational_level("t0", low),))
+    got = (ExtElem(t, tuple(a)) * ExtElem(t, tuple(b))).rep
+    x = sp.Symbol("x")
+    m = sympy_expr(sp, list(low) + [Q(1)], x)
+    want = sp.rem(sympy_expr(sp, a, x) * sympy_expr(sp, b, x), m, x)
+    assert list(got) == sympy_coeffs(sp, want, x, d)
+    assert all(type(c) is Q for c in got)
+
+
+@FIELD_SETTINGS
+@given(
+    st.lists(fractions, min_size=2, max_size=2),
+    st.lists(st.lists(fractions, min_size=2, max_size=2), min_size=2, max_size=2),
+    st.lists(st.lists(fractions, min_size=2, max_size=2), min_size=6, max_size=6),
+)
+def test_two_level_product_matches_sympy_reduction(sp, low0, low1, entries):
+    # an element of Q(x)(y) with deg x = 2, deg y = 3 is three pairs over Q(x)
+    lv0 = rational_level("x", low0)
+    lv1 = Level(name="y", minpoly=tuple(tuple(c) for c in low1) + ((Q(-1, 2), Q(3)), (Q(1), Q(0))),
+                degree=3, presumed=True)
+    t = Tower((lv0, lv1))
+    a, b = tuple(map(tuple, entries[:3])), tuple(map(tuple, entries[3:]))
+    got = (ExtElem(t, a) * ExtElem(t, b)).rep
+    x, y = sp.symbols("x y")
+
+    def expr(rep):
+        return sum(sympy_expr(sp, c, x) * y**j for j, c in enumerate(rep))
+
+    m0 = sympy_expr(sp, list(low0) + [Q(1)], x)
+    m1 = expr(lv1.minpoly)
+    # {m1, m0} is a lex (y > x) Groebner basis: its leading terms y^3 and
+    # x^2 are coprime, so the remainder is the unique reduced form
+    _, want = sp.reduced(sp.expand(expr(a) * expr(b)), [m1, m0], y, x, order="lex")
+    want = sp.Poly(want, y, x, domain="QQ")
+    assert got == tuple(
+        tuple(Q(int(c.p), int(c.q)) for c in (want.coeff_monomial(y**j * x**i) for i in range(2)))
+        for j in range(3)
+    )
+
+
+def certified(p):
+    p.certified_irreducible = True
+    return p
+
+
+def count_inverses(monkeypatch):
+    calls = []
+    inner = exact._inv
+
+    def counting(levels, a):
+        calls.append(len(levels))
+        return inner(levels, a)
+
+    monkeypatch.setattr(exact, "_inv", counting)
+    return calls
+
+
+def test_ensure_regular_computes_no_inverse_over_a_certified_field(monkeypatch):
+    t, theta = adjoin_root(QQ_TOWER, certified(poly(-2, 0, 1)))
+    assert not t.levels[0].presumed
+    calls = count_inverses(monkeypatch)
+    assert ensure_regular(theta + 1) is False
+    assert ensure_regular(t.zero()) is True
+    assert calls == []
+    # a presumed modulus still pays for the inverse that tests regularity
+    t2, rho = adjoin_root(QQ_TOWER, poly(-2, 0, 1))
+    assert ensure_regular(rho + 1) is False
+    assert calls
+
+
+def test_ensure_regular_splits_on_zero_divisor_modulo_presumed_product():
+    # (x^2 - 2)(x^2 - 3) has no rational root, so it is adjoined presumed
+    t, theta = adjoin_root(QQ_TOWER, poly(6, 0, -5, 0, 1))
+    assert t.levels[0].presumed
+    with pytest.raises(TowerSplitError) as err:
+        ensure_regular(theta * theta - 2)
+    moduli = sorted(tuple(tt.levels[0].minpoly) for tt in err.value.factor_towers())
+    assert moduli == [(Q(-3), Q(0), Q(1)), (Q(-2), Q(0), Q(1))]
+
+
+def test_adjoin_certified_polynomial_over_an_extension_is_presumed():
+    # x^2 - 2 is irreducible over Q but splits over Q(sqrt 2)
+    t, theta = adjoin_root(QQ_TOWER, certified(poly(-2, 0, 1)))
+    m = certified(UniPoly([t.from_fraction(Q(-2)), t.zero(), t.one()], tower=t))
+    t2, _ = adjoin_root(t, m)
+    assert [lv.presumed for lv in t2.levels] == [False, True]

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -60,7 +61,9 @@ def test_bipoly_str_and_ram():
     p = BiPoly({("5/2", 0): Q(2), (0, Q(1)): Q(-1), (1, 3): Q(0)}, ram=3)
     assert p.ram == 6
     assert p.terms == {(Q(5, 2), 0): Q(2), (Q(0), 1): Q(-1)}
-    assert all(type(ze) is Q and type(we) is int for ze, we in p.terms)
+    # integral z-exponents are ints, ramified ones Fractions
+    assert {ze: type(ze) for ze, _ in p.terms} == {Q(5, 2): Q, 0: int}
+    assert all(type(we) is int for _, we in p.terms)
 
 
 def test_biv_gcd_detects_common_factor():
@@ -349,6 +352,48 @@ def test_subst_affine_matches_power_reference(poly, z_expr, w_expr):
             term = term * w_expr
         want = want + term
     assert_same_poly(poly.subst_affine(z_expr, w_expr), want)
+
+
+def assert_keys_normalized(p, *rams):
+    """Integral z-exponents are ints and ramified ones Fractions; ram is a
+    multiple of the key denominators and divides the lcm of ``rams``."""
+    assert all(
+        type(ze) is int or (type(ze) is Q and ze.denominator > 1) for ze, _ in p.terms
+    ), p.terms
+    assert all(type(we) is int for _, we in p.terms)
+    assert p.ram % math.lcm(*(ze.denominator for ze, _ in p.terms)) == 0
+    assert math.lcm(*rams) % p.ram == 0
+
+
+@KERNEL_SETTINGS
+@given(
+    ramified_polys(),
+    ramified_polys(),
+    series_polys(),
+    rationals,
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+    st.booleans(),
+)
+def test_operations_keep_integral_keys_int(a, b, series, c, delta, with_remainder):
+    for p in (a, b, series):
+        assert_keys_normalized(p, p.ram)
+    assert_keys_normalized(a + b, a.ram, b.ram)
+    assert_keys_normalized(a - b, a.ram, b.ram)
+    assert_keys_normalized(a * b, a.ram, b.ram)
+    assert_keys_normalized(a.scale(c), a.ram)
+    assert_keys_normalized(a.diff_z(), a.ram)
+    assert_keys_normalized(a.shift_z(delta), a.ram, delta.denominator)
+    assert_keys_normalized(a.subst_w_series(series, with_remainder), a.ram, series.ram)
+
+
+@KERNEL_SETTINGS
+@given(
+    bipolys((1,), (0, 3), 3),
+    bipolys((1, 2), (0, 2), 1, max_terms=3),
+    bipolys((1, 2), (0, 2), 1, max_terms=3),
+)
+def test_subst_affine_keeps_integral_keys_int(poly, z_expr, w_expr):
+    assert_keys_normalized(poly.subst_affine(z_expr, w_expr), z_expr.ram, w_expr.ram)
 
 
 # ---------------------------------------------------------------------------

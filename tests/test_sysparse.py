@@ -42,6 +42,36 @@ def test_parse_syntax_error_position():
     assert "column" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        ("dw/dz = (z^2 +\n  3*w) / (z\n  + w^2 $ 1)", 3, 9),
+        ("dw/dz = (z^2 +\n  3*w)\n / (z\n  + w^2", 4, 8),
+        ("dz/dt = z*(z - 1);\n  dw/dt = w*(2*z + w) - ;\n a = 1", 2, 25),
+        ("dz/dt = z;\n  dw/dt = w^x", 2, 13),
+    ],
+)
+def test_parse_error_line_and_column_on_multiline_input(text, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_system(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value).endswith("(line %d, column %d)" % (line, col))
+
+
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        ("dw/dz = (z + m*w) /\n  (1/0 + z); m = 2", 2, 4),
+        ("dw/dz = (z + m*w) / (z);\n m = 3/0", 2, 6),
+    ],
+    ids=["literal", "binding"],
+)
+def test_parse_zero_denominator_is_a_parse_error(text, line, col):
+    with pytest.raises(ParseError, match="zero denominator") as err:
+        parse_system(text)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 def test_parse_unbound_parameter():
     with pytest.raises(ParseError, match="unbound parameter"):
         parse_system("dw/dz = (m*w) / (z)")
