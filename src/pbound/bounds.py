@@ -271,9 +271,7 @@ def line_transform(sys: OdeSystem, line):
         raise BoundsError("degenerate transform: denominator vanished")
     if not all(ze >= 1 for (ze, _) in denom.terms):
         raise BoundsError("internal: transformed denominator lost its z factor")
-    axis_factor = denom.shift_z(-1)
-    out = OdeSystem(P=numer, Q=denom, tower=sys.tower, axis_factor=axis_factor)
-    return out, swapped
+    return OdeSystem(P=numer, Q=denom, tower=sys.tower), swapped
 
 
 def invariant_line_bound(sys: OdeSystem, line, caps: Caps = DEFAULT_CAPS) -> BoundReport:

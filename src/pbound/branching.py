@@ -22,22 +22,25 @@ splits the tower and the affected subtree is replayed on both factors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exact import (
     ExactError,
+    ExtElem,
     Q,
     Tower,
     TowerSplitError,
     UniPoly,
+    adjoin_root,
     as_fraction,
     certified_is_rational,
     f_inv,
-    f_is_zero,
     factor_univariate,
     sort_key,
+    transport_elem,
 )
 from .newton import (
     first_critical,
@@ -47,13 +50,11 @@ from .newton import (
     vertex_critical_check,
 )
 from .polyode import (
-    CoeffProfile,
     OdeSystem,
     PuiseuxBranch,
     coeff_profile,
-    invert_at_infinity,
     substitute_branch,
-    translate_point,
+    transform_point,
 )
 
 
@@ -138,25 +139,57 @@ class _Node:
     no_closure: bool = False
 
 
+class _Step(NamedTuple):
+    """One Newton step w = alpha z^lam + w1; a capped root has alpha and
+    system None and names the cap in ``note``."""
+
+    lam: Fraction
+    alpha: object
+    folded: int
+    system: Optional[OdeSystem]
+    note: str
+
+
 def _tower_deg(tower: Optional[Tower]) -> int:
     return 1 if tower is None else tower.degree()
 
 
 def _transport_prefix(prefix, tower: Tower):
-    from .exact import ExtElem, transport_elem
+    return tuple(
+        (mu, transport_elem(c, tower) if isinstance(c, ExtElem) else c) for mu, c in prefix
+    )
 
-    out = []
-    for mu, c in prefix:
-        if isinstance(c, ExtElem):
-            out.append((mu, transport_elem(c, tower)))
-        else:
-            out.append((mu, c))
-    return tuple(out)
+
+def _newton(sys: OdeSystem):
+    """The coefficient profile of a system and its Newton diagram."""
+    prof = coeff_profile(sys)
+    return prof, lower_hull(support_points(prof), prof)
+
+
+def _vertex_verdicts(node: _Node, prof, diagram, kind: str, flags: tuple):
+    """Vertex verdicts at a node; raises CriticalFound on a critical vertex."""
+    verdicts = vertex_critical_check(diagram, prof, lam_min=node.lam_prev)
+    hit = first_critical(verdicts)
+    if hit is not None:
+        raise CriticalFound(
+            Witness(kind=kind, lam_star=hit.lam_star, depth=node.depth, prefix=node.prefix, flags=flags)
+        )
+    return verdicts
+
+
+def _child(node: _Node, step: _Step) -> _Node:
+    return _Node(
+        system=step.system,
+        prefix=node.prefix + ((step.lam, step.alpha),),
+        lam_prev=step.lam,
+        folded=step.folded,
+        depth=node.depth + 1,
+        flags=node.flags,
+    )
 
 
 class _Expander:
     def __init__(self, sys: OdeSystem, caps: Caps):
-        self.base = sys
         self.caps = caps
         self.base_levels = 0 if sys.tower is None else len(sys.tower.levels)
         self.base_degree = _tower_deg(sys.tower)
@@ -185,26 +218,14 @@ class _Expander:
 
     def _expand_inner(self, node: _Node):
         sys = node.system
-        prof = coeff_profile(sys)
+        prof, diagram = _newton(sys)
         leaves = []
 
         exact_here = 0 not in prof.p
         if exact_here and node.prefix:
             leaves.append(self._leaf(node, "exact"))
 
-        diagram = lower_hull(support_points(prof), prof)
-        verdicts = vertex_critical_check(diagram, prof, lam_min=node.lam_prev)
-        hit = first_critical(verdicts)
-        if hit is not None:
-            raise CriticalFound(
-                Witness(
-                    kind="vertex-dominance",
-                    lam_star=hit.lam_star,
-                    depth=node.depth,
-                    prefix=node.prefix,
-                    flags=node.flags,
-                )
-            )
+        verdicts = _vertex_verdicts(node, prof, diagram, "vertex-dominance", node.flags)
         if any(v.dicritical_suspect for v in verdicts):
             self.tree_flags.add("dicritical-suspect")
 
@@ -214,7 +235,7 @@ class _Expander:
             and node.prefix
             and not exact_here
         ):
-            kind, rho = self._closure_classify(prof, node.lam_prev)
+            kind, rho = closure_check(sys, node.lam_prev)
             if kind == "closed":
                 leaves.append(self._leaf(node, "closed"))
                 return leaves
@@ -226,19 +247,11 @@ class _Expander:
             leaves.append(self._leaf(node, "cap-exceeded", flags=("depth-cap",)))
             return leaves
 
-        for lam, alpha, d, child_sys, conj_note in self._steps_from_diagram(node, prof, diagram):
-            if child_sys is None:
-                leaves.append(self._leaf(node, "cap-exceeded", flags=(conj_note,)))
+        for step in self._steps_from_diagram(sys, node.lam_prev, diagram):
+            if step.system is None:
+                leaves.append(self._leaf(node, "cap-exceeded", flags=(step.note,)))
                 continue
-            child = _Node(
-                system=child_sys,
-                prefix=node.prefix + ((lam, alpha),),
-                lam_prev=lam,
-                folded=d,
-                depth=node.depth + 1,
-                flags=node.flags,
-            )
-            leaves.extend(self.expand(child))
+            leaves.extend(self.expand(_child(node, step)))
         return leaves
 
     def _leaf(self, node: _Node, status: str, flags=()):
@@ -253,45 +266,13 @@ class _Expander:
             flags=tuple(node.flags) + tuple(flags),
         )
 
-    # -- closure test (after a 1-folded pair) -----------------------------------
-
-    @staticmethod
-    def _closure_classify(prof: CoeffProfile, lam_prev):
-        if 0 not in prof.q:
-            return "generic", None
-        k1 = prof.p.get(1)
-        l0, q0 = prof.q[0]
-        if k1 is None or k1[0] != l0 - 1:
-            return "closed", None
-        rho = k1[1] * f_inv(q0)
-        # the rationality of the indicial ratio decides closure, so it must be
-        # certified at the level of component values (may split the tower)
-        if not certified_is_rational(rho):
-            return "closed", None
-        rho = as_fraction(rho)
-        if rho <= 0 or rho <= lam_prev:
-            return "closed", None
-        return "resonance", rho
-
     # -- resonance: bounded deterministic stepping -------------------------------
 
     def _resolve_resonance(self, node: _Node, rho):
         cur = node
         for _ in range(self.caps.depth):
-            prof = coeff_profile(cur.system)
-            diagram = lower_hull(support_points(prof), prof)
-            hit = first_critical(vertex_critical_check(diagram, prof, lam_min=cur.lam_prev))
-            if hit is not None:
-                flags = ("resonance",)
-                raise CriticalFound(
-                    Witness(
-                        kind="resonance",
-                        lam_star=hit.lam_star,
-                        depth=cur.depth,
-                        prefix=cur.prefix,
-                        flags=flags,
-                    )
-                )
+            prof, diagram = _newton(cur.system)
+            _vertex_verdicts(cur, prof, diagram, "resonance", ("resonance",))
             if 0 not in prof.p:
                 return [self._leaf(cur, "exact", flags=("resonance",))]
             k0 = prof.p[0][0]
@@ -311,53 +292,45 @@ class _Expander:
                 ]
             if lam_next > rho or lam_next <= cur.lam_prev:
                 return list(self.expand(replace(cur, no_closure=True)))
-            steps = self._steps_from_diagram(cur, prof, diagram)
+            steps = self._steps_from_diagram(cur.system, cur.lam_prev, diagram)
             if len(steps) != 1:
                 return list(self.expand(replace(cur, no_closure=True)))
-            lam, alpha, d, child_sys, note = steps[0]
-            if child_sys is None:
-                return [self._leaf(cur, "cap-exceeded", flags=(note,))]
-            cur = _Node(
-                system=child_sys,
-                prefix=cur.prefix + ((lam, alpha),),
-                lam_prev=lam,
-                folded=d,
-                depth=cur.depth + 1,
-                flags=cur.flags,
-            )
+            if steps[0].system is None:
+                return [self._leaf(cur, "cap-exceeded", flags=(steps[0].note,))]
+            cur = _child(cur, steps[0])
         return [self._leaf(cur, "cap-exceeded", flags=("resonance-cap",))]
 
     # -- edge roots -> child steps ---------------------------------------------
 
-    def _steps_from_diagram(self, node: _Node, prof: CoeffProfile, diagram):
-        sys = node.system
+    def _steps_from_diagram(self, sys: OdeSystem, lam_prev, diagram):
+        """The Newton steps past ``lam_prev``, sorted by exponent and root."""
         out = []
         for edge in diagram.edges:
-            if not edge.admissible or edge.lam <= node.lam_prev:
+            if not edge.admissible or edge.lam <= lam_prev:
                 continue
             phi = nonzero_char_poly(edge)
             if phi.degree() < 1:
                 continue
             for alpha, d, new_tower, note in self._char_roots(phi, sys.tower):
                 if alpha is None:
-                    out.append((edge.lam, None, d, None, note))
+                    out.append(_Step(edge.lam, None, d, None, note))
                     continue
                 work = sys if new_tower is None else sys.map_tower(new_tower)
                 child = substitute_branch(work, edge.lam, alpha, check_acceptable=False)
                 if child.ram > self.caps.ram:
-                    out.append((edge.lam, None, d, None, "ramification-cap"))
+                    out.append(_Step(edge.lam, None, d, None, "ramification-cap"))
                     continue
-                out.append((edge.lam, alpha, d, child, note))
-        out.sort(key=lambda t: (t[0],) + (sort_key(t[1]) if t[1] is not None else ((), ())))
+                out.append(_Step(edge.lam, alpha, d, child, note))
+        out.sort(key=lambda t: (t.lam,) + (sort_key(t.alpha) if t.alpha is not None else ((), ())))
         return out
 
     def _char_roots(self, phi: UniPoly, tower: Optional[Tower]):
         """Roots of the edge polynomial as (alpha, foldedness, tower, note).
 
-        Over Q: full factorization; rational roots stay rational, each
-        irreducible factor of degree d adjoins one representative root.  Over a
-        tower: squarefree split, linear factors solved in the tower, higher
-        factors adjoined presumed irreducible.
+        ``phi`` has no root 0.  Over Q: full factorization; rational roots stay
+        rational, each irreducible factor of degree d adjoins one
+        representative root.  Over a tower: squarefree split, linear factors
+        solved in the tower, higher factors adjoined presumed irreducible.
         """
         roots = []
         if tower is None or tower.is_trivial():
@@ -365,48 +338,29 @@ class _Expander:
                 factors = factor_univariate(phi, cap=self.caps.factor_cap)
             except ExactError:
                 return [(None, 1, None, "factor-cap")]
-            base = tower if tower is not None else Tower(cap=self.caps.tower)
             for fac in factors:
                 if fac.poly.degree() == 1:
                     c0, c1 = fac.poly.coeffs
                     roots.append((-as_fraction(c0) / as_fraction(c1), fac.multiplicity, tower, "rational"))
-                else:
-                    fac.poly.certified_irreducible = fac.certified
-                    try:
-                        t2, theta = adjoin_for(base, fac.poly, self.caps.tower)
-                    except ExactError:
-                        roots.append((None, fac.multiplicity, None, "tower-cap"))
-                        continue
-                    roots.append((theta, fac.multiplicity, t2, "adjoined"))
-        else:
-            for g, mult in phi.squarefree_decomposition():
-                low = 0
-                while low < len(g.coeffs) and f_is_zero(g.coeffs[low]):
-                    low += 1
-                g = UniPoly(list(g.coeffs[low:]), var=phi.var, tower=tower)
-                if g.degree() < 1:
                     continue
+                fac.poly.certified_irreducible = fac.certified
+                roots.append(self._adjoined(Tower(cap=self.caps.tower), fac.poly, fac.multiplicity))
+        else:
+            # a monic squarefree factor of phi has a nonzero constant term
+            for g, mult in phi.squarefree_decomposition():
                 if g.degree() == 1:
-                    alpha = -g.coeffs[0] * f_inv(g.coeffs[1])
-                    if f_is_zero(alpha):
-                        continue
-                    roots.append((alpha, mult, tower, "tower-linear"))
+                    roots.append((-g.coeffs[0] * f_inv(g.coeffs[1]), mult, tower, "tower-linear"))
                 else:
-                    try:
-                        t2, theta = adjoin_for(tower, g.monic(), self.caps.tower)
-                    except ExactError:
-                        roots.append((None, mult, None, "tower-cap"))
-                        continue
-                    roots.append((theta, mult, t2, "adjoined"))
+                    roots.append(self._adjoined(Tower(tower.levels, cap=self.caps.tower), g, mult))
         return roots
 
-
-def adjoin_for(tower: Tower, minpoly: UniPoly, cap: int):
-    from .exact import adjoin_root
-
-    capped = Tower(tower.levels, cap=cap)
-    t2, theta = adjoin_root(capped, minpoly)
-    return t2, theta
+    @staticmethod
+    def _adjoined(base: Tower, minpoly: UniPoly, mult: int):
+        try:
+            t2, theta = adjoin_root(base, minpoly)
+        except ExactError:
+            return (None, mult, None, "tower-cap")
+        return (theta, mult, t2, "adjoined")
 
 
 # ---------------------------------------------------------------------------
@@ -436,15 +390,28 @@ def _leaf_key(leaf: Leaf):
     return (toks, leaf.status)
 
 
-def closure_check(sys_or_node, lam_prev=Q(0)):
+def closure_check(sys: OdeSystem, lam_prev=Q(0)):
     """Classify continuation after a 1-folded pair: "closed", "resonance"
     (with the indicial ratio) or "generic" when the leading denominator data
     is missing."""
-    sys = sys_or_node
     prof = coeff_profile(sys)
     if 0 not in prof.p:
         return "closed", None
-    return _Expander._closure_classify(prof, lam_prev)
+    if 0 not in prof.q:
+        return "generic", None
+    k1 = prof.p.get(1)
+    l0, q0 = prof.q[0]
+    if k1 is None or k1[0] != l0 - 1:
+        return "closed", None
+    rho = k1[1] * f_inv(q0)
+    # the rationality of the indicial ratio decides closure, so it must be
+    # certified at the level of component values (may split the tower)
+    if not certified_is_rational(rho):
+        return "closed", None
+    rho = as_fraction(rho)
+    if rho <= 0 or rho <= lam_prev:
+        return "closed", None
+    return "resonance", rho
 
 
 def resolve_resonance(sys: OdeSystem, lam_prev, rho, caps: Caps = DEFAULT_CAPS):
@@ -466,47 +433,43 @@ def resolve_resonance(sys: OdeSystem, lam_prev, rho, caps: Caps = DEFAULT_CAPS):
 
 def extend_leaf(leaf: Leaf, n_terms: int, caps: Caps = DEFAULT_CAPS):
     """Continue a closed/exact leaf deterministically up to n_terms terms."""
-    terms = list(leaf.terms)
-    sys = leaf.remainder
-    lam_prev = leaf.lam_last
-    if leaf.status not in ("closed", "exact"):
-        return tuple(terms)
-    engine = _Expander(sys, caps)
+    terms = leaf.terms
+    if not leaf.counted:
+        return terms
+    engine = _Expander(leaf.remainder, caps)
+    sys, lam_prev = leaf.remainder, leaf.lam_last
     while len(terms) < n_terms:
-        prof = coeff_profile(sys)
+        prof, diagram = _newton(sys)
         if 0 not in prof.p:
             break  # exact: the series terminates
-        diagram = lower_hull(support_points(prof), prof)
-        steps = engine._steps_from_diagram(
-            _Node(system=sys, prefix=tuple(terms), lam_prev=lam_prev, folded=1, depth=0),
-            prof,
-            diagram,
-        )
-        steps = [s for s in steps if s[1] is not None]
+        steps = [s for s in engine._steps_from_diagram(sys, lam_prev, diagram) if s.alpha is not None]
         if len(steps) != 1:
             break
-        lam, alpha, _, child, _ = steps[0]
-        terms.append((lam, alpha))
-        sys = child
-        lam_prev = lam
-    return tuple(terms)
+        lam_prev, sys = steps[0].lam, steps[0].system
+        terms += ((lam_prev, steps[0].alpha),)
+    return terms
 
 
-def tree_multiplicity(tree: BranchTree, base_point) -> MultiplicityResult:
+def multiplicity_at(sys: OdeSystem, point, caps: Caps = DEFAULT_CAPS) -> MultiplicityResult:
+    """Algebraic multiplicity at ("point", z0, w0) or ("inf", z0).
+
+    Transforms the point to the origin, expands the branch tree and counts the
+    counted leaves weighted by conjugacy degree; the constant solution is never
+    counted.  Counted branches are extended to ``caps.terms`` terms.
+    """
+    tree = expand_branches(transform_point(sys, point), caps)
     if tree.critical is not None:
         return MultiplicityResult(status="critical", witness=tree.critical, flags=tree.flags)
     branches = []
     for leaf in tree.leaves:
         if not leaf.terms:
             continue
-        ram = 1
-        for mu, _ in leaf.terms:
-            ram = ram * mu.denominator // _gcd(ram, mu.denominator)
+        terms = extend_leaf(leaf, caps.terms, caps)
         branches.append(
             PuiseuxBranch(
-                terms=leaf.terms,
-                ram=ram,
-                base=base_point,
+                terms=terms,
+                ram=math.lcm(*(mu.denominator for mu, _ in terms)),
+                base=point,
                 conj_degree=leaf.conj_degree,
                 status=leaf.status,
                 flags=leaf.flags,
@@ -525,56 +488,3 @@ def tree_multiplicity(tree: BranchTree, base_point) -> MultiplicityResult:
     return MultiplicityResult(
         status="finite", count=count, branches=tuple(branches), flags=tree.flags
     )
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def multiplicity_at(sys: OdeSystem, point, caps: Caps = DEFAULT_CAPS) -> MultiplicityResult:
-    """Algebraic multiplicity at ("point", z0, w0) or ("inf", z0).
-
-    Transforms the point to the origin, expands the branch tree and counts the
-    counted leaves weighted by conjugacy degree; the constant solution is never
-    counted.
-    """
-    kind = point[0]
-    if kind == "point":
-        moved = translate_point(sys, point[1], point[2])
-    elif kind == "inf":
-        moved = invert_at_infinity(sys, point[1])
-    else:
-        raise ValueError("unknown point kind %r" % (kind,))
-    tree = expand_branches(moved, caps)
-    result = tree_multiplicity(tree, point)
-    result = replace_branches_with_extensions(result, tree, caps)
-    return result
-
-
-def replace_branches_with_extensions(result: MultiplicityResult, tree: BranchTree, caps: Caps):
-    """Extend counted branches to the reporting term cap."""
-    if result.status == "critical":
-        return result
-    extended = []
-    leaf_by_terms = {}
-    for leaf in tree.leaves:
-        leaf_by_terms.setdefault(leaf.terms, leaf)
-    for branch in result.branches:
-        leaf = leaf_by_terms.get(branch.terms)
-        if leaf is not None and leaf.counted and len(branch.terms) < caps.terms:
-            terms = extend_leaf(leaf, caps.terms, caps)
-            ram = 1
-            for mu, _ in terms:
-                ram = ram * mu.denominator // _gcd(ram, mu.denominator)
-            branch = PuiseuxBranch(
-                terms=terms,
-                ram=ram,
-                base=branch.base,
-                conj_degree=branch.conj_degree,
-                status=branch.status,
-                flags=branch.flags,
-            )
-        extended.append(branch)
-    return replace(result, branches=tuple(extended))

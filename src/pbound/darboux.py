@@ -272,6 +272,8 @@ def detect_invariant_lines(sys: OdeSystem, caps=None) -> LineDetection:
         dicritical = True
     else:
         for s_val, r_val in pairs:
+            if f_is_zero(s_val):
+                continue  # a horizontal line: the content of B gives it
             if is_rational_value(s_val) and is_rational_value(r_val):
                 s0, r0 = as_fraction(s_val), as_fraction(r_val)
                 cand = BiPoly({(Q(0), 1): Q(1), (Q(1), 0): -s0, (Q(0), 0): -r0})
@@ -338,7 +340,7 @@ def _dedupe_certs(certs):
 
 # -- exact solving of a bivariate polynomial system ---------------------------
 
-def _solve_two_var_system(polys, tower_cap=16):
+def _solve_two_var_system(polys):
     """Common zeros of polynomials in (s, r); returns (status, pairs, notes).
 
     status "infinite" flags a positive-dimensional solution set (a common
@@ -372,10 +374,6 @@ def _solve_two_var_system(polys, tower_cap=16):
             res = _resultant_r(base, other)
             if res is not None and not res.is_zero():
                 s_constraints.append(res)
-        if len(r_positive) == 1:
-            # single condition: its r-leading coefficient bounds s
-            rows = bipoly_to_wpoly(base)
-            s_constraints.append(rows[-1])
     gs = _wpoly_content(s_constraints)
     if gs is None:
         return "partial", [], ("could not bound line slopes",)
@@ -388,7 +386,7 @@ def _solve_two_var_system(polys, tower_cap=16):
             pairs.extend(_solve_r_given_s(polys, s_val, None))
         else:
             try:
-                tower, theta = adjoin_root(Tower(cap=tower_cap), fac.poly)
+                tower, theta = adjoin_root(Tower(), fac.poly)
             except ExactError:
                 notes.append("slope factor beyond tower cap: %s" % str(fac.poly))
                 continue
@@ -483,6 +481,12 @@ def _resultant_r(a: BiPoly, b: BiPoly) -> Optional[UniPoly]:
 # ---------------------------------------------------------------------------
 # extactic search
 # ---------------------------------------------------------------------------
+
+#: largest extactic determinant dimension computed, (n + 1)(n + 2) / 2 at degree n
+DIM_CAP = 10
+#: largest total degree of a residual whose invariant core is extracted
+CORE_DEGREE_CAP = 14
+
 
 @dataclass
 class SearchOutcome:
@@ -605,9 +609,7 @@ def _biv_squarefree(f: BiPoly) -> BiPoly:
     return out if out is not None else f
 
 
-def search_darboux(
-    sys: OdeSystem, max_total_degree: int, dim_cap: int = 10, core_degree_cap: int = 14
-) -> SearchOutcome:
+def search_darboux(sys: OdeSystem, max_total_degree: int) -> SearchOutcome:
     """Invariant algebraic curves of total degree <= max_total_degree."""
     if max_total_degree < 1:
         return SearchOutcome(certificates=[], dicritical_degrees=())
@@ -621,8 +623,8 @@ def search_darboux(
         notes.append("one-parameter family of invariant lines")
     for n in range(1, max_total_degree + 1):
         size = (n + 1) * (n + 2) // 2
-        if size > dim_cap:
-            notes.append("degree %d skipped: determinant dimension %d exceeds cap %d" % (n, size, dim_cap))
+        if size > DIM_CAP:
+            notes.append("degree %d skipped: determinant dimension %d exceeds cap %d" % (n, size, DIM_CAP))
             partial = True
             break
         if dicritical:
@@ -647,7 +649,7 @@ def search_darboux(
                 e = quotient
         if e.total_degree() == 0:
             continue
-        if e.total_degree() > core_degree_cap:
+        if e.total_degree() > CORE_DEGREE_CAP:
             notes.append(
                 "degree %d: invariant-core extraction skipped on a degree-%d residual"
                 % (n, int(e.total_degree()))
@@ -658,7 +660,9 @@ def search_darboux(
         core = _biv_squarefree(core)
         candidates, leftover = _core_factors(core, n)
         if leftover:
+            # the unsplit factor may hide Darboux factors of degree <= n
             notes.append("degree %d: %s" % (n, leftover))
+            partial = True
         for cand in candidates:
             cert = verify_darboux(sys, cand)
             if isinstance(cert, DarbouxCertificate):

@@ -25,7 +25,8 @@ _CERT_PRIMES = (7, 11, 13, 17, 19, 23, 29, 31)
 
 DEFAULT_TOWER_CAP = 16
 DEFAULT_FACTOR_CAP = 8
-DEFAULT_KRONECKER_EFFORT = 20000
+#: divisor combinations Kronecker's method may try per degree
+KRONECKER_EFFORT = 20000
 
 
 class ExactError(Exception):
@@ -1050,11 +1051,9 @@ class UniPoly:
 
 
 def _int_content(ints):
-    from math import gcd as igcd
-
     g = 0
     for v in ints:
-        g = igcd(g, v)
+        g = math.gcd(g, v)
         if g == 1:
             return 1
     return g or 1
@@ -1097,14 +1096,12 @@ def _int_eval(ints, x):
 def _heuristic_int_gcd(a, b):
     """GCDHEU: evaluate at a large point, take the integer gcd, reconstruct
     with balanced digits and verify by exact division; None on failure."""
-    from math import gcd as igcd
-
     bound = 2 * max(max(abs(v) for v in a), max(abs(v) for v in b)) + 2
     xi = bound + 29
     for _ in range(6):
         va, vb = _int_eval(a, xi), _int_eval(b, xi)
         if va and vb:
-            g = igcd(va, vb)
+            g = math.gcd(va, vb)
             digits = []
             rest = g
             while rest:
@@ -1121,8 +1118,6 @@ def _heuristic_int_gcd(a, b):
 
 
 def _int_prs_gcd(a, b):
-    from math import gcd as igcd
-
     if len(a) < len(b):
         a, b = b, a
     while b:
@@ -1132,7 +1127,7 @@ def _int_prs_gcd(a, b):
             if r[-1] == 0:
                 r.pop()
                 continue
-            g = igcd(r[-1], lc)
+            g = math.gcd(r[-1], lc)
             mul_r = lc // g
             mul_b = r[-1] // g
             off = len(r) - len(b)
@@ -1168,16 +1163,14 @@ def _rational_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
 
 def _primitive_int_coeffs(p: UniPoly):
     """Scale a rational polynomial to primitive integer coefficients."""
-    from math import gcd, lcm
-
     fracs = [as_fraction(c) for c in p.coeffs]
     den = 1
     for f in fracs:
-        den = lcm(den, f.denominator)
+        den = math.lcm(den, f.denominator)
     ints = [int(f * den) for f in fracs]
     g = 0
     for v in ints:
-        g = gcd(g, abs(v))
+        g = math.gcd(g, abs(v))
     if g > 1:
         ints = [v // g for v in ints]
     if ints and ints[-1] < 0:
@@ -1368,7 +1361,7 @@ def modular_irreducibility(p: UniPoly):
     return None
 
 
-def _kronecker_split(ints, effort=DEFAULT_KRONECKER_EFFORT):
+def _kronecker_split(ints):
     """Search a nontrivial factor of a squarefree primitive integer polynomial
     by divisor interpolation; returns integer coefficient list or None."""
     n = len(ints) - 1
@@ -1389,9 +1382,9 @@ def _kronecker_split(ints, effort=DEFAULT_KRONECKER_EFFORT):
             divs = [s * t for t in divs for s in (1, -1)]
             divisor_lists.append(divs)
             total *= len(divs)
-            if total > effort:
+            if total > KRONECKER_EFFORT:
                 break
-        if total > effort:
+        if total > KRONECKER_EFFORT:
             continue
 
         xs = [pt[0] for pt in points]
@@ -1443,7 +1436,7 @@ class Factor:
         return not self.certified
 
 
-def factor_univariate(p: UniPoly, cap=DEFAULT_FACTOR_CAP, effort=DEFAULT_KRONECKER_EFFORT):
+def factor_univariate(p: UniPoly, cap=DEFAULT_FACTOR_CAP):
     """Factor a rational univariate polynomial into monic irreducibles.
 
     Degree <= 3 factors are certified by rational-root exclusion; degree >= 4
@@ -1456,13 +1449,13 @@ def factor_univariate(p: UniPoly, cap=DEFAULT_FACTOR_CAP, effort=DEFAULT_KRONECK
         raise ExactError("factor cap exceeded")
     out = []
     for sf, mult in p.squarefree_decomposition():
-        for piece, certified in _factor_squarefree(sf, effort):
+        for piece, certified in _factor_squarefree(sf):
             out.append(Factor(piece, mult, certified))
     out.sort(key=lambda f: (f.poly.degree(), [as_fraction(c) for c in f.poly.coeffs]))
     return out
 
 
-def _factor_squarefree(p: UniPoly, effort):
+def _factor_squarefree(p: UniPoly):
     if p.degree() == 0:
         return []
     if p.degree() == 1:
@@ -1496,7 +1489,7 @@ def _factor_squarefree(p: UniPoly, effort):
             pieces.append((g, True))
             continue
         ints = _primitive_int_coeffs(f)
-        split = _kronecker_split(ints, effort)
+        split = _kronecker_split(ints)
         if split is None:
             pieces.append((f.monic(), False))
             continue

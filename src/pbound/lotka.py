@@ -46,7 +46,7 @@ def lv_equation(p: LvParams) -> OdeSystem:
     a, b, c = p.a, p.b, p.c
     P = BiPoly({(Q(1), 1): b, (Q(0), 2): Q(1), (Q(0), 1): -a})
     Qd = BiPoly({(Q(2), 0): Q(1), (Q(1), 1): c, (Q(1), 0): Q(-1)})
-    return make_system(P, Qd, axis_factor=Qd.shift_z(-1))
+    return make_system(P, Qd)
 
 
 @dataclass

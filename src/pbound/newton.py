@@ -44,7 +44,7 @@ class Edge:
     x2: int
     y2: Fraction
     lam: Fraction  # negated slope
-    char_poly: Optional[UniPoly]
+    char_poly: Optional[UniPoly]  # None on a non-admissible edge
     points_on_edge: tuple
 
     @property
@@ -62,13 +62,11 @@ class VertexVerdict:
     lam_star: object  # Fraction or tower element
     critical: bool
     dicritical_suspect: bool
-    dominates: bool
 
 
 @dataclass
 class NewtonDiagram:
     points: tuple
-    hull: tuple  # hull vertices, ascending x
     edges: tuple  # hull edges, ascending x
     vertex_candidates: tuple  # Both-origin hull vertices
 
@@ -112,58 +110,48 @@ def _lower_hull(points):
     return hull
 
 
-def lower_hull(points, profile: Optional[CoeffProfile] = None) -> NewtonDiagram:
+def lower_hull(points, profile: CoeffProfile) -> NewtonDiagram:
+    """The Newton diagram; every admissible edge carries its characteristic
+    polynomial."""
     points = tuple(points)
     hull = _lower_hull(points)
     edges = []
     for a, b in zip(hull, hull[1:]):
-        lam = -Q(b.y - a.y, 1) / Q(b.x - a.x)
         on_edge = tuple(
             p
             for p in points
             if a.x <= p.x <= b.x and (p.y - a.y) * (b.x - a.x) == (b.y - a.y) * (p.x - a.x)
         )
-        char = edge_char_poly_raw(a, b, lam, on_edge, profile) if profile else None
-        edges.append(
-            Edge(
-                x1=a.x,
-                y1=a.y,
-                x2=b.x,
-                y2=b.y,
-                lam=lam,
-                char_poly=char,
-                points_on_edge=on_edge,
-            )
+        edge = Edge(
+            x1=a.x,
+            y1=a.y,
+            x2=b.x,
+            y2=b.y,
+            lam=-Q(b.y - a.y, 1) / Q(b.x - a.x),
+            char_poly=None,
+            points_on_edge=on_edge,
         )
+        if edge.admissible:
+            edge.char_poly = edge_char_poly(edge, profile)
+        edges.append(edge)
     vertex_candidates = tuple(p for p in hull if p.both)
-    return NewtonDiagram(
-        points=points, hull=tuple(hull), edges=tuple(edges), vertex_candidates=vertex_candidates
-    )
-
-
-def edge_char_poly_raw(a, b, lam, on_edge, profile: CoeffProfile) -> UniPoly:
-    """phi(alpha) = sum q_{i,0} lam alpha^{i+1} - sum p_{j,0} alpha^j over the
-    on-edge support points; nonzero d-fold roots are the d-folded acceptable
-    leading coefficients for this edge."""
-    tower = _profile_tower(profile)
-    coeffs = [field_zero(tower)] * (b.x + 1)
-    for pt in on_edge:
-        if pt.from_q:
-            i = pt.x - 1
-            qc = profile.q[i][1]
-            coeffs[pt.x] = coeffs[pt.x] + qc * lam
-        if pt.from_p:
-            pc = profile.p[pt.x][1]
-            coeffs[pt.x] = coeffs[pt.x] - pc
-    return UniPoly(coeffs, var="a", tower=tower)
+    return NewtonDiagram(points=points, edges=tuple(edges), vertex_candidates=vertex_candidates)
 
 
 def edge_char_poly(edge: Edge, profile: CoeffProfile) -> UniPoly:
+    """phi(alpha) = sum q_{i,0} lam alpha^{i+1} - sum p_{j,0} alpha^j over the
+    on-edge support points; nonzero d-fold roots are the d-folded acceptable
+    leading coefficients for this edge."""
     if not edge.admissible:
         raise ValueError("characteristic polynomial of a non-admissible edge")
-    a = SupportPoint(edge.x1, edge.y1, False, False)
-    b = SupportPoint(edge.x2, edge.y2, False, False)
-    return edge_char_poly_raw(a, b, edge.lam, edge.points_on_edge, profile)
+    tower = _profile_tower(profile)
+    coeffs = [field_zero(tower)] * (edge.x2 + 1)
+    for pt in edge.points_on_edge:
+        if pt.from_q:
+            coeffs[pt.x] = coeffs[pt.x] + profile.q[pt.x - 1][1] * edge.lam
+        if pt.from_p:
+            coeffs[pt.x] = coeffs[pt.x] - profile.p[pt.x][1]
+    return UniPoly(coeffs, var="a", tower=tower)
 
 
 def _profile_tower(profile: CoeffProfile):
@@ -201,16 +189,15 @@ def vertex_critical_check(diagram: NewtonDiagram, profile: CoeffProfile, lam_min
         if rational:
             lam_star = as_fraction(ratio)
             if lam_star <= 0 or lam_star <= lam_min:
-                verdicts.append(VertexVerdict(j, lam_star, False, False, False))
+                verdicts.append(VertexVerdict(j, lam_star, False, False))
                 continue
-            dominates = _strictly_dominates(diagram.points, v, lam_star)
-            verdicts.append(VertexVerdict(j, lam_star, dominates, False, dominates))
+            verdicts.append(VertexVerdict(j, lam_star, _strictly_dominates(diagram.points, v, lam_star), False))
         else:
             # cannot decide real positivity exactly; never critical, but flag
             # possible dicriticality when some rational slope this vertex could
             # carry would dominate
             suspect = _strictly_dominates_interval(diagram.points, v)
-            verdicts.append(VertexVerdict(j, ratio, False, suspect, False))
+            verdicts.append(VertexVerdict(j, ratio, False, suspect))
     return verdicts
 
 

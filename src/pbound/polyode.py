@@ -55,7 +55,7 @@ class BiPoly:
                     if ze.denominator == 1:
                         ze = ze.numerator
                     else:
-                        ram = _lcm(ram, ze.denominator)
+                        ram = math.lcm(ram, ze.denominator)
                 if type(we) is not int:
                     we = int(we)
                 clean[(ze, we)] = c
@@ -119,7 +119,7 @@ class BiPoly:
             cur = out.get(key)
             nc = c if sign > 0 else -c
             out[key] = nc if cur is None else cur + nc
-        return BiPoly(out, ram=_lcm(self.ram, other.ram), tower=self.tower or other.tower)
+        return BiPoly(out, ram=math.lcm(self.ram, other.ram), tower=self.tower or other.tower)
 
     def __add__(self, other):
         return self._merge(other, +1)
@@ -139,7 +139,7 @@ class BiPoly:
                     prod = c1 * c2
                     cur = out.get(key)
                     out[key] = prod if cur is None else cur + prod
-            return BiPoly(out, ram=_lcm(self.ram, other.ram), tower=self.tower or other.tower)
+            return BiPoly(out, ram=math.lcm(self.ram, other.ram), tower=self.tower or other.tower)
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -154,7 +154,7 @@ class BiPoly:
             delta = delta.numerator
         return BiPoly(
             {(ze + delta, we): c for (ze, we), c in self.terms.items()},
-            ram=_lcm(self.ram, delta.denominator),
+            ram=math.lcm(self.ram, delta.denominator),
             tower=self.tower,
         )
 
@@ -209,7 +209,7 @@ class BiPoly:
                 expansion = expansions[we] = (
                     _binomial_expansion(pows, we, tower) if with_remainder else pows[we]
                 )
-            ram = _lcm(ram, _lcm(ze.denominator, expansion.ram))
+            ram = math.lcm(ram, ze.denominator, expansion.ram)
             _accumulate(out, c, ze, expansion)
         return BiPoly(out, ram=ram, tower=tower)
 
@@ -231,7 +231,7 @@ class BiPoly:
         for (ze, we), c in self.terms.items():
             piece = power(zpows, z_expr, int(ze)) * power(wpows, w_expr, we)
             tower = tower or piece.tower
-            ram = _lcm(ram, piece.ram)
+            ram = math.lcm(ram, piece.ram)
             _accumulate(out, c, 0, piece)
         return BiPoly(out, ram=ram, tower=tower)
 
@@ -263,10 +263,6 @@ class BiPoly:
 
     def __repr__(self):
         return bipoly_str(self)
-
-
-def _lcm(a, b):
-    return a * b // math.gcd(a, b)
 
 
 def _binomial_expansion(pows, k, tower):
@@ -588,7 +584,6 @@ class OdeSystem:
     P: BiPoly
     Q: BiPoly
     tower: Optional[Tower] = None
-    axis_factor: Optional[BiPoly] = None  # when Q = z * axis_factor was declared
 
     def __post_init__(self):
         if self.P.is_zero() and self.Q.is_zero():
@@ -596,7 +591,7 @@ class OdeSystem:
 
     @property
     def ram(self):
-        return _lcm(self.P.ram, self.Q.ram)
+        return math.lcm(self.P.ram, self.Q.ram)
 
     def degree(self):
         """max of total degrees (plain systems)."""
@@ -606,20 +601,10 @@ class OdeSystem:
         return self.P.w_degree(), self.Q.w_degree()
 
     def map_tower(self, tower: Tower) -> "OdeSystem":
-        return OdeSystem(
-            self.P.map_tower(tower),
-            self.Q.map_tower(tower),
-            tower=tower,
-            axis_factor=self.axis_factor.map_tower(tower) if self.axis_factor else None,
-        )
+        return OdeSystem(self.P.map_tower(tower), self.Q.map_tower(tower), tower=tower)
 
     def transport(self, new_tower: Tower) -> "OdeSystem":
-        return OdeSystem(
-            self.P.transport(new_tower),
-            self.Q.transport(new_tower),
-            tower=new_tower,
-            axis_factor=self.axis_factor.transport(new_tower) if self.axis_factor else None,
-        )
+        return OdeSystem(self.P.transport(new_tower), self.Q.transport(new_tower), tower=new_tower)
 
     def normalized(self) -> "OdeSystem":
         """Shift both sides by a common z-power so the lowest exponent is 0."""
@@ -632,7 +617,7 @@ class OdeSystem:
         return OdeSystem(self.P.shift_z(-low), self.Q.shift_z(-low), tower=self.tower)
 
 
-def make_system(P: BiPoly, Q: BiPoly, tower=None, check_coprime=True, axis_factor=None):
+def make_system(P: BiPoly, Q: BiPoly, tower=None, check_coprime=True):
     """Validate and build a top-level system (plain exponents, coprime P, Q)."""
     if P.is_zero() or Q.is_zero():
         raise OdeError("P and Q must be nonzero")
@@ -640,7 +625,7 @@ def make_system(P: BiPoly, Q: BiPoly, tower=None, check_coprime=True, axis_facto
         g = biv_gcd(P, Q)
         if g.total_degree() > 0:
             raise OdeError("P and Q share the common factor %s" % bipoly_str(g))
-    return OdeSystem(P, Q, tower=tower, axis_factor=axis_factor)
+    return OdeSystem(P, Q, tower=tower)
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +825,7 @@ def _pair_acceptable(sys: OdeSystem, lam, alpha) -> bool:
     """(lam, alpha) is acceptable when the lowest supported z-order of
     Q(z, a z^l) a l z^(l-1) - P(z, a z^l) cancels strictly below the support
     minimum min{l_i + (i+1) lam - 1, k_j + j lam}."""
-    profile = CoeffProfile(p=_leading_entries(sys.P), q=_leading_entries(sys.Q))
+    profile = coeff_profile(sys)
     v0 = None
     for j, (kj, _) in profile.p.items():
         cand = kj + j * lam

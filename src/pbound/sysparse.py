@@ -32,8 +32,6 @@ class ParseError(Exception):
 class SystemSource:
     form: str  # "pq" | "autonomous"
     axis: bool  # denominator divisible by z
-    p_text: str
-    q_text: str
     bindings: dict
 
 
@@ -225,17 +223,8 @@ def parse_system(text):
     if parser.peek()[0] != "eof":
         parser.fail("unexpected trailing input")
 
-    axis = _divisible_by_z(q_poly)
-    axis_factor = q_poly.shift_z(-1) if axis else None
-    sys = make_system(p_poly, q_poly, axis_factor=axis_factor)
-    source = SystemSource(
-        form=form,
-        axis=axis,
-        p_text=bipoly_str(p_poly),
-        q_text=bipoly_str(q_poly),
-        bindings=bindings,
-    )
-    return sys, source
+    sys = make_system(p_poly, q_poly)
+    return sys, SystemSource(form=form, axis=_divisible_by_z(q_poly), bindings=bindings)
 
 
 def _divisible_by_z(p: BiPoly) -> bool:

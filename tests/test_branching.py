@@ -8,7 +8,6 @@ from pbound.branching import (
     expand_branches,
     extend_leaf,
     multiplicity_at,
-    tree_multiplicity,
 )
 from pbound.exact import sort_key
 from pbound.polyode import (
@@ -307,7 +306,7 @@ def test_child_width_bound():
     # w' = (w - z)^2 / z^3 the lambda = 1 edge has phi = -(a - 1)^2
     # (2-folded root a = 1) and the remainder offers exactly two
     # continuations w1 = +-z^(3/2)
-    from pbound.branching import _Expander, _Node, DEFAULT_CAPS
+    from pbound.branching import _Expander, DEFAULT_CAPS
     from pbound.newton import lower_hull, support_points
 
     sys = make_system(bp({(0, 2): 1, (1, 1): -2, (2, 0): 1}), bp({(3, 0): 1}))
@@ -315,8 +314,7 @@ def test_child_width_bound():
     engine = _Expander(rem, DEFAULT_CAPS)
     prof = coeff_profile(rem)
     diagram = lower_hull(support_points(prof), prof)
-    node = _Node(system=rem, prefix=((Q(1), Q(1)),), lam_prev=Q(1), folded=2, depth=1)
-    steps = [s for s in engine._steps_from_diagram(node, prof, diagram) if s[1] is not None]
+    steps = [s for s in engine._steps_from_diagram(rem, Q(1), diagram) if s[1] is not None]
     assert len(steps) == 2
     assert {s[0] for s in steps} == {Q(3, 2)}
     assert {s[1] for s in steps} == {Q(1), Q(-1)}

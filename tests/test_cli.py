@@ -177,3 +177,106 @@ def test_darboux_univariate_cubic_certified_irreducible(capsys):
     (cert,) = [c for c in data["certificates"] if c["poly"] == "z^3 + 2"]
     assert cert["irreducible"] is True
     assert cert["irreducibility"] == "certified"
+
+
+# ---------------------------------------------------------------------------
+# cap diagnostics: each cap, hit on purpose, gives a capped lower bound that
+# names it, and never a wrong finite answer
+# ---------------------------------------------------------------------------
+
+EX45_M0 = "dw/dz = (z^2) / (z + w^2)"
+# census system 394: at (0, inf) the rational branch is resonant
+CENSUS_394 = "dw/dz = (-2*z*w^2 + z*w + 3*w) / (-4*z^3 - 3*z^2*w + 4*z)"
+RATIONAL_BRANCH = ["2", "5", "8", "11", "14", "17", "20", "23", "26", "29"]
+
+
+def run_mul(capsys, system, at, caps):
+    return run_json(capsys, ["mul", "--system", system, "--at", at, "--caps", caps])
+
+
+def test_depth_cap_zero_stops_at_the_root(capsys):
+    code, data = run_mul(capsys, EX45_M0, "0,0", "depth=0")
+    assert code == 3
+    assert data["status"] == "capped"
+    assert data["mul_lower_bound"] == 0
+    assert data["cap_diagnostics"] == ["depth-cap"]
+    assert data["branches"] == []
+
+
+def test_depth_cap_one_keeps_the_counted_branch_extended(capsys):
+    code, data = run_mul(capsys, EX45_M0, "0,0", "depth=1")
+    assert code == 3
+    assert data["status"] == "capped"
+    assert data["mul_lower_bound"] == 1
+    assert data["cap_diagnostics"] == ["depth-cap"]
+    capped, closed = data["branches"]
+    assert capped["status"] == "cap-exceeded"
+    assert capped["exponents"] == ["1/2"]
+    assert capped["flags"] == ["depth-cap"]
+    assert capped["conjugacy_degree"] == 2
+    # the depth cap bounds the expansion, not the extension of a counted branch
+    assert closed["status"] == "closed"
+    assert closed["exponents"] == RATIONAL_BRANCH
+
+
+@pytest.mark.parametrize(
+    "caps, diagnostic",
+    [("ram=1", "ramification-cap"), ("tower=1", "tower-cap"), ("factor=1", "factor-cap")],
+)
+def test_arithmetic_caps_leave_the_rational_branch(capsys, caps, diagnostic):
+    code, data = run_mul(capsys, EX45_M0, "0,0", caps)
+    assert code == 3
+    assert data["status"] == "capped"
+    assert data["mul_lower_bound"] == 1
+    assert data["cap_diagnostics"] == [diagnostic]
+    # the capped leaf sits at the root, so it has no terms to report
+    (closed,) = data["branches"]
+    assert closed["status"] == "closed"
+    assert closed["exponents"] == RATIONAL_BRANCH
+
+
+def test_terms_cap_sets_the_reported_length(capsys):
+    code, data = run_mul(capsys, EX45_M0, "0,0", "terms=4")
+    assert code == 0
+    assert data["status"] == "finite"
+    assert data["mul"] == 3
+    assert [b["exponents"] for b in data["branches"]] == [["1/2", "2", "7/2", "5"], ["2", "5", "8", "11"]]
+    assert [b["conjugacy_degree"] for b in data["branches"]] == [2, 1]
+
+
+def test_resonance_cap(capsys):
+    code, data = run_mul(capsys, CENSUS_394, "0,inf", "terms=1")
+    assert code == 3
+    assert data["status"] == "capped"
+    assert data["mul_lower_bound"] == 0
+    assert data["cap_diagnostics"] == ["resonance-cap"]
+    (branch,) = data["branches"]
+    assert branch["status"] == "cap-exceeded"
+    assert branch["flags"] == ["resonance-cap"]
+    assert len(branch["exponents"]) == 33
+
+
+def test_resonance_resolved_under_a_deeper_cap(capsys):
+    code, data = run_mul(capsys, CENSUS_394, "0,inf", "terms=1,depth=64")
+    assert code == 0
+    assert data["status"] == "finite"
+    assert data["mul"] == 0
+    (branch,) = data["branches"]
+    assert branch["status"] == "non-algebraic"
+    assert branch["flags"] == ["resonance-order-hit"]
+    assert len(branch["exponents"]) == 35
+
+
+def test_darboux_saddle_certifies_both_lines(capsys):
+    code, data = run_json(capsys, ["darboux", "--system", "dz/dt = w; dw/dt = z", "--max-degree", "1"])
+    assert code == 0
+    assert [(c["poly"], c["cofactor"]) for c in data["certificates"]] == [("w + z", "1"), ("w - z", "-1")]
+    assert data["partial"] is False
+
+
+def test_darboux_unsplit_factor_is_inconclusive(capsys):
+    # the invariant core w^2 - 2 z^2 is not split into its conjugate lines
+    code, data = run_json(capsys, ["darboux", "--system", "dz/dt = w; dw/dt = 2*z", "--max-degree", "1"])
+    assert code == 3
+    assert data["certificates"] == []
+    assert data["partial"] is True

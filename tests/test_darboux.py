@@ -214,6 +214,61 @@ def test_detect_dicritical_family_of_lines():
     assert det.dicritical
 
 
+def test_detect_lines_saddle_through_the_origin():
+    # zdot = w, wdot = z: w - z and w + z are invariant, with cofactors -1, 1
+    sys = make_system(bp({(1, 0): 1}), bp({(0, 1): 1}))
+    det = detect_invariant_lines(sys)
+    assert [(bipoly_str(c.f), bipoly_str(c.cofactor)) for c in det.lines] == [("w + z", "1"), ("w - z", "-1")]
+    assert det.families == [] and not det.dicritical
+    out = search_darboux(sys, 1)
+    assert {bipoly_str(c.f) for c in out.certificates} == {"w + z", "w - z"}
+    assert not out.partial
+
+
+def test_detect_lines_irrational_slopes_are_one_family():
+    # zdot = w, wdot = 2 z: the lines w = +-sqrt(2) z
+    det = detect_invariant_lines(make_system(bp({(1, 0): 2}), bp({(0, 1): 1})))
+    assert det.lines == []
+    assert [f.to_report() for f in det.families] == [
+        {"kind": "sloped", "defining_polynomial": "t0^2 - 2", "conjugates": 2}
+    ]
+
+
+def test_detect_lines_horizontal_family_reported_once():
+    # zdot = 1, wdot = w^2 - 2: the lines w = +-sqrt(2) come from B's content
+    # alone, not again as slope-0 sloped lines
+    det = detect_invariant_lines(make_system(bp({(0, 2): 1, (0, 0): -2}), bp({(0, 0): 1})))
+    assert [f.to_report() for f in det.families] == [
+        {"kind": "w", "defining_polynomial": "w^2 - 2", "conjugates": 2}
+    ]
+
+
+def test_unsplit_invariant_factor_makes_the_search_partial():
+    # the core w^2 - 2 z^2 does not split over Q and may hide degree-1 factors
+    out = search_darboux(make_system(bp({(1, 0): 2}), bp({(0, 1): 1})), 1)
+    assert out.certificates == []
+    assert out.partial
+    assert out.notes == ("degree 1: unsplit invariant factor of degree 2",)
+
+
+SMALL_RATIONALS = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
+
+
+def small_polys(degree):
+    monomials = [(i, d - i) for d in range(degree + 1) for i in range(d + 1)]
+    return st.dictionaries(st.sampled_from(monomials), st.integers(-3, 3).filter(bool), min_size=1, max_size=4).map(bp)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(SMALL_RATIONALS, SMALL_RATIONALS, small_polys(2), small_polys(1))
+def test_detect_lines_finds_a_planted_line(s, r, a, c):
+    # zdot = A, wdot = s A + (w - s z - r) C leaves w - s z - r invariant:
+    # X(w - s z - r) = (w - s z - r) C
+    line = bp({(0, 1): 1, (1, 0): -s, (0, 0): -r})
+    sys = OdeSystem(a.scale(s) + line * c, a)
+    assert any(darboux._normalize_biv(cert.f) == line for cert in detect_invariant_lines(sys).lines)
+
+
 # ---------------------------------------------------------------------------
 # extactic search
 # ---------------------------------------------------------------------------
