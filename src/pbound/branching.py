@@ -50,6 +50,7 @@ from .newton import (
     vertex_critical_check,
 )
 from .polyode import (
+    BiPoly,
     OdeSystem,
     PuiseuxBranch,
     coeff_profile,
@@ -98,7 +99,6 @@ class Leaf:
     conj_degree: int
     remainder: Optional[OdeSystem]
     lam_last: Fraction
-    depth: int
     flags: tuple = ()
 
     @property
@@ -108,7 +108,6 @@ class Leaf:
 
 @dataclass
 class BranchTree:
-    root: OdeSystem
     leaves: list
     critical: Optional[Witness]
     flags: tuple = ()
@@ -262,7 +261,6 @@ class _Expander:
             conj_degree=_tower_deg(node.system.tower) // self.base_degree,
             remainder=node.system,
             lam_last=node.lam_prev,
-            depth=node.depth,
             flags=tuple(node.flags) + tuple(flags),
         )
 
@@ -302,25 +300,31 @@ class _Expander:
 
     # -- edge roots -> child steps ---------------------------------------------
 
-    def _steps_from_diagram(self, sys: OdeSystem, lam_prev, diagram):
-        """The Newton steps past ``lam_prev``, sorted by exponent and root."""
-        out = []
+    def _roots_past(self, sys: OdeSystem, lam_prev, diagram):
+        """(lam, alpha, foldedness, tower, note) for every edge root past
+        ``lam_prev``; see ``_char_roots``."""
         for edge in diagram.edges:
             if not edge.admissible or edge.lam <= lam_prev:
                 continue
             phi = nonzero_char_poly(edge)
             if phi.degree() < 1:
                 continue
-            for alpha, d, new_tower, note in self._char_roots(phi, sys.tower):
-                if alpha is None:
-                    out.append(_Step(edge.lam, None, d, None, note))
-                    continue
-                work = sys if new_tower is None else sys.map_tower(new_tower)
-                child = substitute_branch(work, edge.lam, alpha, check_acceptable=False)
-                if child.ram > self.caps.ram:
-                    out.append(_Step(edge.lam, None, d, None, "ramification-cap"))
-                    continue
-                out.append(_Step(edge.lam, alpha, d, child, note))
+            for root in self._char_roots(phi, sys.tower):
+                yield (edge.lam,) + root
+
+    def _steps_from_diagram(self, sys: OdeSystem, lam_prev, diagram):
+        """The Newton steps past ``lam_prev``, sorted by exponent and root."""
+        out = []
+        for lam, alpha, d, new_tower, note in self._roots_past(sys, lam_prev, diagram):
+            if alpha is None:
+                out.append(_Step(lam, None, d, None, note))
+                continue
+            work = sys if new_tower is None else sys.map_tower(new_tower)
+            child = substitute_branch(work, lam, alpha, check_acceptable=False)
+            if child.ram > self.caps.ram:
+                out.append(_Step(lam, None, d, None, "ramification-cap"))
+                continue
+            out.append(_Step(lam, alpha, d, child, note))
         out.sort(key=lambda t: (t.lam,) + (sort_key(t.alpha) if t.alpha is not None else ((), ())))
         return out
 
@@ -349,7 +353,7 @@ class _Expander:
             # a monic squarefree factor of phi has a nonzero constant term
             for g, mult in phi.squarefree_decomposition():
                 if g.degree() == 1:
-                    roots.append((-g.coeffs[0] * f_inv(g.coeffs[1]), mult, tower, "tower-linear"))
+                    roots.append((-g.coeffs[0], mult, tower, "tower-linear"))
                 else:
                     roots.append(self._adjoined(Tower(tower.levels, cap=self.caps.tower), g, mult))
         return roots
@@ -380,9 +384,9 @@ def expand_branches(sys: OdeSystem, caps: Caps = DEFAULT_CAPS) -> BranchTree:
     try:
         leaves = engine.expand(root)
     except CriticalFound as hit:
-        return BranchTree(root=sys, leaves=[], critical=hit.witness, flags=tuple(sorted(engine.tree_flags)))
+        return BranchTree(leaves=[], critical=hit.witness, flags=tuple(sorted(engine.tree_flags)))
     leaves.sort(key=_leaf_key)
-    return BranchTree(root=sys, leaves=leaves, critical=None, flags=tuple(sorted(engine.tree_flags)))
+    return BranchTree(leaves=leaves, critical=None, flags=tuple(sorted(engine.tree_flags)))
 
 
 def _leaf_key(leaf: Leaf):
@@ -431,23 +435,112 @@ def resolve_resonance(sys: OdeSystem, lam_prev, rho, caps: Caps = DEFAULT_CAPS):
     return "closed", leaves
 
 
+class _Truncation:
+    """The part of a leaf remainder that later Newton steps can read.
+
+    With every later exponent at least nu, a term z^e w^j of P reaches
+    P(z, 0) at order >= e + j nu, and one of Q, through -s' Q, at order
+    >= e - 1 + (j + 1) nu: its nu-weight.  Substitutions of exponents >= nu
+    never lower a nu-weight.  Terms of weight above the bound are set aside
+    with their level (the number of terms found before them) and their nu.
+    """
+
+    def __init__(self, tower):
+        self.tower = tower
+        self.aside = []  # (level, nu, P terms, Q terms)
+
+    @staticmethod
+    def _split(terms, nu, bound):
+        keep, rest = {}, {}
+        cuts = {}
+        for key, c in terms.items():
+            cut = cuts.get(key[1])
+            if cut is None:
+                cut = cuts[key[1]] = bound - key[1] * nu
+            (keep if key[0] <= cut else rest)[key] = c
+        return keep, rest
+
+    def cut(self, sys: OdeSystem, nu, bound, level) -> OdeSystem:
+        """The terms of ``sys`` of nu-weight <= ``bound``; the rest is set aside."""
+        pk, pr = self._split(sys.P.terms, nu, bound)
+        qk, qr = self._split(sys.Q.terms, nu, bound + 1 - nu)
+        if pr or qr:
+            self.aside.append((level, nu, pr, qr))
+        return OdeSystem(BiPoly(pk, tower=self.tower), BiPoly(qk, tower=self.tower), tower=self.tower)
+
+    def floor(self):
+        """The least weight set aside."""
+        return min(
+            min([ze + we * nu for (ze, we) in pa] + [ze - 1 + (we + 1) * nu for (ze, we) in qa])
+            for _, nu, pa, qa in self.aside
+        )
+
+    def raise_bound(self, sys: OdeSystem, bound, found) -> OdeSystem:
+        """``sys`` and every set-aside part of weight <= ``bound``, brought
+        forward past the terms ``found`` after it by one substitution, cut
+        at ``bound`` under the newest exponent."""
+        tower = self.tower
+        aside, self.aside = self.aside, []
+        for level, nu, pa, qa in aside:
+            pn, pf = self._split(pa, nu, bound)
+            qn, qf = self._split(qa, nu, bound + 1 - nu)
+            if pf or qf:
+                self.aside.append((level, nu, pf, qf))
+            if not (pn or qn):
+                continue
+            near = OdeSystem(BiPoly(pn, tower=tower), BiPoly(qn, tower=tower), tower=tower)
+            if level < len(found):
+                near = near.translate_w(BiPoly({(mu, 0): a for mu, a in found[level:]}, tower=tower))
+            sys = OdeSystem(sys.P + near.P, sys.Q + near.Q, tower=tower)
+        return self.cut(sys, found[-1][0], bound, len(found))
+
+
 def extend_leaf(leaf: Leaf, n_terms: int, caps: Caps = DEFAULT_CAPS):
-    """Continue a closed/exact leaf deterministically up to n_terms terms."""
+    """Continue a closed/exact leaf deterministically up to n_terms terms.
+
+    A step reads its k0 (the order of P(z, 0)), the abscissa-1 point and the
+    edge between them.  After a 1-folded step the abscissa-1 point has the
+    least weight (see ``_Truncation``) and lies below k0, so the steps run on
+    the terms of weight <= K in the frame of the leaf remainder, and every
+    datum they read is exact while k0 <= K.  Before each substitution the
+    terms that outweigh K under the new exponent are set aside, so no term
+    above K is formed.  When P(z, 0) runs out, K is raised and each part set
+    aside comes back by one substitution w -> s + w, s the terms found since.
+    """
     terms = leaf.terms
-    if not leaf.counted:
+    if not leaf.counted or len(terms) >= n_terms:
         return terms
-    engine = _Expander(leaf.remainder, caps)
-    sys, lam_prev = leaf.remainder, leaf.lam_last
-    while len(terms) < n_terms:
+    sys = leaf.remainder
+    engine = _Expander(sys, caps)
+    trunc = _Truncation(sys.tower)
+    lam = leaf.lam_last
+    left = n_terms - len(terms)
+    found = []  # (lam, alpha) past the leaf
+    bound = None  # K, set at the first step
+    while len(found) < left:
         prof, diagram = _newton(sys)
         if 0 not in prof.p:
-            break  # exact: the series terminates
-        steps = [s for s in engine._steps_from_diagram(sys, lam_prev, diagram) if s.alpha is not None]
-        if len(steps) != 1:
+            if not trunc.aside:
+                break  # exact: the series terminates
+            # K guessed short: double its lead over k0, at least to the
+            # k0 the mean exponent gain so far predicts for the last term
+            gain = (lam - leaf.lam_last) / len(found)
+            bound = max(2 * bound - k0, k0 + (left - len(found)) * gain, trunc.floor())
+            sys = trunc.raise_bound(sys, bound, found)
+            continue
+        roots = [r for r in engine._roots_past(sys, lam, diagram) if r[1] is not None]
+        if len(roots) != 1:
             break
-        lam_prev, sys = steps[0].lam, steps[0].system
-        terms += ((lam_prev, steps[0].alpha),)
-    return terms
+        k0 = prof.p[0][0]
+        if bound is None:
+            # K is the k0 of the last term if every step gains as the first
+            bound = k0 + (left - 1) * (roots[0][0] - lam)
+        lam, alpha = roots[0][:2]
+        found.append((lam, alpha))
+        if len(found) < left:
+            sys = trunc.cut(sys, lam, bound, len(found) - 1)
+            sys = substitute_branch(sys, lam, alpha, check_acceptable=False, normalize=False)
+    return terms + tuple(found)
 
 
 def multiplicity_at(sys: OdeSystem, point, caps: Caps = DEFAULT_CAPS) -> MultiplicityResult:

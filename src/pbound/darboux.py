@@ -272,8 +272,6 @@ def detect_invariant_lines(sys: OdeSystem, caps=None) -> LineDetection:
         dicritical = True
     else:
         for s_val, r_val in pairs:
-            if f_is_zero(s_val):
-                continue  # a horizontal line: the content of B gives it
             if is_rational_value(s_val) and is_rational_value(r_val):
                 s0, r0 = as_fraction(s_val), as_fraction(r_val)
                 cand = BiPoly({(Q(0), 1): Q(1), (Q(1), 0): -s0, (Q(0), 0): -r0})
@@ -341,11 +339,13 @@ def _dedupe_certs(certs):
 # -- exact solving of a bivariate polynomial system ---------------------------
 
 def _solve_two_var_system(polys):
-    """Common zeros of polynomials in (s, r); returns (status, pairs, notes).
+    """Common zeros of polynomials in (s, r) with s != 0; returns (status,
+    pairs, notes).
 
     status "infinite" flags a positive-dimensional solution set (a common
     nonconstant factor); "finite" returns all solutions with coordinates in Q
-    or in an adjoined tower.
+    or in an adjoined tower.  The slope s = 0 is never solved: a horizontal
+    line is a factor of B's content in z, which gives it.
     """
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
@@ -382,6 +382,8 @@ def _solve_two_var_system(polys):
     pairs = []
     for fac in factor_univariate(gs):
         if fac.poly.degree() == 1:
+            if f_is_zero(fac.poly.coeffs[0]):
+                continue  # s = 0
             s_val = -as_fraction(fac.poly.coeffs[0])
             pairs.extend(_solve_r_given_s(polys, s_val, None))
         else:

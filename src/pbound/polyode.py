@@ -606,6 +606,13 @@ class OdeSystem:
     def transport(self, new_tower: Tower) -> "OdeSystem":
         return OdeSystem(self.P.transport(new_tower), self.Q.transport(new_tower), tower=new_tower)
 
+    def translate_w(self, series: BiPoly) -> "OdeSystem":
+        """The system for w1 after w = s(z) + w1, s a finite Puiseux series:
+        Q1 = Q(z, s + w1) and P1 = P(z, s + w1) - s' Q1, in the same z-frame."""
+        Q1 = self.Q.subst_w_series(series, with_remainder=True)
+        P1 = self.P.subst_w_series(series, with_remainder=True) - series.diff_z() * Q1
+        return OdeSystem(P1, Q1, tower=self.tower)
+
     def normalized(self) -> "OdeSystem":
         """Shift both sides by a common z-power so the lowest exponent is 0."""
         vals = [ze for (ze, _) in self.P.terms] + [ze for (ze, _) in self.Q.terms]
@@ -798,12 +805,13 @@ def _frac_c(tower, q):
 # branch substitution and the residual oracle
 # ---------------------------------------------------------------------------
 
-def substitute_branch(sys: OdeSystem, lam, alpha, check_acceptable=True) -> OdeSystem:
+def substitute_branch(sys: OdeSystem, lam, alpha, check_acceptable=True, normalize=True) -> OdeSystem:
     """Remainder system for w1 after w = alpha z^lam + w1.
 
     Implements Q1(z,w1) = Q(z, alpha z^lam + w1) and
     P1(z,w1) = P(z, alpha z^lam + w1) - alpha lam z^(lam-1) Q(z, alpha z^lam + w1),
-    then shifts the common z-power so all exponents are nonnegative.
+    then, unless ``normalize`` is False, shifts the common z-power so all
+    exponents are nonnegative.
     """
     lam = Q(lam)
     if lam <= 0:
@@ -812,13 +820,8 @@ def substitute_branch(sys: OdeSystem, lam, alpha, check_acceptable=True) -> OdeS
         raise OdeError("branch coefficient must be nonzero")
     if check_acceptable and not _pair_acceptable(sys, lam, alpha):
         raise OdeError("not an acceptable pair")
-    tower = sys.tower
-    lead = BiPoly({(lam, 0): alpha}, tower=tower)
-    Q1 = sys.Q.subst_w_series(lead, with_remainder=True)
-    Psub = sys.P.subst_w_series(lead, with_remainder=True)
-    deriv_head = BiPoly({(lam - 1, 0): alpha * lam}, tower=tower)
-    P1 = Psub - deriv_head * Q1
-    return OdeSystem(P1, Q1, tower=tower).normalized()
+    out = sys.translate_w(BiPoly({(lam, 0): alpha}, tower=sys.tower))
+    return out.normalized() if normalize else out
 
 
 def _pair_acceptable(sys: OdeSystem, lam, alpha) -> bool:

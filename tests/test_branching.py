@@ -1,22 +1,30 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import pbound.branching as branching
 from pbound.branching import (
+    DEFAULT_CAPS,
     Caps,
+    _Expander,
+    _newton,
     closure_check,
     expand_branches,
     extend_leaf,
     multiplicity_at,
 )
-from pbound.exact import sort_key
+from pbound.exact import QQ_TOWER, UniPoly, adjoin_root, sort_key
 from pbound.polyode import (
     BiPoly,
+    OdeError,
+    OdeSystem,
     PuiseuxBranch,
     coeff_profile,
     make_system,
     residual_valuation,
     substitute_branch,
+    transform_point,
     translate_point,
 )
 
@@ -322,3 +330,174 @@ def test_child_width_bound():
     res = multiplicity_at(sys, ("point", Q(0), Q(0)))
     assert res.status == "finite"
     assert res.count == 2
+
+
+# ---------------------------------------------------------------------------
+# truncated extension against the full-remainder loop
+# ---------------------------------------------------------------------------
+
+def reference_extend(leaf, n_terms, caps=DEFAULT_CAPS):
+    """Every Newton step on the whole, renormalized remainder: extension as
+    it ran before the truncation."""
+    terms = leaf.terms
+    if not leaf.counted:
+        return terms
+    engine = _Expander(leaf.remainder, caps)
+    sys, lam_prev = leaf.remainder, leaf.lam_last
+    while len(terms) < n_terms:
+        prof, diagram = _newton(sys)
+        if 0 not in prof.p:
+            break
+        steps = [s for s in engine._steps_from_diagram(sys, lam_prev, diagram) if s.alpha is not None]
+        if len(steps) != 1:
+            break
+        lam_prev, sys = steps[0].lam, steps[0].system
+        terms += ((lam_prev, steps[0].alpha),)
+    return terms
+
+
+def example45_over_presumed_sqrt2():
+    """(z + w^2) w' = z^2 + t0 w over Q(t0), t0^2 = 2 adjoined without an
+    irreducibility certificate."""
+    tower, theta = adjoin_root(QQ_TOWER, UniPoly([Q(-2), Q(0), Q(1)]))
+    assert tower.levels[0].presumed
+    one = tower.from_fraction(Q(1))
+    return OdeSystem(
+        BiPoly({(2, 0): one, (0, 1): theta}, tower=tower),
+        BiPoly({(1, 0): one, (0, 2): one}, tower=tower),
+        tower=tower,
+    )
+
+
+def terminating_system():
+    """w = z + 2 z^3 - z^5 solves Q w' = P exactly; the heavy w^8 and
+    z^2 w^8 terms lie above the first precision."""
+    f = bp({(1, 0): 1, (3, 0): 2, (5, 0): -1})
+    qd = bp({(0, 0): 1, (0, 8): 1})
+    return make_system(f.diff_z() * qd + (BiPoly.var_w() - f) * bp({(0, 1): 1, (2, 7): 1}), qd)
+
+
+# name -> (system, point, what its leaves must exercise)
+EXTENSION_FIXTURES = {
+    "rational": (example45(0), ("point", Q(0), Q(0)), {"rational"}),
+    "ramified-2-rational": (
+        make_system(bp({(0, 2): 1, (1, 1): 3, (2, 0): -2}), bp({(1, 0): 1, (0, 2): -1})),
+        ("point", Q(0), Q(0)),
+        {"ram-2", "rational"},
+    ),
+    "ramified-3": (
+        make_system(bp({(1, 0): -2}), bp({(0, 3): -3, (1, 2): -1, (3, 0): -3, (0, 2): 3})),
+        ("point", Q(0), Q(0)),
+        {"ram-3", "rational", "tower"},
+    ),
+    "sqrt-minus-nine": (example45(Q(-4)), ("point", Q(0), Q(0)), {"ram-2", "tower"}),
+    "presumed-tower": (example45_over_presumed_sqrt2(), ("point", Q(0), Q(0)), {"ram-2", "presumed"}),
+    "at-infinity": (
+        make_system(bp({(1, 0): -3}), bp({(1, 2): -3, (3, 0): -2, (1, 1): 1, (2, 0): -3, (0, 0): 1})),
+        ("inf", Q(0)),
+        {"ram-2", "raised"},
+    ),
+    "terminates": (terminating_system(), ("point", Q(0), Q(0)), {"terminates", "raised-twice"}),
+    "raises": (
+        make_system(bp({(0, 3): 2, (1, 2): -3, (1, 0): -1}), bp({(3, 0): -1})),
+        ("point", Q(0), Q(0)),
+        {"ram-3", "raised-twice"},
+    ),
+}
+
+
+@pytest.fixture
+def raise_counter(monkeypatch):
+    """Counts the precision raises of ``extend_leaf``."""
+    count = [0]
+    original = branching._Truncation.raise_bound
+
+    def counted(self, *args):
+        count[0] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(branching._Truncation, "raise_bound", counted)
+    return count
+
+
+def _as_compared(terms):
+    return [(mu, sort_key(c)) for mu, c in terms]
+
+
+def _features(leaf, terms, raises, n_terms):
+    out = {"ram-%d" % _ram_of(terms)}
+    tower = leaf.tower
+    if tower is None or tower.is_trivial():
+        out.add("rational")
+    else:
+        out.add("tower")
+        if any(lv.presumed for lv in tower.levels):
+            out.add("presumed")
+    if len(terms) < n_terms:
+        out.add("terminates")
+    if raises:
+        out.add("raised")
+    if raises >= 2:
+        out.add("raised-twice")
+    return out
+
+
+def _residual_valuations(system, leaf, terms):
+    work = system if leaf.tower is None else system.map_tower(leaf.tower)
+    return [
+        residual_valuation(work, PuiseuxBranch(terms=terms[:t], ram=_ram_of(terms[:t]), base=("point", 0, 0)))
+        for t in range(1, len(terms) + 1)
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSION_FIXTURES))
+def test_truncated_extension_matches_full_remainder(name, raise_counter):
+    system, point, wanted = EXTENSION_FIXTURES[name]
+    n_terms = 10
+    local = transform_point(system, point)
+    tree = expand_branches(local)
+    seen = set()
+    for leaf in tree.leaves:
+        if not (leaf.terms and leaf.counted):
+            continue
+        raise_counter[0] = 0
+        terms = extend_leaf(leaf, n_terms)
+        raises = raise_counter[0]
+        assert _as_compared(terms) == _as_compared(reference_extend(leaf, n_terms)), name
+        seen |= _features(leaf, terms, raises, n_terms)
+        # each term found raises the order of the residual Q b' - P(z, b),
+        # and it vanishes only once a terminating series is complete
+        vals = _residual_valuations(local, leaf, terms)
+        assert None not in vals[:-1]
+        assert (vals[-1] is None) == (len(terms) < n_terms), (name, vals)
+        finite = [v for v in vals if v is not None]
+        assert all(a < b for a, b in zip(finite, finite[1:])), (name, vals)
+    assert wanted <= seen, (name, seen)
+
+
+SMALL_COEFFS = st.integers(-3, 3)
+
+
+@st.composite
+def small_systems(draw):
+    """Random dw/dz = P/Q with deg P, deg Q <= 2 and P, Q coprime."""
+    def poly():
+        terms = {(i, j): Q(draw(SMALL_COEFFS)) for i in range(3) for j in range(3 - i) if draw(st.booleans())}
+        return bp({k: c for k, c in terms.items() if c})
+
+    P, Qd = poly(), poly()
+    assume(not P.is_zero() and not Qd.is_zero())
+    try:
+        return make_system(P, Qd)
+    except OdeError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_systems(), st.sampled_from([("point", Q(0), Q(0)), ("inf", Q(0))]))
+def test_truncated_extension_matches_full_remainder_on_random_systems(system, point):
+    caps = Caps(depth=12, ram=16, tower=8, terms=12)
+    tree = expand_branches(transform_point(system, point), caps)
+    for leaf in tree.leaves:
+        if leaf.terms and leaf.counted:
+            assert _as_compared(extend_leaf(leaf, 12, caps)) == _as_compared(reference_extend(leaf, 12, caps))

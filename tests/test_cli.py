@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -280,3 +281,18 @@ def test_darboux_unsplit_factor_is_inconclusive(capsys):
     assert code == 3
     assert data["certificates"] == []
     assert data["partial"] is True
+
+
+# sha256 of the `mul --at 0,0 --json` stdout recorded when every branch was
+# extended on its full remainder; extension on a truncated one must match
+PINNED_MUL_DIGESTS = {
+    "dw/dz = ((z + w)^8) / (z + w^2)": "03b82d5ab6a7ebcabce46aa0df6caf1be9dbd29d6a0505204bb56e38384a92f5",
+    "dw/dz = (z^2 + m*w) / (z + w^2); m = -4": "40d4929af825e8b4617d952cb6009b8e7db61691bf43088e50f73c63984c8f41",
+}
+
+
+@pytest.mark.parametrize("system", sorted(PINNED_MUL_DIGESTS))
+def test_mul_report_matches_pinned_digest(capsys, system):
+    code, out = run(capsys, ["mul", "--system", system, "--at", "0,0", "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_MUL_DIGESTS[system]
