@@ -522,10 +522,8 @@ def extend_leaf(leaf: Leaf, n_terms: int, caps: Caps = DEFAULT_CAPS):
         if 0 not in prof.p:
             if not trunc.aside:
                 break  # exact: the series terminates
-            # K guessed short: double its lead over k0, at least to the
-            # k0 the mean exponent gain so far predicts for the last term
-            gain = (lam - leaf.lam_last) / len(found)
-            bound = max(2 * bound - k0, k0 + (left - len(found)) * gain, trunc.floor())
+            # K guessed short: raise it to the least weight set aside
+            bound = trunc.floor()
             sys = trunc.raise_bound(sys, bound, found)
             continue
         roots = [r for r in engine._roots_past(sys, lam, diagram) if r[1] is not None]

@@ -984,8 +984,6 @@ class UniPoly:
         p = self.monic()
         if p.degree() == 0:
             return []
-        if p.degree() == 1:
-            return [(p, 1)]
         dp = p.derivative()
         g = p.gcd(dp)
         if g.degree() == 0:
