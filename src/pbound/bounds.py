@@ -152,10 +152,10 @@ def _mul_at_algebraic_point(sys: OdeSystem, minpoly: UniPoly, caps: Caps):
     Returns [(weight, MultiplicityResult)]; a presumed-irreducible factor that
     splits mid-run is replayed per factor with the correct weights.
     """
-    work = [(minpoly, None)]
+    work = [minpoly]
     out = []
     while work:
-        poly, tower_hint = work.pop()
+        poly = work.pop()
         base = Tower(cap=caps.tower)
         try:
             tower, theta = adjoin_root(base, poly)
@@ -169,8 +169,7 @@ def _mul_at_algebraic_point(sys: OdeSystem, minpoly: UniPoly, caps: Caps):
                 raise
             t1, t2 = exc.factor_towers()
             for t in (t1, t2):
-                sub = _tower_level_unipoly(t)
-                work.append((sub, None))
+                work.append(_tower_level_unipoly(t))
             continue
         out.append((poly.degree(), res))
     return out

@@ -149,6 +149,13 @@ def _scale(levels, a, q: Fraction):
     return tuple(_scale(sub, x, q) for x in a)
 
 
+def _add_const(levels, a, q: Fraction):
+    """a + q for a rational q: only the constant component changes."""
+    if not levels:
+        return a + q
+    return (_add_const(levels[:-1], a[0], q),) + a[1:]
+
+
 def _mul_sub(sub, a, b):
     if not sub:
         return a * b
@@ -176,9 +183,15 @@ def _reduce_list(levels, coeffs):
 
 
 def _mul(levels, a, b):
+    """Product in the tower; an operand whose non-constant components are all
+    zero scales the other componentwise, with no reduction."""
     if not levels:
         return a * b
     sub = levels[:-1]
+    if all(_is_zero(sub, x) for x in a[1:]):
+        return tuple(_mul_sub(sub, a[0], y) for y in b)
+    if all(_is_zero(sub, y) for y in b[1:]):
+        return tuple(_mul_sub(sub, x, b[0]) for x in a)
     if not sub:
         return _mul_rational(levels[0], a, b)
     d = levels[-1].degree
@@ -455,7 +468,12 @@ class ExtElem:
             return self.tower.from_fraction(Q(other))
         return None
 
+    # A rational operand (int or Fraction) acts componentwise: it is never
+    # coerced into the tower, and a product with it needs no reduction.
+
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return ExtElem(self.tower, _add_const(self.tower.levels, self.rep, other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -467,6 +485,8 @@ class ExtElem:
         return ExtElem(self.tower, _neg(self.tower.levels, self.rep))
 
     def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return ExtElem(self.tower, _add_const(self.tower.levels, self.rep, -other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -476,6 +496,8 @@ class ExtElem:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return ExtElem(self.tower, _scale(self.tower.levels, self.rep, other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -577,11 +599,13 @@ def sort_key(x) -> tuple:
 
 
 def field_zero(tower: Optional[Tower]):
-    return Q(0) if tower is None or tower.is_trivial() else tower.zero()
+    """0 of the field: the int 0 over Q (integral rationals stay ints)."""
+    return 0 if tower is None or tower.is_trivial() else tower.zero()
 
 
 def field_one(tower: Optional[Tower]):
-    return Q(1) if tower is None or tower.is_trivial() else tower.one()
+    """1 of the field: the int 1 over Q."""
+    return 1 if tower is None or tower.is_trivial() else tower.one()
 
 
 def f_is_zero(x) -> bool:
@@ -984,6 +1008,8 @@ class UniPoly:
         p = self.monic()
         if p.degree() == 0:
             return []
+        if p.degree() == 1:
+            return [(p, 1)]
         dp = p.derivative()
         g = p.gcd(dp)
         if g.degree() == 0:
@@ -1163,11 +1189,9 @@ def _rational_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
 
 def _primitive_int_coeffs(p: UniPoly):
     """Scale a rational polynomial to primitive integer coefficients."""
-    fracs = [as_fraction(c) for c in p.coeffs]
-    den = 1
-    for f in fracs:
-        den = math.lcm(den, f.denominator)
-    ints = [int(f * den) for f in fracs]
+    vals = [c.as_fraction() if isinstance(c, ExtElem) else c for c in p.coeffs]
+    den = math.lcm(*[v.denominator for v in vals])
+    ints = [v.numerator * (den // v.denominator) for v in vals]
     g = 0
     for v in ints:
         g = math.gcd(g, abs(v))
@@ -1217,9 +1241,12 @@ def rational_roots(p: UniPoly):
                 if cand in seen:
                     continue
                 seen.add(cand)
-                acc = Q(0)
+                # den^deg * p(s num / den), on integers
+                acc = 0
+                den_pow = 1
                 for c in reversed(ints):
-                    acc = acc * cand + c
+                    acc = acc * s * num + c * den_pow
+                    den_pow *= den
                 if acc == 0:
                     roots.append(cand)
     roots.sort()

@@ -2,8 +2,8 @@
 
 Supports ramified z-exponents (multiples of 1/nu) directly in the polynomial
 type, so the iterated branch substitutions never rewrite z globally.  All
-coefficients are exact: Fractions over the trivial tower, tower elements
-otherwise.
+coefficients are exact: ints or Fractions over the trivial tower, tower
+elements otherwise.
 """
 
 from __future__ import annotations
@@ -39,7 +39,12 @@ class BiPoly:
 
     A z-exponent key is an ``int`` when it is integral and a ``Fraction``
     only when it is not, so unramified arithmetic never touches Fractions;
-    ``hash`` and ``==`` agree across the two types."""
+    ``hash`` and ``==`` agree across the two types.
+
+    A coefficient is an ``int`` when it is an integral rational, otherwise a
+    ``Fraction``, or an ``ExtElem`` of ``tower``.  The two rational types mix
+    freely; every division goes through ``f_inv`` or ``Q(a, b)``, so no
+    ``int / int`` ever makes a float."""
 
     __slots__ = ("terms", "ram", "tower")
 
@@ -62,6 +67,16 @@ class BiPoly:
         self.terms = clean
         self.ram = ram
         self.tower = tower
+
+    @classmethod
+    def _from_clean(cls, terms, ram, tower):
+        """A BiPoly on ``terms`` taken as they are: keys already normalized
+        and no zero coefficient, so nothing is tested."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        out.ram = ram
+        out.tower = tower
+        return out
 
     # -- constructors -------------------------------------------------------
 
@@ -128,7 +143,7 @@ class BiPoly:
         return self._merge(other, -1)
 
     def __neg__(self):
-        return BiPoly({k: -c for k, c in self.terms.items()}, ram=self.ram, tower=self.tower)
+        return BiPoly._from_clean({k: -c for k, c in self.terms.items()}, self.ram, self.tower)
 
     def __mul__(self, other):
         if isinstance(other, BiPoly):
@@ -145,7 +160,15 @@ class BiPoly:
     __rmul__ = __mul__
 
     def scale(self, c):
-        return BiPoly({k: v * c for k, v in self.terms.items()}, ram=self.ram, tower=self.tower)
+        if f_is_zero(c):
+            return BiPoly._from_clean({}, self.ram, self.tower)
+        terms = {k: v * c for k, v in self.terms.items()}
+        if isinstance(c, ExtElem) and not c.is_rational() and any(
+            lv.presumed for lv in c.tower.levels
+        ):
+            # over a presumed modulus c may be a zero divisor
+            return BiPoly(terms, ram=self.ram, tower=self.tower)
+        return BiPoly._from_clean(terms, self.ram, self.tower)
 
     def shift_z(self, delta):
         """Multiply by z^delta (delta may be any rational)."""
@@ -239,8 +262,8 @@ class BiPoly:
         return self.subst_w_series(series, with_remainder=False)
 
     def map_tower(self, tower: Tower):
-        return BiPoly(
-            {k: tower.coerce(c) for k, c in self.terms.items()}, ram=self.ram, tower=tower
+        return BiPoly._from_clean(
+            {k: tower.coerce(c) for k, c in self.terms.items()}, self.ram, tower
         )
 
     def transport(self, new_tower: Tower):
@@ -269,9 +292,9 @@ def _binomial_expansion(pows, k, tower):
     """(s + w)^k = sum_j C(k, j) s^(k-j) w^j, from pows[i] = s^i."""
     terms = {}
     for j in range(k + 1):
-        binom = Q(math.comb(k, j))
+        binom = math.comb(k, j)
         for (pze, _), pc in pows[k - j].terms.items():
-            terms[(pze, j)] = pc * binom
+            terms[(pze, j)] = pc if binom == 1 else pc * binom
     return BiPoly(terms, tower=tower)
 
 
@@ -610,7 +633,10 @@ class OdeSystem:
         """The system for w1 after w = s(z) + w1, s a finite Puiseux series:
         Q1 = Q(z, s + w1) and P1 = P(z, s + w1) - s' Q1, in the same z-frame."""
         Q1 = self.Q.subst_w_series(series, with_remainder=True)
-        P1 = self.P.subst_w_series(series, with_remainder=True) - series.diff_z() * Q1
+        P1 = self.P.subst_w_series(series, with_remainder=True)
+        ds = series.diff_z()
+        if ds.terms:
+            P1 = P1 - ds * Q1
         return OdeSystem(P1, Q1, tower=self.tower)
 
     def normalized(self) -> "OdeSystem":
@@ -710,8 +736,15 @@ class PuiseuxBranch:
 # ---------------------------------------------------------------------------
 
 def translate_point(sys: OdeSystem, z0, w0) -> OdeSystem:
-    """Move the point (z0, w0) to the origin."""
+    """Move the point (z0, w0) to the origin.
+
+    On the axis z0 = 0 this is the shift w -> w0 + w of ``translate_w`` (the
+    identity at the origin); only z0 != 0 takes the affine substitution."""
     tower = sys.tower
+    if f_is_zero(z0):
+        if f_is_zero(w0):
+            return sys
+        return sys.translate_w(BiPoly.const(_coerce_scalar(tower, w0), tower=tower))
     one = field_one(tower)
     z_expr = BiPoly({(1, 0): one, (0, 0): _coerce_scalar(tower, z0)}, tower=tower)
     w_expr = BiPoly({(0, 1): one, (0, 0): _coerce_scalar(tower, w0)}, tower=tower)
@@ -759,21 +792,21 @@ def shear_point(sys: OdeSystem, a, b, c, z0=Q(0), w0=Q(0)) -> OdeSystem:
     tower = sys.tower
     # inverse substitution: z = z0 + Z/c, w = w0 + W/a - (b/(a c)) Z
     z_expr = BiPoly(
-        {(1, 0): _frac_c(tower, Q(1) / c), (0, 0): _coerce_scalar(tower, z0)},
+        {(1, 0): _coerce_scalar(tower, Q(1) / c), (0, 0): _coerce_scalar(tower, z0)},
         tower=tower,
     )
     w_expr = BiPoly(
         {
-            (0, 1): _frac_c(tower, Q(1) / a),
-            (1, 0): _frac_c(tower, -b / (a * c)),
+            (0, 1): _coerce_scalar(tower, Q(1) / a),
+            (1, 0): _coerce_scalar(tower, -b / (a * c)),
             (0, 0): _coerce_scalar(tower, w0),
         },
         tower=tower,
     )
     Ps = sys.P.subst_affine(z_expr, w_expr)
     Qs = sys.Q.subst_affine(z_expr, w_expr)
-    newP = Ps.scale(_frac_c(tower, a)) + Qs.scale(_frac_c(tower, b))
-    newQ = Qs.scale(_frac_c(tower, c))
+    newP = Ps.scale(_coerce_scalar(tower, a)) + Qs.scale(_coerce_scalar(tower, b))
+    newQ = Qs.scale(_coerce_scalar(tower, c))
     return OdeSystem(newP, newQ, tower=tower)
 
 
@@ -792,13 +825,10 @@ def transform_point(sys: OdeSystem, target) -> OdeSystem:
 def _coerce_scalar(tower, x):
     if isinstance(x, ExtElem):
         return x
+    x = Q(x)
     if tower is None or tower.is_trivial():
-        return Q(x)
-    return tower.from_fraction(Q(x))
-
-
-def _frac_c(tower, q):
-    return _coerce_scalar(tower, Q(q))
+        return x.numerator if x.denominator == 1 else x
+    return tower.from_fraction(x)
 
 
 # ---------------------------------------------------------------------------

@@ -67,11 +67,14 @@ def _position(text, pos):
 
 
 def _literal(val):
-    """The rational written as ``[-]n`` or ``[-]n/d``; None when d is 0."""
+    """The rational written as ``[-]n`` (an int) or ``[-]n/d`` (a Fraction);
+    None when d is 0."""
     num, _, den = val.partition("/")
-    if den and int(den) == 0:
+    if not den:
+        return int(num)
+    if int(den) == 0:
         return None
-    return Q(int(num), int(den or 1))
+    return Q(int(num), int(den))
 
 
 class _Parser:
@@ -102,18 +105,21 @@ class _Parser:
     # -- polynomial parsing --------------------------------------------------
 
     def poly(self) -> BiPoly:
+        """The signed terms, summed into one dict."""
         negate = False
         if self.peek()[1] == "-":
             self.next()
             negate = True
-        acc = self.term()
-        if negate:
-            acc = -acc
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            rhs = self.term()
-            acc = acc + rhs if op == "+" else acc - rhs
-        return acc
+        out = {}
+        while True:
+            for key, c in self.term().terms.items():
+                if negate:
+                    c = -c
+                cur = out.get(key)
+                out[key] = c if cur is None else cur + c
+            if self.peek()[1] not in ("+", "-"):
+                return BiPoly(out)
+            negate = self.next()[1] == "-"
 
     def term(self) -> BiPoly:
         acc = self.factor()
@@ -129,11 +135,7 @@ class _Parser:
             tok = self.next()
             if tok[0] != "num" or "/" in tok[1]:
                 self.fail("exponent must be a nonnegative integer", tok)
-            n = int(tok[1])
-            out = BiPoly.const(Q(1))
-            for _ in range(n):
-                out = out * base
-            return out
+            return _power(base, int(tok[1]))
         return base
 
     def atom(self) -> BiPoly:
@@ -161,6 +163,22 @@ class _Parser:
                 return BiPoly.const(self.params[val])
             self.fail("unbound parameter %r" % val, tok)
         self.fail("expected a polynomial atom")
+
+
+def _power(base: BiPoly, n: int) -> BiPoly:
+    """base^n: one monomial when base has one term (``z^n``, ``w^n``),
+    otherwise by repeated squaring."""
+    if len(base.terms) == 1:
+        ((ze, we), c), = base.terms.items()
+        return BiPoly.monomial(c ** n, ze * n, we * n)
+    out = BiPoly.const(1)
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 _BINDING_RE = re.compile(

@@ -284,20 +284,23 @@ def test_branch_extension_and_residual_growth():
     sys = example45(0)
     tree = expand_branches(sys)
     closed = [lf for lf in tree.leaves if lf.counted]
-    assert closed
+    assert len(closed) == 2
     for leaf in closed:
         terms = extend_leaf(leaf, 8)
-        assert len(terms) >= min(8, len(terms))
         work = sys if leaf.tower is None else sys.map_tower(leaf.tower)
-        prev = None
-        for t in range(3, min(len(terms), 8) + 1):
-            branch = PuiseuxBranch(
-                terms=terms[:t], ram=_ram_of(terms[:t]), base=("point", 0, 0)
+        vals = [
+            residual_valuation(
+                work, PuiseuxBranch(terms=terms[:t], ram=_ram_of(terms[:t]), base=("point", 0, 0))
             )
-            val = residual_valuation(work, branch)
-            if prev is not None and val is not None:
-                assert prev is None or val > prev
-            prev = val
+            for t in range(1, len(terms) + 1)
+        ]
+        # the residual vanishes only on a series that terminated, and then
+        # only at its last term
+        terminated = vals[-1] is None
+        assert None not in vals[:-1]
+        assert len(terms) == 8 or (len(terms) < 8 and terminated)
+        finite = vals[:-1] if terminated else vals
+        assert all(b > a for a, b in zip(finite, finite[1:]))
 
 
 def _ram_of(terms):

@@ -429,3 +429,96 @@ def test_adjoin_certified_polynomial_over_an_extension_is_presumed():
     m = certified(UniPoly([t.from_fraction(Q(-2)), t.zero(), t.one()], tower=t))
     t2, _ = adjoin_root(t, m)
     assert [lv.presumed for lv in t2.levels] == [False, True]
+
+
+# ---------------------------------------------------------------------------
+# rational operands: componentwise arithmetic against the generic reduction
+# ---------------------------------------------------------------------------
+
+def ref_zero(levels):
+    return Q(0) if not levels else tuple(ref_zero(levels[:-1]) for _ in range(levels[-1].degree))
+
+
+def ref_const(levels, q):
+    """q embedded in the tower: q in the constant slot, zeros elsewhere."""
+    if not levels:
+        return Q(q)
+    return (ref_const(levels[:-1], q),) + ref_zero(levels)[1:]
+
+
+def ref_add(levels, a, b):
+    return a + b if not levels else tuple(ref_add(levels[:-1], x, y) for x, y in zip(a, b))
+
+
+def ref_neg(levels, a):
+    return -a if not levels else tuple(ref_neg(levels[:-1], x) for x in a)
+
+
+def ref_mul(levels, a, b):
+    """Schoolbook product of nested representations, then the top modulus
+    reduces the high powers one by one."""
+    if not levels:
+        return a * b
+    sub, level = levels[:-1], levels[-1]
+    d = level.degree
+    prod = [ref_zero(sub)] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = ref_add(sub, prod[i + j], ref_mul(sub, x, y))
+    for i in range(2 * d - 2, d - 1, -1):
+        top = prod[i]
+        for j in range(d):
+            prod[i - d + j] = ref_add(sub, prod[i - d + j], ref_neg(sub, ref_mul(sub, top, level.minpoly[j])))
+    return tuple(prod[:d])
+
+
+def oracle_towers():
+    """Q(sqrt 2), Q(cbrt 2) and Q(sqrt 2)(y), y^2 = sqrt 2, the last level
+    presumed."""
+    sqrt2, theta = adjoin_root(QQ_TOWER, poly(-2, 0, 1))
+    cbrt2, _ = adjoin_root(QQ_TOWER, poly(-2, 0, 0, 1))
+    two_level, _ = adjoin_root(sqrt2, UniPoly([-theta, sqrt2.zero(), sqrt2.one()], tower=sqrt2))
+    assert two_level.levels[1].presumed
+    return {"sqrt2": sqrt2, "cbrt2": cbrt2, "two-level": two_level}
+
+
+ORACLE_TOWERS = oracle_towers()
+rationals = st.one_of(st.integers(-6, 6), fractions)
+
+
+def random_rep(draw, levels):
+    if not levels:
+        return draw(fractions)
+    return tuple(random_rep(draw, levels[:-1]) for _ in range(levels[-1].degree))
+
+
+def flat_leaves(rep):
+    return [rep] if not isinstance(rep, tuple) else [v for c in rep for v in flat_leaves(c)]
+
+
+@FIELD_SETTINGS
+@given(st.sampled_from(sorted(ORACLE_TOWERS)), st.data())
+def test_rational_operand_arithmetic_matches_generic_reduction(name, data):
+    t = ORACLE_TOWERS[name]
+    levels = t.levels
+    x = ExtElem(t, random_rep(data.draw, levels))
+    q = data.draw(rationals)
+    qrep = ref_const(levels, q)
+    cases = {
+        "x*q": (x * q, ref_mul(levels, x.rep, qrep)),
+        "q*x": (q * x, ref_mul(levels, qrep, x.rep)),
+        "x+q": (x + q, ref_add(levels, x.rep, qrep)),
+        "q+x": (q + x, ref_add(levels, qrep, x.rep)),
+        "x-q": (x - q, ref_add(levels, x.rep, ref_neg(levels, qrep))),
+        "q-x": (q - x, ref_add(levels, qrep, ref_neg(levels, x.rep))),
+    }
+    # an operand of the tower whose non-constant components vanish: a
+    # rational, or over the two-level tower an element of the level below
+    low = ref_const(levels[:-1], q) if len(levels) == 1 else random_rep(data.draw, levels[:-1])
+    y = ExtElem(t, (low,) + ref_zero(levels)[1:])
+    cases["x*y"] = (x * y, ref_mul(levels, x.rep, y.rep))
+    cases["y*x"] = (y * x, ref_mul(levels, y.rep, x.rep))
+    for label, (got, want) in cases.items():
+        assert got.tower == t, label
+        assert got.rep == want, label
+        assert all(type(v) in (int, Q) for v in flat_leaves(got.rep)), label

@@ -8,6 +8,7 @@ from pbound.exact import QQ_TOWER, UniPoly, adjoin_root
 from pbound.polyode import (
     BiPoly,
     OdeError,
+    OdeSystem,
     PuiseuxBranch,
     bipoly_divexact,
     bipoly_str,
@@ -553,3 +554,57 @@ def test_bipoly_divexact_over_sqrt2_multiplies_back(f, g):
         assert got is None
     else:
         assert (got * f).terms == perturbed.terms
+
+
+# ---------------------------------------------------------------------------
+# translation along the axis against the affine substitution
+# ---------------------------------------------------------------------------
+
+plain_polys = bipolys(
+    (1,), (0, 3), 3, min_terms=1, coeffs=st.one_of(st.integers(-4, 4), rationals)
+).filter(lambda p: not p.is_zero())
+
+
+def coefficients(sys):
+    return list(sys.P.terms.values()) + list(sys.Q.terms.values())
+
+
+@KERNEL_SETTINGS
+@given(
+    plain_polys,
+    plain_polys,
+    st.sampled_from([0, Q(0)]),
+    st.one_of(st.integers(-3, 3), rationals),
+    st.booleans(),
+)
+def test_translate_point_on_the_axis_matches_subst_affine(P, Q_, z0, w0, over_tower):
+    sys = OdeSystem(P, Q_)
+    if over_tower:
+        # theta = sqrt 2 and its rational shifts, in Q(theta)
+        sys = sys.map_tower(SQRT2_TOWER)
+        w0 = SQRT2 + w0
+    tower = sys.tower
+    z_expr = BiPoly.var_z(tower)
+    w_expr = BiPoly({(0, 1): 1, (0, 0): w0}) if tower is None else BiPoly(
+        {(0, 1): tower.one(), (0, 0): w0}, tower=tower
+    )
+    got = translate_point(sys, z0, w0)
+    assert got.tower == tower
+    assert_same_poly(got.P, sys.P.subst_affine(z_expr, w_expr))
+    assert_same_poly(got.Q, sys.Q.subst_affine(z_expr, w_expr))
+    assert not any(isinstance(c, float) for c in coefficients(got))
+
+
+def test_scale_and_negation_skip_no_vanishing_coefficient():
+    # (x^2 - 2)(x^2 - 3) has no rational root, so it is adjoined presumed,
+    # and theta^2 - 2, theta^2 - 3 are zero divisors with product 0
+    t, theta = adjoin_root(QQ_TOWER, UniPoly([Q(6), Q(0), Q(-5), Q(0), Q(1)]))
+    assert t.levels[0].presumed
+    a, b = theta * theta - 2, theta * theta - 3
+    p = BiPoly({(0, 0): a, (1, 0): t.one(), (0, 1): Q(3)}, tower=t)
+    scaled = p.scale(b)
+    assert scaled.terms == {(1, 0): b, (0, 1): 3 * b}
+    assert p.scale(Q(0)).is_zero() and p.scale(t.zero()).is_zero()
+    assert p.scale(2).terms == {k: 2 * c for k, c in p.terms.items()}
+    assert (-p).terms == {k: -c for k, c in p.terms.items()}
+    assert p.map_tower(t).terms == p.terms
