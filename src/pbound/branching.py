@@ -10,7 +10,8 @@ node the engine
 * after a 1-folded step applies the closure test: the continuation is a
   uniquely determined series unless the remainder ratio p1/q0 is a rational
   number exceeding the last exponent (the resonant case, resolved by bounded
-  deterministic stepping),
+  deterministic stepping; it and ``extend_leaf`` read each next pair off k0
+  and the abscissa-1 point alone, ``_fold_step``),
 * otherwise expands every admissible edge of the Newton diagram, one conjugacy
   representative per irreducible factor of the edge characteristic polynomial.
 
@@ -38,6 +39,7 @@ from .exact import (
     as_fraction,
     certified_is_rational,
     f_inv,
+    f_is_zero,
     factor_univariate,
     sort_key,
     transport_elem,
@@ -165,6 +167,36 @@ def _newton(sys: OdeSystem):
     return prof, lower_hull(support_points(prof), prof)
 
 
+def _fold_step(prof, lam_prev):
+    """The pair (lam, alpha) after a 1-folded pair of exponent ``lam_prev``:
+    lam = k0 - y1, k0 the order of P(z, 0) and y1 the lower of k_1 and
+    l_0 - 1, and alpha = p0 / c1 with c1 = q0 lam [Q on it] - p1 [P on it].
+    None when there is no abscissa-1 point or lam <= lam_prev; alpha None
+    when c1 cancels.
+
+    One edge is enough: after a 1-folded pair every support point at
+    abscissa >= 2 has lam_prev-weight y + x lam_prev at least that of the
+    abscissa-1 point (1, y1).  So when k0 - y1 > lam_prev, the edge from
+    (0, k0) to (1, y1) is the only edge past lam_prev, and its polynomial
+    c1 a - p0 is linear; otherwise no edge lies past lam_prev.
+    """
+    k0, p0 = prof.p[0]
+    p1, q0 = prof.p.get(1), prof.q.get(0)
+    heights = ([p1[0]] if p1 else []) + ([q0[0] - 1] if q0 else [])
+    if not heights:
+        return None
+    y1 = min(heights)
+    lam = Q(k0 - y1)
+    if lam <= lam_prev:
+        return None
+    c1 = 0
+    if q0 is not None and q0[0] - 1 == y1:
+        c1 = c1 + q0[1] * lam
+    if p1 is not None and p1[0] == y1:
+        c1 = c1 - p1[1]
+    return lam, (None if f_is_zero(c1) else p0 * f_inv(c1))
+
+
 def _vertex_verdicts(node: _Node, prof, diagram, kind: str, flags: tuple):
     """Vertex verdicts at a node; raises CriticalFound on a critical vertex."""
     verdicts = vertex_critical_check(diagram, prof, lam_min=node.lam_prev)
@@ -273,58 +305,42 @@ class _Expander:
             _vertex_verdicts(cur, prof, diagram, "resonance", ("resonance",))
             if 0 not in prof.p:
                 return [self._leaf(cur, "exact", flags=("resonance",))]
-            k0 = prof.p[0][0]
-            cands = []
-            if 1 in prof.p:
-                cands.append(prof.p[1][0])
-            if 0 in prof.q:
-                cands.append(prof.q[0][0] - 1)
-            if not cands:
-                return list(self.expand(replace(cur, no_closure=True)))
-            lam_next = k0 - min(cands)
-            if lam_next == rho:
+            step = _fold_step(prof, cur.lam_prev)
+            if step is not None and step[0] == rho:
                 # the linear term cancels at the balancing order and the
                 # inhomogeneity does not: no algebraic continuation
-                return [
-                    self._leaf(cur, "non-algebraic", flags=("resonance-order-hit",))
-                ]
-            if lam_next > rho or lam_next <= cur.lam_prev:
+                return [self._leaf(cur, "non-algebraic", flags=("resonance-order-hit",))]
+            if step is None or step[0] > rho or step[1] is None:
                 return list(self.expand(replace(cur, no_closure=True)))
-            steps = self._steps_from_diagram(cur.system, cur.lam_prev, diagram)
-            if len(steps) != 1:
-                return list(self.expand(replace(cur, no_closure=True)))
-            if steps[0].system is None:
-                return [self._leaf(cur, "cap-exceeded", flags=(steps[0].note,))]
-            cur = _child(cur, steps[0])
+            lam, alpha = step
+            child = substitute_branch(cur.system, lam, alpha, check_acceptable=False)
+            if child.ram > self.caps.ram:
+                return [self._leaf(cur, "cap-exceeded", flags=("ramification-cap",))]
+            cur = _child(cur, _Step(lam, alpha, 1, child, ""))
         return [self._leaf(cur, "cap-exceeded", flags=("resonance-cap",))]
 
     # -- edge roots -> child steps ---------------------------------------------
 
-    def _roots_past(self, sys: OdeSystem, lam_prev, diagram):
-        """(lam, alpha, foldedness, tower, note) for every edge root past
-        ``lam_prev``; see ``_char_roots``."""
+    def _steps_from_diagram(self, sys: OdeSystem, lam_prev, diagram):
+        """The Newton steps past ``lam_prev``, sorted by exponent and root;
+        see ``_char_roots``."""
+        out = []
         for edge in diagram.edges:
             if not edge.admissible or edge.lam <= lam_prev:
                 continue
             phi = nonzero_char_poly(edge)
             if phi.degree() < 1:
                 continue
-            for root in self._char_roots(phi, sys.tower):
-                yield (edge.lam,) + root
-
-    def _steps_from_diagram(self, sys: OdeSystem, lam_prev, diagram):
-        """The Newton steps past ``lam_prev``, sorted by exponent and root."""
-        out = []
-        for lam, alpha, d, new_tower, note in self._roots_past(sys, lam_prev, diagram):
-            if alpha is None:
-                out.append(_Step(lam, None, d, None, note))
-                continue
-            work = sys if new_tower is None else sys.map_tower(new_tower)
-            child = substitute_branch(work, lam, alpha, check_acceptable=False)
-            if child.ram > self.caps.ram:
-                out.append(_Step(lam, None, d, None, "ramification-cap"))
-                continue
-            out.append(_Step(lam, alpha, d, child, note))
+            for alpha, d, new_tower, note in self._char_roots(phi, sys.tower):
+                if alpha is None:
+                    out.append(_Step(edge.lam, None, d, None, note))
+                    continue
+                work = sys if new_tower is None else sys.map_tower(new_tower)
+                child = substitute_branch(work, edge.lam, alpha, check_acceptable=False)
+                if child.ram > self.caps.ram:
+                    out.append(_Step(edge.lam, None, d, None, "ramification-cap"))
+                    continue
+                out.append(_Step(edge.lam, alpha, d, child, note))
         out.sort(key=lambda t: (t.lam,) + (sort_key(t.alpha) if t.alpha is not None else ((), ())))
         return out
 
@@ -495,11 +511,11 @@ class _Truncation:
         return self.cut(sys, found[-1][0], bound, len(found))
 
 
-def extend_leaf(leaf: Leaf, n_terms: int, caps: Caps = DEFAULT_CAPS):
+def extend_leaf(leaf: Leaf, n_terms: int):
     """Continue a closed/exact leaf deterministically up to n_terms terms.
 
-    A step reads its k0 (the order of P(z, 0)), the abscissa-1 point and the
-    edge between them.  After a 1-folded step the abscissa-1 point has the
+    A step (``_fold_step``) reads k0, the order of P(z, 0), and the
+    abscissa-1 point.  After a 1-folded step the abscissa-1 point has the
     least weight (see ``_Truncation``) and lies below k0, so the steps run on
     the terms of weight <= K in the frame of the leaf remainder, and every
     datum they read is exact while k0 <= K.  Before each substitution the
@@ -511,14 +527,13 @@ def extend_leaf(leaf: Leaf, n_terms: int, caps: Caps = DEFAULT_CAPS):
     if not leaf.counted or len(terms) >= n_terms:
         return terms
     sys = leaf.remainder
-    engine = _Expander(sys, caps)
     trunc = _Truncation(sys.tower)
     lam = leaf.lam_last
     left = n_terms - len(terms)
     found = []  # (lam, alpha) past the leaf
     bound = None  # K, set at the first step
     while len(found) < left:
-        prof, diagram = _newton(sys)
+        prof = coeff_profile(sys)
         if 0 not in prof.p:
             if not trunc.aside:
                 break  # exact: the series terminates
@@ -526,15 +541,14 @@ def extend_leaf(leaf: Leaf, n_terms: int, caps: Caps = DEFAULT_CAPS):
             bound = trunc.floor()
             sys = trunc.raise_bound(sys, bound, found)
             continue
-        roots = [r for r in engine._roots_past(sys, lam, diagram) if r[1] is not None]
-        if len(roots) != 1:
+        step = _fold_step(prof, lam)
+        if step is None or step[1] is None:
             break
-        k0 = prof.p[0][0]
         if bound is None:
             # K is the k0 of the last term if every step gains as the first
-            bound = k0 + (left - 1) * (roots[0][0] - lam)
-        lam, alpha = roots[0][:2]
-        found.append((lam, alpha))
+            bound = prof.p[0][0] + (left - 1) * (step[0] - lam)
+        lam, alpha = step
+        found.append(step)
         if len(found) < left:
             sys = trunc.cut(sys, lam, bound, len(found) - 1)
             sys = substitute_branch(sys, lam, alpha, check_acceptable=False, normalize=False)
@@ -555,7 +569,7 @@ def multiplicity_at(sys: OdeSystem, point, caps: Caps = DEFAULT_CAPS) -> Multipl
     for leaf in tree.leaves:
         if not leaf.terms:
             continue
-        terms = extend_leaf(leaf, caps.terms, caps)
+        terms = extend_leaf(leaf, caps.terms)
         branches.append(
             PuiseuxBranch(
                 terms=terms,

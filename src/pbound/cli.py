@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .bounds import BoundsError, axis_multiplicity_bound, invariant_line_bound
 from .branching import Caps, multiplicity_at
-from .darboux import search_darboux
+from .darboux import detect_invariant_lines, search_darboux
 from .exact import ExactError, Q
 from .lotka import LvParams, classify, triple_report
 from .polyode import OdeError
@@ -164,15 +164,12 @@ def _cmd_bound(args) -> int:
     elif source.axis:
         bound = axis_multiplicity_bound(system, caps)
     else:
-        from .darboux import detect_invariant_lines
-
         detection = detect_invariant_lines(system)
-        usable = [c for c in detection.lines]
-        if not usable:
+        if not detection.lines:
             raise BoundsError(
                 "no axis form and no invariant line detected; give --line a,b,c"
             )
-        f = usable[0].f
+        f = detection.lines[0].f
         line = (
             f.coeff(1, 0),
             f.coeff(0, 1),
@@ -212,8 +209,6 @@ def _cmd_lv(args) -> int:
 def _cmd_analyze(args) -> int:
     caps = _caps_from(args)
     system, source = _load_system(args)
-    from .darboux import detect_invariant_lines
-
     report = {"command": "analyze", "system": _system_block(system, source)}
     origin = multiplicity_at(system, ("point", Q(0), Q(0)), caps)
     at_inf = multiplicity_at(system, ("inf", Q(0)), caps)

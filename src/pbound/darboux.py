@@ -244,7 +244,7 @@ class LineDetection:
         }
 
 
-def detect_invariant_lines(sys: OdeSystem, caps=None) -> LineDetection:
+def detect_invariant_lines(sys: OdeSystem) -> LineDetection:
     """All degree-1 Darboux polynomials u z + v w + t by undetermined
     coefficients, eliminated exactly; a positive-dimensional solution set is
     reported as a dicritical line family."""

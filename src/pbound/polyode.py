@@ -9,7 +9,7 @@ elements otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -712,9 +712,6 @@ class PuiseuxBranch:
         if self.terms and f_is_zero(self.terms[0][1]):
             raise OdeError("leading branch coefficient must be nonzero")
 
-    def truncated(self, n_terms: int) -> "PuiseuxBranch":
-        return replace(self, terms=self.terms[:n_terms])
-
     def series(self, tower=None) -> BiPoly:
         t = tower
         return BiPoly({(mu, 0): c for mu, c in self.terms}, ram=self.ram, tower=t)
@@ -848,41 +845,31 @@ def substitute_branch(sys: OdeSystem, lam, alpha, check_acceptable=True, normali
         raise OdeError("branch exponent must be positive")
     if f_is_zero(alpha):
         raise OdeError("branch coefficient must be nonzero")
-    if check_acceptable and not _pair_acceptable(sys, lam, alpha):
-        raise OdeError("not an acceptable pair")
     out = sys.translate_w(BiPoly({(lam, 0): alpha}, tower=sys.tower))
+    if check_acceptable and not _pair_acceptable(sys, lam, out):
+        raise OdeError("not an acceptable pair")
     return out.normalized() if normalize else out
 
 
-def _pair_acceptable(sys: OdeSystem, lam, alpha) -> bool:
+def _pair_acceptable(sys: OdeSystem, lam, out: OdeSystem) -> bool:
     """(lam, alpha) is acceptable when the lowest supported z-order of
-    Q(z, a z^l) a l z^(l-1) - P(z, a z^l) cancels strictly below the support
-    minimum min{l_i + (i+1) lam - 1, k_j + j lam}."""
+    P1(z, 0) = P(z, a z^l) - a l z^(l-1) Q(z, a z^l), read off the remainder
+    ``out`` in the frame of ``sys``, lies strictly above the support minimum
+    min{l_i + (i+1) lam - 1, k_j + j lam}: the leading terms cancel."""
     profile = coeff_profile(sys)
-    v0 = None
-    for j, (kj, _) in profile.p.items():
-        cand = kj + j * lam
-        v0 = cand if v0 is None else min(v0, cand)
-    for i, (li, _) in profile.q.items():
-        cand = li + (i + 1) * lam - 1
-        v0 = cand if v0 is None else min(v0, cand)
-    if v0 is None:
-        return True
-    lead = BiPoly({(Q(lam), 0): alpha}, tower=sys.tower)
-    deriv_head = BiPoly({(Q(lam) - 1, 0): alpha * Q(lam)}, tower=sys.tower)
-    residual = deriv_head * sys.Q.eval_w_series(lead) - sys.P.eval_w_series(lead)
-    val = residual.z_valuation()
-    return val is None or val > v0
+    orders = [kj + j * lam for j, (kj, _) in profile.p.items()]
+    orders += [li + (i + 1) * lam - 1 for i, (li, _) in profile.q.items()]
+    lead = coeff_profile(out).p.get(0)
+    return not orders or lead is None or lead[0] > min(orders)
 
 
-def residual_valuation(sys: OdeSystem, branch: PuiseuxBranch, n_terms=None):
-    """Exact valuation of Q(z,b) b' - P(z,b) for the truncated branch; None
-    means the residual vanishes identically (an exact solution)."""
-    b = branch if n_terms is None else branch.truncated(n_terms)
-    if not b.terms:
+def residual_valuation(sys: OdeSystem, branch: PuiseuxBranch):
+    """Exact valuation of Q(z,b) b' - P(z,b) for the branch b; None means
+    the residual vanishes identically (an exact solution)."""
+    if not branch.terms:
         raise OdeError("empty branch")
     tower = sys.tower
-    series = b.series(tower)
-    dseries = BiPoly({(mu - 1, 0): c * mu for mu, c in b.terms}, tower=tower)
+    series = branch.series(tower)
+    dseries = BiPoly({(mu - 1, 0): c * mu for mu, c in branch.terms}, tower=tower)
     residual = sys.Q.eval_w_series(series) * dseries - sys.P.eval_w_series(series)
     return residual.z_valuation()

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -8,19 +9,24 @@ from pbound.branching import (
     DEFAULT_CAPS,
     Caps,
     _Expander,
+    _fold_step,
     _newton,
     closure_check,
     expand_branches,
     extend_leaf,
     multiplicity_at,
+    resolve_resonance,
 )
-from pbound.exact import QQ_TOWER, UniPoly, adjoin_root, sort_key
+from pbound.exact import QQ_TOWER, TowerSplitError, UniPoly, adjoin_root, rational_roots, sort_key
+from pbound.newton import nonzero_char_poly
 from pbound.polyode import (
     BiPoly,
+    CoeffProfile,
     OdeError,
     OdeSystem,
     PuiseuxBranch,
     coeff_profile,
+    _pair_acceptable,
     make_system,
     residual_valuation,
     substitute_branch,
@@ -79,8 +85,7 @@ def test_example45_mu0_closure_via_condition_one():
 
 
 def test_resonance_resolution_standalone():
-    from pbound.branching import resolve_resonance
-
+    # each outcome is also the one of the diagram-based loop (reference_resolve)
     # mu = 3: the remainder after (2, -1) is resonant with ratio 3
     rem = substitute_branch(example45(Q(3)), Q(2), Q(-1))
     kind, rho = closure_check(rem, lam_prev=Q(2))
@@ -88,6 +93,7 @@ def test_resonance_resolution_standalone():
     status, outcome = resolve_resonance(rem, Q(2), rho)
     assert status == "critical"
     assert outcome.lam_star == Q(3)
+    assert _resolution_compared((status, outcome)) == _resolution_compared(reference_resolve(rem, Q(2), rho))
 
     # mu = 5: the resonant order is hit exactly and no continuation exists
     rem5 = substitute_branch(example45(Q(5)), Q(2), Q(-1, 3))
@@ -96,6 +102,7 @@ def test_resonance_resolution_standalone():
     status5, leaf5 = resolve_resonance(rem5, Q(2), rho5)
     assert status5 == "non-algebraic"
     assert "resonance-order-hit" in leaf5.flags
+    assert _resolution_compared((status5, leaf5)) == _resolution_compared(reference_resolve(rem5, Q(2), rho5))
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +366,103 @@ def reference_extend(leaf, n_terms, caps=DEFAULT_CAPS):
     return terms
 
 
+class _ReferenceExpander(_Expander):
+    """The engine with the resonance loop as it ran before ``_fold_step``:
+    each step comes from the whole Newton diagram."""
+
+    def _resolve_resonance(self, node, rho):
+        cur = node
+        for _ in range(self.caps.depth):
+            prof, diagram = _newton(cur.system)
+            branching._vertex_verdicts(cur, prof, diagram, "resonance", ("resonance",))
+            if 0 not in prof.p:
+                return [self._leaf(cur, "exact", flags=("resonance",))]
+            cands = ([prof.p[1][0]] if 1 in prof.p else []) + ([prof.q[0][0] - 1] if 0 in prof.q else [])
+            if not cands:
+                return list(self.expand(replace(cur, no_closure=True)))
+            lam_next = prof.p[0][0] - min(cands)
+            if lam_next == rho:
+                return [self._leaf(cur, "non-algebraic", flags=("resonance-order-hit",))]
+            if lam_next > rho or lam_next <= cur.lam_prev:
+                return list(self.expand(replace(cur, no_closure=True)))
+            steps = self._steps_from_diagram(cur.system, cur.lam_prev, diagram)
+            if len(steps) != 1:
+                return list(self.expand(replace(cur, no_closure=True)))
+            if steps[0].system is None:
+                return [self._leaf(cur, "cap-exceeded", flags=(steps[0].note,))]
+            cur = branching._child(cur, steps[0])
+        return [self._leaf(cur, "cap-exceeded", flags=("resonance-cap",))]
+
+
+def reference_resolve(sys, lam_prev, rho, caps=DEFAULT_CAPS):
+    """``resolve_resonance`` on ``_ReferenceExpander``."""
+    engine = _ReferenceExpander(sys, caps)
+    node = branching._Node(system=sys, prefix=(), lam_prev=Q(lam_prev), folded=1, depth=0)
+    try:
+        leaves = engine._resolve_resonance(node, Q(rho))
+    except branching.CriticalFound as hit:
+        return "critical", hit.witness
+    if len(leaves) == 1:
+        return leaves[0].status, leaves[0]
+    return "closed", leaves
+
+
+def _resolution_compared(outcome):
+    status, found = outcome
+    if status == "critical":
+        return status, (found.kind, found.lam_star, found.depth, _as_compared(found.prefix), found.flags)
+    leaves = found if isinstance(found, list) else [found]
+    return status, [(_as_compared(lf.terms), lf.status, lf.flags) for lf in leaves]
+
+
+class _Recorder(_Expander):
+    """The engine, keeping every node it expands and every resonance it
+    resolves."""
+
+    def __init__(self, sys, caps):
+        super().__init__(sys, caps)
+        self.nodes = []
+        self.resonances = []
+
+    def _expand_inner(self, node):
+        self.nodes.append(node)
+        return super()._expand_inner(node)
+
+    def _resolve_resonance(self, node, rho):
+        self.resonances.append((node.system, node.lam_prev, rho))
+        return super()._resolve_resonance(node, rho)
+
+
+def recorded_expansion(system, point, caps=DEFAULT_CAPS):
+    local = transform_point(system, point).normalized()
+    engine = _Recorder(local, caps)
+    root = branching._Node(system=local, prefix=(), lam_prev=Q(0), folded=0, depth=0)
+    try:
+        engine.expand(root)
+    except branching.CriticalFound:
+        pass
+    return engine
+
+
+def census_394():
+    """Census system 394: at (0, inf) its branch is resonant with rho = 36."""
+    return make_system(
+        bp({(1, 2): -2, (1, 1): 1, (0, 1): 3}),
+        bp({(3, 0): -4, (2, 1): -3, (1, 0): 4}),
+    )
+
+
+@pytest.mark.parametrize("caps, status", [(DEFAULT_CAPS, "cap-exceeded"), (Caps(depth=64), "non-algebraic")])
+def test_resonance_stepping_matches_diagram_loop_census_394(caps, status):
+    engine = recorded_expansion(census_394(), ("inf", Q(0)), caps)
+    assert len(engine.resonances) == 1
+    sys, lam_prev, rho = engine.resonances[0]
+    assert rho == 36
+    got = resolve_resonance(sys, lam_prev, rho, caps)
+    assert got[0] == status
+    assert _resolution_compared(got) == _resolution_compared(reference_resolve(sys, lam_prev, rho, caps))
+
+
 def example45_over_presumed_sqrt2():
     """(z + w^2) w' = z^2 + t0 w over Q(t0), t0^2 = 2 adjoined without an
     irreducibility certificate."""
@@ -503,4 +607,80 @@ def test_truncated_extension_matches_full_remainder_on_random_systems(system, po
     tree = expand_branches(transform_point(system, point), caps)
     for leaf in tree.leaves:
         if leaf.terms and leaf.counted:
-            assert _as_compared(extend_leaf(leaf, 12, caps)) == _as_compared(reference_extend(leaf, 12, caps))
+            assert _as_compared(extend_leaf(leaf, 12)) == _as_compared(reference_extend(leaf, 12, caps))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_systems(), st.sampled_from([("point", Q(0), Q(0)), ("inf", Q(0))]))
+def test_fold_step_is_the_diagram_step_at_one_folded_nodes(system, point):
+    caps = Caps(depth=12, ram=16, tower=8, terms=12)
+    engine = recorded_expansion(system, point, caps)
+    for node in engine.nodes:
+        if node.folded != 1:
+            continue
+        prof, diagram = _newton(node.system)
+        if 0 not in prof.p:
+            continue
+        try:
+            steps = engine._steps_from_diagram(node.system, node.lam_prev, diagram)
+        except TowerSplitError:
+            continue
+        step = _fold_step(prof, node.lam_prev)
+        if step is None or step[1] is None:
+            assert steps == []
+        else:
+            assert [(s.lam, sort_key(s.alpha)) for s in steps] == [(step[0], sort_key(step[1]))]
+
+
+@pytest.mark.parametrize(
+    "p, q, lam_prev, want",
+    [
+        # both abscissa-1 points at height 1: c1 = 1 * 2 - 3
+        ({0: (3, 2), 1: (1, 3)}, {0: (2, 1)}, 1, (Q(2), Q(-2))),
+        # the P point lies lower and alone sets the edge
+        ({0: (3, 1), 1: (0, 1)}, {0: (2, 1)}, 1, (Q(3), Q(-1))),
+        # q0 lam and p1 cancel: no root on the only edge past lam_prev
+        ({0: (3, 2), 1: (1, 2)}, {0: (2, 1)}, 1, (Q(2), None)),
+        # the edge does not go past lam_prev
+        ({0: (3, 1), 1: (1, 1)}, {}, 2, None),
+        # no abscissa-1 point
+        ({0: (3, 1), 2: (0, 1)}, {1: (0, 1)}, 1, None),
+    ],
+)
+def test_fold_step_reads_k0_and_the_abscissa_one_point(p, q, lam_prev, want):
+    assert _fold_step(CoeffProfile(p=p, q=q), Q(lam_prev)) == want
+
+
+def reference_pair_acceptable(sys, lam, alpha):
+    """Acceptability as it was checked before: the lowest order of
+    Q(z, a z^l) a l z^(l-1) - P(z, a z^l), evaluated on its own."""
+    profile = coeff_profile(sys)
+    orders = [kj + j * lam for j, (kj, _) in profile.p.items()]
+    orders += [li + (i + 1) * lam - 1 for i, (li, _) in profile.q.items()]
+    if not orders:
+        return True
+    lead = BiPoly({(Q(lam), 0): alpha}, tower=sys.tower)
+    deriv_head = BiPoly({(Q(lam) - 1, 0): alpha * Q(lam)}, tower=sys.tower)
+    val = (deriv_head * sys.Q.eval_w_series(lead) - sys.P.eval_w_series(lead)).z_valuation()
+    return val is None or val > min(orders)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    small_systems(),
+    st.lists(st.tuples(st.sampled_from([Q(1, 3), Q(1, 2), Q(1), Q(3, 2), Q(2), Q(3)]), SMALL_COEFFS), max_size=4),
+)
+def test_pair_acceptable_reads_the_remainder(system, pairs):
+    _, diagram = _newton(system)
+    roots = [
+        (edge.lam, alpha)
+        for edge in diagram.edges
+        if edge.admissible and nonzero_char_poly(edge).degree() >= 1
+        for alpha in rational_roots(nonzero_char_poly(edge))
+    ]
+    for lam, alpha in roots + [(lam, Q(a)) for lam, a in pairs if a]:
+        out = substitute_branch(system, lam, alpha, check_acceptable=False, normalize=False)
+        want = reference_pair_acceptable(system, lam, alpha)
+        assert _pair_acceptable(system, lam, out) == want
+        if (lam, alpha) in roots:
+            assert want
