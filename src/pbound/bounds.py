@@ -11,7 +11,6 @@ line onto the axis turns the same machinery into a total-degree bound M(M+1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .branching import Caps, DEFAULT_CAPS, MultiplicityResult, multiplicity_at
@@ -176,8 +175,8 @@ def _mul_at_algebraic_point(sys: OdeSystem, minpoly: UniPoly, caps: Caps):
 
 
 def _tower_level_unipoly(tower: Tower) -> UniPoly:
-    level = tower.levels[0]
-    return UniPoly([Q(rep) if isinstance(rep, Fraction) else rep for rep in level.minpoly], var="w")
+    # a level over Q has int/Fraction coefficients, as a UniPoly over Q
+    return UniPoly(tower.levels[0].minpoly, var="w")
 
 
 def axis_multiplicity_bound(sys: OdeSystem, caps: Caps = DEFAULT_CAPS) -> BoundReport:

@@ -56,6 +56,7 @@ from .polyode import (
     OdeSystem,
     PuiseuxBranch,
     coeff_profile,
+    fold_profile,
     substitute_branch,
     transform_point,
 )
@@ -515,8 +516,9 @@ def extend_leaf(leaf: Leaf, n_terms: int):
     """Continue a closed/exact leaf deterministically up to n_terms terms.
 
     A step (``_fold_step``) reads k0, the order of P(z, 0), and the
-    abscissa-1 point.  After a 1-folded step the abscissa-1 point has the
-    least weight (see ``_Truncation``) and lies below k0, so the steps run on
+    abscissa-1 point, so only those entries are profiled (``fold_profile``).
+    After a 1-folded step the abscissa-1 point has the least weight (see
+    ``_Truncation``) and lies below k0, so the steps run on
     the terms of weight <= K in the frame of the leaf remainder, and every
     datum they read is exact while k0 <= K.  Before each substitution the
     terms that outweigh K under the new exponent are set aside, so no term
@@ -533,7 +535,7 @@ def extend_leaf(leaf: Leaf, n_terms: int):
     found = []  # (lam, alpha) past the leaf
     bound = None  # K, set at the first step
     while len(found) < left:
-        prof = coeff_profile(sys)
+        prof = fold_profile(sys)
         if 0 not in prof.p:
             if not trunc.aside:
                 break  # exact: the series terminates

@@ -101,32 +101,46 @@ def is_rational_value(x) -> bool:
 # nested-representation helpers
 #
 # An element of a tower with levels L1..Lk is a tuple of length deg(Lk) whose
-# entries are elements of the sub-tower L1..L(k-1); the base case is Fraction.
-# All helpers below work on (levels, rep) pairs so they can recurse.
+# entries are elements of the sub-tower L1..L(k-1).  The base case is a
+# rational: an int when it is integral and a Fraction only otherwise, so the
+# coordinates of integral elements never pay for Fraction arithmetic.
+# All helpers below work on (levels, rep) pairs so they can recurse; a
+# one-level tower (a number field over Q) acts on its coordinate tuple
+# directly.
 # ---------------------------------------------------------------------------
+
+def _canon(q):
+    """A rational base entry: the int for an integral q, else q itself."""
+    return q.numerator if q.denominator == 1 else q
+
 
 def _zero(levels):
     if not levels:
-        return Q(0)
-    return tuple(_zero(levels[:-1]) for _ in range(levels[-1].degree))
+        return 0
+    return (_zero(levels[:-1]),) * levels[-1].degree
 
 
-def _const(levels, q: Fraction):
+def _const(levels, q):
     if not levels:
-        return Q(q)
+        return _canon(q if isinstance(q, (int, Fraction)) else Q(q))
     sub = levels[:-1]
-    return (_const(sub, q),) + tuple(_zero(sub) for _ in range(levels[-1].degree - 1))
+    return (_const(sub, q),) + (_zero(sub),) * (levels[-1].degree - 1)
 
 
 def _is_zero(levels, a) -> bool:
     if not levels:
         return a == 0
-    return all(_is_zero(levels[:-1], c) for c in a)
+    if len(levels) == 1:
+        return not any(a)
+    sub = levels[:-1]
+    return all(_is_zero(sub, c) for c in a)
 
 
 def _add(levels, a, b):
     if not levels:
-        return a + b
+        return _canon(a + b)
+    if len(levels) == 1:
+        return tuple([_canon(x + y) for x, y in zip(a, b)])
     sub = levels[:-1]
     return tuple(_add(sub, x, y) for x, y in zip(a, b))
 
@@ -134,6 +148,8 @@ def _add(levels, a, b):
 def _neg(levels, a):
     if not levels:
         return -a
+    if len(levels) == 1:
+        return tuple([-x for x in a])
     sub = levels[:-1]
     return tuple(_neg(sub, x) for x in a)
 
@@ -142,24 +158,38 @@ def _sub(levels, a, b):
     return _add(levels, a, _neg(levels, b))
 
 
-def _scale(levels, a, q: Fraction):
+def _scale(levels, a, q):
     if not levels:
-        return a * q
+        return _canon(a * q)
+    if len(levels) == 1:
+        return tuple([_canon(x * q) for x in a])
     sub = levels[:-1]
     return tuple(_scale(sub, x, q) for x in a)
 
 
-def _add_const(levels, a, q: Fraction):
+def _add_const(levels, a, q):
     """a + q for a rational q: only the constant component changes."""
     if not levels:
-        return a + q
+        return _canon(a + q)
     return (_add_const(levels[:-1], a[0], q),) + a[1:]
 
 
 def _mul_sub(sub, a, b):
     if not sub:
-        return a * b
+        return _canon(a * b)
     return _mul(sub, a, b)
+
+
+def _rational_value(levels, a):
+    """The base entry of a rational element (all non-constant components
+    zero, at every level); None for any other element."""
+    while levels:
+        sub = levels[:-1]
+        if any(a[1:]) if not sub else not all(_is_zero(sub, c) for c in a[1:]):
+            return None
+        a = a[0]
+        levels = sub
+    return a
 
 
 def _reduce_list(levels, coeffs):
@@ -186,14 +216,18 @@ def _mul(levels, a, b):
     """Product in the tower; an operand whose non-constant components are all
     zero scales the other componentwise, with no reduction."""
     if not levels:
-        return a * b
+        return _canon(a * b)
     sub = levels[:-1]
+    if not sub:
+        if not any(a[1:]):
+            return _scale(levels, b, a[0])
+        if not any(b[1:]):
+            return _scale(levels, a, b[0])
+        return _mul_rational(levels[0], a, b)
     if all(_is_zero(sub, x) for x in a[1:]):
         return tuple(_mul_sub(sub, a[0], y) for y in b)
     if all(_is_zero(sub, y) for y in b[1:]):
         return tuple(_mul_sub(sub, x, b[0]) for x in a)
-    if not sub:
-        return _mul_rational(levels[0], a, b)
     d = levels[-1].degree
     prod = [_zero(sub) for _ in range(2 * d - 1)]
     for i, x in enumerate(a):
@@ -209,7 +243,8 @@ def _mul(levels, a, b):
 def _mul_rational(level, a, b):
     """Product in Q[x]/(m) on integers: both operands are scaled to integer
     vectors over one denominator each, multiplied, and reduced with the
-    level's table of x^(d+k) mod m; only the d results become Fractions."""
+    level's table of x^(d+k) mod m; a result becomes a Fraction only when
+    the common denominator does not divide it."""
     da = math.lcm(*[x.denominator for x in a])
     db = math.lcm(*[y.denominator for y in b])
     ia = [x.numerator * (da // x.denominator) for x in a]
@@ -227,7 +262,9 @@ def _mul_rational(level, a, b):
             for j, r in enumerate(row):
                 out[j] += v * r
     total = da * db * den
-    return tuple([Q(v, total) for v in out])
+    if total == 1:
+        return tuple(out)
+    return tuple([v // total if v % total == 0 else Q(v, total) for v in out])
 
 
 def _polydeg(sub, coeffs):
@@ -256,20 +293,22 @@ def _polydivmod(sub, num, den):
 
 
 def _inv(levels, a):
-    """Exact inverse; raises _SplitNeeded when a zero divisor is found."""
-    if not levels:
-        if a == 0:
+    """Exact inverse; raises _SplitNeeded when a zero divisor is found.
+
+    A rational element is a unit or zero even over a presumed modulus, so
+    its inverse is the rational inverse embedded, with no Euclid."""
+    q = _rational_value(levels, a)
+    if q is not None:
+        if q == 0:
             raise ZeroDivisionError("division by zero")
-        return Q(1) / a
+        return _const(levels, _canon(1 / Q(q)))
     sub = levels[:-1]
-    if _is_zero(levels, a):
-        raise ZeroDivisionError("division by zero")
     level = levels[-1]
     # extended Euclid between the modulus and a
     r0 = list(level.minpoly)
     r1 = list(a)
     t0 = [_zero(sub)]
-    t1 = [_const(sub, Q(1))]
+    t1 = [_const(sub, 1)]
     while _polydeg(sub, r1) >= 0:
         q, r = _polydivmod(sub, r0, r1)
         # t0 - q*t1
@@ -378,10 +417,10 @@ class Tower:
         return ExtElem(self, _zero(self.levels))
 
     def one(self) -> "ExtElem":
-        return ExtElem(self, _const(self.levels, Q(1)))
+        return ExtElem(self, _const(self.levels, 1))
 
     def from_fraction(self, q) -> "ExtElem":
-        return ExtElem(self, _const(self.levels, Q(q)))
+        return ExtElem(self, _const(self.levels, q))
 
     def coerce(self, x) -> "ExtElem":
         if isinstance(x, ExtElem):
@@ -398,7 +437,7 @@ class Tower:
             if x.is_rational():
                 return self.from_fraction(x.as_fraction())
             raise ExactError("cannot coerce element of %r into %r" % (x.tower, self))
-        return self.from_fraction(Q(x))
+        return self.from_fraction(x)
 
     def generator(self, index: int) -> "ExtElem":
         levels = self.levels
@@ -407,7 +446,7 @@ class Tower:
         if levels[index].degree < 2:
             raise ExactError("generator %d has collapsed to a constant" % index)
         inner = list(_zero(levels[: index + 1]))
-        inner[1] = _const(levels[:index], Q(1))
+        inner[1] = _const(levels[:index], 1)
         inner = tuple(inner)
         for up in range(index + 1, len(levels)):
             outer = [_zero(levels[:up])] * levels[up].degree
@@ -420,7 +459,11 @@ QQ_TOWER = Tower(())
 
 
 class ExtElem:
-    """An element of an extension tower, in dense nested representation."""
+    """An element of an extension tower, in dense nested representation.
+
+    ``rep`` nests one coordinate tuple per level; its rational coordinates
+    are ints when integral and Fractions otherwise (see the helpers above).
+    """
 
     __slots__ = ("tower", "rep")
 
@@ -434,26 +477,13 @@ class ExtElem:
         return _is_zero(self.tower.levels, self.rep)
 
     def is_rational(self) -> bool:
-        def check(levels, a):
-            if not levels:
-                return True
-            sub = levels[:-1]
-            if not all(_is_zero(sub, c) for c in a[1:]):
-                return False
-            return check(sub, a[0])
-
-        return check(self.tower.levels, self.rep)
+        return _rational_value(self.tower.levels, self.rep) is not None
 
     def as_fraction(self) -> Fraction:
-        levels = self.tower.levels
-        a = self.rep
-        while levels:
-            sub = levels[:-1]
-            if not all(_is_zero(sub, c) for c in a[1:]):
-                raise ExactError("element is not rational: %s" % self)
-            a = a[0]
-            levels = sub
-        return a
+        q = _rational_value(self.tower.levels, self.rep)
+        if q is None:
+            raise ExactError("element is not rational: %s" % self)
+        return Q(q)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -461,11 +491,12 @@ class ExtElem:
         if isinstance(other, ExtElem):
             if other.tower == self.tower:
                 return other
-            if other.is_rational():
-                return self.tower.from_fraction(other.as_fraction())
+            q = _rational_value(other.tower.levels, other.rep)
+            if q is not None:
+                return self.tower.from_fraction(q)
             raise ExactError("tower mismatch: %r vs %r" % (self.tower, other.tower))
         if isinstance(other, (int, Fraction)):
-            return self.tower.from_fraction(Q(other))
+            return self.tower.from_fraction(other)
         return None
 
     # A rational operand (int or Fraction) acts componentwise: it is never
@@ -506,6 +537,8 @@ class ExtElem:
     __rmul__ = __mul__
 
     def inverse(self) -> "ExtElem":
+        """The inverse; a rational element's is its rational inverse, with no
+        Euclid (it cannot split a presumed modulus)."""
         try:
             return ExtElem(self.tower, _inv(self.tower.levels, self.rep))
         except _SplitNeeded as exc:
@@ -534,18 +567,20 @@ class ExtElem:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.as_fraction() == other
+            q = _rational_value(self.tower.levels, self.rep)
+            return q is not None and q == other
         if isinstance(other, ExtElem):
             if other.tower == self.tower:
                 return self.rep == other.rep
-            if self.is_rational() and other.is_rational():
-                return self.as_fraction() == other.as_fraction()
-            return False
+            q = _rational_value(self.tower.levels, self.rep)
+            r = _rational_value(other.tower.levels, other.rep)
+            return q is not None and r is not None and q == r
         return NotImplemented
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.as_fraction())
+        q = _rational_value(self.tower.levels, self.rep)
+        if q is not None:
+            return hash(q)
         return hash((self.tower, self.rep))
 
     # -- ordering / printing --------------------------------------------------

@@ -114,15 +114,6 @@ class BiPoly:
     def total_degree(self):
         return max((ze + we for (ze, we) in self.terms), default=-1)
 
-    def w_parts(self):
-        """Mapping w-power -> ascending list of (z-exponent, coefficient)."""
-        parts = {}
-        for (ze, we), c in self.terms.items():
-            parts.setdefault(we, []).append((ze, c))
-        for lst in parts.values():
-            lst.sort(key=lambda t: t[0])
-        return parts
-
     def coeff(self, ze, we):
         return self.terms.get((ze, int(we)), field_zero(self.tower))
 
@@ -676,9 +667,16 @@ class CoeffProfile:
     q: dict
 
 
-def _leading_entries(poly: BiPoly):
+def _leading_entries(poly: BiPoly, powers=None):
+    """w-power -> (z-exponent, coefficient) of its lowest unit coefficient,
+    for every w-power of ``poly`` or only those in ``powers``."""
+    parts = {}
+    for (ze, we), c in poly.terms.items():
+        if powers is None or we in powers:
+            parts.setdefault(we, []).append((ze, c))
     out = {}
-    for we, pairs in poly.w_parts().items():
+    for we, pairs in parts.items():
+        pairs.sort(key=lambda t: t[0])
         for ze, c in pairs:
             if not ensure_regular(c):
                 out[we] = (ze, c)
@@ -688,6 +686,11 @@ def _leading_entries(poly: BiPoly):
 
 def coeff_profile(sys: OdeSystem) -> CoeffProfile:
     return CoeffProfile(p=_leading_entries(sys.P), q=_leading_entries(sys.Q))
+
+
+def fold_profile(sys: OdeSystem) -> CoeffProfile:
+    """The entries a 1-fold step reads: P at w^0 and w^1, Q at w^0."""
+    return CoeffProfile(p=_leading_entries(sys.P, (0, 1)), q=_leading_entries(sys.Q, (0,)))
 
 
 # ---------------------------------------------------------------------------

@@ -349,7 +349,8 @@ def test_rational_level_product_matches_sympy_rem(sp, data):
     m = sympy_expr(sp, list(low) + [Q(1)], x)
     want = sp.rem(sympy_expr(sp, a, x) * sympy_expr(sp, b, x), m, x)
     assert list(got) == sympy_coeffs(sp, want, x, d)
-    assert all(type(c) is Q for c in got)
+    # an integral coordinate is an int, any other a Fraction
+    assert all(type(c) is (int if c.denominator == 1 else Q) for c in got)
 
 
 @FIELD_SETTINGS
@@ -522,3 +523,229 @@ def test_rational_operand_arithmetic_matches_generic_reduction(name, data):
         assert got.tower == t, label
         assert got.rep == want, label
         assert all(type(v) in (int, Q) for v in flat_leaves(got.rep)), label
+
+
+# ---------------------------------------------------------------------------
+# tower arithmetic against a Fraction-only reference
+# ---------------------------------------------------------------------------
+
+def fraction_rep(rep):
+    """The same element with every rational coordinate a Fraction."""
+    return Q(rep) if not isinstance(rep, tuple) else tuple(fraction_rep(c) for c in rep)
+
+
+def fraction_levels(levels):
+    return tuple(Level(name=lv.name, minpoly=fraction_rep(lv.minpoly), degree=lv.degree) for lv in levels)
+
+
+def canonical_rep(rep):
+    """Integral coordinates as ints, the others as Fractions."""
+    if isinstance(rep, tuple):
+        return tuple(canonical_rep(c) for c in rep)
+    return rep.numerator if rep.denominator == 1 else rep
+
+
+def assert_canonical(rep):
+    for v in flat_leaves(rep):
+        assert type(v) in (int, Q), v
+        assert type(v) is (int if v.denominator == 1 else Q), v
+
+
+class RefSplit(Exception):
+    def __init__(self, level, g, h):
+        super().__init__(level)
+        self.level, self.g, self.h = level, g, h
+
+
+def ref_is_zero(levels, a):
+    return a == 0 if not levels else all(ref_is_zero(levels[:-1], c) for c in a)
+
+
+def ref_sub(levels, a, b):
+    return ref_add(levels, a, ref_neg(levels, b))
+
+
+def ref_reduce(levels, coeffs):
+    """A coefficient list modulo the top modulus, highest power first."""
+    sub, level = levels[:-1], levels[-1]
+    d = level.degree
+    work = list(coeffs) + [ref_zero(sub)] * max(d - len(coeffs), 0)
+    for i in range(len(work) - 1, d - 1, -1):
+        for j in range(d):
+            work[i - d + j] = ref_sub(sub, work[i - d + j], ref_mul(sub, work[i], level.minpoly[j]))
+    return tuple(work[:d])
+
+
+def ref_polydeg(sub, coeffs):
+    return max((i for i, c in enumerate(coeffs) if not ref_is_zero(sub, c)), default=-1)
+
+
+def ref_polydivmod(sub, num, den):
+    dd = ref_polydeg(sub, den)
+    lead_inv = ref_inv(sub, den[dd])
+    rem = list(num)
+    dn = ref_polydeg(sub, rem)
+    quot = [ref_zero(sub)] * max(dn - dd + 1, 0)
+    while dn >= dd:
+        c = ref_mul(sub, rem[dn], lead_inv)
+        quot[dn - dd] = c
+        for j in range(dd + 1):
+            rem[dn - dd + j] = ref_sub(sub, rem[dn - dd + j], ref_mul(sub, c, den[j]))
+        dn = ref_polydeg(sub, rem)
+    return quot, rem
+
+
+def ref_inv(levels, a):
+    """Extended Euclid between the modulus and a at every level, rational
+    elements included; raises RefSplit with the monic factors g, h of a
+    modulus that a zero divisor splits."""
+    if not levels:
+        return Q(1) / a
+    if ref_is_zero(levels, a):
+        raise ZeroDivisionError
+    sub, level = levels[:-1], levels[-1]
+    r0, r1 = list(level.minpoly), list(a)
+    t0, t1 = [ref_zero(sub)], [ref_const(sub, 1)]
+    while ref_polydeg(sub, r1) >= 0:
+        q, r = ref_polydivmod(sub, r0, r1)
+        prod = [ref_zero(sub)] * (len(q) + len(t1) - 1)
+        for i, x in enumerate(q):
+            for j, y in enumerate(t1):
+                prod[i + j] = ref_add(sub, prod[i + j], ref_mul(sub, x, y))
+        n = max(len(t0), len(prod))
+        t0 = t0 + [ref_zero(sub)] * (n - len(t0))
+        prod = prod + [ref_zero(sub)] * (n - len(prod))
+        r0, r1 = r1, r
+        t0, t1 = t1, [ref_sub(sub, v, w) for v, w in zip(t0, prod)]
+    g_deg = ref_polydeg(sub, r0)
+    if g_deg == 0:
+        c_inv = ref_inv(sub, r0[0])
+        return ref_reduce(levels, [ref_mul(sub, c, c_inv) for c in t0])
+    lead_inv = ref_inv(sub, r0[g_deg])
+    g = [ref_mul(sub, c, lead_inv) for c in r0[: g_deg + 1]]
+    h, _ = ref_polydivmod(sub, list(level.minpoly), g)
+    raise RefSplit(len(levels) - 1, tuple(g), tuple(h))
+
+
+ARITH_TOWERS = dict(
+    ORACLE_TOWERS,
+    # a root of 3 w^2 + 2 w + 2: the reduction table has denominator 3
+    nonintegral=adjoin_root(QQ_TOWER, poly(Q(2, 3), Q(2, 3), 1))[0],
+)
+
+
+def draw_element(draw, t):
+    """A canonical element of t; every third one is rational."""
+    rep = canonical_rep(random_rep(draw, t.levels))
+    if draw(st.integers(0, 2)) == 0:
+        rep = canonical_rep(ref_const(t.levels, flat_leaves(rep)[0]))
+    return ExtElem(t, rep)
+
+
+def test_arithmetic_oracle_towers_cover_a_reduction_denominator():
+    assert ARITH_TOWERS["nonintegral"].levels[0].reduction[1] == 3
+    assert ARITH_TOWERS["sqrt2"].levels[0].reduction[1] == 1
+
+
+@FIELD_SETTINGS
+@given(st.sampled_from(sorted(ARITH_TOWERS)), st.data())
+def test_tower_arithmetic_matches_fraction_reference(name, data):
+    t = ARITH_TOWERS[name]
+    levels = fraction_levels(t.levels)
+    x, y = draw_element(data.draw, t), draw_element(data.draw, t)
+    q = data.draw(rationals)
+    fx, fy, fq = fraction_rep(x.rep), fraction_rep(y.rep), ref_const(levels, q)
+    cases = {
+        "x+y": (x + y, ref_add(levels, fx, fy)),
+        "x-y": (x - y, ref_sub(levels, fx, fy)),
+        "-x": (-x, ref_neg(levels, fx)),
+        "x*y": (x * y, ref_mul(levels, fx, fy)),
+        "x+q": (x + q, ref_add(levels, fx, fq)),
+        "q-x": (q - x, ref_sub(levels, fq, fx)),
+        "x*q": (x * q, ref_mul(levels, fx, fq)),
+    }
+    if not ref_is_zero(levels, fx):
+        inv = ref_inv(levels, fx)
+        cases["1/x"] = (x.inverse(), inv)
+        cases["q/x"] = (q / x, ref_mul(levels, fq, inv))
+        cases["x*x^-1"] = (x * x.inverse(), ref_const(levels, 1))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    if q != 0:
+        cases["x/q"] = (x / q, ref_mul(levels, fx, ref_const(levels, 1 / Q(q))))
+    for label, (got, want) in cases.items():
+        assert all(type(v) is Q for v in flat_leaves(want)), label
+        assert got.tower == t, label
+        assert got.rep == want, label
+        assert_canonical(got.rep)
+
+
+def test_tower_constructors_give_int_coordinates():
+    for t in ARITH_TOWERS.values():
+        for e in (t.zero(), t.one(), t.from_fraction(Q(6, 3)), t.from_fraction(Q(1, 2)), t.generator(0)):
+            assert_canonical(e.rep)
+        for lv in t.levels:
+            assert_canonical(lv.minpoly)
+    assert ARITH_TOWERS["sqrt2"].from_fraction(Q(4, 2)).rep == (2, 0)
+    assert type(ARITH_TOWERS["sqrt2"].from_fraction(Q(4, 2)).as_fraction()) is Q
+
+
+# ---------------------------------------------------------------------------
+# inverses of rational elements and zero divisors
+# ---------------------------------------------------------------------------
+
+def count_euclid(monkeypatch):
+    calls = []
+    inner = exact._polydivmod
+
+    def counting(sub, num, den):
+        calls.append(len(sub))
+        return inner(sub, num, den)
+
+    monkeypatch.setattr(exact, "_polydivmod", counting)
+    return calls
+
+
+@pytest.mark.parametrize("presumed", [False, True])
+def test_rational_element_inverts_to_embedded_rational_inverse(monkeypatch, presumed):
+    if presumed:
+        # (x^2 - 2)(x^2 - 3): presumed, and not a field
+        t, _ = adjoin_root(QQ_TOWER, poly(6, 0, -5, 0, 1))
+    else:
+        t, _ = adjoin_root(QQ_TOWER, certified(poly(-2, 0, 1)))
+    assert t.levels[0].presumed is presumed
+    calls = count_euclid(monkeypatch)
+    for q in (Q(3, 4), Q(-2), 5, Q(1, 7)):
+        got = t.from_fraction(q).inverse()
+        assert got == t.from_fraction(1 / Q(q))
+        assert got.rep == t.from_fraction(1 / Q(q)).rep
+        assert_canonical(got.rep)
+    assert calls == []
+    with pytest.raises(ZeroDivisionError):
+        t.zero().inverse()
+    assert calls == []
+
+
+def test_rational_element_of_two_level_tower_inverts_without_euclid(monkeypatch):
+    t = ARITH_TOWERS["two-level"]
+    calls = count_euclid(monkeypatch)
+    assert t.from_fraction(Q(-3, 2)).inverse().rep == ((Q(-2, 3), 0), (0, 0))
+    with pytest.raises(ZeroDivisionError):
+        t.zero().inverse()
+    assert calls == []
+
+
+def test_zero_divisor_over_presumed_tower_splits_like_reference_euclid():
+    t, theta = adjoin_root(QQ_TOWER, poly(6, 0, -5, 0, 1))
+    levels = fraction_levels(t.levels)
+    for e in (theta * theta - 2, theta * theta * 3 - 9, theta * theta * theta - theta * 2):
+        with pytest.raises(RefSplit) as want:
+            ref_inv(levels, fraction_rep(e.rep))
+        with pytest.raises(TowerSplitError) as got:
+            e.inverse()
+        assert got.value.level == want.value.level == 0
+        assert got.value.g == want.value.g
+        assert got.value.h == want.value.h
+        assert_canonical(got.value.g)
+        assert_canonical(got.value.h)
