@@ -9,9 +9,9 @@ node the engine
   points), which makes the point algebraic critical,
 * after a 1-folded step applies the closure test: the continuation is a
   uniquely determined series unless the remainder ratio p1/q0 is a rational
-  number exceeding the last exponent (the resonant case, resolved by bounded
-  deterministic stepping; it and ``extend_leaf`` read each next pair off k0
-  and the abscissa-1 point alone, ``_fold_step``),
+  number exceeding the last exponent (the resonant case).  Both that series
+  and a resonance follow one truncated walk, ``_fold_walk``, which reads
+  each next pair off k0 and the abscissa-1 point alone (``_fold_step``),
 * otherwise expands every admissible edge of the Newton diagram, one conjugacy
   representative per irreducible factor of the edge characteristic polynomial.
 
@@ -137,8 +137,6 @@ class _Node:
     lam_prev: Fraction
     folded: int  # d of the incoming pair; 0 at the root
     depth: int
-    flags: tuple = ()
-    no_closure: bool = False
 
 
 class _Step(NamedTuple):
@@ -198,26 +196,8 @@ def _fold_step(prof, lam_prev):
     return lam, (None if f_is_zero(c1) else p0 * f_inv(c1))
 
 
-def _vertex_verdicts(node: _Node, prof, diagram, kind: str, flags: tuple):
-    """Vertex verdicts at a node; raises CriticalFound on a critical vertex."""
-    verdicts = vertex_critical_check(diagram, prof, lam_min=node.lam_prev)
-    hit = first_critical(verdicts)
-    if hit is not None:
-        raise CriticalFound(
-            Witness(kind=kind, lam_star=hit.lam_star, depth=node.depth, prefix=node.prefix, flags=flags)
-        )
-    return verdicts
-
-
 def _child(node: _Node, step: _Step) -> _Node:
-    return _Node(
-        system=step.system,
-        prefix=node.prefix + ((step.lam, step.alpha),),
-        lam_prev=step.lam,
-        folded=step.folded,
-        depth=node.depth + 1,
-        flags=node.flags,
-    )
+    return _Node(step.system, node.prefix + ((step.lam, step.alpha),), step.lam, step.folded, node.depth + 1)
 
 
 class _Expander:
@@ -257,22 +237,20 @@ class _Expander:
         if exact_here and node.prefix:
             leaves.append(self._leaf(node, "exact"))
 
-        verdicts = _vertex_verdicts(node, prof, diagram, "vertex-dominance", node.flags)
+        verdicts = vertex_critical_check(diagram, prof, lam_min=node.lam_prev)
+        hit = first_critical(verdicts)
+        if hit is not None:
+            raise CriticalFound(Witness("vertex-dominance", hit.lam_star, node.depth, node.prefix))
         if any(v.dicritical_suspect for v in verdicts):
             self.tree_flags.add("dicritical-suspect")
 
-        if (
-            not node.no_closure
-            and node.folded == 1
-            and node.prefix
-            and not exact_here
-        ):
-            kind, rho = closure_check(sys, node.lam_prev)
+        if node.folded == 1 and node.prefix and not exact_here:
+            kind, rho = _closure(prof, node.lam_prev)
             if kind == "closed":
                 leaves.append(self._leaf(node, "closed"))
                 return leaves
             if kind == "resonance":
-                return leaves + self._resolve_resonance(node, rho)
+                return leaves + [self._resolve_resonance(node, rho)]
             # kind == "generic": fall through
 
         if node.depth >= self.caps.depth:
@@ -294,31 +272,28 @@ class _Expander:
             conj_degree=_tower_deg(node.system.tower) // self.base_degree,
             remainder=node.system,
             lam_last=node.lam_prev,
-            flags=tuple(node.flags) + tuple(flags),
+            flags=tuple(flags),
         )
 
-    # -- resonance: bounded deterministic stepping -------------------------------
+    # -- resonance: the truncated walk up to rho -------------------------------
 
-    def _resolve_resonance(self, node: _Node, rho):
+    def _resolve_resonance(self, node: _Node, rho) -> Leaf:
+        """Step through a resonance of indicial ratio ``rho`` for at most
+        ``caps.depth`` steps; ``_fold_walk`` says why k0 alone decides."""
         cur = node
-        for _ in range(self.caps.depth):
-            prof, diagram = _newton(cur.system)
-            _vertex_verdicts(cur, prof, diagram, "resonance", ("resonance",))
-            if 0 not in prof.p:
-                return [self._leaf(cur, "exact", flags=("resonance",))]
-            step = _fold_step(prof, cur.lam_prev)
-            if step is not None and step[0] == rho:
+        for sys, step in _fold_walk(node.system, node.lam_prev, rho=rho):
+            cur = replace(cur, system=sys)
+            if cur.depth - node.depth == self.caps.depth:
+                return self._leaf(cur, "cap-exceeded", flags=("resonance-cap",))
+            if step is None or step[0] > rho:
+                break
+            if step[0] == rho:
                 # the linear term cancels at the balancing order and the
                 # inhomogeneity does not: no algebraic continuation
-                return [self._leaf(cur, "non-algebraic", flags=("resonance-order-hit",))]
-            if step is None or step[0] > rho or step[1] is None:
-                return list(self.expand(replace(cur, no_closure=True)))
-            lam, alpha = step
-            child = substitute_branch(cur.system, lam, alpha, check_acceptable=False)
-            if child.ram > self.caps.ram:
-                return [self._leaf(cur, "cap-exceeded", flags=("ramification-cap",))]
-            cur = _child(cur, _Step(lam, alpha, 1, child, ""))
-        return [self._leaf(cur, "cap-exceeded", flags=("resonance-cap",))]
+                return self._leaf(cur, "non-algebraic", flags=("resonance-order-hit",))
+            # the walk yields the substituted system with the next node
+            cur = _child(cur, _Step(*step, 1, None, ""))
+        raise CriticalFound(Witness("resonance", rho, cur.depth, cur.prefix, ("resonance",)))
 
     # -- edge roots -> child steps ---------------------------------------------
 
@@ -412,10 +387,13 @@ def _leaf_key(leaf: Leaf):
 
 
 def closure_check(sys: OdeSystem, lam_prev=Q(0)):
-    """Classify continuation after a 1-folded pair: "closed", "resonance"
-    (with the indicial ratio) or "generic" when the leading denominator data
-    is missing."""
-    prof = coeff_profile(sys)
+    """``_closure`` on the profile of ``sys``."""
+    return _closure(fold_profile(sys), lam_prev)
+
+
+def _closure(prof, lam_prev):
+    """Continuation after a 1-folded pair, from its profile: "closed",
+    "resonance" (with the indicial ratio) or "generic" (no q0)."""
     if 0 not in prof.p:
         return "closed", None
     if 0 not in prof.q:
@@ -438,22 +416,20 @@ def closure_check(sys: OdeSystem, lam_prev=Q(0)):
 def resolve_resonance(sys: OdeSystem, lam_prev, rho, caps: Caps = DEFAULT_CAPS):
     """Resolve a resonant remainder system standalone.
 
-    Returns ("critical", witness), ("non-algebraic", leaf), ("exact", leaf)
-    or ("closed", leaves); leaf terms describe the resonant tail only.
+    Returns ("critical", witness), ("non-algebraic", leaf) or
+    ("cap-exceeded", leaf); leaf terms describe the resonant tail only.
     """
     engine = _Expander(sys, caps)
     node = _Node(system=sys, prefix=(), lam_prev=Q(lam_prev), folded=1, depth=0)
     try:
-        leaves = engine._resolve_resonance(node, Q(rho))
+        leaf = engine._resolve_resonance(node, Q(rho))
     except CriticalFound as hit:
         return "critical", hit.witness
-    if len(leaves) == 1:
-        return leaves[0].status, leaves[0]
-    return "closed", leaves
+    return leaf.status, leaf
 
 
 class _Truncation:
-    """The part of a leaf remainder that later Newton steps can read.
+    """The part of a remainder that later 1-fold steps can read.
 
     With every later exponent at least nu, a term z^e w^j of P reaches
     P(z, 0) at order >= e + j nu, and one of Q, through -s' Q, at order
@@ -512,48 +488,71 @@ class _Truncation:
         return self.cut(sys, found[-1][0], bound, len(found))
 
 
-def extend_leaf(leaf: Leaf, n_terms: int):
-    """Continue a closed/exact leaf deterministically up to n_terms terms.
+def _fold_walk(sys: OdeSystem, lam, terms=1, rho=None):
+    """The 1-fold steps after a 1-folded pair of exponent ``lam``.
 
-    A step (``_fold_step``) reads k0, the order of P(z, 0), and the
-    abscissa-1 point, so only those entries are profiled (``fold_profile``).
-    After a 1-folded step the abscissa-1 point has the least weight (see
-    ``_Truncation``) and lies below k0, so the steps run on
-    the terms of weight <= K in the frame of the leaf remainder, and every
-    datum they read is exact while k0 <= K.  Before each substitution the
-    terms that outweigh K under the new exponent are set aside, so no term
-    above K is formed.  When P(z, 0) runs out, K is raised and each part set
-    aside comes back by one substitution w -> s + w, s the terms found since.
+    Yields (system, step) at each node: the pair (lam, alpha) that
+    ``_fold_step`` reads there, or None where the walk ends.  Resuming after
+    a step substitutes it; a step with alpha None ends the walk.
+
+    A step reads k0, the order of P(z, 0), and the abscissa-1 point (1, y1)
+    alone (``fold_profile``), and (1, y1) has the least weight
+    (``_Truncation``).  So the walk runs on the terms of weight <= K in the
+    frame of ``sys``: what it reads is exact while k0 <= K, and no term above
+    K is formed.  An exponent k0 - y1 lies in (1/N)Z for the ramification N
+    of ``sys``, so N never grows.
+
+    Extension (``rho`` None) guesses K at the first step, as the k0 of the
+    ``terms``-th term if every step gains as the first, and raises it when
+    P(z, 0) runs out (``_Truncation.raise_bound``) while terms are set aside.
+
+    A resonance of ratio ``rho`` = p1/q0 > lam (``_closure``) fixes K = y1 +
+    rho.  Substitutions of exponent above lam add to w^1 of P and w^0 of Q
+    only above p1 and q0, so c1 = q0 (lam' - rho) at the next exponent
+    lam' = k0 - y1.  A support point (x, y) with x >= 2 has y + x lam >=
+    y1 + lam (``_fold_step``), so y + x r > y1 + r for every r > lam: no
+    vertex at x >= 2 is critical (r its ratio), and lam' decides alone.
+    Below rho the step is taken; at rho c1 cancels (alpha None); above rho,
+    which past the first node means that P(z, 0) runs out within K, and
+    where P(z, 0) is zero, (1, y1) is a critical vertex (r = rho).  So K is
+    never raised.
     """
-    terms = leaf.terms
-    if not leaf.counted or len(terms) >= n_terms:
-        return terms
-    sys = leaf.remainder
     trunc = _Truncation(sys.tower)
-    lam = leaf.lam_last
-    left = n_terms - len(terms)
-    found = []  # (lam, alpha) past the leaf
+    found = []  # (lam, alpha) past ``sys``
     bound = None  # K, set at the first step
-    while len(found) < left:
+    while True:
         prof = fold_profile(sys)
-        if 0 not in prof.p:
-            if not trunc.aside:
-                break  # exact: the series terminates
+        if 0 not in prof.p and rho is None and trunc.aside:
             # K guessed short: raise it to the least weight set aside
             bound = trunc.floor()
             sys = trunc.raise_bound(sys, bound, found)
             continue
-        step = _fold_step(prof, lam)
+        step = _fold_step(prof, lam) if 0 in prof.p else None
+        if step is not None and bound is None:
+            bound = prof.p[0][0] + (rho - step[0] if rho is not None else (terms - 1) * (step[0] - lam))
+        yield sys, step
         if step is None or step[1] is None:
-            break
-        if bound is None:
-            # K is the k0 of the last term if every step gains as the first
-            bound = prof.p[0][0] + (left - 1) * (step[0] - lam)
+            return
         lam, alpha = step
         found.append(step)
-        if len(found) < left:
-            sys = trunc.cut(sys, lam, bound, len(found) - 1)
-            sys = substitute_branch(sys, lam, alpha, check_acceptable=False, normalize=False)
+        sys = trunc.cut(sys, lam, bound, len(found) - 1)
+        sys = substitute_branch(sys, lam, alpha, check_acceptable=False, normalize=False)
+
+
+def extend_leaf(leaf: Leaf, n_terms: int):
+    """Continue a closed/exact leaf deterministically up to n_terms terms,
+    on the truncated walk from its remainder (``_fold_walk``)."""
+    terms = leaf.terms
+    if not leaf.counted or len(terms) >= n_terms:
+        return terms
+    left = n_terms - len(terms)
+    found = []
+    for _, step in _fold_walk(leaf.remainder, leaf.lam_last, terms=left):
+        if step is None or step[1] is None:
+            break
+        found.append(step)
+        if len(found) == left:
+            break
     return terms + tuple(found)
 
 

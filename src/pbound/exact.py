@@ -648,11 +648,12 @@ def f_is_zero(x) -> bool:
 
 
 def f_inv(x):
+    """The inverse of a field element; over Q an int when it is integral."""
     if isinstance(x, ExtElem):
         return x.inverse()
     if x == 0:
         raise ZeroDivisionError("division by zero")
-    return Q(1) / x
+    return _canon(Q(1) / x)
 
 
 def ensure_regular(x) -> bool:

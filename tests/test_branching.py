@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -18,7 +17,7 @@ from pbound.branching import (
     resolve_resonance,
 )
 from pbound.exact import QQ_TOWER, TowerSplitError, UniPoly, adjoin_root, rational_roots, sort_key
-from pbound.newton import nonzero_char_poly
+from pbound.newton import first_critical, nonzero_char_poly, vertex_critical_check
 from pbound.polyode import (
     BiPoly,
     CoeffProfile,
@@ -367,31 +366,36 @@ def reference_extend(leaf, n_terms, caps=DEFAULT_CAPS):
 
 
 class _ReferenceExpander(_Expander):
-    """The engine with the resonance loop as it ran before ``_fold_step``:
-    each step comes from the whole Newton diagram."""
+    """The engine with the resonance loop as it ran before ``_fold_walk``:
+    each step comes from the whole Newton diagram, and every vertex is
+    checked at every node."""
 
     def _resolve_resonance(self, node, rho):
         cur = node
         for _ in range(self.caps.depth):
             prof, diagram = _newton(cur.system)
-            branching._vertex_verdicts(cur, prof, diagram, "resonance", ("resonance",))
+            hit = first_critical(vertex_critical_check(diagram, prof, lam_min=cur.lam_prev))
+            if hit is not None:
+                raise branching.CriticalFound(
+                    branching.Witness("resonance", hit.lam_star, cur.depth, cur.prefix, ("resonance",))
+                )
             if 0 not in prof.p:
-                return [self._leaf(cur, "exact", flags=("resonance",))]
+                return self._leaf(cur, "exact", flags=("resonance",))
             cands = ([prof.p[1][0]] if 1 in prof.p else []) + ([prof.q[0][0] - 1] if 0 in prof.q else [])
             if not cands:
-                return list(self.expand(replace(cur, no_closure=True)))
+                raise AssertionError("unreachable")
             lam_next = prof.p[0][0] - min(cands)
             if lam_next == rho:
-                return [self._leaf(cur, "non-algebraic", flags=("resonance-order-hit",))]
+                return self._leaf(cur, "non-algebraic", flags=("resonance-order-hit",))
             if lam_next > rho or lam_next <= cur.lam_prev:
-                return list(self.expand(replace(cur, no_closure=True)))
+                raise AssertionError("unreachable")
             steps = self._steps_from_diagram(cur.system, cur.lam_prev, diagram)
             if len(steps) != 1:
-                return list(self.expand(replace(cur, no_closure=True)))
+                raise AssertionError("unreachable")
             if steps[0].system is None:
-                return [self._leaf(cur, "cap-exceeded", flags=(steps[0].note,))]
+                return self._leaf(cur, "cap-exceeded", flags=(steps[0].note,))
             cur = branching._child(cur, steps[0])
-        return [self._leaf(cur, "cap-exceeded", flags=("resonance-cap",))]
+        return self._leaf(cur, "cap-exceeded", flags=("resonance-cap",))
 
 
 def reference_resolve(sys, lam_prev, rho, caps=DEFAULT_CAPS):
@@ -399,20 +403,17 @@ def reference_resolve(sys, lam_prev, rho, caps=DEFAULT_CAPS):
     engine = _ReferenceExpander(sys, caps)
     node = branching._Node(system=sys, prefix=(), lam_prev=Q(lam_prev), folded=1, depth=0)
     try:
-        leaves = engine._resolve_resonance(node, Q(rho))
+        leaf = engine._resolve_resonance(node, Q(rho))
     except branching.CriticalFound as hit:
         return "critical", hit.witness
-    if len(leaves) == 1:
-        return leaves[0].status, leaves[0]
-    return "closed", leaves
+    return leaf.status, leaf
 
 
 def _resolution_compared(outcome):
     status, found = outcome
     if status == "critical":
         return status, (found.kind, found.lam_star, found.depth, _as_compared(found.prefix), found.flags)
-    leaves = found if isinstance(found, list) else [found]
-    return status, [(_as_compared(lf.terms), lf.status, lf.flags) for lf in leaves]
+    return status, (_as_compared(found.terms), found.status, found.flags)
 
 
 class _Recorder(_Expander):
@@ -461,6 +462,59 @@ def test_resonance_stepping_matches_diagram_loop_census_394(caps, status):
     got = resolve_resonance(sys, lam_prev, rho, caps)
     assert got[0] == status
     assert _resolution_compared(got) == _resolution_compared(reference_resolve(sys, lam_prev, rho, caps))
+
+
+def indicial(rho, f):
+    """z w' = rho w + f(z): after a first step of order below rho the
+    remainder is resonant with ratio rho."""
+    return make_system(bp({(0, 1): rho, **{(e, 0): c for e, c in f.items()}}), bp({(1, 0): 1}))
+
+
+@pytest.mark.parametrize(
+    "rho, f, caps, want",
+    [
+        # k0 - y1 = 5 > rho at the first node
+        (Q(2), {5: 1}, DEFAULT_CAPS, ("critical", 0)),
+        # past the first step P(z, 0) runs out within K = y1 + rho = 3
+        (Q(3), {1: 1, 5: 1}, DEFAULT_CAPS, ("critical", 1)),
+        # three steps below rho = 10, then P(z, 0) is zero
+        (Q(10), {1: 1, 2: 1, 3: 1}, Caps(depth=4), ("critical", 3)),
+        # the same walk, capped before it reads the fourth node
+        (Q(10), {1: 1, 2: 1, 3: 1}, Caps(depth=3), ("cap-exceeded", 3)),
+        # the third step lands on rho = 3
+        (Q(3), {1: 1, 2: 1, 3: 1}, DEFAULT_CAPS, ("non-algebraic", 2)),
+    ],
+)
+def test_resonance_walk_outcomes(rho, f, caps, want):
+    sys = indicial(rho, f)
+    got = resolve_resonance(sys, Q(1, 2), rho, caps)
+    status, found = got
+    assert (status, len(found.prefix if status == "critical" else found.terms)) == want
+    if status == "critical":
+        assert (found.kind, found.lam_star, found.flags) == ("resonance", rho, ("resonance",))
+    if status == "cap-exceeded":
+        assert found.flags == ("resonance-cap",)
+    assert _resolution_compared(got) == _resolution_compared(reference_resolve(sys, Q(1, 2), rho, caps))
+
+
+def test_series_terminating_inside_a_resonance_is_critical():
+    # w = z + z^2 solves z w' = 3 w - 2 z - z^2 exactly, and so does
+    # w = z + z^2 + c z^3 for every c: the walk ends at P(z, 0) = 0 below
+    # rho = 3, which is the one-parameter family, not an exact leaf
+    sys = indicial(Q(3), {1: -2, 2: -1})
+    series = PuiseuxBranch(terms=((Q(1), Q(1)), (Q(2), Q(1))), ram=1, base=("point", 0, 0))
+    assert residual_valuation(sys, series) is None
+    family = PuiseuxBranch(terms=series.terms + ((Q(3), Q(5)),), ram=1, base=("point", 0, 0))
+    assert residual_valuation(sys, family) is None
+    res = multiplicity_at(sys, ("point", Q(0), Q(0)))
+    assert res.status == "critical"
+    w = res.witness
+    assert (w.kind, w.lam_star, w.depth, _as_compared(w.prefix)) == ("resonance", Q(3), 2, _as_compared(series.terms))
+    engine = recorded_expansion(sys, ("point", Q(0), Q(0)))
+    assert len(engine.resonances) == 1
+    got = resolve_resonance(*engine.resonances[0])
+    assert got[0] == "critical"
+    assert _resolution_compared(got) == _resolution_compared(reference_resolve(*engine.resonances[0]))
 
 
 def example45_over_presumed_sqrt2():
@@ -598,6 +652,42 @@ def small_systems(draw):
         return make_system(P, Qd)
     except OdeError:
         assume(False)
+
+
+AXIS_COEFFS = st.integers(-4, 4)
+
+
+@st.composite
+def axis_systems(draw):
+    """Random dw/dz = P / (z q0) with deg P <= 3 and deg q0 <= 2.  Half of
+    them have P = rho q w + c z + ... and z q0 = q z + ..., so that the
+    first step at (0, 0), of order 1, leaves a remainder resonant with
+    ratio rho."""
+    def poly(degree, shift):
+        terms = {(i + shift, j): draw(AXIS_COEFFS) for i in range(degree + 1) for j in range(degree + 1 - i)}
+        return {k: c for k, c in terms.items() if c}
+
+    p, q = poly(3, 0), poly(2, 1)
+    if draw(st.booleans()):
+        lead = draw(st.sampled_from([1, -1, 2, -3]))
+        rho = draw(st.sampled_from([Q(2), Q(3), Q(5, 2), Q(4), Q(7, 3), Q(6), Q(17, 2)]))
+        p.pop((0, 0), None)
+        p.update({(0, 1): rho * lead, (1, 0): draw(st.sampled_from([1, -2, 3]))})
+        q[(1, 0)] = lead
+    assume(p and q)
+    try:
+        return make_system(bp(p), bp(q))
+    except OdeError:
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(axis_systems(), st.sampled_from([("point", Q(0), Q(0)), ("inf", Q(0))]))
+def test_resonance_walk_matches_diagram_loop_on_random_axis_systems(system, point):
+    for caps in (DEFAULT_CAPS, Caps(depth=64)):
+        for sys, lam_prev, rho in recorded_expansion(system, point, caps).resonances:
+            got = resolve_resonance(sys, lam_prev, rho, caps)
+            assert _resolution_compared(got) == _resolution_compared(reference_resolve(sys, lam_prev, rho, caps))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

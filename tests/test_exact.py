@@ -691,6 +691,18 @@ def test_tower_constructors_give_int_coordinates():
     assert type(ARITH_TOWERS["sqrt2"].from_fraction(Q(4, 2)).as_fraction()) is Q
 
 
+def test_rational_inverse_and_monic_keep_integral_coefficients_int():
+    assert [(type(x), x) for x in (exact.f_inv(1), exact.f_inv(-1), exact.f_inv(Q(1, 3)))] == [
+        (int, 1),
+        (int, -1),
+        (int, 3),
+    ]
+    assert exact.f_inv(2) == Q(1, 2) and type(exact.f_inv(-2)) is Q
+    got = list(UniPoly([2, 0, 1]).monic().coeffs)
+    assert got == [2, 0, 1] and all(type(c) is int for c in got)
+    assert list(UniPoly([1, 0, 2]).monic().coeffs) == [Q(1, 2), 0, 1]
+
+
 # ---------------------------------------------------------------------------
 # inverses of rational elements and zero divisors
 # ---------------------------------------------------------------------------
