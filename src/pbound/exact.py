@@ -971,7 +971,9 @@ class UniPoly:
     __rmul__ = __mul__
 
     def scale(self, c):
-        return UniPoly([a * c for a in self.coeffs], var=self.var, tower=self.tower)
+        """c times self; an integral rational product is an int."""
+        out = (a * c for a in self.coeffs)
+        return UniPoly([_canon(v) if type(v) is Fraction else v for v in out], var=self.var, tower=self.tower)
 
     def divmod(self, other):
         if other.is_zero():
@@ -1215,8 +1217,7 @@ def _rational_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     g = _heuristic_int_gcd(a, b)
     if g is None:
         g = _int_prs_gcd(a, b)
-    out = UniPoly([Q(v) for v in g], var=p.var)
-    return out.monic()
+    return UniPoly(g, var=p.var).monic()
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ from .exact import (
     Q,
     Tower,
     UniPoly,
-    as_fraction,
+    _heuristic_int_gcd,
+    _int_primitive,
+    _int_prs_gcd,
     ensure_regular,
     f_is_zero,
     f_inv,
@@ -306,17 +308,18 @@ def bipoly_str(p: BiPoly, zvar="z", wvar="w") -> str:
     parts = []
     for (ze, we), c in terms:
         factors = []
-        cs = str(c)
         neg = False
-        if is_rational_value(c):
-            cf = as_fraction(c)
-            if cf < 0:
+        if isinstance(c, ExtElem) and c.is_rational():
+            c = c.as_fraction()
+        if isinstance(c, ExtElem):
+            cs = str(c)
+            if any(op in cs[1:] for op in "+-") or "*" in cs:
+                cs = "(%s)" % cs
+        else:
+            if c < 0:
                 neg = True
-                cs = str(-cf)
-            if abs(cf) == 1 and (ze, we) != (0, 0):
-                cs = ""
-        elif any(op in cs[1:] for op in "+-") or "*" in cs:
-            cs = "(%s)" % cs
+                c = -c
+            cs = "" if c == 1 and (ze, we) != (0, 0) else str(c)
         if cs:
             factors.append(cs)
         if ze != 0:
@@ -462,23 +465,27 @@ def _wpoly_prem_controlled(num, den):
 def biv_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
     """gcd of plain bivariate polynomials (monic-normalized).
 
-    Over Q a one-point certificate comes first.  For z0 = 1, -1, 2, -2, ...,
-    skipping 0 (singular points sit on the axes) and the roots of either
-    w-leading coefficient, if gcd(a(z0, w), b(z0, w)) is constant for one of
-    at most three such z0, the gcd is the gcd of the contents in Q[z]: the
-    w-leading coefficient of G = gcd(a, b) divides that of a, which is
-    nonzero at z0, so G(z0, w) keeps the w-degree of G and divides a
-    constant, which forces deg_w G = 0.  Otherwise, and over towers, the
-    primitive PRS computes the gcd.
+    Over Q a certificate at integer points comes first.  For z0 = 1, -1, 2,
+    -2, ..., skipping 0 (singular points sit on the axes) and the roots of
+    either w-leading coefficient, if gcd(a(z0, w), b(z0, w)) is constant for
+    one of at most three such z0, then deg_w G = 0 for G = gcd(a, b): the
+    w-leading coefficient of G divides that of a, which is nonzero at z0, so
+    G(z0, w) keeps the w-degree of G and divides a constant.  The same test
+    at w0, keeping the z-leading coefficients, gives deg_z G = 0, so G = 1.
+    With only the first, G is the gcd of the contents in Q[z].  Otherwise,
+    and over towers, the primitive PRS computes the gcd.
     """
     if a.is_zero():
         return _normalize_biv(b)
     if b.is_zero():
         return _normalize_biv(a)
-    ra, rb = bipoly_to_wpoly(a), bipoly_to_wpoly(b)
-    if _coprime_at_a_point(ra, rb):
-        content = _wpoly_content(ra + rb)
+    ia, ib = _int_terms(a), _int_terms(b)
+    if ia is not None and ib is not None and _constant_gcd_at_a_point(ia, ib, 0):
+        if _constant_gcd_at_a_point(ia, ib, 1):
+            return BiPoly.const(1, tower=a.tower or b.tower)
+        content = _wpoly_content(bipoly_to_wpoly(a) + bipoly_to_wpoly(b))
         return _normalize_biv(wpoly_to_bipoly([content], tower=a.tower or b.tower))
+    ra, rb = bipoly_to_wpoly(a), bipoly_to_wpoly(b)
     ca, cb = _wpoly_content(ra), _wpoly_content(rb)
     content = ca.gcd(cb)
     pa = _wpoly_divide_content(ra, ca)
@@ -508,25 +515,57 @@ def biv_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
     return _normalize_biv(result)
 
 
-def _coprime_at_a_point(ra, rb) -> bool:
-    """True when a(z0, w) and b(z0, w), given as w-major rows over Q, are
-    coprime at one of the first three z0 in 1, -1, 2, -2, ... where neither
-    w-leading coefficient vanishes; False at once over a tower."""
-    if any(isinstance(c, ExtElem) for r in ra + rb for c in r.coeffs):
-        return False
-    la, lb = ra[-1], rb[-1]
-    z0 = 0
+def _int_terms(p: BiPoly):
+    """p's term dict scaled by a common denominator to int coefficients;
+    None when a coefficient lies in a tower."""
+    values = p.terms.values()
+    if all(type(c) is int for c in values):
+        return p.terms
+    if any(isinstance(c, ExtElem) for c in values):
+        return None
+    den = math.lcm(*(c.denominator for c in values))
+    return {k: c.numerator * (den // c.denominator) for k, c in p.terms.items()}
+
+
+def _constant_gcd_at_a_point(ia, ib, var) -> bool:
+    """True when a and b, given as int term dicts, have a constant gcd with
+    variable ``var`` (0 for z, 1 for w) set to one of the first three x0 in
+    1, -1, 2, -2, ... where neither leading coefficient in the other
+    variable vanishes."""
+    other = 1 - var
+    da = max(k[other] for k in ia)
+    db = max(k[other] for k in ib)
+    x0 = 0
     tried = 0
     while tried < 3:
-        z0 = -z0 if z0 > 0 else 1 - z0
-        if la.eval(z0) == 0 or lb.eval(z0) == 0:
+        x0 = -x0 if x0 > 0 else 1 - x0
+        at_a = _int_specialize(ia, var, x0, da)
+        if at_a is None:
             continue
-        at_a = UniPoly([r.eval(z0) for r in ra], var="w")
-        at_b = UniPoly([r.eval(z0) for r in rb], var="w")
-        if at_a.gcd(at_b).degree() == 0:
+        at_b = _int_specialize(ib, var, x0, db)
+        if at_b is None:
+            continue
+        if da == 0 or db == 0:
+            return True
+        at_a, at_b = _int_primitive(at_a), _int_primitive(at_b)
+        g = _heuristic_int_gcd(at_a, at_b)
+        if g is None:
+            g = _int_prs_gcd(at_a, at_b)
+        if len(g) == 1:
             return True
         tried += 1
     return False
+
+
+def _int_specialize(terms, var, x0, deg):
+    """The coefficients, by ascending power of the other variable, of the
+    int term dict with variable ``var`` set to x0; None when the one of
+    degree ``deg`` vanishes."""
+    vals = [0] * (deg + 1)
+    other = 1 - var
+    for key, c in terms.items():
+        vals[key[other]] += c * x0 ** key[var]
+    return vals if vals[deg] else None
 
 
 def _normalize_biv(p: BiPoly) -> BiPoly:

@@ -83,7 +83,6 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.params = params
-        self.used_params = set()
 
     def peek(self):
         return self.tokens[self.i]
@@ -103,16 +102,27 @@ class _Parser:
         raise ParseError(message, *_position(self.text, (tok or self.peek())[2]))
 
     # -- polynomial parsing --------------------------------------------------
+    #
+    # A term is read as one monomial (coefficient, z-exponent, w-exponent)
+    # while its factors are monomials; a BiPoly product is formed only for a
+    # parenthesised sum of more than one term, or a power of one.
 
     def poly(self) -> BiPoly:
-        """The signed terms, summed into one dict."""
+        """The signed terms, summed into one dict; zero sums are dropped when
+        the BiPoly is built."""
         negate = False
         if self.peek()[1] == "-":
             self.next()
             negate = True
         out = {}
         while True:
-            for key, c in self.term().terms.items():
+            term = self.term()
+            if type(term) is tuple:
+                c, ze, we = term
+                items = (((ze, we), c),) if c else ()
+            else:
+                items = term.terms.items()
+            for key, c in items:
                 if negate:
                     c = -c
                 cur = out.get(key)
@@ -121,56 +131,72 @@ class _Parser:
                 return BiPoly(out)
             negate = self.next()[1] == "-"
 
-    def term(self) -> BiPoly:
+    def term(self):
         acc = self.factor()
         while self.peek()[1] == "*":
             self.next()
-            acc = acc * self.factor()
+            rhs = self.factor()
+            if type(acc) is tuple and type(rhs) is tuple:
+                acc = (acc[0] * rhs[0], acc[1] + rhs[1], acc[2] + rhs[2])
+            else:
+                acc = _as_bipoly(acc) * _as_bipoly(rhs)
         return acc
 
-    def factor(self) -> BiPoly:
+    def factor(self):
         base = self.atom()
         if self.peek()[1] == "^":
             self.next()
             tok = self.next()
             if tok[0] != "num" or "/" in tok[1]:
                 self.fail("exponent must be a nonnegative integer", tok)
-            return _power(base, int(tok[1]))
+            n = int(tok[1])
+            if type(base) is tuple:
+                c, ze, we = base
+                # 0^0 is the int 1, as for the empty sum
+                return (c ** n if c else int(n == 0), ze * n, we * n)
+            return _power(base, n)
         return base
 
-    def atom(self) -> BiPoly:
+    def atom(self):
+        """A monomial (c, ze, we), or a BiPoly for a parenthesised sum of
+        other than one term."""
         tok = self.peek()
         kind, val, _ = tok
         if val == "(":
             self.next()
             inner = self.poly()
             self.expect(")")
+            if len(inner.terms) == 1:
+                ((ze, we), c), = inner.terms.items()
+                return (c, ze, we)
             return inner
         if kind == "num":
             value = _literal(val)
             if value is None:
                 self.fail("zero denominator in %s" % val)
             self.next()
-            return BiPoly.const(value)
+            return (value, 0, 0)
         if kind == "name":
             self.next()
             if val == "z":
-                return BiPoly.var_z()
+                return (1, 1, 0)
             if val == "w":
-                return BiPoly.var_w()
+                return (1, 0, 1)
             if val in self.params:
-                self.used_params.add(val)
-                return BiPoly.const(self.params[val])
+                return (self.params[val], 0, 0)
             self.fail("unbound parameter %r" % val, tok)
         self.fail("expected a polynomial atom")
 
 
+def _as_bipoly(f) -> BiPoly:
+    if type(f) is tuple:
+        c, ze, we = f
+        return BiPoly.monomial(c, ze, we)
+    return f
+
+
 def _power(base: BiPoly, n: int) -> BiPoly:
-    """base^n: one monomial when base has one term (``z^n``, ``w^n``),
-    otherwise by repeated squaring."""
-    if len(base.terms) == 1:
-        ((ze, we), c), = base.terms.items()
-        return BiPoly.monomial(c ** n, ze * n, we * n)
+    """base^n by repeated squaring (base is not one monomial)."""
     out = BiPoly.const(1)
     while n:
         if n & 1:

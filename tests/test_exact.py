@@ -703,6 +703,22 @@ def test_rational_inverse_and_monic_keep_integral_coefficients_int():
     assert list(UniPoly([1, 0, 2]).monic().coeffs) == [Q(1, 2), 0, 1]
 
 
+def types_and_values(p):
+    return [(type(c), c) for c in p.coeffs]
+
+
+def test_scale_monic_and_gcd_keep_integral_products_int():
+    assert types_and_values(UniPoly([1, 0, 2]).monic()) == [(Q, Q(1, 2)), (int, 0), (int, 1)]
+    assert types_and_values(UniPoly([4, 2, 2]).monic()) == [(int, 2), (int, 1), (int, 1)]
+    assert types_and_values(UniPoly([Q(3, 2), Q(1, 2)]).scale(2)) == [(int, 3), (int, 1)]
+    # gcd over Q: monic, integral coefficients as ints, the rest as Fractions
+    a = UniPoly([2, 3, 1])  # (x + 1)(x + 2)
+    assert types_and_values(a.gcd(UniPoly([3, 3]))) == [(int, 1), (int, 1)]
+    assert types_and_values(a.gcd(UniPoly([Q(1, 2), 1]) * UniPoly([1, 1]))) == [(int, 1), (int, 1)]
+    assert types_and_values(UniPoly([1, 0, 2]).gcd(UniPoly([3, 0, 6]))) == [(Q, Q(1, 2)), (int, 0), (int, 1)]
+    assert types_and_values(a.gcd(UniPoly([5, 1]))) == [(int, 1)]
+
+
 # ---------------------------------------------------------------------------
 # inverses of rational elements and zero divisors
 # ---------------------------------------------------------------------------

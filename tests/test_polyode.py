@@ -504,6 +504,82 @@ def test_biv_gcd_coprime_certificate_skips_prs(monkeypatch):
     assert not calls
 
 
+def forbid(monkeypatch, name):
+    import pbound.polyode as polyode
+
+    def refuse(*args):
+        raise AssertionError("%s ran" % name)
+
+    monkeypatch.setattr(polyode, name, refuse)
+
+
+def test_biv_gcd_common_factor_in_z_alone_is_the_content(sp, monkeypatch):
+    # gcd(a(z0, w), b(z0, w)) = 1 at z0 = 1, but z - 3 divides every a(z, w0)
+    # and b(z, w0): the w-side fails and the content gives the gcd
+    calls = count_prs_steps(monkeypatch)
+    f = bp({(1, 0): 1, (0, 0): -3})
+    a = f * bp({(0, 1): 1, (1, 0): 1})
+    b = f * bp({(0, 2): 1, (0, 0): 1})
+    assert biv_gcd(a, b).terms == sympy_gcd(sp, a, b).terms == f.terms
+    assert not calls
+
+
+def test_biv_gcd_w_side_alone_certifies_nothing(sp, monkeypatch):
+    # the common factor w + 1 is constant in z, so every a(z, w0), b(z, w0)
+    # are coprime but every a(z0, w), b(z0, w) share w + 1: the PRS decides
+    calls = count_prs_steps(monkeypatch)
+    f = bp({(0, 1): 1, (0, 0): 1})
+    a = f * bp({(1, 0): 1, (0, 1): 1})
+    b = f * bp({(1, 0): 1, (0, 1): -1, (0, 0): 2})
+    assert biv_gcd(a, b).terms == sympy_gcd(sp, a, b).terms == f.terms
+    assert calls
+
+
+def test_biv_gcd_skips_points_where_a_w_leading_coefficient_vanishes(sp):
+    # F = (z^2 - 1) w + 1 is 1 at z0 = 1 and -1, where a(z0, w) = w + 2 and
+    # b(z0, w) = w + 3 are coprime; those points must not certify
+    f = bp({(2, 1): 1, (0, 1): -1, (0, 0): 1})
+    a = f * bp({(0, 1): 1, (0, 0): 2})
+    b = f * bp({(0, 1): 1, (0, 0): 3})
+    got = biv_gcd(a, b)
+    assert got.terms == sympy_gcd(sp, a, b).terms
+    assert got.w_degree() == 1 and got.z_degree() == 2
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (bp({(1, 0): Q(1, 2), (0, 1): Q(2, 3)}), bp({(0, 2): Q(3, 4), (1, 0): Q(-1, 5)})),
+        (
+            bp({(1, 0): Q(1, 2), (0, 1): Q(1, 3), (0, 0): 1}) * bp({(1, 0): 1, (0, 1): Q(-2, 5)}),
+            bp({(1, 0): Q(1, 2), (0, 1): Q(1, 3), (0, 0): 1}) * bp({(0, 2): 1, (0, 0): Q(3, 7)}),
+        ),
+        (bp({(1, 1): Q(1, 6), (0, 0): Q(5, 4)}) * bp({(1, 0): Q(2, 3), (0, 0): 1}), bp({(1, 0): 2, (0, 0): 3})),
+    ],
+    ids=["coprime", "shared", "content"],
+)
+def test_biv_gcd_fraction_coefficients_match_sympy(sp, a, b):
+    assert biv_gcd(a, b).terms == sympy_gcd(sp, a, b).terms
+
+
+def test_biv_gcd_census_pair_certified_at_two_points(sp, monkeypatch):
+    # P(0, 1) = 0, so P(z, 1) and z*q0(z, 1) share z: the w-side moves on to
+    # w0 = -1, and neither the PRS nor the content in Q[z] is needed
+    P = bp({(3, 0): -1, (0, 3): 2, (2, 0): -4, (1, 1): -4, (0, 1): 3, (0, 0): -5})
+    Q_ = bp({(2, 1): 2, (1, 2): -4, (1, 1): 1})
+    assert sympy_gcd(sp, P, Q_).terms == {(0, 0): 1}
+    forbid(monkeypatch, "_wpoly_prem_controlled")
+    forbid(monkeypatch, "_wpoly_content")
+    assert biv_gcd(P, Q_).terms == {(0, 0): 1}
+    assert make_system(P, Q_).P is P
+
+
+def test_make_system_names_the_shared_factor():
+    f = bp({(1, 0): 1, (0, 1): 1})
+    with pytest.raises(OdeError, match=r"^P and Q share the common factor w \+ z$"):
+        make_system(f, f * f)
+
+
 @KERNEL_SETTINGS
 @given(nonzero_plain, plain_polys)
 def test_bipoly_divexact_matches_sympy_on_products(sp, f, g):

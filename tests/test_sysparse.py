@@ -176,6 +176,111 @@ def test_bipoly_str_shapes():
 
 
 # ---------------------------------------------------------------------------
+# the parser against sympy's expand of the same text
+# ---------------------------------------------------------------------------
+
+PARSE_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+PARAMS = {"a": "-3", "b": "2/3"}
+
+
+def _leaf():
+    # (pbound text, sympy text, is an atom)
+    return st.one_of(
+        st.sampled_from([("z", "z", True), ("w", "w", True), ("a", "(-3)", True), ("b", "Rational(2, 3)", True)]),
+        st.integers(0, 9).map(lambda n: (str(n), str(n), True)),
+        st.tuples(st.integers(0, 9), st.integers(1, 9)).map(
+            lambda nd: ("%d/%d" % nd, "Rational(%d, %d)" % nd, True)
+        ),
+    )
+
+
+def _signed_sum(items):
+    text, ref = "", ""
+    for k, (neg, (t, r, _)) in enumerate(items):
+        text += ("-" if neg else "") if k == 0 else (" - " if neg else " + ")
+        text += t
+        ref += (" - " if neg else " + ") + "(%s)" % r
+    return text, ref
+
+
+def _extend(inner):
+    def paren(items):
+        text, ref = _signed_sum(items)
+        return "(%s)" % text, ref, True
+
+    def product(pair):
+        (t1, r1, _), (t2, r2, _) = pair
+        return "%s*%s" % (t1, t2), "(%s)*(%s)" % (r1, r2), False
+
+    def power(pair):
+        (t, r, atom), n = pair
+        return "%s^%d" % (t if atom else "(%s)" % t, n), "(%s)**%d" % (r, n), False
+
+    return st.one_of(
+        st.lists(st.tuples(st.booleans(), inner), min_size=1, max_size=3).map(paren),
+        st.tuples(inner, inner).map(product),
+        st.tuples(inner, st.integers(0, 4)).map(power),
+    )
+
+
+expressions = st.lists(
+    st.tuples(st.booleans(), st.recursive(_leaf(), _extend, max_leaves=8)), min_size=1, max_size=3
+).map(_signed_sum)
+
+
+@PARSE_SETTINGS
+@given(expressions)
+def test_parse_matches_sympy_expand(expr):
+    sp = pytest.importorskip("sympy")
+    text, ref = expr
+    z, w = sp.symbols("z w")
+    want = sp.Poly(sp.expand(sp.sympify(ref, locals={"z": z, "w": w, "Rational": sp.Rational})), z, w)
+    source = "dw/dz = %s / 1; %s" % (text, "; ".join("%s = %s" % kv for kv in PARAMS.items()))
+    if want.is_zero:
+        with pytest.raises(OdeError, match="P and Q must be nonzero"):
+            parse_system(source)
+        return
+    sys, _ = parse_system(source)
+    want_terms = {(i, j): Q(int(c.p), int(c.q)) for (i, j), c in want.terms()}
+    assert sys.P.terms == want_terms
+    assert all(type(ze) is int for ze, _ in sys.P.terms)
+    if "/" not in text and "b" not in text:
+        # integer literals only: every coefficient is an int
+        assert all(type(c) is int for c in sys.P.terms.values())
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("dw/dz = (z + w)^1/2 / z", "exponent must be a nonnegative integer (line 1, column 17)"),
+        ("dw/dz = (z + ) / z", "expected a polynomial atom (line 1, column 14)"),
+        ("dw/dz = (z + w / z", "expected ')' (line 1, column 16)"),
+        ("dw/dz = z^(2) / z", "exponent must be a nonnegative integer (line 1, column 11)"),
+        ("dw/dz = (z*w)^-1 / z", "exponent must be a nonnegative integer (line 1, column 15)"),
+        ("dw/dz = z*(w + ) / z", "expected a polynomial atom (line 1, column 16)"),
+        ("dw/dz = 2*(z - w)^a / z", "exponent must be a nonnegative integer (line 1, column 19)"),
+        ("dw/dz = (z^2*) / z", "expected a polynomial atom (line 1, column 14)"),
+        ("dw/dz = ((z + w)^2 / z", "expected ')' (line 1, column 20)"),
+        ("dw/dz = (z + w)^2^2 / z", "expected \"'/' between numerator and denominator\" (line 1, column 18)"),
+        ("dw/dz = (1/0*z + w)^2 / z", "zero denominator in 1/0 (line 1, column 10)"),
+        ("dw/dz = (z + q)^2 / z", "unbound parameter 'q' (line 1, column 14)"),
+    ],
+)
+def test_parse_errors_inside_parentheses_and_powers(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_system(text)
+    assert str(err.value) == message
+
+
+def test_parse_zero_powers_and_zero_factors():
+    # 0^0 is 1, as is any power 0 of a sum that cancels; zero factors drop out
+    sys, _ = parse_system("dw/dz = 0^0*w + (0/3)^0 + (w - w)^0*z + 0*z^2 - (0/5)*w^3 / 1")
+    assert [(k, type(c), c) for k, c in sys.P.terms.items()] == [
+        ((0, 1), int, 1), ((0, 0), int, 1), ((1, 0), int, 1)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # integral literals: ints and n/d Fractions give the same answers, no floats
 # ---------------------------------------------------------------------------
 
