@@ -148,8 +148,9 @@ def axis_degree(sys: OdeSystem) -> int:
 def _mul_at_algebraic_point(sys: OdeSystem, minpoly: UniPoly, caps: Caps):
     """Multiplicities over the conjugacy class of an irreducible axis root.
 
-    Returns [(weight, MultiplicityResult)]; a presumed-irreducible factor that
-    splits mid-run is replayed per factor with the correct weights.
+    Returns [(factor, MultiplicityResult)]; a presumed-irreducible factor
+    that splits mid-run is replayed per factor, each entry standing for the
+    roots of its own factor.
     """
     work = [minpoly]
     out = []
@@ -170,7 +171,7 @@ def _mul_at_algebraic_point(sys: OdeSystem, minpoly: UniPoly, caps: Caps):
             for t in (t1, t2):
                 work.append(_tower_level_unipoly(t))
             continue
-        out.append((poly.degree(), res))
+        out.append((poly, res))
     return out
 
 
@@ -199,8 +200,8 @@ def axis_multiplicity_bound(sys: OdeSystem, caps: Caps = DEFAULT_CAPS) -> BoundR
             entries = [AxisPoint(label=str(value), weight=1, mul=res)]
         else:
             entries = [
-                AxisPoint(label="root of %s" % str(value), weight=wt, mul=res)
-                for wt, res in _mul_at_algebraic_point(sys, value, caps)
+                AxisPoint(label="root of %s" % str(poly), weight=poly.degree(), mul=res)
+                for poly, res in _mul_at_algebraic_point(sys, value, caps)
             ]
         for entry in entries:
             report.points.append(entry)

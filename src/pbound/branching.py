@@ -23,6 +23,7 @@ splits the tower and the affected subtree is replayed on both factors.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -428,64 +429,29 @@ def resolve_resonance(sys: OdeSystem, lam_prev, rho, caps: Caps = DEFAULT_CAPS):
     return leaf.status, leaf
 
 
-class _Truncation:
-    """The part of a remainder that later 1-fold steps can read.
+def _cut(sys: OdeSystem, nu, bound):
+    """The terms of ``sys`` of nu-weight <= ``bound``, and the least
+    nu-weight of the others (None when none is dropped).
 
     With every later exponent at least nu, a term z^e w^j of P reaches
     P(z, 0) at order >= e + j nu, and one of Q, through -s' Q, at order
     >= e - 1 + (j + 1) nu: its nu-weight.  Substitutions of exponents >= nu
-    never lower a nu-weight.  Terms of weight above the bound are set aside
-    with their level (the number of terms found before them) and their nu.
+    never lower a nu-weight.
     """
-
-    def __init__(self, tower):
-        self.tower = tower
-        self.aside = []  # (level, nu, P terms, Q terms)
-
-    @staticmethod
-    def _split(terms, nu, bound):
-        keep, rest = {}, {}
-        cuts = {}
+    kept, over = [], None  # over: the least excess of a dropped term
+    for terms, top in ((sys.P.terms, bound), (sys.Q.terms, bound + 1 - nu)):
+        keep, cuts = {}, {}
         for key, c in terms.items():
             cut = cuts.get(key[1])
             if cut is None:
-                cut = cuts[key[1]] = bound - key[1] * nu
-            (keep if key[0] <= cut else rest)[key] = c
-        return keep, rest
-
-    def cut(self, sys: OdeSystem, nu, bound, level) -> OdeSystem:
-        """The terms of ``sys`` of nu-weight <= ``bound``; the rest is set aside."""
-        pk, pr = self._split(sys.P.terms, nu, bound)
-        qk, qr = self._split(sys.Q.terms, nu, bound + 1 - nu)
-        if pr or qr:
-            self.aside.append((level, nu, pr, qr))
-        return OdeSystem(BiPoly(pk, tower=self.tower), BiPoly(qk, tower=self.tower), tower=self.tower)
-
-    def floor(self):
-        """The least weight set aside."""
-        return min(
-            min([ze + we * nu for (ze, we) in pa] + [ze - 1 + (we + 1) * nu for (ze, we) in qa])
-            for _, nu, pa, qa in self.aside
-        )
-
-    def raise_bound(self, sys: OdeSystem, bound, found) -> OdeSystem:
-        """``sys`` and every set-aside part of weight <= ``bound``, brought
-        forward past the terms ``found`` after it by one substitution, cut
-        at ``bound`` under the newest exponent."""
-        tower = self.tower
-        aside, self.aside = self.aside, []
-        for level, nu, pa, qa in aside:
-            pn, pf = self._split(pa, nu, bound)
-            qn, qf = self._split(qa, nu, bound + 1 - nu)
-            if pf or qf:
-                self.aside.append((level, nu, pf, qf))
-            if not (pn or qn):
-                continue
-            near = OdeSystem(BiPoly(pn, tower=tower), BiPoly(qn, tower=tower), tower=tower)
-            if level < len(found):
-                near = near.translate_w(BiPoly({(mu, 0): a for mu, a in found[level:]}, tower=tower))
-            sys = OdeSystem(sys.P + near.P, sys.Q + near.Q, tower=tower)
-        return self.cut(sys, found[-1][0], bound, len(found))
+                cut = cuts[key[1]] = top - key[1] * nu
+            if key[0] <= cut:
+                keep[key] = c
+            elif over is None or key[0] - cut < over:
+                over = key[0] - cut
+        kept.append(BiPoly(keep, tower=sys.tower))
+    low = None if over is None else bound + over
+    return OdeSystem(kept[0], kept[1], tower=sys.tower), low
 
 
 def _fold_walk(sys: OdeSystem, lam, terms=1, rho=None):
@@ -496,15 +462,18 @@ def _fold_walk(sys: OdeSystem, lam, terms=1, rho=None):
     a step substitutes it; a step with alpha None ends the walk.
 
     A step reads k0, the order of P(z, 0), and the abscissa-1 point (1, y1)
-    alone (``fold_profile``), and (1, y1) has the least weight
-    (``_Truncation``).  So the walk runs on the terms of weight <= K in the
-    frame of ``sys``: what it reads is exact while k0 <= K, and no term above
-    K is formed.  An exponent k0 - y1 lies in (1/N)Z for the ramification N
-    of ``sys``, so N never grows.
+    alone (``fold_profile``), and (1, y1) has the least weight (``_cut``).
+    So the walk runs on the terms of weight <= K in the frame of ``sys``:
+    what it reads is exact while k0 <= K, and no term above K is formed.
+    An exponent k0 - y1 lies in (1/N)Z for the ramification N of ``sys``,
+    so N never grows.
 
     Extension (``rho`` None) guesses K at the first step, as the k0 of the
-    ``terms``-th term if every step gains as the first, and raises it when
-    P(z, 0) runs out (``_Truncation.raise_bound``) while terms are set aside.
+    ``terms``-th term if every step gains as the first.  When P(z, 0) runs
+    out while the current pass dropped terms, K was short: it rises to the
+    least weight dropped, and the walk starts again from ``sys``.  The steps
+    are exact, so the new pass takes the ones already yielded again without
+    yielding them.
 
     A resonance of ratio ``rho`` = p1/q0 > lam (``_closure``) fixes K = y1 +
     rho.  Substitutions of exponent above lam add to w^1 of P and w^0 of Q
@@ -517,26 +486,30 @@ def _fold_walk(sys: OdeSystem, lam, terms=1, rho=None):
     where P(z, 0) is zero, (1, y1) is a critical vertex (r = rho).  So K is
     never raised.
     """
-    trunc = _Truncation(sys.tower)
-    found = []  # (lam, alpha) past ``sys``
+    found = []  # the steps yielded and taken
     bound = None  # K, set at the first step
     while True:
-        prof = fold_profile(sys)
-        if 0 not in prof.p and rho is None and trunc.aside:
-            # K guessed short: raise it to the least weight set aside
-            bound = trunc.floor()
-            sys = trunc.raise_bound(sys, bound, found)
-            continue
-        step = _fold_step(prof, lam) if 0 in prof.p else None
-        if step is not None and bound is None:
-            bound = prof.p[0][0] + (rho - step[0] if rho is not None else (terms - 1) * (step[0] - lam))
-        yield sys, step
-        if step is None or step[1] is None:
-            return
-        lam, alpha = step
-        found.append(step)
-        sys = trunc.cut(sys, lam, bound, len(found) - 1)
-        sys = substitute_branch(sys, lam, alpha, check_acceptable=False, normalize=False)
+        cur, low = sys, None  # low: the least weight dropped in this pass
+        for n in itertools.count():
+            if n < len(found):
+                step = found[n]
+            else:
+                prof = fold_profile(cur)
+                if 0 not in prof.p and low is not None and rho is None:
+                    break
+                step = _fold_step(prof, found[-1][0] if found else lam) if 0 in prof.p else None
+                if step is not None and bound is None:
+                    bound = prof.p[0][0] + (rho - step[0] if rho is not None else (terms - 1) * (step[0] - lam))
+                yield cur, step
+                if step is None or step[1] is None:
+                    return
+                found.append(step)
+            cur, dropped = _cut(cur, step[0], bound)
+            if dropped is not None and (low is None or dropped < low):
+                low = dropped
+            cur = substitute_branch(cur, *step, check_acceptable=False, normalize=False)
+        # K guessed short: raise it to the least weight dropped
+        bound = low
 
 
 def extend_leaf(leaf: Leaf, n_terms: int):

@@ -24,6 +24,7 @@ from .exact import (
     Q,
     Tower,
     UniPoly,
+    _sylvester_resultant,
     adjoin_root,
     as_fraction,
     bareiss_det,
@@ -220,10 +221,9 @@ class LineFamily:
     degree: int
 
     def to_report(self):
-        var = {"z": "z", "w": "w", "sloped": "slope"}[self.kind]
         return {
             "kind": self.kind,
-            "defining_polynomial": str(self.factor).replace("x", var),
+            "defining_polynomial": str(self.factor),
             "conjugates": self.degree,
         }
 
@@ -464,20 +464,9 @@ def _resultant_r(a: BiPoly, b: BiPoly) -> Optional[UniPoly]:
     ra = bipoly_to_wpoly(a)
     rb = bipoly_to_wpoly(b)
     m, n = len(ra) - 1, len(rb) - 1
-    if m < 0 or n < 0:
+    if m < 0 or n < 0 or m + n == 0:
         return None
-    size = m + n
-    if size == 0:
-        return None
-    zero = UniPoly([], var="z")
-    mat = [[zero] * size for _ in range(size)]
-    for i in range(n):
-        for j, c in enumerate(ra):
-            mat[i][i + (m - j)] = c
-    for i in range(m):
-        for j, c in enumerate(rb):
-            mat[n + i][i + (n - j)] = c
-    return bareiss_det(mat, lambda x, y: x.exact_div(y), zero, UniPoly([Q(1)], var="z"))
+    return _sylvester_resultant(ra, rb, "z")
 
 
 # ---------------------------------------------------------------------------

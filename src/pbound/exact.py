@@ -706,6 +706,23 @@ def bareiss_det(mat, divexact, zero, one):
     return det
 
 
+def _sylvester_resultant(a, b, var):
+    """Resultant of two polynomials, given as ascending coefficient lists
+    whose entries are UniPolys in ``var``: the determinant of their
+    Sylvester matrix, a UniPoly in ``var``."""
+    m, n = len(a) - 1, len(b) - 1
+    size = m + n
+    zero = UniPoly([], var=var)
+    mat = [[zero] * size for _ in range(size)]
+    for i in range(n):
+        for j, c in enumerate(a):
+            mat[i][i + (m - j)] = c
+    for i in range(m):
+        for j, c in enumerate(b):
+            mat[n + i][i + (n - j)] = c
+    return bareiss_det(mat, UniPoly.exact_div, zero, UniPoly([Q(1)], var=var))
+
+
 def value_charpoly(e: ExtElem):
     """Characteristic polynomial (in y over Q) of a single-level tower element;
     its roots with multiplicity are the values of e in the components of the
@@ -713,34 +730,13 @@ def value_charpoly(e: ExtElem):
     tower = e.tower
     if len(tower.levels) != 1:
         return None
-    level = tower.levels[0]
-    m_coeffs = [Q(c) for c in level.minpoly]
-    e_coeffs = list(e.rep)
-    # rows for m(x) (constants in y) and for y - e(x)
-    zero = UniPoly([], var="y")
-    one = UniPoly([Q(1)], var="y")
-    c_coeffs = [UniPoly([-Q(c)], var="y") for c in e_coeffs]
+    # the resultant in x of the modulus m(x) and y - e(x)
+    m_coeffs = [UniPoly([Q(c)], var="y") for c in tower.levels[0].minpoly]
+    c_coeffs = [UniPoly([-Q(c)], var="y") for c in e.rep]
     c_coeffs[0] = c_coeffs[0] + UniPoly([Q(0), Q(1)], var="y")
     while len(c_coeffs) > 1 and c_coeffs[-1].is_zero():
         c_coeffs.pop()
-    dm = len(m_coeffs) - 1
-    dc = len(c_coeffs) - 1
-    if dc == 0:
-        # e is a rational constant; charpoly is (y - e0)^dm
-        out = UniPoly([Q(1)], var="y")
-        root = c_coeffs[0]
-        for _ in range(dm):
-            out = out * root
-        return out
-    size = dm + dc
-    mat = [[zero] * size for _ in range(size)]
-    for i in range(dc):
-        for j, c in enumerate(m_coeffs):
-            mat[i][i + (dm - j)] = UniPoly([c], var="y")
-    for i in range(dm):
-        for j, c in enumerate(c_coeffs):
-            mat[dc + i][i + (dc - j)] = c
-    return bareiss_det(mat, lambda a, b: a.exact_div(b), zero, one)
+    return _sylvester_resultant(m_coeffs, c_coeffs, "y")
 
 
 def certified_is_rational(e) -> bool:
@@ -901,16 +897,6 @@ class UniPoly:
         self.tower = tower
         self.certified_irreducible = False
 
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def const(cls, c, var="x", tower=None):
-        return cls([c], var=var, tower=tower)
-
-    @classmethod
-    def monomial(cls, c, n, var="x", tower=None):
-        return cls([field_zero(tower)] * n + [c], var=var, tower=tower)
-
     def _zero_c(self):
         return field_zero(self.tower)
 
@@ -997,9 +983,6 @@ class UniPoly:
             UniPoly(rem, var=self.var, tower=self.tower),
         )
 
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
     def __mod__(self, other):
         return self.divmod(other)[1]
 
@@ -1076,16 +1059,6 @@ class UniPoly:
         if g.degree() == 0:
             return p
         return p.exact_div(g)
-
-    def map_tower(self, tower: Tower) -> "UniPoly":
-        return UniPoly([tower.coerce(c) for c in self.coeffs], var=self.var, tower=tower)
-
-    def transport(self, new_tower: Tower) -> "UniPoly":
-        return UniPoly(
-            [transport_elem(c, new_tower) if isinstance(c, ExtElem) else c for c in self.coeffs],
-            var=self.var,
-            tower=new_tower,
-        )
 
     def __repr__(self):
         if self.is_zero():
@@ -1206,17 +1179,20 @@ def _int_prs_gcd(a, b):
     return a
 
 
+def _int_gcd(a, b):
+    """gcd of nonzero primitive integer polynomials, up to sign: GCDHEU,
+    else the primitive PRS."""
+    g = _heuristic_int_gcd(a, b)
+    return _int_prs_gcd(a, b) if g is None else g
+
+
 def _rational_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     """Monic gcd over Q through primitive integer polynomials."""
     if p.is_zero():
         return q.monic() if not q.is_zero() else q
     if q.is_zero():
         return p.monic()
-    a = _primitive_int_coeffs(p)
-    b = _primitive_int_coeffs(q)
-    g = _heuristic_int_gcd(a, b)
-    if g is None:
-        g = _int_prs_gcd(a, b)
+    g = _int_gcd(_primitive_int_coeffs(p), _primitive_int_coeffs(q))
     return UniPoly(g, var=p.var).monic()
 
 
@@ -1494,10 +1470,6 @@ class Factor:
     poly: UniPoly
     multiplicity: int
     certified: bool
-
-    @property
-    def presumed_irreducible(self):
-        return not self.certified
 
 
 def factor_univariate(p: UniPoly, cap=DEFAULT_FACTOR_CAP):

@@ -18,9 +18,8 @@ from .exact import (
     Q,
     Tower,
     UniPoly,
-    _heuristic_int_gcd,
+    _int_gcd,
     _int_primitive,
-    _int_prs_gcd,
     ensure_regular,
     f_is_zero,
     f_inv,
@@ -548,10 +547,7 @@ def _constant_gcd_at_a_point(ia, ib, var) -> bool:
         if da == 0 or db == 0:
             return True
         at_a, at_b = _int_primitive(at_a), _int_primitive(at_b)
-        g = _heuristic_int_gcd(at_a, at_b)
-        if g is None:
-            g = _int_prs_gcd(at_a, at_b)
-        if len(g) == 1:
+        if len(_int_gcd(at_a, at_b)) == 1:
             return True
         tried += 1
     return False

@@ -569,16 +569,17 @@ EXTENSION_FIXTURES = {
 
 @pytest.fixture
 def raise_counter(monkeypatch):
-    """Counts the precision raises of ``extend_leaf``."""
-    count = [0]
-    original = branching._Truncation.raise_bound
+    """The bounds K that ``extend_leaf`` cuts at; each raise of K walks
+    again under the new bound, so a walk raised r times cuts at r + 1."""
+    bounds = []
+    original = branching._cut
 
-    def counted(self, *args):
-        count[0] += 1
-        return original(self, *args)
+    def recorded(sys, nu, bound):
+        bounds.append(bound)
+        return original(sys, nu, bound)
 
-    monkeypatch.setattr(branching._Truncation, "raise_bound", counted)
-    return count
+    monkeypatch.setattr(branching, "_cut", recorded)
+    return bounds
 
 
 def _as_compared(terms):
@@ -621,9 +622,9 @@ def test_truncated_extension_matches_full_remainder(name, raise_counter):
     for leaf in tree.leaves:
         if not (leaf.terms and leaf.counted):
             continue
-        raise_counter[0] = 0
+        raise_counter.clear()
         terms = extend_leaf(leaf, n_terms)
-        raises = raise_counter[0]
+        raises = max(len(set(raise_counter)) - 1, 0)
         assert _as_compared(terms) == _as_compared(reference_extend(leaf, n_terms)), name
         seen |= _features(leaf, terms, raises, n_terms)
         # each term found raises the order of the residual Q b' - P(z, b),

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pathlib
 
 import pytest
 
@@ -296,3 +297,16 @@ def test_mul_report_matches_pinned_digest(capsys, system):
     code, out = run(capsys, ["mul", "--system", system, "--at", "0,0", "--json"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_MUL_DIGESTS[system]
+
+
+def test_readme_library_block_runs(capsys):
+    # the "Library" example of the README, run as written; it also prints
+    # each branch through PuiseuxBranch.__str__
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "finite 3"
+    # the three counted branches: one conjugate pair, one rational
+    assert sorted(line.rsplit(" x ", 1)[1] for line in lines[1:3]) == ["1", "2"]

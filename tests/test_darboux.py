@@ -1,7 +1,7 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pbound import darboux
 from pbound.darboux import (
@@ -413,6 +413,25 @@ def sympy_extactic(sp, sys, n):
         rows.append([sp.expand(zdot * sp.diff(f, z) + wdot * sp.diff(f, w)) for f in rows[-1]])
     det = sp.Poly(sp.Matrix(rows).det(method="berkowitz"), z, w)
     return {(Q(ze), we): Q(int(c.p), int(c.q)) for (ze, we), c in det.terms() if c}
+
+
+@DET_SETTINGS
+@given(quadratic_systems())
+@example(OdeSystem(bp({(0, 1): Q(3, 2), (0, 0): 2}), bp({(1, 1): Q(14, 3)})))  # w-degrees 1 and 1
+@example(OdeSystem(bp({(0, 2): 1, (1, 0): -3}), bp({(1, 1): 2, (0, 0): Q(1, 2)})))  # 2 and 1
+def test_resultant_r_matches_sympy_resultant(sp, sys):
+    # Res_w(P, Q) as a polynomial in z; both sides put P's rows first in the
+    # Sylvester matrix, so the signs agree and the test compares exactly
+    got = darboux._resultant_r(sys.P, sys.Q)
+    if got is None:
+        # a zero polynomial, or nothing to eliminate
+        assert sys.P.is_zero() or sys.Q.is_zero() or sys.P.w_degree() == sys.Q.w_degree() == 0
+        return
+    z, w = sp.symbols("z w")
+    want = sp.Poly(sp.resultant(sympy_expr(sp, sys.P), sympy_expr(sp, sys.Q), w), z, domain="QQ")
+    assert {i: c for i, c in enumerate(got.coeffs) if c} == {
+        int(e[0]): Q(int(c.p), int(c.q)) for e, c in want.terms() if c
+    }
 
 
 @DET_SETTINGS

@@ -13,7 +13,10 @@ from fractions import Fraction as Q
 
 import pytest
 
+import pbound.bounds as bounds
 import pbound.branching as branching
+from pbound import parse_system
+from pbound.bounds import axis_multiplicity_bound
 from pbound.branching import multiplicity_at
 from pbound.exact import (
     Factor,
@@ -111,3 +114,27 @@ def test_quartic_fixture_presumed_modulus_replays(monkeypatch):
     }
     dead = [b for b in res.branches if b.status == "non-algebraic"]
     assert len(dead) == 1 and dead[0].conj_degree == 2
+
+
+AXIS_QUARTIC = "dw/dz = (w^4 - w^3 - 6*w^2 + 3*w + 9 + z*(w^2 - 3)) / (z)"
+
+
+def test_axis_bound_replays_presumed_quartic_per_factor(monkeypatch):
+    # P(0, w) is the quartic m(w); given to the bound as one presumed factor,
+    # the axis point splits its tower at level 0 and each factor is replayed
+    # as its own entry, labelled and weighted by that factor
+    system, _ = parse_system(AXIS_QUARTIC)
+    certified = axis_multiplicity_bound(system).to_report()
+    summands = [(s["point"], s["weight"], s["mul"]) for s in certified["summands"]]
+    assert summands == [("inf", 1, 0), ("root of w^2 - w - 3", 2, 1), ("root of w^2 - 3", 2, 0)]
+    assert certified["sum_bound"] == 2
+
+    real_factor = bounds.factor_univariate
+
+    def presumed_quartic(poly, cap=8):
+        if poly.degree() == 4:
+            return [Factor(poly.monic(), 1, certified=False)]
+        return real_factor(poly, cap)
+
+    monkeypatch.setattr(bounds, "factor_univariate", presumed_quartic)
+    assert axis_multiplicity_bound(system).to_report() == certified

@@ -28,6 +28,7 @@ from pbound.exact import (
     squarefree_and_rational_roots,
     transport_elem,
     try_invert,
+    value_charpoly,
 )
 
 
@@ -384,6 +385,24 @@ def test_two_level_product_matches_sympy_reduction(sp, low0, low1, entries):
     )
 
 
+@FIELD_SETTINGS
+@given(st.integers(2, 4).flatmap(
+    lambda d: st.tuples(st.lists(fractions, min_size=d, max_size=d), st.lists(fractions, min_size=d, max_size=d))
+), st.booleans())
+def test_value_charpoly_matches_sympy_resultant(sp, data, rational):
+    # charpoly(e) = Res_x(m(x), y - e(x)) for the monic modulus m; a rational
+    # element gives (y - e0)^d through the same Sylvester matrix.  Both sides
+    # put m's rows first, so the signs agree and the test compares exactly.
+    low, coords = data
+    if rational:
+        coords = coords[:1] + [Q(0)] * (len(coords) - 1)
+    t = Tower((rational_level("x", low),))
+    e = ExtElem(t, tuple(int(c) if c.denominator == 1 else c for c in coords))
+    x, y = sp.symbols("x y")
+    want = sp.resultant(sympy_expr(sp, list(low) + [Q(1)], x), y - sympy_expr(sp, coords, x), x)
+    assert list(value_charpoly(e).coeffs) == sympy_coeffs(sp, want, y, 0)
+
+
 def certified(p):
     p.certified_irreducible = True
     return p
@@ -717,6 +736,35 @@ def test_scale_monic_and_gcd_keep_integral_products_int():
     assert types_and_values(a.gcd(UniPoly([Q(1, 2), 1]) * UniPoly([1, 1]))) == [(int, 1), (int, 1)]
     assert types_and_values(UniPoly([1, 0, 2]).gcd(UniPoly([3, 0, 6]))) == [(Q, Q(1, 2)), (int, 0), (int, 1)]
     assert types_and_values(a.gcd(UniPoly([5, 1]))) == [(int, 1)]
+
+
+# ---------------------------------------------------------------------------
+# gcd over Q when GCDHEU fails: the primitive PRS against sympy
+# ---------------------------------------------------------------------------
+
+small_unipolys = st.lists(fractions, max_size=4).map(UniPoly)
+
+
+@FIELD_SETTINGS
+@given(small_unipolys, small_unipolys, small_unipolys)
+def test_rational_gcd_prs_fallback_matches_sympy(sp, f, g, h):
+    a, b = f * g, f * h
+    x = sp.symbols("x")
+    want = sp.Poly(sp.gcd(sympy_expr(sp, a.coeffs, x), sympy_expr(sp, b.coeffs, x)), x, domain="QQ")
+    calls = []
+
+    def failing(*ints):
+        calls.append(ints)
+        return None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_heuristic_int_gcd", failing)
+        got = a.gcd(b)
+    if want.is_zero:
+        assert got.is_zero()
+        return
+    assert list(got.coeffs) == sympy_coeffs(sp, want.monic().as_expr(), x, 0)
+    assert bool(calls) == (not a.is_zero() and not b.is_zero())
 
 
 # ---------------------------------------------------------------------------

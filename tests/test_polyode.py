@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pbound import exact
 from pbound.exact import QQ_TOWER, UniPoly, adjoin_root
 from pbound.polyode import (
     BiPoly,
@@ -468,6 +469,18 @@ def test_biv_gcd_matches_sympy_on_random_pairs(sp, a, b):
 )
 def test_biv_gcd_matches_sympy_on_examples(sp, a, b):
     assert biv_gcd(a, b).terms == sympy_gcd(sp, a, b).terms
+
+
+@KERNEL_SETTINGS
+@given(nonzero_plain, plain_polys, plain_polys)
+def test_biv_gcd_with_failing_heuristic_matches_sympy(sp, f, g, h):
+    # GCDHEU fails everywhere: the point certificate and the content gcds
+    # over Q run the integer PRS instead
+    a, b = f * g, f * h
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_heuristic_int_gcd", lambda a, b: None)
+        got = biv_gcd(a, b)
+    assert got.terms == sympy_gcd(sp, a, b).terms
 
 
 def count_prs_steps(monkeypatch):
