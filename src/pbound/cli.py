@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .bounds import BoundsError, axis_multiplicity_bound, invariant_line_bound
-from .branching import Caps, multiplicity_at
+from .branching import DEFAULT_CAPS, Caps, multiplicity_at
 from .darboux import detect_invariant_lines, search_darboux
 from .exact import ExactError, Q
 from .lotka import LvParams, classify, triple_report
@@ -32,15 +32,17 @@ EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
 
 
-def _parse_caps(text: str, base: Caps) -> Caps:
+def _parse_caps(texts) -> Caps:
+    """The default caps with the settings of each text in ``texts`` applied
+    in order, so a later text overrides an earlier one."""
     fields = {
-        "depth": base.depth,
-        "ram": base.ram,
-        "tower": base.tower,
-        "terms": base.terms,
-        "factor": base.factor_cap,
+        "depth": DEFAULT_CAPS.depth,
+        "ram": DEFAULT_CAPS.ram,
+        "tower": DEFAULT_CAPS.tower,
+        "terms": DEFAULT_CAPS.terms,
+        "factor": DEFAULT_CAPS.factor_cap,
     }
-    if text:
+    for text in texts:
         for piece in text.split(","):
             piece = piece.strip()
             if not piece:
@@ -64,10 +66,9 @@ def _parse_caps(text: str, base: Caps) -> Caps:
 
 
 def _caps_from(args) -> Caps:
-    caps = _parse_caps(os.environ.get("PBOUND_CAPS", ""), Caps())
-    if getattr(args, "caps", None):
-        caps = _parse_caps(args.caps, caps)
-    return caps
+    """The caps of ``PBOUND_CAPS`` overridden by those of ``--caps``."""
+    texts = [t for t in (os.environ.get("PBOUND_CAPS"), getattr(args, "caps", None)) if t]
+    return _parse_caps(texts) if texts else DEFAULT_CAPS
 
 
 def _load_system(args):
@@ -75,8 +76,11 @@ def _load_system(args):
     if text is None:
         raise ParseError("no system given (use --system)", 0, 0)
     if os.path.exists(text):
-        with open(text, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(text, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise ValueError("cannot read the --system file %r: %s" % (text, exc.strerror)) from None
     return parse_system(text)
 
 
@@ -234,48 +238,48 @@ def _cmd_analyze(args) -> int:
     return _emit(args, report)
 
 
-@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+@functools.cache  # parsing leaves the parsers unchanged, so one set serves every call
+def _parsers():
+    """The top-level parser and a map from each subcommand to its parser."""
     parser = argparse.ArgumentParser(
         prog="pbound",
         description="Exact algebraic multiplicities, invariant curves and "
         "degree bounds for dw/dz = P(z,w)/Q(z,w)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    def common(p, system=True):
+    def command(name, func, summary, system=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         if system:
             p.add_argument("--system", help="system text or a path to a file containing it")
         p.add_argument("--json", action="store_true", help="emit the JSON report")
         p.add_argument("--caps", help="override caps, e.g. depth=32,ram=64,tower=16")
+        commands[name] = p
+        return p
 
-    p_mul = sub.add_parser("mul", help="algebraic multiplicity at a point")
-    common(p_mul)
+    p_mul = command("mul", _cmd_mul, "algebraic multiplicity at a point")
     p_mul.add_argument("--at", required=True, help="point 'z0,w0' or 'z0,inf'")
-    p_mul.set_defaults(func=_cmd_mul)
 
-    p_bound = sub.add_parser("bound", help="degree bounds for strict invariant curves")
-    common(p_bound)
+    p_bound = command("bound", _cmd_bound, "degree bounds for strict invariant curves")
     p_bound.add_argument("--line", help="invariant line a,b,c meaning a*z + b*w + c = 0")
-    p_bound.set_defaults(func=_cmd_bound)
 
-    p_dar = sub.add_parser("darboux", help="search Darboux polynomials up to a degree")
-    common(p_dar)
+    p_dar = command("darboux", _cmd_darboux, "search Darboux polynomials up to a degree")
     p_dar.add_argument("--max-degree", type=int, default=1)
-    p_dar.set_defaults(func=_cmd_darboux)
 
-    p_lv = sub.add_parser("lv", help="Lotka-Volterra strict-curve classification")
-    common(p_lv, system=False)
+    p_lv = command("lv", _cmd_lv, "Lotka-Volterra strict-curve classification", system=False)
     p_lv.add_argument("--params", required=True, help="a,b,c as rationals")
     p_lv.add_argument("--triple", action="store_true", help="include the multiplicity triple")
-    p_lv.set_defaults(func=_cmd_lv)
 
-    p_an = sub.add_parser("analyze", help="multiplicities, lines, bounds and search")
-    common(p_an)
+    p_an = command("analyze", _cmd_analyze, "multiplicities, lines, bounds and search")
     p_an.add_argument("--max-degree", type=int, default=2)
-    p_an.set_defaults(func=_cmd_analyze)
 
-    return parser
+    return parser, commands
 
 
 _VALUE_FLAGS = ("--params", "--at", "--line", "--caps", "--system")
@@ -296,11 +300,22 @@ def _merge_dash_values(argv):
     return out
 
 
+def _parse_args(argv):
+    """The namespace of ``argv``.  A subcommand's arguments go straight to
+    its own parser; anything else (no arguments, -h, an unknown command)
+    goes to the top-level parser, which prints the usage or the error."""
+    argv = _merge_dash_values(argv)
+    parser, commands = _parsers()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    return sub.parse_args(argv[1:])
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_dash_values(list(argv)))
+    args = _parse_args(list(argv))
     json_out = getattr(args, "json", False)
     try:
         return args.func(args)

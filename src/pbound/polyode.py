@@ -25,7 +25,6 @@ from .exact import (
     f_inv,
     field_one,
     field_zero,
-    is_rational_value,
     transport_elem,
 )
 
@@ -307,34 +306,39 @@ def bipoly_str(p: BiPoly, zvar="z", wvar="w") -> str:
     parts = []
     for (ze, we), c in terms:
         factors = []
-        neg = False
-        if isinstance(c, ExtElem) and c.is_rational():
-            c = c.as_fraction()
-        if isinstance(c, ExtElem):
-            cs = str(c)
-            if any(op in cs[1:] for op in "+-") or "*" in cs:
-                cs = "(%s)" % cs
-        else:
-            if c < 0:
-                neg = True
-                c = -c
-            cs = "" if c == 1 and (ze, we) != (0, 0) else str(c)
-        if cs:
-            factors.append(cs)
         if ze != 0:
             factors.append(zvar if ze == 1 else "%s^%s" % (zvar, _exp_str(ze)))
         if we != 0:
             factors.append(wvar if we == 1 else "%s^%d" % (wvar, we))
-        if not factors:
-            factors.append("1")
-        text = "*".join(factors)
-        parts.append(("- " if neg else "+ ") + text)
+        parts.append(_signed_term(c, factors))
+    return _join_signed(parts)
+
+
+def _signed_term(c, factors) -> str:
+    """The term c times the monomial ``factors`` as "+ text" or "- text": a
+    rational's sign goes in front, a coefficient 1 is left out, and a tower
+    coefficient with more than one symbol is parenthesised."""
+    neg = False
+    if isinstance(c, ExtElem) and c.is_rational():
+        c = c.as_fraction()
+    if isinstance(c, ExtElem):
+        cs = str(c)
+        if any(op in cs[1:] for op in "+-") or "*" in cs:
+            cs = "(%s)" % cs
+    else:
+        if c < 0:
+            neg = True
+            c = -c
+        cs = "" if c == 1 and factors else str(c)
+    text = "*".join(([cs] if cs else []) + factors) or "1"
+    return ("- " if neg else "+ ") + text
+
+
+def _join_signed(parts) -> str:
     out = " ".join(parts)
     if out.startswith("+ "):
-        out = out[2:]
-    elif out.startswith("- "):
-        out = "-" + out[2:]
-    return out
+        return out[2:]
+    return "-" + out[2:]
 
 
 def _exp_str(e: Fraction) -> str:
@@ -757,13 +761,10 @@ class PuiseuxBranch:
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = []
-        for mu, c in self.terms:
-            cs = str(c)
-            if not is_rational_value(c) and (any(op in cs[1:] for op in "+-") or "*" in cs):
-                cs = "(%s)" % cs
-            parts.append("%s*z^%s" % (cs, _exp_str(mu)))
-        return " + ".join(parts)
+        return _join_signed([
+            _signed_term(c, ["z" if mu == 1 else "z^%s" % _exp_str(mu)] if mu else [])
+            for mu, c in self.terms
+        ])
 
 
 # ---------------------------------------------------------------------------

@@ -35,29 +35,35 @@ class SystemSource:
     bindings: dict
 
 
+# one token, or (the second group) one character no token starts with
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()=;,]))"
+    r"\s*(?:(\d+(?:/\d+)?|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()=;,])|(\S))"
 )
 
 
 def _tokenize(text):
-    """(kind, value, offset) triples, then an eof token; line and column are
-    worked out from the offset only when an error is reported."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            skip = len(text[pos:]) - len(stripped)
-            raise ParseError("unexpected character %r" % stripped[0], *_position(text, pos + skip))
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
+    """The token strings of ``text``, then "" for the end of input.  A token
+    is a number (it starts with a digit), a name or an operator; offsets are
+    worked out again only when an error is reported (``_token_offset``)."""
+    tokens = [tok for tok, _ in _TOKEN_RE.findall(text)]
+    if "" in tokens:  # the catch-all group matched
+        pos = _token_offset(text, tokens.index(""))
+        raise ParseError("unexpected character %r" % text[pos], *_position(text, pos))
+    tokens.append("")
     return tokens
+
+
+def _token_offset(text, i):
+    """The offset of token ``i`` of ``text``; the end of the text for the
+    end-of-input token."""
+    for j, m in enumerate(_TOKEN_RE.finditer(text)):
+        if j == i:
+            return m.start(m.lastindex)
+    return len(text)
+
+
+def _is_number(tok):
+    return tok[:1].isdecimal()  # the characters \d matches
 
 
 def _position(text, pos):
@@ -93,13 +99,14 @@ class _Parser:
         return tok
 
     def expect(self, value, what=None):
-        if self.peek()[1] != value:
+        if self.peek() != value:
             self.fail("expected %r" % (what or value))
         return self.next()
 
-    def fail(self, message, tok=None):
-        """Raise a ParseError at ``tok``, by default the next token."""
-        raise ParseError(message, *_position(self.text, (tok or self.peek())[2]))
+    def fail(self, message, at=None):
+        """Raise a ParseError at token index ``at``, by default the next token."""
+        pos = _token_offset(self.text, self.i if at is None else at)
+        raise ParseError(message, *_position(self.text, pos))
 
     # -- polynomial parsing --------------------------------------------------
     #
@@ -111,7 +118,7 @@ class _Parser:
         """The signed terms, summed into one dict; zero sums are dropped when
         the BiPoly is built."""
         negate = False
-        if self.peek()[1] == "-":
+        if self.peek() == "-":
             self.next()
             negate = True
         out = {}
@@ -127,13 +134,13 @@ class _Parser:
                     c = -c
                 cur = out.get(key)
                 out[key] = c if cur is None else cur + c
-            if self.peek()[1] not in ("+", "-"):
+            if self.peek() not in ("+", "-"):
                 return BiPoly(out)
-            negate = self.next()[1] == "-"
+            negate = self.next() == "-"
 
     def term(self):
         acc = self.factor()
-        while self.peek()[1] == "*":
+        while self.peek() == "*":
             self.next()
             rhs = self.factor()
             if type(acc) is tuple and type(rhs) is tuple:
@@ -144,12 +151,12 @@ class _Parser:
 
     def factor(self):
         base = self.atom()
-        if self.peek()[1] == "^":
+        if self.peek() == "^":
             self.next()
             tok = self.next()
-            if tok[0] != "num" or "/" in tok[1]:
-                self.fail("exponent must be a nonnegative integer", tok)
-            n = int(tok[1])
+            if not _is_number(tok) or "/" in tok:
+                self.fail("exponent must be a nonnegative integer", self.i - 1)
+            n = int(tok)
             if type(base) is tuple:
                 c, ze, we = base
                 # 0^0 is the int 1, as for the empty sum
@@ -160,8 +167,7 @@ class _Parser:
     def atom(self):
         """A monomial (c, ze, we), or a BiPoly for a parenthesised sum of
         other than one term."""
-        tok = self.peek()
-        kind, val, _ = tok
+        val = self.peek()
         if val == "(":
             self.next()
             inner = self.poly()
@@ -170,13 +176,13 @@ class _Parser:
                 ((ze, we), c), = inner.terms.items()
                 return (c, ze, we)
             return inner
-        if kind == "num":
+        if _is_number(val):
             value = _literal(val)
             if value is None:
                 self.fail("zero denominator in %s" % val)
             self.next()
             return (value, 0, 0)
-        if kind == "name":
+        if val.isidentifier():  # a name
             self.next()
             if val == "z":
                 return (1, 1, 0)
@@ -184,7 +190,7 @@ class _Parser:
                 return (1, 0, 1)
             if val in self.params:
                 return (self.params[val], 0, 0)
-            self.fail("unbound parameter %r" % val, tok)
+            self.fail("unbound parameter %r" % val, self.i - 1)
         self.fail("expected a polynomial atom")
 
 
@@ -231,15 +237,14 @@ def parse_system(text):
     eq_text = ";".join(eq_pieces)
     parser = _Parser(eq_text, bindings)
 
-    kind, val, _ = parser.peek()
-    if kind != "name" or val not in ("dw", "dz"):
+    val = parser.peek()
+    if val not in ("dw", "dz"):
         parser.fail("expected 'dw/dz' or 'dz/dt'")
     if val == "dw":
         parser.next()
         parser.expect("/")
-        tok = parser.next()
-        if tok[1] != "dz":
-            parser.fail("expected 'dw/dz'", tok)
+        if parser.next() != "dz":
+            parser.fail("expected 'dw/dz'", parser.i - 1)
         parser.expect("=")
         p_poly = parser.poly()
         parser.expect("/", what="'/' between numerator and denominator")
@@ -248,23 +253,20 @@ def parse_system(text):
     else:
         parser.next()
         parser.expect("/")
-        tok = parser.next()
-        if tok[1] != "dt":
-            parser.fail("expected 'dz/dt'", tok)
+        if parser.next() != "dt":
+            parser.fail("expected 'dz/dt'", parser.i - 1)
         parser.expect("=")
         q_poly = parser.poly()  # dz/dt is the denominator of dw/dz
         parser.expect(";")
-        tok = parser.next()
-        if tok[1] != "dw":
-            parser.fail("expected 'dw/dt'", tok)
+        if parser.next() != "dw":
+            parser.fail("expected 'dw/dt'", parser.i - 1)
         parser.expect("/")
-        tok = parser.next()
-        if tok[1] != "dt":
-            parser.fail("expected 'dw/dt'", tok)
+        if parser.next() != "dt":
+            parser.fail("expected 'dw/dt'", parser.i - 1)
         parser.expect("=")
         p_poly = parser.poly()
         form = "autonomous"
-    if parser.peek()[0] != "eof":
+    if parser.peek() != "":
         parser.fail("unexpected trailing input")
 
     sys = make_system(p_poly, q_poly)
@@ -381,12 +383,63 @@ def build_report(obj):
 def emit_report(obj, fmt="text") -> bytes:
     report = build_report(obj)
     if fmt == "json":
-        return (json.dumps(report, indent=2) + "\n").encode()
+        out = []
+        _write_json(report, out, "\n")
+        out.append("\n")
+        return "".join(out).encode()
     if fmt == "text":
         lines = []
         _render_text(report, lines, 0)
         return ("\n".join(lines) + "\n").encode()
     raise ValueError("unknown report format %r" % fmt)
+
+
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _write_json(node, out, pad):
+    """Append to ``out`` the text of ``json.dumps(node, indent=2)``; ``pad``
+    is a newline and the indent of ``node``'s line.  An indent makes
+    ``json.dumps`` use its pure-Python encoder, so this writer is faster
+    while it keeps the layout and the ASCII escapes."""
+    if isinstance(node, str):
+        out.append(_json_str(node))
+    elif node is None:
+        out.append("null")
+    elif node is True:
+        out.append("true")
+    elif node is False:
+        out.append("false")
+    elif isinstance(node, int):
+        out.append(int.__repr__(node))
+    elif isinstance(node, (list, tuple)):
+        if not node:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in node:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif isinstance(node, dict):
+        if not node:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, value in node.items():
+            if isinstance(key, str):
+                key = _json_str(key)
+            else:  # json.dumps's text of a float, int, bool or None key; it rejects others
+                key = json.dumps({key: None})[1:-7]
+            out.append(sep + key + ": ")
+            _write_json(value, out, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    else:  # a float, or a type json.dumps rejects
+        out.append(json.dumps(node))
 
 
 def _render_text(node, lines, depth):

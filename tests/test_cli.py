@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from pbound.cli import main
+from pbound.cli import _merge_dash_values, _parse_args, build_parser, main
 
 EX45 = "dw/dz = (z^2 + m*w) / (z + w^2); m = 0"
 LV = "dz/dt = z*(z + c*w - 1); dw/dt = w*(b*z + w - a); a=-1; b=5; c=0"
@@ -13,6 +13,9 @@ LV = "dz/dt = z*(z + c*w - 1); dw/dt = w*(b*z + w - a); a=-1; b=5; c=0"
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
+    if "--json" in argv:
+        # the --json layout is that of json.dumps(report, indent=2)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
     return code, out
 
 
@@ -113,6 +116,56 @@ def test_bad_rational_input_exits_2(capsys, argv, error_type):
     code, data = run_json(capsys, argv)
     assert code == 2
     assert data["error"]["type"] == error_type
+
+
+def test_system_path_that_cannot_be_read_exits_2(tmp_path, capsys):
+    # an existing path is read as a file; a directory cannot be
+    code, data = run_json(capsys, ["mul", "--system", str(tmp_path), "--at", "0,0"])
+    assert code == 2
+    assert data["error"]["type"] == "ValueError"
+    assert str(tmp_path) in data["error"]["message"]
+    code, _ = run(capsys, ["mul", "--system", str(tmp_path), "--at", "0,0"])
+    assert code == 2
+
+
+# argv whose subcommand parser must give what the top-level parser gives
+DISPATCH_ARGVS = {
+    "mul": ["mul", "--system", EX45, "--at", "0,0"],
+    "mul-json-first": ["mul", "--json", "--system", EX45, "--at", "0,inf", "--caps", "depth=3"],
+    "mul-abbrev-dash-value": ["mul", "--sys", EX45, "--at", "-1,0", "--json"],
+    "bound": ["bound", "--system", LV, "--line", "1,0,-1", "--json"],
+    "darboux-abbrev": ["darboux", "--max", "3", "--system", EX45],
+    "lv-dash-value": ["lv", "--params", "-1,0,0", "--triple"],
+    "lv-json-first": ["lv", "--json", "--params=1,2,3"],
+    "analyze": ["analyze", "--system", EX45, "--json", "--max-degree", "1"],
+    "analyze-abbrev": ["analyze", "--sys", EX45],
+}
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS.values(), ids=DISPATCH_ARGVS.keys())
+def test_subcommand_parser_matches_the_top_level_parser(argv):
+    direct = vars(_parse_args(list(argv)))
+    full = vars(build_parser().parse_args(_merge_dash_values(list(argv))))
+    assert full.pop("command") == argv[0]
+    assert direct == full
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, text",
+    [
+        ([], 2, "err", "usage: pbound [-h]"),
+        (["-h"], 0, "out", "usage: pbound [-h]"),
+        (["frob"], 2, "err", "invalid choice: 'frob'"),
+        (["mul", "--system", EX45, "--at", "0,0", "--bogus"], 2, "err", "pbound mul: error: unrecognized arguments: --bogus"),
+        (["mul", "-h"], 0, "out", "usage: pbound mul [-h]"),
+    ],
+    ids=["empty", "help", "unknown-command", "unknown-flag", "command-help"],
+)
+def test_argv_errors_exit_through_argparse(capsys, argv, code, stream, text):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    assert text in getattr(capsys.readouterr(), stream)
 
 
 def test_cap_exit_code(capsys):
@@ -310,3 +363,7 @@ def test_readme_library_block_runs(capsys):
     assert lines[0] == "finite 3"
     # the three counted branches: one conjugate pair, one rational
     assert sorted(line.rsplit(" x ", 1)[1] for line in lines[1:3]) == ["1", "2"]
+    # each printed with the signs and coefficients of bipoly_str; the first
+    # three terms of each
+    heads = ["1/2*z^2 - 1/20*z^5 + 9/640*z^8 ", "t0*z^(1/2) - z^2 + (9/2*t0)*z^(7/2) "]
+    assert [line[: len(head)] for line, head in zip(sorted(lines[1:3]), heads)] == heads

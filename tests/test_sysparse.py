@@ -5,7 +5,7 @@ import json
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pbound.bounds import axis_singular_points, p_at_axis
 from pbound.branching import multiplicity_at
@@ -75,6 +75,24 @@ def test_parse_zero_denominator_is_a_parse_error(text, line, col):
     with pytest.raises(ParseError, match="zero denominator") as err:
         parse_system(text)
     assert (err.value.line, err.value.col) == (line, col)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("dw/dz = (z^2 + m*w)\n      / (z + w^2 $ 1);\nm = 0", "unexpected character '$' (line 2, column 18)"),
+        ("dz/dt = z*(z - 1);\n dw/dt = w*(z + w) # comment", "unexpected character '#' (line 2, column 20)"),
+        ("dw/dz = z / \n\t \u00e9", "unexpected character '\u00e9' (line 2, column 3)"),
+        ("dw/dz = (z^2 + w)\n  / (z + w^2)\n  z", "unexpected trailing input (line 3, column 3)"),
+        ("dz/dt = z;\n dw/dt = w;\n k = 2;\n w", "unexpected trailing input (line 2, column 11)"),
+        ("   \n  ", "expected 'dw/dz' or 'dz/dt' (line 2, column 3)"),
+    ],
+    ids=["bad-character", "comment", "non-ascii", "trailing-input", "trailing-after-binding", "blank"],
+)
+def test_tokenizer_errors_keep_their_positions(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_system(text)
+    assert str(err.value) == message
 
 
 def test_parse_unbound_parameter():
@@ -168,6 +186,24 @@ def test_report_deterministic():
         emit_report(multiplicity_at(sys, ("point", Q(0), Q(0))), "json") for _ in range(3)
     }
     assert len(blobs) == 1
+
+
+# report values of every JSON type, and strings that need escapes
+JSON_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+json_text = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u20ac\U0001f600a') | st.characters(), max_size=8)
+json_values = st.recursive(
+    json_text | st.integers() | st.integers(min_value=-10**40, max_value=10**40) | st.booleans() | st.none(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@JSON_SETTINGS
+@given(st.dictionaries(json_text, json_values, max_size=5))
+@example({})
+@example({"a": [], "b": {}, "c": [[], {}], "d": {"e": []}})
+def test_json_report_is_json_dumps_with_indent_2(report):
+    assert emit_report(report, "json") == (json.dumps(report, indent=2) + "\n").encode()
 
 
 def test_bipoly_str_shapes():
