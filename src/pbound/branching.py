@@ -440,16 +440,19 @@ def _cut(sys: OdeSystem, nu, bound):
     """
     kept, over = [], None  # over: the least excess of a dropped term
     for terms, top in ((sys.P.terms, bound), (sys.Q.terms, bound + 1 - nu)):
-        keep, cuts = {}, {}
+        keep, cuts, ram = {}, {}, 1
         for key, c in terms.items():
             cut = cuts.get(key[1])
             if cut is None:
                 cut = cuts[key[1]] = top - key[1] * nu
             if key[0] <= cut:
                 keep[key] = c
+                if type(key[0]) is not int:
+                    ram = math.lcm(ram, key[0].denominator)
             elif over is None or key[0] - cut < over:
                 over = key[0] - cut
-        kept.append(BiPoly(keep, tower=sys.tower))
+        # the keys of sys are normal and its coefficients nonzero
+        kept.append(BiPoly._from_clean(keep, ram, sys.tower))
     low = None if over is None else bound + over
     return OdeSystem(kept[0], kept[1], tower=sys.tower), low
 

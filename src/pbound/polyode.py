@@ -204,27 +204,18 @@ class BiPoly:
 
     # -- substitution ----------------------------------------------------------
 
-    def subst_w_series(self, series: "BiPoly", with_remainder: bool):
-        """Substitute w -> series(z) + w1 (or just series(z) if no remainder).
-
-        Each w-power's expansion is built once, and every product lands in
-        one dict, so the work is linear in the number of products formed.
-        """
+    def eval_w_series(self, series: "BiPoly"):
+        """Substitute w -> series(z): each w-power of the series is built
+        once, and every product lands in one dict."""
         tower = self.tower or series.tower
         pows = [BiPoly.const(field_one(tower), tower=tower)]
         for _ in range(max(self.w_degree(), 0)):
             pows.append(pows[-1] * series)
-        expansions = {}
         out = {}
         ram = 1
         for (ze, we), c in self.terms.items():
-            expansion = expansions.get(we)
-            if expansion is None:
-                expansion = expansions[we] = (
-                    _binomial_expansion(pows, we, tower) if with_remainder else pows[we]
-                )
-            ram = math.lcm(ram, ze.denominator, expansion.ram)
-            _accumulate(out, c, ze, expansion)
+            ram = math.lcm(ram, ze.denominator, pows[we].ram)
+            _accumulate(out, c, ze, pows[we])
         return BiPoly(out, ram=ram, tower=tower)
 
     def subst_affine(self, z_expr: "BiPoly", w_expr: "BiPoly"):
@@ -248,9 +239,6 @@ class BiPoly:
             ram = math.lcm(ram, piece.ram)
             _accumulate(out, c, 0, piece)
         return BiPoly(out, ram=ram, tower=tower)
-
-    def eval_w_series(self, series: "BiPoly"):
-        return self.subst_w_series(series, with_remainder=False)
 
     def map_tower(self, tower: Tower):
         return BiPoly._from_clean(
@@ -277,16 +265,6 @@ class BiPoly:
 
     def __repr__(self):
         return bipoly_str(self)
-
-
-def _binomial_expansion(pows, k, tower):
-    """(s + w)^k = sum_j C(k, j) s^(k-j) w^j, from pows[i] = s^i."""
-    terms = {}
-    for j in range(k + 1):
-        binom = math.comb(k, j)
-        for (pze, _), pc in pows[k - j].terms.items():
-            terms[(pze, j)] = pc if binom == 1 else pc * binom
-    return BiPoly(terms, tower=tower)
 
 
 def _accumulate(out, c, ze, poly):
@@ -659,15 +637,39 @@ class OdeSystem:
     def transport(self, new_tower: Tower) -> "OdeSystem":
         return OdeSystem(self.P.transport(new_tower), self.Q.transport(new_tower), tower=new_tower)
 
-    def translate_w(self, series: BiPoly) -> "OdeSystem":
-        """The system for w1 after w = s(z) + w1, s a finite Puiseux series:
-        Q1 = Q(z, s + w1) and P1 = P(z, s + w1) - s' Q1, in the same z-frame."""
-        Q1 = self.Q.subst_w_series(series, with_remainder=True)
-        P1 = self.P.subst_w_series(series, with_remainder=True)
-        ds = series.diff_z()
-        if ds.terms:
-            P1 = P1 - ds * Q1
-        return OdeSystem(P1, Q1, tower=self.tower)
+    def translate_w(self, alpha, lam) -> "OdeSystem":
+        """The system for w1 after w = alpha z^lam + w1 (lam >= 0):
+        Q1 = Q(z, alpha z^lam + w1) and
+        P1 = P(z, alpha z^lam + w1) - alpha lam z^(lam-1) Q1, in the same
+        z-frame.
+
+        A term c z^e w^k gives C(k, j) alpha^(k-j) c at z^(e + (k-j) lam) w^j
+        for j <= k; the factors and the shifts (k-j) lam are formed once up
+        to the w-degree.  Exponents are added as integers over a common
+        denominator n, each side is summed in one plain dict, and each
+        side's BiPoly is built once.  A side's ram is the lcm of its
+        exponents' denominators, and of lam's once it has a w-power; P1
+        takes Q1's when lam != 0.
+        """
+        num, den = lam.numerator, lam.denominator
+        n = math.lcm(self.P.ram, self.Q.ram, den)
+        step = num * (n // den)  # n lam
+        tower = self.tower
+        table = _shift_table(alpha, step, max(self.P.w_degree(), self.Q.w_degree(), 0), tower)
+        q1, q_ram = _shift_terms(self.Q, table, n, den)
+        p1, p_ram = _shift_terms(self.P, table, n, den)
+        if num:
+            factor = -(alpha * (num if den == 1 else lam))
+            shift = step - n  # n (lam - 1)
+            for (s, j), c in q1.items():
+                key = (s + shift, j)
+                prod = c * factor
+                cur = p1.get(key)
+                p1[key] = prod if cur is None else cur + prod
+            p_ram = math.lcm(p_ram, den, q_ram)
+        P1 = _from_scaled(p1, n, p_ram, self.P.tower or tower)
+        Q1 = _from_scaled(q1, n, q_ram, self.Q.tower or tower)
+        return OdeSystem(P1, Q1, tower=tower)
 
     def normalized(self) -> "OdeSystem":
         """Shift both sides by a common z-power so the lowest exponent is 0."""
@@ -678,6 +680,66 @@ class OdeSystem:
         if low == 0:
             return self
         return OdeSystem(self.P.shift_z(-low), self.Q.shift_z(-low), tower=self.tower)
+
+
+def _shift_table(alpha, step, deg, tower):
+    """Row k lists (shift, j, factor) for each term factor z^shift w^j of
+    (alpha z^lam + w)^k, j ascending, shift on the scale n lam = ``step``;
+    factor None stands for the rational 1, by which nothing is multiplied."""
+    one = field_one(tower)
+    apow = [one]
+    for _ in range(deg):
+        apow.append(apow[-1] * alpha)
+    unit = None if type(one) is int else one
+    table = []
+    for k in range(deg + 1):
+        row = []
+        for j in range(k + 1):
+            i = k - j
+            factor = unit if i == 0 else apow[i] if j == 0 else apow[i] * math.comb(k, j)
+            row.append((i * step, j, factor))
+        table.append(row)
+    return table
+
+
+def _shift_terms(poly: BiPoly, table, n, den):
+    """poly(z, alpha z^lam + w) as a plain dict on (n * z-exponent, j) keys,
+    zeros kept, and its ram: the lcm of poly's exponent denominators, and of
+    lam's (``den``) when poly has a w-power."""
+    out = {}
+    ram = 1
+    for (ze, we), c in poly.terms.items():
+        if type(ze) is int:
+            s = ze * n
+        else:
+            ram = math.lcm(ram, ze.denominator)
+            s = ze.numerator * (n // ze.denominator)
+        for shift, j, factor in table[we]:
+            key = (s + shift, j)
+            prod = c if factor is None else c * factor
+            cur = out.get(key)
+            out[key] = prod if cur is None else cur + prod
+    if den > 1 and poly.w_degree() > 0:
+        ram = math.lcm(ram, den)
+    return out, ram
+
+
+def _from_scaled(out, n, ram, tower) -> BiPoly:
+    """The BiPoly of a plain dict on (n * z-exponent, j) keys: the one place
+    where the shift drops zero coefficients (``f_is_zero``, so a product of
+    zero divisors over a presumed tower goes too) and turns exponents back
+    into ints and Fractions."""
+    if n == 1:
+        return BiPoly._from_clean({k: c for k, c in out.items() if not f_is_zero(c)}, ram, tower)
+    exps, terms = {}, {}
+    for (s, j), c in out.items():
+        if f_is_zero(c):
+            continue
+        ze = exps.get(s)
+        if ze is None:
+            ze = exps[s] = s // n if s % n == 0 else Fraction(s, n)
+        terms[(ze, j)] = c
+    return BiPoly._from_clean(terms, ram, tower)
 
 
 def make_system(P: BiPoly, Q: BiPoly, tower=None, check_coprime=True):
@@ -780,7 +842,7 @@ def translate_point(sys: OdeSystem, z0, w0) -> OdeSystem:
     if f_is_zero(z0):
         if f_is_zero(w0):
             return sys
-        return sys.translate_w(BiPoly.const(_coerce_scalar(tower, w0), tower=tower))
+        return sys.translate_w(_coerce_scalar(tower, w0), 0)
     one = field_one(tower)
     z_expr = BiPoly({(1, 0): one, (0, 0): _coerce_scalar(tower, z0)}, tower=tower)
     w_expr = BiPoly({(0, 1): one, (0, 0): _coerce_scalar(tower, w0)}, tower=tower)
@@ -884,7 +946,7 @@ def substitute_branch(sys: OdeSystem, lam, alpha, check_acceptable=True, normali
         raise OdeError("branch exponent must be positive")
     if f_is_zero(alpha):
         raise OdeError("branch coefficient must be nonzero")
-    out = sys.translate_w(BiPoly({(lam, 0): alpha}, tower=sys.tower))
+    out = sys.translate_w(alpha, lam)
     if check_acceptable and not _pair_acceptable(sys, lam, out):
         raise OdeError("not an acceptable pair")
     return out.normalized() if normalize else out

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+from fractions import Fraction as Q
 
 import pytest
 
@@ -367,3 +368,72 @@ def test_readme_library_block_runs(capsys):
     # three terms of each
     heads = ["1/2*z^2 - 1/20*z^5 + 9/640*z^8 ", "t0*z^(1/2) - z^2 + (9/2*t0)*z^(7/2) "]
     assert [line[: len(head)] for line, head in zip(sorted(lines[1:3]), heads)] == heads
+
+
+# ---------------------------------------------------------------------------
+# A dicritical point that the engine misses
+# ---------------------------------------------------------------------------
+
+# At the origin every point of the edge of slope 1 is a merged P/Q point
+# with p/q = 1, so the edge's characteristic polynomial vanishes
+# identically: the lowest-order field is a multiple of the radial field.
+# The engine takes no step there and reports "finite 1".
+DICRITICAL = "dw/dz = (z*w + w^2 + z^3) / (z^2 + z*w)"
+MISSED_DICRITICAL = pytest.mark.xfail(
+    strict=True, reason="a zero characteristic polynomial on an admissible edge yields no step"
+)
+
+
+@MISSED_DICRITICAL
+def test_dicritical_origin_is_critical(capsys):
+    code, data = run_json(capsys, ["mul", "--system", DICRITICAL, "--at", "0,0"])
+    assert code == 0
+    assert data["status"] == "critical"
+
+
+@MISSED_DICRITICAL
+def test_dicritical_origin_blocks_the_bounds(capsys):
+    code, data = run_json(capsys, ["bound", "--system", DICRITICAL])
+    assert code == 0
+    bounds = data["bounds"]
+    assert bounds["sum_bound"] is None and bounds["product_bound"] is None
+    assert bounds["blocked_by"]["point"] == "0"
+    assert bounds["blocked_by"]["status"] == "critical"
+
+
+def test_dicritical_system_has_a_pencil_of_invariant_curves():
+    # F_C = (z + w)^2 - 2 z^3 - C z^2 satisfies Q dF/dz + P dF/dw = 2 (z + w) F_C
+    # for P = z w + w^2 + z^3 and Q = z^2 + z w, so every F_C = 0 is
+    # invariant.  Both sides have degree <= 4 in z and <= 3 in w, so
+    # agreement on a 6 x 6 grid proves the identity.  For C = c^2 the curve
+    # has the two branches w = (-1 +- c) z + ... through the origin, so
+    # infinitely many solutions leave it with distinct slopes.
+    def P(z, w):
+        return z * w + w**2 + z**3
+
+    def Q_(z, w):
+        return z**2 + z * w
+
+    grid = [Q(n, 2) for n in range(-3, 3)]
+    slopes = set()
+    for c in (Q(1), Q(2), Q(3), Q(1, 2)):
+        C = c * c
+
+        def F(z, w):
+            return (z + w) ** 2 - 2 * z**3 - C * z**2
+
+        def F_z(z, w):
+            return 2 * (z + w) - 6 * z**2 - 2 * C * z
+
+        def F_w(z, w):
+            return 2 * (z + w)
+
+        for z in grid:
+            for w in grid:
+                assert Q_(z, w) * F_z(z, w) + P(z, w) * F_w(z, w) == 2 * (z + w) * F(z, w)
+        assert F(Q(0), Q(0)) == 0
+        # the lowest form (z + w)^2 - c^2 z^2 vanishes on w = (-1 +- c) z
+        for slope in (c - 1, -c - 1):
+            assert (1 + slope) ** 2 - C == 0
+            slopes.add(slope)
+    assert len(slopes) == 8

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbound import exact
-from pbound.exact import QQ_TOWER, UniPoly, adjoin_root
+from pbound.exact import QQ_TOWER, Level, Tower, UniPoly, adjoin_root, field_one
 from pbound.polyode import (
     BiPoly,
     OdeError,
@@ -292,17 +292,44 @@ def series_polys(coeffs=rationals, tower=None):
     return bipolys((1, 2, 3), (1, 6), 0, min_terms=1, max_terms=3, coeffs=coeffs, tower=tower)
 
 
-def binomial_reference(poly, series, with_remainder):
-    """sum c z^e (s + w)^k, or sum c z^e s^k, by plain BiPoly products."""
+def power_reference(poly, series):
+    """sum c z^e s^k, by plain BiPoly products."""
     tower = poly.tower or series.tower
-    base = series + BiPoly.var_w(tower) if with_remainder else series
     out = BiPoly.zero(tower)
     for (ze, we), c in poly.terms.items():
         term = BiPoly.monomial(c, ze, 0, tower=tower)
         for _ in range(we):
-            term = term * base
+            term = term * series
         out = out + term
     return out
+
+
+def shift_reference(sys, alpha, lam):
+    """The general series shift that ``translate_w`` replaced, for
+    s = alpha z^lam: the powers of s, the binomial expansion
+    (s + w)^k = sum_j C(k, j) s^(k-j) w^j of each w-power, and
+    P1 - s' Q1, all in BiPoly arithmetic."""
+    tower = sys.tower
+    series = BiPoly({(lam, 0): alpha}, tower=tower)
+    pows = [BiPoly.const(field_one(tower), tower=tower)]
+    for _ in range(max(sys.P.w_degree(), sys.Q.w_degree(), 0)):
+        pows.append(pows[-1] * series)
+
+    def shifted(poly):
+        out = BiPoly.zero(tower)
+        for (ze, we), c in poly.terms.items():
+            expansion = BiPoly.zero(tower)
+            for j in range(we + 1):
+                w_j = BiPoly.monomial(field_one(tower) * math.comb(we, j), 0, j, tower=tower)
+                expansion = expansion + pows[we - j] * w_j
+            out = out + BiPoly.monomial(c, ze, 0, tower=tower) * expansion
+        return out
+
+    P1, Q1 = shifted(sys.P), shifted(sys.Q)
+    ds = series.diff_z()
+    if ds.terms:
+        P1 = P1 - ds * Q1
+    return P1, Q1
 
 
 def assert_same_poly(got, want):
@@ -310,32 +337,107 @@ def assert_same_poly(got, want):
     assert got.ram == want.ram
 
 
+LAMS = st.sampled_from([Q(0), Q(1), Q(2), Q(1, 2), Q(3, 2), Q(1, 3)])
+nonzero_rationals = rationals.filter(lambda c: c != 0)
+
+
+def shift_systems(coeffs=rationals, tower=None):
+    """OdeSystems on ramified P and Q with at least one term each."""
+    coeffs = coeffs.filter(lambda c: not exact.f_is_zero(c))
+    side = bipolys((1, 2, 3), (0, 6), 4, min_terms=1, max_terms=5, coeffs=coeffs, tower=tower)
+    return st.builds(lambda P, Q_: OdeSystem(P, Q_, tower=tower), side, side)
+
+
+def assert_kernel_matches_reference(sys, alpha, lam):
+    out = sys.translate_w(alpha, lam)
+    P1, Q1 = shift_reference(sys, alpha, lam)
+    assert_same_poly(out.P, P1)
+    assert_same_poly(out.Q, Q1)
+    assert out.tower is sys.tower
+    return out
+
+
 @KERNEL_SETTINGS
-@given(ramified_polys(), series_polys(), st.booleans())
-def test_subst_w_series_matches_binomial_reference(poly, series, with_remainder):
-    got = poly.subst_w_series(series, with_remainder=with_remainder)
-    assert_same_poly(got, binomial_reference(poly, series, with_remainder))
+@given(shift_systems(), nonzero_rationals, LAMS)
+def test_translate_w_matches_series_shift_reference(sys, alpha, lam):
+    assert_kernel_matches_reference(sys, alpha, lam)
 
 
 @KERNEL_SETTINGS
 @given(
-    ramified_polys(sqrt2_values(), SQRT2_TOWER),
-    series_polys(sqrt2_values(), SQRT2_TOWER),
-    st.booleans(),
+    shift_systems(sqrt2_values(), SQRT2_TOWER),
+    sqrt2_values().filter(lambda c: not c.is_zero()),
+    LAMS,
 )
-def test_subst_w_series_over_sqrt2_tower(poly, series, with_remainder):
-    got = poly.subst_w_series(series, with_remainder=with_remainder)
-    assert got.tower == SQRT2_TOWER
-    assert_same_poly(got, binomial_reference(poly, series, with_remainder))
+def test_translate_w_over_sqrt2_tower(sys, alpha, lam):
+    out = assert_kernel_matches_reference(sys, alpha, lam)
+    assert out.P.tower == out.Q.tower == SQRT2_TOWER
 
 
-def test_subst_w_series_ram_ignores_the_input_declaration():
-    # a declared ram that no exponent uses does not survive the substitution;
-    # the series' exponents set it
+# Q[t]/(t^2 - 1), presumed irreducible though it is not: t - 1 and t + 1 are
+# zero divisors, so products of nonzero coefficients can vanish.
+PRESUMED_TOWER = Tower((Level(name="t0", minpoly=(Q(-1), Q(0), Q(1)), degree=2, presumed=True),))
+
+
+@st.composite
+def presumed_values(draw):
+    """a + b t with b = +-1: never zero, a zero divisor when a = +-b."""
+    a, b = draw(st.sampled_from([Q(-1), Q(0), Q(1), Q(2)])), draw(st.sampled_from([Q(-1), Q(1)]))
+    return PRESUMED_TOWER.from_fraction(a) + PRESUMED_TOWER.from_fraction(b) * PRESUMED_TOWER.generator(0)
+
+
+@KERNEL_SETTINGS
+@given(
+    shift_systems(presumed_values(), PRESUMED_TOWER),
+    presumed_values(),
+    LAMS,
+)
+def test_translate_w_over_presumed_tower(sys, alpha, lam):
+    out = assert_kernel_matches_reference(sys, alpha, lam)
+    assert not any(c.is_zero() for side in (out.P, out.Q) for c in side.terms.values())
+
+
+def test_translate_w_drops_products_of_zero_divisors():
+    # (t - 1)(t + 1) = 0 over the presumed tower: Q = (t + 1) w shifted by
+    # w -> (t - 1) + w1 loses its constant term
+    t = PRESUMED_TOWER.generator(0)
+    one = PRESUMED_TOWER.one()
+    sys = OdeSystem(
+        BiPoly({(0, 0): one}, tower=PRESUMED_TOWER),
+        BiPoly({(0, 1): t + one}, tower=PRESUMED_TOWER),
+        tower=PRESUMED_TOWER,
+    )
+    out = sys.translate_w(t - one, 0)
+    assert list(out.Q.terms) == [(0, 1)]
+    assert_same_poly(out.Q, shift_reference(sys, t - one, Q(0))[1])
+
+
+def test_translate_w_ram_ignores_the_input_declaration():
+    # a declared ram that no exponent uses does not survive the shift; the
+    # exponents and lam set it, on both sides
     poly = BiPoly({(Q(1), 2): Q(1)}, ram=3)
-    got = poly.subst_w_series(BiPoly({(Q(1, 2), 0): Q(1)}), with_remainder=True)
-    assert got.ram == 2
-    assert got.terms == {(Q(2), 0): Q(1), (Q(3, 2), 1): Q(2), (Q(1), 2): Q(1)}
+    shifted = {(Q(2), 0): Q(1), (Q(3, 2), 1): Q(2), (Q(1), 2): Q(1)}
+    out = OdeSystem(poly, BiPoly.zero()).translate_w(Q(1), Q(1, 2))
+    assert out.P.ram == 2 and out.P.terms == shifted
+    out = OdeSystem(BiPoly.zero(), poly).translate_w(Q(1), Q(1, 2))
+    assert out.Q.ram == 2 and out.Q.terms == shifted
+    # P1 = -1/2 z^(-1/2) Q1
+    assert out.P.ram == 2
+    assert out.P.terms == {(ze - Q(1, 2), we): -c / 2 for (ze, we), c in shifted.items()}
+
+
+@KERNEL_SETTINGS
+@given(ramified_polys(), series_polys())
+def test_eval_w_series_matches_power_reference(poly, series):
+    assert_same_poly(poly.eval_w_series(series), power_reference(poly, series))
+
+
+@KERNEL_SETTINGS
+@given(ramified_polys(sqrt2_values(), SQRT2_TOWER), series_polys(sqrt2_values(), SQRT2_TOWER))
+def test_eval_w_series_over_sqrt2_tower(poly, series):
+    got = poly.eval_w_series(series)
+    assert got.tower == SQRT2_TOWER
+    assert_same_poly(got, power_reference(poly, series))
 
 
 @KERNEL_SETTINGS
@@ -374,9 +476,10 @@ def assert_keys_normalized(p, *rams):
     series_polys(),
     rationals,
     st.fractions(min_value=-2, max_value=2, max_denominator=4),
-    st.booleans(),
+    nonzero_rationals,
+    LAMS,
 )
-def test_operations_keep_integral_keys_int(a, b, series, c, delta, with_remainder):
+def test_operations_keep_integral_keys_int(a, b, series, c, delta, alpha, lam):
     for p in (a, b, series):
         assert_keys_normalized(p, p.ram)
     assert_keys_normalized(a + b, a.ram, b.ram)
@@ -385,7 +488,11 @@ def test_operations_keep_integral_keys_int(a, b, series, c, delta, with_remainde
     assert_keys_normalized(a.scale(c), a.ram)
     assert_keys_normalized(a.diff_z(), a.ram)
     assert_keys_normalized(a.shift_z(delta), a.ram, delta.denominator)
-    assert_keys_normalized(a.subst_w_series(series, with_remainder), a.ram, series.ram)
+    assert_keys_normalized(a.eval_w_series(series), a.ram, series.ram)
+    if not (a.is_zero() and b.is_zero()):
+        out = OdeSystem(a, b).translate_w(alpha, lam)
+        assert_keys_normalized(out.P, a.ram, b.ram, lam.denominator)
+        assert_keys_normalized(out.Q, b.ram, lam.denominator)
 
 
 @KERNEL_SETTINGS
