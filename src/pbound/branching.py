@@ -53,9 +53,11 @@ from .newton import (
     vertex_critical_check,
 )
 from .polyode import (
-    BiPoly,
     OdeSystem,
     PuiseuxBranch,
+    _from_scaled,
+    _scaled_terms,
+    _shift_sides,
     coeff_profile,
     fold_profile,
     substitute_branch,
@@ -167,12 +169,14 @@ def _newton(sys: OdeSystem):
     return prof, lower_hull(support_points(prof), prof)
 
 
-def _fold_step(prof, lam_prev):
+def _fold_step(prof, lam_prev, n=1):
     """The pair (lam, alpha) after a 1-folded pair of exponent ``lam_prev``:
     lam = k0 - y1, k0 the order of P(z, 0) and y1 the lower of k_1 and
     l_0 - 1, and alpha = p0 / c1 with c1 = q0 lam [Q on it] - p1 [P on it].
     None when there is no abscissa-1 point or lam <= lam_prev; alpha None
-    when c1 cancels.
+    when c1 cancels.  The walk passes ``prof`` and ``lam_prev`` on the
+    scale n (n times each exponent, so y1 reads l_0 - n); lam is returned
+    unscaled.
 
     One edge is enough: after a 1-folded pair every support point at
     abscissa >= 2 has lam_prev-weight y + x lam_prev at least that of the
@@ -182,15 +186,15 @@ def _fold_step(prof, lam_prev):
     """
     k0, p0 = prof.p[0]
     p1, q0 = prof.p.get(1), prof.q.get(0)
-    heights = ([p1[0]] if p1 else []) + ([q0[0] - 1] if q0 else [])
+    heights = ([p1[0]] if p1 else []) + ([q0[0] - n] if q0 else [])
     if not heights:
         return None
     y1 = min(heights)
-    lam = Q(k0 - y1)
-    if lam <= lam_prev:
+    if k0 - y1 <= lam_prev:
         return None
+    lam = Q(k0 - y1, n)
     c1 = 0
-    if q0 is not None and q0[0] - 1 == y1:
+    if q0 is not None and q0[0] - n == y1:
         c1 = c1 + q0[1] * lam
     if p1 is not None and p1[0] == y1:
         c1 = c1 - p1[1]
@@ -280,21 +284,27 @@ class _Expander:
 
     def _resolve_resonance(self, node: _Node, rho) -> Leaf:
         """Step through a resonance of indicial ratio ``rho`` for at most
-        ``caps.depth`` steps; ``_fold_walk`` says why k0 alone decides."""
+        ``caps.depth`` steps; ``_fold_walk`` says why k0 alone decides.  The
+        nodes of the walk carry no system: only a returned leaf gets one."""
         cur = node
-        for sys, step in _fold_walk(node.system, node.lam_prev, rho=rho):
-            cur = replace(cur, system=sys)
+        for sides, step in _fold_walk(node.system, node.lam_prev, rho=rho):
             if cur.depth - node.depth == self.caps.depth:
-                return self._leaf(cur, "cap-exceeded", flags=("resonance-cap",))
+                return self._walk_leaf(cur, sides, "cap-exceeded", ("resonance-cap",))
             if step is None or step[0] > rho:
                 break
             if step[0] == rho:
                 # the linear term cancels at the balancing order and the
                 # inhomogeneity does not: no algebraic continuation
-                return self._leaf(cur, "non-algebraic", flags=("resonance-order-hit",))
-            # the walk yields the substituted system with the next node
+                return self._walk_leaf(cur, sides, "non-algebraic", ("resonance-order-hit",))
             cur = _child(cur, _Step(*step, 1, None, ""))
         raise CriticalFound(Witness("resonance", rho, cur.depth, cur.prefix, ("resonance",)))
+
+    def _walk_leaf(self, cur: _Node, sides, status, flags):
+        """A leaf at the walk's node ``cur``, its remainder system rebuilt
+        from the node's scaled sides."""
+        p, q, n, tower = sides
+        system = OdeSystem(_from_scaled(p, n, n, tower), _from_scaled(q, n, n, tower), tower=tower)
+        return self._leaf(replace(cur, system=system), status, flags=flags)
 
     # -- edge roots -> child steps ---------------------------------------------
 
@@ -389,7 +399,7 @@ def _leaf_key(leaf: Leaf):
 
 def closure_check(sys: OdeSystem, lam_prev=Q(0)):
     """``_closure`` on the profile of ``sys``."""
-    return _closure(fold_profile(sys), lam_prev)
+    return _closure(fold_profile(sys.P.terms, sys.Q.terms), lam_prev)
 
 
 def _closure(prof, lam_prev):
@@ -429,52 +439,64 @@ def resolve_resonance(sys: OdeSystem, lam_prev, rho, caps: Caps = DEFAULT_CAPS):
     return leaf.status, leaf
 
 
-def _cut(sys: OdeSystem, nu, bound):
-    """The terms of ``sys`` of nu-weight <= ``bound``, and the least
-    nu-weight of the others (None when none is dropped).
+def _walk_step(p, q, nu, lam, alpha, bound, n, tower):
+    """One step w = alpha z^lam + w1 of the walk on the scaled sides p, q of
+    P and Q (keys (n * z-exponent, j); ``nu`` = n lam): the terms of
+    lam-weight above ``bound`` are dropped and the others shifted by the one
+    kernel ``_shift_sides``.  Returns the new sides, without zeros, and the
+    least weight dropped (None when none is); weights and ``bound`` are on
+    the scale n too.
 
-    With every later exponent at least nu, a term z^e w^j of P reaches
-    P(z, 0) at order >= e + j nu, and one of Q, through -s' Q, at order
-    >= e - 1 + (j + 1) nu: its nu-weight.  Substitutions of exponents >= nu
-    never lower a nu-weight.
+    With every later exponent at least lam, a term z^e w^j of P reaches
+    P(z, 0) at order >= e + j lam, and one of Q, through -s' Q, at order
+    >= e - 1 + (j + 1) lam: its lam-weight.  The shift keeps the lam-weight
+    of every term it makes, and later shifts never lower one.
     """
-    kept, over = [], None  # over: the least excess of a dropped term
-    for terms, top in ((sys.P.terms, bound), (sys.Q.terms, bound + 1 - nu)):
-        keep, cuts, ram = {}, {}, 1
-        for key, c in terms.items():
-            cut = cuts.get(key[1])
-            if cut is None:
-                cut = cuts[key[1]] = top - key[1] * nu
-            if key[0] <= cut:
-                keep[key] = c
-                if type(key[0]) is not int:
-                    ram = math.lcm(ram, key[0].denominator)
-            elif over is None or key[0] - cut < over:
-                over = key[0] - cut
-        # the keys of sys are normal and its coefficients nonzero
-        kept.append(BiPoly._from_clean(keep, ram, sys.tower))
-    low = None if over is None else bound + over
-    return OdeSystem(kept[0], kept[1], tower=sys.tower), low
+    low, deg, kept = None, 0, ([], [])
+    for side, extra, out in ((p, 0, kept[0]), (q, nu - n, kept[1])):
+        for key, c in side.items():
+            weight = key[0] + key[1] * nu + extra
+            if weight <= bound:
+                out.append((key, c))
+                if key[1] > deg:
+                    deg = key[1]
+            elif low is None or weight < low:
+                low = weight
+    p1, q1 = _shift_sides(kept[0], kept[1], alpha, lam, n, deg, tower)
+    return (
+        {k: c for k, c in p1.items() if not f_is_zero(c)},
+        {k: c for k, c in q1.items() if not f_is_zero(c)},
+        low,
+    )
 
 
 def _fold_walk(sys: OdeSystem, lam, terms=1, rho=None):
     """The 1-fold steps after a 1-folded pair of exponent ``lam``.
 
-    Yields (system, step) at each node: the pair (lam, alpha) that
-    ``_fold_step`` reads there, or None where the walk ends.  Resuming after
-    a step substitutes it; a step with alpha None ends the walk.
+    Yields (sides, step) at each node: the pair (lam, alpha) that
+    ``_fold_step`` reads there, or None where the walk ends, and the node's
+    sides (p, q, n, tower) in the scaled form of ``_walk_step``.  Resuming
+    after a step takes it; a step with alpha None ends the walk.
+
+    The walk runs on integer exponents.  With N the ramification of
+    ``sys``, P and Q become plain dicts on (N * z-exponent, j) keys once, at
+    the entry; every exponent k0 - y1 a step reads lies in (1/N)Z, so N
+    never grows, and no BiPoly, OdeSystem or Fraction exponent is built
+    between steps.  Weights and the bound K are integers on the same scale;
+    a K off the lattice is floored, which keeps the same terms.
 
     A step reads k0, the order of P(z, 0), and the abscissa-1 point (1, y1)
-    alone (``fold_profile``), and (1, y1) has the least weight (``_cut``).
-    So the walk runs on the terms of weight <= K in the frame of ``sys``:
-    what it reads is exact while k0 <= K, and no term above K is formed.
-    An exponent k0 - y1 lies in (1/N)Z for the ramification N of ``sys``,
-    so N never grows.
+    alone (``fold_profile``), and (1, y1) has the least weight
+    (``_walk_step``).  So the walk runs on the terms of weight <= K in the
+    frame of ``sys``: what it reads is exact while k0 <= K, and no term
+    above K is formed.
 
     Extension (``rho`` None) guesses K at the first step, as the k0 of the
     ``terms``-th term if every step gains as the first.  When P(z, 0) runs
-    out while the current pass dropped terms, K was short: it rises to the
-    least weight dropped, and the walk starts again from ``sys``.  The steps
+    out while the current pass dropped terms, K was short.  It rises to the
+    k0 that the terms still missing need if each gains what the steps so
+    far gained on average, and at least to the least weight dropped; any
+    larger K is exact too.  The walk starts again from ``sys``: the steps
     are exact, so the new pass takes the ones already yielded again without
     yielding them.
 
@@ -489,30 +511,38 @@ def _fold_walk(sys: OdeSystem, lam, terms=1, rho=None):
     where P(z, 0) is zero, (1, y1) is a critical vertex (r = rho).  So K is
     never raised.
     """
-    found = []  # the steps yielded and taken
-    bound = None  # K, set at the first step
+    n, tower = sys.ram, sys.tower
+    entry = (_scaled_terms(sys.P, n)[0], _scaled_terms(sys.Q, n)[0])
+    start = lam.numerator * n // lam.denominator  # n lam, floored
+    found = []  # (n lam, lam, alpha) of the steps yielded and taken
+    bound = None  # K on the scale n, set at the first step
     while True:
-        cur, low = sys, None  # low: the least weight dropped in this pass
-        for n in itertools.count():
-            if n < len(found):
-                step = found[n]
+        (p, q), low = entry, None  # low: the least weight dropped in this pass
+        for i in itertools.count():
+            if i < len(found):
+                nu, mu, alpha = found[i]
             else:
-                prof = fold_profile(cur)
+                prof = fold_profile(p, q)
                 if 0 not in prof.p and low is not None and rho is None:
                     break
-                step = _fold_step(prof, found[-1][0] if found else lam) if 0 in prof.p else None
-                if step is not None and bound is None:
-                    bound = prof.p[0][0] + (rho - step[0] if rho is not None else (terms - 1) * (step[0] - lam))
-                yield cur, step
+                prev = found[-1][0] if found else start
+                step = _fold_step(prof, prev, n) if 0 in prof.p else None
+                if step is not None:
+                    k0, nu = prof.p[0][0], step[0].numerator * (n // step[0].denominator)
+                    if bound is None:
+                        far = (rho - step[0]) * n if rho is not None else (terms - 1) * (nu - n * lam)
+                        bound = k0 + math.floor(far)
+                yield (p, q, n, tower), step
                 if step is None or step[1] is None:
                     return
-                found.append(step)
-            cur, dropped = _cut(cur, step[0], bound)
+                mu, alpha = step
+                found.append((nu, mu, alpha))
+            p, q, dropped = _walk_step(p, q, nu, mu, alpha, bound, n, tower)
             if dropped is not None and (low is None or dropped < low):
                 low = dropped
-            cur = substitute_branch(cur, *step, check_acceptable=False, normalize=False)
-        # K guessed short: raise it to the least weight dropped
-        bound = low
+        # K guessed short: raise it by the gain the missing terms need
+        missing, gained = terms - len(found), found[-1][0] - start
+        bound = max(low, k0 + -(-missing * gained // len(found)))  # ceil
 
 
 def extend_leaf(leaf: Leaf, n_terms: int):

@@ -643,29 +643,23 @@ class OdeSystem:
         P1 = P(z, alpha z^lam + w1) - alpha lam z^(lam-1) Q1, in the same
         z-frame.
 
-        A term c z^e w^k gives C(k, j) alpha^(k-j) c at z^(e + (k-j) lam) w^j
-        for j <= k; the factors and the shifts (k-j) lam are formed once up
-        to the w-degree.  Exponents are added as integers over a common
-        denominator n, each side is summed in one plain dict, and each
-        side's BiPoly is built once.  A side's ram is the lcm of its
-        exponents' denominators, and of lam's once it has a w-power; P1
-        takes Q1's when lam != 0.
+        Both sides go to plain dicts on integer exponents over a common
+        denominator n, through ``_shift_sides``, and back to one BiPoly
+        each.  A side's ram is the lcm of its exponents' denominators, and
+        of lam's once it has a w-power; P1 takes Q1's when lam != 0.
         """
-        num, den = lam.numerator, lam.denominator
+        den = lam.denominator
         n = math.lcm(self.P.ram, self.Q.ram, den)
-        step = num * (n // den)  # n lam
         tower = self.tower
-        table = _shift_table(alpha, step, max(self.P.w_degree(), self.Q.w_degree(), 0), tower)
-        q1, q_ram = _shift_terms(self.Q, table, n, den)
-        p1, p_ram = _shift_terms(self.P, table, n, den)
-        if num:
-            factor = -(alpha * (num if den == 1 else lam))
-            shift = step - n  # n (lam - 1)
-            for (s, j), c in q1.items():
-                key = (s + shift, j)
-                prod = c * factor
-                cur = p1.get(key)
-                p1[key] = prod if cur is None else cur + prod
+        p, p_ram = _scaled_terms(self.P, n)
+        q, q_ram = _scaled_terms(self.Q, n)
+        p_deg, q_deg = self.P.w_degree(), self.Q.w_degree()
+        if den > 1 and p_deg > 0:
+            p_ram = math.lcm(p_ram, den)
+        if den > 1 and q_deg > 0:
+            q_ram = math.lcm(q_ram, den)
+        p1, q1 = _shift_sides(p.items(), q.items(), alpha, lam, n, max(p_deg, q_deg, 0), tower)
+        if lam:
             p_ram = math.lcm(p_ram, den, q_ram)
         P1 = _from_scaled(p1, n, p_ram, self.P.tower or tower)
         Q1 = _from_scaled(q1, n, q_ram, self.Q.tower or tower)
@@ -702,33 +696,65 @@ def _shift_table(alpha, step, deg, tower):
     return table
 
 
-def _shift_terms(poly: BiPoly, table, n, den):
-    """poly(z, alpha z^lam + w) as a plain dict on (n * z-exponent, j) keys,
-    zeros kept, and its ram: the lcm of poly's exponent denominators, and of
-    lam's (``den``) when poly has a w-power."""
-    out = {}
-    ram = 1
+def _scaled_terms(poly: BiPoly, n):
+    """poly's terms on (n * z-exponent, j) keys, and the lcm of its
+    exponents' denominators; n must be a multiple of ``poly.ram``."""
+    if n == 1:
+        return poly.terms, 1
+    out, ram = {}, 1
     for (ze, we), c in poly.terms.items():
         if type(ze) is int:
-            s = ze * n
+            out[(ze * n, we)] = c
         else:
             ram = math.lcm(ram, ze.denominator)
-            s = ze.numerator * (n // ze.denominator)
+            out[(ze.numerator * (n // ze.denominator), we)] = c
+    return out, ram
+
+
+def _shift_sides(p_items, q_items, alpha, lam, n, deg, tower):
+    """The one shift kernel: P1 and Q1 of ``translate_w`` as plain dicts on
+    (n * z-exponent, j) keys, zeros kept, from the (key, coefficient) items
+    of P and Q on those keys; ``deg`` bounds their w-degree and n lam must
+    be an integer.
+
+    A term c z^e w^k gives C(k, j) alpha^(k-j) c at z^(e + (k-j) lam) w^j
+    for j <= k, with the factors and shifts of ``_shift_table``; then
+    -alpha lam z^(lam-1) Q1 is added into P1.
+    """
+    num, den = lam.numerator, lam.denominator
+    step = num * (n // den)  # n lam
+    table = _shift_table(alpha, step, deg, tower)
+    q1 = _shift_terms(q_items, table)
+    p1 = _shift_terms(p_items, table)
+    if num:
+        factor = -(alpha * (num if den == 1 else lam))
+        shift = step - n  # n (lam - 1)
+        for (s, j), c in q1.items():
+            key = (s + shift, j)
+            prod = c * factor
+            cur = p1.get(key)
+            p1[key] = prod if cur is None else cur + prod
+    return p1, q1
+
+
+def _shift_terms(items, table):
+    """The (key, coefficient) items of a side, shifted by ``table``, summed
+    in one plain dict; zeros are kept."""
+    out = {}
+    for (s, we), c in items:
         for shift, j, factor in table[we]:
             key = (s + shift, j)
             prod = c if factor is None else c * factor
             cur = out.get(key)
             out[key] = prod if cur is None else cur + prod
-    if den > 1 and poly.w_degree() > 0:
-        ram = math.lcm(ram, den)
-    return out, ram
+    return out
 
 
 def _from_scaled(out, n, ram, tower) -> BiPoly:
-    """The BiPoly of a plain dict on (n * z-exponent, j) keys: the one place
-    where the shift drops zero coefficients (``f_is_zero``, so a product of
-    zero divisors over a presumed tower goes too) and turns exponents back
-    into ints and Fractions."""
+    """The BiPoly of a plain dict on (n * z-exponent, j) keys: zero
+    coefficients are dropped (``f_is_zero``, so a product of zero divisors
+    over a presumed tower goes too) and exponents turn back into ints and
+    Fractions."""
     if n == 1:
         return BiPoly._from_clean({k: c for k, c in out.items() if not f_is_zero(c)}, ram, tower)
     exps, terms = {}, {}
@@ -768,11 +794,12 @@ class CoeffProfile:
     q: dict
 
 
-def _leading_entries(poly: BiPoly, powers=None):
+def _leading_entries(terms, powers=None):
     """w-power -> (z-exponent, coefficient) of its lowest unit coefficient,
-    for every w-power of ``poly`` or only those in ``powers``."""
+    for every w-power of a term dict or only those in ``powers``; the
+    exponents are read on the dict's own scale."""
     parts = {}
-    for (ze, we), c in poly.terms.items():
+    for (ze, we), c in terms.items():
         if powers is None or we in powers:
             parts.setdefault(we, []).append((ze, c))
     out = {}
@@ -786,12 +813,13 @@ def _leading_entries(poly: BiPoly, powers=None):
 
 
 def coeff_profile(sys: OdeSystem) -> CoeffProfile:
-    return CoeffProfile(p=_leading_entries(sys.P), q=_leading_entries(sys.Q))
+    return CoeffProfile(p=_leading_entries(sys.P.terms), q=_leading_entries(sys.Q.terms))
 
 
-def fold_profile(sys: OdeSystem) -> CoeffProfile:
-    """The entries a 1-fold step reads: P at w^0 and w^1, Q at w^0."""
-    return CoeffProfile(p=_leading_entries(sys.P, (0, 1)), q=_leading_entries(sys.Q, (0,)))
+def fold_profile(p_terms, q_terms) -> CoeffProfile:
+    """The entries a 1-fold step reads, from the term dicts of P and Q:
+    P at w^0 and w^1, Q at w^0."""
+    return CoeffProfile(p=_leading_entries(p_terms, (0, 1)), q=_leading_entries(q_terms, (0,)))
 
 
 # ---------------------------------------------------------------------------
@@ -933,13 +961,12 @@ def _coerce_scalar(tower, x):
 # branch substitution and the residual oracle
 # ---------------------------------------------------------------------------
 
-def substitute_branch(sys: OdeSystem, lam, alpha, check_acceptable=True, normalize=True) -> OdeSystem:
+def substitute_branch(sys: OdeSystem, lam, alpha, check_acceptable=True) -> OdeSystem:
     """Remainder system for w1 after w = alpha z^lam + w1.
 
     Implements Q1(z,w1) = Q(z, alpha z^lam + w1) and
     P1(z,w1) = P(z, alpha z^lam + w1) - alpha lam z^(lam-1) Q(z, alpha z^lam + w1),
-    then, unless ``normalize`` is False, shifts the common z-power so all
-    exponents are nonnegative.
+    then shifts the common z-power so all exponents are nonnegative.
     """
     lam = Q(lam)
     if lam <= 0:
@@ -949,7 +976,7 @@ def substitute_branch(sys: OdeSystem, lam, alpha, check_acceptable=True, normali
     out = sys.translate_w(alpha, lam)
     if check_acceptable and not _pair_acceptable(sys, lam, out):
         raise OdeError("not an acceptable pair")
-    return out.normalized() if normalize else out
+    return out.normalized()
 
 
 def _pair_acceptable(sys: OdeSystem, lam, out: OdeSystem) -> bool:

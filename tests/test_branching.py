@@ -1,3 +1,5 @@
+import math
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -569,16 +571,16 @@ EXTENSION_FIXTURES = {
 
 @pytest.fixture
 def raise_counter(monkeypatch):
-    """The bounds K that ``extend_leaf`` cuts at; each raise of K walks
+    """The bounds K that the walk's steps cut at; each raise of K walks
     again under the new bound, so a walk raised r times cuts at r + 1."""
     bounds = []
-    original = branching._cut
+    original = branching._walk_step
 
-    def recorded(sys, nu, bound):
+    def recorded(p, q, nu, lam, alpha, bound, n, tower):
         bounds.append(bound)
-        return original(sys, nu, bound)
+        return original(p, q, nu, lam, alpha, bound, n, tower)
 
-    monkeypatch.setattr(branching, "_cut", recorded)
+    monkeypatch.setattr(branching, "_walk_step", recorded)
     return bounds
 
 
@@ -635,6 +637,61 @@ def test_truncated_extension_matches_full_remainder(name, raise_counter):
         finite = [v for v in vals if v is not None]
         assert all(a < b for a, b in zip(finite, finite[1:])), (name, vals)
     assert wanted <= seen, (name, seen)
+
+
+@pytest.mark.parametrize("n_terms", [20, 30])
+def test_short_bound_rises_by_the_missing_gain(n_terms, raise_counter):
+    # K rises to the k0 the missing terms need at the average gain so far:
+    # two raises at 20 and at 30 terms, where rising to the least weight
+    # dropped took 9 and 14
+    system, point, _ = EXTENSION_FIXTURES["raises"]
+    (leaf,) = [lf for lf in expand_branches(transform_point(system, point)).leaves if lf.counted]
+    terms = extend_leaf(leaf, n_terms)
+    assert len(set(raise_counter)) - 1 == 2
+    assert _as_compared(terms) == _as_compared(reference_extend(leaf, n_terms))
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSION_FIXTURES))
+def test_extension_entered_off_the_lattice(name, raise_counter):
+    # the walk keeps exponents as integers over the ramification N of the
+    # remainder; an entry exponent 1/7 above the last one lies off (1/N)Z,
+    # below the next step, so the first guess of K is floored
+    system, point, _ = EXTENSION_FIXTURES[name]
+    for leaf in expand_branches(transform_point(system, point)).leaves:
+        if not (leaf.terms and leaf.counted):
+            continue
+        assert leaf.remainder.ram < 7
+        off = replace(leaf, lam_last=leaf.lam_last + Q(1, 7))
+        raise_counter.clear()
+        terms = extend_leaf(off, 10)
+        assert all(type(k) is int for k in raise_counter)
+        assert _as_compared(terms) == _as_compared(reference_extend(off, 10)), name
+        assert _as_compared(terms) == _as_compared(extend_leaf(leaf, 10)), name
+
+
+def half_indicial(rho, f):
+    """``indicial`` with the z-exponents of f in (1/2)Z."""
+    return OdeSystem(BiPoly({(0, 1): rho, **{(e, 0): c for e, c in f.items()}}), BiPoly({(1, 0): 1}))
+
+
+@pytest.mark.parametrize("caps, want", [(DEFAULT_CAPS, ("critical", 2)), (Caps(depth=1), ("cap-exceeded", 1))])
+@pytest.mark.parametrize(
+    "sys, lam_prev, rho",
+    [
+        (indicial(Q(7, 3), {1: 1, 2: 1, 3: 1}), Q(1, 2), Q(7, 3)),
+        (indicial(Q(5, 2), {1: 1, 2: 1, 3: 1}), Q(1, 2), Q(5, 2)),
+        (half_indicial(Q(7, 3), {Q(1, 2): 1, Q(3, 2): 1, Q(5, 2): 1}), Q(1, 4), Q(7, 3)),
+        (half_indicial(Q(7, 3), {Q(1, 2): 1, Q(3, 2): 1}), Q(1, 4), Q(7, 3)),
+    ],
+)
+def test_resonance_off_the_lattice(sys, lam_prev, rho, caps, want, raise_counter):
+    # rho has a denominator that does not divide N, so K = y1 + rho (y1 = 0
+    # here) lies off (1/N)Z: the walk cuts at floor(N K) and never raises it
+    got = resolve_resonance(sys, lam_prev, rho, caps)
+    status, found = got
+    assert (status, len(found.prefix if status == "critical" else found.terms)) == want
+    assert set(raise_counter) == {math.floor(sys.ram * rho)}
+    assert _resolution_compared(got) == _resolution_compared(reference_resolve(sys, lam_prev, rho, caps))
 
 
 SMALL_COEFFS = st.integers(-3, 3)
@@ -742,6 +799,22 @@ def test_fold_step_reads_k0_and_the_abscissa_one_point(p, q, lam_prev, want):
     assert _fold_step(CoeffProfile(p=p, q=q), Q(lam_prev)) == want
 
 
+@pytest.mark.parametrize(
+    "p, q, lam_prev, want",
+    [
+        # the Q point (2, 0) - (n, 0) lies below the P point and alone sets
+        # the edge: lam = (6 - 2) / 2 and c1 = q0 lam
+        ({0: (6, 1), 1: (4, 3)}, {0: (4, 1)}, 3, (Q(2), Q(1, 2))),
+        # both points at scaled height 2, c1 = 3/2 - 1; lam = 3/2 is past
+        # lam_prev = 5/4, which the walk passes floored, as 2
+        ({0: (5, 3), 1: (2, 1)}, {0: (4, 1)}, 2, (Q(3, 2), Q(6))),
+    ],
+)
+def test_fold_step_reads_exponents_on_the_walk_scale(p, q, lam_prev, want):
+    # the walk's profiles hold n times each exponent, here n = 2
+    assert _fold_step(CoeffProfile(p=p, q=q), lam_prev, 2) == want
+
+
 def reference_pair_acceptable(sys, lam, alpha):
     """Acceptability as it was checked before: the lowest order of
     Q(z, a z^l) a l z^(l-1) - P(z, a z^l), evaluated on its own."""
@@ -770,7 +843,7 @@ def test_pair_acceptable_reads_the_remainder(system, pairs):
         for alpha in rational_roots(nonzero_char_poly(edge))
     ]
     for lam, alpha in roots + [(lam, Q(a)) for lam, a in pairs if a]:
-        out = substitute_branch(system, lam, alpha, check_acceptable=False, normalize=False)
+        out = system.translate_w(alpha, lam)
         want = reference_pair_acceptable(system, lam, alpha)
         assert _pair_acceptable(system, lam, out) == want
         if (lam, alpha) in roots:
