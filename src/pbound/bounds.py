@@ -4,8 +4,10 @@ For an axis-form equation dw/dz = P/(z Q) the w-degree of any irreducible
 strict Darboux polynomial is bounded by the sum of the algebraic
 multiplicities over the axis singular points {infinity} + roots of P(0,w); if
 none of those points is algebraic critical the coarser product bound M(k+1)
-also holds, with M = max(deg P, deg zQ).  Transporting an invariant straight
-line onto the axis turns the same machinery into a total-degree bound M(M+1).
+also holds, with M = max(deg P, deg zQ).  Carrying an invariant straight
+line onto the axis, by one affine change of coordinates
+(``polyode.affine_map``), turns the same machinery into a total-degree bound
+M(M+1).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .branching import Caps, DEFAULT_CAPS, MultiplicityResult, multiplicity_at
-from .darboux import DarbouxCertificate, _swap_zw, verify_darboux
+from .darboux import DarbouxCertificate, verify_darboux
 from .exact import (
     ExactError,
     Q,
@@ -25,11 +27,7 @@ from .exact import (
     as_fraction,
     factor_univariate,
 )
-from .polyode import (
-    BiPoly,
-    OdeSystem,
-    bipoly_str,
-)
+from .polyode import BiPoly, OdeSystem, affine_map, bipoly_str
 from .sysparse import witness_report
 
 
@@ -233,44 +231,32 @@ def axis_multiplicity_bound(sys: OdeSystem, caps: Caps = DEFAULT_CAPS) -> BoundR
 # invariant lines and the total-degree bound
 # ---------------------------------------------------------------------------
 
-def _swap_system(sys: OdeSystem) -> OdeSystem:
-    """Exchange the roles of z and w (dz/dw = Q~/P~)."""
-    return OdeSystem(P=_swap_zw(sys.Q), Q=_swap_zw(sys.P), tower=sys.tower)
-
-
 def line_transform(sys: OdeSystem, line):
-    """Carry the invariant line a z + b w + c = 0 onto the axis z = 0.
+    """Carry the invariant line a z + b w + c = 0 onto the axis Z = 0.
 
-    Returns (axis-form OdeSystem, swapped) where swapped records the z/w
-    exchange applied when a = 0.
+    The line is checked in the given coordinates; ``affine_map`` then takes
+    Z = a z + b w + c with W = w, or W = z when a = 0.  Returns (axis-form
+    OdeSystem, swapped), where swapped records that z/w exchange.
     """
     a, b, c = (Q(x) for x in line)
     if a == 0 and b == 0:
         raise BoundsError("degenerate line")
-    swapped = False
-    if a == 0:
-        sys = _swap_system(sys)
-        a, b = b, a
-        swapped = True
-    line_poly = BiPoly({(Q(1), 0): a, (Q(0), 1): b, (Q(0), 0): c})
+    line_poly = BiPoly({(1, 0): a, (0, 1): b, (0, 0): c})
     cert = verify_darboux(sys, line_poly)
     if not isinstance(cert, DarbouxCertificate):
         raise BoundsError(
             "line %s is not invariant (division remainder %s)"
             % (bipoly_str(line_poly), bipoly_str(cert.remainder))
         )
-    # zbar = a z + b w + c, wbar = w; z = (zbar - b wbar - c)/a
-    z_expr = BiPoly({(Q(1), 0): Q(1) / a, (Q(0), 1): -b / a, (Q(0), 0): -c / a})
-    w_expr = BiPoly({(Q(0), 1): Q(1)})
-    A = sys.Q  # zdot
-    B = sys.P  # wdot
-    denom = (A.scale(a) + B.scale(b)).subst_affine(z_expr, w_expr)
-    numer = B.subst_affine(z_expr, w_expr)
-    if denom.is_zero():
+    if a:
+        out = affine_map(sys, ((a, b), (0, 1)), (-c / a, 0))
+    else:
+        out = affine_map(sys, ((0, b), (1, 0)), (0, -c / b))
+    if out.Q.is_zero():
         raise BoundsError("degenerate transform: denominator vanished")
-    if not all(ze >= 1 for (ze, _) in denom.terms):
+    if not all(ze >= 1 for (ze, _) in out.Q.terms):
         raise BoundsError("internal: transformed denominator lost its z factor")
-    return OdeSystem(P=numer, Q=denom, tower=sys.tower), swapped
+    return out, a == 0
 
 
 def invariant_line_bound(sys: OdeSystem, line, caps: Caps = DEFAULT_CAPS) -> BoundReport:

@@ -495,7 +495,9 @@ def _fold_walk(sys: OdeSystem, lam, terms=1, rho=None):
     ``terms``-th term if every step gains as the first.  When P(z, 0) runs
     out while the current pass dropped terms, K was short.  It rises to the
     k0 that the terms still missing need if each gains what the steps so
-    far gained on average, and at least to the least weight dropped; any
+    far gained on average, and at least to the least weight dropped.  After
+    a pass that found no new step, as on a series that terminates, that
+    estimate does not move, so K rises by at least twice its last rise; any
     larger K is exact too.  The walk starts again from ``sys``: the steps
     are exact, so the new pass takes the ones already yielded again without
     yielding them.
@@ -516,6 +518,7 @@ def _fold_walk(sys: OdeSystem, lam, terms=1, rho=None):
     start = lam.numerator * n // lam.denominator  # n lam, floored
     found = []  # (n lam, lam, alpha) of the steps yielded and taken
     bound = None  # K on the scale n, set at the first step
+    taken, rise = 0, 0  # steps found before this pass, and K's last rise
     while True:
         (p, q), low = entry, None  # low: the least weight dropped in this pass
         for i in itertools.count():
@@ -540,9 +543,13 @@ def _fold_walk(sys: OdeSystem, lam, terms=1, rho=None):
             p, q, dropped = _walk_step(p, q, nu, mu, alpha, bound, n, tower)
             if dropped is not None and (low is None or dropped < low):
                 low = dropped
-        # K guessed short: raise it by the gain the missing terms need
+        # K guessed short: raise it by the gain the missing terms need, and
+        # after a pass without a new step by at least twice the last rise
         missing, gained = terms - len(found), found[-1][0] - start
-        bound = max(low, k0 + -(-missing * gained // len(found)))  # ceil
+        raised = max(low, k0 + -(-missing * gained // len(found)))  # ceil
+        if len(found) == taken:
+            raised = max(raised, bound + 2 * rise)
+        taken, rise, bound = len(found), raised - bound, raised
 
 
 def extend_leaf(leaf: Leaf, n_terms: int):

@@ -27,7 +27,7 @@ from .bounds import BoundReport, axis_multiplicity_bound
 from .branching import Caps, DEFAULT_CAPS, multiplicity_at
 from .darboux import DarbouxCertificate, search_darboux, verify_darboux
 from .exact import Q, in_q_minus, in_q_plus
-from .polyode import BiPoly, OdeSystem, make_system
+from .polyode import BiPoly, OdeSystem, affine_map, make_system
 from .sysparse import multiplicity_report
 
 
@@ -206,15 +206,10 @@ def verify_symmetry(p: LvParams, which: str) -> bool:
     old_sys = lv_equation(p)
     new_sys = lv_equation(new)
     if which == "axes-swap":
-        # (Z, W) = (w/a, z/a): dW/dZ = Q(aW, aZ)/P(aW, aZ)
-        a = p.a
-        z_expr = BiPoly({(Q(0), 1): a})  # z = a W
-        w_expr = BiPoly({(Q(1), 0): a})  # w = a Z
-        num = old_sys.Q.subst_affine(z_expr, w_expr)
-        den = old_sys.P.subst_affine(z_expr, w_expr)
-        lhs = num * new_sys.Q
-        rhs = den * new_sys.P
-        return lhs.terms == rhs.terms
+        # (Z, W) = (w/a, z/a); the new field must be parallel to new_sys's
+        inv = 1 / p.a
+        moved = affine_map(old_sys, ((0, inv), (inv, 0)), (0, 0))
+        return (moved.P * new_sys.Q).terms == (moved.Q * new_sys.P).terms
     if which == "inversion":
         # (Z, W) = (1/z, (1-c) w/z): dW/dZ = -(1-c)(z P - w Q)/Q at the
         # substitution z = 1/Z, w = W/((1-c) Z)

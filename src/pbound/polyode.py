@@ -208,36 +208,12 @@ class BiPoly:
         """Substitute w -> series(z): each w-power of the series is built
         once, and every product lands in one dict."""
         tower = self.tower or series.tower
-        pows = [BiPoly.const(field_one(tower), tower=tower)]
-        for _ in range(max(self.w_degree(), 0)):
-            pows.append(pows[-1] * series)
+        pows = _powers(series, max(self.w_degree(), 0), tower)
         out = {}
         ram = 1
         for (ze, we), c in self.terms.items():
             ram = math.lcm(ram, ze.denominator, pows[we].ram)
             _accumulate(out, c, ze, pows[we])
-        return BiPoly(out, ram=ram, tower=tower)
-
-    def subst_affine(self, z_expr: "BiPoly", w_expr: "BiPoly"):
-        """Substitute z -> z_expr, w -> w_expr (plain polynomials only)."""
-        if self.ram != 1:
-            raise OdeError("affine substitution requires integer exponents")
-        tower = self.tower
-        zpows = {0: BiPoly.const(field_one(tower), tower=tower)}
-        wpows = {0: BiPoly.const(field_one(tower), tower=tower)}
-
-        def power(cache, basep, n):
-            if n not in cache:
-                cache[n] = power(cache, basep, n - 1) * basep
-            return cache[n]
-
-        out = {}
-        ram = 1
-        for (ze, we), c in self.terms.items():
-            piece = power(zpows, z_expr, int(ze)) * power(wpows, w_expr, we)
-            tower = tower or piece.tower
-            ram = math.lcm(ram, piece.ram)
-            _accumulate(out, c, 0, piece)
         return BiPoly(out, ram=ram, tower=tower)
 
     def map_tower(self, tower: Tower):
@@ -265,6 +241,14 @@ class BiPoly:
 
     def __repr__(self):
         return bipoly_str(self)
+
+
+def _powers(base: BiPoly, deg, tower=None):
+    """[1, base, ..., base^deg], the 1 in ``tower``."""
+    pows = [BiPoly.const(field_one(tower), tower=tower), base]
+    for _ in range(deg - 1):
+        pows.append(pows[-1] * base)
+    return pows[: deg + 1]
 
 
 def _accumulate(out, c, ze, poly):
@@ -858,25 +842,72 @@ class PuiseuxBranch:
 
 
 # ---------------------------------------------------------------------------
-# point transforms
+# point transforms: every affine change of coordinates is one matrix for
+# ``affine_map`` (a point off the axis, ``shear_point``, the invariant line of
+# ``bounds.line_transform`` and the axes swap of ``lotka.verify_symmetry``);
+# a point on the axis takes ``translate_w``, (z0, infinity) an inversion
 # ---------------------------------------------------------------------------
+
+def affine_map(sys: OdeSystem, m, at) -> OdeSystem:
+    """The system in the coordinates (Z, W) = m (z - z0, w - w0), for an
+    invertible m = ((m00, m01), (m10, m11)) and at = (z0, w0).
+
+    The field (zdot, wdot) = (Q, P) becomes m (Q, P), evaluated at
+    (z, w) = at + m^-1 (Z, W).  Each side is substituted once, term by term,
+    with cached powers of the two affine forms; a zero entry of m leaves its
+    side out of m (Q, P) and a unit entry multiplies nothing.  Needs integer
+    exponents.
+    """
+    (m00, m01), (m10, m11) = ((_coerce_scalar(None, x) for x in row) for row in m)
+    det = m00 * m11 - m01 * m10
+    if f_is_zero(det):
+        raise OdeError("singular affine map")
+    if sys.ram != 1:
+        raise OdeError("affine map requires integer exponents")
+    inv = f_inv(det)
+    # z = z0 + (m11 Z - m01 W) / det, w = w0 + (m00 W - m10 Z) / det
+    z_form = BiPoly({(0, 0): _coerce_scalar(None, at[0]), (1, 0): m11 * inv, (0, 1): -m01 * inv})
+    w_form = BiPoly({(0, 0): _coerce_scalar(None, at[1]), (1, 0): -m10 * inv, (0, 1): m00 * inv})
+    zpows = _powers(z_form, max(sys.P.z_degree(), sys.Q.z_degree()))
+    wpows = _powers(w_form, max(sys.P.w_degree(), sys.Q.w_degree()))
+    subst = []
+    for side in (sys.Q, sys.P):
+        out = {}
+        for (i, j), c in side.terms.items():
+            for (z1, w1), c1 in zpows[i].terms.items():
+                cc = c * c1
+                for (z2, w2), c2 in wpows[j].terms.items():
+                    key = (z1 + z2, w1 + w2)
+                    prod = cc * c2
+                    cur = out.get(key)
+                    out[key] = prod if cur is None else cur + prod
+        subst.append(out)
+    tower = sys.tower or sys.P.tower or sys.Q.tower
+    new = []
+    for row in ((m10, m11), (m00, m01)):  # P, then Q
+        out = {}
+        for f, side in zip(row, subst):
+            if f_is_zero(f):
+                continue
+            unit = f == 1
+            for key, c in side.items():
+                prod = c if unit else c * f
+                cur = out.get(key)
+                out[key] = prod if cur is None else cur + prod
+        new.append(BiPoly(out, tower=tower))
+    return OdeSystem(new[0], new[1], tower=sys.tower)
+
 
 def translate_point(sys: OdeSystem, z0, w0) -> OdeSystem:
     """Move the point (z0, w0) to the origin.
 
     On the axis z0 = 0 this is the shift w -> w0 + w of ``translate_w`` (the
-    identity at the origin); only z0 != 0 takes the affine substitution."""
-    tower = sys.tower
+    identity at the origin); only z0 != 0 takes ``affine_map``."""
     if f_is_zero(z0):
         if f_is_zero(w0):
             return sys
-        return sys.translate_w(_coerce_scalar(tower, w0), 0)
-    one = field_one(tower)
-    z_expr = BiPoly({(1, 0): one, (0, 0): _coerce_scalar(tower, z0)}, tower=tower)
-    w_expr = BiPoly({(0, 1): one, (0, 0): _coerce_scalar(tower, w0)}, tower=tower)
-    return OdeSystem(
-        sys.P.subst_affine(z_expr, w_expr), sys.Q.subst_affine(z_expr, w_expr), tower=tower
-    )
+        return sys.translate_w(_coerce_scalar(sys.tower, w0), 0)
+    return affine_map(sys, ((1, 0), (0, 1)), (z0, w0))
 
 
 def invert_at_infinity(sys: OdeSystem, z0=Q(0)) -> OdeSystem:
@@ -886,22 +917,11 @@ def invert_at_infinity(sys: OdeSystem, z0=Q(0)) -> OdeSystem:
     wbar) is cancelled afterwards.
     """
     tower = sys.tower
-    if not (isinstance(z0, (int, Fraction)) and Q(z0) == 0):
-        sys = translate_point(sys, z0, field_zero(tower) if tower else Q(0))
-        sys = OdeSystem(sys.P, sys.Q, tower=tower)
+    if not f_is_zero(z0):
+        sys = translate_point(sys, z0, 0)
     D = max(sys.P.w_degree(), sys.Q.w_degree())
-    newP = {}
-    for (ze, we), c in sys.P.terms.items():
-        key = (ze, D - we + 2)
-        cur = newP.get(key)
-        newP[key] = -c if cur is None else cur - c
-    newQ = {}
-    for (ze, we), c in sys.Q.terms.items():
-        key = (ze, D - we)
-        cur = newQ.get(key)
-        newQ[key] = c if cur is None else cur + c
-    Pb = BiPoly(newP, tower=tower)
-    Qb = BiPoly(newQ, tower=tower)
+    Pb = BiPoly({(ze, D - we + 2): -c for (ze, we), c in sys.P.terms.items()}, tower=tower)
+    Qb = BiPoly({(ze, D - we): c for (ze, we), c in sys.Q.terms.items()}, tower=tower)
     dz = min(min((ze for (ze, _) in Pb.terms), default=0), min((ze for (ze, _) in Qb.terms), default=0))
     dw = min(min((we for (_, we) in Pb.terms), default=0), min((we for (_, we) in Qb.terms), default=0))
     if dz or dw:
@@ -912,44 +932,23 @@ def invert_at_infinity(sys: OdeSystem, z0=Q(0)) -> OdeSystem:
 
 def shear_point(sys: OdeSystem, a, b, c, z0=Q(0), w0=Q(0)) -> OdeSystem:
     """W = a (w - w0) + b (z - z0), Z = c (z - z0); needs a, c nonzero."""
-    a, b, c = Q(a), Q(b), Q(c)
-    if a == 0 or c == 0:
+    if f_is_zero(a) or f_is_zero(c):
         raise OdeError("degenerate shear")
-    tower = sys.tower
-    # inverse substitution: z = z0 + Z/c, w = w0 + W/a - (b/(a c)) Z
-    z_expr = BiPoly(
-        {(1, 0): _coerce_scalar(tower, Q(1) / c), (0, 0): _coerce_scalar(tower, z0)},
-        tower=tower,
-    )
-    w_expr = BiPoly(
-        {
-            (0, 1): _coerce_scalar(tower, Q(1) / a),
-            (1, 0): _coerce_scalar(tower, -b / (a * c)),
-            (0, 0): _coerce_scalar(tower, w0),
-        },
-        tower=tower,
-    )
-    Ps = sys.P.subst_affine(z_expr, w_expr)
-    Qs = sys.Q.subst_affine(z_expr, w_expr)
-    newP = Ps.scale(_coerce_scalar(tower, a)) + Qs.scale(_coerce_scalar(tower, b))
-    newQ = Qs.scale(_coerce_scalar(tower, c))
-    return OdeSystem(newP, newQ, tower=tower)
+    return affine_map(sys, ((c, 0), (b, a)), (z0, w0))
 
 
 def transform_point(sys: OdeSystem, target) -> OdeSystem:
-    """Dispatch: ("point", z0, w0), ("inf", z0) or ("shear", a, b, c, z0, w0)."""
+    """Dispatch: ("point", z0, w0) or ("inf", z0)."""
     kind = target[0]
     if kind == "point":
         return translate_point(sys, target[1], target[2])
     if kind == "inf":
         return invert_at_infinity(sys, target[1])
-    if kind == "shear":
-        return shear_point(sys, *target[1:])
     raise OdeError("unknown transform target %r" % (target,))
 
 
 def _coerce_scalar(tower, x):
-    if isinstance(x, ExtElem):
+    if isinstance(x, ExtElem) or type(x) is int and (tower is None or tower.is_trivial()):
         return x
     x = Q(x)
     if tower is None or tower.is_trivial():

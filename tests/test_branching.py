@@ -651,6 +651,18 @@ def test_short_bound_rises_by_the_missing_gain(n_terms, raise_counter):
     assert _as_compared(terms) == _as_compared(reference_extend(leaf, n_terms))
 
 
+def test_terminating_series_doubles_the_rise(raise_counter):
+    # once the series is complete no pass finds a new step, and K rises by
+    # at least twice its last rise: 4 raises at 10 terms, where rising to
+    # the least weight dropped took 13
+    system, point, _ = EXTENSION_FIXTURES["terminates"]
+    (leaf,) = [lf for lf in expand_branches(transform_point(system, point)).leaves if lf.counted]
+    terms = extend_leaf(leaf, 10)
+    assert len(terms) == 3
+    assert sorted(set(raise_counter)) == [18, 20, 24, 32, 48]
+    assert _as_compared(terms) == _as_compared(reference_extend(leaf, 10))
+
+
 @pytest.mark.parametrize("name", sorted(EXTENSION_FIXTURES))
 def test_extension_entered_off_the_lattice(name, raise_counter):
     # the walk keeps exponents as integers over the ramification N of the

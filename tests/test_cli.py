@@ -69,6 +69,25 @@ def test_bound_from_file(tmp_path, capsys):
     assert data["bounds"]["line_bound"] == 6
 
 
+# LV(-1, 5, 0) as a plain system: the invariant lines z = 0 and w = 0
+LV_PLAIN = "dz/dt = z*(z + 0*w - 1); dw/dt = w*(5*z + w + 1)"
+
+
+def test_bound_with_a_horizontal_line_swaps_the_variables(capsys):
+    code, data = run_json(capsys, ["bound", "--system", LV_PLAIN, "--line", "0,1,0"])
+    assert code == 0
+    assert data["bounds"]["swapped_variables"] is True
+
+
+def test_non_invariant_horizontal_line_is_named_as_given(capsys):
+    # the line is checked in the given coordinates, before z and w swap
+    code = main(["bound", "--system", LV_PLAIN, "--line", "0,1,-5"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: line w - 5 is not invariant (division remainder 25*z + 30)\n"
+    )
+
+
 def test_darboux_search(capsys):
     lv0 = "dz/dt = z*(z + c*w - 1); dw/dt = w*(b*z + w - a); a=-1; b=0; c=0"
     code, data = run_json(capsys, ["darboux", "--system", lv0, "--max-degree", "1"])

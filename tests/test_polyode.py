@@ -11,6 +11,7 @@ from pbound.polyode import (
     OdeError,
     OdeSystem,
     PuiseuxBranch,
+    affine_map,
     bipoly_divexact,
     bipoly_str,
     biv_gcd,
@@ -440,22 +441,111 @@ def test_eval_w_series_over_sqrt2_tower(poly, series):
     assert_same_poly(got, power_reference(poly, series))
 
 
+def affine_reference(sys, m, at):
+    """The system in (Z, W) = m (z - z0, w - w0) by plain BiPoly products:
+    z and w as polynomials in (Z, W) from the adjugate of m, each power by
+    repeated multiplication, and then m (Q, P)."""
+    tower = sys.tower
+    (a, b), (c, d) = m
+    inv = Q(1) / (a * d - b * c)
+    Z, W = BiPoly.var_z(tower), BiPoly.var_w(tower)
+    z = BiPoly.const(at[0], tower=tower) + (Z.scale(d) - W.scale(b)).scale(inv)
+    w = BiPoly.const(at[1], tower=tower) + (W.scale(a) - Z.scale(c)).scale(inv)
+
+    def substituted(poly):
+        out = BiPoly.zero(tower)
+        for (ze, we), coeff in poly.terms.items():
+            term = BiPoly.const(coeff, tower=tower)
+            for _ in range(ze):
+                term = term * z
+            for _ in range(we):
+                term = term * w
+            out = out + term
+        return out
+
+    Qs, Ps = substituted(sys.Q), substituted(sys.P)
+    return OdeSystem(Qs.scale(c) + Ps.scale(d), Qs.scale(a) + Ps.scale(b), tower=tower)
+
+
+def inverse(m):
+    (a, b), (c, d) = m
+    inv = Q(1) / (a * d - b * c)
+    return ((d * inv, -b * inv), (-c * inv, a * inv))
+
+
+def invertible(entries):
+    return st.tuples(st.tuples(entries, entries), st.tuples(entries, entries)).filter(
+        lambda m: m[0][0] * m[1][1] - m[0][1] * m[1][0] != 0
+    )
+
+
+def affine_systems(coeffs=rationals, tower=None):
+    side = bipolys((1,), (0, 3), 3, min_terms=1, max_terms=5, coeffs=coeffs, tower=tower).filter(
+        lambda p: not p.is_zero()
+    )
+    return st.builds(lambda P, Q_: OdeSystem(P, Q_, tower=tower), side, side)
+
+
+AFFINE_ENTRIES = st.one_of(st.sampled_from([0, 1, -1]), rationals)
+
+
+def assert_same_system(got, want):
+    assert_same_poly(got.P, want.P)
+    assert_same_poly(got.Q, want.Q)
+    assert got.tower == want.tower
+
+
+@KERNEL_SETTINGS
+@given(affine_systems(), invertible(AFFINE_ENTRIES), st.tuples(rationals, rationals))
+def test_affine_map_matches_power_reference(sys, m, at):
+    got = affine_map(sys, m, at)
+    assert_same_system(got, affine_reference(sys, m, at))
+    # integer exponents in, int keys and no ramification out
+    for side in (got.P, got.Q):
+        assert side.ram == 1
+        assert all(type(ze) is int and type(we) is int for ze, we in side.terms)
+
+
 @KERNEL_SETTINGS
 @given(
-    bipolys((1,), (0, 4), 4),
-    bipolys((1,), (0, 1), 1, max_terms=3),
-    bipolys((1,), (0, 1), 1, max_terms=3),
+    affine_systems(sqrt2_values(), SQRT2_TOWER),
+    invertible(st.one_of(AFFINE_ENTRIES, sqrt2_values())),
+    st.tuples(sqrt2_values(), sqrt2_values()),
 )
-def test_subst_affine_matches_power_reference(poly, z_expr, w_expr):
-    want = BiPoly.zero()
-    for (ze, we), c in poly.terms.items():
-        term = BiPoly.const(c)
-        for _ in range(int(ze)):
-            term = term * z_expr
-        for _ in range(we):
-            term = term * w_expr
-        want = want + term
-    assert_same_poly(poly.subst_affine(z_expr, w_expr), want)
+def test_affine_map_over_sqrt2_tower(sys, m, at):
+    got = affine_map(sys, m, at)
+    assert got.tower == SQRT2_TOWER
+    assert_same_system(got, affine_reference(sys, m, at))
+
+
+def round_trip(sys, m, at):
+    """affine_map by m at p, then by m^-1 at -m p, which undoes it."""
+    (a, b), (c, d) = m
+    back = (-(a * at[0] + b * at[1]), -(c * at[0] + d * at[1]))
+    return affine_map(affine_map(sys, m, at), inverse(m), back)
+
+
+@KERNEL_SETTINGS
+@given(affine_systems(), invertible(AFFINE_ENTRIES), st.tuples(rationals, rationals))
+def test_affine_map_round_trip(sys, m, at):
+    assert_same_system(round_trip(sys, m, at), sys)
+
+
+@KERNEL_SETTINGS
+@given(
+    affine_systems(sqrt2_values(), SQRT2_TOWER),
+    invertible(st.one_of(AFFINE_ENTRIES, sqrt2_values())),
+    st.tuples(sqrt2_values(), sqrt2_values()),
+)
+def test_affine_map_round_trip_over_sqrt2_tower(sys, m, at):
+    assert_same_system(round_trip(sys, m, at), sys)
+
+
+@pytest.mark.parametrize("m", [((0, 0), (0, 0)), ((1, 2), (2, 4)), ((Q(1, 2), 1), (1, 2))])
+def test_affine_map_rejects_a_singular_matrix(m):
+    sys = lv_system(Q(-1), Q(5), Q(0))
+    with pytest.raises(OdeError, match="singular affine map"):
+        affine_map(sys, m, (1, 1))
 
 
 def assert_keys_normalized(p, *rams):
@@ -493,16 +583,6 @@ def test_operations_keep_integral_keys_int(a, b, series, c, delta, alpha, lam):
         out = OdeSystem(a, b).translate_w(alpha, lam)
         assert_keys_normalized(out.P, a.ram, b.ram, lam.denominator)
         assert_keys_normalized(out.Q, b.ram, lam.denominator)
-
-
-@KERNEL_SETTINGS
-@given(
-    bipolys((1,), (0, 3), 3),
-    bipolys((1, 2), (0, 2), 1, max_terms=3),
-    bipolys((1, 2), (0, 2), 1, max_terms=3),
-)
-def test_subst_affine_keeps_integral_keys_int(poly, z_expr, w_expr):
-    assert_keys_normalized(poly.subst_affine(z_expr, w_expr), z_expr.ram, w_expr.ram)
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +833,7 @@ def test_bipoly_divexact_over_sqrt2_multiplies_back(f, g):
 
 
 # ---------------------------------------------------------------------------
-# translation along the axis against the affine substitution
+# translation along the axis against the affine map
 # ---------------------------------------------------------------------------
 
 plain_polys = bipolys(
@@ -773,21 +853,15 @@ def coefficients(sys):
     st.one_of(st.integers(-3, 3), rationals),
     st.booleans(),
 )
-def test_translate_point_on_the_axis_matches_subst_affine(P, Q_, z0, w0, over_tower):
+def test_translate_point_on_the_axis_matches_affine_map(P, Q_, z0, w0, over_tower):
     sys = OdeSystem(P, Q_)
     if over_tower:
         # theta = sqrt 2 and its rational shifts, in Q(theta)
         sys = sys.map_tower(SQRT2_TOWER)
         w0 = SQRT2 + w0
-    tower = sys.tower
-    z_expr = BiPoly.var_z(tower)
-    w_expr = BiPoly({(0, 1): 1, (0, 0): w0}) if tower is None else BiPoly(
-        {(0, 1): tower.one(), (0, 0): w0}, tower=tower
-    )
     got = translate_point(sys, z0, w0)
-    assert got.tower == tower
-    assert_same_poly(got.P, sys.P.subst_affine(z_expr, w_expr))
-    assert_same_poly(got.Q, sys.Q.subst_affine(z_expr, w_expr))
+    assert got.tower == sys.tower
+    assert_same_system(got, affine_map(sys, ((1, 0), (0, 1)), (0, w0)))
     assert not any(isinstance(c, float) for c in coefficients(got))
 
 
