@@ -3,7 +3,8 @@ degree bounds for planar polynomial ODE systems dw/dz = P(z,w)/Q(z,w).
 
 Everything is exact: rationals, univariate polynomials over towers of
 algebraic extensions (with dynamic-evaluation splitting), and sparse
-bivariate polynomials with ramified z-exponents.  All values are immutable
+bivariate polynomials on integer exponents; a ramified branch system keeps
+its z-exponents on one integer scale n (z = t^n).  All values are immutable
 and all operations are pure functions, so concurrent use is safe and results
 are bit-for-bit reproducible.
 """
@@ -26,7 +27,6 @@ from .polyode import (
     PuiseuxBranch,
     coeff_profile,
     make_system,
-    residual_valuation,
     substitute_branch,
     transform_point,
 )
@@ -79,7 +79,6 @@ __all__ = [
     "PuiseuxBranch",
     "coeff_profile",
     "make_system",
-    "residual_valuation",
     "substitute_branch",
     "transform_point",
     "edge_char_poly",

@@ -140,7 +140,7 @@ def axis_singular_points(sys: OdeSystem):
 
 def axis_degree(sys: OdeSystem) -> int:
     """M = max(deg P, deg zQ) for an axis-form system."""
-    return int(max(sys.P.total_degree(), sys.Q.total_degree()))
+    return max(sys.P.total_degree(), sys.Q.total_degree())
 
 
 def _mul_at_algebraic_point(sys: OdeSystem, minpoly: UniPoly, caps: Caps):

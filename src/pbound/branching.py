@@ -53,13 +53,12 @@ from .newton import (
     vertex_critical_check,
 )
 from .polyode import (
+    BiPoly,
     OdeSystem,
     PuiseuxBranch,
-    _from_scaled,
-    _scaled_terms,
+    _nonzero,
     _shift_sides,
     coeff_profile,
-    fold_profile,
     substitute_branch,
     transform_point,
 )
@@ -165,18 +164,17 @@ def _transport_prefix(prefix, tower: Tower):
 
 def _newton(sys: OdeSystem):
     """The coefficient profile of a system and its Newton diagram."""
-    prof = coeff_profile(sys)
+    prof = coeff_profile(sys.P.terms, sys.Q.terms, sys.n)
     return prof, lower_hull(support_points(prof), prof)
 
 
-def _fold_step(prof, lam_prev, n=1):
+def _fold_step(prof, lam_prev):
     """The pair (lam, alpha) after a 1-folded pair of exponent ``lam_prev``:
     lam = k0 - y1, k0 the order of P(z, 0) and y1 the lower of k_1 and
     l_0 - 1, and alpha = p0 / c1 with c1 = q0 lam [Q on it] - p1 [P on it].
     None when there is no abscissa-1 point or lam <= lam_prev; alpha None
-    when c1 cancels.  The walk passes ``prof`` and ``lam_prev`` on the
-    scale n (n times each exponent, so y1 reads l_0 - n); lam is returned
-    unscaled.
+    when c1 cancels.  ``lam_prev`` is on the profile's scale n (n times
+    each exponent, so y1 reads l_0 - n); lam is returned unscaled.
 
     One edge is enough: after a 1-folded pair every support point at
     abscissa >= 2 has lam_prev-weight y + x lam_prev at least that of the
@@ -184,6 +182,7 @@ def _fold_step(prof, lam_prev, n=1):
     (0, k0) to (1, y1) is the only edge past lam_prev, and its polynomial
     c1 a - p0 is linear; otherwise no edge lies past lam_prev.
     """
+    n = prof.n
     k0, p0 = prof.p[0]
     p1, q0 = prof.p.get(1), prof.q.get(0)
     heights = ([p1[0]] if p1 else []) + ([q0[0] - n] if q0 else [])
@@ -300,10 +299,10 @@ class _Expander:
         raise CriticalFound(Witness("resonance", rho, cur.depth, cur.prefix, ("resonance",)))
 
     def _walk_leaf(self, cur: _Node, sides, status, flags):
-        """A leaf at the walk's node ``cur``, its remainder system rebuilt
-        from the node's scaled sides."""
+        """A leaf at the walk's node ``cur``, its remainder system built on
+        the node's sides."""
         p, q, n, tower = sides
-        system = OdeSystem(_from_scaled(p, n, n, tower), _from_scaled(q, n, n, tower), tower=tower)
+        system = OdeSystem(BiPoly._from_clean(p, tower), BiPoly._from_clean(q, tower), tower, n)
         return self._leaf(replace(cur, system=system), status, flags=flags)
 
     # -- edge roots -> child steps ---------------------------------------------
@@ -323,8 +322,8 @@ class _Expander:
                     out.append(_Step(edge.lam, None, d, None, note))
                     continue
                 work = sys if new_tower is None else sys.map_tower(new_tower)
-                child = substitute_branch(work, edge.lam, alpha, check_acceptable=False)
-                if child.ram > self.caps.ram:
+                child = substitute_branch(work, edge.lam, alpha)
+                if child.n > self.caps.ram:
                     out.append(_Step(edge.lam, None, d, None, "ramification-cap"))
                     continue
                 out.append(_Step(edge.lam, alpha, d, child, note))
@@ -399,7 +398,7 @@ def _leaf_key(leaf: Leaf):
 
 def closure_check(sys: OdeSystem, lam_prev=Q(0)):
     """``_closure`` on the profile of ``sys``."""
-    return _closure(fold_profile(sys.P.terms, sys.Q.terms), lam_prev)
+    return _closure(coeff_profile(sys.P.terms, sys.Q.terms, sys.n, fold=True), lam_prev)
 
 
 def _closure(prof, lam_prev):
@@ -411,7 +410,7 @@ def _closure(prof, lam_prev):
         return "generic", None
     k1 = prof.p.get(1)
     l0, q0 = prof.q[0]
-    if k1 is None or k1[0] != l0 - 1:
+    if k1 is None or k1[0] != l0 - prof.n:
         return "closed", None
     rho = k1[1] * f_inv(q0)
     # the rationality of the indicial ratio decides closure, so it must be
@@ -463,11 +462,7 @@ def _walk_step(p, q, nu, lam, alpha, bound, n, tower):
             elif low is None or weight < low:
                 low = weight
     p1, q1 = _shift_sides(kept[0], kept[1], alpha, lam, n, deg, tower)
-    return (
-        {k: c for k, c in p1.items() if not f_is_zero(c)},
-        {k: c for k, c in q1.items() if not f_is_zero(c)},
-        low,
-    )
+    return _nonzero(p1), _nonzero(q1), low
 
 
 def _fold_walk(sys: OdeSystem, lam, terms=1, rho=None):
@@ -478,15 +473,14 @@ def _fold_walk(sys: OdeSystem, lam, terms=1, rho=None):
     sides (p, q, n, tower) in the scaled form of ``_walk_step``.  Resuming
     after a step takes it; a step with alpha None ends the walk.
 
-    The walk runs on integer exponents.  With N the ramification of
-    ``sys``, P and Q become plain dicts on (N * z-exponent, j) keys once, at
-    the entry; every exponent k0 - y1 a step reads lies in (1/N)Z, so N
+    The walk runs on the term dicts of ``sys``, on its integer scale N =
+    ``sys.n``; every exponent k0 - y1 a step reads lies in (1/N)Z, so N
     never grows, and no BiPoly, OdeSystem or Fraction exponent is built
     between steps.  Weights and the bound K are integers on the same scale;
     a K off the lattice is floored, which keeps the same terms.
 
     A step reads k0, the order of P(z, 0), and the abscissa-1 point (1, y1)
-    alone (``fold_profile``), and (1, y1) has the least weight
+    alone (``coeff_profile`` with ``fold``), and (1, y1) has the least weight
     (``_walk_step``).  So the walk runs on the terms of weight <= K in the
     frame of ``sys``: what it reads is exact while k0 <= K, and no term
     above K is formed.
@@ -513,8 +507,8 @@ def _fold_walk(sys: OdeSystem, lam, terms=1, rho=None):
     where P(z, 0) is zero, (1, y1) is a critical vertex (r = rho).  So K is
     never raised.
     """
-    n, tower = sys.ram, sys.tower
-    entry = (_scaled_terms(sys.P, n)[0], _scaled_terms(sys.Q, n)[0])
+    n, tower = sys.n, sys.tower
+    entry = (sys.P.terms, sys.Q.terms)
     start = lam.numerator * n // lam.denominator  # n lam, floored
     found = []  # (n lam, lam, alpha) of the steps yielded and taken
     bound = None  # K on the scale n, set at the first step
@@ -525,11 +519,11 @@ def _fold_walk(sys: OdeSystem, lam, terms=1, rho=None):
             if i < len(found):
                 nu, mu, alpha = found[i]
             else:
-                prof = fold_profile(p, q)
+                prof = coeff_profile(p, q, n, fold=True)
                 if 0 not in prof.p and low is not None and rho is None:
                     break
                 prev = found[-1][0] if found else start
-                step = _fold_step(prof, prev, n) if 0 in prof.p else None
+                step = _fold_step(prof, prev) if 0 in prof.p else None
                 if step is not None:
                     k0, nu = prof.p[0][0], step[0].numerator * (n // step[0].denominator)
                     if bound is None:
@@ -587,7 +581,6 @@ def multiplicity_at(sys: OdeSystem, point, caps: Caps = DEFAULT_CAPS) -> Multipl
         branches.append(
             PuiseuxBranch(
                 terms=terms,
-                ram=math.lcm(*(mu.denominator for mu, _ in terms)),
                 base=point,
                 conj_degree=leaf.conj_degree,
                 status=leaf.status,

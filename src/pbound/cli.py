@@ -56,6 +56,9 @@ def _parse_caps(texts) -> Caps:
             fields[key] = int(val)
             if fields[key] < 0:
                 raise ValueError("cap %r must not be negative" % key)
+            if key == "ram" and fields[key] < 1:
+                # a branch's ramification index is at least 1
+                raise ValueError("cap 'ram' must be at least 1")
     return Caps(
         depth=fields["depth"],
         ram=fields["ram"],

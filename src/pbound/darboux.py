@@ -64,7 +64,7 @@ class DarbouxCertificate:
     certified: bool  # irreducibility certification strength
 
     def degree(self):
-        return int(self.f.total_degree())
+        return self.f.total_degree()
 
     def w_degree(self):
         return self.f.w_degree()
@@ -274,7 +274,7 @@ def detect_invariant_lines(sys: OdeSystem) -> LineDetection:
         for s_val, r_val in pairs:
             if is_rational_value(s_val) and is_rational_value(r_val):
                 s0, r0 = as_fraction(s_val), as_fraction(r_val)
-                cand = BiPoly({(Q(0), 1): Q(1), (Q(1), 0): -s0, (Q(0), 0): -r0})
+                cand = BiPoly({(0, 1): Q(1), (1, 0): -s0, (0, 0): -r0})
                 cert = verify_darboux(sys, cand)
                 if isinstance(cert, DarbouxCertificate):
                     lines.append(cert)
@@ -300,7 +300,7 @@ def _sloped_line_conditions(A: BiPoly, B: BiPoly):
         for (ze, we), c in poly.terms.items():
             for k in range(we + 1):
                 koeff = sign * c * math.comb(we, k)
-                m = int(ze) + k
+                m = ze + k
                 key = (k + extra_s_power, we - k)
                 bucket = conditions.setdefault(m, {})
                 bucket[key] = bucket.get(key, Q(0)) + koeff
@@ -446,7 +446,7 @@ def _substitute_s(p: BiPoly, s_val, tower):
         for (se, we), c in p.terms.items():
             if we != j:
                 continue
-            acc = acc + c * (s_val ** int(se))
+            acc = acc + c * (s_val ** se)
         coeffs.append(acc)
     return UniPoly(coeffs, var="r", tower=tower)
 
@@ -454,7 +454,7 @@ def _substitute_s(p: BiPoly, s_val, tower):
 def _eval_sr(p: BiPoly, s_val, r_val) -> bool:
     total = None
     for (se, we), c in p.terms.items():
-        term = c * (s_val ** int(se)) * (r_val**we)
+        term = c * (s_val ** se) * (r_val**we)
         total = term if total is None else total + term
     return total is None or f_is_zero(total)
 
@@ -518,7 +518,7 @@ def extactic_determinant(sys: OdeSystem, n: int) -> BiPoly:
     which is unpacked digit by digit, borrowing on negative digits, and
     divided by prod d_i.
     """
-    if sys.ram != 1:
+    if sys.n != 1:
         raise OdeError("extactic determinant requires integer exponents")
     basis = [
         BiPoly({(i, j): Q(1)})
@@ -538,7 +538,7 @@ def extactic_determinant(sys: OdeSystem, n: int) -> BiPoly:
             raise DarbouxError("extactic determinant requires rational coefficients")
         d = math.lcm(*(c.denominator for c in coeffs))
         ints = [
-            {(int(ze), we): c.numerator * (d // c.denominator) for (ze, we), c in g.terms.items()}
+            {(ze, we): c.numerator * (d // c.denominator) for (ze, we), c in g.terms.items()}
             for g in row
         ]
         scale *= d
@@ -630,8 +630,8 @@ def search_darboux(sys: OdeSystem, max_total_degree: int) -> SearchOutcome:
             continue
         # peel already-known invariant factors before the expensive gcd
         for known in [c.f for c in certs] + [
-            BiPoly({(Q(1), 0): Q(1)}),
-            BiPoly({(Q(0), 1): Q(1)}),
+            BiPoly({(1, 0): Q(1)}),
+            BiPoly({(0, 1): Q(1)}),
         ]:
             while e.total_degree() > 0:
                 quotient = bipoly_divexact(e, known)
@@ -643,7 +643,7 @@ def search_darboux(sys: OdeSystem, max_total_degree: int) -> SearchOutcome:
         if e.total_degree() > CORE_DEGREE_CAP:
             notes.append(
                 "degree %d: invariant-core extraction skipped on a degree-%d residual"
-                % (n, int(e.total_degree()))
+                % (n, e.total_degree())
             )
             partial = True
             continue
@@ -688,5 +688,5 @@ def _core_factors(core: BiPoly, n: int):
     if 0 < work.total_degree() <= n:
         out.append(work)
     elif work.total_degree() > n:
-        note = "unsplit invariant factor of degree %d" % int(work.total_degree())
+        note = "unsplit invariant factor of degree %d" % work.total_degree()
     return out, note

@@ -44,8 +44,8 @@ class LvParams:
 def lv_equation(p: LvParams) -> OdeSystem:
     """dw/dz = w(bz + w - a) / (z(z + cw - 1)) with exact coefficients."""
     a, b, c = p.a, p.b, p.c
-    P = BiPoly({(Q(1), 1): b, (Q(0), 2): Q(1), (Q(0), 1): -a})
-    Qd = BiPoly({(Q(2), 0): Q(1), (Q(1), 1): c, (Q(1), 0): Q(-1)})
+    P = BiPoly({(1, 1): b, (0, 2): Q(1), (0, 1): -a})
+    Qd = BiPoly({(2, 0): Q(1), (1, 1): c, (1, 0): Q(-1)})
     return make_system(P, Qd)
 
 
@@ -129,7 +129,7 @@ def classify(p: LvParams, caps: Caps = DEFAULT_CAPS) -> LvClassification:
     s = p.a * (1 - p.c) + (1 - p.b)
     sys = lv_equation(p)
     if s == 0:
-        curve = BiPoly({(Q(1), 0): p.a, (Q(0), 1): Q(1), (Q(0), 0): -p.a})
+        curve = BiPoly({(1, 0): p.a, (0, 1): Q(1), (0, 0): -p.a})
         cert = verify_darboux(sys, curve)
         if not isinstance(cert, DarbouxCertificate):
             raise AssertionError("a(z-1) + w failed verification at %s" % (p,))
@@ -214,8 +214,8 @@ def verify_symmetry(p: LvParams, which: str) -> bool:
         # (Z, W) = (1/z, (1-c) w/z): dW/dZ = -(1-c)(z P - w Q)/Q at the
         # substitution z = 1/Z, w = W/((1-c) Z)
         c = p.c
-        zP = BiPoly({(Q(1), 0): Q(1)}) * old_sys.P
-        wQ = BiPoly({(Q(0), 1): Q(1)}) * old_sys.Q
+        zP = BiPoly({(1, 0): Q(1)}) * old_sys.P
+        wQ = BiPoly({(0, 1): Q(1)}) * old_sys.Q
         num = (zP - wQ).scale(-(1 - c))
         den = old_sys.Q
         num_s = _subst_inversion(num, c)
@@ -232,7 +232,7 @@ def verify_symmetry(p: LvParams, which: str) -> bool:
 
 
 def _inv_clearing_degree(p: BiPoly) -> int:
-    return int(max((ze + we for (ze, we) in p.terms), default=0))
+    return max((ze + we for (ze, we) in p.terms), default=0)
 
 
 def _subst_inversion(p: BiPoly, c) -> BiPoly:
@@ -240,7 +240,7 @@ def _subst_inversion(p: BiPoly, c) -> BiPoly:
     d = _inv_clearing_degree(p)
     terms = {}
     for (ze, we), coeff in p.terms.items():
-        key = (Q(d) - ze - we, we)
+        key = (d - ze - we, we)
         val = coeff * (1 - c) ** (-we)
         terms[key] = terms.get(key, Q(0)) + val
     return BiPoly(terms)

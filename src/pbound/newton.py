@@ -3,7 +3,10 @@
 Support points are (j, k_j) for the numerator and (i+1, l_i - 1) for the
 denominator; admissible leading exponents lambda are the negated slopes of the
 lower-hull edges, and each edge carries a characteristic polynomial whose
-nonzero roots are the acceptable leading coefficients.
+nonzero roots are the acceptable leading coefficients.  Heights are integers
+on the scale n of the profile (n times each z-exponent), so a Q point sits at
+(i+1, l_i - n) and an edge of height drop dy over width dx has lambda =
+dy / (n dx).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .polyode import CoeffProfile
 @dataclass(frozen=True)
 class SupportPoint:
     x: int
-    y: Fraction
+    y: int  # on the profile's scale n
     from_p: bool
     from_q: bool
 
@@ -40,10 +43,10 @@ class SupportPoint:
 @dataclass
 class Edge:
     x1: int
-    y1: Fraction
+    y1: int
     x2: int
-    y2: Fraction
-    lam: Fraction  # negated slope
+    y2: int
+    lam: Fraction  # negated slope over n
     char_poly: Optional[UniPoly]  # None on a non-admissible edge
     points_on_edge: tuple
 
@@ -75,11 +78,12 @@ def support_points(profile: CoeffProfile):
     """One point per finite k_j (P) and per finite l_i (Q); coincident
     coordinates merge into a Both point."""
     seen = {}
+    n = profile.n
     for j, (kj, _) in profile.p.items():
         key = (j, kj)
         seen[key] = (True, seen.get(key, (False, False))[1])
     for i, (li, _) in profile.q.items():
-        key = (i + 1, li - 1)
+        key = (i + 1, li - n)
         prev = seen.get(key, (False, False))
         seen[key] = (prev[0], True)
     pts = [
@@ -127,7 +131,7 @@ def lower_hull(points, profile: CoeffProfile) -> NewtonDiagram:
             y1=a.y,
             x2=b.x,
             y2=b.y,
-            lam=-Q(b.y - a.y, 1) / Q(b.x - a.x),
+            lam=Q(a.y - b.y, profile.n * (b.x - a.x)),
             char_poly=None,
             points_on_edge=on_edge,
         )
@@ -191,7 +195,8 @@ def vertex_critical_check(diagram: NewtonDiagram, profile: CoeffProfile, lam_min
             if lam_star <= 0 or lam_star <= lam_min:
                 verdicts.append(VertexVerdict(j, lam_star, False, False))
                 continue
-            verdicts.append(VertexVerdict(j, lam_star, _strictly_dominates(diagram.points, v, lam_star), False))
+            dominates = _strictly_dominates(diagram.points, v, profile.n * lam_star)
+            verdicts.append(VertexVerdict(j, lam_star, dominates, False))
         else:
             # cannot decide real positivity exactly; never critical, but flag
             # possible dicriticality when some rational slope this vertex could
@@ -202,6 +207,8 @@ def vertex_critical_check(diagram: NewtonDiagram, profile: CoeffProfile, lam_min
 
 
 def _strictly_dominates(points, v, lam):
+    """True when the line of slope -lam through v, on the points' scale,
+    lies strictly below every other point."""
     for p in points:
         if p.x == v.x and p.y == v.y:
             continue

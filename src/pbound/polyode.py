@@ -1,7 +1,9 @@
 """Bivariate polynomials and planar ODE systems dw/dz = P(z,w)/Q(z,w).
 
-Supports ramified z-exponents (multiples of 1/nu) directly in the polynomial
-type, so the iterated branch substitutions never rewrite z globally.  All
+Every exponent is an integer.  A system reached by ramified Newton steps
+keeps its z-exponents on one integer scale n (``OdeSystem.n``): key (s, j)
+stands for z^(s/n) w^j, as in Duval's rational Puiseux expansions with
+z = t^n, so the iterated branch substitutions never rewrite z globally.  All
 coefficients are exact: ints or Fractions over the trivial tower, tower
 elements otherwise.
 """
@@ -34,47 +36,38 @@ class OdeError(Exception):
 
 
 class BiPoly:
-    """Sparse exact polynomial in z and w; z-exponents are nonnegative
-    rationals sharing the denominator ``ram``, w-exponents integers >= 0.
+    """Sparse exact polynomial in z and w on ``int`` exponent keys.
 
-    A z-exponent key is an ``int`` when it is integral and a ``Fraction``
-    only when it is not, so unramified arithmetic never touches Fractions;
-    ``hash`` and ``==`` agree across the two types.
+    An integral ``Fraction`` exponent becomes an ``int``, and any other
+    exponent raises ``OdeError``.  A branch system may hold negative
+    z-exponents between a Newton step and its normalization
+    (``OdeSystem.translate_w``).
 
     A coefficient is an ``int`` when it is an integral rational, otherwise a
     ``Fraction``, or an ``ExtElem`` of ``tower``.  The two rational types mix
     freely; every division goes through ``f_inv`` or ``Q(a, b)``, so no
     ``int / int`` ever makes a float."""
 
-    __slots__ = ("terms", "ram", "tower")
+    __slots__ = ("terms", "tower")
 
-    def __init__(self, terms=None, ram=1, tower: Optional[Tower] = None):
+    def __init__(self, terms=None, tower: Optional[Tower] = None):
         clean = {}
         if terms:
             for (ze, we), c in terms.items():
                 if f_is_zero(c):
                     continue
-                if type(ze) is not int:
-                    if type(ze) is not Fraction:
-                        ze = Q(ze)
-                    if ze.denominator == 1:
-                        ze = ze.numerator
-                    else:
-                        ram = math.lcm(ram, ze.denominator)
-                if type(we) is not int:
-                    we = int(we)
+                if type(ze) is not int or type(we) is not int:
+                    ze, we = _int_exponent(ze), _int_exponent(we)
                 clean[(ze, we)] = c
         self.terms = clean
-        self.ram = ram
         self.tower = tower
 
     @classmethod
-    def _from_clean(cls, terms, ram, tower):
-        """A BiPoly on ``terms`` taken as they are: keys already normalized
-        and no zero coefficient, so nothing is tested."""
+    def _from_clean(cls, terms, tower):
+        """A BiPoly on ``terms`` taken as they are: int keys and no zero
+        coefficient, so nothing is tested."""
         out = cls.__new__(cls)
         out.terms = terms
-        out.ram = ram
         out.tower = tower
         return out
 
@@ -115,7 +108,7 @@ class BiPoly:
         return max((ze + we for (ze, we) in self.terms), default=-1)
 
     def coeff(self, ze, we):
-        return self.terms.get((ze, int(we)), field_zero(self.tower))
+        return self.terms.get((ze, we), field_zero(self.tower))
 
     # -- ring operations -------------------------------------------------------
 
@@ -125,7 +118,7 @@ class BiPoly:
             cur = out.get(key)
             nc = c if sign > 0 else -c
             out[key] = nc if cur is None else cur + nc
-        return BiPoly(out, ram=math.lcm(self.ram, other.ram), tower=self.tower or other.tower)
+        return BiPoly(out, tower=self.tower or other.tower)
 
     def __add__(self, other):
         return self._merge(other, +1)
@@ -134,7 +127,7 @@ class BiPoly:
         return self._merge(other, -1)
 
     def __neg__(self):
-        return BiPoly._from_clean({k: -c for k, c in self.terms.items()}, self.ram, self.tower)
+        return BiPoly._from_clean({k: -c for k, c in self.terms.items()}, self.tower)
 
     def __mul__(self, other):
         if isinstance(other, BiPoly):
@@ -145,32 +138,25 @@ class BiPoly:
                     prod = c1 * c2
                     cur = out.get(key)
                     out[key] = prod if cur is None else cur + prod
-            return BiPoly(out, ram=math.lcm(self.ram, other.ram), tower=self.tower or other.tower)
+            return BiPoly(out, tower=self.tower or other.tower)
         return self.scale(other)
 
     __rmul__ = __mul__
 
     def scale(self, c):
         if f_is_zero(c):
-            return BiPoly._from_clean({}, self.ram, self.tower)
+            return BiPoly._from_clean({}, self.tower)
         terms = {k: v * c for k, v in self.terms.items()}
         if isinstance(c, ExtElem) and not c.is_rational() and any(
             lv.presumed for lv in c.tower.levels
         ):
             # over a presumed modulus c may be a zero divisor
-            return BiPoly(terms, ram=self.ram, tower=self.tower)
-        return BiPoly._from_clean(terms, self.ram, self.tower)
+            return BiPoly(terms, tower=self.tower)
+        return BiPoly._from_clean(terms, self.tower)
 
-    def shift_z(self, delta):
-        """Multiply by z^delta (delta may be any rational)."""
-        delta = Q(delta)
-        if delta.denominator == 1:
-            delta = delta.numerator
-        return BiPoly(
-            {(ze + delta, we): c for (ze, we), c in self.terms.items()},
-            ram=math.lcm(self.ram, delta.denominator),
-            tower=self.tower,
-        )
+    def shift_z(self, delta: int):
+        """Multiply by z^delta."""
+        return BiPoly._from_clean({(ze + delta, we): c for (ze, we), c in self.terms.items()}, self.tower)
 
     def diff_z(self):
         out = {}
@@ -178,7 +164,7 @@ class BiPoly:
             if ze == 0:
                 continue
             out[(ze - 1, we)] = c * ze
-        return BiPoly(out, ram=self.ram, tower=self.tower)
+        return BiPoly(out, tower=self.tower)
 
     def diff_w(self):
         out = {}
@@ -186,40 +172,12 @@ class BiPoly:
             if we == 0:
                 continue
             out[(ze, we - 1)] = c * we
-        return BiPoly(out, ram=self.ram, tower=self.tower)
+        return BiPoly(out, tower=self.tower)
 
-    def z_valuation(self):
-        """Lowest z-exponent carried by a unit coefficient; None if zero.
-
-        Over a presumed-irreducible tower a zero-divisor coefficient aborts
-        with TowerSplitError rather than returning a wrong valuation.
-        """
-        best = None
-        for (ze, we), c in sorted(self.terms.items(), key=lambda kv: kv[0][0]):
-            if best is not None and ze > best:
-                break
-            if not ensure_regular(c):
-                best = ze
-        return best
-
-    # -- substitution ----------------------------------------------------------
-
-    def eval_w_series(self, series: "BiPoly"):
-        """Substitute w -> series(z): each w-power of the series is built
-        once, and every product lands in one dict."""
-        tower = self.tower or series.tower
-        pows = _powers(series, max(self.w_degree(), 0), tower)
-        out = {}
-        ram = 1
-        for (ze, we), c in self.terms.items():
-            ram = math.lcm(ram, ze.denominator, pows[we].ram)
-            _accumulate(out, c, ze, pows[we])
-        return BiPoly(out, ram=ram, tower=tower)
+    # -- coefficient rings -----------------------------------------------------
 
     def map_tower(self, tower: Tower):
-        return BiPoly._from_clean(
-            {k: tower.coerce(c) for k, c in self.terms.items()}, self.ram, tower
-        )
+        return BiPoly._from_clean({k: tower.coerce(c) for k, c in self.terms.items()}, tower)
 
     def transport(self, new_tower: Tower):
         return BiPoly(
@@ -227,7 +185,6 @@ class BiPoly:
                 k: transport_elem(c, new_tower) if isinstance(c, ExtElem) else c
                 for k, c in self.terms.items()
             },
-            ram=self.ram,
             tower=new_tower,
         )
 
@@ -243,22 +200,21 @@ class BiPoly:
         return bipoly_str(self)
 
 
+def _int_exponent(e) -> int:
+    """An exponent as an int; OdeError unless it is an integer."""
+    if type(e) is int:
+        return e
+    if type(e) is Fraction and e.denominator == 1:
+        return e.numerator
+    raise OdeError("exponent %r is not an integer" % (e,))
+
+
 def _powers(base: BiPoly, deg, tower=None):
     """[1, base, ..., base^deg], the 1 in ``tower``."""
     pows = [BiPoly.const(field_one(tower), tower=tower), base]
     for _ in range(deg - 1):
         pows.append(pows[-1] * base)
     return pows[: deg + 1]
-
-
-def _accumulate(out, c, ze, poly):
-    """out += c z^ze poly on a plain term dict; zeros stay until the caller
-    builds its BiPoly."""
-    for (pze, pwe), pc in poly.terms.items():
-        key = (ze + pze, pwe)
-        prod = c * pc
-        cur = out.get(key)
-        out[key] = prod if cur is None else cur + prod
 
 
 def bipoly_str(p: BiPoly, zvar="z", wvar="w") -> str:
@@ -269,7 +225,7 @@ def bipoly_str(p: BiPoly, zvar="z", wvar="w") -> str:
     for (ze, we), c in terms:
         factors = []
         if ze != 0:
-            factors.append(zvar if ze == 1 else "%s^%s" % (zvar, _exp_str(ze)))
+            factors.append(zvar if ze == 1 else "%s^%d" % (zvar, ze))
         if we != 0:
             factors.append(wvar if we == 1 else "%s^%d" % (wvar, we))
         parts.append(_signed_term(c, factors))
@@ -312,20 +268,18 @@ def _exp_str(e: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 def bipoly_to_wpoly(p: BiPoly):
-    """List of UniPoly-in-z coefficients by ascending w-power (ram must be 1)."""
-    if p.ram != 1:
-        raise OdeError("w-major view requires integer exponents")
+    """List of UniPoly-in-z coefficients by ascending w-power."""
     tower = p.tower
     deg = p.w_degree()
     rows = [[] for _ in range(deg + 1)]
     maxz = {i: -1 for i in range(deg + 1)}
     for (ze, we), _ in p.terms.items():
-        maxz[we] = max(maxz[we], int(ze))
+        maxz[we] = max(maxz[we], ze)
     for we in range(deg + 1):
         coeffs = [field_zero(tower)] * (maxz[we] + 1)
         rows[we] = coeffs
     for (ze, we), c in p.terms.items():
-        rows[we][int(ze)] = c
+        rows[we][ze] = c
     return [UniPoly(r, var="z", tower=tower) for r in rows]
 
 
@@ -553,20 +507,18 @@ def bipoly_divexact(num: BiPoly, den: BiPoly) -> Optional[BiPoly]:
     tower = num.tower or den.tower
     if num.is_zero():
         return BiPoly.zero(tower)
-    if num.ram != 1 or den.ram != 1:
-        raise OdeError("exact division requires integer exponents")
-    nz, nw = int(num.z_degree()), num.w_degree()
+    nz, nw = num.z_degree(), num.w_degree()
     dw = den.w_degree()
-    qz_max = nz - int(den.z_degree())
+    qz_max = nz - den.z_degree()
     if qz_max < 0 or nw < dw:
         return None
     zero = field_zero(tower)
     rows = [[zero] * (nz + 1) for _ in range(nw + 1)]
     for (ze, we), c in num.terms.items():
-        rows[we][int(ze)] = c
-    dz = max(int(ze) for (ze, we) in den.terms if we == dw)
+        rows[we][ze] = c
+    dz = max(ze for (ze, we) in den.terms if we == dw)
     lc_inv = f_inv(den.terms[(dz, dw)])
-    rest = [(we, int(ze), c) for (ze, we), c in den.terms.items() if (ze, we) != (dz, dw)]
+    rest = [(we, ze, c) for (ze, we), c in den.terms.items() if (ze, we) != (dz, dw)]
     quotient = {}
     for i in range(nw, dw - 1, -1):
         row = rows[i]
@@ -594,32 +546,34 @@ def bipoly_divexact(num: BiPoly, den: BiPoly) -> Optional[BiPoly]:
 
 @dataclass(frozen=True)
 class OdeSystem:
-    """dw/dz = P/Q with exact coefficients; P is the numerator."""
+    """dw/dz = P/Q with exact coefficients; P is the numerator.
+
+    The z-exponents of P and Q lie on the integer scale ``n``: key (s, j)
+    stands for z^(s/n) w^j.  Parsed and transformed systems have n = 1; a
+    Newton step of exponent p/q makes a child on lcm(n, q)
+    (``translate_w``), so n is the lcm of the step denominators."""
 
     P: BiPoly
     Q: BiPoly
     tower: Optional[Tower] = None
+    n: int = 1
 
     def __post_init__(self):
         if self.P.is_zero() and self.Q.is_zero():
             raise OdeError("P and Q cannot both vanish")
 
-    @property
-    def ram(self):
-        return math.lcm(self.P.ram, self.Q.ram)
-
     def degree(self):
-        """max of total degrees (plain systems)."""
-        return int(max(self.P.total_degree(), self.Q.total_degree()))
+        """max of total degrees (systems with n = 1)."""
+        return max(self.P.total_degree(), self.Q.total_degree())
 
     def w_degrees(self):
         return self.P.w_degree(), self.Q.w_degree()
 
     def map_tower(self, tower: Tower) -> "OdeSystem":
-        return OdeSystem(self.P.map_tower(tower), self.Q.map_tower(tower), tower=tower)
+        return OdeSystem(self.P.map_tower(tower), self.Q.map_tower(tower), tower, self.n)
 
     def transport(self, new_tower: Tower) -> "OdeSystem":
-        return OdeSystem(self.P.transport(new_tower), self.Q.transport(new_tower), tower=new_tower)
+        return OdeSystem(self.P.transport(new_tower), self.Q.transport(new_tower), new_tower, self.n)
 
     def translate_w(self, alpha, lam) -> "OdeSystem":
         """The system for w1 after w = alpha z^lam + w1 (lam >= 0):
@@ -627,37 +581,33 @@ class OdeSystem:
         P1 = P(z, alpha z^lam + w1) - alpha lam z^(lam-1) Q1, in the same
         z-frame.
 
-        Both sides go to plain dicts on integer exponents over a common
-        denominator n, through ``_shift_sides``, and back to one BiPoly
-        each.  A side's ram is the lcm of its exponents' denominators, and
-        of lam's once it has a w-power; P1 takes Q1's when lam != 0.
+        For lam = p/q the result lies on the scale n' = lcm(n, q).  The keys
+        are rescaled only when q does not divide n, then shifted by the one
+        kernel ``_shift_sides``.
         """
+        n, tower = self.n, self.tower
+        p, q = self.P.terms, self.Q.terms
         den = lam.denominator
-        n = math.lcm(self.P.ram, self.Q.ram, den)
-        tower = self.tower
-        p, p_ram = _scaled_terms(self.P, n)
-        q, q_ram = _scaled_terms(self.Q, n)
-        p_deg, q_deg = self.P.w_degree(), self.Q.w_degree()
-        if den > 1 and p_deg > 0:
-            p_ram = math.lcm(p_ram, den)
-        if den > 1 and q_deg > 0:
-            q_ram = math.lcm(q_ram, den)
-        p1, q1 = _shift_sides(p.items(), q.items(), alpha, lam, n, max(p_deg, q_deg, 0), tower)
-        if lam:
-            p_ram = math.lcm(p_ram, den, q_ram)
-        P1 = _from_scaled(p1, n, p_ram, self.P.tower or tower)
-        Q1 = _from_scaled(q1, n, q_ram, self.Q.tower or tower)
-        return OdeSystem(P1, Q1, tower=tower)
+        if n % den:
+            k = den // math.gcd(n, den)
+            n *= k
+            p = {(s * k, j): c for (s, j), c in p.items()}
+            q = {(s * k, j): c for (s, j), c in q.items()}
+        deg = max(self.P.w_degree(), self.Q.w_degree(), 0)
+        p1, q1 = _shift_sides(p.items(), q.items(), alpha, lam, n, deg, tower)
+        return OdeSystem(
+            BiPoly._from_clean(_nonzero(p1), self.P.tower or tower),
+            BiPoly._from_clean(_nonzero(q1), self.Q.tower or tower),
+            tower,
+            n,
+        )
 
     def normalized(self) -> "OdeSystem":
         """Shift both sides by a common z-power so the lowest exponent is 0."""
-        vals = [ze for (ze, _) in self.P.terms] + [ze for (ze, _) in self.Q.terms]
-        if not vals:
+        low = min([s for (s, _) in self.P.terms] + [s for (s, _) in self.Q.terms], default=0)
+        if not low:
             return self
-        low = min(vals)
-        if low == 0:
-            return self
-        return OdeSystem(self.P.shift_z(-low), self.Q.shift_z(-low), tower=self.tower)
+        return OdeSystem(self.P.shift_z(-low), self.Q.shift_z(-low), self.tower, self.n)
 
 
 def _shift_table(alpha, step, deg, tower):
@@ -678,21 +628,6 @@ def _shift_table(alpha, step, deg, tower):
             row.append((i * step, j, factor))
         table.append(row)
     return table
-
-
-def _scaled_terms(poly: BiPoly, n):
-    """poly's terms on (n * z-exponent, j) keys, and the lcm of its
-    exponents' denominators; n must be a multiple of ``poly.ram``."""
-    if n == 1:
-        return poly.terms, 1
-    out, ram = {}, 1
-    for (ze, we), c in poly.terms.items():
-        if type(ze) is int:
-            out[(ze * n, we)] = c
-        else:
-            ram = math.lcm(ram, ze.denominator)
-            out[(ze.numerator * (n // ze.denominator), we)] = c
-    return out, ram
 
 
 def _shift_sides(p_items, q_items, alpha, lam, n, deg, tower):
@@ -734,29 +669,17 @@ def _shift_terms(items, table):
     return out
 
 
-def _from_scaled(out, n, ram, tower) -> BiPoly:
-    """The BiPoly of a plain dict on (n * z-exponent, j) keys: zero
-    coefficients are dropped (``f_is_zero``, so a product of zero divisors
-    over a presumed tower goes too) and exponents turn back into ints and
-    Fractions."""
-    if n == 1:
-        return BiPoly._from_clean({k: c for k, c in out.items() if not f_is_zero(c)}, ram, tower)
-    exps, terms = {}, {}
-    for (s, j), c in out.items():
-        if f_is_zero(c):
-            continue
-        ze = exps.get(s)
-        if ze is None:
-            ze = exps[s] = s // n if s % n == 0 else Fraction(s, n)
-        terms[(ze, j)] = c
-    return BiPoly._from_clean(terms, ram, tower)
+def _nonzero(terms):
+    """The term dict without its zero coefficients (``f_is_zero``, so a
+    product of zero divisors over a presumed tower goes too)."""
+    return {k: c for k, c in terms.items() if not f_is_zero(c)}
 
 
 def make_system(P: BiPoly, Q: BiPoly, tower=None, check_coprime=True):
-    """Validate and build a top-level system (plain exponents, coprime P, Q)."""
+    """Validate and build a top-level system (n = 1, coprime P, Q)."""
     if P.is_zero() or Q.is_zero():
         raise OdeError("P and Q must be nonzero")
-    if check_coprime and P.ram == 1 and Q.ram == 1 and (tower is None or tower.is_trivial()):
+    if check_coprime and (tower is None or tower.is_trivial()):
         g = biv_gcd(P, Q)
         if g.total_degree() > 0:
             raise OdeError("P and Q share the common factor %s" % bipoly_str(g))
@@ -771,17 +694,19 @@ def make_system(P: BiPoly, Q: BiPoly, tower=None, check_coprime=True):
 class CoeffProfile:
     """Leading z-data per w-power: k_i and p_{i,0} for P, l_i and q_{i,0} for Q.
 
-    Absent powers are simply missing from the mappings (conceptually +inf).
+    The exponents k_i and l_i are on the integer scale ``n`` of the system
+    they were read from.  Absent powers are simply missing from the mappings
+    (conceptually +inf).
     """
 
     p: dict
     q: dict
+    n: int = 1
 
 
 def _leading_entries(terms, powers=None):
     """w-power -> (z-exponent, coefficient) of its lowest unit coefficient,
-    for every w-power of a term dict or only those in ``powers``; the
-    exponents are read on the dict's own scale."""
+    for every w-power of a term dict or only those in ``powers``."""
     parts = {}
     for (ze, we), c in terms.items():
         if powers is None or we in powers:
@@ -796,14 +721,13 @@ def _leading_entries(terms, powers=None):
     return out
 
 
-def coeff_profile(sys: OdeSystem) -> CoeffProfile:
-    return CoeffProfile(p=_leading_entries(sys.P.terms), q=_leading_entries(sys.Q.terms))
-
-
-def fold_profile(p_terms, q_terms) -> CoeffProfile:
-    """The entries a 1-fold step reads, from the term dicts of P and Q:
-    P at w^0 and w^1, Q at w^0."""
-    return CoeffProfile(p=_leading_entries(p_terms, (0, 1)), q=_leading_entries(q_terms, (0,)))
+def coeff_profile(p_terms, q_terms, n=1, fold=False) -> CoeffProfile:
+    """The profile of P and Q, given by their term dicts on the scale n:
+    every w-power, or with ``fold`` only the entries a 1-fold step reads
+    (P at w^0 and w^1, Q at w^0)."""
+    if fold:
+        return CoeffProfile(_leading_entries(p_terms, (0, 1)), _leading_entries(q_terms, (0,)), n)
+    return CoeffProfile(_leading_entries(p_terms), _leading_entries(q_terms), n)
 
 
 # ---------------------------------------------------------------------------
@@ -815,7 +739,6 @@ class PuiseuxBranch:
     """A partial local solution w = w0 + sum alpha_i (z - z0)^{mu_i}."""
 
     terms: tuple  # ((mu: Fraction, alpha), ...) strictly increasing mu
-    ram: int
     base: tuple  # ("point", z0, w0) or ("inf", z0)
     conj_degree: int = 1
     status: str = "open"
@@ -827,10 +750,6 @@ class PuiseuxBranch:
             raise OdeError("branch exponents must increase strictly")
         if self.terms and f_is_zero(self.terms[0][1]):
             raise OdeError("leading branch coefficient must be nonzero")
-
-    def series(self, tower=None) -> BiPoly:
-        t = tower
-        return BiPoly({(mu, 0): c for mu, c in self.terms}, ram=self.ram, tower=t)
 
     def __str__(self):
         if not self.terms:
@@ -855,14 +774,13 @@ def affine_map(sys: OdeSystem, m, at) -> OdeSystem:
     The field (zdot, wdot) = (Q, P) becomes m (Q, P), evaluated at
     (z, w) = at + m^-1 (Z, W).  Each side is substituted once, term by term,
     with cached powers of the two affine forms; a zero entry of m leaves its
-    side out of m (Q, P) and a unit entry multiplies nothing.  Needs integer
-    exponents.
+    side out of m (Q, P) and a unit entry multiplies nothing.  Needs n = 1.
     """
     (m00, m01), (m10, m11) = ((_coerce_scalar(None, x) for x in row) for row in m)
     det = m00 * m11 - m01 * m10
     if f_is_zero(det):
         raise OdeError("singular affine map")
-    if sys.ram != 1:
+    if sys.n != 1:
         raise OdeError("affine map requires integer exponents")
     inv = f_inv(det)
     # z = z0 + (m11 Z - m01 W) / det, w = w0 + (m00 W - m10 Z) / det
@@ -957,10 +875,10 @@ def _coerce_scalar(tower, x):
 
 
 # ---------------------------------------------------------------------------
-# branch substitution and the residual oracle
+# branch substitution
 # ---------------------------------------------------------------------------
 
-def substitute_branch(sys: OdeSystem, lam, alpha, check_acceptable=True) -> OdeSystem:
+def substitute_branch(sys: OdeSystem, lam, alpha) -> OdeSystem:
     """Remainder system for w1 after w = alpha z^lam + w1.
 
     Implements Q1(z,w1) = Q(z, alpha z^lam + w1) and
@@ -972,31 +890,4 @@ def substitute_branch(sys: OdeSystem, lam, alpha, check_acceptable=True) -> OdeS
         raise OdeError("branch exponent must be positive")
     if f_is_zero(alpha):
         raise OdeError("branch coefficient must be nonzero")
-    out = sys.translate_w(alpha, lam)
-    if check_acceptable and not _pair_acceptable(sys, lam, out):
-        raise OdeError("not an acceptable pair")
-    return out.normalized()
-
-
-def _pair_acceptable(sys: OdeSystem, lam, out: OdeSystem) -> bool:
-    """(lam, alpha) is acceptable when the lowest supported z-order of
-    P1(z, 0) = P(z, a z^l) - a l z^(l-1) Q(z, a z^l), read off the remainder
-    ``out`` in the frame of ``sys``, lies strictly above the support minimum
-    min{l_i + (i+1) lam - 1, k_j + j lam}: the leading terms cancel."""
-    profile = coeff_profile(sys)
-    orders = [kj + j * lam for j, (kj, _) in profile.p.items()]
-    orders += [li + (i + 1) * lam - 1 for i, (li, _) in profile.q.items()]
-    lead = coeff_profile(out).p.get(0)
-    return not orders or lead is None or lead[0] > min(orders)
-
-
-def residual_valuation(sys: OdeSystem, branch: PuiseuxBranch):
-    """Exact valuation of Q(z,b) b' - P(z,b) for the branch b; None means
-    the residual vanishes identically (an exact solution)."""
-    if not branch.terms:
-        raise OdeError("empty branch")
-    tower = sys.tower
-    series = branch.series(tower)
-    dseries = BiPoly({(mu - 1, 0): c * mu for mu, c in branch.terms}, tower=tower)
-    residual = sys.Q.eval_w_series(series) * dseries - sys.P.eval_w_series(series)
-    return residual.z_valuation()
+    return sys.translate_w(alpha, lam).normalized()

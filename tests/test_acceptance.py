@@ -28,12 +28,11 @@ from pbound.lotka import LvParams, classify, lv_equation, lv_multiplicity_triple
 from pbound.polyode import (
     BiPoly,
     OdeError,
-    PuiseuxBranch,
     bipoly_str,
     make_system,
-    residual_valuation,
     shear_point,
 )
+from puiseux_oracle import residual_valuation
 
 FAST_CAPS = Caps(depth=12, ram=16, tower=8, terms=4)
 
@@ -146,7 +145,7 @@ def test_criterion_2_mu_five_oracle():
     vals = set()
     for c in (Q(-3), Q(-1), Q(0), Q(1, 2), Q(1), Q(7)):
         terms = ((Q(2), Q(-1, 3)),) if c == 0 else ((Q(2), Q(-1, 3)), (Q(5), c))
-        vals.add(residual_valuation(sys, PuiseuxBranch(terms=terms, ram=1, base=("point", 0, 0))))
+        vals.add(residual_valuation(sys, terms))
     assert vals == {Q(5)}
     print("ACCEPTANCE 2 (oracle): PASS (mu=5 inconsistency is c-independent)")
 
@@ -304,8 +303,7 @@ def _assert_residual_growth(sys, tree):
         prev = None
         for t in range(3, 9):
             cut = terms[: min(t, len(terms))]
-            branch = PuiseuxBranch(terms=cut, ram=_ram_of(cut), base=("point", 0, 0))
-            val = residual_valuation(work, branch)
+            val = residual_valuation(work, cut)
             if prev is not None and val is not None and t <= len(terms):
                 assert prev is None or val > prev, (
                     "residual valuation stalled: %s then %s" % (prev, val)
@@ -313,15 +311,6 @@ def _assert_residual_growth(sys, tree):
             prev = val
             if val is None:
                 break
-
-
-def _ram_of(terms):
-    import math
-
-    r = 1
-    for mu, _ in terms:
-        r = r * mu.denominator // math.gcd(r, mu.denominator)
-    return r
 
 
 def test_criterion_6_residual_oracle():

@@ -25,15 +25,13 @@ from pbound.polyode import (
     CoeffProfile,
     OdeError,
     OdeSystem,
-    PuiseuxBranch,
     coeff_profile,
-    _pair_acceptable,
     make_system,
-    residual_valuation,
     substitute_branch,
     transform_point,
     translate_point,
 )
+from puiseux_oracle import pair_acceptable, ramification, residual_valuation
 
 
 def bp(entries):
@@ -175,8 +173,7 @@ def test_mu_five_no_continuation_oracle():
     vals = set()
     for c in (Q(-3), Q(-1), Q(0), Q(1, 2), Q(1), Q(7)):
         terms = ((Q(2), Q(-1, 3)),) if c == 0 else ((Q(2), Q(-1, 3)), (Q(5), c))
-        branch = PuiseuxBranch(terms=terms, ram=1, base=("point", 0, 0))
-        vals.add(residual_valuation(sys, branch))
+        vals.add(residual_valuation(sys, terms))
     # the blocking coefficient sits at the balancing order 5 and does not
     # depend on c: no choice of c extends the branch
     assert vals == {Q(5)}
@@ -219,8 +216,7 @@ def test_lv_upper_point_family_is_real():
             terms.append((Q(2), t2))
         if t3 != 0:
             terms.append((Q(3), t3))
-        branch = PuiseuxBranch(terms=tuple(terms), ram=1, base=("point", 0, 0))
-        val = residual_valuation(sys, branch)
+        val = residual_valuation(sys, tuple(terms))
         assert val is None or val >= Q(4)
 
 
@@ -296,12 +292,7 @@ def test_branch_extension_and_residual_growth():
     for leaf in closed:
         terms = extend_leaf(leaf, 8)
         work = sys if leaf.tower is None else sys.map_tower(leaf.tower)
-        vals = [
-            residual_valuation(
-                work, PuiseuxBranch(terms=terms[:t], ram=_ram_of(terms[:t]), base=("point", 0, 0))
-            )
-            for t in range(1, len(terms) + 1)
-        ]
+        vals = [residual_valuation(work, terms[:t]) for t in range(1, len(terms) + 1)]
         # the residual vanishes only on a series that terminated, and then
         # only at its last term
         terminated = vals[-1] is None
@@ -309,15 +300,6 @@ def test_branch_extension_and_residual_growth():
         assert len(terms) == 8 or (len(terms) < 8 and terminated)
         finite = vals[:-1] if terminated else vals
         assert all(b > a for a, b in zip(finite, finite[1:]))
-
-
-def _ram_of(terms):
-    import math
-
-    r = 1
-    for mu, _ in terms:
-        r = r * mu.denominator // math.gcd(r, mu.denominator)
-    return r
 
 
 def test_child_width_bound():
@@ -331,7 +313,7 @@ def test_child_width_bound():
     sys = make_system(bp({(0, 2): 1, (1, 1): -2, (2, 0): 1}), bp({(3, 0): 1}))
     rem = substitute_branch(sys, Q(1), Q(1))
     engine = _Expander(rem, DEFAULT_CAPS)
-    prof = coeff_profile(rem)
+    prof = coeff_profile(rem.P.terms, rem.Q.terms, rem.n)
     diagram = lower_hull(support_points(prof), prof)
     steps = [s for s in engine._steps_from_diagram(rem, Q(1), diagram) if s[1] is not None]
     assert len(steps) == 2
@@ -383,10 +365,11 @@ class _ReferenceExpander(_Expander):
                 )
             if 0 not in prof.p:
                 return self._leaf(cur, "exact", flags=("resonance",))
-            cands = ([prof.p[1][0]] if 1 in prof.p else []) + ([prof.q[0][0] - 1] if 0 in prof.q else [])
+            # heights on the scale n of the node's system
+            cands = ([prof.p[1][0]] if 1 in prof.p else []) + ([prof.q[0][0] - prof.n] if 0 in prof.q else [])
             if not cands:
                 raise AssertionError("unreachable")
-            lam_next = prof.p[0][0] - min(cands)
+            lam_next = Q(prof.p[0][0] - min(cands), prof.n)
             if lam_next == rho:
                 return self._leaf(cur, "non-algebraic", flags=("resonance-order-hit",))
             if lam_next > rho or lam_next <= cur.lam_prev:
@@ -504,14 +487,13 @@ def test_series_terminating_inside_a_resonance_is_critical():
     # w = z + z^2 + c z^3 for every c: the walk ends at P(z, 0) = 0 below
     # rho = 3, which is the one-parameter family, not an exact leaf
     sys = indicial(Q(3), {1: -2, 2: -1})
-    series = PuiseuxBranch(terms=((Q(1), Q(1)), (Q(2), Q(1))), ram=1, base=("point", 0, 0))
+    series = ((Q(1), Q(1)), (Q(2), Q(1)))
     assert residual_valuation(sys, series) is None
-    family = PuiseuxBranch(terms=series.terms + ((Q(3), Q(5)),), ram=1, base=("point", 0, 0))
-    assert residual_valuation(sys, family) is None
+    assert residual_valuation(sys, series + ((Q(3), Q(5)),)) is None
     res = multiplicity_at(sys, ("point", Q(0), Q(0)))
     assert res.status == "critical"
     w = res.witness
-    assert (w.kind, w.lam_star, w.depth, _as_compared(w.prefix)) == ("resonance", Q(3), 2, _as_compared(series.terms))
+    assert (w.kind, w.lam_star, w.depth, _as_compared(w.prefix)) == ("resonance", Q(3), 2, _as_compared(series))
     engine = recorded_expansion(sys, ("point", Q(0), Q(0)))
     assert len(engine.resonances) == 1
     got = resolve_resonance(*engine.resonances[0])
@@ -589,7 +571,7 @@ def _as_compared(terms):
 
 
 def _features(leaf, terms, raises, n_terms):
-    out = {"ram-%d" % _ram_of(terms)}
+    out = {"ram-%d" % ramification(terms)}
     tower = leaf.tower
     if tower is None or tower.is_trivial():
         out.add("rational")
@@ -608,10 +590,7 @@ def _features(leaf, terms, raises, n_terms):
 
 def _residual_valuations(system, leaf, terms):
     work = system if leaf.tower is None else system.map_tower(leaf.tower)
-    return [
-        residual_valuation(work, PuiseuxBranch(terms=terms[:t], ram=_ram_of(terms[:t]), base=("point", 0, 0)))
-        for t in range(1, len(terms) + 1)
-    ]
+    return [residual_valuation(work, terms[:t]) for t in range(1, len(terms) + 1)]
 
 
 @pytest.mark.parametrize("name", sorted(EXTENSION_FIXTURES))
@@ -672,7 +651,7 @@ def test_extension_entered_off_the_lattice(name, raise_counter):
     for leaf in expand_branches(transform_point(system, point)).leaves:
         if not (leaf.terms and leaf.counted):
             continue
-        assert leaf.remainder.ram < 7
+        assert leaf.remainder.n < 7
         off = replace(leaf, lam_last=leaf.lam_last + Q(1, 7))
         raise_counter.clear()
         terms = extend_leaf(off, 10)
@@ -682,8 +661,9 @@ def test_extension_entered_off_the_lattice(name, raise_counter):
 
 
 def half_indicial(rho, f):
-    """``indicial`` with the z-exponents of f in (1/2)Z."""
-    return OdeSystem(BiPoly({(0, 1): rho, **{(e, 0): c for e, c in f.items()}}), BiPoly({(1, 0): 1}))
+    """``indicial`` with the z-exponents of f in (1/2)Z: a system on the
+    scale n = 2, so the key of z^e is 2 e."""
+    return OdeSystem(BiPoly({(0, 1): rho, **{(2 * e, 0): c for e, c in f.items()}}), BiPoly({(2, 0): 1}), n=2)
 
 
 @pytest.mark.parametrize("caps, want", [(DEFAULT_CAPS, ("critical", 2)), (Caps(depth=1), ("cap-exceeded", 1))])
@@ -702,8 +682,28 @@ def test_resonance_off_the_lattice(sys, lam_prev, rho, caps, want, raise_counter
     got = resolve_resonance(sys, lam_prev, rho, caps)
     status, found = got
     assert (status, len(found.prefix if status == "critical" else found.terms)) == want
-    assert set(raise_counter) == {math.floor(sys.ram * rho)}
+    assert set(raise_counter) == {math.floor(sys.n * rho)}
     assert _resolution_compared(got) == _resolution_compared(reference_resolve(sys, lam_prev, rho, caps))
+
+
+# Example 4.5 at the values of its table where the origin is not critical
+EX45_FINITE = (Q(0), Q(-1), Q(-4), Q(1, 2), Q(2), Q(5))
+
+
+@pytest.mark.parametrize("caps", [DEFAULT_CAPS, Caps(depth=1)], ids=["default", "depth-1"])
+@pytest.mark.parametrize(
+    "system, point",
+    [(example45(mu), ("point", Q(0), Q(0))) for mu in EX45_FINITE]
+    + [EXTENSION_FIXTURES[name][:2] for name in sorted(EXTENSION_FIXTURES)],
+    ids=["ex45-mu=%s" % mu for mu in EX45_FINITE] + sorted(EXTENSION_FIXTURES),
+)
+def test_leaf_remainder_scale_is_the_prefix_ramification(system, point, caps):
+    # n is the lcm of the step denominators, also on the walk's leaves and
+    # on leaves capped above a ramified node
+    leaves = expand_branches(transform_point(system, point), caps).leaves
+    assert leaves
+    for leaf in leaves:
+        assert leaf.remainder.n == ramification(leaf.terms), (leaf.terms, leaf.status)
 
 
 SMALL_COEFFS = st.integers(-3, 3)
@@ -785,7 +785,7 @@ def test_fold_step_is_the_diagram_step_at_one_folded_nodes(system, point):
             steps = engine._steps_from_diagram(node.system, node.lam_prev, diagram)
         except TowerSplitError:
             continue
-        step = _fold_step(prof, node.lam_prev)
+        step = _fold_step(prof, node.lam_prev * node.system.n)
         if step is None or step[1] is None:
             assert steps == []
         else:
@@ -824,20 +824,19 @@ def test_fold_step_reads_k0_and_the_abscissa_one_point(p, q, lam_prev, want):
 )
 def test_fold_step_reads_exponents_on_the_walk_scale(p, q, lam_prev, want):
     # the walk's profiles hold n times each exponent, here n = 2
-    assert _fold_step(CoeffProfile(p=p, q=q), lam_prev, 2) == want
+    assert _fold_step(CoeffProfile(p=p, q=q, n=2), lam_prev) == want
 
 
 def reference_pair_acceptable(sys, lam, alpha):
     """Acceptability as it was checked before: the lowest order of
-    Q(z, a z^l) a l z^(l-1) - P(z, a z^l), evaluated on its own."""
-    profile = coeff_profile(sys)
-    orders = [kj + j * lam for j, (kj, _) in profile.p.items()]
-    orders += [li + (i + 1) * lam - 1 for i, (li, _) in profile.q.items()]
+    Q(z, a z^l) a l z^(l-1) - P(z, a z^l), evaluated on its own (the
+    residual of the one-term prefix a z^l)."""
+    profile = coeff_profile(sys.P.terms, sys.Q.terms, sys.n)
+    orders = [Q(kj, sys.n) + j * lam for j, (kj, _) in profile.p.items()]
+    orders += [Q(li, sys.n) + (i + 1) * lam - 1 for i, (li, _) in profile.q.items()]
     if not orders:
         return True
-    lead = BiPoly({(Q(lam), 0): alpha}, tower=sys.tower)
-    deriv_head = BiPoly({(Q(lam) - 1, 0): alpha * Q(lam)}, tower=sys.tower)
-    val = (deriv_head * sys.Q.eval_w_series(lead) - sys.P.eval_w_series(lead)).z_valuation()
+    val = residual_valuation(sys, ((Q(lam), alpha),))
     return val is None or val > min(orders)
 
 
@@ -847,16 +846,74 @@ def reference_pair_acceptable(sys, lam, alpha):
     st.lists(st.tuples(st.sampled_from([Q(1, 3), Q(1, 2), Q(1), Q(3, 2), Q(2), Q(3)]), SMALL_COEFFS), max_size=4),
 )
 def test_pair_acceptable_reads_the_remainder(system, pairs):
-    _, diagram = _newton(system)
-    roots = [
-        (edge.lam, alpha)
-        for edge in diagram.edges
-        if edge.admissible and nonzero_char_poly(edge).degree() >= 1
-        for alpha in rational_roots(nonzero_char_poly(edge))
+    # on the system, and on each remainder of a ramified rational root,
+    # whose exponents lie on its scale n > 1
+    systems = [system]
+    while systems:
+        system = systems.pop()
+        _, diagram = _newton(system)
+        roots = [
+            (edge.lam, alpha)
+            for edge in diagram.edges
+            if edge.admissible and nonzero_char_poly(edge).degree() >= 1
+            for alpha in rational_roots(nonzero_char_poly(edge))
+        ]
+        for lam, alpha in roots + [(lam, Q(a)) for lam, a in pairs if a]:
+            out = system.translate_w(alpha, lam)
+            want = reference_pair_acceptable(system, lam, alpha)
+            assert pair_acceptable(system, lam, out) == want
+            if (lam, alpha) in roots:
+                assert want
+                if out.n > system.n:
+                    systems.append(out.normalized())
+
+
+def scaled(sys, k):
+    """The same system with every key and n multiplied by k."""
+    def side(poly):
+        return BiPoly({(s * k, j): c for (s, j), c in poly.terms.items()}, tower=poly.tower)
+
+    return OdeSystem(side(sys.P), side(sys.Q), sys.tower, sys.n * k)
+
+
+def _edges_compared(diagram):
+    return [(e.x1, e.x2, e.lam, [sort_key(c) for c in e.char_poly.coeffs] if e.char_poly else None) for e in diagram.edges]
+
+
+def _verdicts_compared(diagram, prof):
+    return [(v.x, sort_key(v.lam_star), v.critical, v.dicritical_suspect) for v in vertex_critical_check(diagram, prof)]
+
+
+def _leaves_compared(tree):
+    """The leaves with their remainders on true exponents s / n, and the
+    counted ones extended to 6 terms."""
+    def remainder(sys):
+        return sorted(((Q(s, sys.n), j), sort_key(c)) for side in (sys.P, sys.Q) for (s, j), c in side.terms.items())
+
+    critical = tree.critical and (tree.critical.kind, tree.critical.lam_star, tree.critical.depth,
+                                  _as_compared(tree.critical.prefix))
+    leaves = [
+        (_as_compared(lf.terms), lf.status, lf.flags, lf.conj_degree, lf.lam_last, remainder(lf.remainder),
+         _as_compared(extend_leaf(lf, 6)))
+        for lf in tree.leaves
     ]
-    for lam, alpha in roots + [(lam, Q(a)) for lam, a in pairs if a]:
-        out = system.translate_w(alpha, lam)
-        want = reference_pair_acceptable(system, lam, alpha)
-        assert _pair_acceptable(system, lam, out) == want
-        if (lam, alpha) in roots:
-            assert want
+    return critical, leaves, tree.flags
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(small_systems(), axis_systems()),
+    st.sampled_from([("point", Q(0), Q(0)), ("inf", Q(0))]),
+    st.sampled_from([2, 3, 6]),
+)
+def test_newton_data_and_leaves_do_not_depend_on_the_scale(system, point, k):
+    local = transform_point(system, point).normalized()
+    big = scaled(local, k)
+    assert big.n == k
+    prof, diagram = _newton(local)
+    big_prof, big_diagram = _newton(big)
+    assert _edges_compared(big_diagram) == _edges_compared(diagram)
+    assert [(p.x, p.y * k) for p in diagram.points] == [(p.x, p.y) for p in big_diagram.points]
+    assert _verdicts_compared(big_diagram, big_prof) == _verdicts_compared(diagram, prof)
+    caps = Caps(depth=12, tower=8, terms=12)
+    assert _leaves_compared(expand_branches(big, caps)) == _leaves_compared(expand_branches(local, caps))

@@ -310,6 +310,26 @@ def test_arithmetic_caps_leave_the_rational_branch(capsys, caps, diagnostic):
     assert closed["exponents"] == RATIONAL_BRANCH
 
 
+EX45_M4 = "dw/dz = (z^2 + m*w) / (z + w^2); m = -4"
+
+
+def test_ram_cap_must_be_at_least_one(monkeypatch, capsys):
+    # a ramification index is at least 1: ram=0 used to cap the unramified
+    # exponent-2 branch as well and report mul_lower_bound 0
+    want = {"type": "ValueError", "message": "cap 'ram' must be at least 1"}
+    code, data = run_mul(capsys, EX45_M4, "0,0", "ram=0")
+    assert (code, data["error"]) == (2, want)
+    monkeypatch.setenv("PBOUND_CAPS", "ram=0")
+    code, data = run_json(capsys, ["mul", "--system", EX45_M4, "--at", "0,0"])
+    assert (code, data["error"]) == (2, want)
+    # ram=1 caps only the branch of exponent 1/2
+    monkeypatch.delenv("PBOUND_CAPS")
+    code, data = run_mul(capsys, EX45_M4, "0,0", "ram=1")
+    assert code == 3
+    assert (data["mul_lower_bound"], data["cap_diagnostics"]) == (1, ["ramification-cap"])
+    assert [b["exponents"][0] for b in data["branches"]] == ["2"]
+
+
 def test_terms_cap_sets_the_reported_length(capsys):
     code, data = run_mul(capsys, EX45_M0, "0,0", "terms=4")
     assert code == 0

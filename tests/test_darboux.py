@@ -465,7 +465,8 @@ def test_extactic_rejects_tower_coefficients():
 
 
 def test_extactic_rejects_ramified_exponents():
-    sys = OdeSystem(BiPoly({(Q(1, 2), 1): Q(1), (Q(0), 0): Q(1)}), bp({(1, 0): 1}))
+    # z^(1/2) w + 1 over z, on the scale n = 2
+    sys = OdeSystem(BiPoly({(1, 1): Q(1), (0, 0): Q(1)}), bp({(2, 0): 1}), n=2)
     with pytest.raises(OdeError):
         extactic_determinant(sys, 1)
 

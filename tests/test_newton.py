@@ -28,7 +28,7 @@ def lv_system(a, b, c):
 
 
 def diagram_for(sys):
-    prof = coeff_profile(sys)
+    prof = coeff_profile(sys.P.terms, sys.Q.terms, sys.n)
     return lower_hull(support_points(prof), prof), prof
 
 
@@ -38,7 +38,7 @@ def diagram_for(sys):
 
 def test_support_example45():
     sys = example45(Q(3, 2))
-    pts = support_points(coeff_profile(sys))
+    pts = support_points(coeff_profile(sys.P.terms, sys.Q.terms, sys.n))
     coords = {(p.x, p.y): (p.from_p, p.from_q) for p in pts}
     assert coords == {
         (0, Q(2)): (True, False),
@@ -49,14 +49,14 @@ def test_support_example45():
 
 def test_support_lv_origin():
     sys = lv_system(Q(-1), Q(0), Q(0))
-    pts = support_points(coeff_profile(sys))
+    pts = support_points(coeff_profile(sys.P.terms, sys.Q.terms, sys.n))
     coords = {(p.x, p.y): (p.from_p, p.from_q) for p in pts}
     assert coords == {(1, Q(0)): (True, True), (2, Q(0)): (True, False)}
 
 
 def test_support_trivial():
     sys = make_system(bp({(0, 1): 1}), bp({(0, 0): 1}))
-    pts = support_points(coeff_profile(sys))
+    pts = support_points(coeff_profile(sys.P.terms, sys.Q.terms, sys.n))
     coords = {(p.x, p.y) for p in pts}
     assert coords == {(1, Q(0)), (1, Q(-1))}
 
@@ -178,7 +178,7 @@ def test_irrational_ratio_dicritical_suspect():
 def test_merged_point_iff_exponent_offset():
     # Both-points occur exactly when k_x = l_{x-1} - 1
     sys = example45(Q(3, 2))
-    prof = coeff_profile(sys)
+    prof = coeff_profile(sys.P.terms, sys.Q.terms, sys.n)
     for pt in support_points(prof):
         if pt.both:
             assert prof.p[pt.x][0] == prof.q[pt.x - 1][0] - 1

@@ -12,11 +12,11 @@ from pbound.polyode import (
     invert_at_infinity,
     make_system,
     shear_point,
-    substitute_branch,
     translate_point,
 )
 from pbound.newton import lower_hull, nonzero_char_poly, support_points
 from pbound.exact import factor_univariate, as_fraction
+from puiseux_oracle import substitute_checked
 
 FAST_CAPS = Caps(depth=12, ram=16, tower=8, terms=4)
 
@@ -184,7 +184,7 @@ def test_translated_profile_matches_root_test():
         sys = random_system(rng, 2)
         for a in (Q(0), Q(1), Q(-1), Q(2)):
             moved = translate_point(sys, Q(0), a)
-            prof = coeff_profile(moved)
+            prof = coeff_profile(moved.P.terms, moved.Q.terms, moved.n)
             p_of_a = sum(
                 (c * a**we for (ze, we), c in sys.P.terms.items() if ze == 0),
                 Q(0),
@@ -197,7 +197,7 @@ def test_edge_roots_are_acceptable_pairs():
     rng = random.Random(23)
     for _ in range(25):
         sys = random_system(rng, 3)
-        prof = coeff_profile(sys)
+        prof = coeff_profile(sys.P.terms, sys.Q.terms, sys.n)
         diagram = lower_hull(support_points(prof), prof)
         for edge in diagram.edges:
             if not edge.admissible:
@@ -212,14 +212,14 @@ def test_edge_roots_are_acceptable_pairs():
                 if alpha == 0:
                     continue
                 # must not raise: every char-poly root is an acceptable pair
-                substitute_branch(sys, edge.lam, alpha, check_acceptable=True)
+                substitute_checked(sys, edge.lam, alpha)
 
 
 def test_width_bound_random_diagrams():
     rng = random.Random(37)
     for _ in range(40):
         sys = random_system(rng, 3)
-        prof = coeff_profile(sys)
+        prof = coeff_profile(sys.P.terms, sys.Q.terms, sys.n)
         diagram = lower_hull(support_points(prof), prof)
         width = sum(e.width for e in diagram.edges if e.admissible)
         n_w, m_w = sys.w_degrees()
