@@ -317,16 +317,17 @@ class _Expander:
             phi = nonzero_char_poly(edge)
             if phi.degree() < 1:
                 continue
+            # a child lies on the scale lcm(n, q) for lam = p/q (translate_w),
+            # so a capped one is never built
+            capped = math.lcm(sys.n, edge.lam.denominator) > self.caps.ram
             for alpha, d, new_tower, note in self._char_roots(phi, sys.tower):
+                if alpha is not None and capped:
+                    alpha, note = None, "ramification-cap"
                 if alpha is None:
                     out.append(_Step(edge.lam, None, d, None, note))
                     continue
                 work = sys if new_tower is None else sys.map_tower(new_tower)
-                child = substitute_branch(work, edge.lam, alpha)
-                if child.n > self.caps.ram:
-                    out.append(_Step(edge.lam, None, d, None, "ramification-cap"))
-                    continue
-                out.append(_Step(edge.lam, alpha, d, child, note))
+                out.append(_Step(edge.lam, alpha, d, substitute_branch(work, edge.lam, alpha), note))
         out.sort(key=lambda t: (t.lam,) + (sort_key(t.alpha) if t.alpha is not None else ((), ())))
         return out
 

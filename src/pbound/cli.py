@@ -236,7 +236,7 @@ def _cmd_analyze(args) -> int:
             report["bounds"] = bound.to_report()
             report["bounds_line"] = [str(x) for x in line]
             break
-    outcome = search_darboux(system, args.max_degree)
+    outcome = search_darboux(system, args.max_degree, detection)
     report["darboux"] = outcome.to_report()
     return _emit(args, report)
 

@@ -24,6 +24,7 @@ from .exact import (
     Q,
     Tower,
     UniPoly,
+    _canon,
     _sylvester_resultant,
     adjoin_root,
     as_fraction,
@@ -39,6 +40,7 @@ from .polyode import (
     OdeError,
     OdeSystem,
     _normalize_biv,
+    _primitive_int,
     _wpoly_content,
     _wpoly_degree,
     _wpoly_pseudo_divmod,
@@ -498,9 +500,9 @@ class SearchOutcome:
 def extactic_determinant(sys: OdeSystem, n: int) -> BiPoly:
     """det of (X^i applied to the degree-<=n monomial basis), over Q.
 
-    The determinant is computed on integers.  Row i of the matrix is scaled
-    by d_i, the lcm of its coefficient denominators, giving an integer
-    matrix M' with det M = det M' / prod d_i.  Let DZ = 1 + sum_i max_j
+    The determinant is computed on integers, on the one integer field d X of
+    ``_integer_field``: row i of the matrix M' is d^i X^i of the basis, so
+    det M = det M' / d^(s(s-1)/2) for s rows.  Let DZ = 1 + sum_i max_j
     deg_z M'_ij, B = prod_i max(1, sum_j ||M'_ij||_1) and
     b = bitlength(B) + 1, and let phi be the ring map Z[z, w] -> Z sending
     z to 2^b and w to 2^(b DZ).  Every minor of M' has z-degree below DZ
@@ -516,38 +518,41 @@ def extactic_determinant(sys: OdeSystem, n: int) -> BiPoly:
     exactly when the polynomial one is, each integer division is exact, and
     its quotient is phi of the next minor.  The last entry is phi(det M'),
     which is unpacked digit by digit, borrowing on negative digits, and
-    divided by prod d_i.
+    divided by d^(s(s-1)/2).
     """
     if sys.n != 1:
         raise OdeError("extactic determinant requires integer exponents")
+    d, field = _integer_field(sys)
     basis = [
-        BiPoly({(i, j): Q(1)})
+        BiPoly._from_clean({(i, total - i): 1}, None)
         for total in range(n + 1)
         for i in range(total + 1)
-        for j in [total - i]
     ]
     size = len(basis)
     rows = [basis]
     for _ in range(size - 1):
-        rows.append([derive_along(sys, g) for g in rows[-1]])
-    scale = dz = bound = 1
-    int_rows = []
-    for row in rows:
-        coeffs = [c for g in row for c in g.terms.values()]
-        if not all(isinstance(c, (int, Fraction)) for c in coeffs):
-            raise DarbouxError("extactic determinant requires rational coefficients")
-        d = math.lcm(*(c.denominator for c in coeffs))
-        ints = [
-            {(ze, we): c.numerator * (d // c.denominator) for (ze, we), c in g.terms.items()}
-            for g in row
-        ]
-        scale *= d
-        dz += max((ze for g in ints for (ze, _) in g), default=0)
-        bound *= max(1, sum(abs(c) for g in ints for c in g.values()))
-        int_rows.append(ints)
+        rows.append([derive_along(field, g) for g in rows[-1]])
+    dz = 1 + sum(max((ze for g in row for (ze, _) in g.terms), default=0) for row in rows)
+    bound = math.prod(max(1, sum(abs(c) for g in row for c in g.terms.values())) for row in rows)
     b = bound.bit_length() + 1
-    mat = [[sum(c << b * (ze + dz * we) for (ze, we), c in g.items()) for g in row] for row in int_rows]
-    return _unpack(bareiss_det(mat, _int_divexact, 0, 1), b, dz, scale)
+    mat = [[sum(c << b * (ze + dz * we) for (ze, we), c in g.terms.items()) for g in row] for row in rows]
+    return _unpack(bareiss_det(mat, _int_divexact, 0, 1), b, dz, d ** (size * (size - 1) // 2))
+
+
+def _integer_field(sys: OdeSystem):
+    """(d, the system of d X): d is the lcm of the denominators of the
+    coefficients of (Q, P), so the field d X has int coefficients.  Every
+    step of the extactic search is valid up to a nonzero constant, so it
+    runs on d X and on primitive integer polynomials (Gauss's lemma)."""
+    coeffs = [*sys.P.terms.values(), *sys.Q.terms.values()]
+    if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+        raise DarbouxError("extactic determinant requires rational coefficients")
+    d = math.lcm(*(c.denominator for c in coeffs))
+
+    def scaled(p: BiPoly) -> BiPoly:
+        return BiPoly._from_clean({k: c.numerator * (d // c.denominator) for k, c in p.terms.items()}, None)
+
+    return d, OdeSystem(scaled(sys.P), scaled(sys.Q), None, sys.n)
 
 
 def _int_divexact(a: int, b: int) -> int:
@@ -575,20 +580,24 @@ def _unpack(packed: int, b: int, dz: int, scale: int) -> BiPoly:
             digit -= full
         if digit:
             we, ze = divmod(k, dz)
-            terms[(ze, we)] = Q(sign * digit, scale)
+            terms[(ze, we)] = _canon(Q(sign * digit, scale))
     return BiPoly(terms)
 
 
 def invariant_core(sys: OdeSystem, e: BiPoly) -> BiPoly:
     """Largest factor of e all of whose irreducible factors are Darboux:
-    the stable gcd of e with its derivative along the field."""
-    g = _normalize_biv(e)
+    the stable gcd of e with its derivative along the field, normalized.
+
+    Every step takes primitive integer parts and derives along the integer
+    field of ``_integer_field``, since a gcd is defined up to a constant."""
+    _, field = _integer_field(sys)
+    g = _primitive_int(e)
     while g.total_degree() > 0:
-        nxt = biv_gcd(g, derive_along(sys, g))
+        nxt = _primitive_int(biv_gcd(g, derive_along(field, g)))
         if nxt.total_degree() == g.total_degree():
-            return nxt
+            return _normalize_biv(nxt)
         g = nxt
-    return g
+    return _normalize_biv(g)
 
 
 def _biv_squarefree(f: BiPoly) -> BiPoly:
@@ -600,15 +609,23 @@ def _biv_squarefree(f: BiPoly) -> BiPoly:
     return out if out is not None else f
 
 
-def search_darboux(sys: OdeSystem, max_total_degree: int) -> SearchOutcome:
-    """Invariant algebraic curves of total degree <= max_total_degree."""
+def search_darboux(
+    sys: OdeSystem, max_total_degree: int, detection: Optional[LineDetection] = None
+) -> SearchOutcome:
+    """Invariant algebraic curves of total degree <= max_total_degree.
+
+    ``detection`` is the system's ``detect_invariant_lines``, computed here
+    when not given.  E_n is needed only up to a constant, so the primitive
+    integer part of E_n is peeled by those of the known factors and goes to
+    ``invariant_core``, which normalizes the core its candidates come from."""
     if max_total_degree < 1:
         return SearchOutcome(certificates=[], dicritical_degrees=())
     certs = []
     dicritical = []
     notes = []
     partial = False
-    detection = detect_invariant_lines(sys)
+    if detection is None:
+        detection = detect_invariant_lines(sys)
     certs.extend(detection.lines)
     if detection.dicritical:
         notes.append("one-parameter family of invariant lines")
@@ -629,9 +646,10 @@ def search_darboux(sys: OdeSystem, max_total_degree: int) -> SearchOutcome:
             dicritical.append(n)
             continue
         # peel already-known invariant factors before the expensive gcd
-        for known in [c.f for c in certs] + [
-            BiPoly({(1, 0): Q(1)}),
-            BiPoly({(0, 1): Q(1)}),
+        e = _primitive_int(e)
+        for known in [_primitive_int(c.f) for c in certs] + [
+            BiPoly._from_clean({(1, 0): 1}, None),
+            BiPoly._from_clean({(0, 1): 1}, None),
         ]:
             while e.total_degree() > 0:
                 quotient = bipoly_divexact(e, known)

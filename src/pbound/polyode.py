@@ -446,6 +446,22 @@ def _int_terms(p: BiPoly):
     return {k: c.numerator * (den // c.denominator) for k, c in p.terms.items()}
 
 
+def _primitive_int(p: BiPoly) -> BiPoly:
+    """The primitive integer multiple of p, over Q, whose (w, z)-leading
+    coefficient, the one ``_normalize_biv`` makes 1, is positive.  Gauss's
+    lemma keeps exact quotients of such polynomials in Z[z, w]
+    (``bipoly_divexact``)."""
+    terms = _int_terms(p)
+    if not terms:
+        return p
+    g = math.gcd(*terms.values())
+    if terms[max(terms, key=lambda k: (k[1], k[0]))] < 0:
+        g = -g
+    if g != 1:
+        terms = {k: c // g for k, c in terms.items()}
+    return p if terms is p.terms else BiPoly._from_clean(terms, p.tower)
+
+
 def _constant_gcd_at_a_point(ia, ib, var) -> bool:
     """True when a and b, given as int term dicts, have a constant gcd with
     variable ``var`` (0 for z, 1 for w) set to one of the first three x0 in
@@ -501,6 +517,12 @@ def bipoly_divexact(num: BiPoly, den: BiPoly) -> Optional[BiPoly]:
     quotient terms are terms of num/den, whose z-degree is
     deg_z num - deg_z den; the first term that breaks either proves the
     division inexact.
+
+    An ``int`` coefficient divided by an ``int`` leading coefficient stays an
+    ``int`` when that division is exact, so an exact quotient of integer
+    polynomials by a primitive one, which lies in Z[z, w] by Gauss's lemma,
+    never meets a ``Fraction``; any other quotient coefficient is a product
+    with the inverse of the leading coefficient.
     """
     if den.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
@@ -517,7 +539,9 @@ def bipoly_divexact(num: BiPoly, den: BiPoly) -> Optional[BiPoly]:
     for (ze, we), c in num.terms.items():
         rows[we][ze] = c
     dz = max(ze for (ze, we) in den.terms if we == dw)
-    lc_inv = f_inv(den.terms[(dz, dw)])
+    lc = den.terms[(dz, dw)]
+    lc_inv = f_inv(lc)
+    int_lc = type(lc) is int
     rest = [(we, ze, c) for (ze, we), c in den.terms.items() if (ze, we) != (dz, dw)]
     quotient = {}
     for i in range(nw, dw - 1, -1):
@@ -530,7 +554,7 @@ def bipoly_divexact(num: BiPoly, den: BiPoly) -> Optional[BiPoly]:
             qz = k - dz
             if not 0 <= qz <= qz_max:
                 return None
-            qc = c * lc_inv
+            qc = c // lc if int_lc and type(c) is int and not c % lc else c * lc_inv
             quotient[(qz, qw)] = qc
             for we, ze, dc in rest:
                 target = rows[qw + we]

@@ -686,6 +686,26 @@ def test_resonance_off_the_lattice(sys, lam_prev, rho, caps, want, raise_counter
     assert _resolution_compared(got) == _resolution_compared(reference_resolve(sys, lam_prev, rho, caps))
 
 
+def test_ramification_cap_is_tested_before_the_child_is_built(monkeypatch):
+    # EX45 at m = -4 has one branch of exponent 2 and one of exponent 1/2.
+    # Under ram=1 the second edge's scale lcm(1, 2) = 2 caps it, so only the
+    # exponent-2 child is substituted.
+    real = branching.substitute_branch
+    lams = []
+
+    def counted(sys, lam, alpha):
+        lams.append(Q(lam))
+        return real(sys, lam, alpha)
+
+    monkeypatch.setattr(branching, "substitute_branch", counted)
+    capped = multiplicity_at(example45(Q(-4)), ("point", Q(0), Q(0)), Caps(ram=1))
+    assert (capped.status, capped.lower_bound, capped.diagnostics) == ("capped", 1, ("ramification-cap",))
+    assert lams == [Q(2)]
+    lams.clear()
+    assert multiplicity_at(example45(Q(-4)), ("point", Q(0), Q(0))).count == 3
+    assert lams == [Q(2), Q(1, 2)]
+
+
 # Example 4.5 at the values of its table where the origin is not critical
 EX45_FINITE = (Q(0), Q(-1), Q(-4), Q(1, 2), Q(2), Q(5))
 

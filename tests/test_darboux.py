@@ -3,20 +3,21 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pbound import darboux
+from pbound import cli, darboux
 from pbound.darboux import (
     DarbouxCertificate,
     DarbouxError,
     NotDarboux,
     detect_invariant_lines,
     extactic_determinant,
+    invariant_core,
     search_darboux,
     strictness_check,
     derive_along,
     verify_darboux,
 )
 from pbound.exact import QQ_TOWER, UniPoly, adjoin_root, bareiss_det
-from pbound.polyode import BiPoly, OdeError, OdeSystem, bipoly_divexact, bipoly_str, make_system
+from pbound.polyode import BiPoly, OdeError, OdeSystem, bipoly_divexact, bipoly_str, biv_gcd, make_system
 
 
 def bp(entries):
@@ -243,6 +244,40 @@ def test_detect_lines_horizontal_family_reported_once():
     ]
 
 
+def counted_line_detection(monkeypatch):
+    """Route both bindings of detect_invariant_lines, the CLI's and the
+    search's, through one counter; returns the list of calls."""
+    real = darboux.detect_invariant_lines
+    calls = []
+
+    def counted(sys):
+        calls.append(sys)
+        return real(sys)
+
+    monkeypatch.setattr(cli, "detect_invariant_lines", counted)
+    monkeypatch.setattr(darboux, "detect_invariant_lines", counted)
+    return calls
+
+
+def test_analyze_detects_invariant_lines_once(monkeypatch, capsys):
+    calls = counted_line_detection(monkeypatch)
+    argv = ["analyze", "--system", "dw/dz = (w^2 - 2*w + 1 - z) / (z*w)", "--max-degree", "2", "--json"]
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+    assert "w + z - 1" in capsys.readouterr().out
+
+
+def test_bare_search_detects_invariant_lines(monkeypatch):
+    calls = counted_line_detection(monkeypatch)
+    sys = saddle_line_system()
+    out = search_darboux(sys, 2)
+    assert len(calls) == 1
+    # a given detection is used as it is, with the same outcome
+    passed = search_darboux(sys, 2, darboux.detect_invariant_lines(sys))
+    assert len(calls) == 2
+    assert passed.to_report() == out.to_report()
+
+
 def test_unsplit_invariant_factor_makes_the_search_partial():
     # the core w^2 - 2 z^2 does not split over Q and may hide degree-1 factors
     out = search_darboux(make_system(bp({(1, 0): 2}), bp({(0, 1): 1})), 1)
@@ -392,6 +427,43 @@ def test_extactic_matches_bipoly_bareiss_with_negative_digits():
     assert any(c < 0 for c in e.terms.values())
     assert any(c.denominator != 1 for c in e.terms.values())
     assert e.terms == bipoly_bareiss_reference(sys, 2).terms
+
+
+def invariant_core_reference(sys, e):
+    """The invariant core by stable gcds on monic polynomials over Q, with
+    the field X itself."""
+    g = darboux._normalize_biv(e)
+    while g.total_degree() > 0:
+        nxt = biv_gcd(g, derive_along(sys, g))
+        if nxt.total_degree() == g.total_degree():
+            return nxt
+        g = nxt
+    return g
+
+
+@st.composite
+def planted_line_systems(draw):
+    """zdot = A, wdot = s A + (w - s z - r) C, with the invariant line
+    w - s z - r of test_detect_lines_finds_a_planted_line."""
+    s, r = draw(SMALL_RATIONALS), draw(SMALL_RATIONALS)
+    a, c = draw(small_polys(2)), draw(small_polys(1))
+    return OdeSystem(a.scale(s) + bp({(0, 1): 1, (1, 0): -s, (0, 0): -r}) * c, a)
+
+
+@DET_SETTINGS
+@given(st.one_of(quadratic_systems(), planted_line_systems()), st.sampled_from([1, 2]))
+@example(lv_system(Q(-1), Q(5), Q(0)), 2)
+@example(lv_system(Q(-2), Q(0), Q(1, 2)), 2)
+@example(saddle_line_system(), 2)
+def test_invariant_core_matches_the_monic_reference(sys, n):
+    # the search's input: E_n without its factors z and w, up to the cap
+    e = extactic_determinant(sys, n)
+    for axis in (bp({(1, 0): 1}), bp({(0, 1): 1})):
+        while e.total_degree() > 0 and (quotient := bipoly_divexact(e, axis)) is not None:
+            e = quotient
+    if e.total_degree() > darboux.CORE_DEGREE_CAP:
+        return
+    assert invariant_core(sys, e).terms == invariant_core_reference(sys, e).terms
 
 
 @pytest.fixture(scope="module")

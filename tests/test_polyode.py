@@ -10,6 +10,8 @@ from pbound.polyode import (
     BiPoly,
     OdeError,
     OdeSystem,
+    _normalize_biv,
+    _primitive_int,
     affine_map,
     bipoly_divexact,
     bipoly_str,
@@ -845,6 +847,50 @@ def test_bipoly_divexact_over_sqrt2_multiplies_back(f, g):
         assert got is None
     else:
         assert (got * f).terms == perturbed.terms
+
+
+int_polys = bipolys((0, 2), 2, min_terms=1, max_terms=4, coeffs=st.integers(-4, 4)).filter(
+    lambda p: not p.is_zero()
+)
+
+
+@KERNEL_SETTINGS
+@given(int_polys, int_polys, st.integers(2, 6))
+def test_bipoly_divexact_keeps_exact_integer_quotients_integral(f, g, k):
+    f = _primitive_int(f)
+    num = f * g
+    # Gauss's lemma: an exact quotient by a primitive divisor lies in Z[z, w]
+    got = bipoly_divexact(num, f)
+    assert (got * f).terms == num.terms
+    assert all(type(c) is int for c in got.terms.values())
+    # a non-primitive divisor still gives its Fraction quotient g / k
+    got = bipoly_divexact(num, f.scale(k))
+    assert (got * f.scale(k)).terms == num.terms
+    assert got.terms == {key: Q(c, k) for key, c in g.terms.items()}
+    # an inexact division still returns None
+    if f.total_degree() > 0:
+        assert bipoly_divexact(num + BiPoly.const(1), f) is None
+
+
+def test_bipoly_divexact_by_a_non_primitive_divisor():
+    z = BiPoly({(1, 0): 1})
+    got = bipoly_divexact(z, z.scale(2))
+    assert got.terms == {(0, 0): Q(1, 2)} and type(got.terms[(0, 0)]) is Q
+    assert bipoly_divexact(z.scale(3), z.scale(2)).terms == {(0, 0): Q(3, 2)}
+    assert bipoly_divexact(z.scale(4), z.scale(2)).terms == {(0, 0): 2}
+
+
+@KERNEL_SETTINGS
+@given(nonzero_plain)
+def test_primitive_int_has_a_positive_leading_term(p):
+    got = _primitive_int(p)
+    assert all(type(c) is int for c in got.terms.values())
+    assert math.gcd(*got.terms.values()) == 1
+    # a multiple of p with a positive leading term, normalizing as p does
+    lead = max(p.terms, key=lambda k: (k[1], k[0]))
+    assert got.terms[lead] > 0
+    assert got.scale(Q(p.terms[lead]) / got.terms[lead]).terms == p.terms
+    assert _normalize_biv(got).terms == _normalize_biv(p).terms
 
 
 # ---------------------------------------------------------------------------
