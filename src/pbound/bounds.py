@@ -116,7 +116,8 @@ def p_at_axis(sys: OdeSystem) -> UniPoly:
 
 def axis_singular_points(sys: OdeSystem):
     """{infinity} plus the roots of P(0,w): rational roots exactly, irrational
-    ones via their irreducible factors; also returns k (distinct roots)."""
+    ones via their irreducible factors; also returns k (distinct roots), the
+    sum of the factors' degrees."""
     _require_axis(sys)
     p0 = p_at_axis(sys)
     if p0.is_zero():
@@ -124,8 +125,8 @@ def axis_singular_points(sys: OdeSystem):
     points = [("inf", None, 1)]
     k = 0
     if p0.degree() > 0:
-        k = p0.squarefree_part().degree()
         for fac in factor_univariate(p0):
+            k += fac.poly.degree()
             if fac.poly.degree() == 1:
                 root = -as_fraction(fac.poly.coeffs[0])
                 points.append(("rational", root, 1))
@@ -148,12 +149,16 @@ def _mul_at_algebraic_point(sys: OdeSystem, minpoly: UniPoly, caps: Caps):
 
     Returns [(factor, MultiplicityResult)]; a presumed-irreducible factor
     that splits mid-run is replayed per factor, each entry standing for the
-    roots of its own factor.
+    roots of its own factor.  A factor of degree above ``caps.tower`` is not
+    adjoined: its roots count as a capped point with lower bound 0.
     """
     work = [minpoly]
     out = []
     while work:
         poly = work.pop()
+        if poly.degree() > caps.tower:
+            out.append((poly, MultiplicityResult(status="capped", lower_bound=0, diagnostics=("tower-cap",))))
+            continue
         base = Tower(cap=caps.tower)
         try:
             tower, theta = adjoin_root(base, poly)

@@ -25,6 +25,7 @@ from .exact import (
     Tower,
     UniPoly,
     _canon,
+    _int_divexact,
     _sylvester_resultant,
     adjoin_root,
     as_fraction,
@@ -536,7 +537,11 @@ def extactic_determinant(sys: OdeSystem, n: int) -> BiPoly:
     bound = math.prod(max(1, sum(abs(c) for g in row for c in g.terms.values())) for row in rows)
     b = bound.bit_length() + 1
     mat = [[sum(c << b * (ze + dz * we) for (ze, we), c in g.terms.items()) for g in row] for row in rows]
-    return _unpack(bareiss_det(mat, _int_divexact, 0, 1), b, dz, d ** (size * (size - 1) // 2))
+    try:
+        det = bareiss_det(mat, _int_divexact, 0, 1)
+    except ExactError as exc:  # a remainder is a bug, not a cap (exit 3)
+        raise DarbouxError(str(exc)) from exc
+    return _unpack(det, b, dz, d ** (size * (size - 1) // 2))
 
 
 def _integer_field(sys: OdeSystem):
@@ -553,13 +558,6 @@ def _integer_field(sys: OdeSystem):
         return BiPoly._from_clean({k: c.numerator * (d // c.denominator) for k, c in p.terms.items()}, None)
 
     return d, OdeSystem(scaled(sys.P), scaled(sys.Q), None, sys.n)
-
-
-def _int_divexact(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise DarbouxError("inexact division in determinant")
-    return q
 
 
 def _unpack(packed: int, b: int, dz: int, scale: int) -> BiPoly:

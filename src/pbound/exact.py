@@ -296,12 +296,19 @@ def _inv(levels, a):
     """Exact inverse; raises _SplitNeeded when a zero divisor is found.
 
     A rational element is a unit or zero even over a presumed modulus, so
-    its inverse is the rational inverse embedded, with no Euclid."""
+    its inverse is the rational inverse embedded, with no Euclid.  At a
+    level over Q the inverse is solved on integers by Cramer's rule
+    (``_inv_rational``); extended Euclid runs only above the first level
+    and for a zero divisor, whose gcd with the modulus splits it."""
     q = _rational_value(levels, a)
     if q is not None:
         if q == 0:
             raise ZeroDivisionError("division by zero")
         return _const(levels, _canon(1 / Q(q)))
+    if len(levels) == 1:
+        inv = _inv_rational(levels[0], a)
+        if inv is not None:
+            return inv
     sub = levels[:-1]
     level = levels[-1]
     # extended Euclid between the modulus and a
@@ -336,6 +343,48 @@ def _inv(levels, a):
     h, rem = _polydivmod(sub, list(level.minpoly), g)
     assert _polydeg(sub, rem) < 0
     raise _SplitNeeded(len(levels) - 1, tuple(g), tuple(h))
+
+
+def _inv_rational(level, a):
+    """The inverse of a in Q[x]/(m) by Cramer's rule on Z, or None when a
+    is a zero divisor (its multiplication matrix is singular).
+
+    With a scaled to an integer vector over the lcm s of its denominators
+    and the level's reduction table on its denominator r, N = s r M is the
+    integer matrix of multiplication by a.  Then y = M^-1 e0 has
+    y_i = s r C_i / det N for the cofactors C_i of N's first row, and
+    det N is the sum of that row's entries times their cofactors."""
+    s = math.lcm(*[x.denominator for x in a])
+    ia = [x.numerator * (s // x.denominator) for x in a]
+    d = level.degree
+    rows, r = level.reduction
+    # column j of N: a x^j reduced modulo m, times s r
+    cols = []
+    for j in range(d):
+        col = [0] * d
+        for i, x in enumerate(ia):
+            if not x:
+                continue
+            if i + j < d:
+                col[i + j] += x * r
+            else:
+                for k, v in enumerate(rows[i + j - d]):
+                    col[k] += x * v
+        cols.append(col)
+    lower = [[col[i] for col in cols] for i in range(1, d)]
+    cofactors = []
+    for i in range(d):
+        minor = bareiss_det([row[:i] + row[i + 1:] for row in lower], _int_divexact, 0, 1)
+        cofactors.append(-minor if i & 1 else minor)
+    det = sum(col[0] * c for col, c in zip(cols, cofactors))
+    if det == 0:
+        return None
+    scale = s * r
+    out = []
+    for c in cofactors:
+        v = c * scale
+        out.append(v // det if v % det == 0 else Q(v, det))
+    return tuple(out)
 
 
 def _flatten(levels, a, out):
@@ -669,6 +718,13 @@ def ensure_regular(x) -> bool:
     if isinstance(x, ExtElem) and any(lv.presumed for lv in x.tower.levels):
         x.inverse()  # raises TowerSplitError on a zero divisor
     return False
+
+
+def _int_divexact(a: int, b: int) -> int:
+    q, rem = divmod(a, b)
+    if rem:
+        raise ExactError("inexact division in determinant")
+    return q
 
 
 def bareiss_det(mat, divexact, zero, one):

@@ -46,7 +46,13 @@ class BiPoly:
     A coefficient is an ``int`` when it is an integral rational, otherwise a
     ``Fraction``, or an ``ExtElem`` of ``tower``.  The two rational types mix
     freely; every division goes through ``f_inv`` or ``Q(a, b)``, so no
-    ``int / int`` ever makes a float."""
+    ``int / int`` ever makes a float.
+
+    A polynomial over a tower may keep rational coefficients next to its
+    tower elements: ``map_tower`` lifts only the tower elements, since
+    ``ExtElem`` arithmetic treats a rational operand componentwise.  Every
+    shift over a tower (``translate_w``) multiplies each term by the
+    tower's one, so the first substitution lifts the rest."""
 
     __slots__ = ("terms", "tower")
 
@@ -177,7 +183,11 @@ class BiPoly:
     # -- coefficient rings -----------------------------------------------------
 
     def map_tower(self, tower: Tower):
-        return BiPoly._from_clean({k: tower.coerce(c) for k, c in self.terms.items()}, tower)
+        """This polynomial over ``tower``: a tower element is coerced into
+        it, and a rational coefficient stays as it is (see the class)."""
+        return BiPoly._from_clean(
+            {k: tower.coerce(c) if isinstance(c, ExtElem) else c for k, c in self.terms.items()}, tower
+        )
 
     def transport(self, new_tower: Tower):
         return BiPoly(

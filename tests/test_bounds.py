@@ -1,6 +1,7 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pbound.bounds import (
     BoundsError,
@@ -8,7 +9,9 @@ from pbound.bounds import (
     axis_singular_points,
     invariant_line_bound,
     line_transform,
+    p_at_axis,
 )
+from pbound.exact import UniPoly
 from pbound.polyode import BiPoly, bipoly_str, make_system
 
 
@@ -51,6 +54,37 @@ def test_axis_points_irrational():
     kinds = [kind for kind, _, _ in points]
     assert kinds == ["inf", "algebraic"]
     assert points[1][2] == 2  # conjugate pair weight
+
+
+# Derandomized and without an example database, so every run draws the
+# same examples.
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.fractions(-4, 4, max_denominator=3), min_size=1, max_size=2),
+            st.fractions(-3, 3, max_denominator=3).filter(lambda c: c != 0),
+            st.integers(1, 2),
+        ),
+        min_size=1,
+        max_size=2,
+    ),
+    st.booleans(),
+)
+def test_axis_k_is_the_degree_of_the_squarefree_part(factors, z_term):
+    # P(0, w) = prod f^m with non-monic f of degree <= 2: at most 8, the
+    # factor cap
+    p0 = UniPoly([Q(1)], var="w")
+    for low, lead, mult in factors:
+        for _ in range(mult):
+            p0 = p0 * UniPoly(low + [lead], var="w")
+    terms = {(0, j): c for j, c in enumerate(p0.coeffs)}
+    if z_term:
+        terms[(1, 1)] = terms.get((1, 1), 0) + 3
+    sys = make_system(BiPoly(terms), bp({(1, 0): 1}))
+    points, k = axis_singular_points(sys)
+    assert k == p_at_axis(sys).squarefree_part().degree()
+    assert k == sum(weight for kind, _, weight in points if kind != "inf")
 
 
 def test_axis_points_no_roots():

@@ -244,6 +244,27 @@ def test_exact_arithmetic_cap_is_inconclusive_not_a_crash(capsys):
     assert data == {"error": {"type": "ExactError", "message": "factor cap exceeded"}}
 
 
+def test_axis_root_over_the_tower_cap_is_a_capped_point(capsys):
+    # P(0, w) = w^3 - 2 is irreducible: its roots need a tower of degree 3
+    system = "dw/dz = (w^3 + z*w - 2) / (z*w + z)"
+    code, data = run_json(capsys, ["bound", "--system", system, "--caps", "tower=2"])
+    assert code == 3
+    bounds = data["bounds"]
+    assert bounds["summands"][1] == {
+        "point": "root of w^3 - 2",
+        "weight": 3,
+        "status": "capped",
+        "mul_lower_bound": 0,
+    }
+    assert (bounds["sum_bound"], bounds["product_bound"]) == (None, None)
+    assert bounds["sum_lower_bound"] == bounds["summands"][0]["mul"]
+    assert bounds["notes"] == ["cap-limited multiplicities: sum bound inconclusive (>= 0)"]
+    # under a cap of 3 the roots are adjoined and the bound is finite
+    code, data = run_json(capsys, ["bound", "--system", system, "--caps", "tower=3"])
+    assert code == 0
+    assert data["bounds"]["summands"][1]["status"] == "finite"
+
+
 def test_darboux_univariate_cubic_certified_irreducible(capsys):
     code, data = run_json(
         capsys, ["darboux", "--system", "dz/dt = z^3 + 2; dw/dt = w", "--max-degree", "3"]

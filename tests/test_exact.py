@@ -710,6 +710,211 @@ def test_tower_constructors_give_int_coordinates():
     assert type(ARITH_TOWERS["sqrt2"].from_fraction(Q(4, 2)).as_fraction()) is Q
 
 
+# ---------------------------------------------------------------------------
+# the inverse at a level over Q: Cramer's rule on Z against extended Euclid
+# ---------------------------------------------------------------------------
+
+def level_over_q(low):
+    """The presumed level Q[x]/(x^d + ... + low[0]) with canonical
+    coordinates, as ``adjoin_root`` builds it."""
+    return Level(name="t0", minpoly=canonical_rep(tuple(low) + (Q(1),)), degree=len(low), presumed=True)
+
+
+def euclid_inverse(level, a):
+    """The test-local extended Euclid ``ref_inv`` on Fraction coordinates,
+    made canonical; raises RefSplit for a zero divisor."""
+    return canonical_rep(ref_inv(fraction_levels((level,)), fraction_rep(a)))
+
+
+def ref_polymul(a, b):
+    out = [Q(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+monic_factors = st.integers(1, 2).flatmap(lambda d: st.lists(fractions, min_size=d, max_size=d)).map(
+    lambda low: low + [Q(1)]
+)
+
+
+@FIELD_SETTINGS
+@given(st.integers(2, 4).flatmap(
+    lambda d: st.tuples(st.lists(fractions, min_size=d, max_size=d), st.lists(fractions, min_size=d, max_size=d))
+))
+def test_inverse_at_a_level_over_q_matches_euclid(data):
+    low, coords = data
+    level = level_over_q(low)
+    a = canonical_rep(tuple(coords))
+    if not any(coords):
+        with pytest.raises(ZeroDivisionError):
+            exact._inv((level,), a)
+        return
+    try:
+        want = euclid_inverse(level, a)
+    except RefSplit as split:
+        with pytest.raises(exact._SplitNeeded) as err:
+            exact._inv((level,), a)
+        assert (err.value.level, fraction_rep(err.value.g), fraction_rep(err.value.h)) == (0, split.g, split.h)
+        return
+    got = exact._inv((level,), a)
+    assert got == want
+    assert_canonical(got)
+
+
+@FIELD_SETTINGS
+@given(monic_factors, monic_factors, st.lists(fractions, min_size=4, max_size=4))
+def test_zero_divisor_of_a_product_level_splits_as_euclid_does(f, g, u):
+    # m = f g is reducible, so f u mod m is a zero divisor unless it is 0
+    m = ref_polymul(f, g)
+    level = level_over_q(m[:-1])
+    t = Tower((level,))
+    a = ref_reduce(fraction_levels((level,)), ref_polymul(f, u[: level.degree]))
+    if not any(a):
+        return
+    with pytest.raises(RefSplit) as want:
+        euclid_inverse(level, a)
+    with pytest.raises(TowerSplitError) as got:
+        ExtElem(t, canonical_rep(a)).inverse()
+    assert got.value.level == want.value.level == 0
+    assert (fraction_rep(got.value.g), fraction_rep(got.value.h)) == (want.value.g, want.value.h)
+    assert_canonical(got.value.g + got.value.h)
+
+
+def test_zero_divisor_modulo_a_presumed_product_raises_the_factors():
+    # (x^2 - 2)(x^2 - 3) has no rational root, so it is adjoined presumed
+    t, theta = adjoin_root(QQ_TOWER, poly(6, 0, -5, 0, 1))
+    for e, factors in [(theta * theta - 2, ((-2, 0, 1), (-3, 0, 1))), (theta * theta - 3, ((-3, 0, 1), (-2, 0, 1)))]:
+        with pytest.raises(TowerSplitError) as err:
+            e.inverse()
+        assert (err.value.level, (err.value.g, err.value.h)) == (0, factors)
+        with pytest.raises(RefSplit) as ref:
+            euclid_inverse(t.levels[0], e.rep)
+        assert (ref.value.g, ref.value.h) == factors
+    # a unit of the same level is inverted exactly
+    e = theta * theta * theta + theta - 1
+    assert e * e.inverse() == 1
+
+
+def test_euclid_runs_only_for_zero_divisors_and_above_the_first_level(monkeypatch):
+    calls = []
+    inner = exact._polydivmod
+
+    def counting(sub, num, den):
+        calls.append(len(sub))
+        return inner(sub, num, den)
+
+    monkeypatch.setattr(exact, "_polydivmod", counting)
+    for name in ("sqrt2", "cbrt2", "nonintegral"):
+        x = ARITH_TOWERS[name].generator(0)
+        for e in (x, x + 1, x * Q(2, 3) - Q(1, 5)):
+            assert e * e.inverse() == 1
+    assert calls == []
+    t, theta = adjoin_root(QQ_TOWER, poly(6, 0, -5, 0, 1))
+    with pytest.raises(TowerSplitError):
+        (theta * theta - 2).inverse()
+    assert calls and set(calls) == {0}
+    calls.clear()
+    y = ARITH_TOWERS["two-level"].generator(1)
+    assert y * y.inverse() == 1
+    assert calls and set(calls) == {1}
+
+
+# ---------------------------------------------------------------------------
+# Yun over Q against a rational Yun
+# ---------------------------------------------------------------------------
+
+def ref_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def ref_monic(p):
+    return [c / p[-1] for c in p]
+
+
+def ref_divmod(a, b):
+    a = ref_trim(list(a))
+    q = [Q(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        k = len(a) - len(b)
+        q[k] = c
+        for j, v in enumerate(b):
+            a[k + j] -= c * v
+        ref_trim(a)
+    return ref_trim(q), a
+
+
+def ref_gcd(a, b):
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_monic(a)
+
+
+def ref_derivative(p):
+    return ref_trim([i * c for i, c in enumerate(p)][1:])
+
+
+def ref_poly_sub(a, b):
+    n = max(len(a), len(b))
+    return ref_trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def rational_yun(p):
+    """Yun's algorithm on monic Fraction polynomials with Euclid's gcd."""
+    p = ref_monic(ref_trim([Q(c) for c in p]))
+    if len(p) < 2:
+        return []
+    dp = ref_derivative(p)
+    g = ref_gcd(p, dp)
+    c = ref_divmod(p, g)[0]
+    d = ref_poly_sub(ref_divmod(dp, g)[0], ref_derivative(c))
+    out = []
+    i = 1
+    while len(c) > 1:
+        h = ref_gcd(c, d)
+        if len(h) > 1:
+            out.append((h, i))
+        c = ref_divmod(c, h)[0]
+        d = ref_poly_sub(ref_divmod(d, h)[0], ref_derivative(c))
+        i += 1
+    return out
+
+
+nonzero_fractions = fractions.filter(lambda c: c != 0)
+squarefree_parts = st.tuples(
+    st.integers(1, 3).flatmap(lambda d: st.lists(fractions, min_size=d, max_size=d)),
+    nonzero_fractions,
+    st.integers(1, 3),
+)
+
+
+@FIELD_SETTINGS
+@given(st.lists(squarefree_parts, min_size=1, max_size=3), nonzero_fractions)
+def test_yun_over_q_matches_a_rational_yun(parts, scale):
+    # scale * prod f^m, each f non-monic with Fraction coefficients
+    p = [scale]
+    for low, lead, mult in parts:
+        for _ in range(mult):
+            p = ref_polymul(p, low + [lead])
+    want = rational_yun(p)
+    for coeffs in (p, canonical_rep(tuple(p))):
+        got = UniPoly(coeffs).squarefree_decomposition()
+        assert [(list(f.coeffs), m) for f, m in got] == want
+        for f, _ in got:
+            assert_canonical(f.coeffs)
+            assert f.leading() == 1
+    # the factors' powers make up the monic input
+    prod = [Q(1)]
+    for f, m in want:
+        for _ in range(m):
+            prod = ref_polymul(prod, f)
+    assert prod == ref_monic(p)
+
+
 def test_rational_inverse_and_monic_keep_integral_coefficients_int():
     assert [(type(x), x) for x in (exact.f_inv(1), exact.f_inv(-1), exact.f_inv(Q(1, 3)))] == [
         (int, 1),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbound import exact
-from pbound.exact import QQ_TOWER, Level, Tower, UniPoly, adjoin_root, field_one
+from pbound.exact import QQ_TOWER, ExtElem, Level, Tower, UniPoly, adjoin_root, field_one
 from pbound.polyode import (
     BiPoly,
     OdeError,
@@ -924,6 +924,45 @@ def test_translate_point_on_the_axis_matches_affine_map(P, Q_, z0, w0, over_towe
     assert got.tower == sys.tower
     assert_same_system(got, affine_map(sys, ((1, 0), (0, 1)), (0, w0)))
     assert not any(isinstance(c, float) for c in coefficients(got))
+
+
+def fully_lifted(sys, tower):
+    """The system with every coefficient coerced into ``tower``."""
+    def lift(p):
+        return BiPoly._from_clean({k: tower.coerce(c) for k, c in p.terms.items()}, tower)
+
+    return OdeSystem(lift(sys.P), lift(sys.Q), tower, sys.n)
+
+
+# y^2 = sqrt 2 over Q(sqrt 2), presumed
+Y_TOWER, Y = adjoin_root(SQRT2_TOWER, UniPoly([-SQRT2, SQRT2_TOWER.zero(), SQRT2_TOWER.one()], tower=SQRT2_TOWER))
+
+
+@KERNEL_SETTINGS
+@given(plain_polys, plain_polys, st.one_of(st.integers(-3, 3), rationals), st.booleans())
+def test_map_tower_keeps_rationals_until_the_first_shift(P, Q_, c, two_levels):
+    sys = OdeSystem(P, Q_)
+    tower, theta = (Y_TOWER, Y) if two_levels else (SQRT2_TOWER, SQRT2)
+    if two_levels:
+        # a system over Q(sqrt 2) with a tower coefficient, into Q(sqrt 2)(y)
+        sys = OdeSystem(P + BiPoly({(0, 1): SQRT2 + 1}), Q_, SQRT2_TOWER)
+    lifted = sys.map_tower(tower)
+    assert lifted.tower == lifted.P.tower == lifted.Q.tower == tower
+    for side, lifted_side in ((sys.P, lifted.P), (sys.Q, lifted.Q)):
+        assert lifted_side.terms.keys() == side.terms.keys()
+        for k, v in lifted_side.terms.items():
+            if isinstance(side.terms[k], ExtElem):
+                assert v.tower == tower and v == tower.coerce(side.terms[k])
+            else:
+                assert v is side.terms[k]
+    full = fully_lifted(sys, tower)
+    w0 = theta + c
+    got, want = translate_point(lifted, 0, w0), translate_point(full, 0, w0)
+    assert got.tower == want.tower == tower
+    for side, ref in ((got.P, want.P), (got.Q, want.Q)):
+        assert side.terms == ref.terms
+        assert all(isinstance(v, ExtElem) and v.tower == tower for v in side.terms.values())
+        assert {k: v.rep for k, v in side.terms.items()} == {k: v.rep for k, v in ref.terms.items()}
 
 
 def test_scale_and_negation_skip_no_vanishing_coefficient():
