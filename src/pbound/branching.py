@@ -350,7 +350,6 @@ class _Expander:
                     c0, c1 = fac.poly.coeffs
                     roots.append((-as_fraction(c0) / as_fraction(c1), fac.multiplicity, tower, "rational"))
                     continue
-                fac.poly.certified_irreducible = fac.certified
                 roots.append(self._adjoined(Tower(cap=self.caps.tower), fac.poly, fac.multiplicity))
         else:
             # a monic squarefree factor of phi has a nonzero constant term

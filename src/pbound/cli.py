@@ -209,7 +209,7 @@ def _cmd_lv(args) -> int:
     report = {"command": "lv"}
     report.update(outcome.to_report())
     if args.triple:
-        report["multiplicities"] = triple_report(params, caps)
+        report["multiplicities"] = triple_report(params, caps, outcome.bound)
     return _emit(args, report)
 
 

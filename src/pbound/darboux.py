@@ -503,23 +503,24 @@ def extactic_determinant(sys: OdeSystem, n: int) -> BiPoly:
 
     The determinant is computed on integers, on the one integer field d X of
     ``_integer_field``: row i of the matrix M' is d^i X^i of the basis, so
-    det M = det M' / d^(s(s-1)/2) for s rows.  Let DZ = 1 + sum_i max_j
-    deg_z M'_ij, B = prod_i max(1, sum_j ||M'_ij||_1) and
-    b = bitlength(B) + 1, and let phi be the ring map Z[z, w] -> Z sending
-    z to 2^b and w to 2^(b DZ).  Every minor of M' has z-degree below DZ
-    and, expanding it over permutations, coefficients of absolute value at
-    most B < 2^(b-1); on such polynomials phi is injective, since z^a w^c
-    lands on the base-2^b digit a + DZ c and each digit is recovered as the
-    balanced residue in (-2^(b-1), 2^(b-1)).
+    det M = det M' / d^(s(s-1)/2) for s rows.  Let phi be the ring map
+    Z[z, w] -> Z sending z to 2^b and w to 2^(b DZ).  As a ring map it
+    commutes with the determinant, det phi(M') = phi(det M'), so Bareiss on
+    the integer matrix phi(M') gives phi(det M') whatever its pivots are,
+    and phi has to be injective on det M' alone.  It is when det M' has
+    z-degree below DZ and coefficients of absolute value below 2^(b-1):
+    z^a w^c lands on the base-2^b digit a + DZ c, and each digit is
+    recovered as the balanced residue in (-2^(b-1), 2^(b-1)).
 
-    Bareiss on M' keeps every entry and pivot equal to +- a minor of M' (of
-    the row-swapped matrix), and Sylvester's identity makes each step's
-    numerator the previous pivot times the next minor.  Run on phi(M'), the
-    same steps therefore see phi of those polynomials: a pivot is zero
-    exactly when the polynomial one is, each integer division is exact, and
-    its quotient is phi of the next minor.  The last entry is phi(det M'),
-    which is unpacked digit by digit, borrowing on negative digits, and
-    divided by d^(s(s-1)/2).
+    DZ - 1 is the largest z-degree of a product of nonzero entries along a
+    permutation (``_assignment_z_degree``), which bounds the z-degree of
+    every term of the expansion.  The coefficients are bounded on the torus
+    |z| = |w| = 1: each is a Fourier coefficient of det M', so at most its
+    largest value there, and by Hadamard's inequality and
+    |M'_ij| <= ||M'_ij||_1 that is at most H = prod_i sqrt(sum_j
+    ||M'_ij||_1^2), and H < 2^(b-1) for b = bitlength(floor H) + 1.  The
+    last Bareiss entry is unpacked digit by digit, borrowing on negative
+    digits, and divided by d^(s(s-1)/2).
     """
     if sys.n != 1:
         raise OdeError("extactic determinant requires integer exponents")
@@ -533,15 +534,36 @@ def extactic_determinant(sys: OdeSystem, n: int) -> BiPoly:
     rows = [basis]
     for _ in range(size - 1):
         rows.append([derive_along(field, g) for g in rows[-1]])
-    dz = 1 + sum(max((ze for g in row for (ze, _) in g.terms), default=0) for row in rows)
-    bound = math.prod(max(1, sum(abs(c) for g in row for c in g.terms.values())) for row in rows)
-    b = bound.bit_length() + 1
+    dz = 1 + _assignment_z_degree(
+        [[max((ze for (ze, _) in g.terms), default=None) for g in row] for row in rows]
+    )
+    squares = math.prod(sum(sum(abs(c) for c in g.terms.values()) ** 2 for g in row) for row in rows)
+    b = math.isqrt(squares).bit_length() + 1
     mat = [[sum(c << b * (ze + dz * we) for (ze, we), c in g.terms.items()) for g in row] for row in rows]
     try:
         det = bareiss_det(mat, _int_divexact, 0, 1)
     except ExactError as exc:  # a remainder is a bug, not a cap (exit 3)
         raise DarbouxError(str(exc)) from exc
     return _unpack(det, b, dz, d ** (size * (size - 1) // 2))
+
+
+def _assignment_z_degree(degrees) -> int:
+    """The largest sum_i degrees[i][p(i)] over the permutations p whose
+    entries are all given (None marks a zero entry), 0 when there is none.
+
+    A DP over column subsets: best[S] is the largest sum that assigns the
+    first |S| rows to the columns in S."""
+    best = {0: 0}
+    for row in degrees:
+        nxt = {}
+        for used, total in best.items():
+            for j, deg in enumerate(row):
+                if deg is not None and not used >> j & 1:
+                    key = used | 1 << j
+                    if nxt.get(key, -1) < total + deg:
+                        nxt[key] = total + deg
+        best = nxt
+    return max(best.values(), default=0)
 
 
 def _integer_field(sys: OdeSystem):
@@ -607,15 +629,27 @@ def _biv_squarefree(f: BiPoly) -> BiPoly:
     return out if out is not None else f
 
 
+def _peel_axes(e: BiPoly) -> BiPoly:
+    """e without its factors z and w: every exponent less the least one."""
+    za = min(ze for (ze, _) in e.terms)
+    wb = min(we for (_, we) in e.terms)
+    if not (za or wb):
+        return e
+    return BiPoly._from_clean({(ze - za, we - wb): c for (ze, we), c in e.terms.items()}, None)
+
+
 def search_darboux(
     sys: OdeSystem, max_total_degree: int, detection: Optional[LineDetection] = None
 ) -> SearchOutcome:
     """Invariant algebraic curves of total degree <= max_total_degree.
 
     ``detection`` is the system's ``detect_invariant_lines``, computed here
-    when not given.  E_n is needed only up to a constant, so the primitive
-    integer part of E_n is peeled by those of the known factors and goes to
-    ``invariant_core``, which normalizes the core its candidates come from."""
+    when not given.  E_n is needed only up to a constant, so its primitive
+    integer part is peeled before it goes to ``invariant_core``, which
+    normalizes the core its candidates come from: z^a w^b by subtracting the
+    least exponents (``_peel_axes``), then every other known factor by
+    repeated exact division.  The known factors are prime to z and w, so
+    this leaves the residual that dividing by each in turn leaves."""
     if max_total_degree < 1:
         return SearchOutcome(certificates=[], dicritical_degrees=())
     certs = []
@@ -644,11 +678,11 @@ def search_darboux(
             dicritical.append(n)
             continue
         # peel already-known invariant factors before the expensive gcd
-        e = _primitive_int(e)
-        for known in [_primitive_int(c.f) for c in certs] + [
-            BiPoly._from_clean({(1, 0): 1}, None),
-            BiPoly._from_clean({(0, 1): 1}, None),
-        ]:
+        e = _peel_axes(_primitive_int(e))
+        for cert in certs:
+            known = _primitive_int(cert.f)
+            if len(known.terms) == 1:
+                continue  # z or w, peeled above
             while e.total_degree() > 0:
                 quotient = bipoly_divexact(e, known)
                 if quotient is None:

@@ -1056,9 +1056,17 @@ class UniPoly:
         )
 
     def monic(self):
+        """self over its leading coefficient, integral rationals as ints;
+        self itself when it already is that: an int 1 leads and no
+        coefficient is an integral Fraction."""
         if self.is_zero():
             return self
-        return self.scale(f_inv(self.leading()))
+        lead = self.coeffs[-1]
+        if lead.__class__ is int and lead == 1 and not any(
+            c.__class__ is Fraction and c.denominator == 1 for c in self.coeffs
+        ):
+            return self
+        return self.scale(f_inv(lead))
 
     def eval(self, x):
         acc = self._zero_c() if not isinstance(x, ExtElem) else x.tower.zero()
@@ -1534,6 +1542,9 @@ def factor_univariate(p: UniPoly, cap=DEFAULT_FACTOR_CAP):
     Degree <= 3 factors are certified by rational-root exclusion; degree >= 4
     factors are certified by a modular check when possible and otherwise
     flagged presumed irreducible (dynamic evaluation repairs them later).
+    A certified factor of degree >= 2 is a new polynomial whose
+    ``certified_irreducible`` is set, which ``adjoin_root`` reads; p itself
+    is never flagged.
     """
     if p.is_zero():
         raise ExactError("zero polynomial")
@@ -1548,12 +1559,14 @@ def factor_univariate(p: UniPoly, cap=DEFAULT_FACTOR_CAP):
 
 
 def _factor_squarefree(p: UniPoly):
+    """Monic irreducible factors of the monic squarefree p, each with its
+    certification; a factor may be p itself, never flagged in place."""
     if p.degree() == 0:
         return []
     if p.degree() == 1:
-        return [(p.monic(), True)]
+        return [(p, True)]
     pieces = []
-    rest = p.monic()
+    rest = p
     for r in rational_roots(rest):
         lin = UniPoly([-r, Q(1)], var=p.var)
         while True:
@@ -1563,31 +1576,31 @@ def _factor_squarefree(p: UniPoly):
                 rest = q
             else:
                 break
-    work = [rest] if rest.degree() >= 1 else []
+    # a quotient's integral coefficients may be Fractions: monic makes them ints
+    work = [rest.monic()] if rest.degree() >= 1 else []
     while work:
         f = work.pop()
         if f.degree() == 1:
-            pieces.append((f.monic(), True))
+            pieces.append((f, True))
             continue
-        if f.degree() <= 3:
-            # no rational root (already stripped): irreducible for degree 2, 3
-            g = f.monic()
-            g.certified_irreducible = True
-            pieces.append((g, True))
-            continue
-        if modular_irreducibility(f):
-            g = f.monic()
-            g.certified_irreducible = True
-            pieces.append((g, True))
+        # no rational root (already stripped): irreducible for degree 2, 3
+        if f.degree() <= 3 or modular_irreducibility(f):
+            pieces.append((_flagged_irreducible(f), True))
             continue
         ints = _primitive_int_coeffs(f)
         split = _kronecker_split(ints)
         if split is None:
-            pieces.append((f.monic(), False))
+            pieces.append((f, False))
             continue
-        g = UniPoly([Q(c) for c in split], var=p.var)
-        h = f.exact_div(g)
+        g = UniPoly([Q(c) for c in split], var=p.var).monic()
         work.append(g)
-        work.append(h)
+        work.append(f.exact_div(g).monic())
     pieces.sort(key=lambda t: (t[0].degree(), [as_fraction(c) for c in t[0].coeffs]))
     return pieces
+
+
+def _flagged_irreducible(f: UniPoly) -> UniPoly:
+    """A copy of f marked certified irreducible; f may be a caller's."""
+    g = UniPoly(f.coeffs, var=f.var, tower=f.tower)
+    g.certified_irreducible = True
+    return g

@@ -255,10 +255,19 @@ def lv_multiplicity_triple(p: LvParams, caps: Caps = DEFAULT_CAPS):
     return at_inf, at_a, at_zero
 
 
-def triple_report(p: LvParams, caps: Caps = DEFAULT_CAPS):
-    at_inf, at_a, at_zero = lv_multiplicity_triple(p, caps)
-    return {
-        "inf": multiplicity_report(at_inf),
-        str(p.a): multiplicity_report(at_a),
-        "0": multiplicity_report(at_zero),
-    }
+def triple_report(p: LvParams, caps: Caps = DEFAULT_CAPS, bound: Optional[BoundReport] = None):
+    """The reports of (Mul(0, inf), Mul(0, a), Mul(0, 0)), keyed "inf",
+    str(a) and "0".
+
+    ``bound`` is the axis bound ``classify`` computed at the same caps; its
+    summands are these three points under the same labels, so they are read
+    from it.  Without a bound (the ``inapplicable`` verdict, which a = 0
+    always gets) or without one of the labels they are recomputed by
+    ``lv_multiplicity_triple``."""
+    labels = ("inf", str(p.a), "0")
+    known = {point.label: point.mul for point in bound.points} if bound is not None else {}
+    if all(label in known for label in labels):
+        triple = [known[label] for label in labels]
+    else:
+        triple = lv_multiplicity_triple(p, caps)
+    return {label: multiplicity_report(mul) for label, mul in zip(labels, triple)}

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as Q
 
 import pytest
@@ -17,7 +18,16 @@ from pbound.darboux import (
     verify_darboux,
 )
 from pbound.exact import QQ_TOWER, UniPoly, adjoin_root, bareiss_det
-from pbound.polyode import BiPoly, OdeError, OdeSystem, bipoly_divexact, bipoly_str, biv_gcd, make_system
+from pbound.polyode import (
+    BiPoly,
+    OdeError,
+    OdeSystem,
+    _primitive_int,
+    bipoly_divexact,
+    bipoly_str,
+    biv_gcd,
+    make_system,
+)
 
 
 def bp(entries):
@@ -427,6 +437,133 @@ def test_extactic_matches_bipoly_bareiss_with_negative_digits():
     assert any(c < 0 for c in e.terms.values())
     assert any(c.denominator != 1 for c in e.terms.values())
     assert e.terms == bipoly_bareiss_reference(sys, 2).terms
+
+
+# ---------------------------------------------------------------------------
+# the packing: z-stride by assignment, digit width by Hadamard
+# ---------------------------------------------------------------------------
+
+def brute_assignment(degrees):
+    """max over permutations of the summed degrees, zero entries (None) excluded."""
+    n = len(degrees)
+    sums = [
+        sum(degrees[i][p[i]] for i in range(n))
+        for p in itertools.permutations(range(n))
+        if all(degrees[i][p[i]] is not None for i in range(n))
+    ]
+    return max(sums, default=0)
+
+
+degree_matrices = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.one_of(st.none(), st.integers(0, 30)), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(degree_matrices)
+@example([[5, None], [None, 1]])  # the row maxima 5 + 1 are reached
+@example([[9, 0], [8, 1]])  # they are not: both sit in column 0
+@example([[3, None], [4, None]])  # no permutation avoids a zero entry
+def test_assignment_z_degree_is_the_largest_over_permutations(degrees):
+    assert darboux._assignment_z_degree(degrees) == brute_assignment(degrees)
+
+
+def test_extactic_reaching_the_z_stride_matches_bipoly_bareiss(monkeypatch):
+    # E_2 of LV(-1,5,0) has z-degree 19, one below its stride: a stride one
+    # smaller folds z^19 w^c onto w^(c+1)
+    sys = lv_system(Q(-1), Q(5), Q(0))
+    real, strides = darboux._unpack, []
+
+    def spy(packed, b, dz, scale):
+        strides.append(dz)
+        return real(packed, b, dz, scale)
+
+    monkeypatch.setattr(darboux, "_unpack", spy)
+    e = extactic_determinant(sys, 2)
+    assert strides == [20] and e.z_degree() == 19
+    assert e.terms == bipoly_bareiss_reference(sys, 2).terms
+
+
+@pytest.mark.parametrize(
+    "sys",
+    [lv_system(Q(-3, 2), Q(5), Q(1, 3)), lv_system(Q(-2), Q(0), Q(1, 2))],
+    ids=["lv(-3/2,5,1/3)", "lv(-2,0,1/2)"],
+)
+def test_extactic_with_fraction_coefficients_matches_bipoly_bareiss(sys):
+    # d > 1: the packed determinant is det M' and is divided by d^15
+    assert any(c.denominator != 1 for c in [*sys.P.terms.values(), *sys.Q.terms.values()])
+    assert extactic_determinant(sys, 2).terms == bipoly_bareiss_reference(sys, 2).terms
+
+
+# ---------------------------------------------------------------------------
+# peeling E_n: z and w by exponents, the known lines by division
+# ---------------------------------------------------------------------------
+
+Z, W = bp({(1, 0): 1}), bp({(0, 1): 1})
+
+
+def peel_reference(e, certs):
+    """Repeated exact division by the known factors, then by z and by w."""
+    e = _primitive_int(e)
+    for known in [_primitive_int(c.f) for c in certs] + [Z, W]:
+        while e.total_degree() > 0 and (quotient := bipoly_divexact(e, known)) is not None:
+            e = quotient
+    return e
+
+
+def spy_search(monkeypatch):
+    """(residuals passed to invariant_core, monomial flags of the divisors
+    passed to bipoly_divexact) during a search."""
+    cores, monomial = [], []
+    real_core, real_div = darboux.invariant_core, darboux.bipoly_divexact
+
+    def core(sys, e):
+        cores.append(e)
+        return real_core(sys, e)
+
+    def div(a, b):
+        monomial.append(len(b.terms) == 1)
+        return real_div(a, b)
+
+    monkeypatch.setattr(darboux, "invariant_core", core)
+    monkeypatch.setattr(darboux, "bipoly_divexact", div)
+    return cores, monomial
+
+
+@pytest.mark.parametrize("a", range(4))
+@pytest.mark.parametrize("b", range(4))
+def test_search_peels_planted_axis_powers_as_repeated_division(monkeypatch, a, b):
+    # the saddle's lines are z and w + z - 1; E_1 is replaced by
+    # -3/7 z^a w^b (w + z - 1)^2 (z^2 + 3 z w + w^2 + 2)
+    sys = saddle_line_system()
+    detection = detect_invariant_lines(sys)
+    assert sorted(bipoly_str(c.f) for c in detection.lines) == ["w + z - 1", "z"]
+    rest = bp({(2, 0): 1, (1, 1): 3, (0, 2): 1, (0, 0): 2})
+    planted = (bp({(a, b): 1}) * LINE * LINE * rest).scale(Q(-3, 7))
+    monkeypatch.setattr(darboux, "extactic_determinant", lambda sys, n: planted)
+    cores, monomial = spy_search(monkeypatch)
+    search_darboux(sys, 1, detection)
+    want = peel_reference(planted, detection.lines)
+    assert want.terms == _primitive_int(rest).terms
+    assert [e.terms for e in cores] == [want.terms]
+    assert monomial and not any(monomial)
+
+
+@pytest.mark.parametrize(
+    "sys",
+    [lv_system(Q(-1), Q(5), Q(0)), lv_system(Q(-3, 2), Q(5), Q(1, 3)), saddle_line_system()],
+    ids=["lv(-1,5,0)", "lv(-3/2,5,1/3)", "saddle"],
+)
+def test_search_peels_e_n_as_repeated_division(monkeypatch, sys):
+    detection = detect_invariant_lines(sys)
+    want = [peel_reference(extactic_determinant(sys, n), detection.lines) for n in (1, 2)]
+    want = [e.terms for e in want if 0 < e.total_degree() <= darboux.CORE_DEGREE_CAP]
+    cores, monomial = spy_search(monkeypatch)
+    search_darboux(sys, 2, detection)
+    assert [e.terms for e in cores] == want
+    assert not any(monomial)
 
 
 def invariant_core_reference(sys, e):

@@ -943,6 +943,69 @@ def test_scale_monic_and_gcd_keep_integral_products_int():
     assert types_and_values(a.gcd(UniPoly([5, 1]))) == [(int, 1)]
 
 
+def test_monic_returns_an_already_monic_polynomial_itself():
+    p = UniPoly([3, 0, 1])
+    assert p.monic() is p
+    # an integral Fraction is made an int, so that is a new polynomial
+    q = UniPoly([Q(3), 0, 1])
+    assert q.monic() is not q and types_and_values(q.monic()) == [(int, 3), (int, 0), (int, 1)]
+
+
+# ---------------------------------------------------------------------------
+# factoring over Q against sympy's factor_list
+# ---------------------------------------------------------------------------
+
+# factors of degree 1-4 with small integer coefficients, monic or not; a
+# product keeps at most DEFAULT_FACTOR_CAP in degree
+small_factors = st.integers(1, 4).flatmap(
+    lambda d: st.tuples(st.lists(st.integers(-4, 4), min_size=d, max_size=d), st.sampled_from([1, 1, 2, 3, -2]))
+).map(lambda t: t[0] + [t[1]])
+
+
+@st.composite
+def factored_unipolys(draw):
+    p = [draw(st.sampled_from([Q(1), Q(-3, 2), Q(5, 4)]))]
+    for _ in range(draw(st.integers(1, 4))):
+        f = draw(small_factors)
+        for _ in range(draw(st.integers(1, 3))):
+            if len(p) + len(f) - 2 > exact.DEFAULT_FACTOR_CAP:
+                break
+            p = ref_polymul(p, [Q(c) for c in f])
+    return UniPoly(p)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(factored_unipolys())
+def test_factor_univariate_matches_sympy_factor_list(sp, p):
+    x = sp.symbols("x")
+    _, want = sp.factor_list(sympy_expr(sp, p.coeffs, x), x, domain="QQ")
+    want = sorted(
+        (sympy_coeffs(sp, sp.Poly(g, x, domain="QQ").monic().as_expr(), x, 0), m) for g, m in want
+    )
+    got = factor_univariate(p)
+    assert sorted((list(f.poly.coeffs), f.multiplicity) for f in got) == want
+    for f in got:
+        assert f.poly.leading() == 1
+        # _Expander and adjoin_root read the certification off the factor
+        assert f.poly.certified_irreducible == (f.certified and f.poly.degree() >= 2)
+    assert not p.certified_irreducible
+
+
+@pytest.mark.parametrize(
+    "coeffs", [(-2, 1), (-2, 0, 1), (-2, 0, 0, 1), (2, 0, 0, 0, 1), (1, 0, 0, 0, 1), (15, 0, -8, 0, 1)], ids=str
+)
+@pytest.mark.parametrize("flag", [False, True])
+def test_factor_univariate_leaves_the_flag_of_its_input(coeffs, flag):
+    # monic and squarefree: the identity shortcut hands p itself to the factorer
+    p = UniPoly(coeffs)
+    p.certified_irreducible = flag
+    factors = factor_univariate(p)
+    assert p.certified_irreducible is flag
+    for f in factors:
+        if f.poly is p:
+            assert f.poly.degree() == 1 or not f.certified
+
+
 # ---------------------------------------------------------------------------
 # gcd over Q when GCDHEU fails: the primitive PRS against sympy
 # ---------------------------------------------------------------------------

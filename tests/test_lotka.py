@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from pbound import bounds, cli, lotka
 from pbound.lotka import (
     LvParams,
     apply_symmetry,
@@ -157,3 +158,45 @@ def test_triple_b_zero_middle_point_critical():
     # the curve-bearing stratum carries a one-parameter family through (0, a)
     assert at_a.status == "critical"
     assert at_a.witness.lam_star == Q(1)
+
+
+# the 15 points of the benchmark's lv queries: c = 1 + 1/a, b in {0, 3, 5}
+TRIPLE_POINTS = [
+    "%s,%s,%s" % (a, b, c)
+    for a, c in (("-1", "0"), ("-2", "1/2"), ("-3", "2/3"), ("-3/2", "1/3"), ("-4", "3/4"))
+    for b in ("0", "3", "5")
+]
+
+
+def count_multiplicity_at(monkeypatch):
+    calls = []
+    for module in (bounds, lotka):
+        real = module.multiplicity_at
+
+        def counting(*args, real=real):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(module, "multiplicity_at", counting)
+    return calls
+
+
+def lv_triple_stdout(capsys, params):
+    code = cli.main(["lv", "--params", params, "--triple", "--json"])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("params", TRIPLE_POINTS + ["1,0,0", "0,1,0"])
+def test_triple_read_from_the_bound_is_the_recomputed_triple(monkeypatch, capsys, params):
+    # 1,0,0 is inapplicable (no bound) and 0,1,0 has a = 0: both recompute
+    got = lv_triple_stdout(capsys, params)
+    real = lotka.triple_report
+    monkeypatch.setattr(cli, "triple_report", lambda p, caps, bound=None: real(p, caps))
+    assert got == lv_triple_stdout(capsys, params)
+
+
+@pytest.mark.parametrize("params, calls", [("-1,5,0", 3), ("-3/2,0,1/3", 3), ("1,0,0", 3), ("0,1,0", 3)])
+def test_triple_costs_no_second_multiplicity_pass(monkeypatch, capsys, params, calls):
+    counted = count_multiplicity_at(monkeypatch)
+    lv_triple_stdout(capsys, params)
+    assert len(counted) == calls
