@@ -36,6 +36,7 @@ from .exact import (
     Tower,
     TowerSplitError,
     UniPoly,
+    _canon,
     adjoin_root,
     as_fraction,
     certified_is_rational,
@@ -56,7 +57,8 @@ from .polyode import (
     BiPoly,
     OdeSystem,
     PuiseuxBranch,
-    _nonzero,
+    _content_free,
+    _integer_sides,
     _shift_sides,
     coeff_profile,
     substitute_branch,
@@ -98,6 +100,13 @@ class CriticalFound(Exception):
 
 @dataclass
 class Leaf:
+    """A branch prefix where expansion stopped, with its status.
+
+    ``remainder`` is the system for the rest of the branch.  At a node of
+    the expansion tree it is exact; at a node of a resonance walk
+    (``_walk_leaf``) it is truncated, and it may be the walk's scaled pair,
+    a constant multiple of P and Q, which gives the same branches."""
+
     terms: tuple  # ((mu, alpha), ...)
     status: str  # "closed" | "exact" | "non-algebraic" | "cap-exceeded"
     tower: Optional[Tower]
@@ -191,13 +200,18 @@ def _fold_step(prof, lam_prev):
     y1 = min(heights)
     if k0 - y1 <= lam_prev:
         return None
-    lam = Q(k0 - y1, n)
-    c1 = 0
+    c1 = 0  # n c1, so that alpha = n p0 / (n c1)
     if q0 is not None and q0[0] - n == y1:
-        c1 = c1 + q0[1] * lam
+        c1 = c1 + q0[1] * (k0 - y1)
     if p1 is not None and p1[0] == y1:
-        c1 = c1 - p1[1]
-    return lam, (None if f_is_zero(c1) else p0 * f_inv(c1))
+        c1 = c1 - p1[1] * n
+    if f_is_zero(c1):
+        alpha = None
+    elif type(c1) is int and type(p0) is int:
+        alpha = _canon(Q(p0 * n, c1))
+    else:
+        alpha = p0 * n * f_inv(c1)
+    return Q(k0 - y1, n), alpha
 
 
 def _child(node: _Node, step: _Step) -> _Node:
@@ -300,7 +314,8 @@ class _Expander:
 
     def _walk_leaf(self, cur: _Node, sides, status, flags):
         """A leaf at the walk's node ``cur``, its remainder system built on
-        the node's sides."""
+        the node's sides: truncated, and over Q or a one-level tower a
+        constant multiple of the exact remainder (``_fold_walk``)."""
         p, q, n, tower = sides
         system = OdeSystem(BiPoly._from_clean(p, tower), BiPoly._from_clean(q, tower), tower, n)
         return self._leaf(replace(cur, system=system), status, flags=flags)
@@ -446,6 +461,12 @@ def _walk_step(p, q, nu, lam, alpha, bound, n, tower):
     least weight dropped (None when none is); weights and ``bound`` are on
     the scale n too.
 
+    Over Q and over a one-level tower p and q are a content-free integer
+    pair (``_fold_walk``), and so are the new sides: the kernel shifts them
+    on integers, and its scale is dropped with the content
+    (``_content_free``), since the walk reads only ratios of P and Q.  Over
+    a taller tower they stay exact.
+
     With every later exponent at least lam, a term z^e w^j of P reaches
     P(z, 0) at order >= e + j lam, and one of Q, through -s' Q, at order
     >= e - 1 + (j + 1) lam: its lam-weight.  The shift keeps the lam-weight
@@ -461,8 +482,9 @@ def _walk_step(p, q, nu, lam, alpha, bound, n, tower):
                     deg = key[1]
             elif low is None or weight < low:
                 low = weight
-    p1, q1 = _shift_sides(kept[0], kept[1], alpha, lam, n, deg, tower)
-    return _nonzero(p1), _nonzero(q1), low
+    p1, q1, _ = _shift_sides(kept[0], kept[1], alpha, lam, n, deg, tower)
+    p1, q1, _ = _content_free(p1, q1, tower)
+    return p1, q1, low
 
 
 def _fold_walk(sys: OdeSystem, lam, terms=1, rho=None):
@@ -478,6 +500,16 @@ def _fold_walk(sys: OdeSystem, lam, terms=1, rho=None):
     never grows, and no BiPoly, OdeSystem or Fraction exponent is built
     between steps.  Weights and the bound K are integers on the same scale;
     a K off the lattice is floored, which keeps the same terms.
+
+    The pair (P, Q) is defined up to a constant: everything a step reads is
+    a ratio of P and Q (alpha = p0 / c1, the ratio of ``_closure``, whether
+    P(z, 0) vanishes, the weights), and scaling both sides by one nonzero
+    constant changes none of them.  So over Q and over a one-level tower
+    the walk takes the content-free integer pair of ``sys`` once
+    (``_integer_sides``): ints, or tower elements with int coordinates, and
+    shifts it on integers (``_walk_step``), with no Fraction formed between
+    steps.  The yielded sides are that pair, a constant multiple of the
+    exact remainder.  Over a taller tower the sides are exact.
 
     A step reads k0, the order of P(z, 0), and the abscissa-1 point (1, y1)
     alone (``coeff_profile`` with ``fold``), and (1, y1) has the least weight
@@ -508,7 +540,7 @@ def _fold_walk(sys: OdeSystem, lam, terms=1, rho=None):
     never raised.
     """
     n, tower = sys.n, sys.tower
-    entry = (sys.P.terms, sys.Q.terms)
+    entry = _integer_sides(sys.P.terms, sys.Q.terms, tower)[:2]
     start = lam.numerator * n // lam.denominator  # n lam, floored
     found = []  # (n lam, lam, alpha) of the steps yielded and taken
     bound = None  # K on the scale n, set at the first step

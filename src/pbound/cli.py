@@ -217,14 +217,29 @@ def _cmd_analyze(args) -> int:
     caps = _caps_from(args)
     system, source = _load_system(args)
     report = {"command": "analyze", "system": _system_block(system, source)}
-    origin = multiplicity_at(system, ("point", Q(0), Q(0)), caps)
-    at_inf = multiplicity_at(system, ("inf", Q(0)), caps)
+    # The axis bound's summands include (0, 0) and (0, inf) at the same caps,
+    # labelled "0" and "inf", so they are read from it and computed only
+    # where a label is missing (P(0, 0) != 0).  An error of the bound is
+    # raised where the bound stands in the report, after any error of the
+    # steps before it.
+    bound, failure, known = None, None, {}
+    if source.axis:
+        try:
+            bound = axis_multiplicity_bound(system, caps)
+        except Exception as exc:
+            failure = exc
+        else:
+            known = {point.label: point.mul for point in bound.points}
+    origin = known["0"] if "0" in known else multiplicity_at(system, ("point", Q(0), Q(0)), caps)
+    at_inf = known["inf"] if "inf" in known else multiplicity_at(system, ("inf", Q(0)), caps)
     report["mul_at_origin"] = multiplicity_report(origin)
     report["mul_at_infinity"] = multiplicity_report(at_inf)
     detection = detect_invariant_lines(system)
     report["invariant_lines"] = detection.to_report()
     if source.axis:
-        report["bounds"] = axis_multiplicity_bound(system, caps).to_report()
+        if failure is not None:
+            raise failure
+        report["bounds"] = bound.to_report()
     else:
         for cert in detection.lines:
             f = cert.f

@@ -249,22 +249,36 @@ def _mul_rational(level, a, b):
     db = math.lcm(*[y.denominator for y in b])
     ia = [x.numerator * (da // x.denominator) for x in a]
     ib = [y.numerator * (db // y.denominator) for y in b]
-    d = level.degree
-    prod = [0] * (2 * d - 1)
-    for i, x in enumerate(ia):
+    out = _int_product(level, ia, ib)
+    total = da * db * level.reduction[1]
+    if total == 1:
+        return tuple(out)
+    return tuple([v // total if v % total == 0 else Q(v, total) for v in out])
+
+
+def _int_product(level, a, b):
+    """r a b for int coordinate lists a and b of a level over Q, as a list
+    of d ints (``_reduce_int``)."""
+    prod = [0] * (2 * level.degree - 1)
+    for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(ib):
+            for j, y in enumerate(b):
                 prod[i + j] += x * y
+    return _reduce_int(level, prod)
+
+
+def _reduce_int(level, prod):
+    """The integer coefficient list ``prod`` of length 2d - 1, reduced
+    modulo the modulus of a level over Q with the level's table: a list of
+    d ints, r times the reduced value for the table's denominator r."""
     rows, den = level.reduction
-    out = [v * den for v in prod[:d]]
+    d = level.degree
+    out = [v * den for v in prod[:d]] if den != 1 else prod[:d]
     for v, row in zip(prod[d:], rows):
         if v:
             for j, r in enumerate(row):
                 out[j] += v * r
-    total = da * db * den
-    if total == 1:
-        return tuple(out)
-    return tuple([v // total if v % total == 0 else Q(v, total) for v in out])
+    return out
 
 
 def _polydeg(sub, coeffs):
@@ -1568,7 +1582,7 @@ def _factor_squarefree(p: UniPoly):
     pieces = []
     rest = p
     for r in rational_roots(rest):
-        lin = UniPoly([-r, Q(1)], var=p.var)
+        lin = UniPoly([_canon(-r), 1], var=p.var)
         while True:
             q, rem = rest.divmod(lin)
             if rem.is_zero():

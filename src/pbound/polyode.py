@@ -22,6 +22,8 @@ from .exact import (
     UniPoly,
     _int_gcd,
     _int_primitive,
+    _int_product,
+    _reduce_int,
     ensure_regular,
     f_is_zero,
     f_inv,
@@ -51,8 +53,8 @@ class BiPoly:
     A polynomial over a tower may keep rational coefficients next to its
     tower elements: ``map_tower`` lifts only the tower elements, since
     ``ExtElem`` arithmetic treats a rational operand componentwise.  Every
-    shift over a tower (``translate_w``) multiplies each term by the
-    tower's one, so the first substitution lifts the rest."""
+    shift over a tower (``translate_w``) returns tower elements only, so
+    the first substitution lifts the rest."""
 
     __slots__ = ("terms", "tower")
 
@@ -617,7 +619,10 @@ class OdeSystem:
 
         For lam = p/q the result lies on the scale n' = lcm(n, q).  The keys
         are rescaled only when q does not divide n, then shifted by the one
-        kernel ``_shift_sides``.
+        kernel ``_shift_sides``.  Over Q and over a one-level tower the
+        kernel shifts the content-free integer pair of P and Q
+        (``_integer_sides``), and each coefficient it returns is divided
+        once by the product of the two scales.
         """
         n, tower = self.n, self.tower
         p, q = self.P.terms, self.Q.terms
@@ -628,10 +633,12 @@ class OdeSystem:
             p = {(s * k, j): c for (s, j), c in p.items()}
             q = {(s * k, j): c for (s, j), c in q.items()}
         deg = max(self.P.w_degree(), self.Q.w_degree(), 0)
-        p1, q1 = _shift_sides(p.items(), q.items(), alpha, lam, n, deg, tower)
+        p, q, scale = _integer_sides(p, q, tower)
+        p1, q1, shift_scale = _shift_sides(p.items(), q.items(), alpha, lam, n, deg, tower)
+        scale *= shift_scale
         return OdeSystem(
-            BiPoly._from_clean(_nonzero(p1), self.P.tower or tower),
-            BiPoly._from_clean(_nonzero(q1), self.Q.tower or tower),
+            BiPoly._from_clean(_divided(p1, scale, tower), self.P.tower or tower),
+            BiPoly._from_clean(_divided(q1, scale, tower), self.Q.tower or tower),
             tower,
             n,
         )
@@ -644,62 +651,192 @@ class OdeSystem:
         return OdeSystem(self.P.shift_z(-low), self.Q.shift_z(-low), self.tower, self.n)
 
 
+def _tower_depth(tower) -> int:
+    """The number of levels of ``tower``, 0 over Q: ``_shift_sides`` shifts
+    integers at depth 0 and 1 and exact coefficients above."""
+    return 0 if tower is None else len(tower.levels)
+
+
+def _integer_sides(p, q, tower):
+    """The content-free integer pair of the term dicts p and q, with the
+    positive rational s that makes it s (p, q): ints over Q, and ExtElem
+    with int coordinate tuples over a one-level tower, where a rational
+    coefficient becomes a tower element too.  Over a taller tower p, q and
+    1."""
+    depth = _tower_depth(tower)
+    if depth > 1:
+        return p, q, 1
+    if depth == 0:
+        den = math.lcm(*[c.denominator for side in (p, q) for c in side.values()])
+        sides = [{k: c.numerator * (den // c.denominator) for k, c in side.items()} for side in (p, q)]
+    else:
+        reps = [{k: tower.coerce(c).rep for k, c in side.items()} for side in (p, q)]
+        den = math.lcm(*[x.denominator for side in reps for v in side.values() for x in v])
+        sides = [{k: [x.numerator * (den // x.denominator) for x in v] for k, v in side.items()} for side in reps]
+    p, q, g = _content_free(*sides, tower)
+    return p, q, Fraction(den, g)
+
+
+def _content_free(p1, q1, tower):
+    """An integer pair of ``_shift_sides`` over its content g > 0, without
+    zeros, and g: ints over Q, ExtElem over a one-level tower.  An exact
+    pair, over a taller tower, only loses its zeros (g = 1)."""
+    depth = _tower_depth(tower)
+    if depth > 1:
+        return _nonzero(p1), _nonzero(q1), 1
+    if depth == 0:
+        g = math.gcd(*p1.values(), *q1.values()) or 1
+        p1, q1 = ({k: c // g for k, c in side.items() if c} for side in (p1, q1))
+        return p1, q1, g
+    g = math.gcd(*[x for side in (p1, q1) for v in side.values() for x in v]) or 1
+    p1, q1 = ({k: ExtElem(tower, tuple([x // g for x in v])) for k, v in side.items() if any(v)} for side in (p1, q1))
+    return p1, q1, g
+
+
+def _divided(terms, scale, tower):
+    """A side of ``_shift_sides`` over its positive rational ``scale``,
+    without zeros: canonical rationals over Q, ExtElem over a one-level
+    tower.  A taller tower's exact side only loses its zeros (``scale`` is
+    1 there)."""
+    depth = _tower_depth(tower)
+    if depth > 1:
+        return _nonzero(terms)
+    num, den = scale.numerator, scale.denominator
+    if depth == 0:
+        return {k: _over(c * den, num) for k, c in terms.items() if c}
+    return {k: ExtElem(tower, tuple([_over(x * den, num) for x in v])) for k, v in terms.items() if any(v)}
+
+
+def _over(a: int, b: int):
+    """a / b for ints, b > 0, as an int when it is integral."""
+    return a // b if a % b == 0 else Fraction(a, b)
+
+
 def _shift_table(alpha, step, deg, tower):
     """Row k lists (shift, j, factor) for each term factor z^shift w^j of
-    (alpha z^lam + w)^k, j ascending, shift on the scale n lam = ``step``;
-    factor None stands for the rational 1, by which nothing is multiplied."""
+    (alpha z^lam + w)^k, j ascending, shift on the scale n lam = ``step``,
+    with exact factors in ``tower``."""
     one = field_one(tower)
     apow = [one]
     for _ in range(deg):
         apow.append(apow[-1] * alpha)
-    unit = None if type(one) is int else one
-    table = []
-    for k in range(deg + 1):
-        row = []
-        for j in range(k + 1):
-            i = k - j
-            factor = unit if i == 0 else apow[i] if j == 0 else apow[i] * math.comb(k, j)
-            row.append((i * step, j, factor))
-        table.append(row)
-    return table
+    return [[((k - j) * step, j, apow[k - j] * math.comb(k, j)) for j in range(k + 1)] for k in range(deg + 1)]
 
 
 def _shift_sides(p_items, q_items, alpha, lam, n, deg, tower):
     """The one shift kernel: P1 and Q1 of ``translate_w`` as plain dicts on
     (n * z-exponent, j) keys, zeros kept, from the (key, coefficient) items
-    of P and Q on those keys; ``deg`` bounds their w-degree and n lam must
+    of P and Q on those keys, and the positive scale s by which P1 and Q1
+    are multiplied; ``deg`` bounds the w-degree of P and Q and n lam must
     be an integer.
 
     A term c z^e w^k gives C(k, j) alpha^(k-j) c at z^(e + (k-j) lam) w^j
-    for j <= k, with the factors and shifts of ``_shift_table``; then
-    -alpha lam z^(lam-1) Q1 is added into P1.
+    for j <= k; then -alpha lam z^(lam-1) Q1 is added into P1.
+
+    Over Q and over a one-level tower the coefficients are integers
+    (``_integer_sides``): ints, or ExtElem with int coordinate tuples; the
+    result is ints, or lists of d int coordinates.  With alpha = a / D for
+    an integral a, every factor C(k, j) alpha^i is an integer times one
+    unit D^deg r^(deg-1), r the denominator of the level's reduction table
+    (1 over Q), and every product is one of integers.  Over a tower it is
+    summed unreduced, 2d - 1 coordinates to a key, and each key reduced
+    once with the table (``_reduce_int``), which multiplies by r.  P's own
+    products are scaled by D den r for lam = num/den, so that P1 takes the
+    integer multiple -a num of Q1, and Q1 is scaled to match.  s is the
+    product of these integers.  Over a taller tower the coefficients and the
+    result are exact, the arithmetic that of ``ExtElem``, and s = 1: the
+    split of ``exact._mul``.
     """
     num, den = lam.numerator, lam.denominator
     step = num * (n // den)  # n lam
-    table = _shift_table(alpha, step, deg, tower)
-    q1 = _shift_terms(q_items, table)
-    p1 = _shift_terms(p_items, table)
-    if num:
-        factor = -(alpha * (num if den == 1 else lam))
-        shift = step - n  # n (lam - 1)
-        for (s, j), c in q1.items():
-            key = (s + shift, j)
-            prod = c * factor
-            cur = p1.get(key)
-            p1[key] = prod if cur is None else cur + prod
-    return p1, q1
+    depth = _tower_depth(tower)
+    if depth > 1:
+        table = _shift_table(alpha, step, deg, tower)
+        q1 = _shift_terms(q_items, table)
+        p1 = _shift_terms(p_items, table)
+        if num:
+            factor = -(alpha * (num if den == 1 else lam))
+            _shift_terms(q1.items(), _lam_table(step - n, deg, factor), p1)
+        return p1, q1, 1
+    if depth == 0:
+        a, d = alpha.numerator, alpha.denominator
+        powers = [a ** i * d ** (deg - i) for i in range(deg + 1)]  # alpha^i d^deg
+        table = [[((k - j) * step, j, powers[k - j] * math.comb(k, j)) for j in range(k + 1)] for k in range(deg + 1)]
+        q1 = _shift_terms(q_items, table)
+        if not num:
+            return _shift_terms(p_items, table), q1, powers[0]
+        lead = d * den
+        p1 = _shift_terms(p_items, [[(s, j, c * lead) for s, j, c in row] for row in table])
+        _shift_terms(q1.items(), _lam_table(step - n, deg, -a * num), p1)
+        return p1, {k: c * lead for k, c in q1.items()}, powers[0] * lead
+    level = tower.levels[0]
+    r, width = level.reduction[1], 2 * level.degree - 1
+    rep = tower.coerce(alpha).rep
+    d = math.lcm(*[x.denominator for x in rep])
+    a = [x.numerator * (d // x.denominator) for x in rep]
+    # alpha^i d^deg r^(deg-1) = v_i (d r)^(deg-i) for v_i = r^(i-1) a^i
+    unit = d ** deg * r ** (deg - 1) if deg else 1
+    powers, v = [[(0, unit)]], a
+    for i in range(1, deg + 1):
+        if i > 1:
+            v = _int_product(level, v, a)
+        powers.append(_pairs(v, (d * r) ** (deg - i)))
+    table = [
+        [((k - j) * step, j, [(i, x * math.comb(k, j)) for i, x in powers[k - j]]) for j in range(k + 1)]
+        for k in range(deg + 1)
+    ]
+    acc = _shift_vectors(((k, c.rep) for k, c in q_items), table, width)
+    q1 = {k: _reduce_int(level, v) for k, v in acc.items()}
+    if not num:
+        acc = _shift_vectors(((k, c.rep) for k, c in p_items), table, width)
+        return {k: _reduce_int(level, v) for k, v in acc.items()}, q1, unit * r
+    lead = d * den * r
+    table = [[(s, j, [(i, x * lead) for i, x in f]) for s, j, f in row] for row in table]
+    acc = _shift_vectors(((k, c.rep) for k, c in p_items), table, width)
+    _shift_vectors(q1.items(), _lam_table(step - n, deg, _pairs(a, -num)), width, acc)
+    p1 = {k: _reduce_int(level, v) for k, v in acc.items()}
+    return p1, {k: [x * lead for x in v] for k, v in q1.items()}, unit * r * lead
 
 
-def _shift_terms(items, table):
-    """The (key, coefficient) items of a side, shifted by ``table``, summed
-    in one plain dict; zeros are kept."""
-    out = {}
+def _lam_table(shift, deg, factor):
+    """The table of ``_shift_terms`` that multiplies each w^j, j <= deg, by
+    ``factor`` z^shift: for -alpha lam z^(lam-1) Q1, shift = n (lam - 1)."""
+    return [[(shift, j, factor)] for j in range(deg + 1)]
+
+
+def _pairs(coords, m):
+    """(index, m x) for each nonzero int coordinate x."""
+    return [(i, x * m) for i, x in enumerate(coords) if x]
+
+
+def _shift_terms(items, table, out=None):
+    """The (key, coefficient) items of a side, shifted by ``table`` and
+    summed into the plain dict ``out``, or a new one; zeros are kept."""
+    out = {} if out is None else out
     for (s, we), c in items:
         for shift, j, factor in table[we]:
             key = (s + shift, j)
-            prod = c if factor is None else c * factor
+            prod = c * factor
             cur = out.get(key)
             out[key] = prod if cur is None else cur + prod
+    return out
+
+
+def _shift_vectors(items, table, width, out=None):
+    """``_shift_terms`` on integer coordinate vectors: each product of a
+    coefficient and a factor of ``table``, given as (index, int) pairs, is
+    added unreduced into the key's list of ``width`` ints."""
+    out = {} if out is None else out
+    for (s, we), c in items:
+        coords = [(i, x) for i, x in enumerate(c) if x]
+        for shift, j, factor in table[we]:
+            key = (s + shift, j)
+            acc = out.get(key)
+            if acc is None:
+                acc = out[key] = [0] * width
+            for i, x in coords:
+                for k, y in factor:
+                    acc[i + k] += x * y
     return out
 
 
@@ -740,15 +877,23 @@ class CoeffProfile:
 
 def _leading_entries(terms, powers=None):
     """w-power -> (z-exponent, coefficient) of its lowest unit coefficient,
-    for every w-power of a term dict or only those in ``powers``."""
-    parts = {}
-    for (ze, we), c in terms.items():
+    for every w-power of a term dict or only those in ``powers``.  A term
+    dict holds no zeros as a rule, so the lowest term of each w-power is
+    tested first, and the others, in ascending order, only when it is
+    zero."""
+    low = {}
+    for key, c in terms.items():
+        we = key[1]
         if powers is None or we in powers:
-            parts.setdefault(we, []).append((ze, c))
+            cur = low.get(we)
+            if cur is None or key[0] < cur[0]:
+                low[we] = (key[0], c)
     out = {}
-    for we, pairs in parts.items():
-        pairs.sort(key=lambda t: t[0])
-        for ze, c in pairs:
+    for we, entry in low.items():
+        if not ensure_regular(entry[1]):
+            out[we] = entry
+            continue
+        for ze, c in sorted(((ze, c) for (ze, j), c in terms.items() if j == we), key=lambda t: t[0]):
             if not ensure_regular(c):
                 out[we] = (ze, c)
                 break

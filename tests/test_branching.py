@@ -18,7 +18,7 @@ from pbound.branching import (
     multiplicity_at,
     resolve_resonance,
 )
-from pbound.exact import QQ_TOWER, TowerSplitError, UniPoly, adjoin_root, rational_roots, sort_key
+from pbound.exact import QQ_TOWER, ExtElem, TowerSplitError, UniPoly, adjoin_root, rational_roots, sort_key
 from pbound.newton import first_critical, nonzero_char_poly, vertex_critical_check
 from pbound.polyode import (
     BiPoly,
@@ -658,6 +658,86 @@ def test_extension_entered_off_the_lattice(name, raise_counter):
         assert all(type(k) is int for k in raise_counter)
         assert _as_compared(terms) == _as_compared(reference_extend(off, 10)), name
         assert _as_compared(terms) == _as_compared(extend_leaf(leaf, 10)), name
+
+
+def walk_of(leaf, n_terms):
+    """The sides and the steps that ``_fold_walk`` yields while it extends
+    ``leaf`` to ``n_terms`` terms, as ``extend_leaf`` runs it."""
+    sides, steps = [], []
+    left = n_terms - len(leaf.terms)
+    for node, step in branching._fold_walk(leaf.remainder, leaf.lam_last, terms=left):
+        sides.append(node)
+        if step is None or step[1] is None:
+            break
+        steps.append(step)
+        if len(steps) == left:
+            break
+    return sides, steps
+
+
+def levels_of(tower):
+    return 0 if tower is None else len(tower.levels)
+
+
+def assert_content_free_integer_pair(p, q, tower):
+    """Over Q or a one-level tower the walk's pair holds ints, or tower
+    elements with int coordinates, whose gcd is 1: no Fraction at all."""
+    assert levels_of(tower) <= 1
+    coords = []
+    for c in [*p.values(), *q.values()]:
+        if isinstance(c, ExtElem):
+            assert c.tower == tower
+            coords.extend(c.rep)
+        else:
+            coords.append(c)
+    assert all(type(x) is int for x in coords)
+    assert math.gcd(*coords) == 1
+
+
+@pytest.mark.parametrize("m, levels", [(-4, 1), (5, 0)])
+def test_walk_shifts_a_content_free_integer_pair(m, levels):
+    # EX45 at m = -4 walks over Q(t0), t0^2 + 9, and at m = 5 over Q
+    local = example45(Q(m))
+    walked = 0
+    for leaf in expand_branches(local).leaves:
+        if not (leaf.terms and leaf.counted):
+            continue
+        sides, steps = walk_of(leaf, 30)
+        for p, q, _, tower in sides:
+            assert_content_free_integer_pair(p, q, tower)
+        assert _as_compared(leaf.terms + tuple(steps)) == _as_compared(reference_extend(leaf, 30))
+        walked += levels_of(leaf.tower) == levels
+    assert walked
+
+
+def example45_over_root_of(minpoly):
+    """(z + w^2) w' = z^2 + t w for a root t of ``minpoly``."""
+    tower, theta = adjoin_root(QQ_TOWER, UniPoly(minpoly))
+    one = tower.one()
+    return OdeSystem(
+        BiPoly({(2, 0): one, (0, 1): theta}, tower=tower),
+        BiPoly({(1, 0): one, (0, 2): one}, tower=tower),
+        tower=tower,
+    )
+
+
+def test_walk_over_a_nonintegral_modulus_and_two_levels():
+    # t0 a root of 3 t^2 + 2 t - 2: each reduction of the walk's kernel
+    # multiplies by 3, and the content taken out keeps the pair small.  The
+    # ramified branch adjoins t1 and walks in exact arithmetic over Q(t0, t1)
+    local = example45_over_root_of([Q(-2, 3), Q(2, 3), Q(1)])
+    assert local.tower.levels[0].reduction[1] == 3
+    walked = set()
+    for leaf in expand_branches(local).leaves:
+        if not (leaf.terms and leaf.counted):
+            continue
+        sides, steps = walk_of(leaf, 12)
+        for p, q, _, tower in sides:
+            if levels_of(tower) <= 1:
+                assert_content_free_integer_pair(p, q, tower)
+        assert _as_compared(leaf.terms + tuple(steps)) == _as_compared(reference_extend(leaf, 12))
+        walked.add((levels_of(leaf.tower), len(steps)))
+    assert walked == {(1, 11), (2, 11)}
 
 
 def half_indicial(rho, f):

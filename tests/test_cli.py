@@ -497,3 +497,143 @@ def test_dicritical_system_has_a_pencil_of_invariant_curves():
             assert (1 + slope) ** 2 - C == 0
             slopes.add(slope)
     assert len(slopes) == 8
+
+
+# ---------------------------------------------------------------------------
+# analyze reads (0, 0) and infinity from the axis bound
+# ---------------------------------------------------------------------------
+
+import contextlib  # noqa: E402
+import io  # noqa: E402
+from unittest import mock  # noqa: E402
+
+from pbound import bounds, cli  # noqa: E402
+from pbound.bounds import BoundsError  # noqa: E402
+from pbound.exact import ExactError  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+
+def analyze_in_the_old_order(args):
+    """``analyze`` as it ran before it read the two multiplicities from the
+    bound: (0, 0), infinity, the lines, then the bound on its own."""
+    caps = cli._caps_from(args)
+    system, source = cli._load_system(args)
+    report = {"command": "analyze", "system": cli._system_block(system, source)}
+    origin = cli.multiplicity_at(system, ("point", Q(0), Q(0)), caps)
+    at_inf = cli.multiplicity_at(system, ("inf", Q(0)), caps)
+    report["mul_at_origin"] = cli.multiplicity_report(origin)
+    report["mul_at_infinity"] = cli.multiplicity_report(at_inf)
+    detection = cli.detect_invariant_lines(system)
+    report["invariant_lines"] = detection.to_report()
+    if source.axis:
+        report["bounds"] = cli.axis_multiplicity_bound(system, caps).to_report()
+    else:
+        for cert in detection.lines:
+            f = cert.f
+            line = (f.coeff(1, 0), f.coeff(0, 1), f.coeff(0, 0))
+            try:
+                bound = cli.invariant_line_bound(system, line, caps)
+            except BoundsError:
+                continue
+            report["bounds"] = bound.to_report()
+            report["bounds_line"] = [str(x) for x in line]
+            break
+    outcome = cli.search_darboux(system, args.max_degree, detection)
+    report["darboux"] = outcome.to_report()
+    return cli._emit(args, report)
+
+
+def analyze_both_ways(argv):
+    """(exit code, stdout) of ``analyze`` and of the old order on ``argv``."""
+
+    def stdout_of():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        return code, out.getvalue()
+
+    real = cli._parse_args
+
+    def old_order(argv):
+        args = real(argv)
+        args.func = analyze_in_the_old_order
+        return args
+
+    got = stdout_of()
+    with mock.patch.object(cli, "_parse_args", old_order):
+        return got, stdout_of()
+
+
+LV_TEXT = "dz/dt = z*(z + c*w - 1); dw/dt = w*(b*z + w - a); a=%s; b=%s; c=%s"
+DARBOUX_ANALYZE = [LV_TEXT % abc for abc in (("-1", "5", "0"), ("-1", "0", "0"), ("-2", "0", "1/2"))] + [
+    "dw/dz = (w^2 - 2*w + 1 - z) / (z*w)",  # P(0, 0) = 1: no point labelled 0
+]
+
+
+@pytest.mark.parametrize("text", DARBOUX_ANALYZE + [EX45])  # EX45 is not in axis form
+def test_analyze_matches_the_old_order(text):
+    got, want = analyze_both_ways(["analyze", "--system", text, "--max-degree", "2", "--json"])
+    assert got == want
+
+
+def test_analyze_reads_both_multiplicities_from_the_bound(monkeypatch, capsys):
+    # LV(-1,5,0): the bound's points are inf, -1 and 0, and analyze adds none
+    calls = []
+    for module in (bounds, cli):
+        real = module.multiplicity_at
+
+        def counting(*args, real=real):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(module, "multiplicity_at", counting)
+    assert main(["analyze", "--system", DARBOUX_ANALYZE[0], "--json"]) == 0
+    capsys.readouterr()
+    assert sorted(calls) == [("inf", 0), ("point", 0, -1), ("point", 0, 0)]
+
+
+def _raises(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+@pytest.mark.parametrize(
+    "patches",
+    [
+        {"axis_multiplicity_bound": BoundsError("bound failed")},
+        {"axis_multiplicity_bound": BoundsError("bound failed"), "multiplicity_at": ExactError("point failed")},
+        {"axis_multiplicity_bound": ExactError("bound failed"), "detect_invariant_lines": ValueError("lines failed")},
+    ],
+)
+def test_analyze_raises_the_error_the_old_order_raised_first(monkeypatch, patches):
+    for name, exc in patches.items():
+        monkeypatch.setattr(cli, name, _raises(exc))
+    got, want = analyze_both_ways(["analyze", "--system", DARBOUX_ANALYZE[0], "--json"])
+    assert got == want
+    first = "point failed" if "multiplicity_at" in patches else "lines failed" if len(patches) > 1 else "bound failed"
+    assert json.loads(got[1])["error"]["message"] == first
+
+
+@st.composite
+def census_texts(draw):
+    """An axis-form system dw/dz = P / (z q0), deg P <= 3 and deg q0 <= 2,
+    with small integer coefficients, as the census draws them."""
+
+    def poly(max_degree):
+        keys = draw(st.lists(
+            st.tuples(st.integers(0, max_degree), st.integers(0, max_degree)).filter(lambda ij: sum(ij) <= max_degree),
+            min_size=1, max_size=5, unique=True,
+        ))
+        return " + ".join("(%d)*z^%d*w^%d" % (draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), i, j) for i, j in keys)
+
+    return "dw/dz = (%s) / (z*(%s))" % (poly(3), poly(2))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(census_texts())
+def test_analyze_matches_the_old_order_on_census_systems(text):
+    argv = ["analyze", "--system", text, "--max-degree", "1", "--json", "--caps", "terms=2"]
+    got, want = analyze_both_ways(argv)
+    assert got == want

@@ -133,6 +133,16 @@ def test_factor_edge_polynomial_linear():
     assert factors[0].poly.coeffs == (Q(-1, 2), Q(1))
 
 
+def test_rational_root_factors_have_int_coefficients():
+    # x^3 + x - 2 = (x - 1)(x^2 + x + 2): the factor split off by its
+    # rational root follows the canonical-int rule as the others do
+    factors = factor_univariate(poly(-2, 1, 0, 1))
+    assert [f.poly.coeffs for f in factors] == [(-1, 1), (2, 1, 1)]
+    assert all(type(c) is int for f in factors for c in f.poly.coeffs)
+    # so making it monic again hands back the polynomial itself
+    assert factors[0].poly.monic() is factors[0].poly
+
+
 def test_factor_remultiplies():
     rng = random.Random(11)
     for _ in range(25):

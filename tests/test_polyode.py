@@ -441,6 +441,74 @@ def test_translate_w_drops_products_of_zero_divisors():
     assert_same_poly(out.Q, shift_reference(sys, t - one, Q(0))[1])
 
 
+def assert_canonical_coefficients(poly):
+    """Every rational coefficient, or coordinate of a tower coefficient, is
+    an int when it is integral and a Fraction otherwise."""
+    leaves = []
+    for c in poly.terms.values():
+        exact._flatten(c.tower.levels, c.rep, leaves) if isinstance(c, ExtElem) else leaves.append(c)
+    assert all(type(v) is int or type(v) is Q and v.denominator > 1 for v in leaves)
+
+
+# alpha = a / b with b in [10^6, 10^9]: the integer kernel scales every
+# factor by a power of b, and translate_w divides once at the end
+large_denominators = st.builds(Q, st.integers(-(10 ** 12), 10 ** 12).filter(bool), st.integers(10 ** 6, 10 ** 9))
+
+
+@KERNEL_SETTINGS
+@given(shift_systems(), large_denominators, LAMS)
+def test_translate_w_with_large_denominators(sys, alpha, lam):
+    out = assert_kernel_matches_reference(sys, alpha, lam)
+    assert_canonical_coefficients(out.P)
+    assert_canonical_coefficients(out.Q)
+
+
+# a root of 3 w^2 + 2 w - 2: the monic modulus w^2 + 2/3 w - 2/3 is not
+# integral, so each reduction in the kernel multiplies by the table's
+# denominator 3
+NONINTEGRAL_TOWER, NONINTEGRAL = adjoin_root(QQ_TOWER, UniPoly([Q(-2, 3), Q(2, 3), Q(1)]))
+# Q(sqrt 2)(y) with y^2 = sqrt 2, its top level presumed: two levels, which
+# the kernel shifts in exact arithmetic
+TWO_LEVEL_TOWER, FOURTH_ROOT = adjoin_root(
+    SQRT2_TOWER, UniPoly([-SQRT2, SQRT2_TOWER.zero(), SQRT2_TOWER.one()], tower=SQRT2_TOWER)
+)
+
+
+@st.composite
+def linear_values(draw, tower, gen):
+    """a + b gen for rationals a and b, as an element of ``tower``."""
+    a, b = draw(rationals), draw(rationals)
+    return tower.from_fraction(a) + tower.from_fraction(b) * gen
+
+
+def test_kernel_towers_cover_a_reduction_denominator_and_two_levels():
+    assert NONINTEGRAL_TOWER.levels[0].reduction[1] == 3
+    assert len(TWO_LEVEL_TOWER.levels) == 2 and TWO_LEVEL_TOWER.levels[1].presumed
+
+
+@KERNEL_SETTINGS
+@given(
+    shift_systems(linear_values(NONINTEGRAL_TOWER, NONINTEGRAL), NONINTEGRAL_TOWER),
+    linear_values(NONINTEGRAL_TOWER, NONINTEGRAL).filter(lambda c: not c.is_zero()),
+    LAMS,
+)
+def test_translate_w_over_a_nonintegral_modulus(sys, alpha, lam):
+    out = assert_kernel_matches_reference(sys, alpha, lam)
+    assert_canonical_coefficients(out.P)
+    assert_canonical_coefficients(out.Q)
+
+
+@KERNEL_SETTINGS
+@given(
+    shift_systems(linear_values(TWO_LEVEL_TOWER, FOURTH_ROOT), TWO_LEVEL_TOWER),
+    linear_values(TWO_LEVEL_TOWER, FOURTH_ROOT).filter(lambda c: not c.is_zero()),
+    LAMS,
+)
+def test_translate_w_over_a_two_level_tower(sys, alpha, lam):
+    out = assert_kernel_matches_reference(sys, alpha, lam)
+    assert out.P.tower == out.Q.tower == TWO_LEVEL_TOWER
+
+
 def test_translate_w_rescales_only_when_q_does_not_divide_n():
     # z w^2 on the scale n = 2 is the key (2, 2); lam = 1/2 keeps the scale
     shifted = {(4, 0): Q(1), (3, 1): Q(2), (2, 2): Q(1)}
