@@ -17,7 +17,6 @@ from .exact import (
     UniPoly,
     TowerSplitError,
     adjoin_root,
-    try_invert,
     factor_univariate,
     squarefree_and_rational_roots,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "UniPoly",
     "TowerSplitError",
     "adjoin_root",
-    "try_invert",
     "factor_univariate",
     "squarefree_and_rational_roots",
     "BiPoly",

@@ -20,6 +20,7 @@ from .darboux import DarbouxCertificate, verify_darboux
 from .exact import (
     ExactError,
     Q,
+    QQ_TOWER,
     Tower,
     TowerSplitError,
     UniPoly,
@@ -159,9 +160,8 @@ def _mul_at_algebraic_point(sys: OdeSystem, minpoly: UniPoly, caps: Caps):
         if poly.degree() > caps.tower:
             out.append((poly, MultiplicityResult(status="capped", lower_bound=0, diagnostics=("tower-cap",))))
             continue
-        base = Tower(cap=caps.tower)
         try:
-            tower, theta = adjoin_root(base, poly)
+            tower, theta = adjoin_root(QQ_TOWER, poly, caps.tower)
         except ExactError as exc:
             raise BoundsError("axis root tower: %s" % exc)
         lifted = sys.map_tower(tower)

@@ -33,6 +33,7 @@ from .exact import (
     ExactError,
     ExtElem,
     Q,
+    QQ_TOWER,
     Tower,
     TowerSplitError,
     UniPoly,
@@ -75,7 +76,7 @@ class Caps:
     ram: int = 64
     tower: int = 16
     terms: int = 10
-    factor_cap: int = 8
+    factor: int = 8
 
 
 DEFAULT_CAPS = Caps()
@@ -357,7 +358,7 @@ class _Expander:
         roots = []
         if tower is None or tower.is_trivial():
             try:
-                factors = factor_univariate(phi, cap=self.caps.factor_cap)
+                factors = factor_univariate(phi, cap=self.caps.factor)
             except ExactError:
                 return [(None, 1, None, "factor-cap")]
             for fac in factors:
@@ -365,20 +366,19 @@ class _Expander:
                     c0, c1 = fac.poly.coeffs
                     roots.append((-as_fraction(c0) / as_fraction(c1), fac.multiplicity, tower, "rational"))
                     continue
-                roots.append(self._adjoined(Tower(cap=self.caps.tower), fac.poly, fac.multiplicity))
+                roots.append(self._adjoined(QQ_TOWER, fac.poly, fac.multiplicity))
         else:
             # a monic squarefree factor of phi has a nonzero constant term
             for g, mult in phi.squarefree_decomposition():
                 if g.degree() == 1:
                     roots.append((-g.coeffs[0], mult, tower, "tower-linear"))
                 else:
-                    roots.append(self._adjoined(Tower(tower.levels, cap=self.caps.tower), g, mult))
+                    roots.append(self._adjoined(tower, g, mult))
         return roots
 
-    @staticmethod
-    def _adjoined(base: Tower, minpoly: UniPoly, mult: int):
+    def _adjoined(self, base: Tower, minpoly: UniPoly, mult: int):
         try:
-            t2, theta = adjoin_root(base, minpoly)
+            t2, theta = adjoin_root(base, minpoly, self.caps.tower)
         except ExactError:
             return (None, mult, None, "tower-cap")
         return (theta, mult, t2, "adjoined")

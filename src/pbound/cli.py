@@ -35,13 +35,7 @@ EXIT_INCONCLUSIVE = 3
 def _parse_caps(texts) -> Caps:
     """The default caps with the settings of each text in ``texts`` applied
     in order, so a later text overrides an earlier one."""
-    fields = {
-        "depth": DEFAULT_CAPS.depth,
-        "ram": DEFAULT_CAPS.ram,
-        "tower": DEFAULT_CAPS.tower,
-        "terms": DEFAULT_CAPS.terms,
-        "factor": DEFAULT_CAPS.factor_cap,
-    }
+    fields = dict(vars(DEFAULT_CAPS))
     for text in texts:
         for piece in text.split(","):
             piece = piece.strip()
@@ -59,13 +53,7 @@ def _parse_caps(texts) -> Caps:
             if key == "ram" and fields[key] < 1:
                 # a branch's ramification index is at least 1
                 raise ValueError("cap 'ram' must be at least 1")
-    return Caps(
-        depth=fields["depth"],
-        ram=fields["ram"],
-        tower=fields["tower"],
-        terms=fields["terms"],
-        factor_cap=fields["factor"],
-    )
+    return Caps(**fields)
 
 
 def _caps_from(args) -> Caps:
@@ -190,6 +178,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_darboux(args) -> int:
+    if args.max_degree < 0:
+        raise ValueError("--max-degree must not be negative")
     system, source = _load_system(args)
     outcome = search_darboux(system, args.max_degree)
     report = {
@@ -215,6 +205,8 @@ def _cmd_lv(args) -> int:
 
 def _cmd_analyze(args) -> int:
     caps = _caps_from(args)
+    if args.max_degree < 0:
+        raise ValueError("--max-degree must not be negative")
     system, source = _load_system(args)
     report = {"command": "analyze", "system": _system_block(system, source)}
     # The axis bound's summands include (0, 0) and (0, inf) at the same caps,

@@ -42,14 +42,12 @@ from .polyode import (
     OdeSystem,
     _normalize_biv,
     _primitive_int,
+    _integer_sides,
     _wpoly_content,
-    _wpoly_degree,
-    _wpoly_pseudo_divmod,
     bipoly_divexact,
     bipoly_str,
     bipoly_to_wpoly,
     biv_gcd,
-    wpoly_to_bipoly,
 )
 
 
@@ -89,9 +87,6 @@ class DarbouxCertificate:
 class NotDarboux:
     remainder: BiPoly
 
-    def to_report(self):
-        return {"darboux": False, "remainder_witness": bipoly_str(self.remainder)}
-
 
 def derive_along(sys: OdeSystem, f: BiPoly) -> BiPoly:
     """X(f) = zdot f_z + wdot f_w with (zdot, wdot) = (sys.Q, sys.P)."""
@@ -107,7 +102,7 @@ def verify_darboux(sys: OdeSystem, f: BiPoly):
     xf = derive_along(sys, f)
     quotient = bipoly_divexact(xf, f)
     if quotient is None:
-        return NotDarboux(remainder=_division_witness(xf, f))
+        return NotDarboux(remainder=_lex_remainder(xf, f))
     m = sys.degree()
     if not xf.is_zero():
         assert quotient.total_degree() <= m - 1, "cofactor degree bound violated"
@@ -123,20 +118,40 @@ def verify_darboux(sys: OdeSystem, f: BiPoly):
     )
 
 
-def _division_witness(num: BiPoly, den: BiPoly) -> BiPoly:
-    """A nonzero remainder witnessing num not divisible by den."""
-    rn, rd = bipoly_to_wpoly(num), bipoly_to_wpoly(den)
-    if _wpoly_degree(rd) == 0:
-        # denominator is a z-polynomial: witness the first failing coefficient
-        for r in rn:
-            if r.is_zero():
+def _lex_remainder(num: BiPoly, den: BiPoly) -> BiPoly:
+    """The remainder of num modulo den in (w, z) lex order: num - q den with
+    no term divisible by the leading term of den.  One polynomial is a
+    Groebner basis of its ideal, so the remainder is zero exactly when den
+    divides num.
+
+    Rows of num are walked as in ``bipoly_divexact``, from the highest
+    w-power and, within a row, the highest z-power down.  A multiple of den
+    only changes terms below the one it cancels, so each term is final when
+    it is reached: it is cancelled when the leading term divides it and
+    moved into the remainder otherwise."""
+    dw = den.w_degree()
+    dz = max(ze for (ze, we) in den.terms if we == dw)
+    lc_inv = f_inv(den.terms[(dz, dw)])
+    rest = [(we, ze, c) for (ze, we), c in den.terms.items() if (ze, we) != (dz, dw)]
+    rows = [{} for _ in range(num.w_degree() + 1)]
+    for (ze, we), c in num.terms.items():
+        rows[we][ze] = c
+    remainder = {}
+    for i in range(len(rows) - 1, -1, -1):
+        row = rows[i]
+        for k in range(max(row, default=-1), -1, -1):
+            c = row.get(k)
+            if c is None or f_is_zero(c):
                 continue
-            _, rem = r.divmod(rd[0])
-            if not rem.is_zero():
-                return wpoly_to_bipoly([rem], tower=num.tower)
-        return num
-    _, rem, _ = _wpoly_pseudo_divmod(rn, rd)
-    return wpoly_to_bipoly(rem, tower=num.tower)
+            if i < dw or k < dz:
+                remainder[(k, i)] = _canon(c) if type(c) is Fraction else c
+                continue
+            qc = c * lc_inv
+            for we, ze, dc in rest:
+                target = rows[i - dw + we]
+                key = k - dz + ze
+                target[key] = target.get(key, 0) - qc * dc
+    return BiPoly(remainder, tower=num.tower)
 
 
 def strictness_check(f: BiPoly):
@@ -501,13 +516,14 @@ class SearchOutcome:
 def extactic_determinant(sys: OdeSystem, n: int) -> BiPoly:
     """det of (X^i applied to the degree-<=n monomial basis), over Q.
 
-    The determinant is computed on integers, on the one integer field d X of
-    ``_integer_field``: row i of the matrix M' is d^i X^i of the basis, so
-    det M = det M' / d^(s(s-1)/2) for s rows.  Let phi be the ring map
-    Z[z, w] -> Z sending z to 2^b and w to 2^(b DZ).  As a ring map it
-    commutes with the determinant, det phi(M') = phi(det M'), so Bareiss on
-    the integer matrix phi(M') gives phi(det M') whatever its pivots are,
-    and phi has to be injective on det M' alone.  It is when det M' has
+    The determinant is computed on integers, on the content-free integer
+    field s X of ``_integer_sides``, s a positive rational: row i of the
+    matrix M' is s^i X^i of the basis, so det M = det M' / s^(k(k-1)/2) for
+    k rows.  Let phi be the ring map Z[z, w] -> Z sending z to 2^b and w to
+    2^(b DZ).  As a ring map it commutes with the determinant,
+    det phi(M') = phi(det M'), so Bareiss on the integer matrix phi(M')
+    gives phi(det M') whatever its pivots are, and phi has to be injective
+    on det M' alone.  It is when det M' has
     z-degree below DZ and coefficients of absolute value below 2^(b-1):
     z^a w^c lands on the base-2^b digit a + DZ c, and each digit is
     recovered as the balanced residue in (-2^(b-1), 2^(b-1)).
@@ -520,11 +536,14 @@ def extactic_determinant(sys: OdeSystem, n: int) -> BiPoly:
     |M'_ij| <= ||M'_ij||_1 that is at most H = prod_i sqrt(sum_j
     ||M'_ij||_1^2), and H < 2^(b-1) for b = bitlength(floor H) + 1.  The
     last Bareiss entry is unpacked digit by digit, borrowing on negative
-    digits, and divided by d^(s(s-1)/2).
+    digits, and divided by s^(k(k-1)/2).
     """
     if sys.n != 1:
         raise OdeError("extactic determinant requires integer exponents")
-    d, field = _integer_field(sys)
+    if not all(isinstance(c, (int, Fraction)) for c in [*sys.P.terms.values(), *sys.Q.terms.values()]):
+        raise DarbouxError("extactic determinant requires rational coefficients")
+    p, q, s = _integer_sides(sys.P.terms, sys.Q.terms, None)
+    field = OdeSystem(BiPoly._from_clean(p, None), BiPoly._from_clean(q, None))
     basis = [
         BiPoly._from_clean({(i, total - i): 1}, None)
         for total in range(n + 1)
@@ -544,7 +563,7 @@ def extactic_determinant(sys: OdeSystem, n: int) -> BiPoly:
         det = bareiss_det(mat, _int_divexact, 0, 1)
     except ExactError as exc:  # a remainder is a bug, not a cap (exit 3)
         raise DarbouxError(str(exc)) from exc
-    return _unpack(det, b, dz, d ** (size * (size - 1) // 2))
+    return _unpack(det, b, dz, s ** (size * (size - 1) // 2))
 
 
 def _assignment_z_degree(degrees) -> int:
@@ -566,26 +585,12 @@ def _assignment_z_degree(degrees) -> int:
     return max(best.values(), default=0)
 
 
-def _integer_field(sys: OdeSystem):
-    """(d, the system of d X): d is the lcm of the denominators of the
-    coefficients of (Q, P), so the field d X has int coefficients.  Every
-    step of the extactic search is valid up to a nonzero constant, so it
-    runs on d X and on primitive integer polynomials (Gauss's lemma)."""
-    coeffs = [*sys.P.terms.values(), *sys.Q.terms.values()]
-    if not all(isinstance(c, (int, Fraction)) for c in coeffs):
-        raise DarbouxError("extactic determinant requires rational coefficients")
-    d = math.lcm(*(c.denominator for c in coeffs))
-
-    def scaled(p: BiPoly) -> BiPoly:
-        return BiPoly._from_clean({k: c.numerator * (d // c.denominator) for k, c in p.terms.items()}, None)
-
-    return d, OdeSystem(scaled(sys.P), scaled(sys.Q), None, sys.n)
-
-
-def _unpack(packed: int, b: int, dz: int, scale: int) -> BiPoly:
+def _unpack(packed: int, b: int, dz: int, scale: Fraction) -> BiPoly:
     """The polynomial over Q whose image under z -> 2^b, w -> 2^(b dz) is
-    packed, given balanced base-2^b digits, divided by scale."""
+    packed, given balanced base-2^b digits, divided by the positive
+    rational scale."""
     sign = -1 if packed < 0 else 1
+    num, den = scale.numerator, scale.denominator
     bits = format(abs(packed), "b")
     count = len(bits) // b + 1  # room for a borrow out of the top digit
     bits = bits.zfill(count * b)
@@ -600,7 +605,7 @@ def _unpack(packed: int, b: int, dz: int, scale: int) -> BiPoly:
             digit -= full
         if digit:
             we, ze = divmod(k, dz)
-            terms[(ze, we)] = _canon(Q(sign * digit, scale))
+            terms[(ze, we)] = _canon(Q(sign * digit * den, num))
     return BiPoly(terms)
 
 
@@ -608,9 +613,13 @@ def invariant_core(sys: OdeSystem, e: BiPoly) -> BiPoly:
     """Largest factor of e all of whose irreducible factors are Darboux:
     the stable gcd of e with its derivative along the field, normalized.
 
-    Every step takes primitive integer parts and derives along the integer
-    field of ``_integer_field``, since a gcd is defined up to a constant."""
-    _, field = _integer_field(sys)
+    Every step takes primitive integer parts and derives along the
+    content-free integer field of ``_integer_sides``, since a gcd is defined
+    up to a constant."""
+    if not all(isinstance(c, (int, Fraction)) for c in [*sys.P.terms.values(), *sys.Q.terms.values()]):
+        raise DarbouxError("extactic determinant requires rational coefficients")
+    p, q, _ = _integer_sides(sys.P.terms, sys.Q.terms, None)
+    field = OdeSystem(BiPoly._from_clean(p, None), BiPoly._from_clean(q, None))
     g = _primitive_int(e)
     while g.total_degree() > 0:
         nxt = _primitive_int(biv_gcd(g, derive_along(field, g)))

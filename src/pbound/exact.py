@@ -439,11 +439,10 @@ class Level:
 class Tower:
     """An extension tower over Q; immutable.  The empty tower is Q itself."""
 
-    __slots__ = ("levels", "cap", "_sig", "_hash")
+    __slots__ = ("levels", "_sig", "_hash")
 
-    def __init__(self, levels=(), cap=DEFAULT_TOWER_CAP):
+    def __init__(self, levels=()):
         self.levels = tuple(levels)
-        self.cap = cap
         flat = []
         for lv in self.levels:
             part = []
@@ -849,11 +848,12 @@ def certified_is_rational(e) -> bool:
 # tower construction, splitting and element transport
 # ---------------------------------------------------------------------------
 
-def adjoin_root(tower: Tower, m: "UniPoly", name: Optional[str] = None):
+def adjoin_root(tower: Tower, m: "UniPoly", cap=DEFAULT_TOWER_CAP):
     """Adjoin a root of the monic polynomial ``m`` over ``tower``.
 
     Returns (new tower, root element).  ``m`` must be monic of degree >= 2
-    with no rational root; the resulting tower degree must stay under the cap.
+    with no rational root; the new tower's degree over Q must not exceed
+    ``cap``.
     """
     if m.degree() < 2:
         raise ExactError("adjoin requires degree >= 2")
@@ -865,10 +865,8 @@ def adjoin_root(tower: Tower, m: "UniPoly", name: Optional[str] = None):
         if rational_roots(rat):
             raise ExactError("adjoin of reducible linear part")
     new_degree = tower.degree() * m.degree()
-    if new_degree > tower.cap:
+    if new_degree > cap:
         raise ExactError("tower cap exceeded")
-    if name is None:
-        name = "t%d" % len(tower.levels)
     sub = tower.levels
     min_coeffs = []
     for c in m.coeffs:
@@ -879,8 +877,8 @@ def adjoin_root(tower: Tower, m: "UniPoly", name: Optional[str] = None):
     # irreducible over Q says nothing over Q(theta): only a level over Q
     # keeps the certificate
     presumed = bool(sub) or not getattr(m, "certified_irreducible", False)
-    level = Level(name=name, minpoly=tuple(min_coeffs), degree=m.degree(), presumed=presumed)
-    new_tower = Tower(sub + (level,), cap=tower.cap)
+    level = Level(name="t%d" % len(sub), minpoly=tuple(min_coeffs), degree=m.degree(), presumed=presumed)
+    new_tower = Tower(sub + (level,))
     root = new_tower.generator(len(sub))
     return new_tower, root
 
@@ -905,7 +903,7 @@ def split_tower(tower: Tower, level: int, g, h):
                 _transport(c, tower.levels[:up], tuple(new_levels)) for c in old.minpoly
             )
             new_levels.append(Level(name=old.name, minpoly=mapped, degree=old.degree, presumed=old.presumed))
-        return Tower(tuple(new_levels), cap=tower.cap)
+        return Tower(tuple(new_levels))
 
     return rebuild(g), rebuild(h)
 
@@ -926,27 +924,6 @@ def transport_elem(e: ExtElem, new_tower: Tower) -> ExtElem:
     if e.tower == new_tower:
         return e
     return ExtElem(new_tower, _transport(e.rep, e.tower.levels, new_tower.levels))
-
-
-@dataclass
-class Inverse:
-    value: ExtElem
-
-
-@dataclass
-class Split:
-    towers: tuple
-    level: int
-
-
-def try_invert(e: ExtElem):
-    """Invert exactly, or report the discovered factorization of a modulus."""
-    if f_is_zero(e):
-        raise ZeroDivisionError("division by zero")
-    try:
-        return Inverse(e.inverse())
-    except TowerSplitError as exc:
-        return Split(exc.factor_towers(), exc.level)
 
 
 # ---------------------------------------------------------------------------

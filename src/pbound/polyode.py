@@ -90,14 +90,6 @@ class BiPoly:
         return cls({(0, 0): c}, tower=tower)
 
     @classmethod
-    def var_z(cls, tower=None):
-        return cls({(1, 0): field_one(tower)}, tower=tower)
-
-    @classmethod
-    def var_w(cls, tower=None):
-        return cls({(0, 1): field_one(tower)}, tower=tower)
-
-    @classmethod
     def monomial(cls, c, ze, we, tower=None):
         return cls({(ze, we): c}, tower=tower)
 
@@ -229,7 +221,7 @@ def _powers(base: BiPoly, deg, tower=None):
     return pows[: deg + 1]
 
 
-def bipoly_str(p: BiPoly, zvar="z", wvar="w") -> str:
+def bipoly_str(p: BiPoly) -> str:
     if p.is_zero():
         return "0"
     terms = sorted(p.terms.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][1]))
@@ -237,9 +229,9 @@ def bipoly_str(p: BiPoly, zvar="z", wvar="w") -> str:
     for (ze, we), c in terms:
         factors = []
         if ze != 0:
-            factors.append(zvar if ze == 1 else "%s^%d" % (zvar, ze))
+            factors.append("z" if ze == 1 else "z^%d" % ze)
         if we != 0:
-            factors.append(wvar if we == 1 else "%s^%d" % (wvar, we))
+            factors.append("w" if we == 1 else "w^%d" % we)
         parts.append(_signed_term(c, factors))
     return _join_signed(parts)
 
@@ -329,38 +321,8 @@ def _wpoly_content(rows):
     return g
 
 
-def _wpoly_scale(rows, zpoly):
-    return [r * zpoly for r in rows]
-
-
 def _wpoly_divide_content(rows, content):
     return [r.exact_div(content) if not r.is_zero() else r for r in rows]
-
-
-def _wpoly_pseudo_divmod(num, den):
-    """Pseudo-division in w over the z-polynomial ring: lc^e * num = q*den + r.
-
-    Only the non-Darboux witness (``darboux._division_witness``) uses it, and
-    its remainder is the one that witness reports; ``bipoly_divexact`` divides
-    exactly instead."""
-    num = [r for r in num]
-    dd = _wpoly_degree(den)
-    lc = den[dd]
-    q = [UniPoly([], var="z", tower=lc.tower) for _ in range(max(len(num) - dd, 1))]
-    e = 0
-    while True:
-        dn = _wpoly_degree(num)
-        if dn < dd or dn < 0:
-            break
-        head = num[dn]
-        num = _wpoly_scale(num, lc)
-        q = _wpoly_scale(q, lc)
-        e += 1
-        q[dn - dd] = q[dn - dd] + head
-        for j in range(dd + 1):
-            num[dn - dd + j] = num[dn - dd + j] - head * den[j]
-        _wpoly_trim(num)
-    return q, num, e
 
 
 def _wpoly_prem_controlled(num, den):
@@ -846,15 +808,14 @@ def _nonzero(terms):
     return {k: c for k, c in terms.items() if not f_is_zero(c)}
 
 
-def make_system(P: BiPoly, Q: BiPoly, tower=None, check_coprime=True):
-    """Validate and build a top-level system (n = 1, coprime P, Q)."""
+def make_system(P: BiPoly, Q: BiPoly):
+    """Validate and build a top-level system over Q (n = 1, coprime P, Q)."""
     if P.is_zero() or Q.is_zero():
         raise OdeError("P and Q must be nonzero")
-    if check_coprime and (tower is None or tower.is_trivial()):
-        g = biv_gcd(P, Q)
-        if g.total_degree() > 0:
-            raise OdeError("P and Q share the common factor %s" % bipoly_str(g))
-    return OdeSystem(P, Q, tower=tower)
+    g = biv_gcd(P, Q)
+    if g.total_degree() > 0:
+        raise OdeError("P and Q share the common factor %s" % bipoly_str(g))
+    return OdeSystem(P, Q)
 
 
 # ---------------------------------------------------------------------------
@@ -941,7 +902,7 @@ class PuiseuxBranch:
 
 # ---------------------------------------------------------------------------
 # point transforms: every affine change of coordinates is one matrix for
-# ``affine_map`` (a point off the axis, ``shear_point``, the invariant line of
+# ``affine_map`` (a point off the axis, the invariant line of
 # ``bounds.line_transform`` and the axes swap of ``lotka.verify_symmetry``);
 # a point on the axis takes ``translate_w``, (z0, infinity) an inversion
 # ---------------------------------------------------------------------------
@@ -1025,13 +986,6 @@ def invert_at_infinity(sys: OdeSystem, z0=Q(0)) -> OdeSystem:
         Pb = BiPoly({(ze - dz, we - dw): c for (ze, we), c in Pb.terms.items()}, tower=tower)
         Qb = BiPoly({(ze - dz, we - dw): c for (ze, we), c in Qb.terms.items()}, tower=tower)
     return OdeSystem(Pb, Qb, tower=tower)
-
-
-def shear_point(sys: OdeSystem, a, b, c, z0=Q(0), w0=Q(0)) -> OdeSystem:
-    """W = a (w - w0) + b (z - z0), Z = c (z - z0); needs a, c nonzero."""
-    if f_is_zero(a) or f_is_zero(c):
-        raise OdeError("degenerate shear")
-    return affine_map(sys, ((c, 0), (b, a)), (z0, w0))
 
 
 def transform_point(sys: OdeSystem, target) -> OdeSystem:

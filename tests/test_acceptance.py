@@ -29,8 +29,8 @@ from pbound.polyode import (
     BiPoly,
     OdeError,
     bipoly_str,
+    affine_map,
     make_system,
-    shear_point,
 )
 from puiseux_oracle import residual_valuation
 
@@ -272,7 +272,7 @@ def test_criterion_5_shear_property_seeded():
             sys = random_system(rng, 2)
         original = multiplicity_at(sys, ("point", Q(0), Q(0)), FAST_CAPS)
         try:
-            sheared = shear_point(sys, a, b, c)
+            sheared = affine_map(sys, ((c, 0), (b, a)), (0, 0))
         except OdeError:
             continue
         moved = multiplicity_at(sheared, ("point", Q(0), Q(0)), FAST_CAPS)

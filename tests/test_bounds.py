@@ -12,7 +12,7 @@ from pbound.bounds import (
     p_at_axis,
 )
 from pbound.exact import UniPoly
-from pbound.polyode import BiPoly, bipoly_str, make_system
+from pbound.polyode import BiPoly, OdeSystem, bipoly_str, make_system
 
 
 def bp(entries):
@@ -101,7 +101,7 @@ def test_axis_requires_z_divisibility():
 
 
 def test_axis_rejects_vanishing_p():
-    sys = make_system(bp({(1, 1): 1}), bp({(1, 0): 1, (2, 0): 1}), check_coprime=False)
+    sys = OdeSystem(bp({(1, 1): 1}), bp({(1, 0): 1, (2, 0): 1}))
     with pytest.raises(BoundsError, match="vanishes identically"):
         axis_singular_points(sys)
 

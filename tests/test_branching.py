@@ -519,7 +519,7 @@ def terminating_system():
     z^2 w^8 terms lie above the first precision."""
     f = bp({(1, 0): 1, (3, 0): 2, (5, 0): -1})
     qd = bp({(0, 0): 1, (0, 8): 1})
-    return make_system(f.diff_z() * qd + (BiPoly.var_w() - f) * bp({(0, 1): 1, (2, 7): 1}), qd)
+    return make_system(f.diff_z() * qd + (bp({(0, 1): 1}) - f) * bp({(0, 1): 1, (2, 7): 1}), qd)
 
 
 # name -> (system, point, what its leaves must exercise)

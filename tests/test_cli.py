@@ -88,6 +88,40 @@ def test_non_invariant_horizontal_line_is_named_as_given(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "line, remainder",
+    [("1,0,-1", "w"), ("1,2,-1", "z^2 - 1/2*z - 1/2")],
+    ids=["vertical", "constant-w-lead"],
+)
+def test_non_invariant_line_names_the_lex_remainder(capsys, line, remainder):
+    # X(z - 1) = z (z + w - 1) is w on z = 1; the remainder modulo
+    # z + 2 w - 1 is X(f) at w = (1 - z) / 2, with no power of 2 in front
+    system = "dz/dt = z*(z + w - 1); dw/dt = w*(w - 1)"
+    code, data = run_json(capsys, ["bound", "--system", system, "--line", line])
+    assert code == 2
+    assert data["error"]["message"].endswith("is not invariant (division remainder %s)" % remainder)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["darboux", "--system", "dw/dz = w/z", "--max-degree", "-1"],
+        ["analyze", "--system", "dw/dz = w/z", "--max-degree", "-3"],
+    ],
+    ids=["darboux", "analyze"],
+)
+def test_negative_max_degree_exits_2(capsys, argv):
+    code, data = run_json(capsys, argv)
+    assert code == 2
+    assert data["error"] == {"type": "ValueError", "message": "--max-degree must not be negative"}
+
+
+def test_max_degree_zero_is_an_empty_search(capsys):
+    code, data = run_json(capsys, ["darboux", "--system", "dw/dz = w/z", "--max-degree", "0"])
+    assert code == 0
+    assert data["max_degree"] == 0 and data["certificates"] == [] and data["partial"] is False
+
+
 def test_darboux_search(capsys):
     lv0 = "dz/dt = z*(z + c*w - 1); dw/dt = w*(b*z + w - a); a=-1; b=0; c=0"
     code, data = run_json(capsys, ["darboux", "--system", lv0, "--max-degree", "1"])

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -84,8 +85,59 @@ def test_not_darboux_returns_witness():
     bad = bp({(1, 0): 1, (0, 1): 1, (0, 0): -5})  # z + w = 5
     res = verify_darboux(sys, bad)
     assert isinstance(res, NotDarboux)
-    # the w-pseudo-remainder of X(f) by f, as `NotDarboux.to_report` gives it
+    # the remainder of X(f) modulo f in (w, z) lex order: X(f) at w = 5 - z
     assert bipoly_str(res.remainder) == "2*z^2 - 12*z + 30"
+
+
+@st.composite
+def lex_divisors(draw):
+    """Divisors of the three shapes the lex division meets: w-degree 0, a
+    constant leading coefficient in w, and one that is a polynomial in z."""
+    shape = draw(st.sampled_from(["z-only", "constant-lead", "z-lead"]))
+    coeff = st.integers(-3, 3)
+    lead_w_degree = 0 if shape == "z-only" else draw(st.integers(1, 2))
+    rows = [draw(st.lists(coeff, max_size=3)) for _ in range(lead_w_degree)]
+    if shape == "constant-lead":
+        rows.append([draw(coeff.filter(bool))])
+    else:
+        rows.append(draw(st.lists(coeff, min_size=2, max_size=3).filter(lambda row: row[-1])))
+    return bp({(i, j): c for j, row in enumerate(rows) for i, c in enumerate(row)})
+
+
+LEX_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+LEX_NUMERATORS = st.dictionaries(
+    st.sampled_from([(i, d - i) for d in range(5) for i in range(d + 1)]),
+    st.builds(Q, st.integers(-3, 3).filter(bool), st.integers(1, 3)),
+    max_size=6,
+).map(bp)
+Z_W_MINUS_1 = bp({(1, 1): 1, (0, 0): -1})
+
+
+@LEX_SETTINGS
+@given(LEX_NUMERATORS, lex_divisors())
+@example(bp({(0, 1): 1}), Z_W_MINUS_1)
+@example(bp({(2, 2): 3, (0, 2): 1, (1, 0): -2}), Z_W_MINUS_1)
+def test_lex_remainder_matches_sympy_reduced(sp, num, den):
+    z, w = sp.symbols("z w")
+    _, want = sp.reduced(sympy_expr(sp, num), [sympy_expr(sp, den)], w, z, order="lex")
+    assert sp.expand(sympy_expr(sp, darboux._lex_remainder(num, den)) - want) == 0
+
+
+@LEX_SETTINGS
+@given(LEX_NUMERATORS, lex_divisors())
+@example(Z_W_MINUS_1 * bp({(0, 1): 1, (1, 0): 2}), Z_W_MINUS_1)
+@example(bp({(0, 1): Q(4, 3), (1, 0): 3}), bp({(0, 1): Q(2, 3), (0, 0): 1}))  # remainder -2 from 4/3 * 3/2
+def test_lex_remainder_is_reduced_and_congruent(num, den):
+    # num - r = q den, and no term of r is divisible by den's leading term
+    r = darboux._lex_remainder(num, den)
+    q = bipoly_divexact(num - r, den)
+    assert q is not None and num - r == q * den
+    dw = den.w_degree()
+    dz = max(ze for (ze, we) in den.terms if we == dw)
+    assert not any(we >= dw and ze >= dz for (ze, we) in r.terms)
+    # an integral rational coefficient is an int, as everywhere in BiPoly
+    assert all(type(c) is int or c.denominator != 1 for c in r.terms.values())
+    assert r.is_zero() == (bipoly_divexact(num, den) is not None)
 
 
 def test_constant_candidate_rejected():
@@ -486,13 +538,59 @@ def test_extactic_reaching_the_z_stride_matches_bipoly_bareiss(monkeypatch):
     assert e.terms == bipoly_bareiss_reference(sys, 2).terms
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize(
+    "sys",
+    [
+        OdeSystem(bp({(0, 1): 6, (1, 1): -12, (2, 0): 18}), bp({(1, 0): 6, (0, 2): -6, (0, 0): 12})),
+        OdeSystem(bp({(0, 1): Q(2, 3), (1, 0): Q(-4, 3), (0, 2): Q(2, 3)}), bp({(1, 1): Q(2, 3), (0, 0): 2})),
+    ],
+    ids=["6X", "2/3"],
+)
+def test_extactic_matches_bipoly_bareiss_on_fields_with_content(sys, n):
+    # the lcm-scaled field has a content above 1 (6 and 2); the packed
+    # determinant is that of the content-free field, divided by s^(k(k-1)/2)
+    coeffs = [*sys.P.terms.values(), *sys.Q.terms.values()]
+    d = math.lcm(*[c.denominator for c in coeffs])
+    assert math.gcd(*[c.numerator * (d // c.denominator) for c in coeffs]) > 1
+    assert extactic_determinant(sys, n).terms == bipoly_bareiss_reference(sys, n).terms
+
+
+@pytest.mark.parametrize(
+    "sys, certificates, dicritical, core",
+    [
+        (
+            lv_system(Q(-1), Q(0), Q(0)),
+            [("w", "w + 1"), ("w + 1", "w"), ("w - z + 1", "w + z"), ("z", "z - 1"), ("z - 1", "z")],
+            (2,),
+            "z*w^2 - z^2*w - w^2 + 3*z*w - z^2 - 2*w + 2*z - 1",
+        ),
+        (
+            lv_system(Q(-2), Q(0), Q(1, 2)),
+            [("w", "w + 2"), ("w + 2", "w"), ("w - 2*z + 2", "w + z"), ("z", "1/2*w + z - 1"),
+             ("2*z^2 + w - 4*z + 2", "w + 2*z")],
+            (),
+            "w^2 - 2*z*w + 4*w - 4*z + 4",
+        ),
+    ],
+    ids=["lv(-1,0,0)", "lv(-2,0,1/2)"],
+)
+def test_search_on_lv_points_keeps_its_certificates(sys, certificates, dicritical, core):
+    # recorded on the lcm-scaled integer field; the content-free one agrees
+    out = search_darboux(sys, 2)
+    assert [(bipoly_str(c.f), bipoly_str(c.cofactor)) for c in out.certificates] == certificates
+    assert out.dicritical_degrees == dicritical and not out.partial
+    e = darboux._peel_axes(_primitive_int(extactic_determinant(sys, 1)))
+    assert bipoly_str(invariant_core(sys, e)) == core
+
+
 @pytest.mark.parametrize(
     "sys",
     [lv_system(Q(-3, 2), Q(5), Q(1, 3)), lv_system(Q(-2), Q(0), Q(1, 2))],
     ids=["lv(-3/2,5,1/3)", "lv(-2,0,1/2)"],
 )
 def test_extactic_with_fraction_coefficients_matches_bipoly_bareiss(sys):
-    # d > 1: the packed determinant is det M' and is divided by d^15
+    # s != 1: the packed determinant is det M' and is divided by s^15
     assert any(c.denominator != 1 for c in [*sys.P.terms.values(), *sys.Q.terms.values()])
     assert extactic_determinant(sys, 2).terms == bipoly_bareiss_reference(sys, 2).terms
 
@@ -671,6 +769,8 @@ def test_extactic_rejects_tower_coefficients():
     )
     with pytest.raises(DarbouxError):
         extactic_determinant(sys, 1)
+    with pytest.raises(DarbouxError, match="rational coefficients"):
+        invariant_core(sys, bp({(1, 1): 1, (0, 0): 1}))
 
 
 def test_extactic_rejects_ramified_exponents():

@@ -9,7 +9,7 @@ from pbound.newton import (
     support_points,
     vertex_critical_check,
 )
-from pbound.polyode import BiPoly, coeff_profile, invert_at_infinity, make_system
+from pbound.polyode import BiPoly, OdeSystem, coeff_profile, invert_at_infinity, make_system
 
 
 def bp(entries):
@@ -152,7 +152,7 @@ def test_lv_at_infinity_critical_when_c_minus_two():
 
 def test_scaling_invariance():
     sys = example45(Q(3, 2))
-    scaled = make_system(sys.P.scale(Q(7)), sys.Q.scale(Q(7)), check_coprime=False)
+    scaled = OdeSystem(sys.P.scale(Q(7)), sys.Q.scale(Q(7)))
     d1, p1 = diagram_for(sys)
     d2, p2 = diagram_for(scaled)
     v1 = vertex_critical_check(d1, p1)
@@ -167,7 +167,7 @@ def test_irrational_ratio_dicritical_suspect():
     tower, s2 = adjoin_root(QQ_TOWER, UniPoly([Q(-2), Q(0), Q(1)]))
     P = BiPoly({(Q(0), 1): s2}, tower=tower)
     Qd = BiPoly({(Q(1), 0): tower.from_fraction(Q(1))}, tower=tower)
-    sys = make_system(P, Qd, tower=tower, check_coprime=False)
+    sys = OdeSystem(P, Qd, tower=tower)
     diagram, prof = diagram_for(sys)
     verdicts = vertex_critical_check(diagram, prof)
     assert len(verdicts) == 1

@@ -19,7 +19,6 @@ from pbound.polyode import (
     coeff_profile,
     invert_at_infinity,
     make_system,
-    shear_point,
     substitute_branch,
     transform_point,
     translate_point,
@@ -155,15 +154,16 @@ def test_translate_lv_to_upper_point():
 
 def test_identity_shear():
     sys = lv_system(Q(-1), Q(0), Q(0))
-    sheared = shear_point(sys, 1, 0, 1)
+    sheared = affine_map(sys, ((1, 0), (0, 1)), (0, 0))
     assert sheared.P.terms == sys.P.terms
     assert sheared.Q.terms == sys.Q.terms
 
 
 def test_degenerate_shear_rejected():
     sys = lv_system(Q(-1), Q(0), Q(0))
-    with pytest.raises(OdeError, match="degenerate shear"):
-        shear_point(sys, 0, 1, 1)
+    # W = 0 (w - w0) + z, Z = z: the shear of a = 0 has no inverse
+    with pytest.raises(OdeError, match="singular affine map"):
+        affine_map(sys, ((1, 0), (1, 0)), (0, 0))
 
 
 def test_double_inversion_preserves_branch_data():
@@ -546,7 +546,8 @@ def affine_reference(sys, m, at):
     tower = sys.tower
     (a, b), (c, d) = m
     inv = Q(1) / (a * d - b * c)
-    Z, W = BiPoly.var_z(tower), BiPoly.var_w(tower)
+    one = field_one(tower)
+    Z, W = BiPoly.monomial(one, 1, 0, tower), BiPoly.monomial(one, 0, 1, tower)
     z = BiPoly.const(at[0], tower=tower) + (Z.scale(d) - W.scale(b)).scale(inv)
     w = BiPoly.const(at[1], tower=tower) + (W.scale(a) - Z.scale(c)).scale(inv)
 

@@ -8,10 +8,10 @@ from pbound.branching import Caps, multiplicity_at
 from pbound.polyode import (
     BiPoly,
     OdeError,
+    affine_map,
     coeff_profile,
     invert_at_infinity,
     make_system,
-    shear_point,
     translate_point,
 )
 from pbound.newton import lower_hull, nonzero_char_poly, support_points
@@ -114,7 +114,7 @@ def test_shear_property_seeded():
             sys = random_system(rng, 2)
         original = multiplicity_at(sys, ("point", Q(0), Q(0)), FAST_CAPS)
         try:
-            sheared = shear_point(sys, a, b, c)
+            sheared = affine_map(sys, ((c, 0), (b, a)), (0, 0))
         except OdeError:
             continue
         moved = multiplicity_at(sheared, ("point", Q(0), Q(0)), FAST_CAPS)
