@@ -25,15 +25,17 @@ from .exact import (
     Tower,
     UniPoly,
     _canon,
-    _int_divexact,
+    _int_gcd,
+    _int_primitive,
     _sylvester_resultant,
     adjoin_root,
     as_fraction,
-    bareiss_det,
     f_inv,
     f_is_zero,
+    field_zero,
     factor_univariate,
     is_rational_value,
+    packed_det,
     sort_key,
 )
 from .polyode import (
@@ -42,7 +44,9 @@ from .polyode import (
     OdeSystem,
     _normalize_biv,
     _primitive_int,
+    _int_terms,
     _integer_sides,
+    _over,
     _wpoly_content,
     bipoly_divexact,
     bipoly_str,
@@ -179,9 +183,28 @@ def strictness_check(f: BiPoly):
 
 def _univariate_content(f: BiPoly, var: str):
     """(k, c) with var^k c(var) the gcd of the coefficients of f in the other
-    variable and c(0) != 0; c is a UniPoly in var, zero when f is."""
-    g = _wpoly_content(bipoly_to_wpoly(f if var == "z" else _swap_zw(f)))
-    coeffs = g.coeffs if g is not None else ()
+    variable and c(0) != 0; c is a UniPoly in var, zero when f is.
+
+    A single nonzero coefficient is its own content, kept as it stands.
+    Otherwise the content is the monic gcd, taken over Q on the primitive
+    integer rows of ``_int_terms`` (over a tower, by ``_wpoly_content``)."""
+    axis = 0 if var == "z" else 1
+    if len({key[1 - axis] for key in f.terms}) < 2:
+        row = {key[axis]: c for key, c in f.terms.items()}
+        coeffs = [row.get(i, field_zero(f.tower)) for i in range(max(row, default=-1) + 1)]
+    elif (ints := _int_terms(f)) is None:
+        coeffs = _wpoly_content(bipoly_to_wpoly(f if var == "z" else _swap_zw(f))).coeffs
+    else:
+        rows = {}
+        for key, c in ints.items():
+            rows.setdefault(key[1 - axis], {})[key[axis]] = c
+        g = None
+        for row in rows.values():
+            dense = _int_primitive([row.get(i, 0) for i in range(max(row) + 1)])
+            g = dense if g is None else _int_gcd(g, dense)
+            if len(g) == 1:
+                break
+        coeffs = UniPoly(g, var=var).monic().coeffs
     k = next((i for i, c in enumerate(coeffs) if not f_is_zero(c)), 0)
     return k, UniPoly(coeffs[k:], var=var, tower=f.tower)
 
@@ -519,94 +542,46 @@ def extactic_determinant(sys: OdeSystem, n: int) -> BiPoly:
     The determinant is computed on integers, on the content-free integer
     field s X of ``_integer_sides``, s a positive rational: row i of the
     matrix M' is s^i X^i of the basis, so det M = det M' / s^(k(k-1)/2) for
-    k rows.  Let phi be the ring map Z[z, w] -> Z sending z to 2^b and w to
-    2^(b DZ).  As a ring map it commutes with the determinant,
-    det phi(M') = phi(det M'), so Bareiss on the integer matrix phi(M')
-    gives phi(det M') whatever its pivots are, and phi has to be injective
-    on det M' alone.  It is when det M' has
-    z-degree below DZ and coefficients of absolute value below 2^(b-1):
-    z^a w^c lands on the base-2^b digit a + DZ c, and each digit is
-    recovered as the balanced residue in (-2^(b-1), 2^(b-1)).
-
-    DZ - 1 is the largest z-degree of a product of nonzero entries along a
-    permutation (``_assignment_z_degree``), which bounds the z-degree of
-    every term of the expansion.  The coefficients are bounded on the torus
-    |z| = |w| = 1: each is a Fourier coefficient of det M', so at most its
-    largest value there, and by Hadamard's inequality and
-    |M'_ij| <= ||M'_ij||_1 that is at most H = prod_i sqrt(sum_j
-    ||M'_ij||_1^2), and H < 2^(b-1) for b = bitlength(floor H) + 1.  The
-    last Bareiss entry is unpacked digit by digit, borrowing on negative
-    digits, and divided by s^(k(k-1)/2).
+    k rows.  Since X(1) = 0, column 0 of the constant monomial is
+    (1, 0, ..., 0), and det M' is the minor of row 0 and column 0: the
+    rows X^1 .. X^(k-1) of the nonconstant monomials, derived on int term
+    dicts and handed to ``packed_det``.
     """
     if sys.n != 1:
         raise OdeError("extactic determinant requires integer exponents")
     if not all(isinstance(c, (int, Fraction)) for c in [*sys.P.terms.values(), *sys.Q.terms.values()]):
         raise DarbouxError("extactic determinant requires rational coefficients")
     p, q, s = _integer_sides(sys.P.terms, sys.Q.terms, None)
-    field = OdeSystem(BiPoly._from_clean(p, None), BiPoly._from_clean(q, None))
-    basis = [
-        BiPoly._from_clean({(i, total - i): 1}, None)
-        for total in range(n + 1)
-        for i in range(total + 1)
-    ]
-    size = len(basis)
-    rows = [basis]
-    for _ in range(size - 1):
-        rows.append([derive_along(field, g) for g in rows[-1]])
-    dz = 1 + _assignment_z_degree(
-        [[max((ze for (ze, _) in g.terms), default=None) for g in row] for row in rows]
-    )
-    squares = math.prod(sum(sum(abs(c) for c in g.terms.values()) ** 2 for g in row) for row in rows)
-    b = math.isqrt(squares).bit_length() + 1
-    mat = [[sum(c << b * (ze + dz * we) for (ze, we), c in g.terms.items()) for g in row] for row in rows]
+    monomials = [{(i, total - i): 1} for total in range(1, n + 1) for i in range(total + 1)]
+    rows = [[_derive_terms(p, q, g) for g in monomials]]
+    while len(rows) < len(monomials):
+        rows.append([_derive_terms(p, q, g) for g in rows[-1]])
     try:
-        det = bareiss_det(mat, _int_divexact, 0, 1)
+        det = packed_det(rows)
     except ExactError as exc:  # a remainder is a bug, not a cap (exit 3)
         raise DarbouxError(str(exc)) from exc
-    return _unpack(det, b, dz, s ** (size * (size - 1) // 2))
-
-
-def _assignment_z_degree(degrees) -> int:
-    """The largest sum_i degrees[i][p(i)] over the permutations p whose
-    entries are all given (None marks a zero entry), 0 when there is none.
-
-    A DP over column subsets: best[S] is the largest sum that assigns the
-    first |S| rows to the columns in S."""
-    best = {0: 0}
-    for row in degrees:
-        nxt = {}
-        for used, total in best.items():
-            for j, deg in enumerate(row):
-                if deg is not None and not used >> j & 1:
-                    key = used | 1 << j
-                    if nxt.get(key, -1) < total + deg:
-                        nxt[key] = total + deg
-        best = nxt
-    return max(best.values(), default=0)
-
-
-def _unpack(packed: int, b: int, dz: int, scale: Fraction) -> BiPoly:
-    """The polynomial over Q whose image under z -> 2^b, w -> 2^(b dz) is
-    packed, given balanced base-2^b digits, divided by the positive
-    rational scale."""
-    sign = -1 if packed < 0 else 1
+    size = len(rows) + 1
+    scale = s ** (size * (size - 1) // 2)
     num, den = scale.numerator, scale.denominator
-    bits = format(abs(packed), "b")
-    count = len(bits) // b + 1  # room for a borrow out of the top digit
-    bits = bits.zfill(count * b)
-    half, full = 1 << (b - 1), 1 << b
-    terms = {}
-    borrow = 0
-    for k in range(count):
-        lo = (count - 1 - k) * b
-        digit = int(bits[lo : lo + b], 2) + borrow
-        borrow = digit >= half
-        if borrow:
-            digit -= full
-        if digit:
-            we, ze = divmod(k, dz)
-            terms[(ze, we)] = _canon(Q(sign * digit * den, num))
-    return BiPoly(terms)
+    return BiPoly._from_clean({key: _over(c * den, num) for key, c in det.items()}, None)
+
+
+def _derive_terms(p, q, g):
+    """X(g) = q g_z + p g_w on int term dicts, without zeros."""
+    out = {}
+    get = out.get
+    for (ze, we), c in g.items():
+        if ze:
+            cz = c * ze
+            for (a, j), d in q.items():
+                key = (ze - 1 + a, we + j)
+                out[key] = get(key, 0) + cz * d
+        if we:
+            cw = c * we
+            for (a, j), d in p.items():
+                key = (ze + a, we - 1 + j)
+                out[key] = get(key, 0) + cw * d
+    return {key: c for key, c in out.items() if c}
 
 
 def invariant_core(sys: OdeSystem, e: BiPoly) -> BiPoly:

@@ -388,7 +388,7 @@ def _inv_rational(level, a):
     lower = [[col[i] for col in cols] for i in range(1, d)]
     cofactors = []
     for i in range(d):
-        minor = bareiss_det([row[:i] + row[i + 1:] for row in lower], _int_divexact, 0, 1)
+        minor = bareiss_det([row[:i] + row[i + 1:] for row in lower])
         cofactors.append(-minor if i & 1 else minor)
     det = sum(col[0] * c for col, c in zip(cols, cofactors))
     if det == 0:
@@ -740,56 +740,128 @@ def _int_divexact(a: int, b: int) -> int:
     return q
 
 
-def bareiss_det(mat, divexact, zero, one):
-    """Fraction-free determinant over an integral domain.
+def bareiss_det(mat):
+    """Fraction-free determinant of a square integer matrix (Bareiss).
 
-    Entries are ints or polynomials whose zero is canonical: a pivot is
-    tested by ``== zero``.  ``divexact`` divides the Sylvester numerator by
-    the previous pivot and must raise if the division leaves a remainder."""
+    Each Sylvester numerator is divided by the previous pivot with
+    ``_int_divexact``, which raises on a remainder."""
     n = len(mat)
     if n == 0:
-        return one
+        return 1
     m = [row[:] for row in mat]
     sign = 1
-    prev = one
+    prev = 1
     for k in range(n - 1):
-        if m[k][k] == zero:
-            swap = None
-            for i in range(k + 1, n):
-                if m[i][k] != zero:
-                    swap = i
-                    break
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
             if swap is None:
-                return zero
+                return 0
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
-        for i in range(k + 1, n):
+        top = m[k]
+        pivot = top[k]
+        for row in m[k + 1 :]:
+            a = row[k]
             for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = divexact(num, prev)
-            m[i][k] = zero
-        prev = m[k][k]
+                row[j] = _int_divexact(pivot * row[j] - a * top[j], prev)
+        prev = pivot
     det = m[n - 1][n - 1]
-    if sign < 0:
-        det = -det
-    return det
+    return -det if sign < 0 else det
+
+
+def packed_det(rows):
+    """The determinant of a square matrix of integer term dicts
+    {(ze, we): int}, as such a dict without zeros.
+
+    Let phi be the ring map Z[z, w] -> Z sending z to 2^b and w to
+    2^(b DZ).  As a ring map it commutes with the determinant, so Bareiss
+    on the integer matrix phi(M) gives phi(det M) whatever its pivots are,
+    and phi has to be injective on det M alone.  It is when det M has
+    z-degree below DZ and coefficients of absolute value below 2^(b-1):
+    z^a w^c lands on the base-2^b digit a + DZ c, and each digit is
+    recovered as the balanced residue in [-2^(b-1), 2^(b-1)).
+
+    DZ - 1 is the largest z-degree of a product of nonzero entries along a
+    permutation (``_assignment_z_degree``), which bounds the z-degree of
+    every term of the expansion.  A matrix with no positive w-exponent
+    needs no stride: z^a lands on digit a, and the assignment search, which
+    costs 2^size, is skipped.  The coefficients are bounded on the torus
+    |z| = |w| = 1: each is a Fourier coefficient of det M, so at most its
+    largest value there, and by Hadamard's inequality and
+    |M_ij| <= ||M_ij||_1 that is at most H = prod_i sqrt(sum_j
+    ||M_ij||_1^2), and H < 2^(b-1) for b = bitlength(floor H) + 1.  The
+    digits are peeled from the low end by mask and shift, a negative digit
+    borrowing one from the rest."""
+    if any(we for row in rows for g in row for (_, we) in g):
+        dz = 1 + _assignment_z_degree([[max((ze for (ze, _) in g), default=None) for g in row] for row in rows])
+    else:
+        dz = 0
+    squares = math.prod(sum(sum(abs(c) for c in g.values()) ** 2 for g in row) for row in rows)
+    b = math.isqrt(squares).bit_length() + 1
+    packed = bareiss_det([[sum(c << b * (ze + dz * we) for (ze, we), c in g.items()) for g in row] for row in rows])
+    mask, half, full = (1 << b) - 1, 1 << (b - 1), 1 << b
+    terms = {}
+    k = 0
+    while packed:
+        digit = packed & mask
+        packed >>= b
+        if digit >= half:
+            digit -= full
+            packed += 1
+        if digit:
+            terms[divmod(k, dz)[::-1] if dz else (k, 0)] = digit
+        k += 1
+    return terms
+
+
+def _assignment_z_degree(degrees) -> int:
+    """The largest sum_i degrees[i][p(i)] over the permutations p whose
+    entries are all given (None marks a zero entry), 0 when there is none.
+
+    A DP over column subsets: best[S] is the largest sum that assigns the
+    first |S| rows to the columns in S."""
+    best = {0: 0}
+    for row in degrees:
+        nxt = {}
+        for used, total in best.items():
+            for j, deg in enumerate(row):
+                if deg is not None and not used >> j & 1:
+                    key = used | 1 << j
+                    if nxt.get(key, -1) < total + deg:
+                        nxt[key] = total + deg
+        best = nxt
+    return max(best.values(), default=0)
 
 
 def _sylvester_resultant(a, b, var):
     """Resultant of two polynomials, given as ascending coefficient lists
-    whose entries are UniPolys in ``var``: the determinant of their
-    Sylvester matrix, a UniPoly in ``var``."""
+    whose entries are UniPolys in ``var`` over Q: the determinant of their
+    Sylvester matrix, a UniPoly in ``var`` with canonical coefficients.
+
+    With la and lb the lcms of the denominators in a and in b, la a and
+    lb b are integral; their Sylvester matrix has n = deg b rows of a's
+    coefficients and m = deg a rows of b's, so its determinant, taken by
+    ``packed_det``, is la^n lb^m times the resultant."""
+    def integral(rows):
+        lcm = math.lcm(*[c.denominator for p in rows for c in p.coeffs])
+        return lcm, [{(i, 0): c.numerator * (lcm // c.denominator) for i, c in enumerate(p.coeffs) if c} for p in rows]
+
     m, n = len(a) - 1, len(b) - 1
     size = m + n
-    zero = UniPoly([], var=var)
-    mat = [[zero] * size for _ in range(size)]
+    (la, ia), (lb, ib) = integral(a), integral(b)
+    mat = [[{}] * size for _ in range(size)]
     for i in range(n):
-        for j, c in enumerate(a):
+        for j, c in enumerate(ia):
             mat[i][i + (m - j)] = c
     for i in range(m):
-        for j, c in enumerate(b):
+        for j, c in enumerate(ib):
             mat[n + i][i + (n - j)] = c
-    return bareiss_det(mat, UniPoly.exact_div, zero, UniPoly([Q(1)], var=var))
+    det = packed_det(mat)
+    scale = la**n * lb**m
+    coeffs = [0] * (max(det, default=(-1,))[0] + 1)
+    for (i, _), c in det.items():
+        coeffs[i] = c // scale if c % scale == 0 else Q(c, scale)
+    return UniPoly(coeffs, var=var)
 
 
 def value_charpoly(e: ExtElem):

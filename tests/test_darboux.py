@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pbound import cli, darboux
+from pbound import cli, darboux, exact
 from pbound.darboux import (
     DarbouxCertificate,
     DarbouxError,
@@ -18,7 +18,7 @@ from pbound.darboux import (
     derive_along,
     verify_darboux,
 )
-from pbound.exact import QQ_TOWER, UniPoly, adjoin_root, bareiss_det
+from pbound.exact import QQ_TOWER, UniPoly, adjoin_root, packed_det
 from pbound.polyode import (
     BiPoly,
     OdeError,
@@ -186,6 +186,22 @@ def test_strictness_complex_component():
     strict, off = strictness_check(f)
     assert not strict
     assert any("z-factor" in o for o in off)
+
+
+@pytest.mark.parametrize(
+    "f, offenders",
+    [
+        # one w-row: the content is that row as it stands, not made monic
+        (bp({(1, 1): Q(2, 3), (0, 1): Q(4, 3)}), ("w", "z-factor 2/3*z + 4/3")),
+        (bp({(2, 0): Q(-1, 2), (0, 0): 3}), ("z-factor -1/2*z^2 + 3",)),
+        # several rows: the monic gcd, with its rational coefficients
+        (bp({(0, 0): 3, (1, 0): 2}) * bp({(0, 1): 1, (1, 0): 1}), ("z-factor z + 3/2",)),
+        (bp({(0, 1): Q(4, 5), (0, 0): Q(2, 7)}) * bp({(2, 0): 1, (0, 2): 1, (0, 1): -1}), ("w-factor w + 5/14",)),
+    ],
+    ids=["one-row", "univariate", "monic-gcd", "monic-gcd-in-w"],
+)
+def test_strictness_offenders_keep_their_normalization(f, offenders):
+    assert strictness_check(f) == (False, offenders)
 
 
 # ---------------------------------------------------------------------------
@@ -461,15 +477,32 @@ def extactic_matrix(sys, n):
     return rows
 
 
+def bipoly_bareiss(mat):
+    """Fraction-free Bareiss over Q[z, w] with BiPoly products and exact
+    division, pivoting on the first nonzero entry below."""
+    m = [row[:] for row in mat]
+    n, sign, prev = len(m), 1, bp({(0, 0): 1})
+    if n == 0:
+        return prev
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+            if swap is None:
+                return BiPoly.zero()
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                quotient = bipoly_divexact(m[k][k] * m[i][j] - m[i][k] * m[k][j], prev)
+                assert quotient is not None
+                m[i][j] = quotient
+        prev = m[k][k]
+    return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
+
+
 def bipoly_bareiss_reference(sys, n):
-    """Bareiss over Q[z, w] with BiPoly products and exact division."""
-
-    def div(a, b):
-        out = bipoly_divexact(a, b)
-        assert out is not None
-        return out
-
-    return bareiss_det(extactic_matrix(sys, n), div, BiPoly.zero(), bp({(0, 0): 1}))
+    """E_n by Bareiss over Q[z, w] on the full matrix, row 0 included."""
+    return bipoly_bareiss(extactic_matrix(sys, n))
 
 
 @DET_SETTINGS
@@ -519,20 +552,64 @@ degree_matrices = st.integers(1, 6).flatmap(
 @example([[9, 0], [8, 1]])  # they are not: both sit in column 0
 @example([[3, None], [4, None]])  # no permutation avoids a zero entry
 def test_assignment_z_degree_is_the_largest_over_permutations(degrees):
-    assert darboux._assignment_z_degree(degrees) == brute_assignment(degrees)
+    assert exact._assignment_z_degree(degrees) == brute_assignment(degrees)
+
+
+def as_bipoly_matrix(mat):
+    return [[bp(g) for g in row] for row in mat]
+
+
+term_dicts = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 2)), st.integers(-40, 40).filter(bool), max_size=3
+)
+term_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(term_dicts, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(term_matrices)
+def test_packed_det_matches_bipoly_bareiss(mat):
+    # zero entries, negative digits and singular matrices all turn up here
+    assert packed_det(mat) == bipoly_bareiss(as_bipoly_matrix(mat)).terms
+
+
+Z1, W1 = {(1, 0): 1}, {(0, 1): 1}
+
+
+@pytest.mark.parametrize(
+    "mat, want",
+    [
+        ([[{(0, 0): -7}]], {(0, 0): -7}),  # 1x1, one negative digit
+        ([[{(2, 1): 5, (0, 0): -3}]], {(2, 1): 5, (0, 0): -3}),  # 1x1 on the stride
+        ([[{}]], {}),  # 1x1 zero
+        # z^2 - 1: the low digit borrows, and so reaches the top digit 1
+        ([[Z1, {(0, 0): 1}], [{(0, 0): 1}, Z1]], {(2, 0): 1, (0, 0): -1}),
+        # 1 - z^2: the top digit is itself negative
+        ([[{(0, 0): 1}, Z1], [Z1, {(0, 0): 1}]], {(2, 0): -1, (0, 0): 1}),
+        ([[{}, Z1], [W1, {(0, 0): 1}]], {(1, 1): -1}),  # a zero pivot, swapped
+        ([[Z1, W1], [{(1, 0): 2}, {(0, 1): 2}]], {}),  # singular
+        # the z-stride 3 puts z^2 w next to w^2: no fold
+        ([[{(2, 0): 1}, W1], [{(0, 1): -1}, {(0, 1): 1}]], {(2, 1): 1, (0, 2): 1}),
+    ],
+    ids=["neg", "stride", "zero", "borrow-into-top", "negative-top", "swap", "singular", "stride-3"],
+)
+def test_packed_det_edge_cases(mat, want):
+    assert packed_det(mat) == want
+    assert bipoly_bareiss(as_bipoly_matrix(mat)).terms == want
 
 
 def test_extactic_reaching_the_z_stride_matches_bipoly_bareiss(monkeypatch):
     # E_2 of LV(-1,5,0) has z-degree 19, one below its stride: a stride one
     # smaller folds z^19 w^c onto w^(c+1)
     sys = lv_system(Q(-1), Q(5), Q(0))
-    real, strides = darboux._unpack, []
+    real, strides = exact._assignment_z_degree, []
 
-    def spy(packed, b, dz, scale):
-        strides.append(dz)
-        return real(packed, b, dz, scale)
+    def spy(degrees):
+        strides.append(1 + real(degrees))
+        return strides[-1] - 1
 
-    monkeypatch.setattr(darboux, "_unpack", spy)
+    monkeypatch.setattr(exact, "_assignment_z_degree", spy)
     e = extactic_determinant(sys, 2)
     assert strides == [20] and e.z_degree() == 19
     assert e.terms == bipoly_bareiss_reference(sys, 2).terms
@@ -749,13 +826,9 @@ def test_extactic_degree_one_matches_sympy(sp, sys):
 
 def test_extactic_inexact_division_raises(monkeypatch):
     # a perturbed numerator no longer divides: the remainder must be caught
-    # (the first two pivots are 1, so degree 2 is the first that can tell)
-    real = darboux.bareiss_det
-
-    def skewed(mat, divexact, zero, one):
-        return real(mat, lambda a, b: divexact(a + 1, b), zero, one)
-
-    monkeypatch.setattr(darboux, "bareiss_det", skewed)
+    # (E_1's 2x2 minor divides by 1 only, so degree 2 is the first that can tell)
+    real = exact._int_divexact
+    monkeypatch.setattr(exact, "_int_divexact", lambda a, b: real(a + 1, b))
     with pytest.raises(DarbouxError, match="inexact division"):
         extactic_determinant(lv_system(Q(-1), Q(5), Q(0)), 2)
 

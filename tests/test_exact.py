@@ -1,4 +1,5 @@
 import random
+import time
 
 from fractions import Fraction as Q
 
@@ -400,6 +401,72 @@ def test_value_charpoly_matches_sympy_resultant(sp, data, rational):
     x, y = sp.symbols("x y")
     want = sp.resultant(sympy_expr(sp, list(low) + [Q(1)], x), y - sympy_expr(sp, coords, x), x)
     assert list(value_charpoly(e).coeffs) == sympy_coeffs(sp, want, y, 0)
+
+
+
+def test_value_charpoly_at_degree_16_needs_no_stride():
+    # the Sylvester matrix is 31 x 31 with entries in Q[y] only: packed
+    # without an assignment search (2^31 column subsets), it takes
+    # milliseconds
+    rng = random.Random(16)
+    low = [Q(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(16)]
+    t = Tower((rational_level("x", low),))
+    coords = [Q(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(16)]
+    e = ExtElem(t, tuple(int(c) if c.denominator == 1 else c for c in coords))
+    start = time.perf_counter()
+    charpoly = value_charpoly(e)
+    assert time.perf_counter() - start < 1.0
+    assert charpoly.degree() == 16 and charpoly.coeffs[-1] == 1
+    assert charpoly.eval(e).is_zero()  # Cayley-Hamilton
+
+
+# ---------------------------------------------------------------------------
+# the Sylvester resultant on the packed determinant
+# ---------------------------------------------------------------------------
+
+def in_s(*ascending):
+    return UniPoly([Q(c) for c in ascending], var="s")
+
+
+def sympy_resultant(sp, a, b):
+    """Res_r(a, b) by sympy, as canonical coefficients ascending in s."""
+    s, r = sp.symbols("s r")
+
+    def expr(rows):
+        return sum(sympy_expr(sp, p.coeffs, s) * r**j for j, p in enumerate(rows))
+
+    want = sp.resultant(expr(a), expr(b), r)
+    coeffs = sympy_coeffs(sp, want, s, 0) if want != 0 else []
+    return [c.numerator if c.denominator == 1 else c for c in coeffs]
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # la = 210 for a, lb = 36 for b: the scale la^2 lb^2
+        ([in_s(Q(1, 6), 1), in_s(0, Q(-5, 7)), in_s(Q(2, 5))], [in_s(3, Q(1, 4)), in_s(Q(-7, 9)), in_s(1, 0, 2)]),
+        # degrees 3 and 1: la^1 lb^3
+        ([in_s(Q(1, 2)), in_s(0, 1), in_s(), in_s(Q(-3, 8))], [in_s(Q(5, 3), Q(1, 3)), in_s(2)]),
+        # m = 0: a constant in r gives a0^n, scaled by la^2 only
+        ([in_s(Q(1, 3), 0, Q(2, 5))], [in_s(1), in_s(Q(1, 7), 1), in_s(4)]),
+        # integral inputs stay ints
+        ([in_s(-2, 1), in_s(1)], [in_s(0, 3), in_s(5, -1), in_s(1)]),
+    ],
+    ids=["2x2-mixed-denominators", "3x1", "m=0", "integral"],
+)
+def test_sylvester_resultant_matches_sympy(sp, a, b):
+    got = exact._sylvester_resultant(a, b, "s")
+    assert got.var == "s"
+    assert list(got.coeffs) == sympy_resultant(sp, a, b)
+    assert all(type(c) is int or c.denominator != 1 for c in got.coeffs)
+
+
+def test_sylvester_resultant_of_a_common_factor_is_zero(sp):
+    # (r - s/2)(r + 1/3) and (r - s/2)(2 r - 5/4) share the root r = s/2
+    a = [in_s(0, Q(-1, 6)), in_s(Q(1, 3), Q(-1, 2)), in_s(1)]
+    b = [in_s(0, Q(5, 8)), in_s(Q(-5, 4), -1), in_s(2)]
+    assert exact._sylvester_resultant(a, b, "s").is_zero()
+    assert sympy_resultant(sp, a, b) == []
 
 
 def certified(p):
