@@ -13,6 +13,7 @@ has a direct undetermined-coefficient path used for cross-validation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,8 +26,6 @@ from .exact import (
     Tower,
     UniPoly,
     _canon,
-    _int_gcd,
-    _int_primitive,
     _sylvester_resultant,
     adjoin_root,
     as_fraction,
@@ -44,13 +43,13 @@ from .polyode import (
     OdeSystem,
     _normalize_biv,
     _primitive_int,
+    _int_rows,
     _int_terms,
     _integer_sides,
     _over,
-    _wpoly_content,
+    _rows_content,
     bipoly_divexact,
     bipoly_str,
-    bipoly_to_wpoly,
     biv_gcd,
 )
 
@@ -185,38 +184,32 @@ def _univariate_content(f: BiPoly, var: str):
     """(k, c) with var^k c(var) the gcd of the coefficients of f in the other
     variable and c(0) != 0; c is a UniPoly in var, zero when f is.
 
-    A single nonzero coefficient is its own content, kept as it stands.
-    Otherwise the content is the monic gcd, taken over Q on the primitive
-    integer rows of ``_int_terms`` (over a tower, by ``_wpoly_content``)."""
+    A single nonzero coefficient is its own content, kept as it stands, over
+    Q or a tower.  Otherwise the content is the monic gcd over Q of the
+    integer rows of ``_int_terms`` in var (``_rows_content``, the content
+    routine of ``biv_gcd``); a tower coefficient raises ``DarbouxError``."""
     axis = 0 if var == "z" else 1
     if len({key[1 - axis] for key in f.terms}) < 2:
-        row = {key[axis]: c for key, c in f.terms.items()}
-        coeffs = [row.get(i, field_zero(f.tower)) for i in range(max(row, default=-1) + 1)]
+        coeffs = _row_coeffs(f, axis)
     elif (ints := _int_terms(f)) is None:
-        coeffs = _wpoly_content(bipoly_to_wpoly(f if var == "z" else _swap_zw(f))).coeffs
+        raise DarbouxError("strictness check requires rational coefficients")
     else:
-        rows = {}
-        for key, c in ints.items():
-            rows.setdefault(key[1 - axis], {})[key[axis]] = c
-        g = None
-        for row in rows.values():
-            dense = _int_primitive([row.get(i, 0) for i in range(max(row) + 1)])
-            g = dense if g is None else _int_gcd(g, dense)
-            if len(g) == 1:
-                break
-        coeffs = UniPoly(g, var=var).monic().coeffs
+        coeffs = UniPoly(_rows_content(_int_rows(ints, axis)), var=var).monic().coeffs
     k = next((i for i, c in enumerate(coeffs) if not f_is_zero(c)), 0)
     return k, UniPoly(coeffs[k:], var=var, tower=f.tower)
 
 
-def _swap_zw(p: BiPoly) -> BiPoly:
-    return BiPoly({(we, ze): c for (ze, we), c in p.terms.items()}, tower=p.tower)
+def _row_coeffs(f: BiPoly, axis: int):
+    """The coefficients, ascending, of f as a polynomial in the variable
+    ``axis`` (0 for z, 1 for w) alone, the other exponents dropped; f has
+    one power of the other variable."""
+    row = {key[axis]: c for key, c in f.terms.items()}
+    return [row.get(i, field_zero(f.tower)) for i in range(max(row, default=-1) + 1)]
 
 
 def _lift(p: UniPoly, var: str) -> BiPoly:
     """The UniPoly p in var as a BiPoly."""
-    out = BiPoly({(i, 0): c for i, c in enumerate(p.coeffs)}, tower=p.tower)
-    return out if var == "z" else _swap_zw(out)
+    return BiPoly({(i, 0) if var == "z" else (0, i): c for i, c in enumerate(p.coeffs)}, tower=p.tower)
 
 
 def _content_factors(f: BiPoly, var: str):
@@ -240,7 +233,7 @@ def _irreducibility(f: BiPoly, offenders):
     if f.total_degree() == 1:
         return True, True
     if f.w_degree() == 0 or f.z_degree() == 0:
-        facs = factor_univariate(bipoly_to_wpoly(f if f.w_degree() == 0 else _swap_zw(f))[0])
+        facs = factor_univariate(UniPoly(_row_coeffs(f, 0 if f.w_degree() == 0 else 1), var="z", tower=f.tower))
         if len(facs) == 1 and facs[0].multiplicity == 1:
             return True, facs[0].certified
         return False, True
@@ -403,7 +396,7 @@ def _solve_two_var_system(polys):
     r_positive = []
     for p in polys:
         if p.w_degree() == 0:
-            s_constraints.append(bipoly_to_wpoly(p)[0])
+            s_constraints.append(UniPoly(_row_coeffs(p, 0), var="z"))
         else:
             r_positive.append(p)
     notes = []
@@ -415,9 +408,9 @@ def _solve_two_var_system(polys):
             res = _resultant_r(base, other)
             if res is not None and not res.is_zero():
                 s_constraints.append(res)
-    gs = _wpoly_content(s_constraints)
-    if gs is None:
+    if not s_constraints:
         return "partial", [], ("could not bound line slopes",)
+    gs = functools.reduce(UniPoly.gcd, s_constraints)
     if gs.degree() == 0:
         return "finite", [], notes
     pairs = []
@@ -452,8 +445,10 @@ def _solve_r_given_s(polys, s_val, tower):
             return []  # inconsistent at this s
         if not u.is_zero():
             r_polys.append(u)
-    g = _wpoly_content(r_polys)
-    if g is None or g.degree() == 0:
+    if not r_polys:
+        return []
+    g = functools.reduce(UniPoly.gcd, r_polys)
+    if g.degree() == 0:
         return []
     if tower is None:
         for fac in factor_univariate(g):
@@ -502,12 +497,10 @@ def _eval_sr(p: BiPoly, s_val, r_val) -> bool:
 
 def _resultant_r(a: BiPoly, b: BiPoly) -> Optional[UniPoly]:
     """Sylvester resultant eliminating r; a UniPoly in s."""
-    ra = bipoly_to_wpoly(a)
-    rb = bipoly_to_wpoly(b)
-    m, n = len(ra) - 1, len(rb) - 1
+    m, n = a.w_degree(), b.w_degree()
     if m < 0 or n < 0 or m + n == 0:
         return None
-    return _sylvester_resultant(ra, rb, "z")
+    return _sylvester_resultant(a.terms, b.terms, "z")
 
 
 # ---------------------------------------------------------------------------

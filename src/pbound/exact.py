@@ -249,22 +249,11 @@ def _mul_rational(level, a, b):
     db = math.lcm(*[y.denominator for y in b])
     ia = [x.numerator * (da // x.denominator) for x in a]
     ib = [y.numerator * (db // y.denominator) for y in b]
-    out = _int_product(level, ia, ib)
+    out = _reduce_int(level, _int_poly_mul(ia, ib))
     total = da * db * level.reduction[1]
     if total == 1:
         return tuple(out)
     return tuple([v // total if v % total == 0 else Q(v, total) for v in out])
-
-
-def _int_product(level, a, b):
-    """r a b for int coordinate lists a and b of a level over Q, as a list
-    of d ints (``_reduce_int``)."""
-    prod = [0] * (2 * level.degree - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-    return _reduce_int(level, prod)
 
 
 def _reduce_int(level, prod):
@@ -834,21 +823,25 @@ def _assignment_z_degree(degrees) -> int:
 
 
 def _sylvester_resultant(a, b, var):
-    """Resultant of two polynomials, given as ascending coefficient lists
-    whose entries are UniPolys in ``var`` over Q: the determinant of their
-    Sylvester matrix, a UniPoly in ``var`` with canonical coefficients.
+    """Resultant in j of two polynomials over Q, given as term dicts
+    {(i, j): c} without zeros: the determinant of their Sylvester matrix in
+    j, a UniPoly in i named ``var``, with canonical coefficients.
 
     With la and lb the lcms of the denominators in a and in b, la a and
-    lb b are integral; their Sylvester matrix has n = deg b rows of a's
-    coefficients and m = deg a rows of b's, so its determinant, taken by
-    ``packed_det``, is la^n lb^m times the resultant."""
-    def integral(rows):
-        lcm = math.lcm(*[c.denominator for p in rows for c in p.coeffs])
-        return lcm, [{(i, 0): c.numerator * (lcm // c.denominator) for i, c in enumerate(p.coeffs) if c} for p in rows]
+    lb b are integral; their Sylvester matrix has n = deg_j b rows of a's
+    coefficients and m = deg_j a rows of b's, each entry an integer term
+    dict in i, so its determinant, taken by ``packed_det``, is la^n lb^m
+    times the resultant."""
+    def integral(terms):
+        lcm = math.lcm(*[c.denominator for c in terms.values()])
+        rows = [{} for _ in range(max(j for _, j in terms) + 1)]
+        for (i, j), c in terms.items():
+            rows[j][(i, 0)] = c.numerator * (lcm // c.denominator)
+        return lcm, rows
 
-    m, n = len(a) - 1, len(b) - 1
-    size = m + n
     (la, ia), (lb, ib) = integral(a), integral(b)
+    m, n = len(ia) - 1, len(ib) - 1
+    size = m + n
     mat = [[{}] * size for _ in range(size)]
     for i in range(n):
         for j, c in enumerate(ia):
@@ -871,13 +864,11 @@ def value_charpoly(e: ExtElem):
     tower = e.tower
     if len(tower.levels) != 1:
         return None
-    # the resultant in x of the modulus m(x) and y - e(x)
-    m_coeffs = [UniPoly([Q(c)], var="y") for c in tower.levels[0].minpoly]
-    c_coeffs = [UniPoly([-Q(c)], var="y") for c in e.rep]
-    c_coeffs[0] = c_coeffs[0] + UniPoly([Q(0), Q(1)], var="y")
-    while len(c_coeffs) > 1 and c_coeffs[-1].is_zero():
-        c_coeffs.pop()
-    return _sylvester_resultant(m_coeffs, c_coeffs, "y")
+    # the resultant in x of the modulus m(x) and y - e(x), on (y, x) keys
+    modulus = {(0, k): c for k, c in enumerate(tower.levels[0].minpoly) if c}
+    shifted = {(0, k): -c for k, c in enumerate(e.rep) if c}
+    shifted[(1, 0)] = 1
+    return _sylvester_resultant(modulus, shifted, "y")
 
 
 def certified_is_rational(e) -> bool:
@@ -1214,18 +1205,32 @@ class UniPoly:
         return out
 
 
-def _int_content(ints):
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-        if g == 1:
-            return 1
-    return g or 1
-
-
 def _int_primitive(ints):
-    g = _int_content(ints)
-    return ints if g == 1 else [v // g for v in ints]
+    """ints over their gcd, the sign kept; all zeros stay as they are."""
+    g = math.gcd(*ints)
+    return ints if g <= 1 else [v // g for v in ints]
+
+
+def _int_poly_mul(a, b):
+    """The product in Z[x] of dense int lists, [] for an empty factor."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _int_poly_sub(a, b):
+    """a - b in Z[x] for dense int lists, trimmed."""
+    out = a + [0] * (len(b) - len(a))
+    for i, v in enumerate(b):
+        out[i] -= v
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _int_poly_divexact(a, b):
@@ -1331,12 +1336,7 @@ def _primitive_int_coeffs(p: UniPoly):
     """Scale a rational polynomial to primitive integer coefficients."""
     vals = [c.as_fraction() if isinstance(c, ExtElem) else c for c in p.coeffs]
     den = math.lcm(*[v.denominator for v in vals])
-    ints = [v.numerator * (den // v.denominator) for v in vals]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
+    ints = _int_primitive([v.numerator * (den // v.denominator) for v in vals])
     if ints and ints[-1] < 0:
         ints = [-v for v in ints]
     return ints

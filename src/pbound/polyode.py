@@ -19,10 +19,11 @@ from .exact import (
     ExtElem,
     Q,
     Tower,
-    UniPoly,
     _int_gcd,
+    _int_poly_divexact,
+    _int_poly_mul,
+    _int_poly_sub,
     _int_primitive,
-    _int_product,
     _reduce_int,
     ensure_regular,
     f_is_zero,
@@ -268,144 +269,129 @@ def _exp_str(e: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# w-major view and bivariate gcd machinery (plain exponents)
+# bivariate gcd over Q on Z[z][w] rows (plain exponents)
 # ---------------------------------------------------------------------------
 
-def bipoly_to_wpoly(p: BiPoly):
-    """List of UniPoly-in-z coefficients by ascending w-power."""
-    tower = p.tower
-    deg = p.w_degree()
-    rows = [[] for _ in range(deg + 1)]
-    maxz = {i: -1 for i in range(deg + 1)}
-    for (ze, we), _ in p.terms.items():
-        maxz[we] = max(maxz[we], ze)
-    for we in range(deg + 1):
-        coeffs = [field_zero(tower)] * (maxz[we] + 1)
-        rows[we] = coeffs
-    for (ze, we), c in p.terms.items():
-        rows[we][ze] = c
-    return [UniPoly(r, var="z", tower=tower) for r in rows]
+def biv_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
+    """gcd of plain bivariate polynomials over Q (monic-normalized), taken
+    on the integer term dicts of ``_int_terms``; a tower coefficient raises
+    ``OdeError``.
+
+    A certificate at integer points comes first.  For z0 = 1, -1, 2, -2, ...,
+    skipping 0 (singular points sit on the axes) and the roots of either
+    w-leading coefficient, if gcd(a(z0, w), b(z0, w)) is constant for one of
+    at most three such z0, then deg_w G = 0 for G = gcd(a, b): the w-leading
+    coefficient of G divides that of a, which is nonzero at z0, so G(z0, w)
+    keeps the w-degree of G and divides a constant.  The same test at w0,
+    keeping the z-leading coefficients, gives deg_z G = 0, so G = 1.  With
+    only the first, G is the gcd of the contents in Z[z].  Otherwise G is
+    that gcd times the gcd of the primitive parts, which the primitive PRS
+    (polynomial remainder sequence) computes on dense int rows in z, one
+    per w-power (``_int_rows``).
+    """
+    ia, ib = _int_terms(a), _int_terms(b)
+    if ia is None or ib is None:
+        raise OdeError("bivariate gcd requires rational coefficients")
+    if not ia:
+        return _normalize_biv(b)
+    if not ib:
+        return _normalize_biv(a)
+    tower = a.tower or b.tower
+    if _constant_gcd_at_a_point(ia, ib, 0):
+        if _constant_gcd_at_a_point(ia, ib, 1):
+            return BiPoly.const(1, tower=tower)
+        return _monic_rows([_rows_content(_int_rows(ia) + _int_rows(ib))], tower)
+    ra, rb = _int_rows(ia), _int_rows(ib)
+    ca, cb = _rows_content(ra), _rows_content(rb)
+    content = _int_gcd(ca, cb)
+    pa, pb = _primitive_rows(ra, ca), _primitive_rows(rb, cb)
+    if len(pa) < len(pb):
+        pa, pb = pb, pa
+    while len(pb) > 1:
+        rem = _prs_remainder(pa, pb)
+        if not rem:
+            break
+        pa, pb = pb, rem
+    if len(pb) == 1:  # the primitive parts are coprime
+        return _monic_rows([content], tower)
+    return _monic_rows([_int_poly_mul(row, content) for row in pb], tower)
 
 
-def wpoly_to_bipoly(rows, tower=None):
-    terms = {}
-    for we, row in enumerate(rows):
-        for ze, c in enumerate(row.coeffs):
-            if not f_is_zero(c):
-                terms[(ze, we)] = c
-    return BiPoly(terms, tower=tower)
-
-
-def _wpoly_degree(rows):
-    d = -1
-    for i, r in enumerate(rows):
-        if not r.is_zero():
-            d = i
-    return d
-
-
-def _wpoly_trim(rows):
-    while rows and rows[-1].is_zero():
-        rows.pop()
+def _int_rows(terms, axis=0):
+    """The int term dict as dense int lists in the variable ``axis`` (0 for
+    z, 1 for w), one per power of the other variable, ascending; a zero
+    row is []."""
+    rows = [[] for _ in range(max(key[1 - axis] for key in terms) + 1)]
+    for key, c in terms.items():
+        row, e = rows[key[1 - axis]], key[axis]
+        if len(row) <= e:
+            row.extend([0] * (e + 1 - len(row)))
+        row[e] = c
     return rows
 
 
-def _wpoly_content(rows):
+def _rows_content(rows):
+    """The content of polynomials given as dense int rows, not all zero: the
+    primitive gcd in Z[x] of the nonzero rows (``_int_gcd``), up to sign,
+    and [1] when it is constant."""
     g = None
-    for r in rows:
-        if r.is_zero():
-            continue
-        g = r if g is None else g.gcd(r)
-        if g.degree() == 0:
-            break
+    for row in rows:
+        if row:
+            p = _int_primitive(row)
+            g = p if g is None else _int_gcd(g, p)
+            if len(g) == 1:
+                return [1]
     return g
 
 
-def _wpoly_divide_content(rows, content):
-    return [r.exact_div(content) if not r.is_zero() else r for r in rows]
+def _primitive_rows(rows, content=None):
+    """rows over their content (``_rows_content`` unless given) and over
+    the integer gcd of what is left."""
+    if content is None:
+        content = _rows_content(rows)
+    if len(content) > 1:
+        rows = [_int_poly_divexact(row, content) if row else row for row in rows]
+    g = math.gcd(*(c for row in rows for c in row))
+    return rows if g == 1 else [[c // g for c in row] for row in rows]
 
 
-def _wpoly_prem_controlled(num, den):
-    """A remainder of w-degree < deg(den), equal to the pseudo-remainder up to
-    a z-polynomial factor; coefficient growth is held down by cancelling the
-    head/leading gcd and stripping the content after every step.  Only valid
-    for gcd computations."""
-    num = [r for r in num]
-    dd = _wpoly_degree(den)
-    lc = den[dd]
-    while True:
-        dn = _wpoly_degree(num)
-        if dn < dd or dn < 0:
-            break
-        head = num[dn]
-        g = head.gcd(lc)
-        if g.degree() > 0:
-            scale_all = lc.exact_div(g)
-            scale_head = head.exact_div(g)
+def _prs_remainder(num, den):
+    """A primitive remainder of w-degree < deg(den) for primitive rows num
+    and den of w-degree >= 1, [] when it is zero: the pseudo-remainder up to
+    a factor in Z[z], with coefficient growth held down by cancelling the
+    gcd of the head and den's leading row at every step and stripping the
+    content after it.  Only valid for gcd computations."""
+    dd = len(den) - 1
+    lc = den[-1]
+    primitive_lc = _int_primitive(lc)
+    while len(num) > dd:
+        head = num[-1]
+        g = math.gcd(*head, *lc)
+        p = _int_gcd(_int_primitive(head), primitive_lc) if len(head) > 1 and len(lc) > 1 else [1]
+        if len(p) > 1 or g > 1:
+            p = [c * g for c in p]
+            scale_all, scale_head = _int_poly_divexact(lc, p), _int_poly_divexact(head, p)
         else:
-            scale_all = lc
-            scale_head = head
-        num = [r * scale_all for r in num]
-        for j in range(dd + 1):
-            num[dn - dd + j] = num[dn - dd + j] - scale_head * den[j]
-        _wpoly_trim(num)
-        content = _wpoly_content(num)
-        if content is not None and content.degree() > 0:
-            num = _wpoly_divide_content(num, content)
+            scale_all, scale_head = lc, head
+        off = len(num) - 1 - dd
+        num = num[:-1] if scale_all == [1] else [_int_poly_mul(row, scale_all) for row in num[:-1]]
+        for j, row in enumerate(den[:-1]):
+            if row:
+                num[off + j] = _int_poly_sub(num[off + j], _int_poly_mul(scale_head, row))
+        while num and not num[-1]:
+            num.pop()
+        if num:
+            num = _primitive_rows(num)
     return num
 
 
-def biv_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
-    """gcd of plain bivariate polynomials (monic-normalized).
-
-    Over Q a certificate at integer points comes first.  For z0 = 1, -1, 2,
-    -2, ..., skipping 0 (singular points sit on the axes) and the roots of
-    either w-leading coefficient, if gcd(a(z0, w), b(z0, w)) is constant for
-    one of at most three such z0, then deg_w G = 0 for G = gcd(a, b): the
-    w-leading coefficient of G divides that of a, which is nonzero at z0, so
-    G(z0, w) keeps the w-degree of G and divides a constant.  The same test
-    at w0, keeping the z-leading coefficients, gives deg_z G = 0, so G = 1.
-    With only the first, G is the gcd of the contents in Q[z].  Otherwise,
-    and over towers, the primitive PRS computes the gcd.
-    """
-    if a.is_zero():
-        return _normalize_biv(b)
-    if b.is_zero():
-        return _normalize_biv(a)
-    ia, ib = _int_terms(a), _int_terms(b)
-    if ia is not None and ib is not None and _constant_gcd_at_a_point(ia, ib, 0):
-        if _constant_gcd_at_a_point(ia, ib, 1):
-            return BiPoly.const(1, tower=a.tower or b.tower)
-        content = _wpoly_content(bipoly_to_wpoly(a) + bipoly_to_wpoly(b))
-        return _normalize_biv(wpoly_to_bipoly([content], tower=a.tower or b.tower))
-    ra, rb = bipoly_to_wpoly(a), bipoly_to_wpoly(b)
-    ca, cb = _wpoly_content(ra), _wpoly_content(rb)
-    content = ca.gcd(cb)
-    pa = _wpoly_divide_content(ra, ca)
-    pb = _wpoly_divide_content(rb, cb)
-    if _wpoly_degree(pa) < _wpoly_degree(pb):
-        pa, pb = pb, pa
-    while True:
-        if _wpoly_degree(pb) < 0:
-            g = pa
-            break
-        rem = _wpoly_prem_controlled(pa, pb)
-        rem = _wpoly_trim(rem)
-        if _wpoly_degree(rem) < 0:
-            g = pb
-            break
-        cr = _wpoly_content(rem)
-        rem = _wpoly_divide_content(rem, cr)
-        pa, pb = pb, rem
-    if _wpoly_degree(g) == 0:
-        # gcd is a z-polynomial times the content
-        result = wpoly_to_bipoly([content], tower=a.tower or b.tower)
-    else:
-        cg = _wpoly_content(g)
-        g = _wpoly_divide_content(g, cg)
-        g = [poly * content for poly in g]
-        result = wpoly_to_bipoly(g, tower=a.tower or b.tower)
-    return _normalize_biv(result)
+def _monic_rows(rows, tower):
+    """The BiPoly of int rows by w-power over its (w, z)-leading
+    coefficient, with int coefficients where they are integral."""
+    lead = rows[-1][-1]
+    s = 1 if lead > 0 else -1
+    terms = {(ze, we): _over(s * c, s * lead) for we, row in enumerate(rows) for ze, c in enumerate(row) if c}
+    return BiPoly._from_clean(terms, tower)
 
 
 def _int_terms(p: BiPoly):
@@ -741,7 +727,7 @@ def _shift_sides(p_items, q_items, alpha, lam, n, deg, tower):
     powers, v = [[(0, unit)]], a
     for i in range(1, deg + 1):
         if i > 1:
-            v = _int_product(level, v, a)
+            v = _reduce_int(level, _int_poly_mul(v, a))
         powers.append(_pairs(v, (d * r) ** (deg - i)))
     table = [
         [((k - j) * step, j, [(i, x * math.comb(k, j)) for i, x in powers[k - j]]) for j in range(k + 1)]

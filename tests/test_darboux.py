@@ -204,6 +204,15 @@ def test_strictness_offenders_keep_their_normalization(f, offenders):
     assert strictness_check(f) == (False, offenders)
 
 
+def test_strictness_refuses_tower_coefficients():
+    # sqrt 2 z w + 1 has two rows in each variable: the content would need a
+    # gcd over the tower, which is refused by name
+    tower, root = adjoin_root(QQ_TOWER, UniPoly([Q(-2), Q(0), Q(1)]))
+    f = BiPoly({(1, 1): root, (0, 0): tower.one()}, tower=tower)
+    with pytest.raises(DarbouxError, match="requires rational coefficients"):
+        strictness_check(f)
+
+
 # ---------------------------------------------------------------------------
 # irreducibility
 # ---------------------------------------------------------------------------

@@ -428,6 +428,11 @@ def in_s(*ascending):
     return UniPoly([Q(c) for c in ascending], var="s")
 
 
+def sr_terms(rows):
+    """Rows in s by ascending power of r as a term dict {(s-exponent, r-exponent): c}."""
+    return {(i, j): c for j, p in enumerate(rows) for i, c in enumerate(p.coeffs) if c}
+
+
 def sympy_resultant(sp, a, b):
     """Res_r(a, b) by sympy, as canonical coefficients ascending in s."""
     s, r = sp.symbols("s r")
@@ -455,7 +460,7 @@ def sympy_resultant(sp, a, b):
     ids=["2x2-mixed-denominators", "3x1", "m=0", "integral"],
 )
 def test_sylvester_resultant_matches_sympy(sp, a, b):
-    got = exact._sylvester_resultant(a, b, "s")
+    got = exact._sylvester_resultant(sr_terms(a), sr_terms(b), "s")
     assert got.var == "s"
     assert list(got.coeffs) == sympy_resultant(sp, a, b)
     assert all(type(c) is int or c.denominator != 1 for c in got.coeffs)
@@ -465,7 +470,7 @@ def test_sylvester_resultant_of_a_common_factor_is_zero(sp):
     # (r - s/2)(r + 1/3) and (r - s/2)(2 r - 5/4) share the root r = s/2
     a = [in_s(0, Q(-1, 6)), in_s(Q(1, 3), Q(-1, 2)), in_s(1)]
     b = [in_s(0, Q(5, 8)), in_s(Q(-5, 4), -1), in_s(2)]
-    assert exact._sylvester_resultant(a, b, "s").is_zero()
+    assert exact._sylvester_resultant(sr_terms(a), sr_terms(b), "s").is_zero()
     assert sympy_resultant(sp, a, b) == []
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbound import exact
+from pbound import exact, polyode
 from pbound.exact import QQ_TOWER, ExtElem, Level, Tower, UniPoly, adjoin_root, field_one
 from pbound.polyode import (
     BiPoly,
@@ -759,16 +759,14 @@ def test_biv_gcd_with_failing_heuristic_matches_sympy(sp, f, g, h):
 
 
 def count_prs_steps(monkeypatch):
-    import pbound.polyode as polyode
-
     calls = []
-    original = polyode._wpoly_prem_controlled
+    original = polyode._prs_remainder
 
     def counted(num, den):
         calls.append(1)
         return original(num, den)
 
-    monkeypatch.setattr(polyode, "_wpoly_prem_controlled", counted)
+    monkeypatch.setattr(polyode, "_prs_remainder", counted)
     return calls
 
 
@@ -793,8 +791,6 @@ def test_biv_gcd_coprime_certificate_skips_prs(monkeypatch):
 
 
 def forbid(monkeypatch, name):
-    import pbound.polyode as polyode
-
     def refuse(*args):
         raise AssertionError("%s ran" % name)
 
@@ -856,10 +852,35 @@ def test_biv_gcd_census_pair_certified_at_two_points(sp, monkeypatch):
     P = bp({(3, 0): -1, (0, 3): 2, (2, 0): -4, (1, 1): -4, (0, 1): 3, (0, 0): -5})
     Q_ = bp({(2, 1): 2, (1, 2): -4, (1, 1): 1})
     assert sympy_gcd(sp, P, Q_).terms == {(0, 0): 1}
-    forbid(monkeypatch, "_wpoly_prem_controlled")
-    forbid(monkeypatch, "_wpoly_content")
+    forbid(monkeypatch, "_prs_remainder")
+    forbid(monkeypatch, "_rows_content")
     assert biv_gcd(P, Q_).terms == {(0, 0): 1}
     assert make_system(P, Q_).P is P
+
+
+z_polys = bipolys((0, 2), 0, min_terms=1, max_terms=3).filter(lambda p: not p.is_zero())
+
+
+@KERNEL_SETTINGS
+@given(z_polys, nonzero_plain, nonzero_plain, nonzero_plain)
+def test_integer_prs_matches_sympy(sp, c, f, g, h):
+    # with both point certificates failing, every pair runs the primitive
+    # PRS on Z[z][w] rows, and the common factor c f has the part c in z
+    # alone, which only the contents carry
+    a, b = c * f * g, c * f * h
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyode, "_constant_gcd_at_a_point", lambda ia, ib, var: False)
+        got = biv_gcd(a, b)
+    assert got.terms == sympy_gcd(sp, a, b).terms
+    assert all(type(v) is int for v in got.terms.values() if Q(v).denominator == 1), got.terms
+
+
+def test_biv_gcd_refuses_tower_coefficients():
+    a = BiPoly({(0, 1): SQRT2, (1, 0): SQRT2_TOWER.one()}, tower=SQRT2_TOWER)
+    b = bp({(0, 1): 1, (0, 0): -1})
+    for x, y in ((a, b), (b, a), (a, BiPoly.zero())):
+        with pytest.raises(OdeError, match="requires rational coefficients"):
+            biv_gcd(x, y)
 
 
 def test_make_system_names_the_shared_factor():
