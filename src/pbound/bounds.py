@@ -21,9 +21,9 @@ from .exact import (
     ExactError,
     Q,
     QQ_TOWER,
-    Tower,
     TowerSplitError,
     UniPoly,
+    _level_modulus,
     adjoin_root,
     as_fraction,
     factor_univariate,
@@ -172,15 +172,10 @@ def _mul_at_algebraic_point(sys: OdeSystem, minpoly: UniPoly, caps: Caps):
                 raise
             t1, t2 = exc.factor_towers()
             for t in (t1, t2):
-                work.append(_tower_level_unipoly(t))
+                work.append(_level_modulus(t.levels[:1], "w"))
             continue
         out.append((poly, res))
     return out
-
-
-def _tower_level_unipoly(tower: Tower) -> UniPoly:
-    # a level over Q has int/Fraction coefficients, as a UniPoly over Q
-    return UniPoly(tower.levels[0].minpoly, var="w")
 
 
 def axis_multiplicity_bound(sys: OdeSystem, caps: Caps = DEFAULT_CAPS) -> BoundReport:

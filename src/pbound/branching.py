@@ -30,6 +30,8 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .exact import (
+    DEFAULT_FACTOR_CAP,
+    DEFAULT_TOWER_CAP,
     ExactError,
     ExtElem,
     Q,
@@ -74,9 +76,9 @@ class Caps:
 
     depth: int = 32
     ram: int = 64
-    tower: int = 16
+    tower: int = DEFAULT_TOWER_CAP
     terms: int = 10
-    factor: int = 8
+    factor: int = DEFAULT_FACTOR_CAP
 
 
 DEFAULT_CAPS = Caps()

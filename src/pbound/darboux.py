@@ -26,6 +26,8 @@ from .exact import (
     Tower,
     UniPoly,
     _canon,
+    _level_modulus,
+    _rows_content,
     _sylvester_resultant,
     adjoin_root,
     as_fraction,
@@ -47,7 +49,6 @@ from .polyode import (
     _int_terms,
     _integer_sides,
     _over,
-    _rows_content,
     bipoly_divexact,
     bipoly_str,
     biv_gcd,
@@ -315,7 +316,7 @@ def detect_invariant_lines(sys: OdeSystem) -> LineDetection:
             else:
                 tower = s_val.tower if isinstance(s_val, ExtElem) else r_val.tower
                 deg = tower.degree()
-                minpoly = _tower_top_minpoly(tower)
+                minpoly = _level_modulus(tower.levels, tower.levels[-1].name)
                 families.append(LineFamily(kind="sloped", factor=minpoly, degree=deg))
 
     lines = _dedupe_certs(lines)
@@ -347,17 +348,6 @@ def _sloped_line_conditions(A: BiPoly, B: BiPoly):
         if not poly.is_zero():
             out.append(poly)
     return out
-
-
-def _tower_top_minpoly(tower: Tower) -> UniPoly:
-    level = tower.levels[-1]
-    sub = tower.levels[:-1]
-    coeffs = []
-    for rep in level.minpoly:
-        coeffs.append(ExtElem(Tower(sub), rep) if sub else rep)
-    if sub:
-        return UniPoly(coeffs, var=level.name, tower=Tower(sub))
-    return UniPoly(coeffs, var=level.name)
 
 
 def _dedupe_certs(certs):

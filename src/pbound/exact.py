@@ -11,6 +11,7 @@ on each.  No floating point is used anywhere.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,20 +32,6 @@ KRONECKER_EFFORT = 20000
 
 class ExactError(Exception):
     """Invalid request at the exact-arithmetic layer (bad adjoin, caps, ...)."""
-
-
-class _SplitNeeded(Exception):
-    """Internal: a presumed-irreducible modulus revealed a zero divisor.
-
-    ``level`` is the 0-based tower level whose modulus factored, and ``g``,
-    ``h`` are monic coefficient lists (over the sub-tower) with g*h = modulus.
-    """
-
-    def __init__(self, level, g, h):
-        super().__init__("zero divisor at tower level %d" % level)
-        self.level = level
-        self.g = g
-        self.h = h
 
 
 class TowerSplitError(Exception):
@@ -270,39 +257,15 @@ def _reduce_int(level, prod):
     return out
 
 
-def _polydeg(sub, coeffs):
-    for i in range(len(coeffs) - 1, -1, -1):
-        if not _is_zero(sub, coeffs[i]):
-            return i
-    return -1
-
-
-def _polydivmod(sub, num, den):
-    """Division with remainder of coefficient lists over the field below."""
-    dd = _polydeg(sub, den)
-    if dd < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead_inv = _inv(sub, den[dd])
-    rem = list(num)
-    dn = _polydeg(sub, rem)
-    quot = [_zero(sub) for _ in range(max(dn - dd + 1, 0))]
-    while dn >= dd:
-        c = _mul_sub(sub, rem[dn], lead_inv)
-        quot[dn - dd] = c
-        for j in range(dd + 1):
-            rem[dn - dd + j] = _sub(sub, rem[dn - dd + j], _mul_sub(sub, c, den[j]))
-        dn = _polydeg(sub, rem)
-    return quot, rem
-
-
 def _inv(levels, a):
-    """Exact inverse; raises _SplitNeeded when a zero divisor is found.
+    """Exact inverse; raises TowerSplitError when a zero divisor is found.
 
     A rational element is a unit or zero even over a presumed modulus, so
     its inverse is the rational inverse embedded, with no Euclid.  At a
     level over Q the inverse is solved on integers by Cramer's rule
-    (``_inv_rational``); extended Euclid runs only above the first level
-    and for a zero divisor, whose gcd with the modulus splits it."""
+    (``_inv_rational``); extended Euclid (``_euclid_inverse``) runs only
+    above the first level and for a zero divisor, whose gcd with the
+    modulus splits it."""
     q = _rational_value(levels, a)
     if q is not None:
         if q == 0:
@@ -312,40 +275,30 @@ def _inv(levels, a):
         inv = _inv_rational(levels[0], a)
         if inv is not None:
             return inv
-    sub = levels[:-1]
-    level = levels[-1]
-    # extended Euclid between the modulus and a
-    r0 = list(level.minpoly)
-    r1 = list(a)
-    t0 = [_zero(sub)]
-    t1 = [_const(sub, 1)]
-    while _polydeg(sub, r1) >= 0:
-        q, r = _polydivmod(sub, r0, r1)
-        # t0 - q*t1
-        prod = [_zero(sub) for _ in range(len(q) + len(t1) - 1)]
-        for i, x in enumerate(q):
-            if _is_zero(sub, x):
-                continue
-            for j, y in enumerate(t1):
-                prod[i + j] = _add(sub, prod[i + j], _mul_sub(sub, x, y))
-        t2 = [_zero(sub)] * max(len(t0), len(prod))
-        for i in range(len(t2)):
-            v = t0[i] if i < len(t0) else _zero(sub)
-            w = prod[i] if i < len(prod) else _zero(sub)
-            t2[i] = _sub(sub, v, w)
-        r0, r1 = r1, r
-        t0, t1 = t1, t2
-    g_deg = _polydeg(sub, r0)
-    if g_deg == 0:
-        c_inv = _inv(sub, r0[0])
-        inv_coeffs = [_mul_sub(sub, c, c_inv) for c in t0]
-        return _reduce_list(levels, inv_coeffs)
-    # nontrivial gcd: the modulus factors as g * h
-    lead_inv = _inv(sub, r0[g_deg])
-    g = [_mul_sub(sub, c, lead_inv) for c in r0[: g_deg + 1]]
-    h, rem = _polydivmod(sub, list(level.minpoly), g)
-    assert _polydeg(sub, rem) < 0
-    raise _SplitNeeded(len(levels) - 1, tuple(g), tuple(h))
+    return _euclid_inverse(levels, a)
+
+
+def _euclid_inverse(levels, a):
+    """The inverse of a modulo the top modulus m by extended Euclid in K[x],
+    K the tower below, on ``UniPoly``.  For a zero divisor m factors as the
+    monic g = gcd(m, a) times h = m / g, and TowerSplitError carries them;
+    a split of a lower level met on the way is raised again with the whole
+    tower and that level's index."""
+    m = _level_modulus(levels, "x")
+    try:
+        r0, r1 = m, _coords_poly(m.tower, a, "x")
+        t0, t1 = UniPoly([], tower=m.tower), UniPoly([field_one(m.tower)], tower=m.tower)
+        while not r1.is_zero():
+            q, r = r0.divmod(r1)
+            r0, r1 = r1, r
+            t0, t1 = t1, t0 - q * t1
+        if r0.degree() == 0:
+            return _reduce_list(levels, _poly_coords(t0.scale(f_inv(r0.coeffs[0]))))
+        g = r0.monic()
+        h = m.exact_div(g)
+    except TowerSplitError as exc:
+        raise TowerSplitError(Tower(levels), exc.level, exc.g, exc.h) from None
+    raise TowerSplitError(Tower(levels), len(levels) - 1, _poly_coords(g), _poly_coords(h))
 
 
 def _inv_rational(level, a):
@@ -590,10 +543,7 @@ class ExtElem:
     def inverse(self) -> "ExtElem":
         """The inverse; a rational element's is its rational inverse, with no
         Euclid (it cannot split a presumed modulus)."""
-        try:
-            return ExtElem(self.tower, _inv(self.tower.levels, self.rep))
-        except _SplitNeeded as exc:
-            raise TowerSplitError(self.tower, exc.level, exc.g, exc.h) from None
+        return ExtElem(self.tower, _inv(self.tower.levels, self.rep))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -896,11 +846,7 @@ def certified_is_rational(e) -> bool:
     # some component carries the rational value r while the element is not
     # uniformly r (moduli are squarefree, so a uniform value would make the
     # representation rational): the modulus factors along gcd(m, e - r)
-    shifted = e - roots[0]
-    try:
-        _inv(tower.levels, shifted.rep)
-    except _SplitNeeded as exc:
-        raise TowerSplitError(tower, exc.level, exc.g, exc.h) from None
+    (e - roots[0]).inverse()
     raise ExactError(
         "characteristic polynomial root %s of %s did not induce a splitting"
         % (roots[0], e)
@@ -950,13 +896,12 @@ def split_tower(tower: Tower, level: int, g, h):
     """Split ``tower`` at ``level`` whose modulus factors as g * h (monic)."""
 
     def rebuild(factor):
-        fac_deg = _polydeg(tower.levels[:level], list(factor))
         new_levels = list(tower.levels[:level])
         new_levels.append(
             Level(
                 name=tower.levels[level].name,
                 minpoly=tuple(factor),
-                degree=fac_deg,
+                degree=len(factor) - 1,
                 presumed=tower.levels[level].presumed,
             )
         )
@@ -987,6 +932,26 @@ def transport_elem(e: ExtElem, new_tower: Tower) -> ExtElem:
     if e.tower == new_tower:
         return e
     return ExtElem(new_tower, _transport(e.rep, e.tower.levels, new_tower.levels))
+
+
+def _level_modulus(levels, var):
+    """The modulus of the top level as a UniPoly in ``var`` over the tower
+    of the levels below it."""
+    sub = levels[:-1]
+    return _coords_poly(Tower(sub) if sub else None, levels[-1].minpoly, var)
+
+
+def _coords_poly(tower, coords, var):
+    """A coefficient list of coordinates over ``tower`` as a UniPoly over
+    it; over Q (``tower`` None) its coefficients are the rationals."""
+    if tower is None:
+        return UniPoly(coords, var=var)
+    return UniPoly([ExtElem(tower, c) for c in coords], var=var, tower=tower)
+
+
+def _poly_coords(p):
+    """The canonical coordinates of a UniPoly's coefficients, ascending."""
+    return tuple(c.rep if isinstance(c, ExtElem) else _canon(c) for c in p.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -1286,36 +1251,90 @@ def _heuristic_int_gcd(a, b):
     return None
 
 
-def _int_prs_gcd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = list(a)
-        lc = b[-1]
-        while len(r) >= len(b):
-            if r[-1] == 0:
-                r.pop()
-                continue
-            g = math.gcd(r[-1], lc)
-            mul_r = lc // g
-            mul_b = r[-1] // g
-            off = len(r) - len(b)
-            if mul_r != 1:
-                r = [v * mul_r for v in r]
-            for j, bv in enumerate(b):
-                r[off + j] -= mul_b * bv
-            while r and r[-1] == 0:
-                r.pop()
-            r = _int_primitive(r) if r else r
-        a, b = b, _int_primitive(r) if r else []
-    return a
-
-
 def _int_gcd(a, b):
     """gcd of nonzero primitive integer polynomials, up to sign: GCDHEU,
-    else the primitive PRS."""
+    else the primitive PRS of ``_prs_gcd`` on rows of constants."""
     g = _heuristic_int_gcd(a, b)
-    return _int_prs_gcd(a, b) if g is None else g
+    if g is not None:
+        return g
+    rows = _prs_gcd([[c] if c else [] for c in a], [[c] if c else [] for c in b])
+    return [row[0] if row else 0 for row in rows]
+
+
+# ---------------------------------------------------------------------------
+# the primitive PRS on Z[z][w]
+#
+# A polynomial in Z[z][w] is a list of dense int rows in z, one per power of
+# w, ascending; a zero row is [].  Z[x] is the case of rows of constants.
+# ---------------------------------------------------------------------------
+
+def _prs_gcd(a, b):
+    """The gcd of primitive rows a and b (``_primitive_rows``), not zero, up
+    to sign: the last nonzero remainder of their primitive PRS (polynomial
+    remainder sequence), [[1]] up to sign when they are coprime."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        rem = _prs_remainder(a, b)
+        if not rem:
+            break
+        a, b = b, rem
+    return b
+
+
+def _rows_content(rows):
+    """The content of polynomials given as dense int rows, not all zero: the
+    primitive gcd in Z[x] of the nonzero rows (``_int_gcd``), up to sign,
+    and [1] when it is constant."""
+    g = None
+    for row in rows:
+        if row:
+            p = _int_primitive(row)
+            g = p if g is None else _int_gcd(g, p)
+            if len(g) == 1:
+                return [1]
+    return g
+
+
+def _primitive_rows(rows, content=None):
+    """rows over their content (``_rows_content`` unless given) and over
+    the integer gcd of what is left."""
+    if content is None:
+        content = _rows_content(rows)
+    if len(content) > 1:
+        rows = [_int_poly_divexact(row, content) if row else row for row in rows]
+    g = math.gcd(*(c for row in rows for c in row))
+    return rows if g == 1 else [[c // g for c in row] for row in rows]
+
+
+def _prs_remainder(num, den):
+    """A primitive remainder of w-degree < deg(den) for primitive rows num
+    and den of w-degree >= 1, [] when it is zero: the pseudo-remainder up to
+    a factor in Z[z], with coefficient growth held down by cancelling the
+    gcd of the head and den's leading row at every step and stripping the
+    content after it.  Only valid for gcd computations."""
+    dd = len(den) - 1
+    lc = den[-1]
+    primitive_lc = _int_primitive(lc)
+    while len(num) > dd:
+        head = num[-1]
+        g = math.gcd(*head, *lc)
+        p = _int_gcd(_int_primitive(head), primitive_lc) if len(head) > 1 and len(lc) > 1 else [1]
+        if len(p) > 1 or g > 1:
+            p = [c * g for c in p]
+            scale_all, scale_head = _int_poly_divexact(lc, p), _int_poly_divexact(head, p)
+        else:
+            scale_all, scale_head = lc, head
+        off = len(num) - 1 - dd
+        num = num[:-1] if scale_all == [1] else [_int_poly_mul(row, scale_all) for row in num[:-1]]
+        for j, row in enumerate(den[:-1]):
+            if row:
+                num[off + j] = _int_poly_sub(num[off + j], _int_poly_mul(scale_head, row))
+        while num and not num[-1]:
+            num.pop()
+        if num:
+            num = _primitive_rows(num)
+    return num
 
 
 def _rational_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
@@ -1554,40 +1573,29 @@ def _kronecker_split(ints):
         if total > KRONECKER_EFFORT:
             continue
 
-        xs = [pt[0] for pt in points]
-
-        def interpolate(values):
-            coeffs = [Q(0)] * (d + 1)
-            for i, (xi, yi) in enumerate(zip(xs, values)):
-                num = [Q(yi)]
-                den = Q(1)
-                for j, xj in enumerate(xs):
-                    if j == i:
-                        continue
-                    num = [Q(0)] + num
-                    for k in range(len(num) - 1):
-                        num[k] -= Q(xj) * num[k + 1]
-                    den *= Q(xi - xj)
-                for k in range(len(num)):
-                    coeffs[k] += num[k] / den
-            return coeffs
-
-        stack = [[]]
-        for divs in divisor_lists:
-            stack = [cand + [dv] for cand in stack for dv in divs]
-        for values in stack:
-            coeffs = interpolate(values)
-            if any(c.denominator != 1 for c in coeffs):
+        # the Lagrange basis of the points over one common denominator
+        basis = []
+        for xi, _ in points:
+            num, den = [1], 1
+            for xj, _ in points:
+                if xj != xi:
+                    num = _int_poly_mul(num, [-xj, 1])
+                    den *= xi - xj
+            basis.append((num, den))
+        common = math.lcm(*(den for _, den in basis))
+        basis = [[c * (common // den) for c in num] for num, den in basis]
+        for values in itertools.product(*divisor_lists):
+            coeffs = [sum(v * row[k] for v, row in zip(values, basis)) for k in range(d + 1)]
+            if any(c % common for c in coeffs):
                 continue
-            gi = [int(c) for c in coeffs]
+            gi = [c // common for c in coeffs]
             while gi and gi[-1] == 0:
                 gi.pop()
             if len(gi) - 1 < 1 or len(gi) - 1 >= n:
                 continue
-            gp = UniPoly([Q(c) for c in gi])
-            fp = UniPoly([Q(c) for c in ints])
-            q, r = fp.divmod(gp)
-            if r.is_zero():
+            # ints is primitive: by Gauss's lemma gi divides it over Q iff
+            # its primitive part divides it in Z[x]
+            if _int_poly_divexact(ints, _int_primitive(gi)) is not None:
                 return gi
     return None
 

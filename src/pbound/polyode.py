@@ -20,11 +20,12 @@ from .exact import (
     Q,
     Tower,
     _int_gcd,
-    _int_poly_divexact,
     _int_poly_mul,
-    _int_poly_sub,
     _int_primitive,
+    _primitive_rows,
+    _prs_gcd,
     _reduce_int,
+    _rows_content,
     ensure_regular,
     f_is_zero,
     f_inv,
@@ -286,8 +287,8 @@ def biv_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
     keeping the z-leading coefficients, gives deg_z G = 0, so G = 1.  With
     only the first, G is the gcd of the contents in Z[z].  Otherwise G is
     that gcd times the gcd of the primitive parts, which the primitive PRS
-    (polynomial remainder sequence) computes on dense int rows in z, one
-    per w-power (``_int_rows``).
+    (polynomial remainder sequence, ``exact._prs_gcd``) computes on dense
+    int rows in z, one per w-power (``_int_rows``).
     """
     ia, ib = _int_terms(a), _int_terms(b)
     if ia is None or ib is None:
@@ -304,17 +305,8 @@ def biv_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
     ra, rb = _int_rows(ia), _int_rows(ib)
     ca, cb = _rows_content(ra), _rows_content(rb)
     content = _int_gcd(ca, cb)
-    pa, pb = _primitive_rows(ra, ca), _primitive_rows(rb, cb)
-    if len(pa) < len(pb):
-        pa, pb = pb, pa
-    while len(pb) > 1:
-        rem = _prs_remainder(pa, pb)
-        if not rem:
-            break
-        pa, pb = pb, rem
-    if len(pb) == 1:  # the primitive parts are coprime
-        return _monic_rows([content], tower)
-    return _monic_rows([_int_poly_mul(row, content) for row in pb], tower)
+    gcd = _prs_gcd(_primitive_rows(ra, ca), _primitive_rows(rb, cb))
+    return _monic_rows([_int_poly_mul(row, content) for row in gcd], tower)
 
 
 def _int_rows(terms, axis=0):
@@ -328,61 +320,6 @@ def _int_rows(terms, axis=0):
             row.extend([0] * (e + 1 - len(row)))
         row[e] = c
     return rows
-
-
-def _rows_content(rows):
-    """The content of polynomials given as dense int rows, not all zero: the
-    primitive gcd in Z[x] of the nonzero rows (``_int_gcd``), up to sign,
-    and [1] when it is constant."""
-    g = None
-    for row in rows:
-        if row:
-            p = _int_primitive(row)
-            g = p if g is None else _int_gcd(g, p)
-            if len(g) == 1:
-                return [1]
-    return g
-
-
-def _primitive_rows(rows, content=None):
-    """rows over their content (``_rows_content`` unless given) and over
-    the integer gcd of what is left."""
-    if content is None:
-        content = _rows_content(rows)
-    if len(content) > 1:
-        rows = [_int_poly_divexact(row, content) if row else row for row in rows]
-    g = math.gcd(*(c for row in rows for c in row))
-    return rows if g == 1 else [[c // g for c in row] for row in rows]
-
-
-def _prs_remainder(num, den):
-    """A primitive remainder of w-degree < deg(den) for primitive rows num
-    and den of w-degree >= 1, [] when it is zero: the pseudo-remainder up to
-    a factor in Z[z], with coefficient growth held down by cancelling the
-    gcd of the head and den's leading row at every step and stripping the
-    content after it.  Only valid for gcd computations."""
-    dd = len(den) - 1
-    lc = den[-1]
-    primitive_lc = _int_primitive(lc)
-    while len(num) > dd:
-        head = num[-1]
-        g = math.gcd(*head, *lc)
-        p = _int_gcd(_int_primitive(head), primitive_lc) if len(head) > 1 and len(lc) > 1 else [1]
-        if len(p) > 1 or g > 1:
-            p = [c * g for c in p]
-            scale_all, scale_head = _int_poly_divexact(lc, p), _int_poly_divexact(head, p)
-        else:
-            scale_all, scale_head = lc, head
-        off = len(num) - 1 - dd
-        num = num[:-1] if scale_all == [1] else [_int_poly_mul(row, scale_all) for row in num[:-1]]
-        for j, row in enumerate(den[:-1]):
-            if row:
-                num[off + j] = _int_poly_sub(num[off + j], _int_poly_mul(scale_head, row))
-        while num and not num[-1]:
-            num.pop()
-        if num:
-            num = _primitive_rows(num)
-    return num
 
 
 def _monic_rows(rows, tower):

@@ -825,7 +825,7 @@ def test_inverse_at_a_level_over_q_matches_euclid(data):
     try:
         want = euclid_inverse(level, a)
     except RefSplit as split:
-        with pytest.raises(exact._SplitNeeded) as err:
+        with pytest.raises(TowerSplitError) as err:
             exact._inv((level,), a)
         assert (err.value.level, fraction_rep(err.value.g), fraction_rep(err.value.h)) == (0, split.g, split.h)
         return
@@ -870,13 +870,13 @@ def test_zero_divisor_modulo_a_presumed_product_raises_the_factors():
 
 def test_euclid_runs_only_for_zero_divisors_and_above_the_first_level(monkeypatch):
     calls = []
-    inner = exact._polydivmod
+    inner = exact._euclid_inverse
 
-    def counting(sub, num, den):
-        calls.append(len(sub))
-        return inner(sub, num, den)
+    def counting(levels, a):
+        calls.append(len(levels) - 1)
+        return inner(levels, a)
 
-    monkeypatch.setattr(exact, "_polydivmod", counting)
+    monkeypatch.setattr(exact, "_euclid_inverse", counting)
     for name in ("sqrt2", "cbrt2", "nonintegral"):
         x = ARITH_TOWERS[name].generator(0)
         for e in (x, x + 1, x * Q(2, 3) - Q(1, 5)):
@@ -890,6 +890,43 @@ def test_euclid_runs_only_for_zero_divisors_and_above_the_first_level(monkeypatc
     y = ARITH_TOWERS["two-level"].generator(1)
     assert y * y.inverse() == 1
     assert calls and set(calls) == {1}
+
+
+def test_lower_level_split_inside_the_euclid_carries_the_whole_tower():
+    # level 0 is the reducible x^2 - 1, built directly as in
+    # test_try_invert_splits_reducible_modulus; the Euclid at level 1 must
+    # invert the zero divisor t0 - 1 of level 0
+    lv = Level(name="t0", minpoly=(-1, 0, 1), degree=2, presumed=True)
+    t = Tower((lv,))
+    x = t.generator(0)
+    t2, y = adjoin_root(t, UniPoly([-x, t.zero(), t.one()], tower=t))
+    e = (t2.generator(0) - 1) * y + 1
+    with pytest.raises(RefSplit) as want:
+        ref_inv(fraction_levels(t2.levels), fraction_rep(e.rep))
+    with pytest.raises(TowerSplitError) as got:
+        e.inverse()
+    assert got.value.tower == t2
+    assert (got.value.level, got.value.g, got.value.h) == (0, (-1, 1), (1, 1))
+    assert (want.value.level, want.value.g, want.value.h) == (0, (-1, 1), (1, 1))
+    # t0 = 1 and t0 = -1: y^2 - t0 becomes y^2 - 1 and y^2 + 1
+    moduli = [tt.levels[1].minpoly for tt in got.value.factor_towers()]
+    assert moduli == [((-1,), (0,), (1,)), ((1,), (0,), (1,))]
+
+
+def test_presumed_second_level_splits_at_its_own_level():
+    # y^2 - 2 over Q(sqrt 2) is presumed and factors as (y - t0)(y + t0)
+    sqrt2 = ORACLE_TOWERS["sqrt2"]
+    t2, y = adjoin_root(sqrt2, UniPoly([sqrt2.from_fraction(-2), sqrt2.zero(), sqrt2.one()], tower=sqrt2))
+    assert t2.levels[1].presumed
+    e = y - t2.generator(0)
+    with pytest.raises(RefSplit) as want:
+        ref_inv(fraction_levels(t2.levels), fraction_rep(e.rep))
+    with pytest.raises(TowerSplitError) as got:
+        e.inverse()
+    g, h = ((0, -1), (1, 0)), ((0, 1), (1, 0))
+    assert (got.value.level, got.value.g, got.value.h) == (1, g, h)
+    assert (want.value.level, want.value.g, want.value.h) == (1, g, h)
+    assert_canonical(got.value.g + got.value.h)
 
 
 # ---------------------------------------------------------------------------
@@ -1112,13 +1149,13 @@ def test_rational_gcd_prs_fallback_matches_sympy(sp, f, g, h):
 
 def count_euclid(monkeypatch):
     calls = []
-    inner = exact._polydivmod
+    inner = exact._euclid_inverse
 
-    def counting(sub, num, den):
-        calls.append(len(sub))
-        return inner(sub, num, den)
+    def counting(levels, a):
+        calls.append(len(levels) - 1)
+        return inner(levels, a)
 
-    monkeypatch.setattr(exact, "_polydivmod", counting)
+    monkeypatch.setattr(exact, "_euclid_inverse", counting)
     return calls
 
 

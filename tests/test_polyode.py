@@ -760,13 +760,13 @@ def test_biv_gcd_with_failing_heuristic_matches_sympy(sp, f, g, h):
 
 def count_prs_steps(monkeypatch):
     calls = []
-    original = polyode._prs_remainder
+    original = exact._prs_remainder
 
     def counted(num, den):
         calls.append(1)
         return original(num, den)
 
-    monkeypatch.setattr(polyode, "_prs_remainder", counted)
+    monkeypatch.setattr(exact, "_prs_remainder", counted)
     return calls
 
 
@@ -790,11 +790,11 @@ def test_biv_gcd_coprime_certificate_skips_prs(monkeypatch):
     assert not calls
 
 
-def forbid(monkeypatch, name):
+def forbid(monkeypatch, module, name):
     def refuse(*args):
         raise AssertionError("%s ran" % name)
 
-    monkeypatch.setattr(polyode, name, refuse)
+    monkeypatch.setattr(module, name, refuse)
 
 
 def test_biv_gcd_common_factor_in_z_alone_is_the_content(sp, monkeypatch):
@@ -852,8 +852,8 @@ def test_biv_gcd_census_pair_certified_at_two_points(sp, monkeypatch):
     P = bp({(3, 0): -1, (0, 3): 2, (2, 0): -4, (1, 1): -4, (0, 1): 3, (0, 0): -5})
     Q_ = bp({(2, 1): 2, (1, 2): -4, (1, 1): 1})
     assert sympy_gcd(sp, P, Q_).terms == {(0, 0): 1}
-    forbid(monkeypatch, "_prs_remainder")
-    forbid(monkeypatch, "_rows_content")
+    forbid(monkeypatch, exact, "_prs_remainder")
+    forbid(monkeypatch, polyode, "_rows_content")
     assert biv_gcd(P, Q_).terms == {(0, 0): 1}
     assert make_system(P, Q_).P is P
 
