@@ -32,9 +32,10 @@ EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
 
 
+@functools.lru_cache(maxsize=64)  # Caps is frozen, so one value serves every query with the same texts
 def _parse_caps(texts) -> Caps:
-    """The default caps with the settings of each text in ``texts`` applied
-    in order, so a later text overrides an earlier one."""
+    """The default caps with the settings of each text in the tuple
+    ``texts`` applied in order, so a later text overrides an earlier one."""
     fields = dict(vars(DEFAULT_CAPS))
     for text in texts:
         for piece in text.split(","):
@@ -58,7 +59,7 @@ def _parse_caps(texts) -> Caps:
 
 def _caps_from(args) -> Caps:
     """The caps of ``PBOUND_CAPS`` overridden by those of ``--caps``."""
-    texts = [t for t in (os.environ.get("PBOUND_CAPS"), getattr(args, "caps", None)) if t]
+    texts = tuple(t for t in (os.environ.get("PBOUND_CAPS"), getattr(args, "caps", None)) if t)
     return _parse_caps(texts) if texts else DEFAULT_CAPS
 
 
@@ -310,10 +311,75 @@ def _merge_dash_values(argv):
     return out
 
 
+@functools.cache
+def _scan_table():
+    """What ``_scan`` needs of each subcommand's parser, read from its
+    actions: a map from each flag of a store or store-true action to its
+    (dest, value conversion or None for a flag without a value), the
+    namespace defaults and the dests of the required flags."""
+    table = {}
+    for name, p in _parsers()[1].items():
+        flags, defaults, required = {}, {}, []
+        for action in p._actions:
+            if isinstance(action, argparse._StoreTrueAction):
+                convert = None
+            elif isinstance(action, argparse._StoreAction) and action.nargs is None and action.choices is None:
+                convert = action.type or str
+            else:  # -h and any other kind are argparse's to handle
+                continue
+            flags.update((flag, (action.dest, convert)) for flag in action.option_strings)
+            defaults[action.dest] = action.default
+            if action.required:
+                required.append(action.dest)
+        for dest, value in p._defaults.items():
+            defaults.setdefault(dest, value)
+        table[name] = (flags, defaults, frozenset(required))
+    return table
+
+
+def _scan(argv):
+    """The namespace that the subcommand's parser gives a well-formed
+    ``argv``, without argparse: every token after the subcommand is one of
+    its full long flags, each value is there, does not start with '-' and
+    converts, and the required flags are given.  None for any other argv."""
+    entry = _scan_table().get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    flags, values, required = entry
+    values = dict(values)
+    given = set()
+    i, n = 1, len(argv)
+    while i < n:
+        spec = flags.get(argv[i])
+        if spec is None:
+            return None
+        dest, convert = spec
+        if convert is None:
+            values[dest] = True
+            i += 1
+        else:
+            if i + 1 == n or argv[i + 1].startswith("-"):
+                return None
+            try:
+                values[dest] = convert(argv[i + 1])
+            except (TypeError, ValueError):
+                return None
+            i += 2
+        given.add(dest)
+    if not required <= given:
+        return None
+    return argparse.Namespace(**values)
+
+
 def _parse_args(argv):
-    """The namespace of ``argv``.  A subcommand's arguments go straight to
-    its own parser; anything else (no arguments, -h, an unknown command)
-    goes to the top-level parser, which prints the usage or the error."""
+    """The namespace of ``argv``: scanned directly when it is well formed
+    (``_scan``), else parsed by argparse.  There a subcommand's arguments go
+    straight to its own parser; anything else (no arguments, -h, an unknown
+    command) goes to the top-level parser, which prints the usage or the
+    error."""
+    args = _scan(argv)
+    if args is not None:
+        return args
     argv = _merge_dash_values(argv)
     parser, commands = _parsers()
     sub = commands.get(argv[0]) if argv else None

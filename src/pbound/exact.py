@@ -869,7 +869,10 @@ def adjoin_root(tower: Tower, m: "UniPoly", cap=DEFAULT_TOWER_CAP):
     lead = m.coeffs[-1]
     if not (lead == 1 or (isinstance(lead, ExtElem) and lead.is_rational() and lead.as_fraction() == 1)):
         raise ExactError("minimal polynomial must be monic")
-    if all(is_rational_value(c) for c in m.coeffs):
+    certified = getattr(m, "certified_irreducible", False)
+    # factor_univariate certifies a factor of degree >= 2 only when it has
+    # no rational root, so only other input is checked here
+    if not certified and all(is_rational_value(c) for c in m.coeffs):
         rat = UniPoly([as_fraction(c) for c in m.coeffs], var=m.var)
         if rational_roots(rat):
             raise ExactError("adjoin of reducible linear part")
@@ -885,7 +888,7 @@ def adjoin_root(tower: Tower, m: "UniPoly", cap=DEFAULT_TOWER_CAP):
             min_coeffs.append(_const(sub, Q(c)))
     # irreducible over Q says nothing over Q(theta): only a level over Q
     # keeps the certificate
-    presumed = bool(sub) or not getattr(m, "certified_irreducible", False)
+    presumed = bool(sub) or not certified
     level = Level(name="t%d" % len(sub), minpoly=tuple(min_coeffs), degree=m.degree(), presumed=presumed)
     new_tower = Tower(sub + (level,))
     root = new_tower.generator(len(sub))
@@ -1230,7 +1233,7 @@ def _int_eval(ints, x):
 def _heuristic_int_gcd(a, b):
     """GCDHEU: evaluate at a large point, take the integer gcd, reconstruct
     with balanced digits and verify by exact division; None on failure."""
-    bound = 2 * max(max(abs(v) for v in a), max(abs(v) for v in b)) + 2
+    bound = 2 * max(map(abs, a + b)) + 2
     xi = bound + 29
     for _ in range(6):
         va, vb = _int_eval(a, xi), _int_eval(b, xi)
@@ -1244,8 +1247,10 @@ def _heuristic_int_gcd(a, b):
                     d -= xi
                 digits.append(d)
                 rest = (rest - d) // xi
-            cand = _int_primitive(digits) if digits else [0]
-            if digits and _int_poly_divexact(a, cand) is not None and _int_poly_divexact(b, cand) is not None:
+            cand = _int_primitive(digits)  # g >= 1, so there is a digit
+            if len(cand) == 1:  # a unit, which divides both
+                return cand
+            if _int_poly_divexact(a, cand) is not None and _int_poly_divexact(b, cand) is not None:
                 return cand
         xi = xi * 73 // 27 + 17
     return None

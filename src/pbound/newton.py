@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exact import (
     ExtElem,
@@ -28,8 +28,7 @@ from .exact import (
 from .polyode import CoeffProfile
 
 
-@dataclass(frozen=True)
-class SupportPoint:
+class SupportPoint(NamedTuple):
     x: int
     y: int  # on the profile's scale n
     from_p: bool
@@ -86,11 +85,8 @@ def support_points(profile: CoeffProfile):
         key = (i + 1, li - n)
         prev = seen.get(key, (False, False))
         seen[key] = (prev[0], True)
-    pts = [
-        SupportPoint(x=x, y=y, from_p=fp, from_q=fq) for (x, y), (fp, fq) in seen.items()
-    ]
-    pts.sort(key=lambda p: (p.x, p.y))
-    return pts
+    # each (x, y) comes once, so the points sort by it
+    return sorted(SupportPoint(x, y, fp, fq) for (x, y), (fp, fq) in seen.items())
 
 
 def _lower_hull(points):

@@ -283,12 +283,14 @@ def biv_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
     w-leading coefficient, if gcd(a(z0, w), b(z0, w)) is constant for one of
     at most three such z0, then deg_w G = 0 for G = gcd(a, b): the w-leading
     coefficient of G divides that of a, which is nonzero at z0, so G(z0, w)
-    keeps the w-degree of G and divides a constant.  The same test at w0,
-    keeping the z-leading coefficients, gives deg_z G = 0, so G = 1.  With
-    only the first, G is the gcd of the contents in Z[z].  Otherwise G is
-    that gcd times the gcd of the primitive parts, which the primitive PRS
-    (polynomial remainder sequence, ``exact._prs_gcd``) computes on dense
-    int rows in z, one per w-power (``_int_rows``).
+    keeps the w-degree of G and divides a constant.  Then G is the gcd of
+    the contents in Z[z], which is 1 when the coefficient of some power of
+    w in a or b is a nonzero constant (``_unit_row``), or when the same
+    test at w0, keeping the z-leading coefficients, gives deg_z G = 0.
+    When the test at z0 fails, G is the gcd of the contents times the gcd
+    of the primitive parts, which the primitive PRS (polynomial remainder
+    sequence, ``exact._prs_gcd``) computes on dense int rows in z, one per
+    w-power (``_int_rows``).
     """
     ia, ib = _int_terms(a), _int_terms(b)
     if ia is None or ib is None:
@@ -299,7 +301,7 @@ def biv_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
         return _normalize_biv(a)
     tower = a.tower or b.tower
     if _constant_gcd_at_a_point(ia, ib, 0):
-        if _constant_gcd_at_a_point(ia, ib, 1):
+        if _unit_row(ia) or _unit_row(ib) or _constant_gcd_at_a_point(ia, ib, 1):
             return BiPoly.const(1, tower=tower)
         return _monic_rows([_rows_content(_int_rows(ia) + _int_rows(ib))], tower)
     ra, rb = _int_rows(ia), _int_rows(ib)
@@ -384,6 +386,13 @@ def _constant_gcd_at_a_point(ia, ib, var) -> bool:
             return True
         tried += 1
     return False
+
+
+def _unit_row(terms) -> bool:
+    """True when the coefficient in Z[z] of some power of w in the int term
+    dict is a nonzero constant, so that its content is 1."""
+    in_z = {we for ze, we in terms if ze}
+    return any(we not in in_z for _, we in terms)
 
 
 def _int_specialize(terms, var, x0, deg):

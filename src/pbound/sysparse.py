@@ -35,35 +35,32 @@ class SystemSource:
     bindings: dict
 
 
-# one token, or (the second group) one character no token starts with
-_TOKEN_RE = re.compile(
-    r"\s*(?:(\d+(?:/\d+)?|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()=;,])|(\S))"
-)
+_TOKEN_RE = re.compile(r"\d+(?:/\d+)?|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()=;,]")
+# one character that no token holds and that is not whitespace
+_BAD_CHAR_RE = re.compile(r"[^\s\dA-Za-z_\-+*/^()=;,]")
 
 
 def _tokenize(text):
     """The token strings of ``text``, then "" for the end of input.  A token
     is a number (it starts with a digit), a name or an operator; offsets are
-    worked out again only when an error is reported (``_token_offset``)."""
-    tokens = [tok for tok, _ in _TOKEN_RE.findall(text)]
-    if "" in tokens:  # the catch-all group matched
-        pos = _token_offset(text, tokens.index(""))
-        raise ParseError("unexpected character %r" % text[pos], *_position(text, pos))
+    worked out again only when an error is reported (``_fail``)."""
+    bad = _BAD_CHAR_RE.search(text)
+    if bad:
+        raise ParseError("unexpected character %r" % bad.group(), *_position(text, bad.start()))
+    tokens = _TOKEN_RE.findall(text)
     tokens.append("")
     return tokens
 
 
-def _token_offset(text, i):
-    """The offset of token ``i`` of ``text``; the end of the text for the
-    end-of-input token."""
+def _fail(text, message, i):
+    """Raise a ParseError at token ``i`` of ``text``, or at the end of the
+    text for the end-of-input token."""
+    pos = len(text)
     for j, m in enumerate(_TOKEN_RE.finditer(text)):
         if j == i:
-            return m.start(m.lastindex)
-    return len(text)
-
-
-def _is_number(tok):
-    return tok[:1].isdecimal()  # the characters \d matches
+            pos = m.start()
+            break
+    raise ParseError(message, *_position(text, pos))
 
 
 def _position(text, pos):
@@ -83,115 +80,85 @@ def _literal(val):
     return Q(int(num), int(den))
 
 
-class _Parser:
-    def __init__(self, text, params):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.params = params
+# A term is read as one monomial (coefficient, z-exponent, w-exponent) while
+# its factors are monomials; a BiPoly product is formed only for a
+# parenthesised sum of more than one term, or a power of one.
 
-    def peek(self):
-        return self.tokens[self.i]
+_VARIABLES = {"z": (1, 1, 0), "w": (1, 0, 1)}
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
 
-    def expect(self, value, what=None):
-        if self.peek() != value:
-            self.fail("expected %r" % (what or value))
-        return self.next()
-
-    def fail(self, message, at=None):
-        """Raise a ParseError at token index ``at``, by default the next token."""
-        pos = _token_offset(self.text, self.i if at is None else at)
-        raise ParseError(message, *_position(self.text, pos))
-
-    # -- polynomial parsing --------------------------------------------------
-    #
-    # A term is read as one monomial (coefficient, z-exponent, w-exponent)
-    # while its factors are monomials; a BiPoly product is formed only for a
-    # parenthesised sum of more than one term, or a power of one.
-
-    def poly(self) -> BiPoly:
-        """The signed terms, summed into one dict; zero sums are dropped when
-        the BiPoly is built."""
-        negate = False
-        if self.peek() == "-":
-            self.next()
-            negate = True
-        out = {}
-        while True:
-            term = self.term()
-            if type(term) is tuple:
-                c, ze, we = term
-                items = (((ze, we), c),) if c else ()
+def _poly(text, tokens, i, params):
+    """The ``poly`` at token ``i``: (its term dict, the index of the token
+    after it).  One loop reads the terms and, inside it, each term's
+    factors; only a parenthesised atom recurses.  The signed terms are
+    summed into one dict, without the sums that are zero."""
+    out = {}
+    negate = tokens[i] == "-"
+    if negate:
+        i += 1
+    while True:
+        acc = None
+        while True:  # term := factor ("*" factor)*
+            tok = tokens[i]
+            if tok in _VARIABLES:
+                atom = _VARIABLES[tok]
+            elif tok == "(":
+                inner, i = _poly(text, tokens, i + 1, params)
+                if tokens[i] != ")":
+                    _fail(text, "expected ')'", i)
+                if len(inner) == 1:
+                    ((ze, we), c), = inner.items()
+                    atom = (c, ze, we)
+                else:
+                    atom = BiPoly._from_clean(inner, None)
+            elif tok[:1].isdecimal():  # a number: the characters \d matches
+                value = _literal(tok) if "/" in tok else int(tok)
+                if value is None:
+                    _fail(text, "zero denominator in %s" % tok, i)
+                atom = (value, 0, 0)
+            elif tok.isidentifier():  # a name
+                if tok not in params:
+                    _fail(text, "unbound parameter %r" % tok, i)
+                atom = (params[tok], 0, 0)
             else:
-                items = term.terms.items()
-            for key, c in items:
-                if negate:
-                    c = -c
-                cur = out.get(key)
-                out[key] = c if cur is None else cur + c
-            if self.peek() not in ("+", "-"):
-                return BiPoly(out)
-            negate = self.next() == "-"
-
-    def term(self):
-        acc = self.factor()
-        while self.peek() == "*":
-            self.next()
-            rhs = self.factor()
-            if type(acc) is tuple and type(rhs) is tuple:
-                acc = (acc[0] * rhs[0], acc[1] + rhs[1], acc[2] + rhs[2])
+                _fail(text, "expected a polynomial atom", i)
+            i += 1
+            if tokens[i] == "^":
+                tok = tokens[i + 1]
+                if not tok[:1].isdecimal() or "/" in tok:
+                    _fail(text, "exponent must be a nonnegative integer", i + 1)
+                n = int(tok)
+                i += 2
+                if type(atom) is tuple:
+                    c, ze, we = atom
+                    # 0^0 is the int 1, as for the empty sum
+                    atom = (c ** n if c else int(n == 0), ze * n, we * n)
+                else:
+                    atom = _power(atom, n)
+            if acc is None:
+                acc = atom
+            elif type(acc) is tuple and type(atom) is tuple:
+                acc = (acc[0] * atom[0], acc[1] + atom[1], acc[2] + atom[2])
             else:
-                acc = _as_bipoly(acc) * _as_bipoly(rhs)
-        return acc
-
-    def factor(self):
-        base = self.atom()
-        if self.peek() == "^":
-            self.next()
-            tok = self.next()
-            if not _is_number(tok) or "/" in tok:
-                self.fail("exponent must be a nonnegative integer", self.i - 1)
-            n = int(tok)
-            if type(base) is tuple:
-                c, ze, we = base
-                # 0^0 is the int 1, as for the empty sum
-                return (c ** n if c else int(n == 0), ze * n, we * n)
-            return _power(base, n)
-        return base
-
-    def atom(self):
-        """A monomial (c, ze, we), or a BiPoly for a parenthesised sum of
-        other than one term."""
-        val = self.peek()
-        if val == "(":
-            self.next()
-            inner = self.poly()
-            self.expect(")")
-            if len(inner.terms) == 1:
-                ((ze, we), c), = inner.terms.items()
-                return (c, ze, we)
-            return inner
-        if _is_number(val):
-            value = _literal(val)
-            if value is None:
-                self.fail("zero denominator in %s" % val)
-            self.next()
-            return (value, 0, 0)
-        if val.isidentifier():  # a name
-            self.next()
-            if val == "z":
-                return (1, 1, 0)
-            if val == "w":
-                return (1, 0, 1)
-            if val in self.params:
-                return (self.params[val], 0, 0)
-            self.fail("unbound parameter %r" % val, self.i - 1)
-        self.fail("expected a polynomial atom")
+                acc = _as_bipoly(acc) * _as_bipoly(atom)
+            if tokens[i] != "*":
+                break
+            i += 1
+        if type(acc) is tuple:
+            c, ze, we = acc
+            items = (((ze, we), c),) if c else ()
+        else:
+            items = acc.terms.items()
+        for key, c in items:
+            if negate:
+                c = -c
+            cur = out.get(key)
+            out[key] = c if cur is None else cur + c
+        tok = tokens[i]
+        if tok != "+" and tok != "-":
+            return {key: c for key, c in out.items() if c}, i
+        negate = tok == "-"
+        i += 1
 
 
 def _as_bipoly(f) -> BiPoly:
@@ -235,42 +202,46 @@ def parse_system(text):
             eq_pieces.append(piece)
         offset += len(piece) + 1
     eq_text = ";".join(eq_pieces)
-    parser = _Parser(eq_text, bindings)
-
-    val = parser.peek()
-    if val not in ("dw", "dz"):
-        parser.fail("expected 'dw/dz' or 'dz/dt'")
-    if val == "dw":
-        parser.next()
-        parser.expect("/")
-        if parser.next() != "dz":
-            parser.fail("expected 'dw/dz'", parser.i - 1)
-        parser.expect("=")
-        p_poly = parser.poly()
-        parser.expect("/", what="'/' between numerator and denominator")
-        q_poly = parser.poly()
+    tokens = _tokenize(eq_text)
+    if tokens[0] == "dw":
+        i = _header(eq_text, tokens, 1, "dz", "dw/dz")
+        p_terms, i = _poly(eq_text, tokens, i, bindings)
+        i = _expect(eq_text, tokens, i, "/", "'/' between numerator and denominator")
+        q_terms, i = _poly(eq_text, tokens, i, bindings)
         form = "pq"
-    else:
-        parser.next()
-        parser.expect("/")
-        if parser.next() != "dt":
-            parser.fail("expected 'dz/dt'", parser.i - 1)
-        parser.expect("=")
-        q_poly = parser.poly()  # dz/dt is the denominator of dw/dz
-        parser.expect(";")
-        if parser.next() != "dw":
-            parser.fail("expected 'dw/dt'", parser.i - 1)
-        parser.expect("/")
-        if parser.next() != "dt":
-            parser.fail("expected 'dw/dt'", parser.i - 1)
-        parser.expect("=")
-        p_poly = parser.poly()
+    elif tokens[0] == "dz":
+        i = _header(eq_text, tokens, 1, "dt", "dz/dt")
+        q_terms, i = _poly(eq_text, tokens, i, bindings)  # dz/dt is the denominator of dw/dz
+        i = _expect(eq_text, tokens, i, ";")
+        if tokens[i] != "dw":
+            _fail(eq_text, "expected 'dw/dt'", i)
+        i = _header(eq_text, tokens, i + 1, "dt", "dw/dt")
+        p_terms, i = _poly(eq_text, tokens, i, bindings)
         form = "autonomous"
-    if parser.peek() != "":
-        parser.fail("unexpected trailing input")
+    else:
+        _fail(eq_text, "expected 'dw/dz' or 'dz/dt'", 0)
+    if tokens[i] != "":
+        _fail(eq_text, "unexpected trailing input", i)
 
+    p_poly, q_poly = BiPoly._from_clean(p_terms, None), BiPoly._from_clean(q_terms, None)
     sys = make_system(p_poly, q_poly)
     return sys, SystemSource(form=form, axis=_divisible_by_z(q_poly), bindings=bindings)
+
+
+def _expect(text, tokens, i, value, what=None):
+    """The index after token ``i``, which must be ``value``."""
+    if tokens[i] != value:
+        _fail(text, "expected %r" % (what or value), i)
+    return i + 1
+
+
+def _header(text, tokens, i, var, name):
+    """The index after the tokens '/' var '=' of the derivative ``name``
+    from token ``i`` on."""
+    i = _expect(text, tokens, i, "/")
+    if tokens[i] != var:
+        _fail(text, "expected %r" % name, i)
+    return _expect(text, tokens, i + 1, "=")
 
 
 def _divisible_by_z(p: BiPoly) -> bool:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import pathlib
@@ -5,6 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from pbound import cli
 from pbound.cli import _merge_dash_values, _parse_args, build_parser, main
 
 EX45 = "dw/dz = (z^2 + m*w) / (z + w^2); m = 0"
@@ -182,6 +184,8 @@ def test_system_path_that_cannot_be_read_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+CENSUS = "dw/dz = (3*z^2*w - w + 4) / (z*w - 2*z^2 + z)"
+
 # argv whose subcommand parser must give what the top-level parser gives
 DISPATCH_ARGVS = {
     "mul": ["mul", "--system", EX45, "--at", "0,0"],
@@ -193,6 +197,36 @@ DISPATCH_ARGVS = {
     "lv-json-first": ["lv", "--json", "--params=1,2,3"],
     "analyze": ["analyze", "--system", EX45, "--json", "--max-degree", "1"],
     "analyze-abbrev": ["analyze", "--sys", EX45],
+    # the shapes of the benchmark's queries (every one is checked below)
+    "census-mul": ["mul", "--system", CENSUS, "--at", "0,inf", "--caps", "terms=1", "--json"],
+    "census-bound": ["bound", "--system", CENSUS, "--caps", "terms=1", "--json"],
+    "series-mul": ["mul", "--system", EX45, "--at", "1,1", "--json"],
+    "darboux-analyze": ["analyze", "--system", LV, "--max-degree", "2", "--json"],
+    "darboux-search": ["darboux", "--system", LV, "--max-degree", "4", "--json"],
+    "darboux-lv": ["lv", "--params", "-1,5,0", "--triple", "--json"],
+    "repeated-flags": ["mul", "--at", "1,1", "--json", "--system", LV, "--at", "0,0", "--json", "--system", EX45],
+    "repeated-max-degree": ["darboux", "--max-degree", "3", "--system", EX45, "--max-degree", " 2"],
+    "caps-equals": ["mul", "--system", EX45, "--at", "0,0", "--caps=depth=3"],
+    "caps-equals-empty": ["bound", "--system", EX45, "--caps="],
+    "max-degree-equals": ["analyze", "--max-degree=0", "--system", EX45],
+    "empty-value": ["bound", "--system", "", "--line", ""],
+}
+
+# argv that argparse rejects or answers itself
+ARGPARSE_ARGVS = {
+    "at-missing": ["mul", "--system", EX45],
+    "at-value-missing": ["mul", "--system", EX45, "--at"],
+    "params-missing": ["lv", "--triple"],
+    "max-degree-not-int": ["darboux", "--system", EX45, "--max-degree", "x"],
+    "max-degree-float": ["analyze", "--system", EX45, "--max-degree", "1.5"],
+    # int() reads "-1_0", but argparse takes it for an option, not a value
+    "max-degree-option-like": ["darboux", "--system", EX45, "--max-degree", "-1_0"],
+    "flag-as-value": ["mul", "--system", "--at", "0,0"],
+    "stray-token": ["mul", "--system", EX45, "stray", "--at", "0,0"],
+    "json-with-value": ["mul", "--system", EX45, "--at", "0,0", "--json=yes"],
+    "no-system-flag": ["lv", "--params", "1,2,3", "--system", EX45],
+    "command-help": ["bound", "--help"],
+    "unknown-command": ["mull", "--at", "0,0"],
 }
 
 
@@ -202,6 +236,73 @@ def test_subcommand_parser_matches_the_top_level_parser(argv):
     full = vars(build_parser().parse_args(_merge_dash_values(list(argv))))
     assert full.pop("command") == argv[0]
     assert direct == full
+
+
+def _argparse_alone(argv):
+    """The namespace of ``argv`` from argparse, as if there were no scan."""
+    argv = _merge_dash_values(argv)
+    parser, commands = cli._parsers()
+    sub = commands.get(argv[0]) if argv else None
+    return parser.parse_args(argv) if sub is None else sub.parse_args(argv[1:])
+
+
+def _parsed(parse, argv, capsys):
+    """vars of the namespace, or the exit code and output of SystemExit."""
+    try:
+        return vars(parse(list(argv)))
+    except SystemExit as exc:
+        return (exc.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    "argv", [*DISPATCH_ARGVS.values(), *ARGPARSE_ARGVS.values()], ids=[*DISPATCH_ARGVS, *ARGPARSE_ARGVS]
+)
+def test_argv_scan_matches_argparse(capsys, argv):
+    want = _parsed(_argparse_alone, argv, capsys)
+    assert _parsed(_parse_args, argv, capsys) == want
+    scanned = cli._scan(list(argv))
+    if scanned is not None:
+        assert vars(scanned) == want
+
+
+def test_every_benchmark_query_scans_as_argparse_parses(monkeypatch):
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    for build in workloads.BUILDERS.values():
+        for query in build().queries:
+            argv = list(query.argv)
+            scanned = cli._scan(argv)
+            if query.id.startswith("census/") or argv[0] != "lv":
+                assert scanned is not None, query.id  # only lv's '-a,b,c' goes to argparse
+            if scanned is not None:
+                assert vars(scanned) == vars(_argparse_alone(argv)), query.id
+
+
+WELL_FORMED = ["mul", "mul-json-first", "bound", "analyze", "census-mul", "census-bound", "series-mul",
+               "darboux-analyze", "darboux-search", "repeated-flags", "repeated-max-degree", "empty-value"]
+
+
+def test_well_formed_argv_never_reaches_argparse(monkeypatch):
+    cli._scan_table()  # built once, from the parsers' actions
+    calls = []
+    real_parsers, real_parse = cli._parsers, argparse.ArgumentParser.parse_known_args
+
+    def spy_parsers():
+        calls.append("_parsers")
+        return real_parsers()
+
+    def spy_parse(self, *args, **kwargs):
+        calls.append("parse_known_args")
+        return real_parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_parsers", spy_parsers)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy_parse)
+    for name in WELL_FORMED:
+        assert cli._parse_args(list(DISPATCH_ARGVS[name])).func is not None
+    assert calls == []
+    cli._parse_args(list(DISPATCH_ARGVS["mul-abbrev-dash-value"]))
+    assert calls == ["_parsers", "parse_known_args"]
 
 
 @pytest.mark.parametrize(
@@ -541,7 +642,7 @@ import contextlib  # noqa: E402
 import io  # noqa: E402
 from unittest import mock  # noqa: E402
 
-from pbound import bounds, cli  # noqa: E402
+from pbound import bounds  # noqa: E402
 from pbound.bounds import BoundsError  # noqa: E402
 from pbound.exact import ExactError  # noqa: E402
 from hypothesis import given, settings, strategies as st  # noqa: E402
