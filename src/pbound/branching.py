@@ -15,6 +15,15 @@ node the engine
 * otherwise expands every admissible edge of the Newton diagram, one conjugacy
   representative per irreducible factor of the edge characteristic polynomial.
 
+A 1-folded tree step (a simple root of an edge polynomial) is the first
+step of that walk: the child is the content-free integer pair of the
+shifted parent (``_step_sides``), and its leaf, vertex verdicts and closure
+are read off the pair's fold profile (``_Expander._expand_folded``).
+A full Newton diagram is built only after a multi-fold root, on the exact
+remainder, and where Q1(z, 0) vanishes identically (the ``generic``
+closure), on the system of that pair, a constant multiple of the exact
+remainder; the node's children come from that diagram.
+
 Conjugate branches are never expanded separately: a degree-d factor is
 adjoined to the coefficient tower and the representative carries conjugacy
 degree d.  A presumed-irreducible modulus that later reveals a zero divisor
@@ -63,6 +72,7 @@ from .polyode import (
     _content_free,
     _integer_sides,
     _shift_sides,
+    _shifted_pair,
     coeff_profile,
     substitute_branch,
     transform_point,
@@ -105,22 +115,30 @@ class CriticalFound(Exception):
 class Leaf:
     """A branch prefix where expansion stopped, with its status.
 
-    ``remainder`` is the system for the rest of the branch.  At a node of
-    the expansion tree it is exact; at a node of a resonance walk
-    (``_walk_leaf``) it is truncated, and it may be the walk's scaled pair,
-    a constant multiple of P and Q, which gives the same branches."""
+    ``sides`` is the fold walk's pair (p, q, n, tower) at the leaf, where
+    ``extend_leaf`` resumes the walk: over Q and over a one-level tower the
+    content-free integer pair of the remainder, a constant multiple of it
+    that gives the same branches, and above that the exact remainder.  At a
+    node of the expansion tree it is complete, after a 1-folded step as the
+    walk's first step made it (``_step_sides``); at a node of a resonance
+    walk (``_resolve_resonance``) it is truncated.  ``remainder`` builds
+    the system on it on demand."""
 
     terms: tuple  # ((mu, alpha), ...)
     status: str  # "closed" | "exact" | "non-algebraic" | "cap-exceeded"
     tower: Optional[Tower]
     conj_degree: int
-    remainder: Optional[OdeSystem]
+    sides: tuple
     lam_last: Fraction
     flags: tuple = ()
 
     @property
     def counted(self) -> bool:
         return self.status in ("closed", "exact")
+
+    @property
+    def remainder(self) -> OdeSystem:
+        return _sides_system(self.sides)
 
 
 @dataclass
@@ -146,6 +164,10 @@ class MultiplicityResult:
 
 @dataclass(frozen=True)
 class _Node:
+    """A node of the tree.  ``system`` is the root's own system; below the
+    root it is the parent's, in the node's tower, before the node's step
+    (the last pair of ``prefix``), which ``_expand_inner`` takes."""
+
     system: OdeSystem
     prefix: tuple
     lam_prev: Fraction
@@ -154,8 +176,9 @@ class _Node:
 
 
 class _Step(NamedTuple):
-    """One Newton step w = alpha z^lam + w1; a capped root has alpha and
-    system None and names the cap in ``note``."""
+    """One Newton step w = alpha z^lam + w1 from ``system``, mapped to
+    alpha's tower; a capped root has alpha and system None and names the
+    cap in ``note``."""
 
     lam: Fraction
     alpha: object
@@ -250,13 +273,15 @@ class _Expander:
     # -- node processing ------------------------------------------------------
 
     def _expand_inner(self, node: _Node):
+        if node.folded == 1:
+            return self._expand_folded(node)
         sys = node.system
+        if node.prefix:
+            sys = substitute_branch(sys, node.lam_prev, node.prefix[-1][1])
         prof, diagram = _newton(sys)
         leaves = []
-
-        exact_here = 0 not in prof.p
-        if exact_here and node.prefix:
-            leaves.append(self._leaf(node, "exact"))
+        if 0 not in prof.p and node.prefix:
+            leaves.append(self._leaf(node, "exact", _walk_sides(sys)))
 
         verdicts = vertex_critical_check(diagram, prof, lam_min=node.lam_prev)
         hit = first_critical(verdicts)
@@ -264,64 +289,134 @@ class _Expander:
             raise CriticalFound(Witness("vertex-dominance", hit.lam_star, node.depth, node.prefix))
         if any(v.dicritical_suspect for v in verdicts):
             self.tree_flags.add("dicritical-suspect")
+        return leaves + self._children(node, sys, diagram)
 
-        if node.folded == 1 and node.prefix and not exact_here:
-            kind, rho = _closure(prof, node.lam_prev)
-            if kind == "closed":
-                leaves.append(self._leaf(node, "closed"))
-                return leaves
-            if kind == "resonance":
-                return leaves + [self._resolve_resonance(node, rho)]
-            # kind == "generic": fall through
-
+    def _children(self, node: _Node, sys: OdeSystem, diagram):
+        """The leaves below ``node``, whose system ``sys`` (the exact one, or a
+        positive constant multiple) has the Newton diagram ``diagram``: one
+        subtree per step, or a depth-cap leaf."""
         if node.depth >= self.caps.depth:
-            leaves.append(self._leaf(node, "cap-exceeded", flags=("depth-cap",)))
-            return leaves
-
+            return [self._leaf(node, "cap-exceeded", _walk_sides(sys), flags=("depth-cap",))]
+        leaves = []
         for step in self._steps_from_diagram(sys, node.lam_prev, diagram):
             if step.system is None:
-                leaves.append(self._leaf(node, "cap-exceeded", flags=(step.note,)))
+                leaves.append(self._leaf(node, "cap-exceeded", _walk_sides(sys), flags=(step.note,)))
                 continue
             leaves.extend(self.expand(_child(node, step)))
         return leaves
 
-    def _leaf(self, node: _Node, status: str, flags=()):
+    def _expand_folded(self, node: _Node):
+        """The node after a 1-folded step (lam_prev, alpha), on the fold
+        walk's pair of its remainder (``_step_sides``), read through its fold
+        profile: the full diagram's vertex tests and closure decide nothing
+        more there.
+
+        With L = n lam_prev on the profile's scale n: alpha is a root of the
+        parent edge's polynomial, so P1(z, 0) has no term of the edge's
+        lam_prev-weight w and k0 > w; the root is simple, so the abscissa-1
+        point (1, y1) has weight y1 + L = w; and the shift keeps the
+        lam_prev-weight of every term (``_walk_step``), so each support point
+        (x, y) with x >= 2 has y + x L >= w.  Hence:
+
+        * No vertex at x >= 2 is critical.  For a slope r > lam_prev such a
+          point has y + x n r >= y1 + n r + (x - 1)(n r - L) > y1 + n r: it
+          lies above the line of slope -r through (1, y1) and does not
+          dominate at r, and a ratio r <= lam_prev is never critical.  Over Q
+          its ratio is rational, so it is never dicritical-suspect either.
+        * Over a tower such a vertex v is a vertex of the parent's diagram,
+          with the same coefficients and the same dicritical-suspect
+          verdict, so the parent has set the flag already (by induction, an
+          ancestor that is not 1-folded, whose diagram is checked in full).
+          The shift moves each term along its lam_prev-weight line toward
+          lower x, so the rightmost point of every line keeps its
+          coefficients.  v is rightmost on its line: a point right of it on
+          a line of weight <= that of v would put v above the segment from
+          (1, y1).  So every line with points right of v lies above it and
+          every line below it lies left of v, and the slopes that bound v's
+          corner, from the rightmost points of those lines and from the
+          line of w, are the parent's.
+        * (1, y1) is critical when it is a Both point whose ratio r =
+          p1/q0 is rational, r > lam_prev, and the point (0, k0), if any,
+          lies above the line of slope -r through it: k0 - y1 > n r; the
+          points at x >= 2 lie above it by the first bullet.  An irrational
+          ratio there is dicritical-suspect: every slope in (L, k0 - y1),
+          which is not empty, dominates through (1, y1).
+        * The closure (``_closure``) reads the same point: an exact leaf
+          where P1(z, 0) = 0, a resonance of ratio r where (1, y1) has a
+          rational r > lam_prev that is not critical, ``generic`` where
+          Q1(z, 0) = 0, and a closed leaf otherwise.  A resonance walks on
+          from the pair (``_resolve_resonance``).  Only ``generic`` builds
+          a full diagram, on the system of the pair, whose children it
+          gives: its edges, roots and vertex ratios are those of the exact
+          remainder, which differs by a positive constant.
+          The only edge past lam_prev runs from (0, k0), with p0 != 0, to
+          (1, y1) (``_fold_step``): an exact leaf has no children, and the
+          edge's polynomial c1 a - p0 never vanishes identically.
+
+        Over a presumed modulus the profile is read in full, since a zero
+        divisor among the leading coefficients of any column splits the
+        tower, as the full diagram did, before the ratio at x = 1 is tested.
+        """
+        lam, alpha = node.prefix[-1]
+        sides = _step_sides(node.system, lam, alpha)
+        p, q, n, tower = sides
+        presumed = tower is not None and any(lv.presumed for lv in tower.levels)
+        prof = coeff_profile(p, q, n, fold=not presumed)
+        leaves = []
+        exact_here = 0 not in prof.p
+        if exact_here:
+            leaves.append(self._leaf(node, "exact", sides))
+
+        rho = _indicial_ratio(prof)
+        rational = isinstance(rho, Fraction)
+        if rational and rho > lam and (exact_here or prof.p[0][0] - prof.p[1][0] > n * rho):
+            raise CriticalFound(Witness("vertex-dominance", rho, node.depth, node.prefix))
+        if rho is not None and not rational:
+            self.tree_flags.add("dicritical-suspect")
+
+        if exact_here:
+            if node.depth >= self.caps.depth:
+                leaves.append(self._leaf(node, "cap-exceeded", sides, flags=("depth-cap",)))
+            return leaves
+        kind, rho = _closure(prof, lam, rho)
+        if kind == "generic":
+            sys = _sides_system(sides)
+            return self._children(node, sys, _newton(sys)[1])
+        if kind == "resonance":
+            return [self._resolve_resonance(node, sides, rho)]
+        return [self._leaf(node, "closed", sides)]
+
+    def _leaf(self, node: _Node, status: str, sides, flags=()):
+        tower = sides[3]
         return Leaf(
             terms=node.prefix,
             status=status,
-            tower=node.system.tower,
-            conj_degree=_tower_deg(node.system.tower) // self.base_degree,
-            remainder=node.system,
+            tower=tower,
+            conj_degree=_tower_deg(tower) // self.base_degree,
+            sides=sides,
             lam_last=node.lam_prev,
             flags=tuple(flags),
         )
 
     # -- resonance: the truncated walk up to rho -------------------------------
 
-    def _resolve_resonance(self, node: _Node, rho) -> Leaf:
-        """Step through a resonance of indicial ratio ``rho`` for at most
-        ``caps.depth`` steps; ``_fold_walk`` says why k0 alone decides.  The
-        nodes of the walk carry no system: only a returned leaf gets one."""
+    def _resolve_resonance(self, node: _Node, sides, rho) -> Leaf:
+        """Step through a resonance of indicial ratio ``rho`` at ``node``,
+        whose walk pair is ``sides``, for at most ``caps.depth`` steps;
+        ``_fold_walk`` says why k0 alone decides.  The nodes of the walk
+        carry no system: a returned leaf gets the sides it stops on."""
         cur = node
-        for sides, step in _fold_walk(node.system, node.lam_prev, rho=rho):
+        for sides, step in _fold_walk(sides, node.lam_prev, rho=rho):
             if cur.depth - node.depth == self.caps.depth:
-                return self._walk_leaf(cur, sides, "cap-exceeded", ("resonance-cap",))
+                return self._leaf(cur, "cap-exceeded", sides, ("resonance-cap",))
             if step is None or step[0] > rho:
                 break
             if step[0] == rho:
                 # the linear term cancels at the balancing order and the
                 # inhomogeneity does not: no algebraic continuation
-                return self._walk_leaf(cur, sides, "non-algebraic", ("resonance-order-hit",))
+                return self._leaf(cur, "non-algebraic", sides, ("resonance-order-hit",))
             cur = _child(cur, _Step(*step, 1, None, ""))
         raise CriticalFound(Witness("resonance", rho, cur.depth, cur.prefix, ("resonance",)))
-
-    def _walk_leaf(self, cur: _Node, sides, status, flags):
-        """A leaf at the walk's node ``cur``, its remainder system built on
-        the node's sides: truncated, and over Q or a one-level tower a
-        constant multiple of the exact remainder (``_fold_walk``)."""
-        p, q, n, tower = sides
-        system = OdeSystem(BiPoly._from_clean(p, tower), BiPoly._from_clean(q, tower), tower, n)
-        return self._leaf(replace(cur, system=system), status, flags=flags)
 
     # -- edge roots -> child steps ---------------------------------------------
 
@@ -345,7 +440,7 @@ class _Expander:
                     out.append(_Step(edge.lam, None, d, None, note))
                     continue
                 work = sys if new_tower is None else sys.map_tower(new_tower)
-                out.append(_Step(edge.lam, alpha, d, substitute_branch(work, edge.lam, alpha), note))
+                out.append(_Step(edge.lam, alpha, d, work, note))
         out.sort(key=lambda t: (t.lam,) + (sort_key(t.alpha) if t.alpha is not None else ((), ())))
         return out
 
@@ -415,29 +510,33 @@ def _leaf_key(leaf: Leaf):
 
 def closure_check(sys: OdeSystem, lam_prev=Q(0)):
     """``_closure`` on the profile of ``sys``."""
-    return _closure(coeff_profile(sys.P.terms, sys.Q.terms, sys.n, fold=True), lam_prev)
+    prof = coeff_profile(sys.P.terms, sys.Q.terms, sys.n, fold=True)
+    return _closure(prof, lam_prev, _indicial_ratio(prof))
 
 
-def _closure(prof, lam_prev):
-    """Continuation after a 1-folded pair, from its profile: "closed",
-    "resonance" (with the indicial ratio) or "generic" (no q0)."""
+def _closure(prof, lam_prev, rho):
+    """Continuation after a 1-folded pair, from its profile and its
+    certified indicial ratio ``rho`` (``_indicial_ratio``): "closed",
+    "resonance" (with rho) or "generic" (no q0)."""
     if 0 not in prof.p:
         return "closed", None
     if 0 not in prof.q:
         return "generic", None
-    k1 = prof.p.get(1)
-    l0, q0 = prof.q[0]
-    if k1 is None or k1[0] != l0 - prof.n:
-        return "closed", None
-    rho = k1[1] * f_inv(q0)
-    # the rationality of the indicial ratio decides closure, so it must be
-    # certified at the level of component values (may split the tower)
-    if not certified_is_rational(rho):
-        return "closed", None
-    rho = as_fraction(rho)
-    if rho <= 0 or rho <= lam_prev:
+    if not isinstance(rho, Fraction) or rho <= 0 or rho <= lam_prev:
         return "closed", None
     return "resonance", rho
+
+
+def _indicial_ratio(prof):
+    """The ratio p1/q0 where P's w^1 and Q's w^0 leading points meet at
+    abscissa 1: a Fraction when it is rational, else the tower element, and
+    None when they do not meet.  Its rationality decides closure, so it is
+    certified at the level of component values (may split the tower)."""
+    k1, l0 = prof.p.get(1), prof.q.get(0)
+    if k1 is None or l0 is None or k1[0] != l0[0] - prof.n:
+        return None
+    ratio = k1[1] * f_inv(l0[1])
+    return as_fraction(ratio) if certified_is_rational(ratio) else ratio
 
 
 def resolve_resonance(sys: OdeSystem, lam_prev, rho, caps: Caps = DEFAULT_CAPS):
@@ -449,7 +548,7 @@ def resolve_resonance(sys: OdeSystem, lam_prev, rho, caps: Caps = DEFAULT_CAPS):
     engine = _Expander(sys, caps)
     node = _Node(system=sys, prefix=(), lam_prev=Q(lam_prev), folded=1, depth=0)
     try:
-        leaf = engine._resolve_resonance(node, Q(rho))
+        leaf = engine._resolve_resonance(node, _walk_sides(sys), Q(rho))
     except CriticalFound as hit:
         return "critical", hit.witness
     return leaf.status, leaf
@@ -489,7 +588,35 @@ def _walk_step(p, q, nu, lam, alpha, bound, n, tower):
     return p1, q1, low
 
 
-def _fold_walk(sys: OdeSystem, lam, terms=1, rho=None):
+def _sides_system(sides) -> OdeSystem:
+    """The system on a walk's pair (p, q, n, tower)."""
+    p, q, n, tower = sides
+    return OdeSystem(BiPoly._from_clean(p, tower), BiPoly._from_clean(q, tower), tower, n)
+
+
+def _walk_sides(sys: OdeSystem):
+    """The walk's pair (p, q, n, tower) of ``sys``: its content-free integer
+    pair over Q and over a one-level tower (``_integer_sides``), its exact
+    terms above."""
+    p, q, _ = _integer_sides(sys.P.terms, sys.Q.terms, sys.tower)
+    return p, q, sys.n, sys.tower
+
+
+def _step_sides(sys: OdeSystem, lam, alpha):
+    """The walk's pair of the remainder after the tree step w = alpha z^lam
+    + w1 from ``sys``: the kernel's uncut shift of its content-free integer
+    pair (``_shifted_pair``), without its content, in the frame of
+    ``substitute_branch`` (lowest z-exponent 0).  It is ``_walk_sides`` of
+    the exact remainder, which is not built."""
+    p, q, n, _ = _shifted_pair(sys, alpha, lam)
+    p, q, _ = _content_free(p, q, sys.tower)
+    low = min(key[0] for side in (p, q) for key in side)
+    if low:
+        p, q = ({(s - low, j): c for (s, j), c in side.items()} for side in (p, q))
+    return p, q, n, sys.tower
+
+
+def _fold_walk(sides, lam, terms=1, rho=None):
     """The 1-fold steps after a 1-folded pair of exponent ``lam``.
 
     Yields (sides, step) at each node: the pair (lam, alpha) that
@@ -497,26 +624,29 @@ def _fold_walk(sys: OdeSystem, lam, terms=1, rho=None):
     sides (p, q, n, tower) in the scaled form of ``_walk_step``.  Resuming
     after a step takes it; a step with alpha None ends the walk.
 
-    The walk runs on the term dicts of ``sys``, on its integer scale N =
-    ``sys.n``; every exponent k0 - y1 a step reads lies in (1/N)Z, so N
-    never grows, and no BiPoly, OdeSystem or Fraction exponent is built
-    between steps.  Weights and the bound K are integers on the same scale;
-    a K off the lattice is floored, which keeps the same terms.
+    The walk starts at ``sides``, the pair (p, q, n, tower) of a remainder
+    after a 1-folded pair: a tree step takes that pair as the walk's first
+    step (``_step_sides``), and a leaf keeps it for ``extend_leaf``.  It runs
+    on those term dicts, on their integer scale N = n; every exponent k0 -
+    y1 a step reads lies in (1/N)Z, so N never grows, and no BiPoly,
+    OdeSystem or Fraction exponent is built between steps.  Weights and the
+    bound K are integers on the same scale; a K off the lattice is floored,
+    which keeps the same terms.
 
     The pair (P, Q) is defined up to a constant: everything a step reads is
     a ratio of P and Q (alpha = p0 / c1, the ratio of ``_closure``, whether
     P(z, 0) vanishes, the weights), and scaling both sides by one nonzero
     constant changes none of them.  So over Q and over a one-level tower
-    the walk takes the content-free integer pair of ``sys`` once
-    (``_integer_sides``): ints, or tower elements with int coordinates, and
-    shifts it on integers (``_walk_step``), with no Fraction formed between
-    steps.  The yielded sides are that pair, a constant multiple of the
-    exact remainder.  Over a taller tower the sides are exact.
+    the pair is content-free and integral (``_walk_sides``): ints, or tower
+    elements with int coordinates, which the walk shifts on integers
+    (``_walk_step``), with no Fraction formed between steps.  The yielded
+    sides are a constant multiple of the exact remainder.  Over a taller
+    tower the sides are exact.
 
     A step reads k0, the order of P(z, 0), and the abscissa-1 point (1, y1)
     alone (``coeff_profile`` with ``fold``), and (1, y1) has the least weight
     (``_walk_step``).  So the walk runs on the terms of weight <= K in the
-    frame of ``sys``: what it reads is exact while k0 <= K, and no term
+    frame of ``sides``: what it reads is exact while k0 <= K, and no term
     above K is formed.
 
     Extension (``rho`` None) guesses K at the first step, as the k0 of the
@@ -526,7 +656,7 @@ def _fold_walk(sys: OdeSystem, lam, terms=1, rho=None):
     far gained on average, and at least to the least weight dropped.  After
     a pass that found no new step, as on a series that terminates, that
     estimate does not move, so K rises by at least twice its last rise; any
-    larger K is exact too.  The walk starts again from ``sys``: the steps
+    larger K is exact too.  The walk starts again from ``sides``: the steps
     are exact, so the new pass takes the ones already yielded again without
     yielding them.
 
@@ -541,8 +671,7 @@ def _fold_walk(sys: OdeSystem, lam, terms=1, rho=None):
     where P(z, 0) is zero, (1, y1) is a critical vertex (r = rho).  So K is
     never raised.
     """
-    n, tower = sys.n, sys.tower
-    entry = _integer_sides(sys.P.terms, sys.Q.terms, tower)[:2]
+    entry, (n, tower) = sides[:2], sides[2:]
     start = lam.numerator * n // lam.denominator  # n lam, floored
     found = []  # (n lam, lam, alpha) of the steps yielded and taken
     bound = None  # K on the scale n, set at the first step
@@ -582,13 +711,13 @@ def _fold_walk(sys: OdeSystem, lam, terms=1, rho=None):
 
 def extend_leaf(leaf: Leaf, n_terms: int):
     """Continue a closed/exact leaf deterministically up to n_terms terms,
-    on the truncated walk from its remainder (``_fold_walk``)."""
+    resuming the truncated walk from the leaf's pair (``_fold_walk``)."""
     terms = leaf.terms
     if not leaf.counted or len(terms) >= n_terms:
         return terms
     left = n_terms - len(terms)
     found = []
-    for _, step in _fold_walk(leaf.remainder, leaf.lam_last, terms=left):
+    for _, step in _fold_walk(leaf.sides, leaf.lam_last, terms=left):
         if step is None or step[1] is None:
             break
         found.append(step)

@@ -249,10 +249,6 @@ def _cmd_analyze(args) -> int:
     return _emit(args, report)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
-
-
 @functools.cache  # parsing leaves the parsers unchanged, so one set serves every call
 def _parsers():
     """The top-level parser and a map from each subcommand to its parser."""

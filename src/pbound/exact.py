@@ -1090,12 +1090,6 @@ class UniPoly:
             return self
         return self.scale(f_inv(lead))
 
-    def eval(self, x):
-        acc = self._zero_c() if not isinstance(x, ExtElem) else x.tower.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def gcd(self, other):
         if (self.tower is None or self.tower.is_trivial()) and all(
             not isinstance(c, ExtElem) for c in self.coeffs + other.coeffs

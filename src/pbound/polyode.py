@@ -496,9 +496,6 @@ class OdeSystem:
         """max of total degrees (systems with n = 1)."""
         return max(self.P.total_degree(), self.Q.total_degree())
 
-    def w_degrees(self):
-        return self.P.w_degree(), self.Q.w_degree()
-
     def map_tower(self, tower: Tower) -> "OdeSystem":
         return OdeSystem(self.P.map_tower(tower), self.Q.map_tower(tower), tower, self.n)
 
@@ -509,27 +506,11 @@ class OdeSystem:
         """The system for w1 after w = alpha z^lam + w1 (lam >= 0):
         Q1 = Q(z, alpha z^lam + w1) and
         P1 = P(z, alpha z^lam + w1) - alpha lam z^(lam-1) Q1, in the same
-        z-frame.
-
-        For lam = p/q the result lies on the scale n' = lcm(n, q).  The keys
-        are rescaled only when q does not divide n, then shifted by the one
-        kernel ``_shift_sides``.  Over Q and over a one-level tower the
-        kernel shifts the content-free integer pair of P and Q
-        (``_integer_sides``), and each coefficient it returns is divided
-        once by the product of the two scales.
+        z-frame: the sides of ``_shifted_pair``, each coefficient divided
+        once by their scale.
         """
-        n, tower = self.n, self.tower
-        p, q = self.P.terms, self.Q.terms
-        den = lam.denominator
-        if n % den:
-            k = den // math.gcd(n, den)
-            n *= k
-            p = {(s * k, j): c for (s, j), c in p.items()}
-            q = {(s * k, j): c for (s, j), c in q.items()}
-        deg = max(self.P.w_degree(), self.Q.w_degree(), 0)
-        p, q, scale = _integer_sides(p, q, tower)
-        p1, q1, shift_scale = _shift_sides(p.items(), q.items(), alpha, lam, n, deg, tower)
-        scale *= shift_scale
+        p1, q1, n, scale = _shifted_pair(self, alpha, lam)
+        tower = self.tower
         return OdeSystem(
             BiPoly._from_clean(_divided(p1, scale, tower), self.P.tower or tower),
             BiPoly._from_clean(_divided(q1, scale, tower), self.Q.tower or tower),
@@ -543,6 +524,29 @@ class OdeSystem:
         if not low:
             return self
         return OdeSystem(self.P.shift_z(-low), self.Q.shift_z(-low), self.tower, self.n)
+
+
+def _shifted_pair(sys: OdeSystem, alpha, lam):
+    """P1 and Q1 of ``translate_w`` as the kernel ``_shift_sides`` gives
+    them: plain dicts, zeros kept, on the scale n' = lcm(n, q) for lam =
+    p/q, with n' and the positive rational s by which they are multiplied.
+
+    The keys are rescaled only when q does not divide n.  Over Q and over a
+    one-level tower the kernel shifts the content-free integer pair of P and
+    Q (``_integer_sides``), so s is the product of the two scales.
+    """
+    n, tower = sys.n, sys.tower
+    p, q = sys.P.terms, sys.Q.terms
+    den = lam.denominator
+    if n % den:
+        k = den // math.gcd(n, den)
+        n *= k
+        p = {(s * k, j): c for (s, j), c in p.items()}
+        q = {(s * k, j): c for (s, j), c in q.items()}
+    deg = max(sys.P.w_degree(), sys.Q.w_degree(), 0)
+    p, q, scale = _integer_sides(p, q, tower)
+    p1, q1, shift_scale = _shift_sides(p.items(), q.items(), alpha, lam, n, deg, tower)
+    return p1, q1, n, scale * shift_scale
 
 
 def _tower_depth(tower) -> int:

@@ -85,13 +85,20 @@ def _literal(val):
 # parenthesised sum of more than one term, or a power of one.
 
 _VARIABLES = {"z": (1, 1, 0), "w": (1, 0, 1)}
+# Parentheses nested deeper than this are a ParseError rather than a
+# RecursionError: ``_poly`` recurses once per level, and the innermost level
+# calls at most 3 frames further.  With Python's default limit of 1000 frames
+# this leaves about 100 for the caller: the console script enters
+# ``parse_system`` 6 frames deep and a pytest test 35, and a caller 90 frames
+# deep still gets the ParseError.
+MAX_NESTING = 900
 
 
-def _poly(text, tokens, i, params):
-    """The ``poly`` at token ``i``: (its term dict, the index of the token
-    after it).  One loop reads the terms and, inside it, each term's
-    factors; only a parenthesised atom recurses.  The signed terms are
-    summed into one dict, without the sums that are zero."""
+def _poly(text, tokens, i, params, depth=0):
+    """The ``poly`` at token ``i``, inside ``depth`` parentheses: (its term
+    dict, the index of the token after it).  One loop reads the terms and,
+    inside it, each term's factors; only a parenthesised atom recurses.  The
+    signed terms are summed into one dict, without the sums that are zero."""
     out = {}
     negate = tokens[i] == "-"
     if negate:
@@ -103,7 +110,9 @@ def _poly(text, tokens, i, params):
             if tok in _VARIABLES:
                 atom = _VARIABLES[tok]
             elif tok == "(":
-                inner, i = _poly(text, tokens, i + 1, params)
+                if depth == MAX_NESTING:
+                    _fail(text, "parentheses nested deeper than %d" % MAX_NESTING, i)
+                inner, i = _poly(text, tokens, i + 1, params, depth + 1)
                 if tokens[i] != ")":
                     _fail(text, "expected ')'", i)
                 if len(inner) == 1:

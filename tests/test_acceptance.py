@@ -236,7 +236,7 @@ def test_criterion_4_width_bound_seeded():
         if res.status != "finite":
             continue
         finite_seen += 1
-        n_w, m_w = sys.w_degrees()
+        n_w, m_w = sys.P.w_degree(), sys.Q.w_degree()
         assert res.count <= max(n_w, m_w + 1)
     assert finite_seen >= 40
     print("ACCEPTANCE 4: PASS (%d finite runs, zero violations)" % finite_seen)

@@ -19,6 +19,7 @@ from pbound.branching import (
     resolve_resonance,
 )
 from pbound.exact import QQ_TOWER, ExtElem, TowerSplitError, UniPoly, adjoin_root, rational_roots, sort_key
+from pbound.bounds import BoundsError, axis_singular_points
 from pbound.newton import first_critical, nonzero_char_poly, vertex_critical_check
 from pbound.polyode import (
     BiPoly,
@@ -344,7 +345,7 @@ def reference_extend(leaf, n_terms, caps=DEFAULT_CAPS):
         steps = [s for s in engine._steps_from_diagram(sys, lam_prev, diagram) if s.alpha is not None]
         if len(steps) != 1:
             break
-        lam_prev, sys = steps[0].lam, steps[0].system
+        lam_prev, sys = steps[0].lam, substitute_branch(steps[0].system, steps[0].lam, steps[0].alpha)
         terms += ((lam_prev, steps[0].alpha),)
     return terms
 
@@ -352,9 +353,9 @@ def reference_extend(leaf, n_terms, caps=DEFAULT_CAPS):
 class _ReferenceExpander(_Expander):
     """The engine with the resonance loop as it ran before ``_fold_walk``:
     each step comes from the whole Newton diagram, and every vertex is
-    checked at every node."""
+    checked at every node.  Its nodes hold their own exact systems."""
 
-    def _resolve_resonance(self, node, rho):
+    def resolve_by_diagrams(self, node, rho):
         cur = node
         for _ in range(self.caps.depth):
             prof, diagram = _newton(cur.system)
@@ -364,23 +365,25 @@ class _ReferenceExpander(_Expander):
                     branching.Witness("resonance", hit.lam_star, cur.depth, cur.prefix, ("resonance",))
                 )
             if 0 not in prof.p:
-                return self._leaf(cur, "exact", flags=("resonance",))
+                return self._leaf(cur, "exact", branching._walk_sides(cur.system), flags=("resonance",))
             # heights on the scale n of the node's system
             cands = ([prof.p[1][0]] if 1 in prof.p else []) + ([prof.q[0][0] - prof.n] if 0 in prof.q else [])
             if not cands:
                 raise AssertionError("unreachable")
             lam_next = Q(prof.p[0][0] - min(cands), prof.n)
             if lam_next == rho:
-                return self._leaf(cur, "non-algebraic", flags=("resonance-order-hit",))
+                sides = branching._walk_sides(cur.system)
+                return self._leaf(cur, "non-algebraic", sides, flags=("resonance-order-hit",))
             if lam_next > rho or lam_next <= cur.lam_prev:
                 raise AssertionError("unreachable")
             steps = self._steps_from_diagram(cur.system, cur.lam_prev, diagram)
             if len(steps) != 1:
                 raise AssertionError("unreachable")
             if steps[0].system is None:
-                return self._leaf(cur, "cap-exceeded", flags=(steps[0].note,))
-            cur = branching._child(cur, steps[0])
-        return self._leaf(cur, "cap-exceeded", flags=("resonance-cap",))
+                return self._leaf(cur, "cap-exceeded", branching._walk_sides(cur.system), flags=(steps[0].note,))
+            child = substitute_branch(steps[0].system, steps[0].lam, steps[0].alpha)
+            cur = replace(branching._child(cur, steps[0]), system=child)
+        return self._leaf(cur, "cap-exceeded", branching._walk_sides(cur.system), flags=("resonance-cap",))
 
 
 def reference_resolve(sys, lam_prev, rho, caps=DEFAULT_CAPS):
@@ -388,7 +391,7 @@ def reference_resolve(sys, lam_prev, rho, caps=DEFAULT_CAPS):
     engine = _ReferenceExpander(sys, caps)
     node = branching._Node(system=sys, prefix=(), lam_prev=Q(lam_prev), folded=1, depth=0)
     try:
-        leaf = engine._resolve_resonance(node, Q(rho))
+        leaf = engine.resolve_by_diagrams(node, Q(rho))
     except branching.CriticalFound as hit:
         return "critical", hit.witness
     return leaf.status, leaf
@@ -399,6 +402,55 @@ def _resolution_compared(outcome):
     if status == "critical":
         return status, (found.kind, found.lam_star, found.depth, _as_compared(found.prefix), found.flags)
     return status, (_as_compared(found.terms), found.status, found.flags)
+
+
+class _FullChildExpander(_Expander):
+    """The engine as it ran before 1-folded tree steps moved onto the fold
+    walk: every node below the root builds its exact remainder and its full
+    Newton diagram, checks every vertex on it, and a 1-folded node reads its
+    closure off that profile.  It keeps each 1-folded node it reaches, with
+    the node's exact system, profile and diagram."""
+
+    def __init__(self, sys, caps):
+        super().__init__(sys, caps)
+        self.folded_nodes = []
+
+    def _expand_inner(self, node):
+        sys = node.system
+        if node.prefix:
+            sys = substitute_branch(sys, node.lam_prev, node.prefix[-1][1])
+        prof, diagram = _newton(sys)
+        if node.folded == 1:
+            self.folded_nodes.append((node, sys, prof, diagram))
+        leaves = []
+        exact_here = 0 not in prof.p
+        if exact_here and node.prefix:
+            leaves.append(self._leaf(node, "exact", branching._walk_sides(sys)))
+        verdicts = vertex_critical_check(diagram, prof, lam_min=node.lam_prev)
+        hit = first_critical(verdicts)
+        if hit is not None:
+            raise branching.CriticalFound(branching.Witness("vertex-dominance", hit.lam_star, node.depth, node.prefix))
+        if any(v.dicritical_suspect for v in verdicts):
+            self.tree_flags.add("dicritical-suspect")
+        if node.folded == 1 and node.prefix and not exact_here:
+            kind, rho = branching._closure(prof, node.lam_prev, branching._indicial_ratio(prof))
+            if kind == "closed":
+                return leaves + [self._leaf(node, "closed", branching._walk_sides(sys))]
+            if kind == "resonance":
+                return leaves + [self._resolve_resonance(node, branching._walk_sides(sys), rho)]
+        return leaves + self._children(node, sys, diagram)
+
+
+def full_child_tree(sys, caps=DEFAULT_CAPS):
+    """``expand_branches`` on ``_FullChildExpander``, and the engine."""
+    engine = _FullChildExpander(sys, caps)
+    root = branching._Node(system=sys.normalized(), prefix=(), lam_prev=Q(0), folded=0, depth=0)
+    try:
+        leaves, critical = engine.expand(root), None
+    except branching.CriticalFound as hit:
+        leaves, critical = [], hit.witness
+    leaves.sort(key=branching._leaf_key)
+    return branching.BranchTree(leaves, critical, tuple(sorted(engine.tree_flags))), engine
 
 
 class _Recorder(_Expander):
@@ -414,9 +466,9 @@ class _Recorder(_Expander):
         self.nodes.append(node)
         return super()._expand_inner(node)
 
-    def _resolve_resonance(self, node, rho):
-        self.resonances.append((node.system, node.lam_prev, rho))
-        return super()._resolve_resonance(node, rho)
+    def _resolve_resonance(self, node, sides, rho):
+        self.resonances.append((branching._sides_system(sides), node.lam_prev, rho))
+        return super()._resolve_resonance(node, sides, rho)
 
 
 def recorded_expansion(system, point, caps=DEFAULT_CAPS):
@@ -665,7 +717,7 @@ def walk_of(leaf, n_terms):
     ``leaf`` to ``n_terms`` terms, as ``extend_leaf`` runs it."""
     sides, steps = [], []
     left = n_terms - len(leaf.terms)
-    for node, step in branching._fold_walk(leaf.remainder, leaf.lam_last, terms=left):
+    for node, step in branching._fold_walk(leaf.sides, leaf.lam_last, terms=left):
         sides.append(node)
         if step is None or step[1] is None:
             break
@@ -769,21 +821,25 @@ def test_resonance_off_the_lattice(sys, lam_prev, rho, caps, want, raise_counter
 def test_ramification_cap_is_tested_before_the_child_is_built(monkeypatch):
     # EX45 at m = -4 has one branch of exponent 2 and one of exponent 1/2.
     # Under ram=1 the second edge's scale lcm(1, 2) = 2 caps it, so only the
-    # exponent-2 child is substituted.
-    real = branching.substitute_branch
+    # exponent-2 child is substituted, here on the walk (both are 1-folded)
     lams = []
 
-    def counted(sys, lam, alpha):
-        lams.append(Q(lam))
-        return real(sys, lam, alpha)
+    def counted(real):
+        def wrapped(sys, lam, alpha):
+            lams.append(Q(lam))
+            return real(sys, lam, alpha)
 
-    monkeypatch.setattr(branching, "substitute_branch", counted)
+        return wrapped
+
+    for name in ("substitute_branch", "_step_sides"):
+        monkeypatch.setattr(branching, name, counted(getattr(branching, name)))
     capped = multiplicity_at(example45(Q(-4)), ("point", Q(0), Q(0)), Caps(ram=1))
     assert (capped.status, capped.lower_bound, capped.diagnostics) == ("capped", 1, ("ramification-cap",))
     assert lams == [Q(2)]
     lams.clear()
     assert multiplicity_at(example45(Q(-4)), ("point", Q(0), Q(0))).count == 3
-    assert lams == [Q(2), Q(1, 2)]
+    # children are substituted as they are expanded, in step order
+    assert lams == [Q(1, 2), Q(2)]
 
 
 # Example 4.5 at the values of its table where the origin is not critical
@@ -878,14 +934,16 @@ def test_fold_step_is_the_diagram_step_at_one_folded_nodes(system, point):
     for node in engine.nodes:
         if node.folded != 1:
             continue
-        prof, diagram = _newton(node.system)
+        # a 1-folded node holds its parent's system and its own step
+        child = substitute_branch(node.system, node.lam_prev, node.prefix[-1][1])
+        prof, diagram = _newton(child)
         if 0 not in prof.p:
             continue
         try:
-            steps = engine._steps_from_diagram(node.system, node.lam_prev, diagram)
+            steps = engine._steps_from_diagram(child, node.lam_prev, diagram)
         except TowerSplitError:
             continue
-        step = _fold_step(prof, node.lam_prev * node.system.n)
+        step = _fold_step(prof, node.lam_prev * child.n)
         if step is None or step[1] is None:
             assert steps == []
         else:
@@ -1017,3 +1075,198 @@ def test_newton_data_and_leaves_do_not_depend_on_the_scale(system, point, k):
     assert _verdicts_compared(big_diagram, big_prof) == _verdicts_compared(diagram, prof)
     caps = Caps(depth=12, tower=8, terms=12)
     assert _leaves_compared(expand_branches(big, caps)) == _leaves_compared(expand_branches(local, caps))
+
+
+# ---------------------------------------------------------------------------
+# 1-folded tree steps on the fold walk against the full child
+# ---------------------------------------------------------------------------
+
+def _tree_compared(tree, lengths):
+    """All a tree reports: its witness, flags and leaves, each leaf with its
+    remainder on true exponents s / n and extended to each of ``lengths``
+    terms."""
+    def remainder(sys):
+        return sorted(((Q(s, sys.n), j), sort_key(c)) for side in (sys.P, sys.Q) for (s, j), c in side.terms.items())
+
+    w = tree.critical
+    critical = w and (w.kind, w.lam_star, w.depth, _as_compared(w.prefix), w.flags)
+    leaves = [
+        (_as_compared(lf.terms), lf.status, lf.flags, lf.conj_degree, lf.tower, lf.lam_last,
+         remainder(lf.remainder), [_as_compared(extend_leaf(lf, k)) for k in lengths])
+        for lf in tree.leaves
+    ]
+    return critical, leaves, tree.flags
+
+
+def _outcome(expand, lengths):
+    """The compared tree, or the split that a presumed modulus of the
+    system's own tower raises out of the expansion."""
+    try:
+        return _tree_compared(expand(), lengths)
+    except TowerSplitError as exc:
+        return "split", exc.level, tuple(exc.g), tuple(exc.h)
+
+
+def assert_walked_tree_is_the_full_child_tree(system, caps=DEFAULT_CAPS, lengths=(10, 30)):
+    """The tree of ``expand_branches`` is the full-child tree, its leaves
+    extended to ``lengths`` terms; returns the reference engine, which
+    reached every 1-folded node."""
+    holder = []
+
+    def reference():
+        tree, engine = full_child_tree(system, caps)
+        holder.append(engine)
+        return tree
+
+    assert _outcome(lambda: expand_branches(system, caps), lengths) == _outcome(reference, lengths)
+    return holder[0]
+
+
+def axis_locals(system):
+    """``system`` moved to (0, 0), to (0, inf) and to each other root of
+    P(0, w): a rational root, or one root of each irreducible factor of
+    degree 2 or 3, over the one-level tower it adjoins."""
+    out = [transform_point(system, ("point", Q(0), Q(0))), transform_point(system, ("inf", Q(0)))]
+    try:
+        points, _ = axis_singular_points(system)
+    except BoundsError:
+        points = []
+    for kind, value, _ in points:
+        if kind == "rational" and value != 0:
+            out.append(transform_point(system, ("point", Q(0), value)))
+        elif kind == "algebraic" and value.degree() <= 3:
+            tower, theta = adjoin_root(QQ_TOWER, value)
+            out.append(transform_point(system.map_tower(tower), ("point", Q(0), theta)))
+    return out
+
+
+def _closures(engine):
+    """The closure kinds of the 1-folded nodes that ``engine`` reached."""
+    return {
+        branching._closure(prof, node.lam_prev, branching._indicial_ratio(prof))[0]
+        for node, _, prof, _ in engine.folded_nodes
+        if 0 in prof.p
+    }
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(axis_systems())
+def test_walked_tree_steps_match_the_full_child_on_random_axis_systems(system):
+    for local in axis_locals(system):
+        assert_walked_tree_is_the_full_child_tree(local)
+
+
+# Example 4.5 at every value of its table
+EX45_TABLE = (Q(0), Q(1), Q(2), Q(5), Q(-4), Q(-1), Q(1, 2), Q(3, 2), Q(3), Q(7, 2), Q(17, 2), Q(-9, 4))
+
+
+@pytest.mark.parametrize("mu", EX45_TABLE, ids=str)
+@pytest.mark.parametrize("point", [("point", Q(0), Q(0)), ("inf", Q(0))], ids=["origin", "inf"])
+def test_walked_tree_steps_match_the_full_child_on_example45(mu, point):
+    assert_walked_tree_is_the_full_child_tree(transform_point(example45(mu), point))
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSION_FIXTURES) + ["nonintegral-modulus"])
+def test_walked_tree_steps_match_the_full_child_on_the_extension_fixtures(name):
+    # among them EX45 over a presumed Q(sqrt 2) and over a modulus with a
+    # non-integral reduction table, whose ramified branch adjoins a level
+    if name == "nonintegral-modulus":
+        system, point = example45_over_root_of([Q(-2, 3), Q(2, 3), Q(1)]), ("point", Q(0), Q(0))
+    else:
+        system, point = EXTENSION_FIXTURES[name][:2]
+    assert_walked_tree_is_the_full_child_tree(transform_point(system, point))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_walked_tree_steps_match_the_full_child_on_binomial_series(n):
+    # (z + w)^n / (z + w^2): a child with Q1(z, 0) = 0 is built in full
+    # (the generic closure), and its own children are compared too
+    binomial = make_system(bp({(k, n - k): math.comb(n, k) for k in range(n + 1)}), bp({(1, 0): 1, (0, 2): 1}))
+    engine = assert_walked_tree_is_the_full_child_tree(transform_point(binomial, ("point", Q(0), Q(0))))
+    assert "generic" in _closures(engine)
+
+
+def _vertices_past_one(sys, prof, diagram, lam_min):
+    """(x, y / n, ratio, critical, suspect) of each hull vertex at x >= 2."""
+    verdicts = vertex_critical_check(diagram, prof, lam_min=lam_min)
+    return [
+        (v.x, Q(v.y, sys.n), sort_key(verdict.lam_star), verdict.critical, verdict.dicritical_suspect)
+        for v, verdict in zip(diagram.vertex_candidates, verdicts)
+        if v.x >= 2
+    ]
+
+
+def assert_no_vertex_past_one_decides(system, caps=DEFAULT_CAPS):
+    """At each 1-folded node of the full-child tree of ``system``, no vertex
+    at abscissa >= 2 is critical; each is a vertex of the parent's diagram,
+    with the same ratio and the same dicritical-suspect verdict, so over Q
+    none is suspect; returns how many such vertices were seen."""
+    try:
+        _, engine = full_child_tree(system, caps)
+    except TowerSplitError:
+        return 0
+    seen = 0
+    for node, sys, prof, diagram in engine.folded_nodes:
+        child = _vertices_past_one(sys, prof, diagram, node.lam_prev)
+        assert not any(critical for *_, critical, _ in child)
+        if levels_of(sys.tower) == 0:
+            assert not any(suspect for *_, suspect in child)
+        parent = node.system
+        parent_prof, parent_diagram = _newton(parent)
+        above = {v[:3]: v[4] for v in _vertices_past_one(parent, parent_prof, parent_diagram, Q(0))}
+        for x, y, ratio, _, suspect in child:
+            assert above[x, y, ratio] == suspect
+        seen += len(child)
+    return seen
+
+
+@st.composite
+def sqrt2_systems(draw):
+    """Random dw/dz = P/Q over Q(t), t^2 = 2: up to 6 terms a side, w-degree
+    <= 4, z-degree <= 6, coefficients a + b t."""
+    tower, t = adjoin_root(QQ_TOWER, UniPoly([Q(-2), Q(0), Q(1)]))
+
+    def side():
+        terms = {}
+        for _ in range(draw(st.integers(2, 6))):
+            key = (draw(st.integers(0, 6)), draw(st.integers(0, 4)))
+            a, b = draw(st.sampled_from([1, -1, 2, -2, 3])), draw(st.sampled_from([0, 1, -1, 2]))
+            terms[key] = tower.one() * a + t * b
+        return BiPoly({k: c for k, c in terms.items() if not c.is_zero()}, tower=tower)
+
+    P, Qd = side(), side()
+    assume(not P.is_zero() and not Qd.is_zero())
+    return OdeSystem(P, Qd, tower)
+
+
+def test_presumed_modulus_splits_where_the_full_profile_did():
+    # over Q(t), t^4 + 3 t^2 + 2 = (t^2 + 1)(t^2 + 2) adjoined without a
+    # certificate, the step w = z + w1 of P = 4 z^2 - z w + z^2 w^2 + t^2/3
+    # z w^3, Q = 3 z^2 is 1-folded, and its child's w1^2 column leads with
+    # 1 + t^2, a zero divisor in a column the fold profile does not read:
+    # the tower splits there, as it did on the full child's profile
+    tower, t = adjoin_root(QQ_TOWER, UniPoly([Q(2), Q(0), Q(3), Q(0), Q(1)]))
+    assert tower.levels[0].presumed
+    one = tower.one()
+    P = BiPoly({(2, 0): one * 4, (1, 1): -one, (2, 2): one, (1, 3): t * t * Q(1, 3)}, tower=tower)
+    system = OdeSystem(P, BiPoly({(2, 0): one * 3}, tower=tower), tower)
+    split = ("split", 0, (1, 0, 1), (2, 0, 1))
+    assert _outcome(lambda: expand_branches(system), ()) == split
+    assert _outcome(lambda: full_child_tree(system)[0], ()) == split
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(axis_systems())
+def test_no_vertex_past_abscissa_one_decides_a_one_folded_node(system):
+    for local in axis_locals(system):
+        assert_no_vertex_past_one_decides(local)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sqrt2_systems())
+def test_no_vertex_past_abscissa_one_decides_a_one_folded_node_over_a_tower(system):
+    # the suspect vertices past abscissa 1 of a 1-folded node are the
+    # parent's: its flag is already set, and the walked tree is the same
+    caps = Caps(depth=8, tower=4)
+    assert_no_vertex_past_one_decides(system, caps)
+    assert_walked_tree_is_the_full_child_tree(system, caps, lengths=(4,))

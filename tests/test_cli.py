@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 from pbound import cli
-from pbound.cli import _merge_dash_values, _parse_args, build_parser, main
+from pbound.cli import _merge_dash_values, _parse_args, main
 
 EX45 = "dw/dz = (z^2 + m*w) / (z + w^2); m = 0"
 LV = "dz/dt = z*(z + c*w - 1); dw/dt = w*(b*z + w - a); a=-1; b=5; c=0"
@@ -233,7 +233,7 @@ ARGPARSE_ARGVS = {
 @pytest.mark.parametrize("argv", DISPATCH_ARGVS.values(), ids=DISPATCH_ARGVS.keys())
 def test_subcommand_parser_matches_the_top_level_parser(argv):
     direct = vars(_parse_args(list(argv)))
-    full = vars(build_parser().parse_args(_merge_dash_values(list(argv))))
+    full = vars(cli._parsers()[0].parse_args(_merge_dash_values(list(argv))))
     assert full.pop("command") == argv[0]
     assert direct == full
 

@@ -60,7 +60,7 @@ def test_finite_multiplicity_width_bound_seeded():
         if res.status != "finite":
             continue
         finite_seen += 1
-        n_w, m_w = sys.w_degrees()
+        n_w, m_w = sys.P.w_degree(), sys.Q.w_degree()
         assert res.count <= max(n_w, m_w + 1), (
             "width bound violated for %s / %s: %d > max(%d, %d)"
             % (sys.P, sys.Q, res.count, n_w, m_w + 1)
@@ -222,5 +222,5 @@ def test_width_bound_random_diagrams():
         prof = coeff_profile(sys.P.terms, sys.Q.terms, sys.n)
         diagram = lower_hull(support_points(prof), prof)
         width = sum(e.width for e in diagram.edges if e.admissible)
-        n_w, m_w = sys.w_degrees()
+        n_w, m_w = sys.P.w_degree(), sys.Q.w_degree()
         assert width <= max(m_w + 1, n_w)

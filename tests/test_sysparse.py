@@ -12,6 +12,7 @@ from pbound.branching import multiplicity_at
 from pbound.cli import main
 from pbound.polyode import BiPoly, OdeError, bipoly_str, transform_point
 from pbound.sysparse import (
+    MAX_NESTING,
     ParseError,
     emit_report,
     parse_system,
@@ -45,6 +46,27 @@ def test_parse_syntax_error_position():
     with pytest.raises(ParseError) as err:
         parse_system("dw/dz = w / (z")
     assert "column" in str(err.value)
+
+
+def nested(depth):
+    """dw/dz = (z + w) / z with the numerator in ``depth`` parentheses."""
+    return "dw/dz = " + "(" * depth + "z + w" + ")" * depth + " / z"
+
+
+def test_parse_nesting_up_to_the_limit():
+    sys, _ = parse_system(nested(MAX_NESTING))
+    assert sys.P.terms == bp({(1, 0): 1, (0, 1): 1}).terms
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 2000])
+def test_parse_nesting_past_the_limit_is_a_parse_error(depth, capsys):
+    # the parenthesis that opens level MAX_NESTING + 1 is named, and the CLI
+    # gives its usual exit-2 report rather than a RecursionError
+    with pytest.raises(ParseError, match="parentheses nested deeper than %d" % MAX_NESTING) as err:
+        parse_system(nested(depth))
+    assert (err.value.line, err.value.col) == (1, len("dw/dz = ") + MAX_NESTING + 1)
+    assert main(["mul", "--system", nested(depth), "--at", "0,0", "--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ParseError"
 
 
 @pytest.mark.parametrize(
