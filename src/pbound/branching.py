@@ -15,14 +15,16 @@ node the engine
 * otherwise expands every admissible edge of the Newton diagram, one conjugacy
   representative per irreducible factor of the edge characteristic polynomial.
 
-A 1-folded tree step (a simple root of an edge polynomial) is the first
-step of that walk: the child is the content-free integer pair of the
-shifted parent (``_step_sides``), and its leaf, vertex verdicts and closure
-are read off the pair's fold profile (``_Expander._expand_folded``).
-A full Newton diagram is built only after a multi-fold root, on the exact
-remainder, and where Q1(z, 0) vanishes identically (the ``generic``
-closure), on the system of that pair, a constant multiple of the exact
-remainder; the node's children come from that diagram.
+Below the root no system is built: a tree step shifts its parent's walk
+pair (p, q, n, tower) to the child's (``_step_sides``), a positive
+rational multiple of the child's remainder that gives the same branches
+(its content-free integer pair over Q and over a one-level tower).  A
+1-folded step (a simple root of an edge polynomial) is the first step of
+the walk: its leaf, vertex verdicts and closure are read off the pair's
+fold profile (``_Expander._expand_folded``).  A full Newton diagram is
+read off the pair after a multi-fold root, and where Q1(z, 0) vanishes
+identically (the ``generic`` closure); the node's children come from that
+diagram.
 
 Conjugate branches are never expanded separately: a degree-d factor is
 adjoined to the coefficient tower and the representative carries conjugacy
@@ -66,15 +68,14 @@ from .newton import (
     vertex_critical_check,
 )
 from .polyode import (
-    BiPoly,
     OdeSystem,
     PuiseuxBranch,
     _content_free,
     _integer_sides,
+    _nonzero,
     _shift_sides,
     _shifted_pair,
     coeff_profile,
-    substitute_branch,
     transform_point,
 )
 
@@ -116,17 +117,16 @@ class Leaf:
     """A branch prefix where expansion stopped, with its status.
 
     ``sides`` is the fold walk's pair (p, q, n, tower) at the leaf, where
-    ``extend_leaf`` resumes the walk: over Q and over a one-level tower the
-    content-free integer pair of the remainder, a constant multiple of it
-    that gives the same branches, and above that the exact remainder.  At a
-    node of the expansion tree it is complete, after a 1-folded step as the
-    walk's first step made it (``_step_sides``); at a node of a resonance
-    walk (``_resolve_resonance``) it is truncated.  ``remainder`` builds
-    the system on it on demand."""
+    ``extend_leaf`` resumes the walk: a positive rational multiple of the
+    remainder, which gives the same branches, and over Q and over a
+    one-level tower its content-free integer pair.  At a node of the
+    expansion tree it is complete, as the node's step made it
+    (``_step_sides``), and a capped leaf at the root, which is not
+    extended, keeps the root system's terms; at a node of a resonance walk
+    (``_resolve_resonance``) it is truncated."""
 
     terms: tuple  # ((mu, alpha), ...)
     status: str  # "closed" | "exact" | "non-algebraic" | "cap-exceeded"
-    tower: Optional[Tower]
     conj_degree: int
     sides: tuple
     lam_last: Fraction
@@ -137,8 +137,8 @@ class Leaf:
         return self.status in ("closed", "exact")
 
     @property
-    def remainder(self) -> OdeSystem:
-        return _sides_system(self.sides)
+    def tower(self) -> Optional[Tower]:
+        return self.sides[3]
 
 
 @dataclass
@@ -164,11 +164,13 @@ class MultiplicityResult:
 
 @dataclass(frozen=True)
 class _Node:
-    """A node of the tree.  ``system`` is the root's own system; below the
-    root it is the parent's, in the node's tower, before the node's step
-    (the last pair of ``prefix``), which ``_expand_inner`` takes."""
+    """A node of the tree.  ``sides`` is (P, Q, n, tower) of the root's own
+    system at the root; below the root it is the parent's walk pair, in the
+    node's tower, before the node's step (the last pair of ``prefix``),
+    which ``_expand_inner`` takes (``_step_sides``).  The nodes of a
+    resonance walk carry None."""
 
-    system: OdeSystem
+    sides: Optional[tuple]
     prefix: tuple
     lam_prev: Fraction
     folded: int  # d of the incoming pair; 0 at the root
@@ -176,14 +178,14 @@ class _Node:
 
 
 class _Step(NamedTuple):
-    """One Newton step w = alpha z^lam + w1 from ``system``, mapped to
-    alpha's tower; a capped root has alpha and system None and names the
+    """One Newton step w = alpha z^lam + w1 from the pair ``sides``, mapped
+    to alpha's tower; a capped root has alpha and sides None and names the
     cap in ``note``."""
 
     lam: Fraction
     alpha: object
     folded: int
-    system: Optional[OdeSystem]
+    sides: Optional[tuple]
     note: str
 
 
@@ -197,9 +199,11 @@ def _transport_prefix(prefix, tower: Tower):
     )
 
 
-def _newton(sys: OdeSystem):
-    """The coefficient profile of a system and its Newton diagram."""
-    prof = coeff_profile(sys.P.terms, sys.Q.terms, sys.n)
+def _newton(sides):
+    """The coefficient profile of a pair (P, Q, n, tower) and its Newton
+    diagram."""
+    p, q, n, _ = sides
+    prof = coeff_profile(p, q, n)
     return prof, lower_hull(support_points(prof), prof)
 
 
@@ -241,7 +245,7 @@ def _fold_step(prof, lam_prev):
 
 
 def _child(node: _Node, step: _Step) -> _Node:
-    return _Node(step.system, node.prefix + ((step.lam, step.alpha),), step.lam, step.folded, node.depth + 1)
+    return _Node(step.sides, node.prefix + ((step.lam, step.alpha),), step.lam, step.folded, node.depth + 1)
 
 
 class _Expander:
@@ -264,7 +268,7 @@ class _Expander:
             for t in (t1, t2):
                 remapped = replace(
                     node,
-                    system=node.system.transport(t),
+                    sides=_sides_over(node.sides, t, lambda c: transport_elem(c, t)),
                     prefix=_transport_prefix(node.prefix, t),
                 )
                 out.extend(self.expand(remapped))
@@ -275,13 +279,13 @@ class _Expander:
     def _expand_inner(self, node: _Node):
         if node.folded == 1:
             return self._expand_folded(node)
-        sys = node.system
+        sides = node.sides
         if node.prefix:
-            sys = substitute_branch(sys, node.lam_prev, node.prefix[-1][1])
-        prof, diagram = _newton(sys)
+            sides = _step_sides(sides, node.lam_prev, node.prefix[-1][1])
+        prof, diagram = _newton(sides)
         leaves = []
         if 0 not in prof.p and node.prefix:
-            leaves.append(self._leaf(node, "exact", _walk_sides(sys)))
+            leaves.append(self._leaf(node, "exact", sides))
 
         verdicts = vertex_critical_check(diagram, prof, lam_min=node.lam_prev)
         hit = first_critical(verdicts)
@@ -289,18 +293,17 @@ class _Expander:
             raise CriticalFound(Witness("vertex-dominance", hit.lam_star, node.depth, node.prefix))
         if any(v.dicritical_suspect for v in verdicts):
             self.tree_flags.add("dicritical-suspect")
-        return leaves + self._children(node, sys, diagram)
+        return leaves + self._children(node, sides, diagram)
 
-    def _children(self, node: _Node, sys: OdeSystem, diagram):
-        """The leaves below ``node``, whose system ``sys`` (the exact one, or a
-        positive constant multiple) has the Newton diagram ``diagram``: one
-        subtree per step, or a depth-cap leaf."""
+    def _children(self, node: _Node, sides, diagram):
+        """The leaves below ``node``, whose pair ``sides`` has the Newton
+        diagram ``diagram``: one subtree per step, or a depth-cap leaf."""
         if node.depth >= self.caps.depth:
-            return [self._leaf(node, "cap-exceeded", _walk_sides(sys), flags=("depth-cap",))]
+            return [self._leaf(node, "cap-exceeded", sides, flags=("depth-cap",))]
         leaves = []
-        for step in self._steps_from_diagram(sys, node.lam_prev, diagram):
-            if step.system is None:
-                leaves.append(self._leaf(node, "cap-exceeded", _walk_sides(sys), flags=(step.note,)))
+        for step in self._steps_from_diagram(sides, node.lam_prev, diagram):
+            if step.sides is None:
+                leaves.append(self._leaf(node, "cap-exceeded", sides, flags=(step.note,)))
                 continue
             leaves.extend(self.expand(_child(node, step)))
         return leaves
@@ -345,10 +348,11 @@ class _Expander:
           where P1(z, 0) = 0, a resonance of ratio r where (1, y1) has a
           rational r > lam_prev that is not critical, ``generic`` where
           Q1(z, 0) = 0, and a closed leaf otherwise.  A resonance walks on
-          from the pair (``_resolve_resonance``).  Only ``generic`` builds
-          a full diagram, on the system of the pair, whose children it
-          gives: its edges, roots and vertex ratios are those of the exact
-          remainder, which differs by a positive constant.
+          from the pair (``_resolve_resonance``).  Only ``generic`` reads
+          a full diagram off the pair, whose children it gives, as at a
+          node after a multi-fold root: its edges, roots and vertex ratios
+          are those of the exact remainder, which differs by a positive
+          constant.
           The only edge past lam_prev runs from (0, k0), with p0 != 0, to
           (1, y1) (``_fold_step``): an exact leaf has no children, and the
           edge's polynomial c1 a - p0 never vanishes identically.
@@ -358,7 +362,7 @@ class _Expander:
         tower, as the full diagram did, before the ratio at x = 1 is tested.
         """
         lam, alpha = node.prefix[-1]
-        sides = _step_sides(node.system, lam, alpha)
+        sides = _step_sides(node.sides, lam, alpha)
         p, q, n, tower = sides
         presumed = tower is not None and any(lv.presumed for lv in tower.levels)
         prof = coeff_profile(p, q, n, fold=not presumed)
@@ -380,19 +384,16 @@ class _Expander:
             return leaves
         kind, rho = _closure(prof, lam, rho)
         if kind == "generic":
-            sys = _sides_system(sides)
-            return self._children(node, sys, _newton(sys)[1])
+            return self._children(node, sides, _newton(sides)[1])
         if kind == "resonance":
             return [self._resolve_resonance(node, sides, rho)]
         return [self._leaf(node, "closed", sides)]
 
     def _leaf(self, node: _Node, status: str, sides, flags=()):
-        tower = sides[3]
         return Leaf(
             terms=node.prefix,
             status=status,
-            tower=tower,
-            conj_degree=_tower_deg(tower) // self.base_degree,
+            conj_degree=_tower_deg(sides[3]) // self.base_degree,
             sides=sides,
             lam_last=node.lam_prev,
             flags=tuple(flags),
@@ -404,7 +405,7 @@ class _Expander:
         """Step through a resonance of indicial ratio ``rho`` at ``node``,
         whose walk pair is ``sides``, for at most ``caps.depth`` steps;
         ``_fold_walk`` says why k0 alone decides.  The nodes of the walk
-        carry no system: a returned leaf gets the sides it stops on."""
+        carry no pair: a returned leaf gets the sides it stops on."""
         cur = node
         for sides, step in _fold_walk(sides, node.lam_prev, rho=rho):
             if cur.depth - node.depth == self.caps.depth:
@@ -420,9 +421,10 @@ class _Expander:
 
     # -- edge roots -> child steps ---------------------------------------------
 
-    def _steps_from_diagram(self, sys: OdeSystem, lam_prev, diagram):
-        """The Newton steps past ``lam_prev``, sorted by exponent and root;
-        see ``_char_roots``."""
+    def _steps_from_diagram(self, sides, lam_prev, diagram):
+        """The Newton steps past ``lam_prev`` from the pair ``sides``, sorted
+        by exponent and root; see ``_char_roots``."""
+        n, tower = sides[2:]
         out = []
         for edge in diagram.edges:
             if not edge.admissible or edge.lam <= lam_prev:
@@ -432,14 +434,14 @@ class _Expander:
                 continue
             # a child lies on the scale lcm(n, q) for lam = p/q (translate_w),
             # so a capped one is never built
-            capped = math.lcm(sys.n, edge.lam.denominator) > self.caps.ram
-            for alpha, d, new_tower, note in self._char_roots(phi, sys.tower):
+            capped = math.lcm(n, edge.lam.denominator) > self.caps.ram
+            for alpha, d, new_tower, note in self._char_roots(phi, tower):
                 if alpha is not None and capped:
                     alpha, note = None, "ramification-cap"
                 if alpha is None:
                     out.append(_Step(edge.lam, None, d, None, note))
                     continue
-                work = sys if new_tower is None else sys.map_tower(new_tower)
+                work = sides if new_tower is None else _sides_over(sides, new_tower, new_tower.coerce)
                 out.append(_Step(edge.lam, alpha, d, work, note))
         out.sort(key=lambda t: (t.lam,) + (sort_key(t.alpha) if t.alpha is not None else ((), ())))
         return out
@@ -488,8 +490,9 @@ class _Expander:
 def expand_branches(sys: OdeSystem, caps: Caps = DEFAULT_CAPS) -> BranchTree:
     """Expand the full branch tree of local algebraic solutions at the origin."""
     engine = _Expander(sys, caps)
+    sys = sys.normalized()
     root = _Node(
-        system=sys.normalized(),
+        sides=(sys.P.terms, sys.Q.terms, sys.n, sys.tower),
         prefix=(),
         lam_prev=Q(0),
         folded=0,
@@ -546,7 +549,7 @@ def resolve_resonance(sys: OdeSystem, lam_prev, rho, caps: Caps = DEFAULT_CAPS):
     ("cap-exceeded", leaf); leaf terms describe the resonant tail only.
     """
     engine = _Expander(sys, caps)
-    node = _Node(system=sys, prefix=(), lam_prev=Q(lam_prev), folded=1, depth=0)
+    node = _Node(sides=None, prefix=(), lam_prev=Q(lam_prev), folded=1, depth=0)
     try:
         leaf = engine._resolve_resonance(node, _walk_sides(sys), Q(rho))
     except CriticalFound as hit:
@@ -588,12 +591,6 @@ def _walk_step(p, q, nu, lam, alpha, bound, n, tower):
     return p1, q1, low
 
 
-def _sides_system(sides) -> OdeSystem:
-    """The system on a walk's pair (p, q, n, tower)."""
-    p, q, n, tower = sides
-    return OdeSystem(BiPoly._from_clean(p, tower), BiPoly._from_clean(q, tower), tower, n)
-
-
 def _walk_sides(sys: OdeSystem):
     """The walk's pair (p, q, n, tower) of ``sys``: its content-free integer
     pair over Q and over a one-level tower (``_integer_sides``), its exact
@@ -602,18 +599,29 @@ def _walk_sides(sys: OdeSystem):
     return p, q, sys.n, sys.tower
 
 
-def _step_sides(sys: OdeSystem, lam, alpha):
+def _step_sides(sides, lam, alpha):
     """The walk's pair of the remainder after the tree step w = alpha z^lam
-    + w1 from ``sys``: the kernel's uncut shift of its content-free integer
-    pair (``_shifted_pair``), without its content, in the frame of
-    ``substitute_branch`` (lowest z-exponent 0).  It is ``_walk_sides`` of
-    the exact remainder, which is not built."""
-    p, q, n, _ = _shifted_pair(sys, alpha, lam)
-    p, q, _ = _content_free(p, q, sys.tower)
+    + w1 from the pair ``sides``: the kernel's uncut shift of its
+    content-free integer pair (``_shifted_pair``), without its content, in
+    the frame of ``substitute_branch`` (lowest z-exponent 0).  It is
+    ``_walk_sides`` of a positive rational multiple of the exact remainder,
+    which is not built."""
+    tower = sides[3]
+    p, q, n, _ = _shifted_pair(sides, alpha, lam)
+    p, q, _ = _content_free(p, q, tower)
     low = min(key[0] for side in (p, q) for key in side)
     if low:
         p, q = ({(s - low, j): c for (s, j), c in side.items()} for side in (p, q))
-    return p, q, n, sys.tower
+    return p, q, n, tower
+
+
+def _sides_over(sides, tower: Tower, lift):
+    """The pair ``sides`` over ``tower``: each tower element mapped by
+    ``lift`` (into a tower with a new level, or onto a factor tower after a
+    split), a rational kept as it is (see ``BiPoly``), a zero dropped."""
+    p, q, n, _ = sides
+    p, q = (_nonzero({k: lift(c) if isinstance(c, ExtElem) else c for k, c in side.items()}) for side in (p, q))
+    return p, q, n, tower
 
 
 def _fold_walk(sides, lam, terms=1, rho=None):

@@ -31,7 +31,6 @@ from .exact import (
     f_inv,
     field_one,
     field_zero,
-    transport_elem,
 )
 
 
@@ -183,15 +182,6 @@ class BiPoly:
         it, and a rational coefficient stays as it is (see the class)."""
         return BiPoly._from_clean(
             {k: tower.coerce(c) if isinstance(c, ExtElem) else c for k, c in self.terms.items()}, tower
-        )
-
-    def transport(self, new_tower: Tower):
-        return BiPoly(
-            {
-                k: transport_elem(c, new_tower) if isinstance(c, ExtElem) else c
-                for k, c in self.terms.items()
-            },
-            tower=new_tower,
         )
 
     # -- printing / identity -----------------------------------------------------
@@ -499,9 +489,6 @@ class OdeSystem:
     def map_tower(self, tower: Tower) -> "OdeSystem":
         return OdeSystem(self.P.map_tower(tower), self.Q.map_tower(tower), tower, self.n)
 
-    def transport(self, new_tower: Tower) -> "OdeSystem":
-        return OdeSystem(self.P.transport(new_tower), self.Q.transport(new_tower), new_tower, self.n)
-
     def translate_w(self, alpha, lam) -> "OdeSystem":
         """The system for w1 after w = alpha z^lam + w1 (lam >= 0):
         Q1 = Q(z, alpha z^lam + w1) and
@@ -509,8 +496,8 @@ class OdeSystem:
         z-frame: the sides of ``_shifted_pair``, each coefficient divided
         once by their scale.
         """
-        p1, q1, n, scale = _shifted_pair(self, alpha, lam)
         tower = self.tower
+        p1, q1, n, scale = _shifted_pair((self.P.terms, self.Q.terms, self.n, tower), alpha, lam)
         return OdeSystem(
             BiPoly._from_clean(_divided(p1, scale, tower), self.P.tower or tower),
             BiPoly._from_clean(_divided(q1, scale, tower), self.Q.tower or tower),
@@ -526,24 +513,24 @@ class OdeSystem:
         return OdeSystem(self.P.shift_z(-low), self.Q.shift_z(-low), self.tower, self.n)
 
 
-def _shifted_pair(sys: OdeSystem, alpha, lam):
-    """P1 and Q1 of ``translate_w`` as the kernel ``_shift_sides`` gives
-    them: plain dicts, zeros kept, on the scale n' = lcm(n, q) for lam =
-    p/q, with n' and the positive rational s by which they are multiplied.
+def _shifted_pair(sides, alpha, lam):
+    """P1 and Q1 of ``translate_w`` on the term dicts of the pair ``sides``
+    = (P, Q, n, tower), as the kernel ``_shift_sides`` gives them: plain
+    dicts, zeros kept, on the scale n' = lcm(n, q) for lam = p/q, with n'
+    and the positive rational s by which they are multiplied.
 
     The keys are rescaled only when q does not divide n.  Over Q and over a
     one-level tower the kernel shifts the content-free integer pair of P and
     Q (``_integer_sides``), so s is the product of the two scales.
     """
-    n, tower = sys.n, sys.tower
-    p, q = sys.P.terms, sys.Q.terms
+    p, q, n, tower = sides
     den = lam.denominator
     if n % den:
         k = den // math.gcd(n, den)
         n *= k
         p = {(s * k, j): c for (s, j), c in p.items()}
         q = {(s * k, j): c for (s, j), c in q.items()}
-    deg = max(sys.P.w_degree(), sys.Q.w_degree(), 0)
+    deg = max(key[1] for side in (p, q) for key in side)
     p, q, scale = _integer_sides(p, q, tower)
     p1, q1, shift_scale = _shift_sides(p.items(), q.items(), alpha, lam, n, deg, tower)
     return p1, q1, n, scale * shift_scale

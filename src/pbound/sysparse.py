@@ -274,14 +274,12 @@ def coeff_str(c) -> str:
 def tower_description(tower):
     if tower is None or tower.is_trivial():
         return []
-    from .exact import ExtElem as _E
-
     out = []
     for depth, level in enumerate(tower.levels):
         sub = tower.levels[:depth]
         coeff_strs = []
         for i, rep in enumerate(level.minpoly):
-            s = _E._str(sub, rep)
+            s = ExtElem._str(sub, rep)
             coeff_strs.append((i, s))
         terms = []
         for i, s in reversed(coeff_strs):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 
 import pytest
@@ -12,15 +12,25 @@ from pbound.branching import (
     _Expander,
     _fold_step,
     _newton,
+    _walk_sides,
     closure_check,
     expand_branches,
     extend_leaf,
     multiplicity_at,
     resolve_resonance,
 )
-from pbound.exact import QQ_TOWER, ExtElem, TowerSplitError, UniPoly, adjoin_root, rational_roots, sort_key
+from pbound.exact import (
+    QQ_TOWER,
+    ExtElem,
+    TowerSplitError,
+    UniPoly,
+    adjoin_root,
+    rational_roots,
+    sort_key,
+    transport_elem,
+)
 from pbound.bounds import BoundsError, axis_singular_points
-from pbound.newton import first_critical, nonzero_char_poly, vertex_critical_check
+from pbound.newton import first_critical, lower_hull, nonzero_char_poly, support_points, vertex_critical_check
 from pbound.polyode import (
     BiPoly,
     CoeffProfile,
@@ -308,15 +318,12 @@ def test_child_width_bound():
     # w' = (w - z)^2 / z^3 the lambda = 1 edge has phi = -(a - 1)^2
     # (2-folded root a = 1) and the remainder offers exactly two
     # continuations w1 = +-z^(3/2)
-    from pbound.branching import _Expander, DEFAULT_CAPS
-    from pbound.newton import lower_hull, support_points
-
     sys = make_system(bp({(0, 2): 1, (1, 1): -2, (2, 0): 1}), bp({(3, 0): 1}))
     rem = substitute_branch(sys, Q(1), Q(1))
     engine = _Expander(rem, DEFAULT_CAPS)
     prof = coeff_profile(rem.P.terms, rem.Q.terms, rem.n)
     diagram = lower_hull(support_points(prof), prof)
-    steps = [s for s in engine._steps_from_diagram(rem, Q(1), diagram) if s[1] is not None]
+    steps = [s for s in engine._steps_from_diagram(_walk_sides(rem), Q(1), diagram) if s[1] is not None]
     assert len(steps) == 2
     assert {s[0] for s in steps} == {Q(3, 2)}
     assert {s[1] for s in steps} == {Q(1), Q(-1)}
@@ -330,23 +337,79 @@ def test_child_width_bound():
 # truncated extension against the full-remainder loop
 # ---------------------------------------------------------------------------
 
+def sides_system(sides):
+    """The system on a walk's pair (p, q, n, tower)."""
+    p, q, n, tower = sides
+    return OdeSystem(BiPoly(p, tower), BiPoly(q, tower), tower, n)
+
+
+def leaf_remainder(leaf):
+    """The remainder system on a leaf's pair: a positive rational multiple
+    of the exact one, which has the same branches."""
+    return sides_system(leaf.sides)
+
+
+def exact_newton(sys):
+    """The coefficient profile of an exact system and its Newton diagram."""
+    prof = coeff_profile(sys.P.terms, sys.Q.terms, sys.n)
+    return prof, lower_hull(support_points(prof), prof)
+
+
+def exact_steps(engine, sys, lam_prev, diagram):
+    """The engine's Newton steps from the exact system ``sys``, each with
+    ``sys`` in alpha's tower, which the step applies to (None for a capped
+    root)."""
+    out = []
+    for step in engine._steps_from_diagram(_walk_sides(sys), lam_prev, diagram):
+        tower = step.sides and step.sides[3]
+        out.append((step, None if step.sides is None else sys if tower is None else sys.map_tower(tower)))
+    return out
+
+
+@dataclass(frozen=True)
+class SystemNode:
+    """A tree node of the references, which build every child as an exact
+    system with ``substitute_branch``: ``system`` is the root's own system,
+    and below the root the parent's, in the node's tower, before the node's
+    step (the last pair of ``prefix``)."""
+
+    system: OdeSystem
+    prefix: tuple
+    lam_prev: Q
+    folded: int
+    depth: int
+
+
+def system_child(node, step, system):
+    return SystemNode(system, node.prefix + ((step.lam, step.alpha),), step.lam, step.folded, node.depth + 1)
+
+
+def transported(sys, tower):
+    """``sys`` on a factor tower after a split."""
+    def side(poly):
+        return BiPoly({k: transport_elem(c, tower) if isinstance(c, ExtElem) else c for k, c in poly.terms.items()}, tower)
+
+    return OdeSystem(side(sys.P), side(sys.Q), tower, sys.n)
+
+
 def reference_extend(leaf, n_terms, caps=DEFAULT_CAPS):
     """Every Newton step on the whole, renormalized remainder: extension as
     it ran before the truncation."""
     terms = leaf.terms
     if not leaf.counted:
         return terms
-    engine = _Expander(leaf.remainder, caps)
-    sys, lam_prev = leaf.remainder, leaf.lam_last
+    sys, lam_prev = leaf_remainder(leaf), leaf.lam_last
+    engine = _Expander(sys, caps)
     while len(terms) < n_terms:
-        prof, diagram = _newton(sys)
+        prof, diagram = exact_newton(sys)
         if 0 not in prof.p:
             break
-        steps = [s for s in engine._steps_from_diagram(sys, lam_prev, diagram) if s.alpha is not None]
+        steps = [(s, work) for s, work in exact_steps(engine, sys, lam_prev, diagram) if s.alpha is not None]
         if len(steps) != 1:
             break
-        lam_prev, sys = steps[0].lam, substitute_branch(steps[0].system, steps[0].lam, steps[0].alpha)
-        terms += ((lam_prev, steps[0].alpha),)
+        ((step, work),) = steps
+        lam_prev, sys = step.lam, substitute_branch(work, step.lam, step.alpha)
+        terms += ((lam_prev, step.alpha),)
     return terms
 
 
@@ -358,38 +421,37 @@ class _ReferenceExpander(_Expander):
     def resolve_by_diagrams(self, node, rho):
         cur = node
         for _ in range(self.caps.depth):
-            prof, diagram = _newton(cur.system)
+            prof, diagram = exact_newton(cur.system)
             hit = first_critical(vertex_critical_check(diagram, prof, lam_min=cur.lam_prev))
             if hit is not None:
                 raise branching.CriticalFound(
                     branching.Witness("resonance", hit.lam_star, cur.depth, cur.prefix, ("resonance",))
                 )
             if 0 not in prof.p:
-                return self._leaf(cur, "exact", branching._walk_sides(cur.system), flags=("resonance",))
+                return self._leaf(cur, "exact", _walk_sides(cur.system), flags=("resonance",))
             # heights on the scale n of the node's system
             cands = ([prof.p[1][0]] if 1 in prof.p else []) + ([prof.q[0][0] - prof.n] if 0 in prof.q else [])
             if not cands:
                 raise AssertionError("unreachable")
             lam_next = Q(prof.p[0][0] - min(cands), prof.n)
             if lam_next == rho:
-                sides = branching._walk_sides(cur.system)
-                return self._leaf(cur, "non-algebraic", sides, flags=("resonance-order-hit",))
+                return self._leaf(cur, "non-algebraic", _walk_sides(cur.system), flags=("resonance-order-hit",))
             if lam_next > rho or lam_next <= cur.lam_prev:
                 raise AssertionError("unreachable")
-            steps = self._steps_from_diagram(cur.system, cur.lam_prev, diagram)
+            steps = exact_steps(self, cur.system, cur.lam_prev, diagram)
             if len(steps) != 1:
                 raise AssertionError("unreachable")
-            if steps[0].system is None:
-                return self._leaf(cur, "cap-exceeded", branching._walk_sides(cur.system), flags=(steps[0].note,))
-            child = substitute_branch(steps[0].system, steps[0].lam, steps[0].alpha)
-            cur = replace(branching._child(cur, steps[0]), system=child)
-        return self._leaf(cur, "cap-exceeded", branching._walk_sides(cur.system), flags=("resonance-cap",))
+            ((step, work),) = steps
+            if work is None:
+                return self._leaf(cur, "cap-exceeded", _walk_sides(cur.system), flags=(step.note,))
+            cur = system_child(cur, step, substitute_branch(work, step.lam, step.alpha))
+        return self._leaf(cur, "cap-exceeded", _walk_sides(cur.system), flags=("resonance-cap",))
 
 
 def reference_resolve(sys, lam_prev, rho, caps=DEFAULT_CAPS):
     """``resolve_resonance`` on ``_ReferenceExpander``."""
     engine = _ReferenceExpander(sys, caps)
-    node = branching._Node(system=sys, prefix=(), lam_prev=Q(lam_prev), folded=1, depth=0)
+    node = SystemNode(system=sys, prefix=(), lam_prev=Q(lam_prev), folded=1, depth=0)
     try:
         leaf = engine.resolve_by_diagrams(node, Q(rho))
     except branching.CriticalFound as hit:
@@ -405,27 +467,43 @@ def _resolution_compared(outcome):
 
 
 class _FullChildExpander(_Expander):
-    """The engine as it ran before 1-folded tree steps moved onto the fold
-    walk: every node below the root builds its exact remainder and its full
-    Newton diagram, checks every vertex on it, and a 1-folded node reads its
-    closure off that profile.  It keeps each 1-folded node it reaches, with
-    the node's exact system, profile and diagram."""
+    """The engine as it ran before tree steps moved onto the walk's pair:
+    every node below the root builds its exact remainder with
+    ``substitute_branch`` and its full Newton diagram, checks every vertex
+    on it, and a 1-folded node reads its closure off that profile.  Its
+    nodes hold exact systems (``SystemNode``).  It keeps each 1-folded node
+    it reaches, with the node's exact system, profile and diagram, and
+    counts the multi-folded ones."""
 
     def __init__(self, sys, caps):
         super().__init__(sys, caps)
         self.folded_nodes = []
+        self.multi_folded = 0
+
+    def expand(self, node):
+        try:
+            return self._expand_inner(node)
+        except TowerSplitError as exc:
+            if exc.level < self.base_levels:
+                raise
+            out = []
+            for t in exc.factor_towers():
+                prefix = branching._transport_prefix(node.prefix, t)
+                out.extend(self.expand(replace(node, system=transported(node.system, t), prefix=prefix)))
+            return out
 
     def _expand_inner(self, node):
         sys = node.system
         if node.prefix:
             sys = substitute_branch(sys, node.lam_prev, node.prefix[-1][1])
-        prof, diagram = _newton(sys)
+        prof, diagram = exact_newton(sys)
         if node.folded == 1:
             self.folded_nodes.append((node, sys, prof, diagram))
+        self.multi_folded += node.folded > 1
         leaves = []
         exact_here = 0 not in prof.p
         if exact_here and node.prefix:
-            leaves.append(self._leaf(node, "exact", branching._walk_sides(sys)))
+            leaves.append(self._leaf(node, "exact", _walk_sides(sys)))
         verdicts = vertex_critical_check(diagram, prof, lam_min=node.lam_prev)
         hit = first_critical(verdicts)
         if hit is not None:
@@ -435,16 +513,27 @@ class _FullChildExpander(_Expander):
         if node.folded == 1 and node.prefix and not exact_here:
             kind, rho = branching._closure(prof, node.lam_prev, branching._indicial_ratio(prof))
             if kind == "closed":
-                return leaves + [self._leaf(node, "closed", branching._walk_sides(sys))]
+                return leaves + [self._leaf(node, "closed", _walk_sides(sys))]
             if kind == "resonance":
-                return leaves + [self._resolve_resonance(node, branching._walk_sides(sys), rho)]
+                return leaves + [self._resolve_resonance(node, _walk_sides(sys), rho)]
         return leaves + self._children(node, sys, diagram)
+
+    def _children(self, node, sys, diagram):
+        if node.depth >= self.caps.depth:
+            return [self._leaf(node, "cap-exceeded", _walk_sides(sys), flags=("depth-cap",))]
+        leaves = []
+        for step, work in exact_steps(self, sys, node.lam_prev, diagram):
+            if work is None:
+                leaves.append(self._leaf(node, "cap-exceeded", _walk_sides(sys), flags=(step.note,)))
+                continue
+            leaves.extend(self.expand(system_child(node, step, work)))
+        return leaves
 
 
 def full_child_tree(sys, caps=DEFAULT_CAPS):
     """``expand_branches`` on ``_FullChildExpander``, and the engine."""
     engine = _FullChildExpander(sys, caps)
-    root = branching._Node(system=sys.normalized(), prefix=(), lam_prev=Q(0), folded=0, depth=0)
+    root = SystemNode(system=sys.normalized(), prefix=(), lam_prev=Q(0), folded=0, depth=0)
     try:
         leaves, critical = engine.expand(root), None
     except branching.CriticalFound as hit:
@@ -467,14 +556,14 @@ class _Recorder(_Expander):
         return super()._expand_inner(node)
 
     def _resolve_resonance(self, node, sides, rho):
-        self.resonances.append((branching._sides_system(sides), node.lam_prev, rho))
+        self.resonances.append((sides_system(sides), node.lam_prev, rho))
         return super()._resolve_resonance(node, sides, rho)
 
 
 def recorded_expansion(system, point, caps=DEFAULT_CAPS):
     local = transform_point(system, point).normalized()
     engine = _Recorder(local, caps)
-    root = branching._Node(system=local, prefix=(), lam_prev=Q(0), folded=0, depth=0)
+    root = branching._Node(sides=_walk_sides(local), prefix=(), lam_prev=Q(0), folded=0, depth=0)
     try:
         engine.expand(root)
     except branching.CriticalFound:
@@ -703,7 +792,7 @@ def test_extension_entered_off_the_lattice(name, raise_counter):
     for leaf in expand_branches(transform_point(system, point)).leaves:
         if not (leaf.terms and leaf.counted):
             continue
-        assert leaf.remainder.n < 7
+        assert leaf.sides[2] < 7
         off = replace(leaf, lam_last=leaf.lam_last + Q(1, 7))
         raise_counter.clear()
         terms = extend_leaf(off, 10)
@@ -821,24 +910,21 @@ def test_resonance_off_the_lattice(sys, lam_prev, rho, caps, want, raise_counter
 def test_ramification_cap_is_tested_before_the_child_is_built(monkeypatch):
     # EX45 at m = -4 has one branch of exponent 2 and one of exponent 1/2.
     # Under ram=1 the second edge's scale lcm(1, 2) = 2 caps it, so only the
-    # exponent-2 child is substituted, here on the walk (both are 1-folded)
+    # exponent-2 child is shifted, on its parent's pair
     lams = []
+    real = branching._step_sides
 
-    def counted(real):
-        def wrapped(sys, lam, alpha):
-            lams.append(Q(lam))
-            return real(sys, lam, alpha)
+    def counted(sides, lam, alpha):
+        lams.append(Q(lam))
+        return real(sides, lam, alpha)
 
-        return wrapped
-
-    for name in ("substitute_branch", "_step_sides"):
-        monkeypatch.setattr(branching, name, counted(getattr(branching, name)))
+    monkeypatch.setattr(branching, "_step_sides", counted)
     capped = multiplicity_at(example45(Q(-4)), ("point", Q(0), Q(0)), Caps(ram=1))
     assert (capped.status, capped.lower_bound, capped.diagnostics) == ("capped", 1, ("ramification-cap",))
     assert lams == [Q(2)]
     lams.clear()
     assert multiplicity_at(example45(Q(-4)), ("point", Q(0), Q(0))).count == 3
-    # children are substituted as they are expanded, in step order
+    # children are shifted as they are expanded, in step order
     assert lams == [Q(1, 2), Q(2)]
 
 
@@ -859,7 +945,7 @@ def test_leaf_remainder_scale_is_the_prefix_ramification(system, point, caps):
     leaves = expand_branches(transform_point(system, point), caps).leaves
     assert leaves
     for leaf in leaves:
-        assert leaf.remainder.n == ramification(leaf.terms), (leaf.terms, leaf.status)
+        assert leaf.sides[2] == ramification(leaf.terms), (leaf.terms, leaf.status)
 
 
 SMALL_COEFFS = st.integers(-3, 3)
@@ -934,13 +1020,13 @@ def test_fold_step_is_the_diagram_step_at_one_folded_nodes(system, point):
     for node in engine.nodes:
         if node.folded != 1:
             continue
-        # a 1-folded node holds its parent's system and its own step
-        child = substitute_branch(node.system, node.lam_prev, node.prefix[-1][1])
-        prof, diagram = _newton(child)
+        # a 1-folded node holds its parent's pair and its own step
+        child = substitute_branch(sides_system(node.sides), node.lam_prev, node.prefix[-1][1])
+        prof, diagram = exact_newton(child)
         if 0 not in prof.p:
             continue
         try:
-            steps = engine._steps_from_diagram(child, node.lam_prev, diagram)
+            steps = engine._steps_from_diagram(_walk_sides(child), node.lam_prev, diagram)
         except TowerSplitError:
             continue
         step = _fold_step(prof, node.lam_prev * child.n)
@@ -1009,7 +1095,7 @@ def test_pair_acceptable_reads_the_remainder(system, pairs):
     systems = [system]
     while systems:
         system = systems.pop()
-        _, diagram = _newton(system)
+        _, diagram = exact_newton(system)
         roots = [
             (edge.lam, alpha)
             for edge in diagram.edges
@@ -1042,16 +1128,19 @@ def _verdicts_compared(diagram, prof):
     return [(v.x, sort_key(v.lam_star), v.critical, v.dicritical_suspect) for v in vertex_critical_check(diagram, prof)]
 
 
-def _leaves_compared(tree):
-    """The leaves with their remainders on true exponents s / n, and the
-    counted ones extended to 6 terms."""
-    def remainder(sys):
-        return sorted(((Q(s, sys.n), j), sort_key(c)) for side in (sys.P, sys.Q) for (s, j), c in side.terms.items())
+def _pair_compared(sides):
+    """The terms of a walk's pair on true exponents s / n."""
+    p, q, n, _ = sides
+    return sorted(((Q(s, n), j), sort_key(c)) for side in (p, q) for (s, j), c in side.items())
 
+
+def _leaves_compared(tree):
+    """The leaves with their pairs on true exponents s / n, and the counted
+    ones extended to 6 terms."""
     critical = tree.critical and (tree.critical.kind, tree.critical.lam_star, tree.critical.depth,
                                   _as_compared(tree.critical.prefix))
     leaves = [
-        (_as_compared(lf.terms), lf.status, lf.flags, lf.conj_degree, lf.lam_last, remainder(lf.remainder),
+        (_as_compared(lf.terms), lf.status, lf.flags, lf.conj_degree, lf.lam_last, _pair_compared(lf.sides),
          _as_compared(extend_leaf(lf, 6)))
         for lf in tree.leaves
     ]
@@ -1068,8 +1157,8 @@ def test_newton_data_and_leaves_do_not_depend_on_the_scale(system, point, k):
     local = transform_point(system, point).normalized()
     big = scaled(local, k)
     assert big.n == k
-    prof, diagram = _newton(local)
-    big_prof, big_diagram = _newton(big)
+    prof, diagram = _newton(_walk_sides(local))
+    big_prof, big_diagram = _newton(_walk_sides(big))
     assert _edges_compared(big_diagram) == _edges_compared(diagram)
     assert [(p.x, p.y * k) for p in diagram.points] == [(p.x, p.y) for p in big_diagram.points]
     assert _verdicts_compared(big_diagram, big_prof) == _verdicts_compared(diagram, prof)
@@ -1081,18 +1170,33 @@ def test_newton_data_and_leaves_do_not_depend_on_the_scale(system, point, k):
 # 1-folded tree steps on the fold walk against the full child
 # ---------------------------------------------------------------------------
 
+def _pair_up_to_a_positive_factor(sides):
+    """``_pair_compared`` with the rational coordinates of all its
+    coefficients scaled to coprime integers: the same for every positive
+    rational multiple of the pair.  A content-free integer pair is already
+    in that form."""
+    terms = _pair_compared(sides)
+    coords = [Q(x) for _, (_, flat) in terms for x in flat]
+    den = math.lcm(*[x.denominator for x in coords])
+    factor = Q(den, math.gcd(*[x.numerator * (den // x.denominator) for x in coords]))
+    return [(key, (sig, tuple(x * factor for x in flat))) for key, (sig, flat) in terms]
+
+
 def _tree_compared(tree, lengths):
     """All a tree reports: its witness, flags and leaves, each leaf with its
-    remainder on true exponents s / n and extended to each of ``lengths``
-    terms."""
-    def remainder(sys):
-        return sorted(((Q(s, sys.n), j), sort_key(c)) for side in (sys.P, sys.Q) for (s, j), c in side.terms.items())
-
+    pair on true exponents s / n and extended to each of ``lengths`` terms.
+    Below the root the pair is the content-free integer pair over Q and
+    over a one-level tower; it is compared up to a positive rational
+    factor, since above that the walked tree shifts a multiple of the
+    remainder too, and a capped leaf at the root keeps the root system."""
+    for lf in tree.leaves:
+        if lf.terms and levels_of(lf.tower) <= 1:
+            assert_content_free_integer_pair(*lf.sides[:2], lf.tower)
     w = tree.critical
     critical = w and (w.kind, w.lam_star, w.depth, _as_compared(w.prefix), w.flags)
     leaves = [
         (_as_compared(lf.terms), lf.status, lf.flags, lf.conj_degree, lf.tower, lf.lam_last,
-         remainder(lf.remainder), [_as_compared(extend_leaf(lf, k)) for k in lengths])
+         _pair_up_to_a_positive_factor(lf.sides), [_as_compared(extend_leaf(lf, k)) for k in lengths])
         for lf in tree.leaves
     ]
     return critical, leaves, tree.flags
@@ -1212,7 +1316,7 @@ def assert_no_vertex_past_one_decides(system, caps=DEFAULT_CAPS):
         if levels_of(sys.tower) == 0:
             assert not any(suspect for *_, suspect in child)
         parent = node.system
-        parent_prof, parent_diagram = _newton(parent)
+        parent_prof, parent_diagram = exact_newton(parent)
         above = {v[:3]: v[4] for v in _vertices_past_one(parent, parent_prof, parent_diagram, Q(0))}
         for x, y, ratio, _, suspect in child:
             assert above[x, y, ratio] == suspect
@@ -1270,3 +1374,108 @@ def test_no_vertex_past_abscissa_one_decides_a_one_folded_node_over_a_tower(syst
     caps = Caps(depth=8, tower=4)
     assert_no_vertex_past_one_decides(system, caps)
     assert_walked_tree_is_the_full_child_tree(system, caps, lengths=(4,))
+
+
+# ---------------------------------------------------------------------------
+# multi-folded tree steps on the walk's pair against the full child
+# ---------------------------------------------------------------------------
+
+PLANTED_ROOTS = (Q(1), Q(-1), Q(2), Q(1, 2), Q(-3))
+
+
+@st.composite
+def planted_systems(draw, kind):
+    """dw/dz = P / Q with P = L^m (1 + U) + R and Q = z^t (1 + V), where L
+    plants a root of multiplicity m on the edge of slope k: L = w - c z^k
+    over Q (``kind`` "rational"), L = w - c t z^k over Q(t), t^2 = 2
+    ("tower"), or L = w^2 - 2 c^2 z^(2k) over Q, whose roots +-c t the step
+    adjoins ("conjugate").  R is a z^r + b z^s w, or, for a root in the
+    coefficient field, Q c k z^(k-1) (c t k z^(k-1) over Q(t)), so that w =
+    c z^k (c t z^k) solves the equation and the m-folded child is an exact
+    leaf.  R, Q and the terms of U and V lie above that edge, so the step
+    from the root is m-folded."""
+    c, k, m = draw(st.sampled_from(PLANTED_ROOTS)), draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    tower, t = adjoin_root(QQ_TOWER, UniPoly([Q(-2), Q(0), Q(1)])) if kind == "tower" else (None, None)
+    lead = c if t is None else t * c
+    if kind == "conjugate":
+        root, width = bp({(0, 2): 1, (2 * k, 0): -2 * c * c}), 2 * m
+    else:
+        root, width = BiPoly({(0, 1): 1, (k, 0): -lead}, tower), m
+    height = k * width  # the edge runs from (0, height) to (width, 0)
+
+    def perturbed():
+        keys = draw(st.lists(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 0)]), max_size=2, unique=True))
+        return bp({(0, 0): 1, **{key: draw(st.sampled_from([1, -1, 2])) for key in keys}})
+
+    P = perturbed()
+    for _ in range(m):
+        P = P * root
+    Qd = bp({(height - k + 1 + draw(st.integers(1, 2)), 0): 1}) * perturbed()
+    if kind != "conjugate" and draw(st.booleans()):
+        P = P + Qd * BiPoly({(k - 1, 0): lead * k}, tower)
+    else:
+        above = {(height + draw(st.integers(1, 3)), 0): draw(st.sampled_from([1, -2, 3]))}
+        if draw(st.booleans()):
+            above[(height - k + draw(st.integers(1, 3)), 1)] = draw(st.sampled_from([1, -1, 2]))
+        P = P + bp(above)
+    if tower is not None:
+        return OdeSystem(P, Qd, tower)
+    try:
+        return make_system(P, Qd)
+    except OdeError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["rational", "tower", "conjugate"]).flatmap(planted_systems))
+def test_multi_folded_tree_steps_match_the_full_child_on_planted_roots(system):
+    engine = assert_walked_tree_is_the_full_child_tree(system)
+    assert engine.multi_folded
+
+
+@pytest.mark.parametrize(
+    "P, Qd, count, levels",
+    [
+        # (w - z)^2 / z^3: the root 1 of the edge of slope 1 is 2-folded
+        ({(0, 2): 1, (1, 1): -2, (2, 0): 1}, {(3, 0): 1}, 2, {0}),
+        # ((w^2 - 2 z^2)^2 + z^7) / z^5: the roots +-t0 of the edge of slope
+        # 1 are 2-folded, and the child's ramified step adjoins t1, where
+        # the pair is a multiple of the exact remainder
+        ({(0, 4): 1, (2, 2): -4, (4, 0): 4, (7, 0): 1}, {(5, 0): 1}, 4, {2}),
+    ],
+)
+def test_multi_folded_tree_steps_match_the_full_child(P, Qd, count, levels):
+    system = make_system(bp(P), bp(Qd))
+    engine = assert_walked_tree_is_the_full_child_tree(system)
+    assert engine.multi_folded
+    tree = expand_branches(system)
+    assert sum(lf.conj_degree for lf in tree.leaves if lf.counted) == count
+    assert {levels_of(lf.tower) for lf in tree.leaves} == levels
+
+
+def test_tree_steps_replay_on_both_factors_of_an_adjoined_level(monkeypatch):
+    # over Q(t0), t0^2 = 2, the edge polynomial (a^2 - 2)^2 of P = (w^2 -
+    # 2 z^2)^2 + z^4 w - t0 z^5, Q = z^6 is squarefree-split to a^2 - 2,
+    # whose root t1 is adjoined presumed irreducible; the 2-folded child
+    # meets the zero divisor t1 - t0, and its pair is moved onto both
+    # factors of the split level and expanded again there
+    tower, t = adjoin_root(QQ_TOWER, UniPoly([Q(-2), Q(0), Q(1)]))
+    P = BiPoly({(0, 4): 1, (2, 2): -4, (4, 0): 4, (4, 1): 1, (5, 0): -t}, tower)
+    system = OdeSystem(P, BiPoly({(6, 0): 1}, tower), tower)
+    levels = []
+    real = TowerSplitError.factor_towers
+
+    def recorded(self):
+        levels.append(self.level)
+        return real(self)
+
+    monkeypatch.setattr(TowerSplitError, "factor_towers", recorded)
+    engine = assert_walked_tree_is_the_full_child_tree(system)
+    assert engine.multi_folded
+    assert levels == [1, 1]  # one split in each tree
+    tree = expand_branches(system)
+    assert [(lf.status, lf.conj_degree) for lf in tree.leaves] == [("closed", 2), ("closed", 2)]
+    for leaf in tree.leaves:
+        terms = [(mu, leaf.tower.coerce(c)) for mu, c in extend_leaf(leaf, 6)]
+        vals = _residual_valuations(system, leaf, terms)
+        assert None not in vals and all(a < b for a, b in zip(vals, vals[1:])), vals
