@@ -30,6 +30,9 @@ Conjugate branches are never expanded separately: a degree-d factor is
 adjoined to the coefficient tower and the representative carries conjugacy
 degree d.  A presumed-irreducible modulus that later reveals a zero divisor
 splits the tower and the affected subtree is replayed on both factors.
+Every number of a node, its pair and its prefix, lives in the node's
+tower: both move together (``_moved``) when a step adjoins a level and
+when a split replays a node, so a leaf's tower is its branch's.
 """
 
 from __future__ import annotations
@@ -167,8 +170,9 @@ class _Node:
     """A node of the tree.  ``sides`` is (P, Q, n, tower) of the root's own
     system at the root; below the root it is the parent's walk pair, in the
     node's tower, before the node's step (the last pair of ``prefix``),
-    which ``_expand_inner`` takes (``_step_sides``).  The nodes of a
-    resonance walk carry None."""
+    which ``_expand_inner`` takes (``_step_sides``).  Every coefficient of
+    ``prefix`` lives in that tower too.  The nodes of a resonance walk
+    carry None."""
 
     sides: Optional[tuple]
     prefix: tuple
@@ -178,25 +182,18 @@ class _Node:
 
 
 class _Step(NamedTuple):
-    """One Newton step w = alpha z^lam + w1 from the pair ``sides``, mapped
-    to alpha's tower; a capped root has alpha and sides None and names the
-    cap in ``note``."""
+    """One Newton step w = alpha z^lam + w1; a capped root has alpha None
+    and names the cap in ``note``, and an "adjoined" root lives in the tower
+    it adjoins, alpha's own."""
 
     lam: Fraction
     alpha: object
     folded: int
-    sides: Optional[tuple]
     note: str
 
 
 def _tower_deg(tower: Optional[Tower]) -> int:
     return 1 if tower is None else tower.degree()
-
-
-def _transport_prefix(prefix, tower: Tower):
-    return tuple(
-        (mu, transport_elem(c, tower) if isinstance(c, ExtElem) else c) for mu, c in prefix
-    )
 
 
 def _newton(sides):
@@ -244,8 +241,31 @@ def _fold_step(prof, lam_prev):
     return Q(k0 - y1, n), alpha
 
 
-def _child(node: _Node, step: _Step) -> _Node:
-    return _Node(step.sides, node.prefix + ((step.lam, step.alpha),), step.lam, step.folded, node.depth + 1)
+def _child(node: _Node, step: _Step, sides) -> _Node:
+    """The node after ``step`` from ``node``, whose pair after its own step
+    is ``sides``; a step that adjoins a level moves the child into alpha's
+    tower (``_moved``)."""
+    child = _Node(sides, node.prefix + ((step.lam, step.alpha),), step.lam, step.folded, node.depth + 1)
+    if step.note != "adjoined":
+        return child
+    tower = step.alpha.tower
+    return _moved(child, tower, tower.coerce)
+
+
+def _moved(node: _Node, tower: Tower, lift) -> _Node:
+    """``node`` with its pair and its prefix over ``tower``, so that every
+    number of a node lives in the node's tower: each tower element mapped by
+    ``lift`` (into a tower with a new level, or onto a factor tower after a
+    split), a rational kept as it is (see ``BiPoly``), a zero of the pair
+    dropped."""
+
+    def move(c):
+        return lift(c) if isinstance(c, ExtElem) else c
+
+    p, q, n, _ = node.sides
+    p, q = (_nonzero({k: move(c) for k, c in side.items()}) for side in (p, q))
+    prefix = tuple((mu, move(c)) for mu, c in node.prefix)
+    return replace(node, sides=(p, q, n, tower), prefix=prefix)
 
 
 class _Expander:
@@ -263,15 +283,9 @@ class _Expander:
         except TowerSplitError as exc:
             if exc.level < self.base_levels:
                 raise
-            t1, t2 = exc.factor_towers()
             out = []
-            for t in (t1, t2):
-                remapped = replace(
-                    node,
-                    sides=_sides_over(node.sides, t, lambda c: transport_elem(c, t)),
-                    prefix=_transport_prefix(node.prefix, t),
-                )
-                out.extend(self.expand(remapped))
+            for t in exc.factor_towers():
+                out.extend(self.expand(_moved(node, t, lambda c: transport_elem(c, t))))
             return out
 
     # -- node processing ------------------------------------------------------
@@ -302,10 +316,10 @@ class _Expander:
             return [self._leaf(node, "cap-exceeded", sides, flags=("depth-cap",))]
         leaves = []
         for step in self._steps_from_diagram(sides, node.lam_prev, diagram):
-            if step.sides is None:
+            if step.alpha is None:
                 leaves.append(self._leaf(node, "cap-exceeded", sides, flags=(step.note,)))
                 continue
-            leaves.extend(self.expand(_child(node, step)))
+            leaves.extend(self.expand(_child(node, step, sides)))
         return leaves
 
     def _expand_folded(self, node: _Node):
@@ -416,7 +430,7 @@ class _Expander:
                 # the linear term cancels at the balancing order and the
                 # inhomogeneity does not: no algebraic continuation
                 return self._leaf(cur, "non-algebraic", sides, ("resonance-order-hit",))
-            cur = _child(cur, _Step(*step, 1, None, ""))
+            cur = _child(cur, _Step(*step, 1, ""), None)
         raise CriticalFound(Witness("resonance", rho, cur.depth, cur.prefix, ("resonance",)))
 
     # -- edge roots -> child steps ---------------------------------------------
@@ -435,19 +449,15 @@ class _Expander:
             # a child lies on the scale lcm(n, q) for lam = p/q (translate_w),
             # so a capped one is never built
             capped = math.lcm(n, edge.lam.denominator) > self.caps.ram
-            for alpha, d, new_tower, note in self._char_roots(phi, tower):
+            for alpha, d, note in self._char_roots(phi, tower):
                 if alpha is not None and capped:
                     alpha, note = None, "ramification-cap"
-                if alpha is None:
-                    out.append(_Step(edge.lam, None, d, None, note))
-                    continue
-                work = sides if new_tower is None else _sides_over(sides, new_tower, new_tower.coerce)
-                out.append(_Step(edge.lam, alpha, d, work, note))
+                out.append(_Step(edge.lam, alpha, d, note))
         out.sort(key=lambda t: (t.lam,) + (sort_key(t.alpha) if t.alpha is not None else ((), ())))
         return out
 
     def _char_roots(self, phi: UniPoly, tower: Optional[Tower]):
-        """Roots of the edge polynomial as (alpha, foldedness, tower, note).
+        """Roots of the edge polynomial as (alpha, foldedness, note).
 
         ``phi`` has no root 0.  Over Q: full factorization; rational roots stay
         rational, each irreducible factor of degree d adjoins one
@@ -459,28 +469,28 @@ class _Expander:
             try:
                 factors = factor_univariate(phi, cap=self.caps.factor)
             except ExactError:
-                return [(None, 1, None, "factor-cap")]
+                return [(None, 1, "factor-cap")]
             for fac in factors:
                 if fac.poly.degree() == 1:
                     c0, c1 = fac.poly.coeffs
-                    roots.append((-as_fraction(c0) / as_fraction(c1), fac.multiplicity, tower, "rational"))
+                    roots.append((-as_fraction(c0) / as_fraction(c1), fac.multiplicity, "rational"))
                     continue
                 roots.append(self._adjoined(QQ_TOWER, fac.poly, fac.multiplicity))
         else:
             # a monic squarefree factor of phi has a nonzero constant term
             for g, mult in phi.squarefree_decomposition():
                 if g.degree() == 1:
-                    roots.append((-g.coeffs[0], mult, tower, "tower-linear"))
+                    roots.append((-g.coeffs[0], mult, "tower-linear"))
                 else:
                     roots.append(self._adjoined(tower, g, mult))
         return roots
 
     def _adjoined(self, base: Tower, minpoly: UniPoly, mult: int):
         try:
-            t2, theta = adjoin_root(base, minpoly, self.caps.tower)
+            _, theta = adjoin_root(base, minpoly, self.caps.tower)
         except ExactError:
-            return (None, mult, None, "tower-cap")
-        return (theta, mult, t2, "adjoined")
+            return (None, mult, "tower-cap")
+        return (theta, mult, "adjoined")
 
 
 # ---------------------------------------------------------------------------
@@ -615,15 +625,6 @@ def _step_sides(sides, lam, alpha):
     return p, q, n, tower
 
 
-def _sides_over(sides, tower: Tower, lift):
-    """The pair ``sides`` over ``tower``: each tower element mapped by
-    ``lift`` (into a tower with a new level, or onto a factor tower after a
-    split), a rational kept as it is (see ``BiPoly``), a zero dropped."""
-    p, q, n, _ = sides
-    p, q = (_nonzero({k: lift(c) if isinstance(c, ExtElem) else c for k, c in side.items()}) for side in (p, q))
-    return p, q, n, tower
-
-
 def _fold_walk(sides, lam, terms=1, rho=None):
     """The 1-fold steps after a 1-folded pair of exponent ``lam``.
 
@@ -754,6 +755,7 @@ def multiplicity_at(sys: OdeSystem, point, caps: Caps = DEFAULT_CAPS) -> Multipl
                 terms=terms,
                 base=point,
                 conj_degree=leaf.conj_degree,
+                tower=leaf.tower,
                 status=leaf.status,
                 flags=leaf.flags,
             )

@@ -106,7 +106,7 @@ def _inconclusive(report) -> bool:
             return True
         if report.get("sum_lower_bound") is not None:
             return True
-        if report.get("irreducibility") == "presumed":
+        if report.get("irreducibility") == "presumed" or report.get("presumed_irreducible") is True:
             return True
         if report.get("partial") is True:
             return True

@@ -128,41 +128,25 @@ def classify(p: LvParams, caps: Caps = DEFAULT_CAPS) -> LvClassification:
         )
     s = p.a * (1 - p.c) + (1 - p.b)
     sys = lv_equation(p)
-    if s == 0:
-        curve = BiPoly({(1, 0): p.a, (0, 1): Q(1), (0, 0): -p.a})
-        cert = verify_darboux(sys, curve)
-        if not isinstance(cert, DarbouxCertificate):
-            raise AssertionError("a(z-1) + w failed verification at %s" % (p,))
-        return LvClassification(
-            params=p,
-            genericity=gen,
-            condition_value=s,
-            verdict="strict-curve",
-            curve=cert,
-            bound=axis_multiplicity_bound(sys, caps),
-        )
     bound = axis_multiplicity_bound(sys, caps)
-    search_degree = max(1, bound.sum_bound or 0)
-    outcome = search_darboux(sys, search_degree)
-    strict = [c for c in outcome.certificates if c.strict]
-    notes = ("searched total degree <= %d" % search_degree,) + outcome.notes
-    if strict:
-        # the only-if direction of the classification would be violated
-        return LvClassification(
-            params=p,
-            genericity=gen,
-            condition_value=s,
-            verdict="strict-curve",
-            curve=strict[0],
-            bound=bound,
-            search_notes=notes,
-        )
+    notes = ()
+    if s == 0:
+        curve = verify_darboux(sys, BiPoly({(1, 0): p.a, (0, 1): Q(1), (0, 0): -p.a}))
+        if not isinstance(curve, DarbouxCertificate):
+            raise AssertionError("a(z-1) + w failed verification at %s" % (p,))
+    else:
+        search_degree = max(1, bound.sum_bound or 0)
+        outcome = search_darboux(sys, search_degree)
+        # a strict certificate here violates the only-if direction of the
+        # classification
+        curve = next((c for c in outcome.certificates if c.strict), None)
+        notes = ("searched total degree <= %d" % search_degree,) + outcome.notes
     return LvClassification(
         params=p,
         genericity=gen,
         condition_value=s,
-        verdict="no-strict-curve",
-        curve=None,
+        verdict="no-strict-curve" if curve is None else "strict-curve",
+        curve=curve,
         bound=bound,
         search_notes=notes,
     )

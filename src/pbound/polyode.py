@@ -799,11 +799,13 @@ def coeff_profile(p_terms, q_terms, n=1, fold=False) -> CoeffProfile:
 
 @dataclass(frozen=True)
 class PuiseuxBranch:
-    """A partial local solution w = w0 + sum alpha_i (z - z0)^{mu_i}."""
+    """A partial local solution w = w0 + sum alpha_i (z - z0)^{mu_i}, with
+    every alpha_i in ``tower`` (None for Q)."""
 
     terms: tuple  # ((mu: Fraction, alpha), ...) strictly increasing mu
     base: tuple  # ("point", z0, w0) or ("inf", z0)
     conj_degree: int = 1
+    tower: Optional[Tower] = None
     status: str = "open"
     flags: tuple = ()
 

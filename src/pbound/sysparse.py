@@ -304,18 +304,11 @@ def branch_report(branch):
     return {
         "exponents": [str(mu) for mu, _ in branch.terms],
         "coefficients": [coeff_str(c) for _, c in branch.terms],
-        "tower": tower_description(_branch_tower(branch)),
+        "tower": tower_description(branch.tower),
         "conjugacy_degree": branch.conj_degree,
         "status": branch.status,
         "flags": list(branch.flags),
     }
-
-
-def _branch_tower(branch):
-    for _, c in branch.terms:
-        if isinstance(c, ExtElem):
-            return c.tower
-    return None
 
 
 def witness_report(witness):

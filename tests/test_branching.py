@@ -42,6 +42,7 @@ from pbound.polyode import (
     transform_point,
     translate_point,
 )
+from pbound.sysparse import branch_report
 from puiseux_oracle import pair_acceptable, ramification, residual_valuation
 
 
@@ -361,8 +362,10 @@ def exact_steps(engine, sys, lam_prev, diagram):
     root)."""
     out = []
     for step in engine._steps_from_diagram(_walk_sides(sys), lam_prev, diagram):
-        tower = step.sides and step.sides[3]
-        out.append((step, None if step.sides is None else sys if tower is None else sys.map_tower(tower)))
+        if step.alpha is None:
+            out.append((step, None))
+        else:
+            out.append((step, sys.map_tower(step.alpha.tower) if step.note == "adjoined" else sys))
     return out
 
 
@@ -380,8 +383,18 @@ class SystemNode:
     depth: int
 
 
+def lifted(prefix, lift):
+    """A prefix with each tower element mapped by ``lift``."""
+    return tuple((mu, lift(c) if isinstance(c, ExtElem) else c) for mu, c in prefix)
+
+
 def system_child(node, step, system):
-    return SystemNode(system, node.prefix + ((step.lam, step.alpha),), step.lam, step.folded, node.depth + 1)
+    """The child node on the exact system ``system``, in alpha's tower, with
+    its prefix lifted into that tower."""
+    prefix = node.prefix + ((step.lam, step.alpha),)
+    if system.tower is not None:
+        prefix = lifted(prefix, system.tower.coerce)
+    return SystemNode(system, prefix, step.lam, step.folded, node.depth + 1)
 
 
 def transported(sys, tower):
@@ -488,7 +501,7 @@ class _FullChildExpander(_Expander):
                 raise
             out = []
             for t in exc.factor_towers():
-                prefix = branching._transport_prefix(node.prefix, t)
+                prefix = lifted(node.prefix, lambda c: transport_elem(c, t))
                 out.extend(self.expand(replace(node, system=transported(node.system, t), prefix=prefix)))
             return out
 
@@ -1479,3 +1492,66 @@ def test_tree_steps_replay_on_both_factors_of_an_adjoined_level(monkeypatch):
         terms = [(mu, leaf.tower.coerce(c)) for mu, c in extend_leaf(leaf, 6)]
         vals = _residual_valuations(system, leaf, terms)
         assert None not in vals and all(a < b for a, b in zip(vals, vals[1:])), vals
+
+
+def test_tree_steps_replay_a_prefix_made_in_a_lower_tower(monkeypatch):
+    # over Q(t0), t0^2 = 2, P = (w^2 - 2 z^2)^2 + z^5 w - t0 z^6, Q = z^6:
+    # the root step adjoins t1 (a^2 - 2 presumed irreducible), and the
+    # 2-folded child's ramified step adjoins t2; the zero divisor t1 - t0
+    # splits level 1 of Q(t0, t1, t2), so the first coefficient, made in
+    # Q(t0, t1), is moved onto both factor towers with the rest of the node
+    tower, t = adjoin_root(QQ_TOWER, UniPoly([Q(-2), Q(0), Q(1)]))
+    P = BiPoly({(0, 4): 1, (2, 2): -4, (4, 0): 4, (5, 1): 1, (6, 0): -t}, tower)
+    system = OdeSystem(P, BiPoly({(6, 0): 1}, tower), tower)
+    splits = []
+    real = TowerSplitError.factor_towers
+
+    def recorded(self):
+        splits.append((self.level, len(self.tower.levels)))
+        return real(self)
+
+    monkeypatch.setattr(TowerSplitError, "factor_towers", recorded)
+    assert_walked_tree_is_the_full_child_tree(system)
+    assert splits == [(1, 3), (1, 3)]  # one split in each tree
+    tree = expand_branches(system)
+    assert [(lf.status, lf.conj_degree, levels_of(lf.tower)) for lf in tree.leaves] == [("closed", 2, 3)] * 2
+    for leaf in tree.leaves:
+        terms = extend_leaf(leaf, 6)
+        assert all(c.tower == leaf.tower for _, c in terms if isinstance(c, ExtElem))
+        vals = _residual_valuations(system, leaf, terms)
+        assert None not in vals and all(a < b for a, b in zip(vals, vals[1:])), vals
+
+
+def assert_coefficients_lie_in_the_branch_tower(system):
+    """Every coefficient of every branch of ``multiplicity_at`` at the
+    origin lies in the branch's tower, whose every level the branch report
+    lists; returns the largest number of levels of a branch's tower."""
+    res = multiplicity_at(system, ("point", Q(0), Q(0)))
+    most = 0
+    for branch in res.branches:
+        for _, c in branch.terms:
+            assert not isinstance(c, ExtElem) or c.tower == branch.tower, (branch.terms, branch.tower)
+        names = [lv.name for lv in branch.tower.levels] if branch.tower else []
+        assert [lv["generator"] for lv in branch_report(branch)["tower"]] == names
+        most = max(most, len(names))
+    return most
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["tower", "conjugate"]).flatmap(planted_systems))
+def test_branch_coefficients_lie_in_the_branch_tower_on_planted_roots(system):
+    assert_coefficients_lie_in_the_branch_tower(system)
+
+
+def test_branch_coefficients_lie_in_the_branch_tower_on_example45_over_a_root():
+    # m a root of 3 t^2 + 2 t - 2: the ramified branch at the origin adjoins
+    # a second level above t0, and the other branch stays in Q(t0)
+    system = example45_over_root_of([Q(-2, 3), Q(2, 3), Q(1)])
+    assert assert_coefficients_lie_in_the_branch_tower(system) == 2
+
+
+def test_branch_tower_lists_every_level_its_coefficients_use():
+    # ((w^2 - 2 z^2)^2 + z^7) / z^5: the first coefficient is t0, t0^2 = 2,
+    # and the ramified step of the 2-folded child adjoins t1 above it
+    system = make_system(bp({(0, 4): 1, (2, 2): -4, (4, 0): 4, (7, 0): 1}), bp({(5, 0): 1}))
+    assert assert_coefficients_lie_in_the_branch_tower(system) == 2

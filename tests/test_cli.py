@@ -772,3 +772,57 @@ def test_analyze_matches_the_old_order_on_census_systems(text):
     argv = ["analyze", "--system", text, "--max-degree", "1", "--json", "--caps", "terms=2"]
     got, want = analyze_both_ways(argv)
     assert got == want
+
+
+def test_presumed_tower_level_is_inconclusive(capsys):
+    # the 2-folded roots +-t0 of (a^2 - 2)^2, t0^2 = 2, take a ramified step
+    # that adjoins t1 above t0, presumed irreducible: the branch's tower
+    # lists both levels, and the presumed one makes the report inconclusive
+    system = "dw/dz = ((w^2 - 2*z^2)^2 + z^7) / z^5"
+    code, data = run_json(capsys, ["mul", "--system", system, "--at", "0,0"])
+    assert code == 3
+    assert data["status"] == "finite" and data["mul"] == 4
+    (branch,) = data["branches"]
+    assert branch["coefficients"][:2] == ["t0", "t1"]
+    assert branch["tower"] == [
+        {"generator": "t0", "minpoly": "t0^2 - 2", "presumed_irreducible": False},
+        {"generator": "t1", "minpoly": "t1^2 - 1/8*t0", "presumed_irreducible": True},
+    ]
+
+
+def test_bound_detects_an_invariant_line_off_axis_form(capsys):
+    # dw/dz = (w^2 - 1) / (z^2 + 1) is not in axis form; its first detected
+    # line is w + 1 = 0, and the bound runs along it
+    system = "dw/dz = (w^2 - 1) / (z^2 + 1)"
+    code, data = run_json(capsys, ["bound", "--system", system])
+    assert code == 0
+    assert data["system"]["axis_form"] is False
+    assert data["line"] == ["0", "1", "1"]
+    assert data["line_detected"] is True
+    assert data["bounds"]["line_bound"] == 6
+    code, data = run_json(capsys, ["analyze", "--system", system, "--max-degree", "1"])
+    assert code == 0
+    assert data["bounds_line"] == ["0", "1", "1"]
+    assert data["bounds"]["line_bound"] == 6
+
+
+def test_detected_line_with_a_critical_point_blocks_the_bounds(capsys):
+    # EX45 at m = 1 leaves w = z invariant: (z + z^2) * 1 = z^2 + z; the
+    # point at infinity on it is critical, so no bound is finite
+    system = "dw/dz = (z^2 + m*w) / (z + w^2); m = 1"
+    code, data = run_json(capsys, ["bound", "--system", system])
+    assert code == 0
+    assert data["line"] == ["-1", "1", "0"]
+    assert data["line_detected"] is True
+    bounds = data["bounds"]
+    assert bounds["blocked_by"]["point"] == "inf"
+    assert bounds["blocked_by"]["status"] == "critical"
+    assert bounds["sum_bound"] is None and bounds["line_bound"] is None
+    assert "line bound unavailable: critical point on the line" in bounds["notes"]
+
+
+def test_bound_without_axis_form_or_invariant_line_exits_2(capsys):
+    code, data = run_json(capsys, ["bound", "--system", "dw/dz = (z^3 + w + 1) / (w^2 + z + 1)"])
+    assert code == 2
+    assert data["error"]["type"] == "BoundsError"
+    assert "no axis form and no invariant line detected" in data["error"]["message"]

@@ -929,3 +929,70 @@ def test_certificates_match_sympy_factor_list(sp, f):
         assert cert.certified  # an offender is a proper factor
     if cert.certified:
         assert cert.irreducible == (len(facs) == 1 and facs[0][1] == 1)
+
+
+# ---------------------------------------------------------------------------
+# sloped lines against sympy
+# ---------------------------------------------------------------------------
+
+def sympy_sloped_lines(sp, sys):
+    """The pairs (s, r), s != 0, with (P - s Q)(z, s z + r) = 0 identically
+    in z, solved by sympy: the lines w = s z + r that zdot = Q, wdot = P
+    leave invariant, horizontal ones aside."""
+    z, w, s, r = sp.symbols("z w s r")
+    cond = sp.expand((sympy_expr(sp, sys.P) - s * sympy_expr(sp, sys.Q)).subs(w, s * z + r))
+    sols = sp.solve(sp.Poly(cond, z).coeffs(), [s, r], dict=True)
+    return [(sol[s], sol[r]) for sol in sols if sol[s] != 0]
+
+
+W2_MINUS_2Z2_PLUS_3 = bp({(0, 2): 1, (2, 0): -2, (0, 0): 3})
+
+SLOPED_LINE_SYSTEMS = {
+    # the saddle's rational line w = 1 - z, certified
+    "rational-line": saddle_line_system(),
+    # dw/dz = (w - z)^2 - 1: the lines w = z +- sqrt 2, a rational slope
+    # whose intercept, a root of r^2 - 2, is adjoined over Q
+    "rational-slope": make_system(bp({(0, 2): 1, (1, 1): -2, (2, 0): 1, (0, 0): -1}), bp({(0, 0): 1})),
+    # the lines w = +-sqrt 2 (z + 1) of w^2 - 2 (z + 1)^2: an irrational
+    # slope with its intercept in Q(s)
+    "irrational-slope": hamiltonian(bp({(0, 2): 1, (2, 0): -2, (1, 0): -4, (0, 0): -2})),
+    # the four lines w = s z + r, s^2 = 2, r^2 = 3, whose product is
+    # (w^2 - 2 z^2 + 3)^2 - 12 w^2: an irrational slope whose intercept
+    # adjoins a second level above Q(s)
+    "two-levels": hamiltonian(W2_MINUS_2Z2_PLUS_3 * W2_MINUS_2Z2_PLUS_3 + bp({(0, 2): -12})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLOPED_LINE_SYSTEMS))
+def test_sloped_lines_match_sympy(sp, name):
+    sys = SLOPED_LINE_SYSTEMS[name]
+    det = detect_invariant_lines(sys)
+    z, w, x = sp.symbols("z w x")
+    zdot, wdot = sympy_expr(sp, sys.Q), sympy_expr(sp, sys.P)
+    sloped = []
+    for cert in det.lines:
+        f = sympy_expr(sp, cert.f)
+        assert sp.expand(zdot * sp.diff(f, z) + wdot * sp.diff(f, w) - sympy_expr(sp, cert.cofactor) * f) == 0
+        a, b, c = (cert.f.coeff(1, 0), cert.f.coeff(0, 1), cert.f.coeff(0, 0))
+        if a and b:
+            sloped.append((-a / b, -c / b))
+    want = sympy_sloped_lines(sp, sys)
+    rational = sorted((Q(int(s.p), int(s.q)), Q(int(r.p), int(r.q))) for s, r in want if s.is_rational and r.is_rational)
+    assert sorted(sloped) == rational
+    # the irrational lines fall into Galois orbits, one family each
+    orbits = {}
+    for s, r in want:
+        if not (s.is_rational and r.is_rational):
+            key = sp.minimal_polynomial(s + 5 * r, x)
+            orbits[key] = orbits.get(key, 0) + 1
+    families = [f.degree for f in det.families if f.kind == "sloped"]
+    assert sorted(families) == sorted(orbits.values())
+    assert not det.dicritical
+
+
+def test_sloped_line_family_over_a_rational_slope():
+    det = detect_invariant_lines(SLOPED_LINE_SYSTEMS["rational-slope"])
+    assert det.lines == []
+    assert [f.to_report() for f in det.families] == [
+        {"kind": "sloped", "defining_polynomial": "t0^2 - 2", "conjugates": 2}
+    ]
