@@ -50,6 +50,9 @@ class AxisPoint:
             out["mul_lower_bound"] = self.mul.lower_bound
         else:
             out["witness"] = witness_report(self.mul.witness)
+        # a count that rests on a branch over a presumed level is presumed too
+        if any(b.tower is not None and any(lv.presumed for lv in b.tower.levels) for b in self.mul.branches):
+            out["presumed_irreducible"] = True
         return out
 
 
@@ -149,9 +152,10 @@ def _mul_at_algebraic_point(sys: OdeSystem, minpoly: UniPoly, caps: Caps):
     """Multiplicities over the conjugacy class of an irreducible axis root.
 
     Returns [(factor, MultiplicityResult)]; a presumed-irreducible factor
-    that splits mid-run is replayed per factor, each entry standing for the
-    roots of its own factor.  A factor of degree above ``caps.tower`` is not
-    adjoined: its roots count as a capped point with lower bound 0.
+    that splits mid-run is replayed per irreducible factor of its pieces,
+    each entry standing for the roots of its own factor.  A factor of
+    degree above ``caps.tower`` is not adjoined: its roots count as a
+    capped point with lower bound 0.
     """
     work = [minpoly]
     out = []
@@ -170,9 +174,10 @@ def _mul_at_algebraic_point(sys: OdeSystem, minpoly: UniPoly, caps: Caps):
         except TowerSplitError as exc:
             if exc.level != 0:
                 raise
-            t1, t2 = exc.factor_towers()
-            for t in (t1, t2):
-                work.append(_level_modulus(t.levels[:1], "w"))
+            # each factor modulus factored again, so that its levels are
+            # certified where factor_univariate can certify them
+            for t in exc.factor_towers():
+                work.extend(f.poly for f in factor_univariate(_level_modulus(t.levels[:1], "w")))
             continue
         out.append((poly, res))
     return out

@@ -6,7 +6,9 @@ node the engine
 * detects exact (polynomial) termination,
 * tests every merged hull vertex for the one-parameter-family criterion
   (positive rational ratio p_{j,0}/q_{j-1,0} dominating all other support
-  points), which makes the point algebraic critical,
+  points), and every edge past the last exponent for a characteristic
+  polynomial that vanishes identically; either makes the point algebraic
+  critical (``_Expander._expand_inner``),
 * after a 1-folded step applies the closure test: the continuation is a
   uniquely determined series unless the remainder ratio p1/q0 is a rational
   number exceeding the last exponent (the resonant case).  Both that series
@@ -102,7 +104,7 @@ DEFAULT_CAPS = Caps()
 class Witness:
     """Why a point is algebraic critical."""
 
-    kind: str  # "vertex-dominance" or "resonance"
+    kind: str  # "vertex-dominance", "dicritical-edge" or "resonance"
     lam_star: object
     depth: int
     prefix: tuple
@@ -291,6 +293,36 @@ class _Expander:
     # -- node processing ------------------------------------------------------
 
     def _expand_inner(self, node: _Node):
+        """The leaves below ``node``, from the full Newton diagram of its
+        pair unless its step is 1-folded (``_expand_folded``).
+
+        The point is critical when, for some lam > lam_prev, the lam-initial
+        part of Q w' - P vanishes identically: a dominating merged vertex of
+        ratio lam (``vertex_critical_check``), or an admissible edge of
+        exponent lam whose characteristic polynomial phi is zero
+        (``dicritical-edge``).  The vertex is the one-point case.  On the
+        edge's line, of weight W, put w = z^lam u (z = s^N to clear the
+        denominators) and let Qe(u), Pe(u) collect the edge's terms of Q
+        and P.  Every other term has a larger weight, so the equation divided
+        by z^W reads (Qe(u) + z^e Q1)(lam u + z u') = Pe(u) + z^e P1 with
+        e > 0, and phi(u) = lam u Qe(u) - Pe(u) = 0 leaves (Qe(u) + z^e Q1)
+        z u' = z^e (P1 - lam u Q1).  Qe is not zero (the edge has points, and
+        phi = 0 ties each P coefficient to a Q one), so at each u0 off its
+        finitely many roots this is a regular equation in s with one
+        solution u(0) = u0: a series w = u0 z^lam + ... after the prefix for
+        every nonzero such u0, infinitely many branches.  At weight lam the
+        initial form of Q dw - P dz is a multiple of the weighted radial form
+        z dw - lam w dz: the divisor of the weighted blow-up is not invariant.
+
+        Below the root the node's step is a d-fold root, d >= 2, of its
+        parent's edge of exponent L: at weight L the child's lowest point is
+        (d, y_d), and (0, k0), there unless the node is exact, lies above
+        it, so edges past L join them.  A node with no such edge is an
+        internal error.  When no edge past L has a nonzero root, no series
+        continues the prefix (a leading pair needs one, or a dominating
+        vertex), and the prefix is a non-algebraic leaf: on (2 w^2 - 3 z w +
+        z^2 + z^4) / (z w - z^2) after w = z + w1, w1^2 = z^4 (2 log z + C).
+        """
         if node.folded == 1:
             return self._expand_folded(node)
         sides = node.sides
@@ -305,9 +337,17 @@ class _Expander:
         hit = first_critical(verdicts)
         if hit is not None:
             raise CriticalFound(Witness("vertex-dominance", hit.lam_star, node.depth, node.prefix))
+        for edge in diagram.edges:
+            if edge.admissible and edge.lam > node.lam_prev and edge.char_poly.is_zero():
+                raise CriticalFound(Witness("dicritical-edge", edge.lam, node.depth, node.prefix))
         if any(v.dicritical_suspect for v in verdicts):
             self.tree_flags.add("dicritical-suspect")
-        return leaves + self._children(node, sides, diagram)
+        leaves += self._children(node, sides, diagram)
+        if not leaves and node.prefix:
+            if not any(edge.admissible and edge.lam > node.lam_prev for edge in diagram.edges):
+                raise RuntimeError("internal error: a branch-tree node below the root has no edge past its exponent")
+            leaves.append(self._leaf(node, "non-algebraic", sides))
+        return leaves
 
     def _children(self, node: _Node, sides, diagram):
         """The leaves below ``node``, whose pair ``sides`` has the Newton

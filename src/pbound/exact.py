@@ -600,29 +600,51 @@ class ExtElem:
             return str(a)
         sub = levels[:-1]
         name = levels[-1].name
-        parts = []
-        for i, c in enumerate(a):
-            if _is_zero(sub, c):
-                continue
-            cs = ExtElem._str(sub, c)
-            if i == 0:
-                parts.append(cs)
+        terms = [(ExtElem._str(sub, c), power_str(name, i)) for i, c in enumerate(a) if not _is_zero(sub, c)]
+        return term_sum(terms)
+
+
+def term_sum(terms) -> str:
+    """The text of a sum of (coefficient text, monomial text) pairs in print
+    order, "" the monomial 1; every polynomial and field element of a report
+    is written here.  A coefficient 1 or -1 of a monomial keeps only its
+    sign, a compound one (an operator past its sign) is parenthesised, and a
+    term that starts with "-" is subtracted.  The empty sum is "0"."""
+    out = ""
+    for cs, mono in terms:
+        if mono:
+            if cs == "1":
+                cs = mono
+            elif cs == "-1":
+                cs = "-" + mono
+            elif "+" in cs or "-" in cs[1:] or "*" in cs:
+                cs = "(" + cs + ")*" + mono
             else:
-                power = name if i == 1 else "%s^%d" % (name, i)
-                if cs == "1":
-                    parts.append(power)
-                elif cs == "-1":
-                    parts.append("-" + power)
-                elif any(op in cs[1:] for op in "+-") or "*" in cs:
-                    parts.append("(%s)*%s" % (cs, power))
-                else:
-                    parts.append("%s*%s" % (cs, power))
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+                cs = cs + "*" + mono
+        if not out:
+            out = cs
+        elif cs[0] == "-":
+            out += " - " + cs[1:]
+        else:
+            out += " + " + cs
+    return out or "0"
+
+
+def power_str(var: str, e) -> str:
+    """The monomial text of var^e: "" for e = 0, a fractional e in
+    parentheses."""
+    if e == 1:
+        return var
+    if not e:
+        return ""
+    return ("%s^%s" if e.denominator == 1 else "%s^(%s)") % (var, e)
+
+
+def coeff_str(c) -> str:
+    """A coefficient's text; a tower element of rational value as that rational."""
+    if isinstance(c, ExtElem) and c.is_rational():
+        return str(c.as_fraction())
+    return str(c)
 
 
 def sort_key(x) -> tuple:
@@ -1141,30 +1163,10 @@ class UniPoly:
         return p.exact_div(g)
 
     def __repr__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if f_is_zero(c):
-                continue
-            cs = str(c)
-            if i == 0:
-                parts.append(cs)
-                continue
-            power = self.var if i == 1 else "%s^%d" % (self.var, i)
-            if cs == "1":
-                parts.append(power)
-            elif cs == "-1":
-                parts.append("-" + power)
-            elif any(op in cs[1:] for op in "+-") or "*" in cs:
-                parts.append("(%s)*%s" % (cs, power))
-            else:
-                parts.append("%s*%s" % (cs, power))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        cs = self.coeffs
+        return term_sum(
+            (coeff_str(cs[i]), power_str(self.var, i)) for i in range(len(cs) - 1, -1, -1) if not f_is_zero(cs[i])
+        )
 
 
 def _int_primitive(ints):
@@ -1548,8 +1550,17 @@ def modular_irreducibility(p: UniPoly):
 
 def _kronecker_split(ints):
     """Search a nontrivial factor of a squarefree primitive integer polynomial
-    by divisor interpolation; returns integer coefficient list or None."""
+    by divisor interpolation.  Returns (integer coefficient list, True) for a
+    factor found, else (None, full): ``full`` when every candidate of each
+    degree 2 to n/2 was tested, and False when a degree was skipped, for
+    ``KRONECKER_EFFORT`` or for want of d + 1 nonzero values at |x| <= 40.
+
+    A full search that finds nothing certifies irreducibility when ints has
+    no rational root: a reducible ints then has a primitive factor g in Z[x]
+    of degree 2 to n/2, each g(x_i) divides ints(x_i), and g is the
+    interpolant of those d + 1 values, one of the candidates tested."""
     n = len(ints) - 1
+    full = True
     for d in range(2, n // 2 + 1):
         points = []
         x = 0
@@ -1559,7 +1570,7 @@ def _kronecker_split(ints):
                 points.append((x, v))
             x = -x + (1 if x <= 0 else 0)
         if len(points) < d + 1:
-            return None
+            return None, False
         divisor_lists = []
         total = 1
         for _, v in points:
@@ -1570,6 +1581,7 @@ def _kronecker_split(ints):
             if total > KRONECKER_EFFORT:
                 break
         if total > KRONECKER_EFFORT:
+            full = False
             continue
 
         # the Lagrange basis of the points over one common denominator
@@ -1595,8 +1607,8 @@ def _kronecker_split(ints):
             # ints is primitive: by Gauss's lemma gi divides it over Q iff
             # its primitive part divides it in Z[x]
             if _int_poly_divexact(ints, _int_primitive(gi)) is not None:
-                return gi
-    return None
+                return gi, True
+    return None, full
 
 
 @dataclass
@@ -1657,10 +1669,10 @@ def _factor_squarefree(p: UniPoly):
         if f.degree() <= 3 or modular_irreducibility(f):
             pieces.append((_flagged_irreducible(f), True))
             continue
-        ints = _primitive_int_coeffs(f)
-        split = _kronecker_split(ints)
+        split, full = _kronecker_split(_primitive_int_coeffs(f))
         if split is None:
-            pieces.append((f, False))
+            # rational roots are stripped, so a full search certifies f
+            pieces.append((_flagged_irreducible(f), True) if full else (f, False))
             continue
         g = UniPoly([Q(c) for c in split], var=p.var).monic()
         work.append(g)

@@ -26,11 +26,14 @@ from .exact import (
     _prs_gcd,
     _reduce_int,
     _rows_content,
+    coeff_str,
     ensure_regular,
     f_is_zero,
     f_inv,
     field_one,
     field_zero,
+    power_str,
+    term_sum,
 )
 
 
@@ -214,49 +217,17 @@ def _powers(base: BiPoly, deg, tower=None):
 
 
 def bipoly_str(p: BiPoly) -> str:
-    if p.is_zero():
-        return "0"
     terms = sorted(p.terms.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][1]))
-    parts = []
-    for (ze, we), c in terms:
-        factors = []
-        if ze != 0:
-            factors.append("z" if ze == 1 else "z^%d" % ze)
-        if we != 0:
-            factors.append("w" if we == 1 else "w^%d" % we)
-        parts.append(_signed_term(c, factors))
-    return _join_signed(parts)
+    return term_sum((coeff_str(c), _MONOMIALS.get(key) or _monomial_str(key)) for key, c in terms)
 
 
-def _signed_term(c, factors) -> str:
-    """The term c times the monomial ``factors`` as "+ text" or "- text": a
-    rational's sign goes in front, a coefficient 1 is left out, and a tower
-    coefficient with more than one symbol is parenthesised."""
-    neg = False
-    if isinstance(c, ExtElem) and c.is_rational():
-        c = c.as_fraction()
-    if isinstance(c, ExtElem):
-        cs = str(c)
-        if any(op in cs[1:] for op in "+-") or "*" in cs:
-            cs = "(%s)" % cs
-    else:
-        if c < 0:
-            neg = True
-            c = -c
-        cs = "" if c == 1 and factors else str(c)
-    text = "*".join(([cs] if cs else []) + factors) or "1"
-    return ("- " if neg else "+ ") + text
+def _monomial_str(key) -> str:
+    ze, we = key
+    return "*".join(s for s in (power_str("z", ze), power_str("w", we)) if s)
 
 
-def _join_signed(parts) -> str:
-    out = " ".join(parts)
-    if out.startswith("+ "):
-        return out[2:]
-    return "-" + out[2:]
-
-
-def _exp_str(e: Fraction) -> str:
-    return str(e.numerator) if e.denominator == 1 else "(%s)" % e
+# the texts of the monomials of degree < 12 in each variable
+_MONOMIALS = {(ze, we): _monomial_str((ze, we)) for ze in range(12) for we in range(12)}
 
 
 # ---------------------------------------------------------------------------
@@ -817,12 +788,7 @@ class PuiseuxBranch:
             raise OdeError("leading branch coefficient must be nonzero")
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        return _join_signed([
-            _signed_term(c, ["z" if mu == 1 else "z^%s" % _exp_str(mu)] if mu else [])
-            for mu, c in self.terms
-        ])
+        return term_sum((coeff_str(c), power_str("z", mu)) for mu, c in self.terms)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from .exact import ExtElem, Q, as_fraction, is_rational_value
+from .exact import Q, _level_modulus, coeff_str
 from .polyode import BiPoly, OdeSystem, bipoly_str, make_system
 
 
@@ -265,39 +265,18 @@ def print_system(sys: OdeSystem) -> str:
 # report emission
 # ---------------------------------------------------------------------------
 
-def coeff_str(c) -> str:
-    if is_rational_value(c):
-        return str(as_fraction(c))
-    return str(c)
-
-
 def tower_description(tower):
     if tower is None or tower.is_trivial():
         return []
-    out = []
-    for depth, level in enumerate(tower.levels):
-        sub = tower.levels[:depth]
-        coeff_strs = []
-        for i, rep in enumerate(level.minpoly):
-            s = ExtElem._str(sub, rep)
-            coeff_strs.append((i, s))
-        terms = []
-        for i, s in reversed(coeff_strs):
-            if s == "0":
-                continue
-            if i == 0:
-                terms.append(s)
-            elif s == "1":
-                terms.append(level.name if i == 1 else "%s^%d" % (level.name, i))
-            else:
-                base = level.name if i == 1 else "%s^%d" % (level.name, i)
-                if any(op in s[1:] for op in "+-") or "*" in s:
-                    terms.append("(%s)*%s" % (s, base))
-                else:
-                    terms.append("%s*%s" % (s, base))
-        joined = " + ".join(terms).replace("+ -", "- ")
-        out.append({"generator": level.name, "minpoly": joined, "presumed_irreducible": level.presumed})
-    return out
+    levels = tower.levels
+    return [
+        {
+            "generator": level.name,
+            "minpoly": str(_level_modulus(levels[: depth + 1], level.name)),
+            "presumed_irreducible": level.presumed,
+        }
+        for depth, level in enumerate(levels)
+    ]
 
 
 def branch_report(branch):

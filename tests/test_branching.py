@@ -1555,3 +1555,91 @@ def test_branch_tower_lists_every_level_its_coefficients_use():
     # and the ramified step of the 2-folded child adjoins t1 above it
     system = make_system(bp({(0, 4): 1, (2, 2): -4, (4, 0): 4, (7, 0): 1}), bp({(5, 0): 1}))
     assert assert_coefficients_lie_in_the_branch_tower(system) == 2
+
+
+# ---------------------------------------------------------------------------
+# dicritical edges: the lowest weighted part a multiple of the radial field
+# ---------------------------------------------------------------------------
+
+NONZERO_COEFFS = st.sampled_from([-3, -2, -1, 1, 2, 3])
+
+
+@st.composite
+def radial_systems(draw):
+    """dw/dz = P / Q with P = w F + h.o.t. and Q = z F + h.o.t.: F a form of
+    degree d with at least two terms, every further term of total degree
+    d + 2 or d + 3.  At weight 1 the lowest part of Q dw - P dz is
+    F (z dw - w dz), a multiple of the radial form, so the edge of slope -1
+    carries a characteristic polynomial that vanishes identically."""
+    d = draw(st.integers(1, 3))
+    form = {(d - k, k): draw(NONZERO_COEFFS) for k in draw(st.lists(st.integers(0, d), min_size=2, unique=True))}
+
+    def higher():
+        out = {}
+        for _ in range(draw(st.integers(0, 3))):
+            total = draw(st.integers(d + 2, d + 3))
+            i = draw(st.integers(0, total))
+            out[(i, total - i)] = draw(NONZERO_COEFFS)
+        return out
+
+    P = {(i, j + 1): c for (i, j), c in form.items()}
+    Qd = {(i + 1, j): c for (i, j), c in form.items()}
+    P.update(higher())
+    Qd.update(higher())
+    try:
+        return make_system(bp(P), bp(Qd))
+    except OdeError:
+        assume(False)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(radial_systems())
+def test_a_radial_lowest_part_makes_the_origin_critical(system):
+    res = multiplicity_at(system, ("point", Q(0), Q(0)))
+    assert res.status == "critical"
+    # a merged vertex of another slope, from the higher terms, is tested first
+    assert res.witness.kind in ("dicritical-edge", "vertex-dominance")
+    if res.witness.kind == "dicritical-edge":
+        assert res.witness.lam_star == 1 and res.witness.depth == 0
+
+
+def test_dicritical_edge_below_the_root():
+    # Q w' = P with w = z + w1 is Q1 w1' = P1 for P1 = P - Q, and with
+    # P1 = 2 w1 F + z^5, Q1 = z F, F = w1 + z^2 the lowest part at weight 2
+    # is F (z dw1 - 2 w1 dz).  At the root the edge polynomial is
+    # -(a - 1)^2, so the double root 1 leads to that child, whose edge of
+    # exponent 2 has a zero polynomial
+    P = bp({(0, 2): 2, (1, 1): -3, (2, 0): 1, (2, 1): 2, (3, 0): -1, (5, 0): 1})
+    Qd = bp({(1, 1): 1, (2, 0): -1, (3, 0): 1})
+    res = multiplicity_at(make_system(P, Qd), ("point", Q(0), Q(0)))
+    assert res.status == "critical"
+    assert (res.witness.kind, res.witness.lam_star, res.witness.depth) == ("dicritical-edge", 2, 1)
+    assert list(res.witness.prefix) == [(1, 1)]
+
+
+def test_a_prefix_without_a_continuation_is_a_non_algebraic_leaf():
+    # (2 w^2 - 3 z w + z^2 + z^4) / (z w - z^2): the root's edge polynomial
+    # -(a - 1)^2 has the double root 1, and w = z + w1 leaves
+    # z w1 w1' = 2 w1^2 + z^4, whose one edge has the polynomial -1: no
+    # series continues the prefix (w1^2 = z^4 (2 log z + C))
+    P = bp({(0, 2): 2, (1, 1): -3, (2, 0): 1, (4, 0): 1})
+    Qd = bp({(1, 1): 1, (2, 0): -1})
+    res = multiplicity_at(make_system(P, Qd), ("point", Q(0), Q(0)))
+    assert (res.status, res.count) == ("finite", 0)
+    assert [(b.status, b.terms) for b in res.branches] == [("non-algebraic", ((1, 1),))]
+
+
+def test_a_node_below_the_root_without_an_edge_past_its_exponent_is_an_internal_error(monkeypatch):
+    # the double root 1 of (a - 1)^2 makes a multi-folded child, which is not
+    # exact, so it always has an edge past 1; with its edges taken away the
+    # engine stops instead of dropping the prefix
+    calls = []
+
+    def newton_without_edges_below_the_root(sides):
+        prof, diagram = _newton(sides)
+        calls.append(sides)
+        return prof, (diagram if len(calls) == 1 else replace(diagram, edges=()))
+
+    monkeypatch.setattr(branching, "_newton", newton_without_edges_below_the_root)
+    with pytest.raises(RuntimeError, match="no edge past its exponent"):
+        multiplicity_at(make_system(bp({(0, 2): 1, (1, 1): -2, (2, 0): 1}), bp({(3, 0): 1})), ("point", Q(0), Q(0)))

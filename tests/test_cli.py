@@ -566,27 +566,23 @@ def test_readme_library_block_runs(capsys):
 
 
 # ---------------------------------------------------------------------------
-# A dicritical point that the engine misses
+# Dicritical points: an edge whose characteristic polynomial vanishes
 # ---------------------------------------------------------------------------
 
 # At the origin every point of the edge of slope 1 is a merged P/Q point
 # with p/q = 1, so the edge's characteristic polynomial vanishes
 # identically: the lowest-order field is a multiple of the radial field.
-# The engine takes no step there and reports "finite 1".
 DICRITICAL = "dw/dz = (z*w + w^2 + z^3) / (z^2 + z*w)"
-MISSED_DICRITICAL = pytest.mark.xfail(
-    strict=True, reason="a zero characteristic polynomial on an admissible edge yields no step"
-)
 
 
-@MISSED_DICRITICAL
 def test_dicritical_origin_is_critical(capsys):
     code, data = run_json(capsys, ["mul", "--system", DICRITICAL, "--at", "0,0"])
     assert code == 0
     assert data["status"] == "critical"
+    assert data["criticality_witness"]["test"] == "dicritical-edge"
+    assert data["criticality_witness"]["lambda"] == "1"
 
 
-@MISSED_DICRITICAL
 def test_dicritical_origin_blocks_the_bounds(capsys):
     code, data = run_json(capsys, ["bound", "--system", DICRITICAL])
     assert code == 0
@@ -632,6 +628,31 @@ def test_dicritical_system_has_a_pencil_of_invariant_curves():
             assert (1 + slope) ** 2 - C == 0
             slopes.add(slope)
     assert len(slopes) == 8
+
+
+# At (0, inf), after W = 1/w, the lowest-order field of each system is a
+# linear form times the radial field (z, W): (2 z - 4 W) for the first,
+# -(z - 2 W) for the second, both on the edge of exponent 1.
+DICRITICAL_AT_INFINITY = [
+    # system 522 of the benchmark census
+    "dw/dz = (3*z^2*w - 2*z*w^2 + z*w - 3*z + 4*w) / (-4*z^3 + 2*z^2*w - 4*z)",
+    # system 326 of census.generate(3, 700)
+    "dw/dz = (z*w^2 - 2*z^2 - 4*z*w - 2*w - 2) / (z^3 - z^2*w + 4*z^2 + 2*z)",
+]
+
+
+@pytest.mark.parametrize("system", DICRITICAL_AT_INFINITY)
+def test_dicritical_point_at_infinity_is_critical(capsys, system):
+    code, data = run_json(capsys, ["mul", "--system", system, "--at", "0,inf"])
+    assert code == 0
+    assert data["status"] == "critical"
+    assert data["criticality_witness"]["test"] == "dicritical-edge"
+    assert data["criticality_witness"]["lambda"] == "1"
+    code, data = run_json(capsys, ["bound", "--system", system])
+    assert code == 0
+    bounds = data["bounds"]
+    assert bounds["sum_bound"] is None and bounds["product_bound"] is None
+    assert bounds["blocked_by"]["point"] == "inf"
 
 
 # ---------------------------------------------------------------------------
@@ -788,6 +809,42 @@ def test_presumed_tower_level_is_inconclusive(capsys):
         {"generator": "t0", "minpoly": "t0^2 - 2", "presumed_irreducible": False},
         {"generator": "t1", "minpoly": "t1^2 - 1/8*t0", "presumed_irreducible": True},
     ]
+
+
+def test_bound_over_a_presumed_tower_level_is_inconclusive(capsys):
+    # the sum bound 4 rests on the count at 0, whose branch lies over the
+    # presumed level t1 (see above): that summand says so, and exits 3
+    system = "dw/dz = ((w^2 - 2*z^2)^2 + z^7) / z^5"
+    code, data = run_json(capsys, ["bound", "--system", system])
+    assert code == 3
+    bounds = data["bounds"]
+    assert bounds["sum_bound"] == 4
+    assert [s.get("presumed_irreducible") for s in bounds["summands"]] == [None, True]
+
+
+def test_kronecker_certified_level_is_conclusive(capsys):
+    # a planted multi-fold system whose branch adjoins a root of t0^4 + 9,
+    # reducible mod every prime: the full Kronecker search certifies it
+    system = (
+        "dw/dz = (84*z^14 + 81*z^13 + 108*z^11*w + 81*z^12 + 108*z^10*w + 54*z^8*w^2 + 108*z^9*w"
+        " + 54*z^7*w^2 + 12*z^5*w^3 + 54*z^6*w^2 + 12*z^4*w^3 + z^2*w^4 + 12*z^3*w^3 + z*w^4 + w^4) / (z^11)"
+    )
+    code, data = run_json(capsys, ["mul", "--system", system, "--at", "0,0"])
+    assert code == 0
+    towers = [b["tower"] for b in data["branches"] if b["tower"]]
+    assert towers and all(
+        t == [{"generator": "t0", "minpoly": "t0^4 + 9", "presumed_irreducible": False}] for t in towers
+    )
+
+
+def test_tower_minpoly_drops_a_unit_coefficient(capsys):
+    # system 309 of census.generate(2, 700): the two branches of slope
+    # t0, t0^2 - t0 + 1 = 0, printed once with the coefficient -1 as "-1*t0"
+    system = "dw/dz = (3*z^2*w - 2*z^2 + 4*z*w - 2*w^2) / (3*z^3 + 2*z^2)"
+    code, data = run_json(capsys, ["mul", "--system", system, "--at", "0,0"])
+    assert code == 0 and data["mul"] == 2
+    (branch,) = data["branches"]
+    assert branch["tower"] == [{"generator": "t0", "minpoly": "t0^2 - t0 + 1", "presumed_irreducible": False}]
 
 
 def test_bound_detects_an_invariant_line_off_axis_form(capsys):

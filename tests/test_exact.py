@@ -179,6 +179,32 @@ def test_modular_irreducibility_certifies():
     assert modular_irreducibility(poly(2, 0, 0, 0, 1)) is True  # x^4 + 2 (Eisenstein)
 
 
+@pytest.mark.parametrize("coeffs", [(9, 0, 0, 0, 1), (1, 0, 0, 0, 1)], ids=["x^4 + 9", "x^4 + 1"])
+def test_full_kronecker_search_certifies_irreducibility(coeffs, monkeypatch):
+    # both split mod every prime, so no degree pattern certifies them; the
+    # search tests every quadratic candidate and finds no factor
+    assert modular_irreducibility(poly(*coeffs)) is None
+    assert exact._kronecker_split(list(coeffs)) == (None, True)
+    (f,) = factor_univariate(poly(*coeffs))
+    assert f.certified and f.poly.certified_irreducible
+    # a search that skips its degree for the effort cap certifies nothing
+    monkeypatch.setattr(exact, "KRONECKER_EFFORT", 10)
+    assert exact._kronecker_split(list(coeffs)) == (None, False)
+    (f,) = factor_univariate(poly(*coeffs))
+    assert not f.certified and not f.poly.certified_irreducible
+
+
+def test_kronecker_split_tells_a_factor_from_a_skipped_degree():
+    split, full = exact._kronecker_split([15, 0, -8, 0, 1])  # (x^2 - 3)(x^2 - 5)
+    assert full and split in ([-3, 0, 1], [3, 0, -1], [-5, 0, 1], [5, 0, -1])
+    # (x^4 + 4x^3 - 2x^2 - x + 3)(3x^4 + 3x^3 + 2x^2 - 3x + 3): the degree-4
+    # candidates exceed KRONECKER_EFFORT, so the product stays presumed
+    ints = [9, -12, 3, 25, -7, -4, 8, 15, 3]
+    assert exact._kronecker_split(ints) == (None, False)
+    (f,) = factor_univariate(UniPoly(ints))
+    assert not f.certified
+
+
 def test_mod_divmod_roundtrip():
     # q * b + r == a over F_p with deg r < deg b, both trimmed
     rng = random.Random(5)
