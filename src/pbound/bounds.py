@@ -148,6 +148,57 @@ def axis_degree(sys: OdeSystem) -> int:
     return max(sys.P.total_degree(), sys.Q.total_degree())
 
 
+def _w_rows(poly: BiPoly):
+    """{i: the z^i-coefficient of the rational ``poly`` as a UniPoly in w}."""
+    rows = {}
+    for (ze, we), c in poly.terms.items():
+        rows.setdefault(ze, {})[we] = c
+    return {ze: UniPoly([row.get(j, 0) for j in range(max(row) + 1)], var="w") for ze, row in rows.items()}
+
+
+def _linear_part_count(sys: OdeSystem, f: UniPoly, caps: Caps) -> Optional[MultiplicityResult]:
+    """The count at each root theta of the axis factor f, read off the
+    linear part of (zdot, wdot) = (Q, P) at (0, theta); None where the
+    branch tree must decide.
+
+    With P_i and Q_i the z^i-coefficients (Q_0 = 0 in axis form), the
+    Jacobian at (0, theta) is [[Q_1, 0], [P_1, P_0']] at theta: eigenvalue
+    mu_z = Q_1(theta) across the axis and mu_w = P_0'(theta) along it.  When
+    both are nonzero and rho = mu_w / mu_z is not in Q+, the point is a
+    reduced singularity that is neither a saddle-node nor a resonant node,
+    so it has exactly two formal separatrices, smooth and tangent to the
+    two eigendirections (Camacho-Sad, Ann. of Math. 1982; Brunella,
+    Birational Geometry of Foliations, ch. 1).  One is the axis z = 0.  As
+    mu_z != mu_w, the eigendirection of mu_z is transverse to the axis, so
+    the other is one power series w = theta + a_1 z + ... .  That series is
+    the constant solution w = theta, which is never counted, exactly when
+    P(z, theta) = 0, that is when f divides every P_i.  So the count is 0
+    then and 1 otherwise, the same at every conjugate root.
+
+    The rule needs f certified irreducible, so that Q[w]/(f) is a field and
+    a presumed factor keeps the engine's split replay; a system over Q;
+    and caps.depth >= 1, since the engine takes one tree step here.
+    """
+    if not (f.certified_irreducible and caps.depth >= 1 and sys.tower is None and sys.n == 1):
+        return None
+    p_rows, q_rows = _w_rows(sys.P), _w_rows(sys.Q)
+    zero = UniPoly([], var="w")
+    mu_z = q_rows.get(1, zero) % f
+    mu_w = p_rows.get(0, zero).derivative() % f
+    if mu_z.is_zero() or mu_w.is_zero():
+        return None
+    # rho is rational exactly when the coordinates of mu_w and mu_z in the
+    # basis 1, theta, ... are proportional
+    a = [as_fraction(mu_z[i]) for i in range(f.degree())]
+    b = [as_fraction(mu_w[i]) for i in range(f.degree())]
+    lead = next(i for i, c in enumerate(a) if c)
+    rho = b[lead] / a[lead]
+    if rho > 0 and all(y == rho * x for x, y in zip(a, b)):
+        return None
+    count = 0 if all((row % f).is_zero() for row in p_rows.values()) else 1
+    return MultiplicityResult(status="finite", count=count)
+
+
 def _mul_at_algebraic_point(sys: OdeSystem, minpoly: UniPoly, caps: Caps):
     """Multiplicities over the conjugacy class of an irreducible axis root.
 
@@ -155,7 +206,9 @@ def _mul_at_algebraic_point(sys: OdeSystem, minpoly: UniPoly, caps: Caps):
     that splits mid-run is replayed per irreducible factor of its pieces,
     each entry standing for the roots of its own factor.  A factor of
     degree above ``caps.tower`` is not adjoined: its roots count as a
-    capped point with lower bound 0.
+    capped point with lower bound 0.  Where the linear part decides the
+    count (``_linear_part_count``) no root is adjoined; elsewhere
+    ``multiplicity_at`` runs over Q(theta).
     """
     work = [minpoly]
     out = []
@@ -163,6 +216,10 @@ def _mul_at_algebraic_point(sys: OdeSystem, minpoly: UniPoly, caps: Caps):
         poly = work.pop()
         if poly.degree() > caps.tower:
             out.append((poly, MultiplicityResult(status="capped", lower_bound=0, diagnostics=("tower-cap",))))
+            continue
+        res = _linear_part_count(sys, poly, caps)
+        if res is not None:
+            out.append((poly, res))
             continue
         try:
             tower, theta = adjoin_root(QQ_TOWER, poly, caps.tower)

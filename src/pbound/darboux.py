@@ -228,8 +228,10 @@ def _irreducibility(f: BiPoly, offenders):
 
     Degree one is irreducible.  A polynomial in one variable is factored.
     One in both variables is reducible when strictness_check found an
-    offender, which is then a proper factor, and presumed irreducible
-    otherwise.
+    offender, which is then a proper factor.  Without one it is primitive in
+    both variables, so by Gauss's lemma a factor of degree 0 in a variable
+    is a constant: degree 1 in w or in z certifies it irreducible.  It is
+    presumed irreducible otherwise.
     """
     if f.total_degree() == 1:
         return True, True
@@ -240,6 +242,8 @@ def _irreducibility(f: BiPoly, offenders):
         return False, True
     if offenders:
         return False, True
+    if f.w_degree() == 1 or f.z_degree() == 1:
+        return True, True
     return True, False  # presumed irreducible
 
 

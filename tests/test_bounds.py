@@ -1,18 +1,25 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pbound import bounds
 from pbound.bounds import (
+    AxisPoint,
     BoundsError,
+    _linear_part_count,
     axis_multiplicity_bound,
     axis_singular_points,
     invariant_line_bound,
     line_transform,
     p_at_axis,
 )
-from pbound.exact import UniPoly
-from pbound.polyode import BiPoly, OdeSystem, bipoly_str, make_system
+from pbound.branching import DEFAULT_CAPS, Caps, multiplicity_at
+from pbound.exact import QQ_TOWER, UniPoly, adjoin_root
+from pbound.polyode import BiPoly, OdeError, OdeSystem, bipoly_str, make_system
+from pbound.sysparse import parse_system
+from test_dynamic_evaluation import AXIS_QUARTIC
 
 
 def bp(entries):
@@ -265,3 +272,114 @@ def test_certificate_axis_restriction_divides_root_product():
     for fac in factor_univariate(restriction):
         assert fac.poly.degree() == 1
         assert -fac.poly.coeffs[0] in roots
+
+
+# ---------------------------------------------------------------------------
+# the linear-part rule at irrational axis roots
+# ---------------------------------------------------------------------------
+
+def _census_style(rng):
+    """A random axis-form pair P, z q0 in the style of the benchmark census,
+    with deg P <= 4 and deg q0 <= 3."""
+    def poly(degree, shift):
+        return BiPoly({(i + shift, j): rng.randint(-4, 4)
+                       for i in range(degree + 1) for j in range(degree + 1 - i) if rng.random() < 0.55})
+    return poly(4, 0), poly(3, 1)
+
+
+def _small_corpus(rng):
+    """A random system of the exhaustive small corpus: P of total degree <= 2
+    and Q = z (a + b z + c w), coefficients in {-1, 0, 1}, with P(0, w) an
+    irreducible quadratic."""
+    c = lambda: rng.choice((-1, 0, 1))
+    sign = rng.choice((-1, 1))
+    p00, p01 = rng.choice([(1, 0), (1, 1), (1, -1), (-1, 1), (-1, -1)])
+    p = BiPoly({(0, 2): sign, (0, 1): sign * p01, (0, 0): sign * p00, (1, 0): c(), (2, 0): c(), (1, 1): c()})
+    return p, BiPoly({(1, 0): c(), (2, 0): c(), (1, 1): c()})
+
+
+def _irrational_classes(pairs):
+    """(system, certified factor) for every irrational axis class of the
+    coprime pairs."""
+    out = []
+    for p, q in pairs:
+        try:
+            sys = make_system(p, q)
+            points, _ = axis_singular_points(sys)
+        except (OdeError, BoundsError):
+            continue
+        out.extend((sys, f) for kind, f, _ in points if kind == "algebraic" and f.certified_irreducible)
+    return out
+
+
+def test_linear_part_rule_matches_the_engine_at_irrational_axis_roots():
+    # every class the rule decides gets the summand the branch tree over
+    # Q(theta) gives, on derandomized census-style systems (deg P <= 4,
+    # deg q0 <= 3) and on a sample of the small corpus
+    rng = random.Random(36)
+    pairs = [_census_style(rng) for _ in range(800)] + [_small_corpus(rng) for _ in range(600)]
+    decided = {0: 0, 1: 0}
+    for sys, f in _irrational_classes(pairs):
+        rule = _linear_part_count(sys, f, DEFAULT_CAPS)
+        if rule is None:
+            continue
+        tower, theta = adjoin_root(QQ_TOWER, f, DEFAULT_CAPS.tower)
+        engine = multiplicity_at(sys.map_tower(tower), ("point", Q(0), theta), DEFAULT_CAPS)
+        label = "root of %s" % f
+        assert AxisPoint(label, f.degree(), rule).to_report() == AxisPoint(label, f.degree(), engine).to_report()
+        decided[rule.count] += 1
+    assert decided[0] >= 20 and decided[1] >= 900
+
+
+def _summand(system, label, caps=DEFAULT_CAPS):
+    sys, _ = parse_system(system)
+    return next(s for s in axis_multiplicity_bound(sys, caps).summands() if s["point"] == label)
+
+
+@pytest.fixture
+def adjoined(monkeypatch):
+    """The minimal polynomials that the bound adjoins a root of."""
+    calls = []
+
+    def spy(tower, m, *args):
+        calls.append(str(m))
+        return adjoin_root(tower, m, *args)
+
+    monkeypatch.setattr(bounds, "adjoin_root", spy)
+    return calls
+
+
+def test_linear_part_rule_counts_the_transverse_separatrix(adjoined):
+    summand = _summand("dw/dz = (w^3 + z*w - 2) / (z*w + z)", "root of w^3 - 2")
+    assert (summand["status"], summand["mul"]) == ("finite", 1)
+    assert adjoined == []
+
+
+def test_linear_part_rule_never_counts_the_constant_solution(adjoined):
+    # P(z, theta) = 0 at the roots of w^2 - 3: the separatrix is w = theta
+    summand = _summand(AXIS_QUARTIC, "root of w^2 - 3")
+    assert (summand["status"], summand["mul"]) == ("finite", 0)
+    assert adjoined == []
+
+
+@pytest.mark.parametrize(
+    "system, status",
+    [
+        # rho = 2w / w = 2 is in Q+: the engine finds the point critical
+        ("dw/dz = (w^2 - 2 + z) / (z*w)", "critical"),
+        # a double root of P(0, w): mu_w = 0
+        ("dw/dz = ((w^2 - 2)^2 + z) / (z)", "finite"),
+        # Q_1(theta) = 0: a saddle-node
+        ("dw/dz = (w^2 - 2 + 2*z) / (z*(w^2 - 2) + z^2)", "finite"),
+    ],
+)
+def test_linear_part_rule_leaves_the_other_classes_to_the_engine(adjoined, system, status):
+    summand = _summand(system, "root of w^2 - 2")
+    assert adjoined == ["w^2 - 2"]
+    assert summand["status"] == status
+
+
+def test_linear_part_rule_keeps_the_depth_cap():
+    # the engine takes one tree step at the point, which depth=0 caps
+    summand = _summand("dw/dz = (w^3 + z*w - 2) / (z*w + z)", "root of w^3 - 2", Caps(depth=0))
+    assert (summand["status"], summand["mul_lower_bound"]) == ("capped", 0)

@@ -239,6 +239,22 @@ def test_univariate_cubic_in_w_certified_irreducible():
     assert cert.irreducible and cert.certified
 
 
+@pytest.mark.parametrize(
+    "f",
+    [
+        bp({(2, 0): 2, (0, 1): 1, (1, 0): -4, (0, 0): 2}),  # 2 z^2 + w - 4 z + 2
+        bp({(1, 2): 1, (0, 3): 1, (0, 0): 1}),  # z w^2 + w^3 + 1
+    ],
+)
+def test_bivariate_of_degree_one_in_a_variable_certified_irreducible(f):
+    # no offender: f is primitive in that variable, so by Gauss's lemma a
+    # factor of degree 0 in it is a constant
+    cert = verify_darboux(hamiltonian(f), f)
+    assert isinstance(cert, DarbouxCertificate)
+    assert cert.offending == ()
+    assert cert.irreducible and cert.certified
+
+
 def test_bivariate_with_axis_parallel_component_certified_reducible():
     # (z^2 + 1)(w - z): the offender z^2 + 1 is a proper factor
     f = bp({(2, 0): 1, (0, 0): 1}) * bp({(0, 1): 1, (1, 0): -1})
