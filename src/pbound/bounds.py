@@ -12,6 +12,7 @@ M(M+1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,7 +24,10 @@ from .exact import (
     QQ_TOWER,
     TowerSplitError,
     UniPoly,
+    _int_derivative,
+    _int_poly_prem,
     _level_modulus,
+    _primitive_int_coeffs,
     adjoin_root,
     as_fraction,
     factor_univariate,
@@ -115,7 +119,7 @@ def p_at_axis(sys: OdeSystem) -> UniPoly:
         if ze == 0:
             cols[we] = c
     deg = max(cols, default=-1)
-    return UniPoly([cols.get(i, Q(0)) for i in range(deg + 1)], var="w")
+    return UniPoly([cols.get(i, 0) for i in range(deg + 1)], var="w")
 
 
 def axis_singular_points(sys: OdeSystem):
@@ -148,12 +152,17 @@ def axis_degree(sys: OdeSystem) -> int:
     return max(sys.P.total_degree(), sys.Q.total_degree())
 
 
-def _w_rows(poly: BiPoly):
-    """{i: the z^i-coefficient of the rational ``poly`` as a UniPoly in w}."""
+def _int_w_rows(poly: BiPoly):
+    """{i: the z^i-coefficient of the rational ``poly`` as an int list in w,
+    times the positive lcm of its denominators}."""
     rows = {}
     for (ze, we), c in poly.terms.items():
         rows.setdefault(ze, {})[we] = c
-    return {ze: UniPoly([row.get(j, 0) for j in range(max(row) + 1)], var="w") for ze, row in rows.items()}
+    out = {}
+    for ze, row in rows.items():
+        den = math.lcm(*(c.denominator for c in row.values()))
+        out[ze] = [row[j].numerator * (den // row[j].denominator) if j in row else 0 for j in range(max(row) + 1)]
+    return out
 
 
 def _linear_part_count(sys: OdeSystem, f: UniPoly, caps: Caps) -> Optional[MultiplicityResult]:
@@ -181,21 +190,22 @@ def _linear_part_count(sys: OdeSystem, f: UniPoly, caps: Caps) -> Optional[Multi
     """
     if not (f.certified_irreducible and caps.depth >= 1 and sys.tower is None and sys.n == 1):
         return None
-    p_rows, q_rows = _w_rows(sys.P), _w_rows(sys.Q)
-    zero = UniPoly([], var="w")
-    mu_z = q_rows.get(1, zero) % f
-    mu_w = p_rows.get(0, zero).derivative() % f
-    if mu_z.is_zero() or mu_w.is_zero():
+    # on Z[w]: a pseudo-remainder against the primitive f, which has a
+    # positive lead, is a positive multiple of the remainder mod f
+    f = _primitive_int_coeffs(f)
+    p_rows, q_rows = _int_w_rows(sys.P), _int_w_rows(sys.Q)
+    mu_z = _int_poly_prem(q_rows.get(1, []), f)
+    mu_w = _int_poly_prem(_int_derivative(p_rows.get(0, [])), f)
+    if not mu_z or not mu_w:
         return None
-    # rho is rational exactly when the coordinates of mu_w and mu_z in the
-    # basis 1, theta, ... are proportional
-    a = [as_fraction(mu_z[i]) for i in range(f.degree())]
-    b = [as_fraction(mu_w[i]) for i in range(f.degree())]
-    lead = next(i for i, c in enumerate(a) if c)
-    rho = b[lead] / a[lead]
-    if rho > 0 and all(y == rho * x for x, y in zip(a, b)):
+    # rho is in Q+ exactly when the coordinates of mu_w and mu_z in the
+    # basis 1, theta, ... are positively proportional
+    mu_z, mu_w = (r + [0] * (len(f) - 1 - len(r)) for r in (mu_z, mu_w))
+    lead = next(i for i, c in enumerate(mu_z) if c)
+    a, b = mu_z[lead], mu_w[lead]
+    if a * b > 0 and all(y * a == b * x for x, y in zip(mu_z, mu_w)):
         return None
-    count = 0 if all((row % f).is_zero() for row in p_rows.values()) else 1
+    count = 0 if all(not _int_poly_prem(row, f) for row in p_rows.values()) else 1
     return MultiplicityResult(status="finite", count=count)
 
 

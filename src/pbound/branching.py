@@ -499,18 +499,20 @@ class _Expander:
     def _char_roots(self, phi: UniPoly, tower: Optional[Tower]):
         """Roots of the edge polynomial as (alpha, foldedness, note).
 
-        ``phi`` has no root 0.  Over Q: full factorization; rational roots stay
-        rational, each irreducible factor of degree d adjoins one
-        representative root.  Over a tower: squarefree split, linear factors
-        solved in the tower, higher factors adjoined presumed irreducible.
+        ``phi`` has no root 0.  Over Q: full factorization (a linear phi is
+        solved as -c0 / c1); rational roots stay rational, each irreducible
+        factor of degree d adjoins one representative root.  Over a tower:
+        squarefree split, linear factors solved in the tower, higher factors
+        adjoined presumed irreducible.
         """
         roots = []
         if tower is None or tower.is_trivial():
-            try:
-                factors = factor_univariate(phi, cap=self.caps.factor)
-            except ExactError:
+            if phi.degree() > self.caps.factor:
                 return [(None, 1, "factor-cap")]
-            for fac in factors:
+            if phi.degree() == 1:
+                c0, c1 = phi.coeffs
+                return [(-as_fraction(c0) / as_fraction(c1), 1, "rational")]
+            for fac in factor_univariate(phi, cap=self.caps.factor):
                 if fac.poly.degree() == 1:
                     c0, c1 = fac.poly.coeffs
                     roots.append((-as_fraction(c0) / as_fraction(c1), fac.multiplicity, "rational"))

@@ -653,7 +653,7 @@ def sort_key(x) -> tuple:
         if x.is_rational():
             return ((), (x.as_fraction(),))
         return x.sort_key()
-    return ((), (Q(x),))
+    return ((), (x if x.__class__ is Fraction else Q(x),))
 
 
 def field_zero(tower: Optional[Tower]):
@@ -894,10 +894,8 @@ def adjoin_root(tower: Tower, m: "UniPoly", cap=DEFAULT_TOWER_CAP):
     certified = getattr(m, "certified_irreducible", False)
     # factor_univariate certifies a factor of degree >= 2 only when it has
     # no rational root, so only other input is checked here
-    if not certified and all(is_rational_value(c) for c in m.coeffs):
-        rat = UniPoly([as_fraction(c) for c in m.coeffs], var=m.var)
-        if rational_roots(rat):
-            raise ExactError("adjoin of reducible linear part")
+    if not certified and all(is_rational_value(c) for c in m.coeffs) and rational_roots(m):
+        raise ExactError("adjoin of reducible linear part")
     new_degree = tower.degree() * m.degree()
     if new_degree > cap:
         raise ExactError("tower cap exceeded")
@@ -909,12 +907,28 @@ def adjoin_root(tower: Tower, m: "UniPoly", cap=DEFAULT_TOWER_CAP):
         else:
             min_coeffs.append(_const(sub, Q(c)))
     # irreducible over Q says nothing over Q(theta): only a level over Q
-    # keeps the certificate
-    presumed = bool(sub) or not certified
+    # keeps the certificate, and a quadratic over a certified level has one
+    # of its own
+    presumed = not certified if not sub else not _nonsquare_discriminant(tower, m)
     level = Level(name="t%d" % len(sub), minpoly=tuple(min_coeffs), degree=m.degree(), presumed=presumed)
     new_tower = Tower(sub + (level,))
     root = new_tower.generator(len(sub))
     return new_tower, root
+
+
+def _nonsquare_discriminant(tower: Tower, m: "UniPoly") -> bool:
+    """True when m is a monic quadratic over a certified one-level tower K
+    whose discriminant D has a norm N_{K/Q}(D) that is not a square in Q.
+    A square s^2 in K has norm N(s)^2, a rational square, so D is then no
+    square in K and m is irreducible over K.  The norm is the constant term
+    of D's characteristic polynomial times (-1)^[K:Q]."""
+    if m.degree() != 2 or len(tower.levels) != 1 or tower.levels[0].presumed:
+        return False
+    c, b, _ = (tower.coerce(x) for x in m.coeffs)
+    norm = Q(value_charpoly(b * b - c * 4)[0] * (-1) ** tower.degree())
+    return norm < 0 or math.isqrt(norm.numerator) ** 2 != norm.numerator or (
+        math.isqrt(norm.denominator) ** 2 != norm.denominator
+    )
 
 
 def split_tower(tower: Tower, level: int, g, h):
@@ -1112,10 +1126,14 @@ class UniPoly:
             return self
         return self.scale(f_inv(lead))
 
+    def _over_q(self) -> bool:
+        """True when every coefficient is a rational (int or Fraction)."""
+        return (self.tower is None or self.tower.is_trivial()) and not any(
+            isinstance(c, ExtElem) for c in self.coeffs
+        )
+
     def gcd(self, other):
-        if (self.tower is None or self.tower.is_trivial()) and all(
-            not isinstance(c, ExtElem) for c in self.coeffs + other.coeffs
-        ):
+        if self._over_q() and other._over_q():
             return _rational_gcd(self, other)
         a, b = self, other
         while not b.is_zero():
@@ -1125,9 +1143,13 @@ class UniPoly:
         return a.monic()
 
     def squarefree_decomposition(self):
-        """Yun's algorithm: returns [(monic squarefree factor, multiplicity)]."""
+        """Yun's algorithm: returns [(monic squarefree factor, multiplicity)],
+        over Q on Z[x] (``_int_yun``)."""
         if self.is_zero():
             raise ExactError("zero polynomial")
+        if self._over_q():
+            ints = _primitive_int_coeffs(self)
+            return [(_monic_poly(f, self.var), m) for f, m in _int_yun(ints)] if len(ints) > 1 else []
         p = self.monic()
         if p.degree() == 0:
             return []
@@ -1154,6 +1176,8 @@ class UniPoly:
     def squarefree_part(self):
         if self.is_zero():
             raise ExactError("zero polynomial")
+        if self._over_q():
+            return _monic_poly(_int_squarefree_part(_primitive_int_coeffs(self)), self.var)
         p = self.monic()
         if p.degree() == 0:
             return p
@@ -1217,6 +1241,26 @@ def _int_poly_divexact(a, b):
     if r:
         return None
     return out
+
+
+def _int_poly_prem(g, f):
+    """The pseudo-remainder lead(f)^k g mod f in Z[x], trimmed, for f of
+    degree >= 1: g is multiplied by lead(f) only, so for a positive lead it
+    is a positive multiple of the remainder of g mod f over Q."""
+    r = list(g)
+    lead = f[-1]
+    d = len(f) - 1
+    while len(r) > d:
+        c = r.pop()
+        if c:
+            off = len(r) - d
+            if lead != 1:
+                r = [v * lead for v in r]
+            for j in range(d):
+                r[off + j] -= c * f[j]
+    while r and not r[-1]:
+        r.pop()
+    return r
 
 
 def _int_eval(ints, x):
@@ -1349,7 +1393,13 @@ def _rational_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
 
 
 # ---------------------------------------------------------------------------
-# factorization over Q
+# factorization over Q, on Z[x]
+#
+# A rational polynomial enters once as its primitive integer form with a
+# positive leading coefficient (``_primitive_int_coeffs``); squarefree
+# decomposition, rational roots and splitting then run on int lists, and a
+# UniPoly is built only for a result (``_monic_poly``).  Every divisor used
+# is primitive, so by Gauss's lemma each division is exact in Z[x].
 # ---------------------------------------------------------------------------
 
 def _primitive_int_coeffs(p: UniPoly):
@@ -1360,6 +1410,58 @@ def _primitive_int_coeffs(p: UniPoly):
     if ints and ints[-1] < 0:
         ints = [-v for v in ints]
     return ints
+
+
+def _monic_poly(ints, var):
+    """The monic UniPoly of a nonzero int list: an int coefficient where it
+    is integral, else a Fraction."""
+    lead = ints[-1]
+    if lead == 1:
+        return UniPoly(ints, var=var)
+    return UniPoly([c // lead if c % lead == 0 else Q(c, lead) for c in ints], var=var)
+
+
+def _int_derivative(f):
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def _int_yun(f):
+    """Yun's squarefree decomposition of f, primitive of degree >= 1:
+    [(primitive squarefree factor with a positive lead, multiplicity)] for
+    each multiplicity that occurs, ascending.
+
+    With c_i = u prod_{j >= i} a_j, the loop keeps d_i = u sum_{j > i}
+    (j - i) a_j' prod_{k >= i, k != j} a_k, so gcd(c_i, d_i) = a_i; c_i
+    and d_i are divided by the same primitive a_i, which keeps one u."""
+    if len(f) == 2:
+        return [(f, 1)]
+    df = _int_derivative(f)
+    g = _int_gcd(f, _int_primitive(df))
+    if len(g) == 1:
+        return [(f, 1)]
+    c = _int_poly_divexact(f, g)
+    d = _int_poly_sub(_int_poly_divexact(df, g), _int_derivative(c))
+    out = []
+    i = 1
+    while len(c) > 1:
+        h = _int_gcd(c, _int_primitive(d)) if d else c
+        if len(h) > 1:
+            if h[-1] < 0:
+                h = [-v for v in h]
+            out.append((h, i))
+            c = _int_poly_divexact(c, h)
+            d = _int_poly_divexact(d, h)
+        d = _int_poly_sub(d, _int_derivative(c))
+        i += 1
+    return out
+
+
+def _int_squarefree_part(f):
+    """f over its gcd with f', for a primitive f; f itself for a constant."""
+    if len(f) <= 2:
+        return f
+    g = _int_gcd(f, _int_primitive(_int_derivative(f)))
+    return f if len(g) == 1 else _int_poly_divexact(f, g)
 
 
 def _int_divisors(n: int):
@@ -1376,54 +1478,60 @@ def _int_divisors(n: int):
     return out
 
 
+def _int_linear_factors(f):
+    """The rational roots of the squarefree primitive f, of degree >= 1, as
+    pairs (a, b) for a / b in lowest terms with b > 0, and the rest: f over
+    the primitive b x - a of each root.
+
+    By the rational root theorem a divides the constant term and b the
+    leading coefficient of f over its power of x."""
+    roots = []
+    if not f[0]:
+        roots.append((0, 1))
+        f = f[1:]
+    rest = f
+    if len(f) == 1:
+        return roots, rest
+    for num in _int_divisors(f[0]):
+        for den in _int_divisors(f[-1]):
+            if math.gcd(num, den) != 1:
+                continue
+            for a in (num, -num):
+                # den^deg * rest(a / den), on integers
+                acc = 0
+                den_pow = 1
+                for c in reversed(rest):
+                    acc = acc * a + c * den_pow
+                    den_pow *= den
+                if acc == 0:
+                    roots.append((a, den))
+                    rest = _int_poly_divexact(rest, [-a, den])
+                    if len(rest) == 1:
+                        return roots, rest
+    return roots, rest
+
+
 def rational_roots(p: UniPoly):
-    """All rational roots of p over Q (no multiplicities), via the rational
-    root theorem on the primitive integer form."""
+    """All rational roots of p over Q (no multiplicities), ascending, via
+    the rational root theorem on the squarefree part of the primitive
+    integer form."""
     if p.is_zero():
         raise ExactError("zero polynomial")
     ints = _primitive_int_coeffs(p)
-    roots = []
-    # strip x^k content
-    k = 0
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-        k += 1
-    if k:
-        roots.append(Q(0))
-    if len(ints) <= 1:
-        return roots
-    a0, an = ints[0], ints[-1]
-    seen = set()
-    for num in _int_divisors(a0):
-        for den in _int_divisors(an):
-            for s in (1, -1):
-                cand = Q(s * num, den)
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                # den^deg * p(s num / den), on integers
-                acc = 0
-                den_pow = 1
-                for c in reversed(ints):
-                    acc = acc * s * num + c * den_pow
-                    den_pow *= den
-                if acc == 0:
-                    roots.append(cand)
-    roots.sort()
-    return roots
+    if len(ints) == 1:
+        return []
+    return sorted(Q(a, b) for a, b in _int_linear_factors(_int_squarefree_part(ints))[0])
 
 
 def squarefree_and_rational_roots(p: UniPoly):
     """The squarefree part of p plus its rational roots with multiplicities."""
     if p.is_zero():
         raise ExactError("zero polynomial")
-    sf = p.squarefree_part()
-    roots = []
-    for factor, mult in p.squarefree_decomposition():
-        for r in rational_roots(factor):
-            roots.append((r, mult))
-    roots.sort()
-    return sf, roots
+    ints = _primitive_int_coeffs(p)
+    parts = _int_yun(ints) if len(ints) > 1 else []
+    sf = functools.reduce(_int_poly_mul, (f for f, _ in parts), [1])
+    roots = sorted((Q(a, b), mult) for f, mult in parts for a, b in _int_linear_factors(f)[0])
+    return _monic_poly(sf, p.var), roots
 
 
 def _mod_poly(ints, p):
@@ -1529,11 +1637,10 @@ def _subset_sums(pattern):
     return sums
 
 
-def modular_irreducibility(p: UniPoly):
-    """True if certified irreducible over Q by reduction mod small primes,
-    False if certified reducible is NOT possible here (returns None when
-    inconclusive)."""
-    ints = _primitive_int_coeffs(p)
+def modular_irreducibility(ints):
+    """True if the primitive integer polynomial ``ints`` is certified
+    irreducible over Q by reduction mod small primes, None when
+    inconclusive."""
     n = len(ints) - 1
     possible = set(range(n + 1))
     for prime in _CERT_PRIMES:
@@ -1619,70 +1726,54 @@ class Factor:
 
 
 def factor_univariate(p: UniPoly, cap=DEFAULT_FACTOR_CAP):
-    """Factor a rational univariate polynomial into monic irreducibles.
+    """Factor a rational univariate polynomial into monic irreducibles,
+    sorted by degree and coefficients.
 
     Degree <= 3 factors are certified by rational-root exclusion; degree >= 4
     factors are certified by a modular check when possible and otherwise
     flagged presumed irreducible (dynamic evaluation repairs them later).
-    A certified factor of degree >= 2 is a new polynomial whose
-    ``certified_irreducible`` is set, which ``adjoin_root`` reads; p itself
-    is never flagged.
+    A certified factor of degree >= 2 has ``certified_irreducible`` set,
+    which ``adjoin_root`` reads; every factor is a new polynomial, so p
+    itself is never flagged.
     """
     if p.is_zero():
         raise ExactError("zero polynomial")
     if p.degree() > cap:
         raise ExactError("factor cap exceeded")
+    ints = _primitive_int_coeffs(p)
     out = []
-    for sf, mult in p.squarefree_decomposition():
-        for piece, certified in _factor_squarefree(sf):
-            out.append(Factor(piece, mult, certified))
-    out.sort(key=lambda f: (f.poly.degree(), [as_fraction(c) for c in f.poly.coeffs]))
+    for sf, mult in _int_yun(ints) if len(ints) > 1 else ():
+        for f, certified in _int_irreducible_factors(sf):
+            poly = _monic_poly(f, p.var)
+            poly.certified_irreducible = certified and len(f) > 2
+            out.append(Factor(poly, mult, certified))
+    out.sort(key=lambda f: (len(f.poly.coeffs), f.poly.coeffs))
     return out
 
 
-def _factor_squarefree(p: UniPoly):
-    """Monic irreducible factors of the monic squarefree p, each with its
-    certification; a factor may be p itself, never flagged in place."""
-    if p.degree() == 0:
-        return []
-    if p.degree() == 1:
-        return [(p, True)]
-    pieces = []
-    rest = p
-    for r in rational_roots(rest):
-        lin = UniPoly([_canon(-r), 1], var=p.var)
-        while True:
-            q, rem = rest.divmod(lin)
-            if rem.is_zero():
-                pieces.append((lin, True))
-                rest = q
-            else:
-                break
-    # a quotient's integral coefficients may be Fractions: monic makes them ints
-    work = [rest.monic()] if rest.degree() >= 1 else []
+def _int_irreducible_factors(f):
+    """The factors in Z[x] of the squarefree primitive f of degree >= 1,
+    each with its certification: the linear ones of its rational roots,
+    then the rest, irreducible for degree 2 or 3 and otherwise certified
+    by ``modular_irreducibility`` or split or certified by
+    ``_kronecker_split``."""
+    if len(f) == 2:
+        return [(f, True)]
+    roots, rest = _int_linear_factors(f)
+    out = [([-a, b], True) for a, b in roots]
+    work = [rest] if len(rest) > 1 else []
     while work:
-        f = work.pop()
-        if f.degree() == 1:
-            pieces.append((f, True))
-            continue
+        g = work.pop()
         # no rational root (already stripped): irreducible for degree 2, 3
-        if f.degree() <= 3 or modular_irreducibility(f):
-            pieces.append((_flagged_irreducible(f), True))
+        if len(g) <= 4 or modular_irreducibility(g):
+            out.append((g, True))
             continue
-        split, full = _kronecker_split(_primitive_int_coeffs(f))
+        split, full = _kronecker_split(g)
         if split is None:
-            # rational roots are stripped, so a full search certifies f
-            pieces.append((_flagged_irreducible(f), True) if full else (f, False))
+            # rational roots are stripped, so a full search certifies g
+            out.append((g, full))
             continue
-        g = UniPoly([Q(c) for c in split], var=p.var).monic()
-        work.append(g)
-        work.append(f.exact_div(g).monic())
-    pieces.sort(key=lambda t: (t[0].degree(), [as_fraction(c) for c in t[0].coeffs]))
-    return pieces
-
-
-def _flagged_irreducible(f: UniPoly) -> UniPoly:
-    """A copy of f marked certified irreducible; f may be a caller's."""
-    g = UniPoly(f.coeffs, var=f.var, tower=f.tower)
-    g.certified_irreducible = True
-    return g
+        h = _int_primitive(split)
+        work.append(h)
+        work.append(_int_poly_divexact(g, h))
+    return out

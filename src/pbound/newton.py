@@ -184,10 +184,12 @@ def vertex_critical_check(diagram: NewtonDiagram, profile: CoeffProfile, lam_min
         j = v.x
         p = profile.p[j][1]
         q = profile.q[j - 1][1]
-        ratio = p * f_inv(q)
-        rational = certified_is_rational(ratio)
-        if rational:
-            lam_star = as_fraction(ratio)
+        if isinstance(p, ExtElem) or isinstance(q, ExtElem):
+            ratio = p * f_inv(q)
+            lam_star = as_fraction(ratio) if certified_is_rational(ratio) else None
+        else:
+            lam_star = Fraction(p) / q
+        if lam_star is not None:
             if lam_star <= 0 or lam_star <= lam_min:
                 verdicts.append(VertexVerdict(j, lam_star, False, False))
                 continue
@@ -204,11 +206,12 @@ def vertex_critical_check(diagram: NewtonDiagram, profile: CoeffProfile, lam_min
 
 def _strictly_dominates(points, v, lam):
     """True when the line of slope -lam through v, on the points' scale,
-    lies strictly below every other point."""
+    lies strictly below every other point: den y + num x, for lam =
+    num / den, is smallest at v alone."""
+    num, den = lam.numerator, lam.denominator
+    at_v = den * v.y + num * v.x
     for p in points:
-        if p.x == v.x and p.y == v.y:
-            continue
-        if p.y + lam * p.x <= v.y + lam * v.x:
+        if den * p.y + num * p.x <= at_v and (p.x != v.x or p.y != v.y):
             return False
     return True
 

@@ -735,7 +735,8 @@ def _leading_entries(terms, powers=None):
     for every w-power of a term dict or only those in ``powers``.  A term
     dict holds no zeros as a rule, so the lowest term of each w-power is
     tested first, and the others, in ascending order, only when it is
-    zero."""
+    zero.  A nonzero rational is a unit; only a tower element goes through
+    ``ensure_regular``."""
     low = {}
     for key, c in terms.items():
         we = key[1]
@@ -745,14 +746,20 @@ def _leading_entries(terms, powers=None):
                 low[we] = (key[0], c)
     out = {}
     for we, entry in low.items():
-        if not ensure_regular(entry[1]):
+        if _is_unit(entry[1]):
             out[we] = entry
             continue
         for ze, c in sorted(((ze, c) for (ze, j), c in terms.items() if j == we), key=lambda t: t[0]):
-            if not ensure_regular(c):
+            if _is_unit(c):
                 out[we] = (ze, c)
                 break
     return out
+
+
+def _is_unit(c) -> bool:
+    if c.__class__ is int or c.__class__ is Fraction:
+        return c != 0
+    return not ensure_regular(c)
 
 
 def coeff_profile(p_terms, q_terms, n=1, fold=False) -> CoeffProfile:
@@ -868,14 +875,13 @@ def invert_at_infinity(sys: OdeSystem, z0=Q(0)) -> OdeSystem:
     tower = sys.tower
     if not f_is_zero(z0):
         sys = translate_point(sys, z0, 0)
+    p, q = sys.P.terms, sys.Q.terms
     D = max(sys.P.w_degree(), sys.Q.w_degree())
-    Pb = BiPoly({(ze, D - we + 2): -c for (ze, we), c in sys.P.terms.items()}, tower=tower)
-    Qb = BiPoly({(ze, D - we): c for (ze, we), c in sys.Q.terms.items()}, tower=tower)
-    dz = min(min((ze for (ze, _) in Pb.terms), default=0), min((ze for (ze, _) in Qb.terms), default=0))
-    dw = min(min((we for (_, we) in Pb.terms), default=0), min((we for (_, we) in Qb.terms), default=0))
-    if dz or dw:
-        Pb = BiPoly({(ze - dz, we - dw): c for (ze, we), c in Pb.terms.items()}, tower=tower)
-        Qb = BiPoly({(ze - dz, we - dw): c for (ze, we), c in Qb.terms.items()}, tower=tower)
+    # wbar^(D + 2 - j) on P and wbar^(D - j) on Q, over the common monomial
+    dz = min(min((ze for ze, _ in p), default=0), min((ze for ze, _ in q), default=0))
+    dw = min(min((D + 2 - we for _, we in p), default=0), min((D - we for _, we in q), default=0))
+    Pb = BiPoly._from_clean({(ze - dz, D + 2 - we - dw): -c for (ze, we), c in p.items()}, tower)
+    Qb = BiPoly._from_clean({(ze - dz, D - we - dw): c for (ze, we), c in q.items()}, tower)
     return OdeSystem(Pb, Qb, tower=tower)
 
 

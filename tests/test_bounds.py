@@ -331,6 +331,20 @@ def test_linear_part_rule_matches_the_engine_at_irrational_axis_roots():
     assert decided[0] >= 20 and decided[1] >= 900
 
 
+def test_linear_part_rule_on_a_factor_with_a_non_unit_integer_lead():
+    # census system: w^2 - 1/2*w + 2 is 2w^2 - w + 4 on Z[w], so the
+    # pseudo-remainders are scaled by powers of 2
+    sys, _ = parse_system("dw/dz = (2*w^3 - w^2 - z*w + 4*z^2 + 4*w) / (z*w + 4*z)")
+    ((f,),) = [(f,) for kind, f, _ in axis_singular_points(sys)[0] if kind == "algebraic"]
+    assert str(f) == "w^2 - 1/2*w + 2"
+    rule = _linear_part_count(sys, f, DEFAULT_CAPS)
+    tower, theta = adjoin_root(QQ_TOWER, f, DEFAULT_CAPS.tower)
+    engine = multiplicity_at(sys.map_tower(tower), ("point", Q(0), theta), DEFAULT_CAPS)
+    assert (rule.status, rule.count) == ("finite", 1)
+    label = "root of %s" % f
+    assert AxisPoint(label, 2, rule).to_report() == AxisPoint(label, 2, engine).to_report()
+
+
 def _summand(system, label, caps=DEFAULT_CAPS):
     sys, _ = parse_system(system)
     return next(s for s in axis_multiplicity_bound(sys, caps).summands() if s["point"] == label)

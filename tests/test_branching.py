@@ -42,7 +42,7 @@ from pbound.polyode import (
     transform_point,
     translate_point,
 )
-from pbound.sysparse import branch_report
+from pbound.sysparse import branch_report, parse_system
 from puiseux_oracle import pair_acceptable, ramification, residual_valuation
 
 
@@ -1023,6 +1023,41 @@ def test_truncated_extension_matches_full_remainder_on_random_systems(system, po
     for leaf in tree.leaves:
         if leaf.terms and leaf.counted:
             assert _as_compared(extend_leaf(leaf, 12)) == _as_compared(reference_extend(leaf, 12, caps))
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        "dw/dz = (z^2 + m*w) / (z + w^2); m = -4",
+        "dw/dz = (w^2 + z^3) / (z^2)",
+        "dw/dz = (z^2 - 3*w) / (z + w)",
+        "dw/dz = (w - 2*z)*(w + 3*z^2) / (z^2)",
+    ],
+)
+def test_linear_edge_polynomial_is_solved_without_factoring(monkeypatch, system):
+    sys, _ = parse_system(system)
+    _, diagram = exact_newton(sys)
+    # the step the factorization gives: the root of the one monic factor
+    want = []
+    for edge in diagram.edges:
+        phi = nonzero_char_poly(edge) if edge.admissible else None
+        if phi is not None and phi.degree() == 1:
+            (fac,) = branching.factor_univariate(phi)
+            c0, c1 = fac.poly.coeffs
+            want.append(branching._Step(edge.lam, -Q(c0) / Q(c1), fac.multiplicity, "rational"))
+    assert want
+    degrees = []
+    real = branching.factor_univariate
+
+    def spy(phi, *args, **kwargs):
+        degrees.append(phi.degree())
+        return real(phi, *args, **kwargs)
+
+    monkeypatch.setattr(branching, "factor_univariate", spy)
+    steps = _Expander(sys, DEFAULT_CAPS)._steps_from_diagram(_walk_sides(sys), Q(0), diagram)
+    assert 1 not in degrees
+    got = [s for s in steps if s.note == "rational"]
+    assert [(s, [type(x) for x in s]) for s in got] == [(s, [type(x) for x in s]) for s in sorted(want)]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -796,30 +796,57 @@ def test_analyze_matches_the_old_order_on_census_systems(text):
 
 
 def test_presumed_tower_level_is_inconclusive(capsys):
-    # the 2-folded roots +-t0 of (a^2 - 2)^2, t0^2 = 2, take a ramified step
-    # that adjoins t1 above t0, presumed irreducible: the branch's tower
-    # lists both levels, and the presumed one makes the report inconclusive
-    system = "dw/dz = ((w^2 - 2*z^2)^2 + z^7) / z^5"
+    # the 3-folded roots +-t0 of (a^2 - 2)^3, t0^2 = 2, take a ramified step
+    # that adjoins t1 above t0, a cubic presumed irreducible: the branch's
+    # tower lists both levels, and the presumed one makes the report
+    # inconclusive
+    system = "dw/dz = ((w^2 - 2*z^2)^3 + z^10) / z^7"
     code, data = run_json(capsys, ["mul", "--system", system, "--at", "0,0"])
     assert code == 3
-    assert data["status"] == "finite" and data["mul"] == 4
+    assert data["status"] == "finite" and data["mul"] == 6
     (branch,) = data["branches"]
     assert branch["coefficients"][:2] == ["t0", "t1"]
     assert branch["tower"] == [
         {"generator": "t0", "minpoly": "t0^2 - 2", "presumed_irreducible": False},
-        {"generator": "t1", "minpoly": "t1^2 - 1/8*t0", "presumed_irreducible": True},
+        {"generator": "t1", "minpoly": "t1^3 - 1/16", "presumed_irreducible": True},
     ]
 
 
 def test_bound_over_a_presumed_tower_level_is_inconclusive(capsys):
-    # the sum bound 4 rests on the count at 0, whose branch lies over the
+    # the sum bound 6 rests on the count at 0, whose branch lies over the
     # presumed level t1 (see above): that summand says so, and exits 3
-    system = "dw/dz = ((w^2 - 2*z^2)^2 + z^7) / z^5"
+    system = "dw/dz = ((w^2 - 2*z^2)^3 + z^10) / z^7"
     code, data = run_json(capsys, ["bound", "--system", system])
     assert code == 3
     bounds = data["bounds"]
-    assert bounds["sum_bound"] == 4
+    assert bounds["sum_bound"] == 6
     assert [s.get("presumed_irreducible") for s in bounds["summands"]] == [None, True]
+
+
+def test_quadratic_level_with_a_nonsquare_discriminant_norm_is_certified(capsys):
+    # the 2-folded roots +-t0 of (a^2 - 2)^2 adjoin t1^2 - 1/8*t0 over
+    # Q(t0): the norm -1/32 of its discriminant t0/2 is no rational square,
+    # so t1 is certified and the report is conclusive
+    system = "dw/dz = ((w^2 - 2*z^2)^2 + z^7) / z^5"
+    code, data = run_json(capsys, ["mul", "--system", system, "--at", "0,0"])
+    assert code == 0
+    assert data["status"] == "finite" and data["mul"] == 4
+    (branch,) = data["branches"]
+    assert branch["tower"] == [
+        {"generator": "t0", "minpoly": "t0^2 - 2", "presumed_irreducible": False},
+        {"generator": "t1", "minpoly": "t1^2 - 1/8*t0", "presumed_irreducible": False},
+    ]
+
+
+def test_bound_over_a_certified_quadratic_level_is_conclusive(capsys):
+    # at the roots of w^2 - 2 the edge polynomial 8a^2 + t0 adjoins a
+    # quadratic level of discriminant norm -1/32 over Q(t0)
+    system = "dw/dz = ((w^2 - 2)^2 + z^2*w) / z^3"
+    code, data = run_json(capsys, ["bound", "--system", system])
+    assert code == 0
+    bounds = data["bounds"]
+    assert bounds["sum_bound"] == 4
+    assert bounds["summands"][1] == {"point": "root of w^2 - 2", "weight": 2, "status": "finite", "mul": 2}
 
 
 def test_kronecker_certified_level_is_conclusive(capsys):

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pbound import exact
 from pbound.exact import (
@@ -176,14 +176,14 @@ def test_factor_quartic_biquadratic():
 
 
 def test_modular_irreducibility_certifies():
-    assert modular_irreducibility(poly(2, 0, 0, 0, 1)) is True  # x^4 + 2 (Eisenstein)
+    assert modular_irreducibility([2, 0, 0, 0, 1]) is True  # x^4 + 2 (Eisenstein)
 
 
 @pytest.mark.parametrize("coeffs", [(9, 0, 0, 0, 1), (1, 0, 0, 0, 1)], ids=["x^4 + 9", "x^4 + 1"])
 def test_full_kronecker_search_certifies_irreducibility(coeffs, monkeypatch):
     # both split mod every prime, so no degree pattern certifies them; the
     # search tests every quadratic candidate and finds no factor
-    assert modular_irreducibility(poly(*coeffs)) is None
+    assert modular_irreducibility(list(coeffs)) is None
     assert exact._kronecker_split(list(coeffs)) == (None, True)
     (f,) = factor_univariate(poly(*coeffs))
     assert f.certified and f.poly.certified_irreducible
@@ -248,6 +248,64 @@ def test_adjoin_half_integer_branch_case():
 def test_adjoin_rejects_rational_roots():
     with pytest.raises(ExactError, match="reducible linear part"):
         adjoin_root(QQ_TOWER, poly(-4, 0, 1))
+
+
+def certified_level(*ascending):
+    """Q(t0) for the root of an irreducible polynomial over Q, certified."""
+    (f,) = factor_univariate(poly(*ascending))
+    return adjoin_root(QQ_TOWER, f.poly)
+
+
+def quadratic_over(tower, c1, c0):
+    return UniPoly([tower.coerce(c0), tower.coerce(c1), tower.one()], tower=tower)
+
+
+def test_adjoin_certifies_a_quadratic_of_nonsquare_discriminant_norm():
+    tower, t0 = certified_level(-2, 0, 1)
+    # x^2 - t0/8: the discriminant t0/2 has norm -1/2, no rational square
+    top, _ = adjoin_root(tower, quadratic_over(tower, 0, -t0 * Q(1, 8)))
+    assert [lv.presumed for lv in top.levels] == [False, False]
+    # x^2 - 3 over Q(t0), t0^2 = 2: the norm 144 of 12 is a square, and
+    # sqrt(3) is not in Q(sqrt(2)), but the rule does not tell: presumed
+    top, _ = adjoin_root(tower, quadratic_over(tower, 0, -3))
+    assert top.levels[1].presumed
+    # a cubic over K and any level over a presumed one stay presumed
+    top, _ = adjoin_root(tower, UniPoly([-t0, 0, 0, tower.one()], tower=tower))
+    assert top.levels[1].presumed
+    third, _ = adjoin_root(top, quadratic_over(top, 0, -top.coerce(t0)))
+    assert third.levels[2].presumed
+
+
+@pytest.mark.parametrize(
+    "modulus, square",
+    [
+        # 3 + 2 t0 = (1 + t0)^2 over t0^2 = 2, of norm 1
+        ((-2, 0, 1), lambda t: 3 + 2 * t),
+        # over t0^3 = 2 the charpoly's constant term is -N: it pins the sign
+        ((-2, 0, 0, 1), lambda t: (1 + t) * (1 + t)),
+    ],
+    ids=["t0^2 - 2", "t0^3 - 2"],
+)
+def test_adjoin_never_certifies_a_quadratic_with_a_root_in_k(modulus, square):
+    tower, t0 = certified_level(*modulus)
+    top, _ = adjoin_root(tower, quadratic_over(tower, 0, -square(t0)))
+    assert top.levels[-1].presumed
+
+
+K_MODULI = [(-2, 0, 1), (1, 1, 1), (-2, 0, 0, 1), (1, -1, 0, 1), (2, 0, 0, 0, 1)]
+k_coords = st.lists(st.integers(-3, 3), min_size=4, max_size=4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(K_MODULI), k_coords, k_coords)
+def test_adjoin_never_certifies_a_quadratic_with_roots_in_k(modulus, r, s):
+    # (x - r)(x - s) for r, s in K: its discriminant (r - s)^2 is a square
+    tower, t0 = certified_level(*modulus)
+    r, s = (sum(c * t0**i for i, c in enumerate(v[: len(modulus) - 1])) + tower.zero() for v in (r, s))
+    m = quadratic_over(tower, -(r + s), r * s)
+    assume(not all(exact.is_rational_value(c) for c in m.coeffs))
+    top, _ = adjoin_root(tower, m)
+    assert top.levels[-1].presumed
 
 
 def test_adjoin_requires_monic():
@@ -1146,6 +1204,192 @@ def test_factor_univariate_leaves_the_flag_of_its_input(coeffs, flag):
     for f in factors:
         if f.poly is p:
             assert f.poly.degree() == 1 or not f.certified
+
+
+# ---------------------------------------------------------------------------
+# factoring on Z[x] against the Fraction path it replaced, kept here as it
+# was: Yun, rational roots and splitting on monic Fraction UniPolys
+# ---------------------------------------------------------------------------
+
+def ref_squarefree_decomposition(self):
+    """``UniPoly.squarefree_decomposition`` over Q, as it was."""
+    p = self.monic()
+    if p.degree() == 0:
+        return []
+    if p.degree() == 1:
+        return [(p, 1)]
+    dp = p.derivative()
+    g = p.gcd(dp)
+    if g.degree() == 0:
+        return [(p, 1)]
+    out = []
+    c = p.exact_div(g)
+    d = dp.exact_div(g) - c.derivative()
+    i = 1
+    while c.degree() > 0:
+        h = c.gcd(d)
+        if h.degree() > 0:
+            out.append((h.monic(), i))
+        c_next = c.exact_div(h) if h.degree() > 0 else c
+        d = (d.exact_div(h) if h.degree() > 0 else d) - c_next.derivative()
+        c = c_next
+        i += 1
+    return out
+
+
+def ref_rational_roots(p):
+    """``rational_roots``, as it was."""
+    ints = exact._primitive_int_coeffs(p)
+    roots = []
+    k = 0
+    while ints and ints[0] == 0:
+        ints = ints[1:]
+        k += 1
+    if k:
+        roots.append(Q(0))
+    if len(ints) <= 1:
+        return roots
+    a0, an = ints[0], ints[-1]
+    seen = set()
+    for num in exact._int_divisors(a0):
+        for den in exact._int_divisors(an):
+            for s in (1, -1):
+                cand = Q(s * num, den)
+                if cand in seen:
+                    continue
+                seen.add(cand)
+                acc = 0
+                den_pow = 1
+                for c in reversed(ints):
+                    acc = acc * s * num + c * den_pow
+                    den_pow *= den
+                if acc == 0:
+                    roots.append(cand)
+    roots.sort()
+    return roots
+
+
+def ref_flagged(f):
+    g = UniPoly(f.coeffs, var=f.var, tower=f.tower)
+    g.certified_irreducible = True
+    return g
+
+
+def ref_factor_squarefree(p):
+    """``_factor_squarefree``, as it was: the Fraction divmod loop."""
+    if p.degree() == 0:
+        return []
+    if p.degree() == 1:
+        return [(p, True)]
+    pieces = []
+    rest = p
+    for r in ref_rational_roots(rest):
+        lin = UniPoly([exact._canon(-r), 1], var=p.var)
+        while True:
+            q, rem = rest.divmod(lin)
+            if rem.is_zero():
+                pieces.append((lin, True))
+                rest = q
+            else:
+                break
+    work = [rest.monic()] if rest.degree() >= 1 else []
+    while work:
+        f = work.pop()
+        if f.degree() == 1:
+            pieces.append((f, True))
+            continue
+        if f.degree() <= 3 or modular_irreducibility(exact._primitive_int_coeffs(f)):
+            pieces.append((ref_flagged(f), True))
+            continue
+        split, full = exact._kronecker_split(exact._primitive_int_coeffs(f))
+        if split is None:
+            pieces.append((ref_flagged(f), True) if full else (f, False))
+            continue
+        g = UniPoly([Q(c) for c in split], var=p.var).monic()
+        work.append(g)
+        work.append(f.exact_div(g).monic())
+    return pieces
+
+
+def ref_factor_univariate(p):
+    """``factor_univariate``, as it was."""
+    out = []
+    for sf, mult in ref_squarefree_decomposition(p):
+        for piece, certified in ref_factor_squarefree(sf):
+            out.append(exact.Factor(piece, mult, certified))
+    out.sort(key=lambda f: (f.poly.degree(), [exact.as_fraction(c) for c in f.poly.coeffs]))
+    return out
+
+
+# irreducible quartics: Eisenstein, and three that split mod every prime
+QUARTICS = [[2, 0, 0, 0, 1], [9, 0, 0, 0, 1], [1, 0, 0, 0, 1], [1, 0, -10, 0, 1]]
+small_int_factors = st.integers(1, 3).flatmap(
+    lambda d: st.tuples(st.lists(st.integers(-5, 5), min_size=d, max_size=d), st.sampled_from([1, 1, 2, 3, -2]))
+).map(lambda t: t[0] + [t[1]])
+
+
+def times_power(p, f, mult):
+    """p times f^m for the largest m <= mult that keeps degree <= 8, and m."""
+    m = 0
+    while m < mult and len(p) + len(f) - 2 <= 8:
+        p = ref_polymul(p, f)
+        m += 1
+    return p, m
+
+
+@st.composite
+def z_x_products(draw):
+    """(ascending coefficients, big): a scaled product of degree <= 8 of
+    small factors, x and irreducible quartics, each to a power <= 3, and
+    of at most one root a / b with b up to 10^6 to the power ``big``."""
+    p = [draw(st.sampled_from([1, -1, 2, -3, Q(-3, 2), Q(5, 4)]))]
+    big = 0
+    if draw(st.booleans()):
+        root = [-draw(st.integers(-(10**6), 10**6)), draw(st.integers(1, 10**6))]
+        p, big = times_power(p, root, draw(st.integers(1, 3)))
+    for _ in range(draw(st.integers(1, 4))):
+        f = draw(st.one_of(small_int_factors, st.just([0, 1]), st.sampled_from(QUARTICS)))
+        p, _ = times_power(p, f, draw(st.integers(1, 3)))
+    return p, big
+
+
+def typed(p):
+    return [(type(c), c) for c in p.coeffs]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(z_x_products(), st.booleans())
+def test_factoring_on_z_x_matches_the_fraction_path(drawn, as_fractions):
+    coeffs, big = drawn
+    if as_fractions:
+        coeffs = [Q(c) for c in coeffs]
+    p = UniPoly(coeffs)
+    got, want = factor_univariate(p), ref_factor_univariate(p)
+    assert [(typed(f.poly), f.multiplicity, f.certified, f.poly.certified_irreducible) for f in got] == [
+        (typed(f.poly), f.multiplicity, f.certified, f.poly.certified_irreducible) for f in want
+    ]
+    got = [(typed(f), m) for f, m in p.squarefree_decomposition()]
+    assert got == [(typed(f), m) for f, m in ref_squarefree_decomposition(p)]
+    # the old divisor search on a big root's power takes seconds: its
+    # squarefree part has the same roots
+    ref_input = p if big <= 1 else p.squarefree_part()
+    assert [(type(r), r) for r in rational_roots(p)] == [(type(r), r) for r in ref_rational_roots(ref_input)]
+
+
+@FIELD_SETTINGS
+@given(
+    st.lists(st.integers(-20, 20), max_size=7),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=3),
+    st.integers(1, 6),
+)
+def test_int_pseudo_remainder_is_a_positive_multiple_of_the_remainder(g, low, lead):
+    f = low + [lead]
+    got = exact._int_poly_prem(g, f)
+    want = UniPoly(g) % UniPoly(f)
+    assert len(got) == len(want.coeffs)
+    if got:
+        scale = Q(got[-1]) / want.leading()
+        assert scale > 0 and [scale * c for c in want.coeffs] == got
 
 
 # ---------------------------------------------------------------------------

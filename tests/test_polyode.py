@@ -640,6 +640,45 @@ def test_affine_map_round_trip_over_sqrt2_tower(sys, m, at):
     assert_same_system(round_trip(sys, m, at), sys)
 
 
+def invert_reference(sys, z0):
+    """``invert_at_infinity`` as it was: the inverted sides, then the common
+    monomial removed, each through ``BiPoly``."""
+    tower = sys.tower
+    if not exact.f_is_zero(z0):
+        sys = translate_point(sys, z0, 0)
+    D = max(sys.P.w_degree(), sys.Q.w_degree())
+    Pb = BiPoly({(ze, D - we + 2): -c for (ze, we), c in sys.P.terms.items()}, tower=tower)
+    Qb = BiPoly({(ze, D - we): c for (ze, we), c in sys.Q.terms.items()}, tower=tower)
+    dz = min(min((ze for (ze, _) in Pb.terms), default=0), min((ze for (ze, _) in Qb.terms), default=0))
+    dw = min(min((we for (_, we) in Pb.terms), default=0), min((we for (_, we) in Qb.terms), default=0))
+    if dz or dw:
+        Pb = BiPoly({(ze - dz, we - dw): c for (ze, we), c in Pb.terms.items()}, tower=tower)
+        Qb = BiPoly({(ze - dz, we - dw): c for (ze, we), c in Qb.terms.items()}, tower=tower)
+    return OdeSystem(Pb, Qb, tower=tower)
+
+
+def inversion_systems(coeffs=rationals, tower=None):
+    """affine_systems, and the same with P = 0."""
+    return st.one_of(
+        affine_systems(coeffs, tower),
+        affine_systems(coeffs, tower).map(lambda s: OdeSystem(BiPoly({}, tower), s.Q, tower=tower)),
+    )
+
+
+@KERNEL_SETTINGS
+@given(inversion_systems(), st.one_of(st.just(Q(0)), rationals))
+def test_invert_at_infinity_matches_the_reference(sys, z0):
+    got = invert_at_infinity(sys, z0)
+    assert_same_system(got, invert_reference(sys, z0))
+    assert got.P.tower is got.Q.tower is sys.tower
+
+
+@KERNEL_SETTINGS
+@given(inversion_systems(sqrt2_values(), SQRT2_TOWER), st.one_of(st.just(Q(0)), sqrt2_values()))
+def test_invert_at_infinity_over_sqrt2_tower(sys, z0):
+    assert_same_system(invert_at_infinity(sys, z0), invert_reference(sys, z0))
+
+
 @pytest.mark.parametrize("m", [((0, 0), (0, 0)), ((1, 2), (2, 4)), ((Q(1, 2), 1), (1, 2))])
 def test_affine_map_rejects_a_singular_matrix(m):
     sys = lv_system(Q(-1), Q(5), Q(0))
