@@ -12,7 +12,6 @@ M(M+1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,7 +31,7 @@ from .exact import (
     as_fraction,
     factor_univariate,
 )
-from .polyode import BiPoly, OdeSystem, affine_map, bipoly_str
+from .polyode import BiPoly, OdeSystem, _int_rows, _int_terms, affine_map, bipoly_str
 from .sysparse import witness_report
 
 
@@ -152,19 +151,6 @@ def axis_degree(sys: OdeSystem) -> int:
     return max(sys.P.total_degree(), sys.Q.total_degree())
 
 
-def _int_w_rows(poly: BiPoly):
-    """{i: the z^i-coefficient of the rational ``poly`` as an int list in w,
-    times the positive lcm of its denominators}."""
-    rows = {}
-    for (ze, we), c in poly.terms.items():
-        rows.setdefault(ze, {})[we] = c
-    out = {}
-    for ze, row in rows.items():
-        den = math.lcm(*(c.denominator for c in row.values()))
-        out[ze] = [row[j].numerator * (den // row[j].denominator) if j in row else 0 for j in range(max(row) + 1)]
-    return out
-
-
 def _linear_part_count(sys: OdeSystem, f: UniPoly, caps: Caps) -> Optional[MultiplicityResult]:
     """The count at each root theta of the axis factor f, read off the
     linear part of (zdot, wdot) = (Q, P) at (0, theta); None where the
@@ -193,9 +179,9 @@ def _linear_part_count(sys: OdeSystem, f: UniPoly, caps: Caps) -> Optional[Multi
     # on Z[w]: a pseudo-remainder against the primitive f, which has a
     # positive lead, is a positive multiple of the remainder mod f
     f = _primitive_int_coeffs(f)
-    p_rows, q_rows = _int_w_rows(sys.P), _int_w_rows(sys.Q)
-    mu_z = _int_poly_prem(q_rows.get(1, []), f)
-    mu_w = _int_poly_prem(_int_derivative(p_rows.get(0, [])), f)
+    p_rows, q_rows = (_int_rows(_int_terms(side), axis=1) for side in (sys.P, sys.Q))
+    mu_z = _int_poly_prem(q_rows[1] if len(q_rows) > 1 else [], f)
+    mu_w = _int_poly_prem(_int_derivative(p_rows[0]), f)
     if not mu_z or not mu_w:
         return None
     # rho is in Q+ exactly when the coordinates of mu_w and mu_z in the
@@ -205,7 +191,7 @@ def _linear_part_count(sys: OdeSystem, f: UniPoly, caps: Caps) -> Optional[Multi
     a, b = mu_z[lead], mu_w[lead]
     if a * b > 0 and all(y * a == b * x for x, y in zip(mu_z, mu_w)):
         return None
-    count = 0 if all(not _int_poly_prem(row, f) for row in p_rows.values()) else 1
+    count = 0 if all(not _int_poly_prem(row, f) for row in p_rows) else 1
     return MultiplicityResult(status="finite", count=count)
 
 

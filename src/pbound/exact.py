@@ -1148,8 +1148,7 @@ class UniPoly:
         if self.is_zero():
             raise ExactError("zero polynomial")
         if self._over_q():
-            ints = _primitive_int_coeffs(self)
-            return [(_monic_poly(f, self.var), m) for f, m in _int_yun(ints)] if len(ints) > 1 else []
+            return [(_monic_poly(f, self.var), m) for f, m in _int_yun(_primitive_int_coeffs(self))]
         p = self.monic()
         if p.degree() == 0:
             return []
@@ -1426,13 +1425,15 @@ def _int_derivative(f):
 
 
 def _int_yun(f):
-    """Yun's squarefree decomposition of f, primitive of degree >= 1:
+    """Yun's squarefree decomposition of the primitive f:
     [(primitive squarefree factor with a positive lead, multiplicity)] for
     each multiplicity that occurs, ascending.
 
     With c_i = u prod_{j >= i} a_j, the loop keeps d_i = u sum_{j > i}
     (j - i) a_j' prod_{k >= i, k != j} a_k, so gcd(c_i, d_i) = a_i; c_i
     and d_i are divided by the same primitive a_i, which keeps one u."""
+    if len(f) == 1:
+        return []
     if len(f) == 2:
         return [(f, 1)]
     df = _int_derivative(f)
@@ -1492,8 +1493,9 @@ def _int_linear_factors(f):
     rest = f
     if len(f) == 1:
         return roots, rest
+    dens = _int_divisors(f[-1])
     for num in _int_divisors(f[0]):
-        for den in _int_divisors(f[-1]):
+        for den in dens:
             if math.gcd(num, den) != 1:
                 continue
             for a in (num, -num):
@@ -1527,8 +1529,7 @@ def squarefree_and_rational_roots(p: UniPoly):
     """The squarefree part of p plus its rational roots with multiplicities."""
     if p.is_zero():
         raise ExactError("zero polynomial")
-    ints = _primitive_int_coeffs(p)
-    parts = _int_yun(ints) if len(ints) > 1 else []
+    parts = _int_yun(_primitive_int_coeffs(p))
     sf = functools.reduce(_int_poly_mul, (f for f, _ in parts), [1])
     roots = sorted((Q(a, b), mult) for f, mult in parts for a, b in _int_linear_factors(f)[0])
     return _monic_poly(sf, p.var), roots
@@ -1740,9 +1741,8 @@ def factor_univariate(p: UniPoly, cap=DEFAULT_FACTOR_CAP):
         raise ExactError("zero polynomial")
     if p.degree() > cap:
         raise ExactError("factor cap exceeded")
-    ints = _primitive_int_coeffs(p)
     out = []
-    for sf, mult in _int_yun(ints) if len(ints) > 1 else ():
+    for sf, mult in _int_yun(_primitive_int_coeffs(p)):
         for f, certified in _int_irreducible_factors(sf):
             poly = _monic_poly(f, p.var)
             poly.certified_irreducible = certified and len(f) > 2

@@ -757,6 +757,8 @@ def _leading_entries(terms, powers=None):
 
 
 def _is_unit(c) -> bool:
+    """A nonzero rational, or a tower element ``ensure_regular`` finds a
+    unit."""
     if c.__class__ is int or c.__class__ is Fraction:
         return c != 0
     return not ensure_regular(c)

@@ -1376,6 +1376,24 @@ def test_factoring_on_z_x_matches_the_fraction_path(drawn, as_fractions):
     assert [(type(r), r) for r in rational_roots(p)] == [(type(r), r) for r in ref_rational_roots(ref_input)]
 
 
+def test_rational_root_search_lists_each_divisor_set_once(monkeypatch):
+    # (241193 x + 536445)(999983 x - 123457)(x - 4): the leading
+    # coefficient's divisors by trial division up to 4.9e5, once, not once
+    # per divisor of the constant term
+    calls = []
+    real = exact._int_divisors
+
+    def spy(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(exact, "_int_divisors", spy)
+    f = exact._int_poly_mul(exact._int_poly_mul([536445, 241193], [-123457, 999983]), [-4, 1])
+    got = [str(fac.poly) for fac in factor_univariate(UniPoly(f))]
+    assert got == ["x - 4", "x - 123457/999983", "x + 536445/241193"]
+    assert len(calls) == 2
+
+
 @FIELD_SETTINGS
 @given(
     st.lists(st.integers(-20, 20), max_size=7),
