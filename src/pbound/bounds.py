@@ -31,7 +31,7 @@ from .exact import (
     as_fraction,
     factor_univariate,
 )
-from .polyode import BiPoly, OdeSystem, _int_rows, _int_terms, affine_map, bipoly_str
+from .polyode import BiPoly, OdeSystem, _int_rows, _int_terms, affine_map, bipoly_str, invert_at_infinity
 from .sysparse import witness_report
 
 
@@ -44,6 +44,7 @@ class AxisPoint:
     label: str  # "inf", a rational string, or "root of <poly>"
     weight: int  # number of conjugate points this entry stands for
     mul: MultiplicityResult
+    linear_part: bool = False  # counted off the linear part: mul has no branches
 
     def to_report(self):
         out = {"point": self.label, "weight": self.weight, "status": self.mul.status}
@@ -151,72 +152,102 @@ def axis_degree(sys: OdeSystem) -> int:
     return max(sys.P.total_degree(), sys.Q.total_degree())
 
 
-def _linear_part_count(sys: OdeSystem, f: UniPoly, caps: Caps) -> Optional[MultiplicityResult]:
-    """The count at each root theta of the axis factor f, read off the
-    linear part of (zdot, wdot) = (Q, P) at (0, theta); None where the
-    branch tree must decide.
+def _linear_rows(sys: OdeSystem):
+    """The int rows of P and Q by z-power, dense in w (``polyode._int_rows``),
+    which ``_linear_part_count`` reads; None for a system over a tower or on
+    a scale n > 1, where the rule does not apply."""
+    if sys.tower is not None or sys.n != 1:
+        return None
+    return tuple(_int_rows(_int_terms(side), axis=1) for side in (sys.P, sys.Q))
+
+
+def _linear_part_count(rows, f, caps: Caps) -> Optional[MultiplicityResult]:
+    """The count at each root theta of f, an irreducible factor over Q of
+    P(0, w) given as its primitive int list with a positive lead, read off
+    the linear part of (zdot, wdot) = (Q, P) at (0, theta); ``rows`` are
+    ``_linear_rows`` of the system.  None where the branch tree must decide.
 
     With P_i and Q_i the z^i-coefficients (Q_0 = 0 in axis form), the
     Jacobian at (0, theta) is [[Q_1, 0], [P_1, P_0']] at theta: eigenvalue
-    mu_z = Q_1(theta) across the axis and mu_w = P_0'(theta) along it.  When
-    both are nonzero and rho = mu_w / mu_z is not in Q+, the point is a
-    reduced singularity that is neither a saddle-node nor a resonant node,
-    so it has exactly two formal separatrices, smooth and tangent to the
-    two eigendirections (Camacho-Sad, Ann. of Math. 1982; Brunella,
-    Birational Geometry of Foliations, ch. 1).  One is the axis z = 0.  As
-    mu_z != mu_w, the eigendirection of mu_z is transverse to the axis, so
-    the other is one power series w = theta + a_1 z + ... .  That series is
-    the constant solution w = theta, which is never counted, exactly when
-    P(z, theta) = 0, that is when f divides every P_i.  So the count is 0
-    then and 1 otherwise, the same at every conjugate root.
+    mu_z = Q_1(theta) across the axis and mu_w = P_0'(theta) along it.  The
+    point is reduced when exactly one of them is zero (a saddle-node) or
+    both are nonzero and rho = mu_w / mu_z is not in Q+ (a saddle, in the
+    wide sense).  It then has exactly two formal separatrices, smooth and
+    tangent to the two eigendirections (Seidenberg, Amer. J. Math. 1968;
+    Camacho-Sad, Ann. of Math. 1982; Brunella, Birational Geometry of
+    Foliations, ch. 1: a saddle-node has its strong separatrix and one
+    formal center manifold).  One is the axis z = 0.  As mu_z != mu_w, the
+    eigendirection of mu_z, (mu_z - mu_w, P_1(theta)), is transverse to the
+    axis, so the other is one power series w = theta + a_1 z + ... .  That
+    series is the constant solution w = theta, which is never counted,
+    exactly when P(z, theta) = 0, that is when f divides every P_i.  So the
+    count is 0 then and 1 otherwise, the same at every conjugate root.
 
-    The rule needs f certified irreducible, so that Q[w]/(f) is a field and
-    a presumed factor keeps the engine's split replay; a system over Q;
-    and caps.depth >= 1, since the engine takes one tree step here.
+    The tree finds that series in one step of integer exponent lam = k0,
+    the order of P(z, theta), from the only edge past 0, (0, k0) to (1, 0),
+    of a linear edge polynomial: (1, 0) is a Both point of ratio rho, which
+    is not critical, or a point of P alone (mu_z = 0) or of Q alone
+    (mu_w = 0).  The node after it, at depth 1, is closed, or exact where
+    the series is a polynomial; an exact node is also a depth-cap leaf
+    unless its depth is below caps.depth.  Where mu_z = 0 the node's closure
+    may be ``generic``: Q vanishes on the prefix w = s(z), a polynomial in
+    z, and the tree takes one more such step, at the next depth.  Each such
+    s gives another factor w - s(z) of Q / z, so there are at most deg_w Q
+    of them.  So the tree decides the point without a cap when caps.depth
+    >= 2, plus deg_w Q where mu_z = 0, and caps.factor >= 1, which a linear
+    edge polynomial over Q needs.  The system must be over Q
+    (``_linear_rows``) and f certified irreducible, so that Q[w]/(f) is a
+    field and a presumed factor keeps the engine's split replay.
     """
-    if not (f.certified_irreducible and caps.depth >= 1 and sys.tower is None and sys.n == 1):
+    if rows is None or caps.factor < 1:
         return None
+    p_rows, q_rows = rows
     # on Z[w]: a pseudo-remainder against the primitive f, which has a
     # positive lead, is a positive multiple of the remainder mod f
-    f = _primitive_int_coeffs(f)
-    p_rows, q_rows = (_int_rows(_int_terms(side), axis=1) for side in (sys.P, sys.Q))
+    if _int_poly_prem(p_rows[0], f):
+        return None  # a regular point of the axis
     mu_z = _int_poly_prem(q_rows[1] if len(q_rows) > 1 else [], f)
     mu_w = _int_poly_prem(_int_derivative(p_rows[0]), f)
-    if not mu_z or not mu_w:
+    if mu_z and mu_w:
+        # rho is in Q+ exactly when the coordinates of mu_w and mu_z in the
+        # basis 1, theta, ... are positively proportional
+        mu_z, mu_w = (r + [0] * (len(f) - 1 - len(r)) for r in (mu_z, mu_w))
+        lead = next(i for i, c in enumerate(mu_z) if c)
+        a, b = mu_z[lead], mu_w[lead]
+        if a * b > 0 and all(y * a == b * x for x, y in zip(mu_z, mu_w)):
+            return None
+    elif not mu_z and not mu_w:
         return None
-    # rho is in Q+ exactly when the coordinates of mu_w and mu_z in the
-    # basis 1, theta, ... are positively proportional
-    mu_z, mu_w = (r + [0] * (len(f) - 1 - len(r)) for r in (mu_z, mu_w))
-    lead = next(i for i, c in enumerate(mu_z) if c)
-    a, b = mu_z[lead], mu_w[lead]
-    if a * b > 0 and all(y * a == b * x for x, y in zip(mu_z, mu_w)):
+    if caps.depth < 2 + (0 if mu_z else max(map(len, q_rows)) - 1):
         return None
     count = 0 if all(not _int_poly_prem(row, f) for row in p_rows) else 1
     return MultiplicityResult(status="finite", count=count)
 
 
-def _mul_at_algebraic_point(sys: OdeSystem, minpoly: UniPoly, caps: Caps):
-    """Multiplicities over the conjugacy class of an irreducible axis root.
+def _mul_at_algebraic_point(sys: OdeSystem, minpoly: UniPoly, caps: Caps, rows):
+    """The summands over the conjugacy class of an irreducible axis root.
 
-    Returns [(factor, MultiplicityResult)]; a presumed-irreducible factor
-    that splits mid-run is replayed per irreducible factor of its pieces,
-    each entry standing for the roots of its own factor.  A factor of
-    degree above ``caps.tower`` is not adjoined: its roots count as a
-    capped point with lower bound 0.  Where the linear part decides the
-    count (``_linear_part_count``) no root is adjoined; elsewhere
-    ``multiplicity_at`` runs over Q(theta).
+    A presumed-irreducible factor that splits mid-run is replayed per
+    irreducible factor of its pieces, each entry standing for the roots of
+    its own factor.  A factor of degree above ``caps.tower`` is not
+    adjoined: its roots count as a capped point with lower bound 0.  Where
+    the linear part decides the count (``_linear_part_count`` on ``rows``)
+    no root is adjoined; elsewhere ``multiplicity_at`` runs over Q(theta).
     """
     work = [minpoly]
     out = []
     while work:
         poly = work.pop()
-        if poly.degree() > caps.tower:
-            out.append((poly, MultiplicityResult(status="capped", lower_bound=0, diagnostics=("tower-cap",))))
+        label, weight = "root of %s" % poly, poly.degree()
+        if weight > caps.tower:
+            capped = MultiplicityResult(status="capped", lower_bound=0, diagnostics=("tower-cap",))
+            out.append(AxisPoint(label, weight, capped))
             continue
-        res = _linear_part_count(sys, poly, caps)
-        if res is not None:
-            out.append((poly, res))
-            continue
+        if poly.certified_irreducible:
+            res = _linear_part_count(rows, _primitive_int_coeffs(poly), caps)
+            if res is not None:
+                out.append(AxisPoint(label, weight, res, linear_part=True))
+                continue
         try:
             tower, theta = adjoin_root(QQ_TOWER, poly, caps.tower)
         except ExactError as exc:
@@ -232,33 +263,44 @@ def _mul_at_algebraic_point(sys: OdeSystem, minpoly: UniPoly, caps: Caps):
             for t in exc.factor_towers():
                 work.extend(f.poly for f in factor_univariate(_level_modulus(t.levels[:1], "w")))
             continue
-        out.append((poly, res))
+        out.append(AxisPoint(label, weight, res))
     return out
+
+
+def _axis_point(sys: OdeSystem, label: str, point, rule, caps: Caps) -> AxisPoint:
+    """The summand at a rational ``point``: the linear-part count ``rule``
+    where it decides, else the branch tree's."""
+    if rule is not None:
+        return AxisPoint(label, 1, rule, linear_part=True)
+    return AxisPoint(label, 1, multiplicity_at(sys, point, caps))
 
 
 def axis_multiplicity_bound(sys: OdeSystem, caps: Caps = DEFAULT_CAPS) -> BoundReport:
     """Bound deg_w f by the sum of multiplicities over the axis points; report
-    the product bound M(k+1) too when every point is non-critical."""
+    the product bound M(k+1) too when every point is non-critical.
+
+    Every point the linear part decides (``_linear_part_count``) is counted
+    before any branch tree runs: a rational root a/b as the factor b w - a
+    of P(0, w), and (0, infinity) as the root w = 0 of the system that
+    ``invert_at_infinity`` moves it to."""
     _require_axis(sys)
     point_entries, k = axis_singular_points(sys)
     m_axis = axis_degree(sys)
     report = BoundReport(m_axis=m_axis, m_plain=sys.degree(), k=k)
+    rows = _linear_rows(sys)
     total = 0
     lower = 0
     all_finite = True
     any_capped = False
     for kind, value, weight in point_entries:
         if kind == "inf":
-            res = multiplicity_at(sys, ("inf", Q(0)), caps)
-            entries = [AxisPoint(label="inf", weight=1, mul=res)]
+            rule = _linear_part_count(_linear_rows(invert_at_infinity(sys)), [0, 1], caps)
+            entries = [_axis_point(sys, "inf", ("inf", Q(0)), rule, caps)]
         elif kind == "rational":
-            res = multiplicity_at(sys, ("point", Q(0), value), caps)
-            entries = [AxisPoint(label=str(value), weight=1, mul=res)]
+            rule = _linear_part_count(rows, [-value.numerator, value.denominator], caps)
+            entries = [_axis_point(sys, str(value), ("point", Q(0), value), rule, caps)]
         else:
-            entries = [
-                AxisPoint(label="root of %s" % str(poly), weight=poly.degree(), mul=res)
-                for poly, res in _mul_at_algebraic_point(sys, value, caps)
-            ]
+            entries = _mul_at_algebraic_point(sys, value, caps, rows)
         for entry in entries:
             report.points.append(entry)
             if entry.mul.status == "finite":

@@ -782,9 +782,14 @@ def multiplicity_at(sys: OdeSystem, point, caps: Caps = DEFAULT_CAPS) -> Multipl
 
     Transforms the point to the origin, expands the branch tree and counts the
     counted leaves weighted by conjugacy degree; the constant solution is never
-    counted.  Counted branches are extended to ``caps.terms`` terms.
+    counted.  Counted branches are extended to ``caps.terms`` terms.  A
+    regular point of an invariant axis has count 0 (``_regular_axis_point``)
+    and no tree is expanded there.
     """
-    tree = expand_branches(transform_point(sys, point), caps)
+    moved = transform_point(sys, point)
+    if caps.depth >= 1 and _regular_axis_point(moved):
+        return MultiplicityResult(status="finite", count=0)
+    tree = expand_branches(moved, caps)
     if tree.critical is not None:
         return MultiplicityResult(status="critical", witness=tree.critical, flags=tree.flags)
     branches = []
@@ -815,3 +820,20 @@ def multiplicity_at(sys: OdeSystem, point, caps: Caps = DEFAULT_CAPS) -> Multipl
     return MultiplicityResult(
         status="finite", count=count, branches=tuple(branches), flags=tree.flags
     )
+
+
+def _regular_axis_point(sys: OdeSystem) -> bool:
+    """True when the origin is a regular point of the invariant axis z = 0
+    of ``sys``: a system over Q with z | Q and P(0, 0) != 0.
+
+    There the tree has no leaf and no witness.  Every support point has
+    height >= 0, as z | Q puts each Q point at height l_i - 1 >= 0, and
+    (0, 0) is one of them, so no edge of exponent lam > 0 leaves it: the
+    root has no step.  A vertex (x, y) with x >= 1 has weight y + r x > 0
+    at every slope r > 0, more than (0, 0) has, so none dominates, and over
+    Q every vertex ratio is rational, so none is dicritical-suspect.  So the
+    tree returns count 0 with no branch, unless caps.depth = 0, where the
+    root itself is a depth-cap leaf."""
+    if sys.tower is not None or sys.n != 1 or not sys.Q.terms:
+        return False
+    return all(ze for ze, _ in sys.Q.terms) and not f_is_zero(sys.P.terms.get((0, 0), 0))

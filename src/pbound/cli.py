@@ -211,10 +211,11 @@ def _cmd_analyze(args) -> int:
     system, source = _load_system(args)
     report = {"command": "analyze", "system": _system_block(system, source)}
     # The axis bound's summands include (0, 0) and (0, inf) at the same caps,
-    # labelled "0" and "inf", so they are read from it and computed only
-    # where a label is missing (P(0, 0) != 0).  An error of the bound is
-    # raised where the bound stands in the report, after any error of the
-    # steps before it.
+    # labelled "0" and "inf", so they are read from it where its branch tree
+    # made them, and computed where a label is missing (P(0, 0) != 0) or was
+    # counted off the linear part, which leaves no branches to report.  An
+    # error of the bound is raised where the bound stands in the report,
+    # after any error of the steps before it.
     bound, failure, known = None, None, {}
     if source.axis:
         try:
@@ -222,7 +223,7 @@ def _cmd_analyze(args) -> int:
         except Exception as exc:
             failure = exc
         else:
-            known = {point.label: point.mul for point in bound.points}
+            known = {point.label: point.mul for point in bound.points if not point.linear_part}
     origin = known["0"] if "0" in known else multiplicity_at(system, ("point", Q(0), Q(0)), caps)
     at_inf = known["inf"] if "inf" in known else multiplicity_at(system, ("inf", Q(0)), caps)
     report["mul_at_origin"] = multiplicity_report(origin)

@@ -1172,19 +1172,6 @@ class UniPoly:
             i += 1
         return out
 
-    def squarefree_part(self):
-        if self.is_zero():
-            raise ExactError("zero polynomial")
-        if self._over_q():
-            return _monic_poly(_int_squarefree_part(_primitive_int_coeffs(self)), self.var)
-        p = self.monic()
-        if p.degree() == 0:
-            return p
-        g = p.gcd(p.derivative())
-        if g.degree() == 0:
-            return p
-        return p.exact_div(g)
-
     def __repr__(self):
         cs = self.coeffs
         return term_sum(

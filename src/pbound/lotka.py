@@ -244,14 +244,16 @@ def triple_report(p: LvParams, caps: Caps = DEFAULT_CAPS, bound: Optional[BoundR
     str(a) and "0".
 
     ``bound`` is the axis bound ``classify`` computed at the same caps; its
-    summands are these three points under the same labels, so they are read
-    from it.  Without a bound (the ``inapplicable`` verdict, which a = 0
-    always gets) or without one of the labels they are recomputed by
-    ``lv_multiplicity_triple``."""
+    summands are these three points under the same labels, so each is read
+    from it where its branch tree made it.  A point without a bound (the
+    ``inapplicable`` verdict, which a = 0 always gets), without its label or
+    counted off the linear part, which leaves no branches to report, is
+    computed here as ``lv_multiplicity_triple`` computes it."""
     labels = ("inf", str(p.a), "0")
-    known = {point.label: point.mul for point in bound.points} if bound is not None else {}
-    if all(label in known for label in labels):
-        triple = [known[label] for label in labels]
-    else:
-        triple = lv_multiplicity_triple(p, caps)
+    points = (("inf", Q(0)), ("point", Q(0), p.a), ("point", Q(0), Q(0)))
+    known = {point.label: point.mul for point in bound.points if not point.linear_part} if bound is not None else {}
+    sys = None if all(label in known for label in labels) else lv_equation(p)
+    triple = [
+        known[label] if label in known else multiplicity_at(sys, point, caps) for label, point in zip(labels, points)
+    ]
     return {label: multiplicity_report(mul) for label, mul in zip(labels, triple)}

@@ -4,11 +4,12 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbound import bounds
+from pbound import bounds, branching
 from pbound.bounds import (
     AxisPoint,
     BoundsError,
     _linear_part_count,
+    _linear_rows,
     axis_multiplicity_bound,
     axis_singular_points,
     invariant_line_bound,
@@ -16,9 +17,9 @@ from pbound.bounds import (
     p_at_axis,
 )
 from pbound.branching import DEFAULT_CAPS, Caps, multiplicity_at
-from pbound.exact import QQ_TOWER, UniPoly, adjoin_root
-from pbound.polyode import BiPoly, OdeError, OdeSystem, bipoly_str, make_system
-from pbound.sysparse import parse_system
+from pbound.exact import QQ_TOWER, UniPoly, _int_squarefree_part, _primitive_int_coeffs, adjoin_root
+from pbound.polyode import BiPoly, OdeError, OdeSystem, bipoly_str, make_system, transform_point
+from pbound.sysparse import multiplicity_report, parse_system
 from test_dynamic_evaluation import AXIS_QUARTIC
 
 
@@ -90,7 +91,7 @@ def test_axis_k_is_the_degree_of_the_squarefree_part(factors, z_term):
         terms[(1, 1)] = terms.get((1, 1), 0) + 3
     sys = make_system(BiPoly(terms), bp({(1, 0): 1}))
     points, k = axis_singular_points(sys)
-    assert k == p_at_axis(sys).squarefree_part().degree()
+    assert k == len(_int_squarefree_part(_primitive_int_coeffs(p_at_axis(sys)))) - 1
     assert k == sum(weight for kind, _, weight in points if kind != "inf")
 
 
@@ -320,7 +321,7 @@ def test_linear_part_rule_matches_the_engine_at_irrational_axis_roots():
     pairs = [_census_style(rng) for _ in range(800)] + [_small_corpus(rng) for _ in range(600)]
     decided = {0: 0, 1: 0}
     for sys, f in _irrational_classes(pairs):
-        rule = _linear_part_count(sys, f, DEFAULT_CAPS)
+        rule = _linear_part_count(_linear_rows(sys), _primitive_int_coeffs(f), DEFAULT_CAPS)
         if rule is None:
             continue
         tower, theta = adjoin_root(QQ_TOWER, f, DEFAULT_CAPS.tower)
@@ -337,7 +338,7 @@ def test_linear_part_rule_on_a_factor_with_a_non_unit_integer_lead():
     sys, _ = parse_system("dw/dz = (2*w^3 - w^2 - z*w + 4*z^2 + 4*w) / (z*w + 4*z)")
     ((f,),) = [(f,) for kind, f, _ in axis_singular_points(sys)[0] if kind == "algebraic"]
     assert str(f) == "w^2 - 1/2*w + 2"
-    rule = _linear_part_count(sys, f, DEFAULT_CAPS)
+    rule = _linear_part_count(_linear_rows(sys), _primitive_int_coeffs(f), DEFAULT_CAPS)
     tower, theta = adjoin_root(QQ_TOWER, f, DEFAULT_CAPS.tower)
     engine = multiplicity_at(sys.map_tower(tower), ("point", Q(0), theta), DEFAULT_CAPS)
     assert (rule.status, rule.count) == ("finite", 1)
@@ -376,24 +377,191 @@ def test_linear_part_rule_never_counts_the_constant_solution(adjoined):
     assert adjoined == []
 
 
+def _engine_summand(monkeypatch, system, label, caps=DEFAULT_CAPS):
+    """The summand the branch tree gives, with the linear-part rule off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds, "_linear_part_count", lambda *args: None)
+        return _summand(system, label, caps)
+
+
 @pytest.mark.parametrize(
-    "system, status",
+    "system, status, decided",
     [
         # rho = 2w / w = 2 is in Q+: the engine finds the point critical
-        ("dw/dz = (w^2 - 2 + z) / (z*w)", "critical"),
-        # a double root of P(0, w): mu_w = 0
-        ("dw/dz = ((w^2 - 2)^2 + z) / (z)", "finite"),
+        ("dw/dz = (w^2 - 2 + z) / (z*w)", "critical", False),
+        # a double root of P(0, w): mu_w = 0, a saddle-node
+        ("dw/dz = ((w^2 - 2)^2 + z) / (z)", "finite", True),
         # Q_1(theta) = 0: a saddle-node
-        ("dw/dz = (w^2 - 2 + 2*z) / (z*(w^2 - 2) + z^2)", "finite"),
+        ("dw/dz = (w^2 - 2 + 2*z) / (z*(w^2 - 2) + z^2)", "finite", True),
     ],
 )
-def test_linear_part_rule_leaves_the_other_classes_to_the_engine(adjoined, system, status):
+def test_linear_part_rule_leaves_the_other_classes_to_the_engine(monkeypatch, adjoined, system, status, decided):
+    # the saddle-nodes are counted off the linear part, with the summand
+    # that the branch tree over Q(theta) gives
     summand = _summand(system, "root of w^2 - 2")
-    assert adjoined == ["w^2 - 2"]
+    assert adjoined == ([] if decided else ["w^2 - 2"])
     assert summand["status"] == status
+    assert summand == _engine_summand(monkeypatch, system, "root of w^2 - 2")
 
 
 def test_linear_part_rule_keeps_the_depth_cap():
     # the engine takes one tree step at the point, which depth=0 caps
     summand = _summand("dw/dz = (w^3 + z*w - 2) / (z*w + z)", "root of w^3 - 2", Caps(depth=0))
     assert (summand["status"], summand["mul_lower_bound"]) == ("capped", 0)
+
+
+# ---------------------------------------------------------------------------
+# the linear-part rule and the regular-point count against the branch tree
+# ---------------------------------------------------------------------------
+
+RULE_CAPS = (DEFAULT_CAPS, Caps(depth=1), Caps(depth=2), Caps(depth=3), Caps(ram=1), Caps(factor=0))
+
+# The tree caps where the linear part sees no cap: the transverse separatrix
+# is the line w = theta + (theta + 1/2) z at the roots of w^2 + 1/4 (a
+# census system), w = z + theta at the roots of w^2 - 2 and w = z at 0, so
+# the tree stops on an exact leaf at depth 1.  At 0 in the last two systems
+# Q vanishes on the first step w = -z (mu_z = 0), so the tree takes a
+# second step, which in the last one ends on the exact solution
+# w = -z + z^2, at depth 2.
+PINNED_RULE_SYSTEMS = (
+    "dw/dz = (4*w^2 + 2*z + 1) / (4*z*w + 2*z)",
+    "dz/dt = -z; dw/dt = -z + (w - z)*((w - z)^2 - 2)",
+    "dw/dz = (-w + 2*z) / (z)",
+    "dw/dz = (w + z + z^2*w) / (z*(w + z))",
+    "dw/dz = (w + z - z^2 + (w + z)*(2*z^2 - z)) / (z*(w + z))",
+)
+
+
+def _corpus_pair(rng):
+    """A random system of the exhaustive small corpus: P of total degree
+    <= 2 and Q = z (a + b z + c w), coefficients in {-1, 0, 1}."""
+    c = lambda: rng.choice((-1, 0, 1))
+    p = BiPoly({(i, j): c() for i in range(3) for j in range(3 - i)})
+    return p, BiPoly({(1, 0): c(), (2, 0): c(), (1, 1): c()})
+
+
+def _rule_systems():
+    """The pinned systems and the coprime axis-form systems of derandomized
+    census-style and small-corpus draws whose axis is isolated."""
+    rng = random.Random(38)
+    pairs = [_census_style(rng) for _ in range(150)] + [_corpus_pair(rng) for _ in range(150)]
+    out = [parse_system(text)[0] for text in PINNED_RULE_SYSTEMS]
+    for p, q in pairs:
+        try:
+            sys = make_system(p, q)
+            axis_singular_points(sys)
+        except (OdeError, BoundsError):
+            continue
+        out.append(sys)
+    return out
+
+
+def _saddle_nodes(sys):
+    """The labels of the axis points with exactly one eigenvalue zero, from
+    mu_z = Q_1 mod f and mu_w = P_0' mod f over Q."""
+    q1 = UniPoly([sys.Q.coeff(1, j) for j in range(sys.Q.w_degree() + 1)], var="w")
+    dp0 = p_at_axis(sys).derivative()
+    out = set()
+    for kind, value, _ in axis_singular_points(sys)[0]:
+        if kind == "inf":
+            continue
+        f = UniPoly([-value, 1], var="w") if kind == "rational" else value
+        if (q1 % f).is_zero() != (dp0 % f).is_zero():
+            out.add(str(value) if kind == "rational" else "root of %s" % f)
+    return out
+
+
+def test_linear_part_rule_matches_the_branch_tree(monkeypatch):
+    # every bound report is the one the branch tree gives at every point, at
+    # default caps, at depth 1-3, at ram=1 and at factor=0; the rule
+    # decides points of every kind: 0, other rational roots, infinity and
+    # saddle-node classes of irrational roots
+    decided = {"0": 0, "rational": 0, "inf": 0, "saddle-node class": 0}
+    for sys in _rule_systems():
+        saddle_nodes = _saddle_nodes(sys)
+        for caps in RULE_CAPS:
+            report = axis_multiplicity_bound(sys, caps)
+            with monkeypatch.context() as patch:
+                patch.setattr(bounds, "_linear_part_count", lambda *args: None)
+                assert report.to_report() == axis_multiplicity_bound(sys, caps).to_report()
+            for point in report.points:
+                if not point.linear_part:
+                    continue
+                if point.label in ("0", "inf"):
+                    decided[point.label] += 1
+                elif not point.label.startswith("root of"):
+                    decided["rational"] += 1
+                elif point.label in saddle_nodes:
+                    decided["saddle-node class"] += 1
+    assert min(decided.values()) >= 20, decided
+
+
+# points of the axis z = 0, (0, infinity) and a point off the axis
+REGULAR_TEST_POINTS = (
+    ("point", Q(0), Q(0)),
+    ("inf", Q(0)),
+    ("point", Q(0), Q(1)),
+    ("point", Q(0), Q(-1, 2)),
+    ("point", Q(1), Q(0)),
+)
+
+
+def test_regular_axis_point_count_matches_the_branch_tree(monkeypatch):
+    # multiplicity_at skips the tree at a regular point of an invariant axis
+    # and reports what the tree reports, on the systems above, on systems
+    # whose Q has no factor z and on 1/w, where z does not divide Q
+    rng = random.Random(19)
+    systems = _rule_systems()[:120] + [parse_system("dw/dz = (1) / (w)")[0]]
+    for _ in range(60):
+        p, q = _corpus_pair(rng)
+        q = q + BiPoly({(0, 1): rng.choice((-1, 1)), (0, 0): rng.choice((-1, 0, 1))})
+        try:
+            systems.append(make_system(p, q))
+        except OdeError:
+            continue
+    skipped = 0
+    for sys in systems:
+        for caps in (DEFAULT_CAPS, Caps(depth=0), Caps(depth=1)):
+            for point in REGULAR_TEST_POINTS:
+                got = multiplicity_report(multiplicity_at(sys, point, caps))
+                with monkeypatch.context() as patch:
+                    patch.setattr(branching, "_regular_axis_point", lambda moved: False)
+                    assert got == multiplicity_report(multiplicity_at(sys, point, caps)), (sys, point, caps)
+                skipped += branching._regular_axis_point(transform_point(sys, point))
+    assert skipped >= 200
+
+
+def test_regular_point_count_needs_the_factor_z():
+    # z does not divide Q = w: two branches w = +-(2 z)^(1/2)
+    sys, _ = parse_system("dw/dz = (1) / (w)")
+    res = multiplicity_at(sys, ("point", Q(0), Q(0)))
+    assert (res.status, res.count) == ("finite", 2)
+
+
+def test_regular_point_count_keeps_the_depth_cap():
+    sys, _ = parse_system("dw/dz = (w + 1) / (z)")
+    res = multiplicity_at(sys, ("point", Q(0), Q(0)), Caps(depth=0))
+    assert (res.status, res.lower_bound) == ("capped", 0)
+    res = multiplicity_at(sys, ("point", Q(0), Q(0)))
+    assert (res.status, res.count, res.branches) == ("finite", 0, ())
+
+
+@pytest.mark.parametrize(
+    "system, label, caps, status, mul",
+    [
+        # an exact transverse line at depth 1: the tree caps it at depth=1
+        ("dz/dt = -z; dw/dt = -z + (w - z)*((w - z)^2 - 2)", "root of w^2 - 2", Caps(depth=1), "capped", 1),
+        ("dz/dt = -z; dw/dt = -z + (w - z)*((w - z)^2 - 2)", "root of w^2 - 2", Caps(depth=2), "finite", 1),
+        ("dw/dz = (-w + 2*z) / (z)", "0", Caps(depth=1), "capped", 1),
+        ("dw/dz = (-w + 2*z) / (z)", "0", Caps(depth=2), "finite", 1),
+        # mu_z = 0 with one generic closure: depth 2 + deg_w Q = 3 decides
+        ("dw/dz = (w + z + z^2*w) / (z*(w + z))", "0", Caps(depth=1), "capped", 0),
+        ("dw/dz = (w + z + z^2*w) / (z*(w + z))", "0", Caps(depth=3), "finite", 1),
+        ("dw/dz = (w + z - z^2 + (w + z)*(2*z^2 - z)) / (z*(w + z))", "0", Caps(depth=2), "capped", 1),
+        ("dw/dz = (w + z - z^2 + (w + z)*(2*z^2 - z)) / (z*(w + z))", "0", Caps(depth=3), "finite", 1),
+    ],
+)
+def test_linear_part_rule_depth_guard(monkeypatch, system, label, caps, status, mul):
+    summand = _summand(system, label, caps)
+    assert (summand["status"], summand.get("mul", summand.get("mul_lower_bound"))) == (status, mul)
+    assert summand == _engine_summand(monkeypatch, system, label, caps)

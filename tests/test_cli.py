@@ -733,19 +733,23 @@ def test_analyze_matches_the_old_order(text):
 
 
 def test_analyze_reads_both_multiplicities_from_the_bound(monkeypatch, capsys):
-    # LV(-1,5,0): the bound's points are inf, -1 and 0, and analyze adds none
-    calls = []
-    for module in (bounds, cli):
+    # LV(-1,5,0): the bound's points are inf, -1 and 0.  Analyze reads inf
+    # from the bound's branch tree and computes 0 itself, which the bound
+    # counted off the linear part, with no branches to report: no point's
+    # multiplicity is computed twice
+    calls = {bounds: [], cli: []}
+    for module in calls:
         real = module.multiplicity_at
 
-        def counting(*args, real=real):
-            calls.append(args[1])
+        def counting(*args, real=real, seen=calls[module]):
+            seen.append(args[1])
             return real(*args)
 
         monkeypatch.setattr(module, "multiplicity_at", counting)
     assert main(["analyze", "--system", DARBOUX_ANALYZE[0], "--json"]) == 0
     capsys.readouterr()
-    assert sorted(calls) == [("inf", 0), ("point", 0, -1), ("point", 0, 0)]
+    assert sorted(calls[bounds]) == [("inf", 0), ("point", 0, -1)]
+    assert calls[cli] == [("point", 0, 0)]
 
 
 def _raises(exc):
