@@ -18,7 +18,6 @@ from .exact import (
     TowerSplitError,
     adjoin_root,
     factor_univariate,
-    squarefree_and_rational_roots,
 )
 from .polyode import (
     BiPoly,
@@ -71,7 +70,6 @@ __all__ = [
     "TowerSplitError",
     "adjoin_root",
     "factor_univariate",
-    "squarefree_and_rational_roots",
     "BiPoly",
     "OdeSystem",
     "PuiseuxBranch",

@@ -44,7 +44,6 @@ class AxisPoint:
     label: str  # "inf", a rational string, or "root of <poly>"
     weight: int  # number of conjugate points this entry stands for
     mul: MultiplicityResult
-    linear_part: bool = False  # counted off the linear part: mul has no branches
 
     def to_report(self):
         out = {"point": self.label, "weight": self.weight, "status": self.mul.status}
@@ -246,7 +245,7 @@ def _mul_at_algebraic_point(sys: OdeSystem, minpoly: UniPoly, caps: Caps, rows):
         if poly.certified_irreducible:
             res = _linear_part_count(rows, _primitive_int_coeffs(poly), caps)
             if res is not None:
-                out.append(AxisPoint(label, weight, res, linear_part=True))
+                out.append(AxisPoint(label, weight, res))
                 continue
         try:
             tower, theta = adjoin_root(QQ_TOWER, poly, caps.tower)
@@ -267,40 +266,46 @@ def _mul_at_algebraic_point(sys: OdeSystem, minpoly: UniPoly, caps: Caps, rows):
     return out
 
 
-def _axis_point(sys: OdeSystem, label: str, point, rule, caps: Caps) -> AxisPoint:
-    """The summand at a rational ``point``: the linear-part count ``rule``
-    where it decides, else the branch tree's."""
-    if rule is not None:
-        return AxisPoint(label, 1, rule, linear_part=True)
-    return AxisPoint(label, 1, multiplicity_at(sys, point, caps))
-
-
-def axis_multiplicity_bound(sys: OdeSystem, caps: Caps = DEFAULT_CAPS) -> BoundReport:
+def axis_multiplicity_bound(sys: OdeSystem, caps: Caps = DEFAULT_CAPS, known=None) -> BoundReport:
     """Bound deg_w f by the sum of multiplicities over the axis points; report
     the product bound M(k+1) too when every point is non-critical.
 
-    Every point the linear part decides (``_linear_part_count``) is counted
-    before any branch tree runs: a rational root a/b as the factor b w - a
-    of P(0, w), and (0, infinity) as the root w = 0 of the system that
-    ``invert_at_infinity`` moves it to."""
+    ``known`` maps summand labels, "inf" or the ``str`` of a rational root,
+    to the ``multiplicity_at`` results at those points at the same caps,
+    which a caller that prints their branches has computed; they are taken
+    as they are.  At every other point the linear part decides
+    (``_linear_part_count``) no branch tree runs: a rational root a/b is
+    read as the factor b w - a of P(0, w), and (0, infinity) as the root
+    w = 0 of the system that ``invert_at_infinity`` moves it to, where the
+    tree runs at the origin of that system when the rule leaves the point
+    open.  Summands print no branches: the branches of that count have the
+    base (0, 0), not ("inf", 0), and must reach no branch list."""
     _require_axis(sys)
     point_entries, k = axis_singular_points(sys)
     m_axis = axis_degree(sys)
     report = BoundReport(m_axis=m_axis, m_plain=sys.degree(), k=k)
     rows = _linear_rows(sys)
+    known = known or {}
     total = 0
     lower = 0
     all_finite = True
     any_capped = False
     for kind, value, weight in point_entries:
-        if kind == "inf":
-            rule = _linear_part_count(_linear_rows(invert_at_infinity(sys)), [0, 1], caps)
-            entries = [_axis_point(sys, "inf", ("inf", Q(0)), rule, caps)]
-        elif kind == "rational":
-            rule = _linear_part_count(rows, [-value.numerator, value.denominator], caps)
-            entries = [_axis_point(sys, str(value), ("point", Q(0), value), rule, caps)]
-        else:
+        if kind == "algebraic":
             entries = _mul_at_algebraic_point(sys, value, caps, rows)
+        else:
+            label = "inf" if kind == "inf" else str(value)
+            mul = known.get(label)
+            if mul is None:
+                if kind == "inf":
+                    moved, w0 = invert_at_infinity(sys), Q(0)
+                    moved_rows = _linear_rows(moved)
+                else:
+                    moved, w0, moved_rows = sys, value, rows
+                mul = _linear_part_count(moved_rows, [-w0.numerator, w0.denominator], caps)
+                if mul is None:
+                    mul = multiplicity_at(moved, ("point", Q(0), w0), caps)
+            entries = [AxisPoint(label, 1, mul)]
         for entry in entries:
             report.points.append(entry)
             if entry.mul.status == "finite":

@@ -17,7 +17,7 @@ from .bounds import BoundsError, axis_multiplicity_bound, invariant_line_bound
 from .branching import DEFAULT_CAPS, Caps, multiplicity_at
 from .darboux import detect_invariant_lines, search_darboux
 from .exact import ExactError, Q
-from .lotka import LvParams, classify, triple_report
+from .lotka import LvParams, classify, lv_multiplicity_triple
 from .polyode import OdeError
 from .sysparse import (
     ParseError,
@@ -196,11 +196,16 @@ def _cmd_lv(args) -> int:
     caps = _caps_from(args)
     a, b, c = _parse_triple(args.params)
     params = LvParams(Q(a), Q(b), Q(c))
-    outcome = classify(params, caps)
+    # the triple's points are the bound's summands under these labels, at
+    # the same caps, so the bound takes them as they are
+    triple = {}
+    if args.triple:
+        triple = dict(zip(("inf", str(params.a), "0"), lv_multiplicity_triple(params, caps)))
+    outcome = classify(params, caps, triple)
     report = {"command": "lv"}
     report.update(outcome.to_report())
     if args.triple:
-        report["multiplicities"] = triple_report(params, caps, outcome.bound)
+        report["multiplicities"] = {label: multiplicity_report(mul) for label, mul in triple.items()}
     return _emit(args, report)
 
 
@@ -210,30 +215,15 @@ def _cmd_analyze(args) -> int:
         raise ValueError("--max-degree must not be negative")
     system, source = _load_system(args)
     report = {"command": "analyze", "system": _system_block(system, source)}
-    # The axis bound's summands include (0, 0) and (0, inf) at the same caps,
-    # labelled "0" and "inf", so they are read from it where its branch tree
-    # made them, and computed where a label is missing (P(0, 0) != 0) or was
-    # counted off the linear part, which leaves no branches to report.  An
-    # error of the bound is raised where the bound stands in the report,
-    # after any error of the steps before it.
-    bound, failure, known = None, None, {}
-    if source.axis:
-        try:
-            bound = axis_multiplicity_bound(system, caps)
-        except Exception as exc:
-            failure = exc
-        else:
-            known = {point.label: point.mul for point in bound.points if not point.linear_part}
-    origin = known["0"] if "0" in known else multiplicity_at(system, ("point", Q(0), Q(0)), caps)
-    at_inf = known["inf"] if "inf" in known else multiplicity_at(system, ("inf", Q(0)), caps)
+    origin = multiplicity_at(system, ("point", Q(0), Q(0)), caps)
+    at_inf = multiplicity_at(system, ("inf", Q(0)), caps)
     report["mul_at_origin"] = multiplicity_report(origin)
     report["mul_at_infinity"] = multiplicity_report(at_inf)
     detection = detect_invariant_lines(system)
     report["invariant_lines"] = detection.to_report()
     if source.axis:
-        if failure is not None:
-            raise failure
-        report["bounds"] = bound.to_report()
+        # the bound's summands labelled "0" and "inf" are these two points
+        report["bounds"] = axis_multiplicity_bound(system, caps, {"0": origin, "inf": at_inf}).to_report()
     else:
         for cert in detection.lines:
             f = cert.f

@@ -1512,16 +1512,6 @@ def rational_roots(p: UniPoly):
     return sorted(Q(a, b) for a, b in _int_linear_factors(_int_squarefree_part(ints))[0])
 
 
-def squarefree_and_rational_roots(p: UniPoly):
-    """The squarefree part of p plus its rational roots with multiplicities."""
-    if p.is_zero():
-        raise ExactError("zero polynomial")
-    parts = _int_yun(_primitive_int_coeffs(p))
-    sf = functools.reduce(_int_poly_mul, (f for f, _ in parts), [1])
-    roots = sorted((Q(a, b), mult) for f, mult in parts for a, b in _int_linear_factors(f)[0])
-    return _monic_poly(sf, p.var), roots
-
-
 def _mod_poly(ints, p):
     return [c % p for c in ints]
 

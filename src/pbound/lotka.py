@@ -28,7 +28,6 @@ from .branching import Caps, DEFAULT_CAPS, multiplicity_at
 from .darboux import DarbouxCertificate, search_darboux, verify_darboux
 from .exact import Q, in_q_minus, in_q_plus
 from .polyode import BiPoly, OdeSystem, affine_map, make_system
-from .sysparse import multiplicity_report
 
 
 @dataclass(frozen=True)
@@ -112,10 +111,12 @@ class LvClassification:
         return out
 
 
-def classify(p: LvParams, caps: Caps = DEFAULT_CAPS) -> LvClassification:
+def classify(p: LvParams, caps: Caps = DEFAULT_CAPS, known=None) -> LvClassification:
     """Strict-curve classification: evaluate a(1-c) + (1-b) under the
     genericity condition; emit the curve certificate or certify absence by a
-    bounded search."""
+    bounded search.  ``known`` goes to the axis bound
+    (``axis_multiplicity_bound``): the multiplicities at axis points that
+    the caller has computed at the same caps, by summand label."""
     gen = genericity_check(p)
     if not gen.holds:
         return LvClassification(
@@ -128,7 +129,7 @@ def classify(p: LvParams, caps: Caps = DEFAULT_CAPS) -> LvClassification:
         )
     s = p.a * (1 - p.c) + (1 - p.b)
     sys = lv_equation(p)
-    bound = axis_multiplicity_bound(sys, caps)
+    bound = axis_multiplicity_bound(sys, caps, known)
     notes = ()
     if s == 0:
         curve = verify_darboux(sys, BiPoly({(1, 0): p.a, (0, 1): Q(1), (0, 0): -p.a}))
@@ -237,23 +238,3 @@ def lv_multiplicity_triple(p: LvParams, caps: Caps = DEFAULT_CAPS):
     at_a = multiplicity_at(sys, ("point", Q(0), p.a), caps)
     at_zero = multiplicity_at(sys, ("point", Q(0), Q(0)), caps)
     return at_inf, at_a, at_zero
-
-
-def triple_report(p: LvParams, caps: Caps = DEFAULT_CAPS, bound: Optional[BoundReport] = None):
-    """The reports of (Mul(0, inf), Mul(0, a), Mul(0, 0)), keyed "inf",
-    str(a) and "0".
-
-    ``bound`` is the axis bound ``classify`` computed at the same caps; its
-    summands are these three points under the same labels, so each is read
-    from it where its branch tree made it.  A point without a bound (the
-    ``inapplicable`` verdict, which a = 0 always gets), without its label or
-    counted off the linear part, which leaves no branches to report, is
-    computed here as ``lv_multiplicity_triple`` computes it."""
-    labels = ("inf", str(p.a), "0")
-    points = (("inf", Q(0)), ("point", Q(0), p.a), ("point", Q(0), Q(0)))
-    known = {point.label: point.mul for point in bound.points if not point.linear_part} if bound is not None else {}
-    sys = None if all(label in known for label in labels) else lv_equation(p)
-    triple = [
-        known[label] if label in known else multiplicity_at(sys, point, caps) for label, point in zip(labels, points)
-    ]
-    return {label: multiplicity_report(mul) for label, mul in zip(labels, triple)}

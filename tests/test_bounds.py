@@ -21,6 +21,7 @@ from pbound.exact import QQ_TOWER, UniPoly, _int_squarefree_part, _primitive_int
 from pbound.polyode import BiPoly, OdeError, OdeSystem, bipoly_str, make_system, transform_point
 from pbound.sysparse import multiplicity_report, parse_system
 from test_dynamic_evaluation import AXIS_QUARTIC
+from test_lotka import TRIPLE_POINTS
 
 
 def bp(entries):
@@ -457,17 +458,15 @@ def _rule_systems():
 
 
 def _saddle_nodes(sys):
-    """The labels of the axis points with exactly one eigenvalue zero, from
-    mu_z = Q_1 mod f and mu_w = P_0' mod f over Q."""
+    """The irrational classes with exactly one eigenvalue zero, from mu_z =
+    Q_1 mod f and mu_w = P_0' mod f over Q, as the primitive int lists of
+    their factors f."""
     q1 = UniPoly([sys.Q.coeff(1, j) for j in range(sys.Q.w_degree() + 1)], var="w")
     dp0 = p_at_axis(sys).derivative()
     out = set()
-    for kind, value, _ in axis_singular_points(sys)[0]:
-        if kind == "inf":
-            continue
-        f = UniPoly([-value, 1], var="w") if kind == "rational" else value
-        if (q1 % f).is_zero() != (dp0 % f).is_zero():
-            out.add(str(value) if kind == "rational" else "root of %s" % f)
+    for kind, f, _ in axis_singular_points(sys)[0]:
+        if kind == "algebraic" and (q1 % f).is_zero() != (dp0 % f).is_zero():
+            out.add(tuple(_primitive_int_coeffs(f)))
     return out
 
 
@@ -476,24 +475,65 @@ def test_linear_part_rule_matches_the_branch_tree(monkeypatch):
     # default caps, at depth 1-3, at ram=1 and at factor=0; the rule
     # decides points of every kind: 0, other rational roots, infinity and
     # saddle-node classes of irrational roots
+    decisions = []
+    real_rule = bounds._linear_part_count
+
+    def rule(rows, f, caps):
+        res = real_rule(rows, f, caps)
+        if res is not None:
+            decisions.append((rows, tuple(f)))
+        return res
+
     decided = {"0": 0, "rational": 0, "inf": 0, "saddle-node class": 0}
     for sys in _rule_systems():
         saddle_nodes = _saddle_nodes(sys)
+        rows = _linear_rows(sys)
         for caps in RULE_CAPS:
-            report = axis_multiplicity_bound(sys, caps)
+            decisions.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(bounds, "_linear_part_count", rule)
+                report = axis_multiplicity_bound(sys, caps)
             with monkeypatch.context() as patch:
                 patch.setattr(bounds, "_linear_part_count", lambda *args: None)
                 assert report.to_report() == axis_multiplicity_bound(sys, caps).to_report()
-            for point in report.points:
-                if not point.linear_part:
-                    continue
-                if point.label in ("0", "inf"):
-                    decided[point.label] += 1
-                elif not point.label.startswith("root of"):
+            for on, f in decisions:
+                # (0, inf) is the root w = 0 of the inverted system
+                if on != rows:
+                    decided["inf"] += 1
+                elif f == (0, 1):
+                    decided["0"] += 1
+                elif len(f) == 2:
                     decided["rational"] += 1
-                elif point.label in saddle_nodes:
+                elif f in saddle_nodes:
                     decided["saddle-node class"] += 1
     assert min(decided.values()) >= 20, decided
+
+
+def _fresh_known(sys, caps):
+    """The known map of the bound, from fresh ``multiplicity_at`` calls at
+    "0", "inf" and every rational root of P(0, w)."""
+    known = {"0": multiplicity_at(sys, ("point", Q(0), Q(0)), caps), "inf": multiplicity_at(sys, ("inf", Q(0)), caps)}
+    for kind, value, _ in axis_singular_points(sys)[0]:
+        if kind == "rational":
+            known[str(value)] = multiplicity_at(sys, ("point", Q(0), value), caps)
+    return known
+
+
+def test_bound_takes_the_given_multiplicities():
+    # the bound with the multiplicities that analyze and lv --triple pass
+    # is the bound that computes every point itself
+    for sys in _rule_systems():
+        for caps in RULE_CAPS:
+            want = axis_multiplicity_bound(sys, caps).to_report()
+            assert axis_multiplicity_bound(sys, caps, _fresh_known(sys, caps)).to_report() == want
+
+
+def test_bound_takes_the_given_multiplicities_on_the_lv_points():
+    for params in TRIPLE_POINTS:
+        sys = lv_system(*(Q(x) for x in params.split(",")))
+        known = _fresh_known(sys, DEFAULT_CAPS)
+        assert set(known) == {"inf", "0", params.split(",")[0]}
+        assert axis_multiplicity_bound(sys, known=known).to_report() == axis_multiplicity_bound(sys).to_report()
 
 
 # points of the axis z = 0, (0, infinity) and a point off the axis

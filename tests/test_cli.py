@@ -656,7 +656,7 @@ def test_dicritical_point_at_infinity_is_critical(capsys, system):
 
 
 # ---------------------------------------------------------------------------
-# analyze reads (0, 0) and infinity from the axis bound
+# analyze passes (0, 0) and infinity to the axis bound
 # ---------------------------------------------------------------------------
 
 import contextlib  # noqa: E402
@@ -732,11 +732,11 @@ def test_analyze_matches_the_old_order(text):
     assert got == want
 
 
-def test_analyze_reads_both_multiplicities_from_the_bound(monkeypatch, capsys):
-    # LV(-1,5,0): the bound's points are inf, -1 and 0.  Analyze reads inf
-    # from the bound's branch tree and computes 0 itself, which the bound
-    # counted off the linear part, with no branches to report: no point's
-    # multiplicity is computed twice
+def test_analyze_passes_both_multiplicities_to_the_bound(monkeypatch, capsys):
+    # LV(-1,5,0): the bound's points are inf, -1 and 0.  Analyze computes
+    # (0, 0) and infinity and passes them to the bound, which computes only
+    # -1 and leaves the linear-part rule alone at the two given points: no
+    # point's multiplicity is computed twice
     calls = {bounds: [], cli: []}
     for module in calls:
         real = module.multiplicity_at
@@ -746,10 +746,20 @@ def test_analyze_reads_both_multiplicities_from_the_bound(monkeypatch, capsys):
             return real(*args)
 
         monkeypatch.setattr(module, "multiplicity_at", counting)
+    ruled = []
+    real_rule = bounds._linear_part_count
+
+    def rule(rows, f, caps):
+        ruled.append(list(f))
+        return real_rule(rows, f, caps)
+
+    monkeypatch.setattr(bounds, "_linear_part_count", rule)
     assert main(["analyze", "--system", DARBOUX_ANALYZE[0], "--json"]) == 0
     capsys.readouterr()
-    assert sorted(calls[bounds]) == [("inf", 0), ("point", 0, -1)]
-    assert calls[cli] == [("point", 0, 0)]
+    assert calls[cli] == [("point", 0, 0), ("inf", 0)]
+    assert calls[bounds] == [("point", 0, -1)]
+    # the rule reads only w + 1 at -1; at 0 and inf it would read f = w
+    assert ruled == [[1, 1]]
 
 
 def _raises(exc):
@@ -773,6 +783,26 @@ def test_analyze_raises_the_error_the_old_order_raised_first(monkeypatch, patche
     got, want = analyze_both_ways(["analyze", "--system", DARBOUX_ANALYZE[0], "--json"])
     assert got == want
     first = "point failed" if "multiplicity_at" in patches else "lines failed" if len(patches) > 1 else "bound failed"
+    assert json.loads(got[1])["error"]["message"] == first
+
+
+@pytest.mark.parametrize(
+    "patches, first",
+    [
+        ({}, "bound failed"),
+        ({"multiplicity_at": ExactError("point failed")}, "point failed"),
+        ({"detect_invariant_lines": ValueError("lines failed")}, "lines failed"),
+    ],
+)
+def test_analyze_raises_the_bound_error_after_the_multiplicities(monkeypatch, patches, first):
+    # the bound fails inside, after it took the two multiplicities that
+    # analyze computed first: its error still comes after theirs and the
+    # lines'
+    monkeypatch.setattr(bounds, "axis_singular_points", _raises(BoundsError("bound failed")))
+    for name, exc in patches.items():
+        monkeypatch.setattr(cli, name, _raises(exc))
+    got, want = analyze_both_ways(["analyze", "--system", DARBOUX_ANALYZE[0], "--json"])
+    assert got == want
     assert json.loads(got[1])["error"]["message"] == first
 
 

@@ -26,7 +26,6 @@ from pbound.exact import (
     modular_irreducibility,
     rational_roots,
     sort_key,
-    squarefree_and_rational_roots,
     transport_elem,
     value_charpoly,
 )
@@ -74,32 +73,43 @@ def test_divmod_roundtrip():
     assert (q * g + r).coeffs == f.coeffs
 
 
+def squarefree_part(p):
+    """The product of the Yun factors of ``UniPoly.squarefree_decomposition``."""
+    out = poly(1)
+    for f, _ in p.squarefree_decomposition():
+        out = out * f
+    return out
+
+
+def rational_roots_with_multiplicities(p):
+    """(root, multiplicity) of every linear factor of ``factor_univariate``."""
+    return sorted((-f.poly.coeffs[0], f.multiplicity) for f in factor_univariate(p) if f.poly.degree() == 1)
+
+
 def test_squarefree_and_rational_roots_factored_input():
     # w * (w + 1)
     p = poly(0, 1, 1)
-    sf, roots = squarefree_and_rational_roots(p)
-    assert roots == [(Q(-1), 1), (Q(0), 1)]
-    assert sf.degree() == 2
+    assert rational_roots_with_multiplicities(p) == [(Q(-1), 1), (Q(0), 1)]
+    assert squarefree_part(p).degree() == 2
 
 
 def test_squarefree_and_rational_roots_power():
     # (w - 2)^3
     p = poly(-8, 12, -6, 1)
-    sf, roots = squarefree_and_rational_roots(p)
-    assert roots == [(Q(2), 3)]
-    assert sf.coeffs == poly(-2, 1).coeffs
+    assert rational_roots_with_multiplicities(p) == [(Q(2), 3)]
+    assert squarefree_part(p).coeffs == poly(-2, 1).coeffs
 
 
 def test_squarefree_irrational():
     p = poly(-2, 0, 1)  # w^2 - 2
-    sf, roots = squarefree_and_rational_roots(p)
-    assert roots == []
-    assert sf.degree() == 2
+    assert rational_roots_with_multiplicities(p) == []
+    assert squarefree_part(p).degree() == 2
 
 
 def test_zero_polynomial_rejected():
-    with pytest.raises(ExactError, match="zero polynomial"):
-        squarefree_and_rational_roots(UniPoly([]))
+    for reject in (UniPoly.squarefree_decomposition, factor_univariate):
+        with pytest.raises(ExactError, match="zero polynomial"):
+            reject(UniPoly([]))
 
 
 def test_rational_roots_match_bruteforce():

@@ -1,8 +1,11 @@
+import json
 from fractions import Fraction as Q
 
 import pytest
 
 from pbound import bounds, cli, lotka
+from pbound.bounds import BoundsError
+from pbound.exact import ExactError
 from pbound.lotka import (
     LvParams,
     apply_symmetry,
@@ -13,6 +16,8 @@ from pbound.lotka import (
     verify_symmetry,
 )
 from pbound.polyode import bipoly_str
+from pbound.sysparse import multiplicity_report
+from test_cli import _raises
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +191,72 @@ def lv_triple_stdout(capsys, params):
     return code, capsys.readouterr().out
 
 
+def lv_in_the_old_order(args):
+    """``lv`` as it ran before the bound took the triple: the classification
+    with a bound of its own, then the triple recomputed from scratch."""
+    caps = cli._caps_from(args)
+    params = LvParams(*(Q(x) for x in cli._parse_triple(args.params)))
+    report = {"command": "lv"}
+    report.update(lotka.classify(params, caps).to_report())
+    if args.triple:
+        labels = ("inf", str(params.a), "0")
+        triple = lotka.lv_multiplicity_triple(params, caps)
+        report["multiplicities"] = {label: multiplicity_report(mul) for label, mul in zip(labels, triple)}
+    return cli._emit(args, report)
+
+
+def lv_both_ways(capsys, monkeypatch, params):
+    """The (exit code, stdout) of ``lv --triple --json`` and of the old order."""
+    got = lv_triple_stdout(capsys, params)
+    real = cli._parse_args
+
+    def old_order(argv):
+        args = real(argv)
+        args.func = lv_in_the_old_order
+        return args
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parse_args", old_order)
+        return got, lv_triple_stdout(capsys, params)
+
+
 @pytest.mark.parametrize("params", TRIPLE_POINTS + ["1,0,0", "0,1,0"])
 def test_triple_read_from_the_bound_is_the_recomputed_triple(monkeypatch, capsys, params):
-    # 1,0,0 is inapplicable (no bound) and 0,1,0 has a = 0: both recompute
-    got = lv_triple_stdout(capsys, params)
-    real = lotka.triple_report
-    monkeypatch.setattr(cli, "triple_report", lambda p, caps, bound=None: real(p, caps))
-    assert got == lv_triple_stdout(capsys, params)
+    # the bound takes the triple that lv --triple prints; the report is the
+    # one whose bound and triple are computed apart.  1,0,0 is inapplicable
+    # (no bound) and 0,1,0 has a = 0
+    got, want = lv_both_ways(capsys, monkeypatch, params)
+    assert got == want
+
+
+SEARCH_FAILS = {"search_darboux": ExactError("search failed")}
+BOUND_FAILS = {"axis_multiplicity_bound": BoundsError("bound failed"), **SEARCH_FAILS}
+# an engine error at a point, raised wherever a branch tree runs
+POINT_FAILS = {"multiplicity_at": ExactError("point failed")}
+
+
+@pytest.mark.parametrize(
+    "params, patches, first",
+    [
+        ("-1,5,0", SEARCH_FAILS, "search failed"),
+        ("-1,0,0", SEARCH_FAILS, None),  # a strict curve: no search
+        ("-1,5,0", BOUND_FAILS, "bound failed"),
+        ("1,0,0", BOUND_FAILS, None),  # inapplicable: no bound, no search
+        ("-1,5,0", POINT_FAILS, "point failed"),
+        ("-1,0,0", POINT_FAILS, "point failed"),
+        ("1,0,0", POINT_FAILS, "point failed"),
+        # the old order's bound runs a tree at inf here, before the search
+        ("-1,5,0", {**POINT_FAILS, "search_darboux": ValueError("search failed")}, "point failed"),
+    ],
+)
+def test_triple_raises_the_error_the_old_order_raised_first(monkeypatch, capsys, params, patches, first):
+    for name, exc in patches.items():
+        for module in (bounds, lotka):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _raises(exc))
+    got, want = lv_both_ways(capsys, monkeypatch, params)
+    assert got == want
+    assert json.loads(got[1]).get("error", {}).get("message") == first
 
 
 @pytest.mark.parametrize("params, calls", [("-1,5,0", 3), ("-3/2,0,1/3", 3), ("1,0,0", 3), ("0,1,0", 3)])
