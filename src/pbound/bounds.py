@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .branching import Caps, DEFAULT_CAPS, MultiplicityResult, multiplicity_at
+from .branching import Caps, DEFAULT_CAPS, MultiplicityResult, Reason, multiplicity_at
 from .darboux import DarbouxCertificate, verify_darboux
 from .exact import (
     ExactError,
@@ -53,10 +53,22 @@ class AxisPoint:
             out["mul_lower_bound"] = self.mul.lower_bound
         else:
             out["witness"] = witness_report(self.mul.witness)
-        # a count that rests on a branch over a presumed level is presumed too
-        if any(b.tower is not None and any(lv.presumed for lv in b.tower.levels) for b in self.mul.branches):
+        if any(r.code == "presumed-summand" for r in self.reasons):
             out["presumed_irreducible"] = True
         return out
+
+    @property
+    def reasons(self) -> tuple:
+        """The reasons of the point's count, at the bound and by the point's
+        label: a capped count, and a count that rests on a branch over a
+        presumed level, which is presumed too (a presumed summand)."""
+        codes = {r.code for r in self.mul.reasons}
+        out = []
+        if "capped" in codes:
+            out.append(Reason("capped", "bound", self.label))
+        if "presumed-level" in codes:
+            out.append(Reason("presumed-summand", "bound", self.label))
+        return tuple(out)
 
 
 @dataclass
@@ -76,12 +88,21 @@ class BoundReport:
     def summands(self):
         return [p.to_report() for p in self.points]
 
+    @property
+    def reasons(self) -> tuple:
+        """The summands' reasons, then a sum that is only a lower bound."""
+        out = [r for p in self.points for r in p.reasons]
+        if self.sum_lower_bound is not None:
+            out.append(Reason("sum-lower-bound", "bound", str(self.sum_lower_bound)))
+        return tuple(out)
+
     def to_report(self):
+        summands = self.summands()
         out = {
             "m_axis": self.m_axis,
             "m_plain": self.m_plain,
             "k": self.k,
-            "summands": self.summands(),
+            "summands": summands,
             "sum_bound": self.sum_bound,
             "product_bound": self.product_bound,
             "line_bound": self.line_bound,
@@ -94,7 +115,8 @@ class BoundReport:
         if self.sum_lower_bound is not None:
             out["sum_lower_bound"] = self.sum_lower_bound
         if self.blocked_by is not None:
-            out["blocked_by"] = self.blocked_by.to_report()
+            # blocked_by is one of the points, whose dict is in summands
+            out["blocked_by"] = next(d for p, d in zip(self.points, summands) if p is self.blocked_by)
         if self.swapped_variables:
             out["swapped_variables"] = True
         if self.notes:

@@ -156,6 +156,19 @@ class BranchTree:
         return [lf for lf in self.leaves if lf.status == "cap-exceeded"]
 
 
+class Reason(NamedTuple):
+    """Why a result is inconclusive: it rests on a cap or on something
+    presumed.  ``code`` is "capped", "sum-lower-bound", "presumed-level",
+    "presumed-summand", "presumed-irreducible" or "partial-search"; ``stage``
+    names the producer ("multiplicity", "bound", "certificate" or
+    "darboux"); ``detail`` says where or which, as text.  A result without
+    reasons is conclusive."""
+
+    code: str
+    stage: str
+    detail: str
+
+
 @dataclass
 class MultiplicityResult:
     status: str  # "finite" | "critical" | "capped"
@@ -165,6 +178,16 @@ class MultiplicityResult:
     lower_bound: Optional[int] = None
     diagnostics: tuple = ()
     flags: tuple = ()
+
+    @property
+    def reasons(self) -> tuple:
+        """A capped status, with its diagnostics, and each presumed level of
+        a branch's tower, by generator name."""
+        out = [Reason("capped", "multiplicity", ",".join(self.diagnostics))] if self.status == "capped" else []
+        for b in self.branches:
+            if b.tower is not None:
+                out.extend(Reason("presumed-level", "multiplicity", lv.name) for lv in b.tower.levels if lv.presumed)
+        return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 
 Subcommands: mul, bound, darboux, lv, analyze.  Reports are byte-identical
 across runs; exit code 0 on success, 2 on input errors, 3 when a result is
-inconclusive (a cap was hit or a certification is merely presumed).
+inconclusive.  The code comes from the results the report was built from:
+3 when any of them gives a reason (``reasons``, records of code, stage and
+detail) such as a hit cap, a sum that is only a lower bound, a presumed
+tower level, summand or irreducibility, or a partial search.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .bounds import BoundsError, axis_multiplicity_bound, invariant_line_bound
 from .branching import DEFAULT_CAPS, Caps, multiplicity_at
 from .darboux import detect_invariant_lines, search_darboux
 from .exact import ExactError, Q
-from .lotka import LvParams, classify, lv_multiplicity_triple
+from .lotka import LvParams, classify, lv_equation, lv_multiplicity_triple
 from .polyode import OdeError
 from .sysparse import (
     ParseError,
@@ -77,6 +80,11 @@ def _load_system(args):
 
 
 def _rational(text):
+    # a plain integer literal, [+-] and ASCII digits, is read without the
+    # regular expression of Fraction(str)
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if digits.isascii() and digits.isdigit():
+        return Fraction(int(text))
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -100,26 +108,12 @@ def _parse_triple(text):
     return tuple(_rational(p) for p in parts)
 
 
-def _inconclusive(report) -> bool:
-    if isinstance(report, dict):
-        if report.get("status") == "capped":
-            return True
-        if report.get("sum_lower_bound") is not None:
-            return True
-        if report.get("irreducibility") == "presumed" or report.get("presumed_irreducible") is True:
-            return True
-        if report.get("partial") is True:
-            return True
-        return any(_inconclusive(v) for v in report.values() if isinstance(v, (dict, list)))
-    if isinstance(report, list):
-        return any(_inconclusive(v) for v in report if isinstance(v, (dict, list)))
-    return False
-
-
-def _emit(args, report) -> int:
+def _emit(args, report, *results) -> int:
+    """Write the report; exit 3 when any of the results it shows gives a
+    reason why it is inconclusive."""
     fmt = "json" if args.json else "text"
     sys.stdout.write(emit_report(report, fmt).decode())
-    return EXIT_INCONCLUSIVE if _inconclusive(report) else EXIT_OK
+    return EXIT_INCONCLUSIVE if any(r.reasons for r in results) else EXIT_OK
 
 
 def _system_block(sys_, source):
@@ -146,7 +140,7 @@ def _cmd_mul(args) -> int:
         "point": {"z": str(point[1]), "w": "inf" if point[0] == "inf" else str(point[2])},
     }
     report.update(multiplicity_report(result))
-    return _emit(args, report)
+    return _emit(args, report, result)
 
 
 def _cmd_bound(args) -> int:
@@ -175,7 +169,7 @@ def _cmd_bound(args) -> int:
         report["line"] = [str(x) for x in line]
         report["line_detected"] = True
     report["bounds"] = bound.to_report()
-    return _emit(args, report)
+    return _emit(args, report, bound)
 
 
 def _cmd_darboux(args) -> int:
@@ -189,7 +183,7 @@ def _cmd_darboux(args) -> int:
         "max_degree": args.max_degree,
     }
     report.update(outcome.to_report())
-    return _emit(args, report)
+    return _emit(args, report, outcome)
 
 
 def _cmd_lv(args) -> int:
@@ -197,16 +191,17 @@ def _cmd_lv(args) -> int:
     a, b, c = _parse_triple(args.params)
     params = LvParams(Q(a), Q(b), Q(c))
     # the triple's points are the bound's summands under these labels, at
-    # the same caps, so the bound takes them as they are
-    triple = {}
+    # the same caps, so the bound takes them as they are, on one LV system
+    triple, system = {}, None
     if args.triple:
-        triple = dict(zip(("inf", str(params.a), "0"), lv_multiplicity_triple(params, caps)))
-    outcome = classify(params, caps, triple)
+        system = lv_equation(params)
+        triple = dict(zip(("inf", str(params.a), "0"), lv_multiplicity_triple(params, caps, system)))
+    outcome = classify(params, caps, triple, system)
     report = {"command": "lv"}
     report.update(outcome.to_report())
     if args.triple:
         report["multiplicities"] = {label: multiplicity_report(mul) for label, mul in triple.items()}
-    return _emit(args, report)
+    return _emit(args, report, outcome, *triple.values())
 
 
 def _cmd_analyze(args) -> int:
@@ -221,9 +216,12 @@ def _cmd_analyze(args) -> int:
     report["mul_at_infinity"] = multiplicity_report(at_inf)
     detection = detect_invariant_lines(system)
     report["invariant_lines"] = detection.to_report()
+    results = [origin, at_inf, detection]
     if source.axis:
         # the bound's summands labelled "0" and "inf" are these two points
-        report["bounds"] = axis_multiplicity_bound(system, caps, {"0": origin, "inf": at_inf}).to_report()
+        bound = axis_multiplicity_bound(system, caps, {"0": origin, "inf": at_inf})
+        report["bounds"] = bound.to_report()
+        results.append(bound)
     else:
         for cert in detection.lines:
             f = cert.f
@@ -234,10 +232,11 @@ def _cmd_analyze(args) -> int:
                 continue
             report["bounds"] = bound.to_report()
             report["bounds_line"] = [str(x) for x in line]
+            results.append(bound)
             break
     outcome = search_darboux(system, args.max_degree, detection)
     report["darboux"] = outcome.to_report()
-    return _emit(args, report)
+    return _emit(args, report, *results, outcome)
 
 
 @functools.cache  # parsing leaves the parsers unchanged, so one set serves every call

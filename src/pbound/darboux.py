@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .branching import Reason
 from .exact import (
     ExactError,
     ExtElem,
@@ -85,6 +86,13 @@ class DarbouxCertificate:
             "irreducible": self.irreducible,
             "irreducibility": "certified" if self.certified else "presumed",
         }
+
+    @property
+    def reasons(self) -> tuple:
+        """A presumed irreducibility, by the curve's polynomial."""
+        if self.certified:
+            return ()
+        return (Reason("presumed-irreducible", "certificate", bipoly_str(self.f)),)
 
 
 @dataclass
@@ -281,6 +289,10 @@ class LineDetection:
             "dicritical_line_family": self.dicritical,
             "notes": list(self.notes),
         }
+
+    @property
+    def reasons(self) -> tuple:
+        return tuple(r for c in self.lines for r in c.reasons)
 
 
 def detect_invariant_lines(sys: OdeSystem) -> LineDetection:
@@ -521,6 +533,14 @@ class SearchOutcome:
             "partial": self.partial,
             "notes": list(self.notes),
         }
+
+    @property
+    def reasons(self) -> tuple:
+        """The certificates' reasons, then a partial search with its notes."""
+        out = [r for c in self.certificates for r in c.reasons]
+        if self.partial:
+            out.append(Reason("partial-search", "darboux", "; ".join(self.notes)))
+        return tuple(out)
 
 
 def extactic_determinant(sys: OdeSystem, n: int) -> BiPoly:

@@ -642,6 +642,8 @@ def power_str(var: str, e) -> str:
 
 def coeff_str(c) -> str:
     """A coefficient's text; a tower element of rational value as that rational."""
+    if type(c) is int:
+        return str(c)
     if isinstance(c, ExtElem) and c.is_rational():
         return str(c.as_fraction())
     return str(c)

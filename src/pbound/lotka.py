@@ -110,13 +110,22 @@ class LvClassification:
             out["search_notes"] = list(self.search_notes)
         return out
 
+    @property
+    def reasons(self) -> tuple:
+        """The curve certificate's reasons and the bound's.  The search's
+        notes are reported as notes, not as a partial search."""
+        return (self.curve.reasons if self.curve is not None else ()) + (
+            self.bound.reasons if self.bound is not None else ()
+        )
 
-def classify(p: LvParams, caps: Caps = DEFAULT_CAPS, known=None) -> LvClassification:
+
+def classify(p: LvParams, caps: Caps = DEFAULT_CAPS, known=None, system=None) -> LvClassification:
     """Strict-curve classification: evaluate a(1-c) + (1-b) under the
     genericity condition; emit the curve certificate or certify absence by a
     bounded search.  ``known`` goes to the axis bound
     (``axis_multiplicity_bound``): the multiplicities at axis points that
-    the caller has computed at the same caps, by summand label."""
+    the caller has computed at the same caps, by summand label.  ``system``
+    is ``lv_equation(p)`` when the caller has built it."""
     gen = genericity_check(p)
     if not gen.holds:
         return LvClassification(
@@ -128,7 +137,7 @@ def classify(p: LvParams, caps: Caps = DEFAULT_CAPS, known=None) -> LvClassifica
             bound=None,
         )
     s = p.a * (1 - p.c) + (1 - p.b)
-    sys = lv_equation(p)
+    sys = lv_equation(p) if system is None else system
     bound = axis_multiplicity_bound(sys, caps, known)
     notes = ()
     if s == 0:
@@ -231,9 +240,10 @@ def _subst_inversion(p: BiPoly, c) -> BiPoly:
     return BiPoly(terms)
 
 
-def lv_multiplicity_triple(p: LvParams, caps: Caps = DEFAULT_CAPS):
-    """(Mul(0, inf), Mul(0, a), Mul(0, 0)) recomputed from scratch."""
-    sys = lv_equation(p)
+def lv_multiplicity_triple(p: LvParams, caps: Caps = DEFAULT_CAPS, system=None):
+    """(Mul(0, inf), Mul(0, a), Mul(0, 0)) recomputed from scratch, on
+    ``system`` when the caller has built ``lv_equation(p)``."""
+    sys = lv_equation(p) if system is None else system
     at_inf = multiplicity_at(sys, ("inf", Q(0)), caps)
     at_a = multiplicity_at(sys, ("point", Q(0), p.a), caps)
     at_zero = multiplicity_at(sys, ("point", Q(0), Q(0)), caps)

@@ -263,7 +263,7 @@ def biv_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
     tower = a.tower or b.tower
     if _constant_gcd_at_a_point(ia, ib, 0):
         if _unit_row(ia) or _unit_row(ib) or _constant_gcd_at_a_point(ia, ib, 1):
-            return BiPoly.const(1, tower=tower)
+            return BiPoly._from_clean({(0, 0): 1}, tower)
         return _monic_rows([_rows_content(_int_rows(ia) + _int_rows(ib))], tower)
     ra, rb = _int_rows(ia), _int_rows(ib)
     ca, cb = _rows_content(ra), _rows_content(rb)

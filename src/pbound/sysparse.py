@@ -35,7 +35,9 @@ class SystemSource:
     bindings: dict
 
 
-_TOKEN_RE = re.compile(r"\d+(?:/\d+)?|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()=;,]")
+# operators first, as most tokens are; the three kinds start with different
+# characters, so the order does not change the tokens
+_TOKEN_RE = re.compile(r"[-+*/^()=;,]|\d+(?:/\d+)?|[A-Za-z_][A-Za-z_0-9]*")
 # one character that no token holds and that is not whitespace
 _BAD_CHAR_RE = re.compile(r"[^\s\dA-Za-z_\-+*/^()=;,]")
 
@@ -92,6 +94,8 @@ _VARIABLES = {"z": (1, 1, 0), "w": (1, 0, 1)}
 # ``parse_system`` 6 frames deep and a pytest test 35, and a caller 90 frames
 # deep still gets the ParseError.
 MAX_NESTING = 900
+# the tokens after a parenthesised atom that make it part of a larger poly
+_SUM_GOES_ON = ("^", "*", "+", "-")
 
 
 def _poly(text, tokens, i, params, depth=0):
@@ -115,6 +119,9 @@ def _poly(text, tokens, i, params, depth=0):
                 inner, i = _poly(text, tokens, i + 1, params, depth + 1)
                 if tokens[i] != ")":
                     _fail(text, "expected ')'", i)
+                if acc is None and not out and not negate and tokens[i + 1] not in _SUM_GOES_ON:
+                    # the whole poly is this unsigned parenthesised sum
+                    return inner, i + 1
                 if len(inner) == 1:
                     ((ze, we), c), = inner.items()
                     atom = (c, ze, we)
@@ -155,17 +162,23 @@ def _poly(text, tokens, i, params, depth=0):
             i += 1
         if type(acc) is tuple:
             c, ze, we = acc
-            items = (((ze, we), c),) if c else ()
+            if c:
+                key = (ze, we)
+                cur = out.get(key)
+                if negate:
+                    c = -c
+                out[key] = c if cur is None else cur + c
         else:
-            items = acc.terms.items()
-        for key, c in items:
-            if negate:
-                c = -c
-            cur = out.get(key)
-            out[key] = c if cur is None else cur + c
+            for key, c in acc.terms.items():
+                cur = out.get(key)
+                if negate:
+                    c = -c
+                out[key] = c if cur is None else cur + c
         tok = tokens[i]
         if tok != "+" and tok != "-":
-            return {key: c for key, c in out.items() if c}, i
+            if not all(out.values()):
+                out = {key: c for key, c in out.items() if c}
+            return out, i
         negate = tok == "-"
         i += 1
 
@@ -351,8 +364,62 @@ def _write_json(node, out, pad):
     """Append to ``out`` the text of ``json.dumps(node, indent=2)``; ``pad``
     is a newline and the indent of ``node``'s line.  An indent makes
     ``json.dumps`` use its pure-Python encoder, so this writer is faster
-    while it keeps the layout and the ASCII escapes."""
-    if isinstance(node, str):
+    while it keeps the layout and the ASCII escapes.  It dispatches on the
+    exact type, and a str, int, None or bool in a dict or a list, and an
+    empty list or dict in a dict, is written in the loop, with no call of
+    its own (``str`` of an exact int is ``int.__repr__``)."""
+    kind = type(node)
+    if kind is dict:
+        if not node:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, value in node.items():
+            if type(key) is str:
+                head = sep + _json_str(key) + ": "
+            else:  # json.dumps's text of a float, int, bool or None key; it rejects others
+                head = sep + json.dumps({key: None})[1:-7] + ": "
+            leaf = type(value)
+            if leaf is str:
+                out.append(head + _json_str(value))
+            elif leaf is int:
+                out.append(head + str(value))
+            elif value is None:
+                out.append(head + "null")
+            elif leaf is bool:
+                out.append(head + ("true" if value else "false"))
+            elif not value and (leaf is list or leaf is dict):
+                out.append(head + ("[]" if leaf is list else "{}"))
+            else:
+                out.append(head)
+                _write_json(value, out, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif kind is list:
+        if not node:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in node:
+            leaf = type(item)
+            if leaf is str:
+                out.append(sep + _json_str(item))
+            elif leaf is int:
+                out.append(sep + str(item))
+            elif item is None:
+                out.append(sep + "null")
+            elif leaf is bool:
+                out.append(sep + ("true" if item else "false"))
+            else:
+                out.append(sep)
+                _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(pad + "]")
+    # not exactly a dict or a list: a scalar, a tuple, or a subclass, read
+    # by isinstance
+    elif isinstance(node, str):
         out.append(_json_str(node))
     elif node is None:
         out.append("null")
@@ -363,31 +430,9 @@ def _write_json(node, out, pad):
     elif isinstance(node, int):
         out.append(int.__repr__(node))
     elif isinstance(node, (list, tuple)):
-        if not node:
-            out.append("[]")
-            return
-        inner = pad + "  "
-        sep = "[" + inner
-        for item in node:
-            out.append(sep)
-            _write_json(item, out, inner)
-            sep = "," + inner
-        out.append(pad + "]")
+        _write_json(list(node), out, pad)
     elif isinstance(node, dict):
-        if not node:
-            out.append("{}")
-            return
-        inner = pad + "  "
-        sep = "{" + inner
-        for key, value in node.items():
-            if isinstance(key, str):
-                key = _json_str(key)
-            else:  # json.dumps's text of a float, int, bool or None key; it rejects others
-                key = json.dumps({key: None})[1:-7]
-            out.append(sep + key + ": ")
-            _write_json(value, out, inner)
-            sep = "," + inner
-        out.append(pad + "}")
+        _write_json(dict(node), out, pad)
     else:  # a float, or a type json.dumps rejects
         out.append(json.dumps(node))
 

@@ -174,6 +174,26 @@ def test_bad_rational_input_exits_2(capsys, argv, error_type):
     assert data["error"]["type"] == error_type
 
 
+@pytest.mark.parametrize("text", ["0", "-3", "+2", "1/2", "0.5", " 7 ", "1e2"])
+def test_point_and_parameter_literals_read_as_fraction_does(capsys, text):
+    # a plain integer literal skips Fraction(str), with the same value
+    want = Q(text)
+    for got in cli._parse_point("%s,%s" % (text, text))[1:] + cli._parse_triple("%s,%s,%s" % (text, text, text)):
+        assert type(got) is Q and got == want
+    assert cli._parse_point("%s,inf" % text) == ("inf", want)
+    code, data = run_json(capsys, ["mul", "--system", EX45, "--at", "%s,%s" % (text, text)])
+    assert code == 0 and data["point"] == {"z": str(want), "w": str(want)}
+    code, data = run_json(capsys, ["lv", "--params", "%s,0,0" % text])
+    assert code == 0 and data["params"]["a"] == str(want)
+
+
+@pytest.mark.parametrize("argv", [["mul", "--system", EX45, "--at", "1/0,0"], ["lv", "--params", "0,1/0,0"]])
+def test_zero_denominator_in_a_point_or_parameter_exits_2(capsys, argv):
+    code, data = run_json(capsys, argv)
+    assert code == 2
+    assert data["error"] == {"type": "ValueError", "message": "zero denominator in '1/0'"}
+
+
 def test_system_path_that_cannot_be_read_exits_2(tmp_path, capsys):
     # an existing path is read as a file; a directory cannot be
     code, data = run_json(capsys, ["mul", "--system", str(tmp_path), "--at", "0,0"])
@@ -667,6 +687,7 @@ from pbound import bounds  # noqa: E402
 from pbound.bounds import BoundsError  # noqa: E402
 from pbound.exact import ExactError  # noqa: E402
 from hypothesis import given, settings, strategies as st  # noqa: E402
+from verdict_oracle import emit_by_the_walk  # noqa: E402
 
 
 def analyze_in_the_old_order(args):
@@ -696,7 +717,7 @@ def analyze_in_the_old_order(args):
             break
     outcome = cli.search_darboux(system, args.max_degree, detection)
     report["darboux"] = outcome.to_report()
-    return cli._emit(args, report)
+    return emit_by_the_walk(args, report)
 
 
 def analyze_both_ways(argv):

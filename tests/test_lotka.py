@@ -18,6 +18,7 @@ from pbound.lotka import (
 from pbound.polyode import bipoly_str
 from pbound.sysparse import multiplicity_report
 from test_cli import _raises
+from verdict_oracle import emit_by_the_walk
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +203,7 @@ def lv_in_the_old_order(args):
         labels = ("inf", str(params.a), "0")
         triple = lotka.lv_multiplicity_triple(params, caps)
         report["multiplicities"] = {label: multiplicity_report(mul) for label, mul in zip(labels, triple)}
-    return cli._emit(args, report)
+    return emit_by_the_walk(args, report)
 
 
 def lv_both_ways(capsys, monkeypatch, params):
@@ -264,3 +265,24 @@ def test_triple_costs_no_second_multiplicity_pass(monkeypatch, capsys, params, c
     counted = count_multiplicity_at(monkeypatch)
     lv_triple_stdout(capsys, params)
     assert len(counted) == calls
+
+
+@pytest.mark.parametrize("params, triple, built", [
+    ("-1,5,0", True, 1), ("-1,0,0", True, 1), ("1,0,0", True, 1),  # 1,0,0: inapplicable, no bound
+    ("-1,5,0", False, 1), ("1,0,0", False, 0),
+])
+def test_lv_builds_its_system_once(monkeypatch, capsys, params, triple, built):
+    # --triple builds the LV system once and gives it to the triple and to
+    # classify
+    calls = []
+    real = lotka.lv_equation
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    for module in (cli, lotka):
+        monkeypatch.setattr(module, "lv_equation", counting)
+    cli.main(["lv", "--params", params, "--json"] + (["--triple"] if triple else []))
+    capsys.readouterr()
+    assert len(calls) == built

@@ -210,20 +210,24 @@ def test_report_deterministic():
     assert len(blobs) == 1
 
 
-# report values of every JSON type, and strings that need escapes
+# report values of every JSON type, and strings that need escapes; the
+# writer's fallback takes floats and non-str keys, as json.dumps does
 JSON_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 json_text = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u20ac\U0001f600a') | st.characters(), max_size=8)
+json_keys = json_text | st.integers() | st.booleans() | st.none() | st.floats()
 json_values = st.recursive(
-    json_text | st.integers() | st.integers(min_value=-10**40, max_value=10**40) | st.booleans() | st.none(),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_text, inner, max_size=4),
+    json_text | st.integers() | st.integers(min_value=-10**40, max_value=10**40) | st.booleans() | st.none()
+    | st.floats(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_keys, inner, max_size=4),
     max_leaves=30,
 )
 
 
 @JSON_SETTINGS
-@given(st.dictionaries(json_text, json_values, max_size=5))
+@given(st.dictionaries(json_keys, json_values, max_size=5))
 @example({})
 @example({"a": [], "b": {}, "c": [[], {}], "d": {"e": []}})
+@example({1: -(10**30), None: [True, False, None], 2.5: {"\u00e9\n": ""}, False: [[0.5]]})
 def test_json_report_is_json_dumps_with_indent_2(report):
     assert emit_report(report, "json") == (json.dumps(report, indent=2) + "\n").encode()
 
