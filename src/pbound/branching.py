@@ -48,20 +48,16 @@ from typing import NamedTuple, Optional
 from .exact import (
     DEFAULT_FACTOR_CAP,
     DEFAULT_TOWER_CAP,
-    ExactError,
     ExtElem,
     Q,
-    QQ_TOWER,
     Tower,
     TowerSplitError,
-    UniPoly,
     _canon,
-    adjoin_root,
     as_fraction,
     certified_is_rational,
     f_inv,
     f_is_zero,
-    factor_univariate,
+    factor_roots,
     sort_key,
     transport_elem,
 )
@@ -500,7 +496,8 @@ class _Expander:
 
     def _steps_from_diagram(self, sides, lam_prev, diagram):
         """The Newton steps past ``lam_prev`` from the pair ``sides``, sorted
-        by exponent and root; see ``_char_roots``."""
+        by exponent and root: one step per factor of each edge polynomial
+        (``factor_roots``, whose entries have no root 0)."""
         n, tower = sides[2:]
         out = []
         for edge in diagram.edges:
@@ -512,50 +509,12 @@ class _Expander:
             # a child lies on the scale lcm(n, q) for lam = p/q (translate_w),
             # so a capped one is never built
             capped = math.lcm(n, edge.lam.denominator) > self.caps.ram
-            for alpha, d, note in self._char_roots(phi, tower):
+            for alpha, d, note, _ in factor_roots(phi, tower, self.caps.factor, self.caps.tower):
                 if alpha is not None and capped:
                     alpha, note = None, "ramification-cap"
                 out.append(_Step(edge.lam, alpha, d, note))
         out.sort(key=lambda t: (t.lam,) + (sort_key(t.alpha) if t.alpha is not None else ((), ())))
         return out
-
-    def _char_roots(self, phi: UniPoly, tower: Optional[Tower]):
-        """Roots of the edge polynomial as (alpha, foldedness, note).
-
-        ``phi`` has no root 0.  Over Q: full factorization (a linear phi is
-        solved as -c0 / c1); rational roots stay rational, each irreducible
-        factor of degree d adjoins one representative root.  Over a tower:
-        squarefree split, linear factors solved in the tower, higher factors
-        adjoined presumed irreducible.
-        """
-        roots = []
-        if tower is None or tower.is_trivial():
-            if phi.degree() > self.caps.factor:
-                return [(None, 1, "factor-cap")]
-            if phi.degree() == 1:
-                c0, c1 = phi.coeffs
-                return [(-as_fraction(c0) / as_fraction(c1), 1, "rational")]
-            for fac in factor_univariate(phi, cap=self.caps.factor):
-                if fac.poly.degree() == 1:
-                    c0, c1 = fac.poly.coeffs
-                    roots.append((-as_fraction(c0) / as_fraction(c1), fac.multiplicity, "rational"))
-                    continue
-                roots.append(self._adjoined(QQ_TOWER, fac.poly, fac.multiplicity))
-        else:
-            # a monic squarefree factor of phi has a nonzero constant term
-            for g, mult in phi.squarefree_decomposition():
-                if g.degree() == 1:
-                    roots.append((-g.coeffs[0], mult, "tower-linear"))
-                else:
-                    roots.append(self._adjoined(tower, g, mult))
-        return roots
-
-    def _adjoined(self, base: Tower, minpoly: UniPoly, mult: int):
-        try:
-            _, theta = adjoin_root(base, minpoly, self.caps.tower)
-        except ExactError:
-            return (None, mult, "tower-cap")
-        return (theta, mult, "adjoined")
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,8 @@ def _cmd_bound(args) -> int:
         bound = axis_multiplicity_bound(system, caps)
     else:
         detection = detect_invariant_lines(system)
+        if not detection.lines and detection.capped:
+            raise ExactError("no invariant line detected; " + "; ".join(detection.capped))
         if not detection.lines:
             raise BoundsError(
                 "no axis form and no invariant line detected; give --line a,b,c"
@@ -250,13 +252,14 @@ def _parsers():
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
 
-    def command(name, func, summary, system=True):
+    def command(name, func, summary, system=True, caps=True):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         if system:
             p.add_argument("--system", help="system text or a path to a file containing it")
         p.add_argument("--json", action="store_true", help="emit the JSON report")
-        p.add_argument("--caps", help="override caps, e.g. depth=32,ram=64,tower=16")
+        if caps:
+            p.add_argument("--caps", help="override caps, e.g. depth=32,ram=64,tower=16")
         commands[name] = p
         return p
 
@@ -266,7 +269,8 @@ def _parsers():
     p_bound = command("bound", _cmd_bound, "degree bounds for strict invariant curves")
     p_bound.add_argument("--line", help="invariant line a,b,c meaning a*z + b*w + c = 0")
 
-    p_dar = command("darboux", _cmd_darboux, "search Darboux polynomials up to a degree")
+    # the search has no branch tree, so no cap of Caps bounds it
+    p_dar = command("darboux", _cmd_darboux, "search Darboux polynomials up to a degree", caps=False)
     p_dar.add_argument("--max-degree", type=int, default=1)
 
     p_lv = command("lv", _cmd_lv, "Lotka-Volterra strict-curve classification", system=False)

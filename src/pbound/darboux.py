@@ -7,8 +7,10 @@ invariant algebraic curve, strict when it has no component z = z0 or w = w0.
 The bounded-degree search builds the extactic determinant of the monomial
 basis under X (invariant curves of degree <= n divide it when it is nonzero),
 peels its invariant core by iterated gcd with its own derivative along X, and
-confirms every candidate factor by exact division.  Degree one additionally
-has a direct undetermined-coefficient path used for cross-validation.
+confirms every candidate factor by exact division.  Line detection solves
+for the degree-one Darboux polynomials by undetermined coefficients: it is
+the source of ``analyze``'s ``invariant_lines`` and of the known factors that
+the search peels off each determinant before its gcds.
 """
 
 from __future__ import annotations
@@ -26,15 +28,13 @@ from .exact import (
     Q,
     Tower,
     UniPoly,
-    _canon,
     _level_modulus,
     _rows_content,
     _sylvester_resultant,
-    adjoin_root,
     as_fraction,
-    f_inv,
     f_is_zero,
     field_zero,
+    factor_roots,
     factor_univariate,
     is_rational_value,
     packed_det,
@@ -51,9 +51,11 @@ from .polyode import (
     _integer_sides,
     _over,
     bipoly_divexact,
+    bipoly_divmod,
     bipoly_str,
     biv_gcd,
 )
+from .sysparse import tower_description
 
 
 class DarbouxError(Exception):
@@ -112,9 +114,9 @@ def verify_darboux(sys: OdeSystem, f: BiPoly):
     if f.total_degree() == 0:
         raise DarbouxError("constant candidate")
     xf = derive_along(sys, f)
-    quotient = bipoly_divexact(xf, f)
-    if quotient is None:
-        return NotDarboux(remainder=_lex_remainder(xf, f))
+    quotient, remainder = bipoly_divmod(xf, f)
+    if not remainder.is_zero():
+        return NotDarboux(remainder=remainder)
     m = sys.degree()
     if not xf.is_zero():
         assert quotient.total_degree() <= m - 1, "cofactor degree bound violated"
@@ -128,42 +130,6 @@ def verify_darboux(sys: OdeSystem, f: BiPoly):
         irreducible=irreducible,
         certified=certified,
     )
-
-
-def _lex_remainder(num: BiPoly, den: BiPoly) -> BiPoly:
-    """The remainder of num modulo den in (w, z) lex order: num - q den with
-    no term divisible by the leading term of den.  One polynomial is a
-    Groebner basis of its ideal, so the remainder is zero exactly when den
-    divides num.
-
-    Rows of num are walked as in ``bipoly_divexact``, from the highest
-    w-power and, within a row, the highest z-power down.  A multiple of den
-    only changes terms below the one it cancels, so each term is final when
-    it is reached: it is cancelled when the leading term divides it and
-    moved into the remainder otherwise."""
-    dw = den.w_degree()
-    dz = max(ze for (ze, we) in den.terms if we == dw)
-    lc_inv = f_inv(den.terms[(dz, dw)])
-    rest = [(we, ze, c) for (ze, we), c in den.terms.items() if (ze, we) != (dz, dw)]
-    rows = [{} for _ in range(num.w_degree() + 1)]
-    for (ze, we), c in num.terms.items():
-        rows[we][ze] = c
-    remainder = {}
-    for i in range(len(rows) - 1, -1, -1):
-        row = rows[i]
-        for k in range(max(row, default=-1), -1, -1):
-            c = row.get(k)
-            if c is None or f_is_zero(c):
-                continue
-            if i < dw or k < dz:
-                remainder[(k, i)] = _canon(c) if type(c) is Fraction else c
-                continue
-            qc = c * lc_inv
-            for we, ze, dc in rest:
-                target = rows[i - dw + we]
-                key = k - dz + ze
-                target[key] = target.get(key, 0) - qc * dc
-    return BiPoly(remainder, tower=num.tower)
 
 
 def strictness_check(f: BiPoly):
@@ -261,18 +227,23 @@ def _irreducibility(f: BiPoly, offenders):
 
 @dataclass
 class LineFamily:
-    """Conjugate family of lines given by an irreducible factor."""
+    """Conjugate family of lines given by an irreducible factor; a sloped
+    one also keeps the tower of its slope and intercept."""
 
     kind: str  # "z", "w" or "sloped"
     factor: UniPoly
     degree: int
+    tower: Optional[Tower] = None
 
     def to_report(self):
-        return {
+        out = {
             "kind": self.kind,
             "defining_polynomial": str(self.factor),
             "conjugates": self.degree,
         }
+        if self.tower is not None:
+            out["tower"] = tower_description(self.tower)
+        return out
 
 
 @dataclass
@@ -281,6 +252,7 @@ class LineDetection:
     families: list  # LineFamily for conjugate (irrational) ones
     dicritical: bool
     notes: tuple = ()
+    capped: tuple = ()  # the notes of the factors whose roots a cap stopped
 
     def to_report(self):
         return {
@@ -292,7 +264,10 @@ class LineDetection:
 
     @property
     def reasons(self) -> tuple:
-        return tuple(r for c in self.lines for r in c.reasons)
+        """The lines' reasons, then each capped factor, by its note."""
+        return tuple(r for c in self.lines for r in c.reasons) + tuple(
+            Reason("capped", "lines", note) for note in self.capped
+        )
 
 
 def detect_invariant_lines(sys: OdeSystem) -> LineDetection:
@@ -317,8 +292,9 @@ def detect_invariant_lines(sys: OdeSystem) -> LineDetection:
 
     # sloped lines w = s z + r: (B - s A)(z, s z + r) == 0 identically in z
     conditions = _sloped_line_conditions(A, B)
-    status, pairs, extra_notes = _solve_two_var_system(conditions)
+    status, pairs, extra_notes, capped = _solve_two_var_system(conditions)
     notes.extend(extra_notes)
+    notes.extend(capped)
     if status == "infinite":
         dicritical = True
     else:
@@ -331,12 +307,13 @@ def detect_invariant_lines(sys: OdeSystem) -> LineDetection:
                     lines.append(cert)
             else:
                 tower = s_val.tower if isinstance(s_val, ExtElem) else r_val.tower
-                deg = tower.degree()
                 minpoly = _level_modulus(tower.levels, tower.levels[-1].name)
-                families.append(LineFamily(kind="sloped", factor=minpoly, degree=deg))
+                families.append(LineFamily(kind="sloped", factor=minpoly, degree=tower.degree(), tower=tower))
 
     lines = _dedupe_certs(lines)
-    return LineDetection(lines=lines, families=families, dicritical=dicritical, notes=tuple(notes))
+    return LineDetection(
+        lines=lines, families=families, dicritical=dicritical, notes=tuple(notes), capped=tuple(capped)
+    )
 
 
 def _sloped_line_conditions(A: BiPoly, B: BiPoly):
@@ -380,7 +357,8 @@ def _dedupe_certs(certs):
 
 def _solve_two_var_system(polys):
     """Common zeros of polynomials in (s, r) with s != 0; returns (status,
-    pairs, notes).
+    pairs, notes, capped), where capped notes each slope or intercept
+    factor whose root a cap stopped.
 
     status "infinite" flags a positive-dimensional solution set (a common
     nonconstant factor); "finite" returns all solutions with coordinates in Q
@@ -389,14 +367,14 @@ def _solve_two_var_system(polys):
     """
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
-        return "infinite", [], ("no constraints on lines",)
+        return "infinite", [], ("no constraints on lines",), []
     g = polys[0]
     for p in polys[1:]:
         g = biv_gcd(g, p)
         if g.total_degree() == 0:
             break
     if g.total_degree() > 0:
-        return "infinite", [], ()
+        return "infinite", [], (), []
     # candidate s-values from r-free conditions and resultants
     s_constraints = []
     r_positive = []
@@ -415,38 +393,45 @@ def _solve_two_var_system(polys):
             if res is not None and not res.is_zero():
                 s_constraints.append(res)
     if not s_constraints:
-        return "partial", [], ("could not bound line slopes",)
+        return "partial", [], ("could not bound line slopes",), []
     gs = functools.reduce(UniPoly.gcd, s_constraints)
     if gs.degree() == 0:
-        return "finite", [], notes
+        return "finite", [], notes, []
+    capped = []
     pairs = []
-    for fac in factor_univariate(gs):
-        if fac.poly.degree() == 1:
-            if f_is_zero(fac.poly.coeffs[0]):
-                continue  # s = 0
-            s_val = -as_fraction(fac.poly.coeffs[0])
-            pairs.extend(_solve_r_given_s(polys, s_val, None))
-        else:
-            try:
-                tower, theta = adjoin_root(Tower(), fac.poly)
-            except ExactError:
-                notes.append("slope factor beyond tower cap: %s" % str(fac.poly))
-                continue
-            pairs.extend(_solve_r_given_s(polys, theta, tower))
+    for s in _roots(gs, None, "slope", capped):
+        if s.value == 0:
+            continue  # s = 0
+        pairs.extend(_solve_r_given_s(polys, s.value, capped))
     verified = []
     for s_val, r_val in pairs:
         if all(_eval_sr(p, s_val, r_val) for p in polys):
             verified.append((s_val, r_val))
-    return "finite", verified, notes
+    return "finite", verified, notes, capped
 
 
-def _solve_r_given_s(polys, s_val, tower):
+def _roots(p: UniPoly, tower, what, capped):
+    """The entries of ``factor_roots`` for p over Q or ``tower``, at the
+    default caps, that have a root; each one a cap stopped is noted in
+    ``capped``, where ``what`` names p's unknown."""
     out = []
+    for root in factor_roots(p, tower):
+        if root.note == "factor-cap":
+            capped.append("%s polynomial beyond factor cap: %s" % (what, root.factor))
+        elif root.note == "tower-cap":
+            capped.append("%s factor beyond tower cap: %s" % (what, root.factor))
+        else:
+            out.append(root)
+    return out
+
+
+def _solve_r_given_s(polys, s_val, capped):
+    """The pairs (s_val, r) of common zeros, r over s_val's field or
+    adjoined over it, with s_val then lifted to r's tower."""
+    tower = s_val.tower if isinstance(s_val, ExtElem) else None
     r_polys = []
     for p in polys:
         u = _substitute_s(p, s_val, tower)
-        if u is None:
-            continue
         if u.degree() == 0 and not u.is_zero():
             return []  # inconsistent at this s
         if not u.is_zero():
@@ -456,27 +441,10 @@ def _solve_r_given_s(polys, s_val, tower):
     g = functools.reduce(UniPoly.gcd, r_polys)
     if g.degree() == 0:
         return []
-    if tower is None:
-        for fac in factor_univariate(g):
-            if fac.poly.degree() == 1:
-                out.append((s_val, -as_fraction(fac.poly.coeffs[0])))
-            else:
-                try:
-                    t2, theta = adjoin_root(Tower(), fac.poly)
-                except ExactError:
-                    continue
-                out.append((t2.coerce(s_val), theta))
-    else:
-        for fac, _ in g.squarefree_decomposition():
-            if fac.degree() == 1:
-                out.append((s_val, -fac.coeffs[0] * f_inv(fac.coeffs[1])))
-            else:
-                try:
-                    t2, theta = adjoin_root(tower, fac.monic())
-                except ExactError:
-                    continue
-                out.append((t2.coerce(s_val), theta))
-    return out
+    return [
+        (r.value.tower.coerce(s_val) if r.note == "adjoined" else s_val, r.value)
+        for r in _roots(g, tower, "intercept", capped)
+    ]
 
 
 def _substitute_s(p: BiPoly, s_val, tower):

@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 Q = Fraction
 
@@ -1756,3 +1756,49 @@ def _int_irreducible_factors(f):
         work.append(h)
         work.append(_int_poly_divexact(g, h))
     return out
+
+
+class Root(NamedTuple):
+    """One representative root of a factor: ``value`` is None when a cap
+    stopped it, and ``note`` says how it was found or which cap."""
+
+    value: object
+    multiplicity: int
+    note: str  # rational, adjoined, tower-linear, factor-cap or tower-cap
+    factor: UniPoly
+
+
+def factor_roots(p: UniPoly, tower: Optional[Tower] = None, factor_cap=DEFAULT_FACTOR_CAP, tower_cap=DEFAULT_TOWER_CAP):
+    """One root of each factor of ``p`` over Q or over ``tower``.
+
+    Over Q: ``p`` of degree above ``factor_cap`` is one ``factor-cap``
+    entry; a linear ``p`` is solved as -c0 / c1; otherwise each irreducible
+    factor of ``factor_univariate`` gives a rational root or adjoins one
+    representative root over Q.  Over a tower: the squarefree split, its
+    monic linear factors solved in the tower and the others adjoined
+    presumed irreducible.  An adjoin past ``tower_cap`` is a ``tower-cap``
+    entry."""
+    over_q = tower is None or tower.is_trivial()
+    if over_q:
+        if p.degree() > factor_cap:
+            return [Root(None, 1, "factor-cap", p)]
+        if p.degree() == 1:
+            c0, c1 = p.coeffs
+            return [Root(-as_fraction(c0) / as_fraction(c1), 1, "rational", p)]
+        parts = [(fac.poly, fac.multiplicity) for fac in factor_univariate(p, cap=factor_cap)]
+        tower = QQ_TOWER
+    else:
+        parts = p.squarefree_decomposition()
+    roots = []
+    for g, mult in parts:
+        if g.degree() == 1:
+            c0 = g.coeffs[0]
+            roots.append(Root(-as_fraction(c0), mult, "rational", g) if over_q else Root(-c0, mult, "tower-linear", g))
+            continue
+        try:
+            _, theta = adjoin_root(tower, g, tower_cap)
+        except ExactError:
+            roots.append(Root(None, mult, "tower-cap", g))
+            continue
+        roots.append(Root(theta, mult, "adjoined", g))
+    return roots

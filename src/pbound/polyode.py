@@ -19,6 +19,7 @@ from .exact import (
     ExtElem,
     Q,
     Tower,
+    _canon,
     _int_gcd,
     _int_poly_mul,
     _int_primitive,
@@ -375,15 +376,41 @@ def _normalize_biv(p: BiPoly) -> BiPoly:
 
 
 def bipoly_divexact(num: BiPoly, den: BiPoly) -> Optional[BiPoly]:
-    """num / den when the division is exact, else None (plain exponents).
+    """num / den when the division is exact, else None (plain exponents):
+    the quotient of ``_lex_division``, stopped at the first term of a
+    remainder."""
+    if den.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    tower = num.tower or den.tower
+    quotient = {}
+    for _ in _lex_division(num, den, quotient):
+        return None
+    return BiPoly(quotient, tower=tower)
 
-    Plain division in (w, z) lex order on dense w-major rows of num: each
-    leading term of the remainder is divided by the leading term of den and
-    that multiple of den subtracted.  Every remainder of an exact division
-    is a multiple of den, so its leading term is divisible by den's and its
-    quotient terms are terms of num/den, whose z-degree is
-    deg_z num - deg_z den; the first term that breaks either proves the
-    division inexact.
+
+def bipoly_divmod(num: BiPoly, den: BiPoly):
+    """(quotient, remainder) of num by den in (w, z) lex order: num = q den
+    + r with no term of r divisible by the leading term of den.  One
+    polynomial is a Groebner basis of its ideal, so r is zero exactly when
+    den divides num."""
+    if den.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    tower = num.tower or den.tower
+    quotient = {}
+    remainder = {key: _canon(c) if type(c) is Fraction else c for key, c in _lex_division(num, den, quotient)}
+    return BiPoly(quotient, tower=tower), BiPoly(remainder, tower=tower)
+
+
+def _lex_division(num: BiPoly, den: BiPoly, quotient: dict):
+    """Divide num by the nonzero den in (w, z) lex order on dense w-major
+    rows of num, putting the quotient's terms into ``quotient`` and yielding
+    each ((ze, we), c) of the remainder as it is reached.
+
+    Rows are walked from the highest w-power and, within a row, from the
+    highest z-power down.  A multiple of den only changes terms below the
+    one it cancels, so each term is final when it is reached: it is divided
+    by the leading term of den, and that multiple of den subtracted, when
+    that term divides it, and it is a remainder term otherwise.
 
     An ``int`` coefficient divided by an ``int`` leading coefficient stays an
     ``int`` when that division is exact, so an exact quotient of integer
@@ -391,44 +418,35 @@ def bipoly_divexact(num: BiPoly, den: BiPoly) -> Optional[BiPoly]:
     never meets a ``Fraction``; any other quotient coefficient is a product
     with the inverse of the leading coefficient.
     """
-    if den.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    tower = num.tower or den.tower
-    if num.is_zero():
-        return BiPoly.zero(tower)
-    nz, nw = num.z_degree(), num.w_degree()
     dw = den.w_degree()
-    qz_max = nz - den.z_degree()
-    if qz_max < 0 or nw < dw:
-        return None
-    zero = field_zero(tower)
-    rows = [[zero] * (nz + 1) for _ in range(nw + 1)]
+    dz = max(ze for (ze, we) in den.terms if we == dw)
+    # no step raises ze + slope * we, so row we holds z-powers up to
+    # top - slope * we
+    slope = den.z_degree() - dz
+    top = max((ze + slope * we for ze, we in num.terms), default=0)
+    zero = field_zero(num.tower or den.tower)
+    rows = [[zero] * (top - slope * i + 1) for i in range(num.w_degree() + 1)]
     for (ze, we), c in num.terms.items():
         rows[we][ze] = c
-    dz = max(ze for (ze, we) in den.terms if we == dw)
     lc = den.terms[(dz, dw)]
     lc_inv = f_inv(lc)
     int_lc = type(lc) is int
     rest = [(we, ze, c) for (ze, we), c in den.terms.items() if (ze, we) != (dz, dw)]
-    quotient = {}
-    for i in range(nw, dw - 1, -1):
+    for i in range(len(rows) - 1, -1, -1):
         row = rows[i]
         qw = i - dw
-        for k in range(nz, -1, -1):
+        for k in range(len(row) - 1, -1, -1):
             c = row[k]
             if f_is_zero(c):
                 continue
             qz = k - dz
-            if not 0 <= qz <= qz_max:
-                return None
+            if qw < 0 or qz < 0:
+                yield (k, i), c
+                continue
             qc = c // lc if int_lc and type(c) is int and not c % lc else c * lc_inv
             quotient[(qz, qw)] = qc
             for we, ze, dc in rest:
-                target = rows[qw + we]
-                target[qz + ze] -= qc * dc
-    if any(not f_is_zero(c) for row in rows[:dw] for c in row):
-        return None
-    return BiPoly(quotient, tower=tower)
+                rows[qw + we][qz + ze] -= qc * dc
 
 
 # ---------------------------------------------------------------------------

@@ -417,24 +417,8 @@ def _write_json(node, out, pad):
                 _write_json(item, out, inner)
             sep = "," + inner
         out.append(pad + "]")
-    # not exactly a dict or a list: a scalar, a tuple, or a subclass, read
-    # by isinstance
-    elif isinstance(node, str):
-        out.append(_json_str(node))
-    elif node is None:
-        out.append("null")
-    elif node is True:
-        out.append("true")
-    elif node is False:
-        out.append("false")
-    elif isinstance(node, int):
-        out.append(int.__repr__(node))
-    elif isinstance(node, (list, tuple)):
-        _write_json(list(node), out, pad)
-    elif isinstance(node, dict):
-        _write_json(dict(node), out, pad)
-    else:  # a float, or a type json.dumps rejects
-        out.append(json.dumps(node))
+    else:  # not exactly a dict or a list: json.dumps's own text, indented
+        out.append(json.dumps(node, indent=2).replace("\n", pad))
 
 
 def _render_text(node, lines, depth):

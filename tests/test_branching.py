@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import pbound.branching as branching
+import pbound.exact as exact
 from pbound.branching import (
     DEFAULT_CAPS,
     Caps,
@@ -1042,18 +1043,18 @@ def test_linear_edge_polynomial_is_solved_without_factoring(monkeypatch, system)
     for edge in diagram.edges:
         phi = nonzero_char_poly(edge) if edge.admissible else None
         if phi is not None and phi.degree() == 1:
-            (fac,) = branching.factor_univariate(phi)
+            (fac,) = exact.factor_univariate(phi)
             c0, c1 = fac.poly.coeffs
             want.append(branching._Step(edge.lam, -Q(c0) / Q(c1), fac.multiplicity, "rational"))
     assert want
     degrees = []
-    real = branching.factor_univariate
+    real = exact.factor_univariate
 
     def spy(phi, *args, **kwargs):
         degrees.append(phi.degree())
         return real(phi, *args, **kwargs)
 
-    monkeypatch.setattr(branching, "factor_univariate", spy)
+    monkeypatch.setattr(exact, "factor_univariate", spy)
     steps = _Expander(sys, DEFAULT_CAPS)._steps_from_diagram(_walk_sides(sys), Q(0), diagram)
     assert 1 not in degrees
     got = [s for s in steps if s.note == "rational"]

@@ -245,6 +245,7 @@ ARGPARSE_ARGVS = {
     "stray-token": ["mul", "--system", EX45, "stray", "--at", "0,0"],
     "json-with-value": ["mul", "--system", EX45, "--at", "0,0", "--json=yes"],
     "no-system-flag": ["lv", "--params", "1,2,3", "--system", EX45],
+    "darboux-caps": ["darboux", "--system", EX45, "--caps", "depth=1"],
     "command-help": ["bound", "--help"],
     "unknown-command": ["mull", "--at", "0,0"],
 }
@@ -352,6 +353,18 @@ def test_cap_exit_code(capsys):
     assert code == 3
     assert data["status"] == "capped"
     assert data["mul_lower_bound"] is not None
+
+
+@pytest.mark.parametrize("caps", ["bogus=1", "depth=1"])
+def test_darboux_takes_no_caps(capsys, caps):
+    # no cap of Caps bounds the search, so --caps is an unknown flag there,
+    # as an unknown cap is one for mul
+    with pytest.raises(SystemExit) as exc:
+        main(["darboux", "--system", "dw/dz = w/z", "--caps", caps])
+    assert exc.value.code == 2
+    assert "pbound darboux: error: unrecognized arguments: --caps" in capsys.readouterr().err
+    code, data = run_json(capsys, ["mul", "--system", "dw/dz = w/z", "--at", "0,0", "--caps", "bogus=1"])
+    assert code == 2 and data["error"]["message"] == "unknown cap 'bogus'"
 
 
 def test_caps_env_variable(monkeypatch, capsys):

@@ -89,57 +89,6 @@ def test_not_darboux_returns_witness():
     assert bipoly_str(res.remainder) == "2*z^2 - 12*z + 30"
 
 
-@st.composite
-def lex_divisors(draw):
-    """Divisors of the three shapes the lex division meets: w-degree 0, a
-    constant leading coefficient in w, and one that is a polynomial in z."""
-    shape = draw(st.sampled_from(["z-only", "constant-lead", "z-lead"]))
-    coeff = st.integers(-3, 3)
-    lead_w_degree = 0 if shape == "z-only" else draw(st.integers(1, 2))
-    rows = [draw(st.lists(coeff, max_size=3)) for _ in range(lead_w_degree)]
-    if shape == "constant-lead":
-        rows.append([draw(coeff.filter(bool))])
-    else:
-        rows.append(draw(st.lists(coeff, min_size=2, max_size=3).filter(lambda row: row[-1])))
-    return bp({(i, j): c for j, row in enumerate(rows) for i, c in enumerate(row)})
-
-
-LEX_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
-LEX_NUMERATORS = st.dictionaries(
-    st.sampled_from([(i, d - i) for d in range(5) for i in range(d + 1)]),
-    st.builds(Q, st.integers(-3, 3).filter(bool), st.integers(1, 3)),
-    max_size=6,
-).map(bp)
-Z_W_MINUS_1 = bp({(1, 1): 1, (0, 0): -1})
-
-
-@LEX_SETTINGS
-@given(LEX_NUMERATORS, lex_divisors())
-@example(bp({(0, 1): 1}), Z_W_MINUS_1)
-@example(bp({(2, 2): 3, (0, 2): 1, (1, 0): -2}), Z_W_MINUS_1)
-def test_lex_remainder_matches_sympy_reduced(sp, num, den):
-    z, w = sp.symbols("z w")
-    _, want = sp.reduced(sympy_expr(sp, num), [sympy_expr(sp, den)], w, z, order="lex")
-    assert sp.expand(sympy_expr(sp, darboux._lex_remainder(num, den)) - want) == 0
-
-
-@LEX_SETTINGS
-@given(LEX_NUMERATORS, lex_divisors())
-@example(Z_W_MINUS_1 * bp({(0, 1): 1, (1, 0): 2}), Z_W_MINUS_1)
-@example(bp({(0, 1): Q(4, 3), (1, 0): 3}), bp({(0, 1): Q(2, 3), (0, 0): 1}))  # remainder -2 from 4/3 * 3/2
-def test_lex_remainder_is_reduced_and_congruent(num, den):
-    # num - r = q den, and no term of r is divisible by den's leading term
-    r = darboux._lex_remainder(num, den)
-    q = bipoly_divexact(num - r, den)
-    assert q is not None and num - r == q * den
-    dw = den.w_degree()
-    dz = max(ze for (ze, we) in den.terms if we == dw)
-    assert not any(we >= dw and ze >= dz for (ze, we) in r.terms)
-    # an integral rational coefficient is an int, as everywhere in BiPoly
-    assert all(type(c) is int or c.denominator != 1 for c in r.terms.values())
-    assert r.is_zero() == (bipoly_divexact(num, den) is not None)
-
-
 def test_constant_candidate_rejected():
     sys = lv_system(Q(-1), Q(0), Q(0))
     with pytest.raises(DarbouxError, match="constant"):
@@ -334,7 +283,12 @@ def test_detect_lines_irrational_slopes_are_one_family():
     det = detect_invariant_lines(make_system(bp({(1, 0): 2}), bp({(0, 1): 1})))
     assert det.lines == []
     assert [f.to_report() for f in det.families] == [
-        {"kind": "sloped", "defining_polynomial": "t0^2 - 2", "conjugates": 2}
+        {
+            "kind": "sloped",
+            "defining_polynomial": "t0^2 - 2",
+            "conjugates": 2,
+            "tower": [{"generator": "t0", "minpoly": "t0^2 - 2", "presumed_irreducible": False}],
+        }
     ]
 
 
@@ -1010,5 +964,10 @@ def test_sloped_line_family_over_a_rational_slope():
     det = detect_invariant_lines(SLOPED_LINE_SYSTEMS["rational-slope"])
     assert det.lines == []
     assert [f.to_report() for f in det.families] == [
-        {"kind": "sloped", "defining_polynomial": "t0^2 - 2", "conjugates": 2}
+        {
+            "kind": "sloped",
+            "defining_polynomial": "t0^2 - 2",
+            "conjugates": 2,
+            "tower": [{"generator": "t0", "minpoly": "t0^2 - 2", "presumed_irreducible": False}],
+        }
     ]

@@ -14,7 +14,7 @@ from fractions import Fraction as Q
 import pytest
 
 import pbound.bounds as bounds
-import pbound.branching as branching
+import pbound.exact as exact
 from pbound import parse_system
 from pbound.bounds import axis_multiplicity_bound
 from pbound.branching import multiplicity_at
@@ -92,14 +92,14 @@ def test_quartic_fixture_certified_run():
 
 
 def test_quartic_fixture_presumed_modulus_replays(monkeypatch):
-    real_factor = branching.factor_univariate
+    real_factor = exact.factor_univariate
 
     def presumed_quartic(poly, cap=8, **kw):
         if poly.degree() == 4:
             return [Factor(poly.monic(), 1, certified=False)]
         return real_factor(poly, cap, **kw)
 
-    monkeypatch.setattr(branching, "factor_univariate", presumed_quartic)
+    monkeypatch.setattr(exact, "factor_univariate", presumed_quartic)
     res = multiplicity_at(quartic_fixture(), ("point", Q(0), Q(0)))
     assert res.status == "finite"
     assert res.count == 2

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pbound import exact, polyode
 from pbound.exact import QQ_TOWER, ExtElem, Level, Tower, UniPoly, adjoin_root, field_one
@@ -14,6 +14,7 @@ from pbound.polyode import (
     _primitive_int,
     affine_map,
     bipoly_divexact,
+    bipoly_divmod,
     bipoly_str,
     biv_gcd,
     coeff_profile,
@@ -1007,6 +1008,58 @@ def test_bipoly_divexact_by_a_non_primitive_divisor():
     assert got.terms == {(0, 0): Q(1, 2)} and type(got.terms[(0, 0)]) is Q
     assert bipoly_divexact(z.scale(3), z.scale(2)).terms == {(0, 0): Q(3, 2)}
     assert bipoly_divexact(z.scale(4), z.scale(2)).terms == {(0, 0): 2}
+
+
+@st.composite
+def lex_divisors(draw):
+    """Divisors of the three shapes the lex division meets: w-degree 0, a
+    constant leading coefficient in w, and one that is a polynomial in z."""
+    shape = draw(st.sampled_from(["z-only", "constant-lead", "z-lead"]))
+    coeff = st.integers(-3, 3)
+    lead_w_degree = 0 if shape == "z-only" else draw(st.integers(1, 2))
+    rows = [draw(st.lists(coeff, max_size=3)) for _ in range(lead_w_degree)]
+    if shape == "constant-lead":
+        rows.append([draw(coeff.filter(bool))])
+    else:
+        rows.append(draw(st.lists(coeff, min_size=2, max_size=3).filter(lambda row: row[-1])))
+    return bp({(i, j): c for j, row in enumerate(rows) for i, c in enumerate(row)})
+
+
+LEX_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+LEX_NUMERATORS = st.dictionaries(
+    st.sampled_from([(i, d - i) for d in range(5) for i in range(d + 1)]),
+    st.builds(Q, st.integers(-3, 3).filter(bool), st.integers(1, 3)),
+    max_size=6,
+).map(bp)
+Z_W_MINUS_1 = bp({(1, 1): 1, (0, 0): -1})
+
+
+@LEX_SETTINGS
+@given(LEX_NUMERATORS, lex_divisors())
+@example(bp({(0, 1): 1}), Z_W_MINUS_1)
+@example(bp({(2, 2): 3, (0, 2): 1, (1, 0): -2}), Z_W_MINUS_1)
+def test_bipoly_divmod_remainder_matches_sympy_reduced(sp, num, den):
+    w, z = sp.symbols("w z")
+    _, want = sp.reduced(to_sympy(sp, num).as_expr(), [to_sympy(sp, den).as_expr()], w, z, order="lex")
+    assert sp.expand(to_sympy(sp, bipoly_divmod(num, den)[1]).as_expr() - want) == 0
+
+
+@LEX_SETTINGS
+@given(LEX_NUMERATORS, lex_divisors())
+@example(Z_W_MINUS_1 * bp({(0, 1): 1, (1, 0): 2}), Z_W_MINUS_1)
+@example(bp({(0, 1): Q(4, 3), (1, 0): 3}), bp({(0, 1): Q(2, 3), (0, 0): 1}))  # remainder -2 from 4/3 * 3/2
+def test_bipoly_divmod_is_reduced_and_congruent(num, den):
+    # num - r = q den, and no term of r is divisible by den's leading term
+    quotient, r = bipoly_divmod(num, den)
+    q = bipoly_divexact(num - r, den)
+    assert q is not None and num - r == q * den
+    assert quotient == q
+    dw = den.w_degree()
+    dz = max(ze for (ze, we) in den.terms if we == dw)
+    assert not any(we >= dw and ze >= dz for (ze, we) in r.terms)
+    # an integral rational coefficient is an int, as everywhere in BiPoly
+    assert all(type(c) is int or c.denominator != 1 for c in r.terms.values())
+    assert r.is_zero() == (bipoly_divexact(num, den) is not None)
 
 
 @KERNEL_SETTINGS

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -228,6 +229,7 @@ json_values = st.recursive(
 @example({})
 @example({"a": [], "b": {}, "c": [[], {}], "d": {"e": []}})
 @example({1: -(10**30), None: [True, False, None], 2.5: {"\u00e9\n": ""}, False: [[0.5]]})
+@example({"t": (1, ("\u00e9", (2.5, None)), ()), "o": collections.OrderedDict([("k", (True, {}))]), "l": [(), 0.5]})
 def test_json_report_is_json_dumps_with_indent_2(report):
     assert emit_report(report, "json") == (json.dumps(report, indent=2) + "\n").encode()
 

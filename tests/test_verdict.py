@@ -13,7 +13,8 @@ import pytest
 from pbound.bounds import axis_multiplicity_bound
 from pbound.branching import Caps, Reason, multiplicity_at
 from pbound.cli import main
-from pbound.darboux import SearchOutcome, search_darboux, verify_darboux
+from pbound import exact
+from pbound.darboux import SearchOutcome, detect_invariant_lines, search_darboux, verify_darboux
 from pbound.polyode import BiPoly, OdeError, bipoly_str, make_system
 from pbound.sysparse import parse_system
 from test_bounds import _census_style, _corpus_pair, _small_corpus
@@ -98,6 +99,7 @@ def test_exit_code_is_the_walk_on_workload_queries(argv):
 
 
 CUBIC = "dw/dz = ((w^2 - 2*z^2)^3 + z^10) / z^7"
+NINE_SLOPES = "dz/dt = w^8; dw/dt = z^8"
 # every exit-3 example of test_cli.py, and the text-mode ones of the CI step
 EXIT_3_QUERIES = [
     ["mul", "--system", EX45, "--at", "0,0", "--caps", "depth=1"],
@@ -119,6 +121,10 @@ EXIT_3_QUERIES = [
     ["lv", "--params", "-1,5,0", "--triple", "--caps", "depth=0"],
     ["analyze", "--system", LV, "--max-degree", "3"],
     ["darboux", "--system", "dw/dz = (2*z^3 + z^2*w + 4*z*w^2 - w^3 + w^2 + 2) / (-4*z)", "--max-degree", "2"],
+    # the slope polynomial s^9 - 1 is past the factor cap: a noted line
+    # detection, and a bound that has no line to take
+    ["analyze", "--system", NINE_SLOPES, "--max-degree", "0"],
+    ["bound", "--system", NINE_SLOPES],
 ]
 
 
@@ -164,3 +170,32 @@ def test_presumed_irreducibility_and_a_partial_search_are_reasons():
     assert outcome.reasons == (
         Reason("partial-search", "darboux", "degree 2: invariant-core extraction skipped on a degree-18 residual"),
     )
+
+
+# the Hamiltonian field of (w^2 - 2 z^2 + 3)^2 - 12 w^2: the lines
+# w = +-sqrt(2) z +- sqrt(3), one root per factor over Q(sqrt(2))
+HAMILTONIAN = "dz/dt = 4*w^3 - 8*w*z^2 - 12*w; dw/dt = 8*w^2*z - 16*z^3 + 24*z"
+
+
+@pytest.mark.parametrize(
+    "cap, note",
+    [(2, "intercept factor beyond tower cap: r^2 - 3"), (1, "slope factor beyond tower cap: z^2 - 2")],
+)
+def test_a_line_factor_past_a_cap_is_a_reason(monkeypatch, cap, note):
+    real = exact.adjoin_root
+    monkeypatch.setattr(exact, "adjoin_root", lambda tower, m, limit: real(tower, m, min(limit, cap)))
+    system, _ = parse_system(HAMILTONIAN)
+    detection = detect_invariant_lines(system)
+    assert not detection.lines and not detection.families
+    assert detection.notes == detection.capped == (note,)
+    assert detection.reasons == (Reason("capped", "lines", note),)
+    assert inconclusive(detection.to_report())
+    assert assert_verdict(["analyze", "--system", HAMILTONIAN, "--max-degree", "0"]) == 3
+
+
+def test_a_slope_polynomial_past_the_factor_cap_is_a_reason():
+    system, _ = parse_system(NINE_SLOPES)
+    detection = detect_invariant_lines(system)
+    assert detection.reasons == (Reason("capped", "lines", "slope polynomial beyond factor cap: -z^9 + 1"),)
+    system, _ = parse_system(HAMILTONIAN)
+    assert detect_invariant_lines(system).reasons == ()

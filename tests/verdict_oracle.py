@@ -3,8 +3,10 @@
 
 A report is inconclusive when some dict in it has ``status: capped``, a
 ``sum_lower_bound``, ``irreducibility: presumed``, ``presumed_irreducible:
-true`` or ``partial: true``.  The differential tests compare the exit code
-of ``pbound.cli.main`` with this walk over the JSON report.
+true`` or ``partial: true``, or is a line detection (it has
+``dicritical_line_family``) with a note on a factor beyond a cap.  The
+differential tests compare the exit code of ``pbound.cli.main`` with this
+walk over the JSON report.
 """
 
 import sys
@@ -21,6 +23,8 @@ def inconclusive(report) -> bool:
         if report.get("irreducibility") == "presumed" or report.get("presumed_irreducible") is True:
             return True
         if report.get("partial") is True:
+            return True
+        if "dicritical_line_family" in report and any(" cap: " in note for note in report["notes"]):
             return True
         return any(inconclusive(v) for v in report.values() if isinstance(v, (dict, list)))
     if isinstance(report, list):
