@@ -2,8 +2,8 @@
 degree bounds for planar polynomial ODE systems dw/dz = P(z,w)/Q(z,w).
 
 Everything is exact: rationals, univariate polynomials over towers of
-algebraic extensions (with dynamic-evaluation splitting), and sparse
-bivariate polynomials on integer exponents; a ramified branch system keeps
+algebraic extensions (each level certified irreducible, over a tower by
+Trager's norm), and sparse bivariate polynomials on integer exponents; a ramified branch system keeps
 its z-exponents on one integer scale n (z = t^n).  All values are immutable
 and all operations are pure functions, so concurrent use is safe and results
 are bit-for-bit reproducible.
@@ -15,7 +15,6 @@ from .exact import (
     QQ_TOWER,
     ExtElem,
     UniPoly,
-    TowerSplitError,
     adjoin_root,
     factor_univariate,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "QQ_TOWER",
     "ExtElem",
     "UniPoly",
-    "TowerSplitError",
     "adjoin_root",
     "factor_univariate",
     "BiPoly",

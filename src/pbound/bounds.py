@@ -18,14 +18,11 @@ from typing import Optional
 from .branching import Caps, DEFAULT_CAPS, MultiplicityResult, Reason, multiplicity_at
 from .darboux import DarbouxCertificate, verify_darboux
 from .exact import (
-    ExactError,
     Q,
     QQ_TOWER,
-    TowerSplitError,
     UniPoly,
     _int_derivative,
     _int_poly_prem,
-    _level_modulus,
     _primitive_int_coeffs,
     adjoin_root,
     as_fraction,
@@ -53,22 +50,13 @@ class AxisPoint:
             out["mul_lower_bound"] = self.mul.lower_bound
         else:
             out["witness"] = witness_report(self.mul.witness)
-        if any(r.code == "presumed-summand" for r in self.reasons):
-            out["presumed_irreducible"] = True
         return out
 
     @property
     def reasons(self) -> tuple:
-        """The reasons of the point's count, at the bound and by the point's
-        label: a capped count, and a count that rests on a branch over a
-        presumed level, which is presumed too (a presumed summand)."""
-        codes = {r.code for r in self.mul.reasons}
-        out = []
-        if "capped" in codes:
-            out.append(Reason("capped", "bound", self.label))
-        if "presumed-level" in codes:
-            out.append(Reason("presumed-summand", "bound", self.label))
-        return tuple(out)
+        """The reason of the point's count, at the bound and by the point's
+        label: a capped count."""
+        return (Reason("capped", "bound", self.label),) if self.mul.reasons else ()
 
 
 @dataclass
@@ -218,7 +206,7 @@ def _linear_part_count(rows, f, caps: Caps) -> Optional[MultiplicityResult]:
     >= 2, plus deg_w Q where mu_z = 0, and caps.factor >= 1, which a linear
     edge polynomial over Q needs.  The system must be over Q
     (``_linear_rows``) and f certified irreducible, so that Q[w]/(f) is a
-    field and a presumed factor keeps the engine's split replay.
+    field.
     """
     if rows is None or caps.factor < 1:
         return None
@@ -245,47 +233,27 @@ def _linear_part_count(rows, f, caps: Caps) -> Optional[MultiplicityResult]:
     return MultiplicityResult(status="finite", count=count)
 
 
-def _mul_at_algebraic_point(sys: OdeSystem, minpoly: UniPoly, caps: Caps, rows):
-    """The summands over the conjugacy class of an irreducible axis root.
+def _mul_at_algebraic_point(sys: OdeSystem, minpoly: UniPoly, caps: Caps, rows) -> AxisPoint:
+    """The summand over the conjugacy class of an axis root, a factor of
+    ``factor_univariate`` of degree >= 2.
 
-    A presumed-irreducible factor that splits mid-run is replayed per
-    irreducible factor of its pieces, each entry standing for the roots of
-    its own factor.  A factor of degree above ``caps.tower`` is not
-    adjoined: its roots count as a capped point with lower bound 0.  Where
+    A factor of degree above ``caps.tower`` is not adjoined, and neither is
+    one it could not certify irreducible: its roots count as a capped point
+    with lower bound 0 (``tower-cap`` or ``irreducibility-cap``).  Where
     the linear part decides the count (``_linear_part_count`` on ``rows``)
     no root is adjoined; elsewhere ``multiplicity_at`` runs over Q(theta).
     """
-    work = [minpoly]
-    out = []
-    while work:
-        poly = work.pop()
-        label, weight = "root of %s" % poly, poly.degree()
-        if weight > caps.tower:
-            capped = MultiplicityResult(status="capped", lower_bound=0, diagnostics=("tower-cap",))
-            out.append(AxisPoint(label, weight, capped))
-            continue
-        if poly.certified_irreducible:
-            res = _linear_part_count(rows, _primitive_int_coeffs(poly), caps)
-            if res is not None:
-                out.append(AxisPoint(label, weight, res))
-                continue
-        try:
-            tower, theta = adjoin_root(QQ_TOWER, poly, caps.tower)
-        except ExactError as exc:
-            raise BoundsError("axis root tower: %s" % exc)
+    label, weight = "root of %s" % minpoly, minpoly.degree()
+    if weight > caps.tower or not minpoly.certified_irreducible:
+        cap = "tower-cap" if weight > caps.tower else "irreducibility-cap"
+        capped = MultiplicityResult(status="capped", lower_bound=0, diagnostics=(cap,))
+        return AxisPoint(label, weight, capped)
+    res = _linear_part_count(rows, _primitive_int_coeffs(minpoly), caps)
+    if res is None:
+        tower, theta = adjoin_root(QQ_TOWER, minpoly, caps.tower)
         lifted = sys.map_tower(tower)
-        try:
-            res = multiplicity_at(lifted, ("point", Q(0), theta), caps)
-        except TowerSplitError as exc:
-            if exc.level != 0:
-                raise
-            # each factor modulus factored again, so that its levels are
-            # certified where factor_univariate can certify them
-            for t in exc.factor_towers():
-                work.extend(f.poly for f in factor_univariate(_level_modulus(t.levels[:1], "w")))
-            continue
-        out.append(AxisPoint(label, weight, res))
-    return out
+        res = multiplicity_at(lifted, ("point", Q(0), theta), caps)
+    return AxisPoint(label, weight, res)
 
 
 def axis_multiplicity_bound(sys: OdeSystem, caps: Caps = DEFAULT_CAPS, known=None) -> BoundReport:
@@ -314,7 +282,7 @@ def axis_multiplicity_bound(sys: OdeSystem, caps: Caps = DEFAULT_CAPS, known=Non
     any_capped = False
     for kind, value, weight in point_entries:
         if kind == "algebraic":
-            entries = _mul_at_algebraic_point(sys, value, caps, rows)
+            entry = _mul_at_algebraic_point(sys, value, caps, rows)
         else:
             label = "inf" if kind == "inf" else str(value)
             mul = known.get(label)
@@ -327,20 +295,19 @@ def axis_multiplicity_bound(sys: OdeSystem, caps: Caps = DEFAULT_CAPS, known=Non
                 mul = _linear_part_count(moved_rows, [-w0.numerator, w0.denominator], caps)
                 if mul is None:
                     mul = multiplicity_at(moved, ("point", Q(0), w0), caps)
-            entries = [AxisPoint(label, 1, mul)]
-        for entry in entries:
-            report.points.append(entry)
-            if entry.mul.status == "finite":
-                total += entry.weight * entry.mul.count
-                lower += entry.weight * entry.mul.count
-            elif entry.mul.status == "capped":
-                any_capped = True
-                all_finite = False
-                lower += entry.weight * (entry.mul.lower_bound or 0)
-            else:
-                all_finite = False
-                if report.blocked_by is None:
-                    report.blocked_by = entry
+            entry = AxisPoint(label, 1, mul)
+        report.points.append(entry)
+        if entry.mul.status == "finite":
+            total += entry.weight * entry.mul.count
+            lower += entry.weight * entry.mul.count
+        elif entry.mul.status == "capped":
+            any_capped = True
+            all_finite = False
+            lower += entry.weight * (entry.mul.lower_bound or 0)
+        else:
+            all_finite = False
+            if report.blocked_by is None:
+                report.blocked_by = entry
     if all_finite:
         report.sum_bound = total
         report.product_bound = m_axis * (k + 1)

@@ -8,7 +8,7 @@ node the engine
   (positive rational ratio p_{j,0}/q_{j-1,0} dominating all other support
   points), and every edge past the last exponent for a characteristic
   polynomial that vanishes identically; either makes the point algebraic
-  critical (``_Expander._expand_inner``),
+  critical (``_Expander.expand``),
 * after a 1-folded step applies the closure test: the continuation is a
   uniquely determined series unless the remainder ratio p1/q0 is a rational
   number exceeding the last exponent (the resonant case).  Both that series
@@ -30,11 +30,12 @@ diagram.
 
 Conjugate branches are never expanded separately: a degree-d factor is
 adjoined to the coefficient tower and the representative carries conjugacy
-degree d.  A presumed-irreducible modulus that later reveals a zero divisor
-splits the tower and the affected subtree is replayed on both factors.
-Every number of a node, its pair and its prefix, lives in the node's
-tower: both move together (``_moved``) when a step adjoins a level and
-when a split replays a node, so a leaf's tower is its branch's.
+degree d.  Every adjoined level is certified irreducible
+(``exact.factor_roots``), so each tower is a field; a factor that cannot
+be certified is a capped leaf (``irreducibility-cap``).  Every number of a
+node, its pair and its prefix, lives in the node's tower: both move
+together (``_moved``) when a step adjoins a level, so a leaf's tower is its
+branch's.
 """
 
 from __future__ import annotations
@@ -51,15 +52,13 @@ from .exact import (
     ExtElem,
     Q,
     Tower,
-    TowerSplitError,
     _canon,
     as_fraction,
-    certified_is_rational,
     f_inv,
     f_is_zero,
     factor_roots,
+    is_rational_value,
     sort_key,
-    transport_elem,
 )
 from .newton import (
     first_critical,
@@ -73,7 +72,6 @@ from .polyode import (
     PuiseuxBranch,
     _content_free,
     _integer_sides,
-    _nonzero,
     _shift_sides,
     _shifted_pair,
     coeff_profile,
@@ -154,11 +152,11 @@ class BranchTree:
 
 class Reason(NamedTuple):
     """Why a result is inconclusive: it rests on a cap or on something
-    presumed.  ``code`` is "capped", "sum-lower-bound", "presumed-level",
-    "presumed-summand", "presumed-irreducible" or "partial-search"; ``stage``
-    names the producer ("multiplicity", "bound", "certificate" or
-    "darboux"); ``detail`` says where or which, as text.  A result without
-    reasons is conclusive."""
+    presumed.  ``code`` is "capped", "sum-lower-bound",
+    "presumed-irreducible" or "partial-search"; ``stage`` names the
+    producer ("multiplicity", "bound", "certificate" or "darboux");
+    ``detail`` says where or which, as text.  A result without reasons is
+    conclusive."""
 
     code: str
     stage: str
@@ -177,13 +175,8 @@ class MultiplicityResult:
 
     @property
     def reasons(self) -> tuple:
-        """A capped status, with its diagnostics, and each presumed level of
-        a branch's tower, by generator name."""
-        out = [Reason("capped", "multiplicity", ",".join(self.diagnostics))] if self.status == "capped" else []
-        for b in self.branches:
-            if b.tower is not None:
-                out.extend(Reason("presumed-level", "multiplicity", lv.name) for lv in b.tower.levels if lv.presumed)
-        return tuple(out)
+        """A capped status, with its diagnostics."""
+        return (Reason("capped", "multiplicity", ",".join(self.diagnostics)),) if self.status == "capped" else ()
 
 
 @dataclass(frozen=True)
@@ -191,7 +184,7 @@ class _Node:
     """A node of the tree.  ``sides`` is (P, Q, n, tower) of the root's own
     system at the root; below the root it is the parent's walk pair, in the
     node's tower, before the node's step (the last pair of ``prefix``),
-    which ``_expand_inner`` takes (``_step_sides``).  Every coefficient of
+    which ``expand`` takes (``_step_sides``).  Every coefficient of
     ``prefix`` lives in that tower too.  The nodes of a resonance walk
     carry None."""
 
@@ -269,22 +262,20 @@ def _child(node: _Node, step: _Step, sides) -> _Node:
     child = _Node(sides, node.prefix + ((step.lam, step.alpha),), step.lam, step.folded, node.depth + 1)
     if step.note != "adjoined":
         return child
-    tower = step.alpha.tower
-    return _moved(child, tower, tower.coerce)
+    return _moved(child, step.alpha.tower)
 
 
-def _moved(node: _Node, tower: Tower, lift) -> _Node:
-    """``node`` with its pair and its prefix over ``tower``, so that every
-    number of a node lives in the node's tower: each tower element mapped by
-    ``lift`` (into a tower with a new level, or onto a factor tower after a
-    split), a rational kept as it is (see ``BiPoly``), a zero of the pair
-    dropped."""
+def _moved(node: _Node, tower: Tower) -> _Node:
+    """``node`` with its pair and its prefix over ``tower``, a tower with a
+    new level, so that every number of a node lives in the node's tower:
+    each tower element coerced into it, a rational kept as it is (see
+    ``BiPoly``)."""
 
     def move(c):
-        return lift(c) if isinstance(c, ExtElem) else c
+        return tower.coerce(c) if isinstance(c, ExtElem) else c
 
     p, q, n, _ = node.sides
-    p, q = (_nonzero({k: move(c) for k, c in side.items()}) for side in (p, q))
+    p, q = ({k: move(c) for k, c in side.items()} for side in (p, q))
     prefix = tuple((mu, move(c)) for mu, c in node.prefix)
     return replace(node, sides=(p, q, n, tower), prefix=prefix)
 
@@ -292,26 +283,12 @@ def _moved(node: _Node, tower: Tower, lift) -> _Node:
 class _Expander:
     def __init__(self, sys: OdeSystem, caps: Caps):
         self.caps = caps
-        self.base_levels = 0 if sys.tower is None else len(sys.tower.levels)
         self.base_degree = _tower_deg(sys.tower)
         self.tree_flags = set()
 
-    # -- tower split replay ---------------------------------------------------
-
-    def expand(self, node: _Node):
-        try:
-            return self._expand_inner(node)
-        except TowerSplitError as exc:
-            if exc.level < self.base_levels:
-                raise
-            out = []
-            for t in exc.factor_towers():
-                out.extend(self.expand(_moved(node, t, lambda c: transport_elem(c, t))))
-            return out
-
     # -- node processing ------------------------------------------------------
 
-    def _expand_inner(self, node: _Node):
+    def expand(self, node: _Node):
         """The leaves below ``node``, from the full Newton diagram of its
         pair unless its step is 1-folded (``_expand_folded``).
 
@@ -429,16 +406,11 @@ class _Expander:
           The only edge past lam_prev runs from (0, k0), with p0 != 0, to
           (1, y1) (``_fold_step``): an exact leaf has no children, and the
           edge's polynomial c1 a - p0 never vanishes identically.
-
-        Over a presumed modulus the profile is read in full, since a zero
-        divisor among the leading coefficients of any column splits the
-        tower, as the full diagram did, before the ratio at x = 1 is tested.
         """
         lam, alpha = node.prefix[-1]
         sides = _step_sides(node.sides, lam, alpha)
-        p, q, n, tower = sides
-        presumed = tower is not None and any(lv.presumed for lv in tower.levels)
-        prof = coeff_profile(p, q, n, fold=not presumed)
+        p, q, n, _ = sides
+        prof = coeff_profile(p, q, n, fold=True)
         leaves = []
         exact_here = 0 not in prof.p
         if exact_here:
@@ -567,13 +539,13 @@ def _closure(prof, lam_prev, rho):
 def _indicial_ratio(prof):
     """The ratio p1/q0 where P's w^1 and Q's w^0 leading points meet at
     abscissa 1: a Fraction when it is rational, else the tower element, and
-    None when they do not meet.  Its rationality decides closure, so it is
-    certified at the level of component values (may split the tower)."""
+    None when they do not meet.  Its rationality decides closure; over a
+    field it is read off the representation."""
     k1, l0 = prof.p.get(1), prof.q.get(0)
     if k1 is None or l0 is None or k1[0] != l0[0] - prof.n:
         return None
     ratio = k1[1] * f_inv(l0[1])
-    return as_fraction(ratio) if certified_is_rational(ratio) else ratio
+    return as_fraction(ratio) if is_rational_value(ratio) else ratio
 
 
 def resolve_resonance(sys: OdeSystem, lam_prev, rho, caps: Caps = DEFAULT_CAPS):

@@ -5,7 +5,7 @@ across runs; exit code 0 on success, 2 on input errors, 3 when a result is
 inconclusive.  The code comes from the results the report was built from:
 3 when any of them gives a reason (``reasons``, records of code, stage and
 detail) such as a hit cap, a sum that is only a lower bound, a presumed
-tower level, summand or irreducibility, or a partial search.
+irreducibility of a Darboux polynomial, or a partial search.
 """
 
 from __future__ import annotations
@@ -70,7 +70,9 @@ def _load_system(args):
     text = args.system
     if text is None:
         raise ParseError("no system given (use --system)", 0, 0)
-    if os.path.exists(text):
+    # a system text always contains "=", so only a value without one is
+    # looked up as a file
+    if "=" not in text and os.path.exists(text):
         try:
             with open(text, "r", encoding="utf-8") as handle:
                 text = handle.read()

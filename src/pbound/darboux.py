@@ -420,6 +420,8 @@ def _roots(p: UniPoly, tower, what, capped):
             capped.append("%s polynomial beyond factor cap: %s" % (what, root.factor))
         elif root.note == "tower-cap":
             capped.append("%s factor beyond tower cap: %s" % (what, root.factor))
+        elif root.note == "irreducibility-cap":
+            capped.append("%s factor beyond irreducibility cap: %s" % (what, root.factor))
         else:
             out.append(root)
     return out

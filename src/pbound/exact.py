@@ -2,10 +2,10 @@
 
 Everything downstream computes over exact fields only: arbitrary-precision
 rationals (``fractions.Fraction``), univariate polynomials over such a field,
-and algebraic extension towers Q(t0)(t1)... driven by dynamic evaluation: a
-modulus is adjoined as if irreducible, and any zero divisor discovered later
-splits the tower into the two factor towers so the computation can be replayed
-on each.  No floating point is used anywhere.
+and algebraic extension towers Q(t0)(t1)... whose every level is certified
+irreducible: over Q by ``factor_univariate``, and over a tower by Trager's
+norm (``split_tower``), so every tower is a field.  A factor that cannot
+be certified is never adjoined.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
@@ -26,30 +27,12 @@ _CERT_PRIMES = (7, 11, 13, 17, 19, 23, 29, 31)
 
 DEFAULT_TOWER_CAP = 16
 DEFAULT_FACTOR_CAP = 8
-#: divisor combinations Kronecker's method may try per degree
-KRONECKER_EFFORT = 20000
+#: subsets of modular factors Zassenhaus's recombination may try
+RECOMBINATION_EFFORT = 20000
 
 
 class ExactError(Exception):
     """Invalid request at the exact-arithmetic layer (bad adjoin, caps, ...)."""
-
-
-class TowerSplitError(Exception):
-    """A tower modulus factored mid-computation; replay on the factor towers.
-
-    Carries the two factor towers plus the level index so callers can decide
-    whether the split belongs to them or to an enclosing computation.
-    """
-
-    def __init__(self, tower, level, g, h):
-        super().__init__("modulus of %s split at level %d" % (tower, level))
-        self.tower = tower
-        self.level = level
-        self.g = g
-        self.h = h
-
-    def factor_towers(self):
-        return split_tower(self.tower, self.level, self.g, self.h)
 
 
 # ---------------------------------------------------------------------------
@@ -258,52 +241,39 @@ def _reduce_int(level, prod):
 
 
 def _inv(levels, a):
-    """Exact inverse; raises TowerSplitError when a zero divisor is found.
+    """Exact inverse of a nonzero element; every level is certified
+    irreducible, so the tower is a field.
 
-    A rational element is a unit or zero even over a presumed modulus, so
-    its inverse is the rational inverse embedded, with no Euclid.  At a
+    A rational element's inverse is the rational inverse embedded.  At a
     level over Q the inverse is solved on integers by Cramer's rule
-    (``_inv_rational``); extended Euclid (``_euclid_inverse``) runs only
-    above the first level and for a zero divisor, whose gcd with the
-    modulus splits it."""
+    (``_inv_rational``); above the first level extended Euclid
+    (``_euclid_inverse``) runs."""
     q = _rational_value(levels, a)
     if q is not None:
         if q == 0:
             raise ZeroDivisionError("division by zero")
         return _const(levels, _canon(1 / Q(q)))
     if len(levels) == 1:
-        inv = _inv_rational(levels[0], a)
-        if inv is not None:
-            return inv
+        return _inv_rational(levels[0], a)
     return _euclid_inverse(levels, a)
 
 
 def _euclid_inverse(levels, a):
     """The inverse of a modulo the top modulus m by extended Euclid in K[x],
-    K the tower below, on ``UniPoly``.  For a zero divisor m factors as the
-    monic g = gcd(m, a) times h = m / g, and TowerSplitError carries them;
-    a split of a lower level met on the way is raised again with the whole
-    tower and that level's index."""
+    K the tower below, on ``UniPoly``; m is irreducible, so the last
+    nonzero remainder is a constant."""
     m = _level_modulus(levels, "x")
-    try:
-        r0, r1 = m, _coords_poly(m.tower, a, "x")
-        t0, t1 = UniPoly([], tower=m.tower), UniPoly([field_one(m.tower)], tower=m.tower)
-        while not r1.is_zero():
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, t0 - q * t1
-        if r0.degree() == 0:
-            return _reduce_list(levels, _poly_coords(t0.scale(f_inv(r0.coeffs[0]))))
-        g = r0.monic()
-        h = m.exact_div(g)
-    except TowerSplitError as exc:
-        raise TowerSplitError(Tower(levels), exc.level, exc.g, exc.h) from None
-    raise TowerSplitError(Tower(levels), len(levels) - 1, _poly_coords(g), _poly_coords(h))
+    r0, r1 = m, _coords_poly(m.tower, a, "x")
+    t0, t1 = UniPoly([], tower=m.tower), UniPoly([field_one(m.tower)], tower=m.tower)
+    while not r1.is_zero():
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, t0 - q * t1
+    return _reduce_list(levels, _poly_coords(t0.scale(f_inv(r0.coeffs[0]))))
 
 
 def _inv_rational(level, a):
-    """The inverse of a in Q[x]/(m) by Cramer's rule on Z, or None when a
-    is a zero divisor (its multiplication matrix is singular).
+    """The inverse of a in Q[x]/(m) by Cramer's rule on Z.
 
     With a scaled to an integer vector over the lcm s of its denominators
     and the level's reduction table on its denominator r, N = s r M is the
@@ -333,8 +303,6 @@ def _inv_rational(level, a):
         minor = bareiss_det([row[:i] + row[i + 1:] for row in lower])
         cofactors.append(-minor if i & 1 else minor)
     det = sum(col[0] * c for col, c in zip(cols, cofactors))
-    if det == 0:
-        return None
     scale = s * r
     out = []
     for c in cofactors:
@@ -360,7 +328,6 @@ class Level:
     name: str
     minpoly: tuple  # monic coefficient list (reps over the sub-tower)
     degree: int
-    presumed: bool = False
 
     @functools.cached_property
     def reduction(self):
@@ -541,8 +508,7 @@ class ExtElem:
     __rmul__ = __mul__
 
     def inverse(self) -> "ExtElem":
-        """The inverse; a rational element's is its rational inverse, with no
-        Euclid (it cannot split a presumed modulus)."""
+        """The inverse; a rational element's is its rational inverse."""
         return ExtElem(self.tower, _inv(self.tower.levels, self.rep))
 
     def __truediv__(self, other):
@@ -681,21 +647,6 @@ def f_inv(x):
     return _canon(Q(1) / x)
 
 
-def ensure_regular(x) -> bool:
-    """True for zero, False for a unit; raises TowerSplitError for a zero divisor.
-
-    Leading-coefficient tests over a presumed-irreducible tower must go through
-    here: a zero divisor means the computation differs between factor towers.
-    """
-    if f_is_zero(x):
-        return True
-    # over certified-irreducible levels the tower is a field: a nonzero
-    # element is a unit, and only a presumed modulus can hide a zero divisor
-    if isinstance(x, ExtElem) and any(lv.presumed for lv in x.tower.levels):
-        x.inverse()  # raises TowerSplitError on a zero divisor
-    return False
-
-
 def _int_divexact(a: int, b: int) -> int:
     q, rem = divmod(a, b)
     if rem:
@@ -831,76 +782,32 @@ def _sylvester_resultant(a, b, var):
     return UniPoly(coeffs, var=var)
 
 
-def value_charpoly(e: ExtElem):
-    """Characteristic polynomial (in y over Q) of a single-level tower element;
-    its roots with multiplicity are the values of e in the components of the
-    modulus.  None when the tower is deeper than one level."""
-    tower = e.tower
-    if len(tower.levels) != 1:
-        return None
-    # the resultant in x of the modulus m(x) and y - e(x), on (y, x) keys
-    modulus = {(0, k): c for k, c in enumerate(tower.levels[0].minpoly) if c}
-    shifted = {(0, k): -c for k, c in enumerate(e.rep) if c}
-    shifted[(1, 0)] = 1
-    return _sylvester_resultant(modulus, shifted, "y")
-
-
-def certified_is_rational(e) -> bool:
-    """Rationality decided at the level of component values.
-
-    Over a certified-irreducible tower the representation test is exact.  Over
-    a presumed single-level modulus the element's characteristic polynomial is
-    consulted: a rational value shared by only part of the components is a
-    discovered factorization and raises TowerSplitError so the computation can
-    be replayed per factor.
-    """
-    if not isinstance(e, ExtElem):
-        return True
-    if e.is_rational():
-        return True
-    tower = e.tower
-    if not any(lv.presumed for lv in tower.levels):
-        return False
-    charpoly = value_charpoly(e)
-    if charpoly is None:
-        return False  # deeper presumed towers: representation-based fallback
-    roots = rational_roots(charpoly)
-    if not roots:
-        return False
-    # some component carries the rational value r while the element is not
-    # uniformly r (moduli are squarefree, so a uniform value would make the
-    # representation rational): the modulus factors along gcd(m, e - r)
-    (e - roots[0]).inverse()
-    raise ExactError(
-        "characteristic polynomial root %s of %s did not induce a splitting"
-        % (roots[0], e)
-    )
-
-
 # ---------------------------------------------------------------------------
-# tower construction, splitting and element transport
+# tower construction
 # ---------------------------------------------------------------------------
 
 def adjoin_root(tower: Tower, m: "UniPoly", cap=DEFAULT_TOWER_CAP):
-    """Adjoin a root of the monic polynomial ``m`` over ``tower``.
+    """Adjoin a root of the monic irreducible polynomial ``m`` over ``tower``.
 
-    Returns (new tower, root element).  ``m`` must be monic of degree >= 2
-    with no rational root; the new tower's degree over Q must not exceed
-    ``cap``.
+    Returns (new tower, root element).  ``m`` must be monic of degree >= 2,
+    and the new tower's degree over Q must not exceed ``cap``.  The flag
+    ``certified_irreducible`` certifies ``m`` over the tower of its
+    coefficients only; any other ``m`` is certified here: squarefree, with
+    one factor certified irreducible over ``tower`` (``split_tower``).
     """
     if m.degree() < 2:
         raise ExactError("adjoin requires degree >= 2")
     lead = m.coeffs[-1]
     if not (lead == 1 or (isinstance(lead, ExtElem) and lead.is_rational() and lead.as_fraction() == 1)):
         raise ExactError("minimal polynomial must be monic")
-    certified = getattr(m, "certified_irreducible", False)
-    # factor_univariate certifies a factor of degree >= 2 only when it has
-    # no rational root, so only other input is checked here
-    if not certified and all(is_rational_value(c) for c in m.coeffs) and rational_roots(m):
-        raise ExactError("adjoin of reducible linear part")
-    new_degree = tower.degree() * m.degree()
-    if new_degree > cap:
+    if tower.degree() * m.degree() > cap:
         raise ExactError("tower cap exceeded")
+    if not (m.certified_irreducible and (m.tower or QQ_TOWER) == tower):
+        if m.gcd(m.derivative()).degree() > 0:
+            raise ExactError("adjoin of a polynomial that is not squarefree")
+        factors = split_tower(tower, m, cap)
+        if len(factors) > 1 or not factors[0][1]:
+            raise ExactError("adjoin of a polynomial not certified irreducible")
     sub = tower.levels
     min_coeffs = []
     for c in m.coeffs:
@@ -908,71 +815,10 @@ def adjoin_root(tower: Tower, m: "UniPoly", cap=DEFAULT_TOWER_CAP):
             min_coeffs.append(tower.coerce(c).rep)
         else:
             min_coeffs.append(_const(sub, Q(c)))
-    # irreducible over Q says nothing over Q(theta): only a level over Q
-    # keeps the certificate, and a quadratic over a certified level has one
-    # of its own
-    presumed = not certified if not sub else not _nonsquare_discriminant(tower, m)
-    level = Level(name="t%d" % len(sub), minpoly=tuple(min_coeffs), degree=m.degree(), presumed=presumed)
+    level = Level(name="t%d" % len(sub), minpoly=tuple(min_coeffs), degree=m.degree())
     new_tower = Tower(sub + (level,))
     root = new_tower.generator(len(sub))
     return new_tower, root
-
-
-def _nonsquare_discriminant(tower: Tower, m: "UniPoly") -> bool:
-    """True when m is a monic quadratic over a certified one-level tower K
-    whose discriminant D has a norm N_{K/Q}(D) that is not a square in Q.
-    A square s^2 in K has norm N(s)^2, a rational square, so D is then no
-    square in K and m is irreducible over K.  The norm is the constant term
-    of D's characteristic polynomial times (-1)^[K:Q]."""
-    if m.degree() != 2 or len(tower.levels) != 1 or tower.levels[0].presumed:
-        return False
-    c, b, _ = (tower.coerce(x) for x in m.coeffs)
-    norm = Q(value_charpoly(b * b - c * 4)[0] * (-1) ** tower.degree())
-    return norm < 0 or math.isqrt(norm.numerator) ** 2 != norm.numerator or (
-        math.isqrt(norm.denominator) ** 2 != norm.denominator
-    )
-
-
-def split_tower(tower: Tower, level: int, g, h):
-    """Split ``tower`` at ``level`` whose modulus factors as g * h (monic)."""
-
-    def rebuild(factor):
-        new_levels = list(tower.levels[:level])
-        new_levels.append(
-            Level(
-                name=tower.levels[level].name,
-                minpoly=tuple(factor),
-                degree=len(factor) - 1,
-                presumed=tower.levels[level].presumed,
-            )
-        )
-        for up in range(level + 1, len(tower.levels)):
-            old = tower.levels[up]
-            mapped = tuple(
-                _transport(c, tower.levels[:up], tuple(new_levels)) for c in old.minpoly
-            )
-            new_levels.append(Level(name=old.name, minpoly=mapped, degree=old.degree, presumed=old.presumed))
-        return Tower(tuple(new_levels))
-
-    return rebuild(g), rebuild(h)
-
-
-def _transport(rep, old_levels, new_levels):
-    if not old_levels:
-        return rep
-    sub_old = old_levels[:-1]
-    sub_new = new_levels[:-1]
-    coords = [_transport(c, sub_old, sub_new) for c in rep]
-    if old_levels[-1].degree != new_levels[-1].degree:
-        return _reduce_list(new_levels, coords)
-    return tuple(coords)
-
-
-def transport_elem(e: ExtElem, new_tower: Tower) -> ExtElem:
-    """Map an element into a factor tower after a split (coordinate reduction)."""
-    if e.tower == new_tower:
-        return e
-    return ExtElem(new_tower, _transport(e.rep, e.tower.levels, new_tower.levels))
 
 
 def _level_modulus(levels, var):
@@ -1515,7 +1361,11 @@ def rational_roots(p: UniPoly):
 
 
 def _mod_poly(ints, p):
-    return [c % p for c in ints]
+    """ints mod p, trimmed."""
+    out = [c % p for c in ints]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _mod_mul(a, b, m, p):
@@ -1562,52 +1412,157 @@ def _mod_gcd(a, b, p):
     return a
 
 
-def _distinct_degree_pattern(ints, p):
-    """Degrees of the distinct-degree factorization of f mod p, or None if
-    f mod p degenerates (degree drop or not squarefree)."""
+def _mod_pow(base, e, m, p):
+    """base^e mod m over F_p."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _mod_mul(out, base, m, p)
+        base = _mod_mul(base, base, m, p)
+        e >>= 1
+    return out
+
+
+def _mod_ddf(ints, p):
+    """The distinct-degree factorization of ints mod p: [(d, monic product
+    of its irreducible factors of degree d)], or None if ints mod p
+    degenerates (degree drop or not squarefree)."""
     f = _mod_poly(ints, p)
-    while f and f[-1] == 0:
-        f.pop()
-    if len(f) - 1 != len(ints) - 1:
+    if len(f) != len(ints):
         return None
-    deriv = [(i * f[i]) % p for i in range(1, len(f))]
-    while deriv and deriv[-1] == 0:
-        deriv.pop()
+    deriv = _mod_poly([i * c for i, c in enumerate(f)][1:], p)
     if not deriv or len(_mod_gcd(f, deriv, p)) > 1:
         return None
-    n = len(f) - 1
-    pattern = []
-    x = [0, 1]
-    h = x[:]
-    rem = f[:]
+    inv = pow(f[-1], p - 2, p)
+    rem = [c * inv % p for c in f]
+    parts = []
+    h = [0, 1]
     d = 0
-    while len(rem) - 1 >= 1 and d < n:
+    while len(rem) - 1 >= 2 * (d + 1):
         d += 1
-        # h = h^p mod f
-        hp = [1]
-        base = h[:]
-        e = p
-        while e:
-            if e & 1:
-                hp = _mod_mul(hp, base, f, p)
-            base = _mod_mul(base, base, f, p)
-            e >>= 1
-        h = hp
-        diff = h[:]
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        while diff and diff[-1] == 0:
-            diff.pop()
-        g = _mod_gcd(rem, diff, p)
+        h = _mod_pow(h, p, f, p)  # x^(p^d) mod f
+        g = _mod_gcd(rem, _int_poly_sub(h, [0, 1]), p)
         if len(g) > 1:
-            deg = len(g) - 1
-            for _ in range(deg // d):
-                pattern.append(d)
+            parts.append((d, g))
             rem = _mod_divmod(rem, g, p)[0]
     if len(rem) > 1:
-        pattern.append(len(rem) - 1)
-    return pattern
+        parts.append((len(rem) - 1, rem))
+    return parts
+
+
+def _distinct_degree_pattern(ints, p):
+    """Degrees of the irreducible factors of ints mod p, or None if ints mod
+    p degenerates (``_mod_ddf``)."""
+    parts = _mod_ddf(ints, p)
+    if parts is None:
+        return None
+    return [d for d, g in parts for _ in range((len(g) - 1) // d)]
+
+
+def _mod_edf(g, d, p, rng):
+    """The monic irreducible factors of degree d of the monic g mod p, a
+    product of such factors (Cantor-Zassenhaus, p odd): gcd(g, a^((p^d -
+    1) / 2) - 1) splits g for about half the a of degree < deg g."""
+    if len(g) - 1 == d:
+        return [g]
+    while True:
+        a = _mod_poly([rng.randrange(p) for _ in range(len(g) - 1)], p)
+        if len(a) < 2:
+            continue
+        h = _mod_gcd(g, _int_poly_sub(_mod_pow(a, (p**d - 1) // 2, g, p), [1]), p)
+        if 1 < len(h) < len(g):
+            return _mod_edf(h, d, p, rng) + _mod_edf(_mod_divmod(g, h, p)[0], d, p, rng)
+
+
+def _mod_xgcd(a, b, p):
+    """(s, t) with s a + t b = 1 mod p for coprime a and b."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _mod_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _mod_poly(_int_poly_sub(s0, _int_poly_mul(q, s1)), p)
+        t0, t1 = t1, _mod_poly(_int_poly_sub(t0, _int_poly_mul(q, t1)), p)
+    inv = pow(r0[0], p - 2, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _hensel_lift(f, factors, p, k):
+    """Monic G_1, ..., G_r with f = lc(f) G_1 ... G_r mod p^k, from the
+    monic irreducible factors of f mod p: each factor is split off the
+    product of the rest by linear Hensel steps p^j -> p^(j+1).  With s g
+    + t h = 1 mod p and e = (F - G H) / p^j mod p, the step adds p^j times
+    dH = s e mod h and dG = t e + (s e div h) g, which keeps H monic."""
+    q = p**k
+    target = [c * pow(f[-1], -1, q) % q for c in f]
+    out = []
+    for i, g in enumerate(factors[:-1]):
+        h = functools.reduce(lambda x, y: _mod_poly(_int_poly_mul(x, y), p), factors[i + 1 :])
+        s, t = _mod_xgcd(g, h, p)
+        big_g, big_h = g, h
+        for j in range(1, k):
+            pj = p**j
+            e = _mod_poly([c // pj for c in _int_poly_sub(target, _int_poly_mul(big_g, big_h))], p)
+            quot, dh = _mod_divmod(_mod_poly(_int_poly_mul(s, e), p), h, p)
+            dg = _mod_poly(_int_poly_sub(_int_poly_mul(t, e), [-c for c in _int_poly_mul(quot, g)]), p)
+            big_g = _int_poly_sub(big_g, [-c * pj for c in dg])
+            big_h = _int_poly_sub(big_h, [-c * pj for c in dh])
+        out.append(big_g)
+        target = big_h
+    return out + [target]
+
+
+def _zassenhaus(f):
+    """The irreducible factors in Z[x] of the squarefree primitive f of
+    degree >= 4, with a positive lead and no rational root, each with its
+    certification (Zassenhaus, J. Number Theory 1 (1969)).
+
+    f is irreducible when the degree patterns mod the primes of
+    ``modular_irreducibility`` admit no proper factor.  Otherwise f mod the
+    prime with the fewest factors is factored (``_mod_edf``) and lifted
+    mod p^k past twice lc(f) 2^n |f|_2, which bounds lc(f) times any
+    factor's coefficients (Mignotte), so a subset of lifted factors times
+    lc(f), in symmetric residues, is that multiple of a true factor when
+    its primitive part divides f.  Subsets are tried by size; a factor
+    found leaves the rest to split, and what is left when every size up to
+    half is tried is irreducible.  Past ``RECOMBINATION_EFFORT`` subsets
+    the rest is not certified."""
+    if modular_irreducibility(f):
+        return [(f, True)]
+    ddfs = [(p, _mod_ddf(f, p)) for p in _CERT_PRIMES if f[-1] % p]
+    ranked = [(sum((len(g) - 1) // d for d, g in parts), p, parts) for p, parts in ddfs if parts is not None]
+    if not ranked:
+        return [(f, False)]
+    _, p, parts = min(ranked)
+    rng = random.Random(p)
+    factors = [h for d, g in parts for h in _mod_edf(g, d, p, rng)]
+    bound = 2 * f[-1] * 2 ** len(f) * (math.isqrt(sum(c * c for c in f)) + 1)
+    k = 1
+    while p**k <= bound:
+        k += 1
+    q = p**k
+    lifted = _hensel_lift(f, factors, p, k)
+    out = []
+    size, tried = 1, 0
+    while 2 * size <= len(lifted):
+        for subset in itertools.combinations(range(len(lifted)), size):
+            tried += 1
+            if tried > RECOMBINATION_EFFORT:
+                return out + [(f, False)]
+            cand = [f[-1]]
+            for i in subset:
+                cand = [c % q for c in _int_poly_mul(cand, lifted[i])]
+            cand = _int_primitive([c - q if 2 * c > q else c for c in cand])
+            if cand[-1] < 0:
+                cand = [-c for c in cand]
+            rest = _int_poly_divexact(f, cand)
+            if rest is not None:
+                out.append((cand, True))
+                f = rest
+                lifted = [g for i, g in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    return out + [(f, True)]
 
 
 def _subset_sums(pattern):
@@ -1635,69 +1590,6 @@ def modular_irreducibility(ints):
     return None
 
 
-def _kronecker_split(ints):
-    """Search a nontrivial factor of a squarefree primitive integer polynomial
-    by divisor interpolation.  Returns (integer coefficient list, True) for a
-    factor found, else (None, full): ``full`` when every candidate of each
-    degree 2 to n/2 was tested, and False when a degree was skipped, for
-    ``KRONECKER_EFFORT`` or for want of d + 1 nonzero values at |x| <= 40.
-
-    A full search that finds nothing certifies irreducibility when ints has
-    no rational root: a reducible ints then has a primitive factor g in Z[x]
-    of degree 2 to n/2, each g(x_i) divides ints(x_i), and g is the
-    interpolant of those d + 1 values, one of the candidates tested."""
-    n = len(ints) - 1
-    full = True
-    for d in range(2, n // 2 + 1):
-        points = []
-        x = 0
-        while len(points) < d + 1 and abs(x) <= 40:
-            v = _int_eval(ints, x)
-            if v != 0:
-                points.append((x, v))
-            x = -x + (1 if x <= 0 else 0)
-        if len(points) < d + 1:
-            return None, False
-        divisor_lists = []
-        total = 1
-        for _, v in points:
-            divs = _int_divisors(v)
-            divs = [s * t for t in divs for s in (1, -1)]
-            divisor_lists.append(divs)
-            total *= len(divs)
-            if total > KRONECKER_EFFORT:
-                break
-        if total > KRONECKER_EFFORT:
-            full = False
-            continue
-
-        # the Lagrange basis of the points over one common denominator
-        basis = []
-        for xi, _ in points:
-            num, den = [1], 1
-            for xj, _ in points:
-                if xj != xi:
-                    num = _int_poly_mul(num, [-xj, 1])
-                    den *= xi - xj
-            basis.append((num, den))
-        common = math.lcm(*(den for _, den in basis))
-        basis = [[c * (common // den) for c in num] for num, den in basis]
-        for values in itertools.product(*divisor_lists):
-            coeffs = [sum(v * row[k] for v, row in zip(values, basis)) for k in range(d + 1)]
-            if any(c % common for c in coeffs):
-                continue
-            gi = [c // common for c in coeffs]
-            while gi and gi[-1] == 0:
-                gi.pop()
-            if len(gi) - 1 < 1 or len(gi) - 1 >= n:
-                continue
-            # ints is primitive: by Gauss's lemma gi divides it over Q iff
-            # its primitive part divides it in Z[x]
-            if _int_poly_divexact(ints, _int_primitive(gi)) is not None:
-                return gi, True
-    return None, full
-
-
 @dataclass
 class Factor:
     poly: UniPoly
@@ -1710,8 +1602,10 @@ def factor_univariate(p: UniPoly, cap=DEFAULT_FACTOR_CAP):
     sorted by degree and coefficients.
 
     Degree <= 3 factors are certified by rational-root exclusion; degree >= 4
-    factors are certified by a modular check when possible and otherwise
-    flagged presumed irreducible (dynamic evaluation repairs them later).
+    factors are split and certified by Zassenhaus's method (``_zassenhaus``)
+    and are not certified (``certified`` False) only when no prime of
+    ``_CERT_PRIMES`` reduces them well or the recombination passes its
+    effort.
     A certified factor of degree >= 2 has ``certified_irreducible`` set,
     which ``adjoin_root`` reads; every factor is a new polynomial, so p
     itself is never flagged.
@@ -1733,29 +1627,118 @@ def factor_univariate(p: UniPoly, cap=DEFAULT_FACTOR_CAP):
 def _int_irreducible_factors(f):
     """The factors in Z[x] of the squarefree primitive f of degree >= 1,
     each with its certification: the linear ones of its rational roots,
-    then the rest, irreducible for degree 2 or 3 and otherwise certified
-    by ``modular_irreducibility`` or split or certified by
-    ``_kronecker_split``."""
+    then the rest, irreducible for degree 2 or 3 and otherwise split and
+    certified by ``_zassenhaus``."""
     if len(f) == 2:
         return [(f, True)]
     roots, rest = _int_linear_factors(f)
     out = [([-a, b], True) for a, b in roots]
-    work = [rest] if len(rest) > 1 else []
-    while work:
-        g = work.pop()
+    if len(rest) > 4:
+        out.extend(_zassenhaus(rest))
+    elif len(rest) > 1:
         # no rational root (already stripped): irreducible for degree 2, 3
-        if len(g) <= 4 or modular_irreducibility(g):
-            out.append((g, True))
-            continue
-        split, full = _kronecker_split(g)
-        if split is None:
-            # rational roots are stripped, so a full search certifies g
-            out.append((g, full))
-            continue
-        h = _int_primitive(split)
-        work.append(h)
-        work.append(_int_poly_divexact(g, h))
+        out.append((rest, True))
     return out
+
+
+# ---------------------------------------------------------------------------
+# factoring over a tower by Trager's norm
+#
+# Over K = K'(t), t of degree d over K', a squarefree g in K[x] is shifted
+# to h(x) = g(x - k t) for k = 0, 1, -1, 2, ... until the norm
+# N = N_{K/K'}(h), the product of the d conjugates of h over K', is
+# squarefree.  Each irreducible factor N_i of N over K' then gives the
+# irreducible factor gcd(h, N_i) of h over K, and its shift back one of g
+# (Trager, SYMSAC 1976).  N is factored over Q by ``factor_univariate`` and
+# over a taller K' by the same method one level down.
+# ---------------------------------------------------------------------------
+
+def split_tower(tower, g, cap):
+    """How the ring ``tower``[x]/(g) splits into towers: the monic
+    irreducible factors over ``tower`` of the monic squarefree g, each with
+    whether it is certified.  Over Q they are those of ``factor_univariate``
+    at ``cap``, and over a tower each is certified where the factor of the
+    norm it comes from is."""
+    if tower.is_trivial():
+        return [(f.poly, f.certified) for f in factor_univariate(g, cap)]
+    base = Tower(tower.levels[:-1])
+    t = tower.generator(len(base.levels))
+    g = UniPoly([tower.coerce(c) for c in g.coeffs], var=g.var, tower=tower)
+    for k in itertools.count():
+        shift = t * ((k + 1) // 2 if k % 2 else -(k // 2))
+        h = _taylor_shift(g, -shift)
+        norm = _norm(h, base)
+        if norm.gcd(norm.derivative()).degree() == 0:
+            break
+    out = []
+    for f, certified in split_tower(base, norm, cap):
+        lifted = UniPoly([tower.coerce(c) for c in f.coeffs], var=g.var, tower=tower)
+        out.append((_taylor_shift(h.gcd(lifted), shift), certified))
+    return out
+
+
+def _norm(h, base):
+    """N_{K/K'}(h) over K' = ``base`` for h over its tower K = K'(t): the
+    monic polynomial of degree D = deg h [K:K'] interpolated from its values
+    at x = 0, ..., D.  The value at x is the norm of h(x), the determinant
+    of multiplication by h(x) on K as a K'-vector space of basis 1, t, ...,
+    t^(d-1), whose columns are the coordinates of h(x) t^j."""
+    tower = h.tower
+    t = tower.generator(len(base.levels))
+    over = None if base.is_trivial() else base
+    values = []
+    for x in range(h.degree() * tower.levels[-1].degree + 1):
+        a = tower.zero()
+        for c in reversed(h.coeffs):
+            a = a * x + c
+        cols = []
+        for _ in range(tower.levels[-1].degree):
+            cols.append([c if over is None else ExtElem(over, c) for c in a.rep])
+            a = a * t
+        values.append(_field_det(cols))
+    # Newton's divided differences on the nodes 0, ..., D
+    for k in range(1, len(values)):
+        for i in range(len(values) - 1, k - 1, -1):
+            values[i] = (values[i] - values[i - 1]) * Q(1, k)
+    nodes = [-x for x in range(len(values))]
+    return UniPoly(_horner(values, nodes, field_zero(over)), var=h.var, tower=over)
+
+
+def _field_det(rows):
+    """The determinant of a square matrix over Q or over a tower by
+    Gaussian elimination."""
+    m = [list(row) for row in rows]
+    det = 1
+    for k in range(len(m)):
+        pivot = next((i for i in range(k, len(m)) if not f_is_zero(m[i][k])), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det = det * m[k][k]
+        inv = f_inv(m[k][k])
+        for row in m[k + 1 :]:
+            f = row[k] * inv
+            for j in range(k + 1, len(m)):
+                row[j] = row[j] - f * m[k][j]
+    return det
+
+
+def _horner(coeffs, shifts, zero):
+    """The ascending coefficients of c_0 + (x + s_0) (c_1 + (x + s_1) (c_2 +
+    ...)) for the coefficients c_i and the shifts s_i: a Taylor shift for
+    equal shifts, and the Newton form of an interpolant for s_i = -x_i."""
+    out = []
+    for c, s in zip(reversed(coeffs), reversed(shifts)):
+        out = [a + s * b for a, b in zip([zero] + out, out + [zero])]
+        out[0] = out[0] + c
+    return out
+
+
+def _taylor_shift(g, c):
+    """g(x + c)."""
+    return UniPoly(_horner(g.coeffs, [c] * len(g.coeffs), field_zero(g.tower)), var=g.var, tower=g.tower)
 
 
 class Root(NamedTuple):
@@ -1764,20 +1747,22 @@ class Root(NamedTuple):
 
     value: object
     multiplicity: int
-    note: str  # rational, adjoined, tower-linear, factor-cap or tower-cap
+    note: str  # rational, adjoined, tower-linear, factor-cap, tower-cap or irreducibility-cap
     factor: UniPoly
 
 
 def factor_roots(p: UniPoly, tower: Optional[Tower] = None, factor_cap=DEFAULT_FACTOR_CAP, tower_cap=DEFAULT_TOWER_CAP):
-    """One root of each factor of ``p`` over Q or over ``tower``.
+    """One root of each irreducible factor of ``p`` over Q or over ``tower``.
 
     Over Q: ``p`` of degree above ``factor_cap`` is one ``factor-cap``
-    entry; a linear ``p`` is solved as -c0 / c1; otherwise each irreducible
-    factor of ``factor_univariate`` gives a rational root or adjoins one
-    representative root over Q.  Over a tower: the squarefree split, its
-    monic linear factors solved in the tower and the others adjoined
-    presumed irreducible.  An adjoin past ``tower_cap`` is a ``tower-cap``
-    entry."""
+    entry; a linear ``p`` is solved as -c0 / c1; otherwise the factors are
+    those of ``factor_univariate``.  Over a tower: each part of the
+    squarefree split of degree d >= 2 with d [K:Q] <= ``tower_cap`` is
+    factored by Trager's norm (``split_tower``), its norm at
+    ``tower_cap``.  A linear factor gives its root; a factor whose adjoin
+    would pass ``tower_cap`` is a ``tower-cap`` entry, one not certified
+    irreducible an ``irreducibility-cap`` entry, and any other adjoins one
+    representative root."""
     over_q = tower is None or tower.is_trivial()
     if over_q:
         if p.degree() > factor_cap:
@@ -1785,20 +1770,25 @@ def factor_roots(p: UniPoly, tower: Optional[Tower] = None, factor_cap=DEFAULT_F
         if p.degree() == 1:
             c0, c1 = p.coeffs
             return [Root(-as_fraction(c0) / as_fraction(c1), 1, "rational", p)]
-        parts = [(fac.poly, fac.multiplicity) for fac in factor_univariate(p, cap=factor_cap)]
+        parts = [(fac.poly, fac.multiplicity, fac.certified) for fac in factor_univariate(p, cap=factor_cap)]
         tower = QQ_TOWER
     else:
-        parts = p.squarefree_decomposition()
+        parts = []
+        for g, mult in p.squarefree_decomposition():
+            if g.degree() == 1 or tower.degree() * g.degree() > tower_cap:
+                parts.append((g, mult, True))
+                continue
+            parts.extend((f, mult, certified) for f, certified in split_tower(tower, g, tower_cap))
     roots = []
-    for g, mult in parts:
+    for g, mult, certified in parts:
         if g.degree() == 1:
             c0 = g.coeffs[0]
             roots.append(Root(-as_fraction(c0), mult, "rational", g) if over_q else Root(-c0, mult, "tower-linear", g))
-            continue
-        try:
-            _, theta = adjoin_root(tower, g, tower_cap)
-        except ExactError:
+        elif tower.degree() * g.degree() > tower_cap:
             roots.append(Root(None, mult, "tower-cap", g))
-            continue
-        roots.append(Root(theta, mult, "adjoined", g))
+        elif not certified:
+            roots.append(Root(None, mult, "irreducibility-cap", g))
+        else:
+            g.certified_irreducible = True
+            roots.append(Root(adjoin_root(tower, g, tower_cap)[1], mult, "adjoined", g))
     return roots

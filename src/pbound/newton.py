@@ -20,10 +20,10 @@ from .exact import (
     Q,
     UniPoly,
     as_fraction,
-    certified_is_rational,
     f_inv,
     f_is_zero,
     field_zero,
+    is_rational_value,
 )
 from .polyode import CoeffProfile
 
@@ -186,7 +186,7 @@ def vertex_critical_check(diagram: NewtonDiagram, profile: CoeffProfile, lam_min
         q = profile.q[j - 1][1]
         if isinstance(p, ExtElem) or isinstance(q, ExtElem):
             ratio = p * f_inv(q)
-            lam_star = as_fraction(ratio) if certified_is_rational(ratio) else None
+            lam_star = as_fraction(ratio) if is_rational_value(ratio) else None
         else:
             lam_star = Fraction(p) / q
         if lam_star is not None:

@@ -28,7 +28,6 @@ from .exact import (
     _reduce_int,
     _rows_content,
     coeff_str,
-    ensure_regular,
     f_is_zero,
     f_inv,
     field_one,
@@ -152,11 +151,6 @@ class BiPoly:
         if f_is_zero(c):
             return BiPoly._from_clean({}, self.tower)
         terms = {k: v * c for k, v in self.terms.items()}
-        if isinstance(c, ExtElem) and not c.is_rational() and any(
-            lv.presumed for lv in c.tower.levels
-        ):
-            # over a presumed modulus c may be a zero divisor
-            return BiPoly(terms, tower=self.tower)
         return BiPoly._from_clean(terms, self.tower)
 
     def shift_z(self, delta: int):
@@ -715,8 +709,7 @@ def _shift_vectors(items, table, width, out=None):
 
 
 def _nonzero(terms):
-    """The term dict without its zero coefficients (``f_is_zero``, so a
-    product of zero divisors over a presumed tower goes too)."""
+    """The term dict without its zero coefficients."""
     return {k: c for k, c in terms.items() if not f_is_zero(c)}
 
 
@@ -749,12 +742,9 @@ class CoeffProfile:
 
 
 def _leading_entries(terms, powers=None):
-    """w-power -> (z-exponent, coefficient) of its lowest unit coefficient,
-    for every w-power of a term dict or only those in ``powers``.  A term
-    dict holds no zeros as a rule, so the lowest term of each w-power is
-    tested first, and the others, in ascending order, only when it is
-    zero.  A nonzero rational is a unit; only a tower element goes through
-    ``ensure_regular``."""
+    """w-power -> (z-exponent, coefficient) of its lowest term, for every
+    w-power of a term dict, which holds no zeros, or only those in
+    ``powers``.  Every tower is a field, so that coefficient is a unit."""
     low = {}
     for key, c in terms.items():
         we = key[1]
@@ -762,24 +752,7 @@ def _leading_entries(terms, powers=None):
             cur = low.get(we)
             if cur is None or key[0] < cur[0]:
                 low[we] = (key[0], c)
-    out = {}
-    for we, entry in low.items():
-        if _is_unit(entry[1]):
-            out[we] = entry
-            continue
-        for ze, c in sorted(((ze, c) for (ze, j), c in terms.items() if j == we), key=lambda t: t[0]):
-            if _is_unit(c):
-                out[we] = (ze, c)
-                break
-    return out
-
-
-def _is_unit(c) -> bool:
-    """A nonzero rational, or a tower element ``ensure_regular`` finds a
-    unit."""
-    if c.__class__ is int or c.__class__ is Fraction:
-        return c != 0
-    return not ensure_regular(c)
+    return low
 
 
 def coeff_profile(p_terms, q_terms, n=1, fold=False) -> CoeffProfile:

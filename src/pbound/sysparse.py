@@ -279,6 +279,9 @@ def print_system(sys: OdeSystem) -> str:
 # ---------------------------------------------------------------------------
 
 def tower_description(tower):
+    """The levels of ``tower``, each with its minimal polynomial; every
+    level is certified irreducible, and the ``presumed_irreducible`` key
+    stays, always false, so that reports keep their shape."""
     if tower is None or tower.is_trivial():
         return []
     levels = tower.levels
@@ -286,7 +289,7 @@ def tower_description(tower):
         {
             "generator": level.name,
             "minpoly": str(_level_modulus(levels[: depth + 1], level.name)),
-            "presumed_irreducible": level.presumed,
+            "presumed_irreducible": False,
         }
         for depth, level in enumerate(levels)
     ]

@@ -10,7 +10,7 @@ never calls the engine's substitution.
 import math
 from fractions import Fraction
 
-from pbound.exact import ensure_regular, field_one
+from pbound.exact import field_one
 from pbound.polyode import BiPoly, coeff_profile
 
 
@@ -37,12 +37,9 @@ def eval_w_series(poly, b):
 
 
 def z_valuation(poly):
-    """The lowest exponent carried by a unit coefficient; None for zero.  A
-    zero divisor over a presumed tower raises ``TowerSplitError``."""
-    for s in sorted({s for s, _ in poly.terms}):
-        if any(not ensure_regular(c) for (e, _), c in poly.terms.items() if e == s):
-            return s
-    return None
+    """The lowest exponent of a term, whose coefficient is a unit since
+    every tower is a field; None for zero."""
+    return min((s for s, _ in poly.terms), default=None)
 
 
 def residual_valuation(sys, terms):

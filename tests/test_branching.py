@@ -23,12 +23,11 @@ from pbound.branching import (
 from pbound.exact import (
     QQ_TOWER,
     ExtElem,
-    TowerSplitError,
+    ExactError,
     UniPoly,
     adjoin_root,
     rational_roots,
     sort_key,
-    transport_elem,
 )
 from pbound.bounds import BoundsError, axis_singular_points
 from pbound.newton import first_critical, lower_hull, nonzero_char_poly, support_points, vertex_critical_check
@@ -398,14 +397,6 @@ def system_child(node, step, system):
     return SystemNode(system, prefix, step.lam, step.folded, node.depth + 1)
 
 
-def transported(sys, tower):
-    """``sys`` on a factor tower after a split."""
-    def side(poly):
-        return BiPoly({k: transport_elem(c, tower) if isinstance(c, ExtElem) else c for k, c in poly.terms.items()}, tower)
-
-    return OdeSystem(side(sys.P), side(sys.Q), tower, sys.n)
-
-
 def reference_extend(leaf, n_terms, caps=DEFAULT_CAPS):
     """Every Newton step on the whole, renormalized remainder: extension as
     it ran before the truncation."""
@@ -495,18 +486,6 @@ class _FullChildExpander(_Expander):
         self.multi_folded = 0
 
     def expand(self, node):
-        try:
-            return self._expand_inner(node)
-        except TowerSplitError as exc:
-            if exc.level < self.base_levels:
-                raise
-            out = []
-            for t in exc.factor_towers():
-                prefix = lifted(node.prefix, lambda c: transport_elem(c, t))
-                out.extend(self.expand(replace(node, system=transported(node.system, t), prefix=prefix)))
-            return out
-
-    def _expand_inner(self, node):
         sys = node.system
         if node.prefix:
             sys = substitute_branch(sys, node.lam_prev, node.prefix[-1][1])
@@ -565,9 +544,9 @@ class _Recorder(_Expander):
         self.nodes = []
         self.resonances = []
 
-    def _expand_inner(self, node):
+    def expand(self, node):
         self.nodes.append(node)
-        return super()._expand_inner(node)
+        return super().expand(node)
 
     def _resolve_resonance(self, node, sides, rho):
         self.resonances.append((sides_system(sides), node.lam_prev, rho))
@@ -656,11 +635,11 @@ def test_series_terminating_inside_a_resonance_is_critical():
     assert _resolution_compared(got) == _resolution_compared(reference_resolve(*engine.resonances[0]))
 
 
-def example45_over_presumed_sqrt2():
-    """(z + w^2) w' = z^2 + t0 w over Q(t0), t0^2 = 2 adjoined without an
-    irreducibility certificate."""
+def example45_over_uncertified_sqrt2():
+    """(z + w^2) w' = z^2 + t0 w over Q(t0), t0^2 = 2 adjoined from a
+    polynomial without the certificate flag, which ``adjoin_root`` then
+    certifies itself."""
     tower, theta = adjoin_root(QQ_TOWER, UniPoly([Q(-2), Q(0), Q(1)]))
-    assert tower.levels[0].presumed
     one = tower.from_fraction(Q(1))
     return OdeSystem(
         BiPoly({(2, 0): one, (0, 1): theta}, tower=tower),
@@ -691,7 +670,7 @@ EXTENSION_FIXTURES = {
         {"ram-3", "rational", "tower"},
     ),
     "sqrt-minus-nine": (example45(Q(-4)), ("point", Q(0), Q(0)), {"ram-2", "tower"}),
-    "presumed-tower": (example45_over_presumed_sqrt2(), ("point", Q(0), Q(0)), {"ram-2", "presumed"}),
+    "presumed-tower": (example45_over_uncertified_sqrt2(), ("point", Q(0), Q(0)), {"ram-2", "tower"}),
     "at-infinity": (
         make_system(bp({(1, 0): -3}), bp({(1, 2): -3, (3, 0): -2, (1, 1): 1, (2, 0): -3, (0, 0): 1})),
         ("inf", Q(0)),
@@ -732,8 +711,6 @@ def _features(leaf, terms, raises, n_terms):
         out.add("rational")
     else:
         out.add("tower")
-        if any(lv.presumed for lv in tower.levels):
-            out.add("presumed")
     if len(terms) < n_terms:
         out.add("terminates")
     if raises:
@@ -1074,10 +1051,7 @@ def test_fold_step_is_the_diagram_step_at_one_folded_nodes(system, point):
         prof, diagram = exact_newton(child)
         if 0 not in prof.p:
             continue
-        try:
-            steps = engine._steps_from_diagram(_walk_sides(child), node.lam_prev, diagram)
-        except TowerSplitError:
-            continue
+        steps = engine._steps_from_diagram(_walk_sides(child), node.lam_prev, diagram)
         step = _fold_step(prof, node.lam_prev * child.n)
         if step is None or step[1] is None:
             assert steps == []
@@ -1252,12 +1226,8 @@ def _tree_compared(tree, lengths):
 
 
 def _outcome(expand, lengths):
-    """The compared tree, or the split that a presumed modulus of the
-    system's own tower raises out of the expansion."""
-    try:
-        return _tree_compared(expand(), lengths)
-    except TowerSplitError as exc:
-        return "split", exc.level, tuple(exc.g), tuple(exc.h)
+    """The compared tree."""
+    return _tree_compared(expand(), lengths)
 
 
 def assert_walked_tree_is_the_full_child_tree(system, caps=DEFAULT_CAPS, lengths=(10, 30)):
@@ -1321,7 +1291,7 @@ def test_walked_tree_steps_match_the_full_child_on_example45(mu, point):
 
 @pytest.mark.parametrize("name", sorted(EXTENSION_FIXTURES) + ["nonintegral-modulus"])
 def test_walked_tree_steps_match_the_full_child_on_the_extension_fixtures(name):
-    # among them EX45 over a presumed Q(sqrt 2) and over a modulus with a
+    # among them EX45 over an uncertified Q(sqrt 2) and over a modulus with a
     # non-integral reduction table, whose ramified branch adjoins a level
     if name == "nonintegral-modulus":
         system, point = example45_over_root_of([Q(-2, 3), Q(2, 3), Q(1)]), ("point", Q(0), Q(0))
@@ -1354,10 +1324,7 @@ def assert_no_vertex_past_one_decides(system, caps=DEFAULT_CAPS):
     at abscissa >= 2 is critical; each is a vertex of the parent's diagram,
     with the same ratio and the same dicritical-suspect verdict, so over Q
     none is suspect; returns how many such vertices were seen."""
-    try:
-        _, engine = full_child_tree(system, caps)
-    except TowerSplitError:
-        return 0
+    _, engine = full_child_tree(system, caps)
     seen = 0
     for node, sys, prof, diagram in engine.folded_nodes:
         child = _vertices_past_one(sys, prof, diagram, node.lam_prev)
@@ -1393,19 +1360,19 @@ def sqrt2_systems(draw):
 
 
 def test_presumed_modulus_splits_where_the_full_profile_did():
-    # over Q(t), t^4 + 3 t^2 + 2 = (t^2 + 1)(t^2 + 2) adjoined without a
-    # certificate, the step w = z + w1 of P = 4 z^2 - z w + z^2 w^2 + t^2/3
-    # z w^3, Q = 3 z^2 is 1-folded, and its child's w1^2 column leads with
-    # 1 + t^2, a zero divisor in a column the fold profile does not read:
-    # the tower splits there, as it did on the full child's profile
-    tower, t = adjoin_root(QQ_TOWER, UniPoly([Q(2), Q(0), Q(3), Q(0), Q(1)]))
-    assert tower.levels[0].presumed
-    one = tower.one()
-    P = BiPoly({(2, 0): one * 4, (1, 1): -one, (2, 2): one, (1, 3): t * t * Q(1, 3)}, tower=tower)
-    system = OdeSystem(P, BiPoly({(2, 0): one * 3}, tower=tower), tower)
-    split = ("split", 0, (1, 0, 1), (2, 0, 1))
-    assert _outcome(lambda: expand_branches(system), ()) == split
-    assert _outcome(lambda: full_child_tree(system)[0], ()) == split
+    # t^4 + 3 t^2 + 2 = (t^2 + 1)(t^2 + 2) is not adjoined: it is
+    # reducible.  Over each factor's field the step w = z + w1 of P = 4 z^2
+    # - z w + z^2 w^2 + t^2/3 z w^3, Q = 3 z^2 is 1-folded, and its child's
+    # w1^2 column leads with 1 + t^2, which is 0 over t^2 = -1, in a column
+    # the fold profile does not read: the walked tree is the full child's
+    with pytest.raises(ExactError):
+        adjoin_root(QQ_TOWER, UniPoly([Q(2), Q(0), Q(3), Q(0), Q(1)]))
+    for modulus in ([Q(1), Q(0), Q(1)], [Q(2), Q(0), Q(1)]):
+        tower, t = adjoin_root(QQ_TOWER, UniPoly(modulus))
+        one = tower.one()
+        P = BiPoly({(2, 0): one * 4, (1, 1): -one, (2, 2): one, (1, 3): t * t * Q(1, 3)}, tower=tower)
+        system = OdeSystem(P, BiPoly({(2, 0): one * 3}, tower=tower), tower)
+        assert _outcome(lambda: expand_branches(system), ()) == _outcome(lambda: full_child_tree(system)[0], ())
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -1502,55 +1469,41 @@ def test_multi_folded_tree_steps_match_the_full_child(P, Qd, count, levels):
     assert {levels_of(lf.tower) for lf in tree.leaves} == levels
 
 
-def test_tree_steps_replay_on_both_factors_of_an_adjoined_level(monkeypatch):
+def test_tree_steps_replay_on_both_factors_of_an_adjoined_level():
     # over Q(t0), t0^2 = 2, the edge polynomial (a^2 - 2)^2 of P = (w^2 -
     # 2 z^2)^2 + z^4 w - t0 z^5, Q = z^6 is squarefree-split to a^2 - 2,
-    # whose root t1 is adjoined presumed irreducible; the 2-folded child
-    # meets the zero divisor t1 - t0, and its pair is moved onto both
-    # factors of the split level and expanded again there
+    # whose norm (a^2 - 2)^2 is not squarefree; its shift (a - t0)^2 - 2 =
+    # a^2 - 2 t0 a has the norm a^2 (a^2 - 8), whose factors give the two
+    # roots t0 and -t0 in Q(t0) itself: no level is adjoined, and each
+    # 2-folded child is expanded over Q(t0)
     tower, t = adjoin_root(QQ_TOWER, UniPoly([Q(-2), Q(0), Q(1)]))
     P = BiPoly({(0, 4): 1, (2, 2): -4, (4, 0): 4, (4, 1): 1, (5, 0): -t}, tower)
     system = OdeSystem(P, BiPoly({(6, 0): 1}, tower), tower)
-    levels = []
-    real = TowerSplitError.factor_towers
-
-    def recorded(self):
-        levels.append(self.level)
-        return real(self)
-
-    monkeypatch.setattr(TowerSplitError, "factor_towers", recorded)
+    roots = exact.factor_roots(UniPoly([-2, 0, 1], var="a", tower=tower), tower)
+    assert [(r.value, r.note) for r in roots] == [(t, "tower-linear"), (-t, "tower-linear")]
     engine = assert_walked_tree_is_the_full_child_tree(system)
     assert engine.multi_folded
-    assert levels == [1, 1]  # one split in each tree
     tree = expand_branches(system)
-    assert [(lf.status, lf.conj_degree) for lf in tree.leaves] == [("closed", 2), ("closed", 2)]
+    # each branch ramifies at its child and adjoins t1 over Q(t0)
+    assert [(lf.status, lf.conj_degree, levels_of(lf.tower)) for lf in tree.leaves] == [("closed", 2, 2)] * 2
     for leaf in tree.leaves:
         terms = [(mu, leaf.tower.coerce(c)) for mu, c in extend_leaf(leaf, 6)]
         vals = _residual_valuations(system, leaf, terms)
         assert None not in vals and all(a < b for a, b in zip(vals, vals[1:])), vals
 
 
-def test_tree_steps_replay_a_prefix_made_in_a_lower_tower(monkeypatch):
+def test_tree_steps_replay_a_prefix_made_in_a_lower_tower():
     # over Q(t0), t0^2 = 2, P = (w^2 - 2 z^2)^2 + z^5 w - t0 z^6, Q = z^6:
-    # the root step adjoins t1 (a^2 - 2 presumed irreducible), and the
-    # 2-folded child's ramified step adjoins t2; the zero divisor t1 - t0
-    # splits level 1 of Q(t0, t1, t2), so the first coefficient, made in
-    # Q(t0, t1), is moved onto both factor towers with the rest of the node
+    # the root step's a^2 - 2 has the roots +-t0 in Q(t0) (no level is
+    # adjoined), and each 2-folded child's ramified step adjoins t1, so the
+    # first coefficient, made in Q(t0), is moved into Q(t0, t1) with the
+    # rest of the node
     tower, t = adjoin_root(QQ_TOWER, UniPoly([Q(-2), Q(0), Q(1)]))
     P = BiPoly({(0, 4): 1, (2, 2): -4, (4, 0): 4, (5, 1): 1, (6, 0): -t}, tower)
     system = OdeSystem(P, BiPoly({(6, 0): 1}, tower), tower)
-    splits = []
-    real = TowerSplitError.factor_towers
-
-    def recorded(self):
-        splits.append((self.level, len(self.tower.levels)))
-        return real(self)
-
-    monkeypatch.setattr(TowerSplitError, "factor_towers", recorded)
     assert_walked_tree_is_the_full_child_tree(system)
-    assert splits == [(1, 3), (1, 3)]  # one split in each tree
     tree = expand_branches(system)
-    assert [(lf.status, lf.conj_degree, levels_of(lf.tower)) for lf in tree.leaves] == [("closed", 2, 3)] * 2
+    assert [(lf.status, lf.conj_degree, levels_of(lf.tower)) for lf in tree.leaves] == [("closed", 2, 2)] * 2
     for leaf in tree.leaves:
         terms = extend_leaf(leaf, 6)
         assert all(c.tower == leaf.tower for _, c in terms if isinstance(c, ExtElem))

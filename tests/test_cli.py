@@ -194,6 +194,25 @@ def test_zero_denominator_in_a_point_or_parameter_exits_2(capsys, argv):
     assert data["error"] == {"type": "ValueError", "message": "zero denominator in '1/0'"}
 
 
+def test_a_system_text_is_never_looked_up_as_a_file(monkeypatch, tmp_path, capsys):
+    # every system text contains "=", so a census query makes no stat call;
+    # a path, which has no "=", is still read
+    looked_up = []
+    real_exists = cli.os.path.exists
+
+    def exists(path):
+        looked_up.append(path)
+        return real_exists(path)
+
+    monkeypatch.setattr(cli.os.path, "exists", exists)
+    code, data = run_json(capsys, ["mul", "--system", CENSUS, "--at", "0,0"])
+    assert code == 0 and looked_up == []
+    path = tmp_path / "census.txt"
+    path.write_text(CENSUS + "\n")
+    assert run_json(capsys, ["mul", "--system", str(path), "--at", "0,0"]) == (code, data)
+    assert looked_up == [str(path)]
+
+
 def test_system_path_that_cannot_be_read_exits_2(tmp_path, capsys):
     # an existing path is read as a file; a directory cannot be
     code, data = run_json(capsys, ["mul", "--system", str(tmp_path), "--at", "0,0"])
@@ -865,36 +884,70 @@ def test_analyze_matches_the_old_order_on_census_systems(text):
 
 def test_presumed_tower_level_is_inconclusive(capsys):
     # the 3-folded roots +-t0 of (a^2 - 2)^3, t0^2 = 2, take a ramified step
-    # that adjoins t1 above t0, a cubic presumed irreducible: the branch's
-    # tower lists both levels, and the presumed one makes the report
-    # inconclusive
+    # that adjoins t1 above t0, the cubic t1^3 - 1/16, which was once
+    # presumed irreducible: its norm x^6 - 1/128 is irreducible over Q, so
+    # the level is certified and the report is conclusive
     system = "dw/dz = ((w^2 - 2*z^2)^3 + z^10) / z^7"
     code, data = run_json(capsys, ["mul", "--system", system, "--at", "0,0"])
-    assert code == 3
+    assert code == 0
     assert data["status"] == "finite" and data["mul"] == 6
     (branch,) = data["branches"]
     assert branch["coefficients"][:2] == ["t0", "t1"]
     assert branch["tower"] == [
         {"generator": "t0", "minpoly": "t0^2 - 2", "presumed_irreducible": False},
-        {"generator": "t1", "minpoly": "t1^3 - 1/16", "presumed_irreducible": True},
+        {"generator": "t1", "minpoly": "t1^3 - 1/16", "presumed_irreducible": False},
     ]
 
 
 def test_bound_over_a_presumed_tower_level_is_inconclusive(capsys):
     # the sum bound 6 rests on the count at 0, whose branch lies over the
-    # presumed level t1 (see above): that summand says so, and exits 3
+    # certified level t1 (see above): no summand is presumed, and it exits 0
     system = "dw/dz = ((w^2 - 2*z^2)^3 + z^10) / z^7"
     code, data = run_json(capsys, ["bound", "--system", system])
-    assert code == 3
+    assert code == 0
     bounds = data["bounds"]
     assert bounds["sum_bound"] == 6
-    assert [s.get("presumed_irreducible") for s in bounds["summands"]] == [None, True]
+    assert [s.get("presumed_irreducible") for s in bounds["summands"]] == [None, None]
+
+
+def test_a_reducible_cubic_level_splits_into_two_branch_classes(capsys):
+    # the 3-folded roots +-t0 of (a^2 - 5)^3, t0^2 = 5, take a ramified step
+    # whose cubic t^3 - 1/40 + 1/100*t0 has the root 1/4 - 1/20*t0 in
+    # Q(t0): Trager's norm splits it into that linear factor and a
+    # quadratic, so there are two branch classes, of conjugacy 2 over Q(t0)
+    # and 4 over a quadratic level, where one class of conjugacy 6 over a
+    # presumed cubic level was
+    system = "dw/dz = ((w^2 - 5*z^2)^3 + 2*z^7) / z^7"
+    code, data = run_json(capsys, ["mul", "--system", system, "--at", "0,0"])
+    assert code == 0
+    assert data["status"] == "finite" and data["mul"] == 6
+    assert [(b["conjugacy_degree"], [lv["minpoly"] for lv in b["tower"]]) for b in data["branches"]] == [
+        (2, ["t0^2 - 5"]),
+        (4, ["t0^2 - 5", "t1^2 + (1/4 - 1/20*t0)*t1 + 3/40 - 1/40*t0"]),
+    ]
+    assert data["branches"][0]["coefficients"][:2] == ["t0", "1/4 - 1/20*t0"]
+    assert all(not lv["presumed_irreducible"] for b in data["branches"] for lv in b["tower"])
+
+
+def test_a_sloped_line_family_over_a_certified_level_exits_0(capsys):
+    # the Hamiltonian field of (w^2 - 2 z^2 + 3)^2 - 12 w^2: the lines
+    # w = +-sqrt(2) z +- sqrt(3) are one family over Q(t0, t1), whose level
+    # t1^2 - 3 over Q(t0) is certified by its norm x^4 - 10 x^2 + 1
+    system = "dz/dt = 4*w^3 - 8*w*z^2 - 12*w; dw/dt = 8*w^2*z - 16*z^3 + 24*z"
+    code, data = run_json(capsys, ["analyze", "--system", system, "--max-degree", "0"])
+    assert code == 0
+    (family,) = data["invariant_lines"]["conjugate_families"]
+    assert (family["defining_polynomial"], family["conjugates"]) == ("t1^2 - 3", 4)
+    assert family["tower"] == [
+        {"generator": "t0", "minpoly": "t0^2 - 2", "presumed_irreducible": False},
+        {"generator": "t1", "minpoly": "t1^2 - 3", "presumed_irreducible": False},
+    ]
 
 
 def test_quadratic_level_with_a_nonsquare_discriminant_norm_is_certified(capsys):
     # the 2-folded roots +-t0 of (a^2 - 2)^2 adjoin t1^2 - 1/8*t0 over
-    # Q(t0): the norm -1/32 of its discriminant t0/2 is no rational square,
-    # so t1 is certified and the report is conclusive
+    # Q(t0): its norm x^4 - 1/32 is irreducible over Q, so t1 is certified
+    # and the report is conclusive
     system = "dw/dz = ((w^2 - 2*z^2)^2 + z^7) / z^5"
     code, data = run_json(capsys, ["mul", "--system", system, "--at", "0,0"])
     assert code == 0
@@ -908,7 +961,7 @@ def test_quadratic_level_with_a_nonsquare_discriminant_norm_is_certified(capsys)
 
 def test_bound_over_a_certified_quadratic_level_is_conclusive(capsys):
     # at the roots of w^2 - 2 the edge polynomial 8a^2 + t0 adjoins a
-    # quadratic level of discriminant norm -1/32 over Q(t0)
+    # quadratic level over Q(t0), certified by its norm x^4 - 1/32
     system = "dw/dz = ((w^2 - 2)^2 + z^2*w) / z^3"
     code, data = run_json(capsys, ["bound", "--system", system])
     assert code == 0

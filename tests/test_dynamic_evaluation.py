@@ -1,12 +1,13 @@
-"""Dynamic-evaluation splitting exercised end to end.
+"""A reducible modulus, end to end, where dynamic evaluation once split it.
 
 The quartic edge polynomial of the fixture below factors as
 (a^2 - 3)(a^2 - a - 3); the indicial ratio after one step is 7 on the first
 factor's branches (resonant, order hit, no continuation) and -5 - theta on
-the second's (irrational, closed).  Expanding with the factorization forced
-to a single presumed-irreducible modulus must discover the mixed rationality,
-split the tower and replay both parts, landing on the same count as the
-certified run.
+the second's (irrational, closed).  Every adjoined level is certified
+irreducible, so the quartic is never adjoined: the certified run adjoins
+each quadratic factor, and where the factorer cannot certify the quartic
+its root is a capped leaf (``irreducibility-cap``), a lower bound that
+makes the report exit 3.
 """
 
 from fractions import Fraction as Q
@@ -18,15 +19,18 @@ import pbound.exact as exact
 from pbound import parse_system
 from pbound.bounds import axis_multiplicity_bound
 from pbound.branching import multiplicity_at
+from pbound.cli import main
 from pbound.exact import (
+    ExactError,
     Factor,
+    Level,
     QQ_TOWER,
-    TowerSplitError,
+    Tower,
     UniPoly,
     adjoin_root,
-    certified_is_rational,
-    rational_roots,
-    value_charpoly,
+    factor_roots,
+    factor_univariate,
+    is_rational_value,
 )
 from pbound.polyode import BiPoly, make_system
 
@@ -50,34 +54,43 @@ def quartic_fixture():
     return make_system(P, Qd)
 
 
+def s_of(theta):
+    # takes the value 7 at the roots of x^2 - 3 and -5 - theta at those of
+    # x^2 - x - 3
+    return -4 * theta**3 + 3 * theta**2 + 12 * theta - 2
+
+
 def test_value_charpoly_components():
-    tower, theta = adjoin_root(QQ_TOWER, UniPoly(list(M_COEFFS)))
-    # s = -4 theta^3 + 3 theta^2 + 12 theta - 2 takes the value 7 on the
-    # x^2 - 3 components and -5 - theta on the others
-    s = -4 * theta**3 + 3 * theta**2 + 12 * theta - 2
-    charpoly = value_charpoly(s)
-    assert charpoly is not None
-    roots = rational_roots(charpoly)
-    assert roots == [Q(7)]
-
-
-def test_mixed_rationality_splits_tower():
-    tower, theta = adjoin_root(QQ_TOWER, UniPoly(list(M_COEFFS)))
-    s = -4 * theta**3 + 3 * theta**2 + 12 * theta - 2
-    with pytest.raises(TowerSplitError) as err:
-        certified_is_rational(s)
-    t1, t2 = err.value.factor_towers()
-    moduli = sorted(tuple(lv.minpoly) for lv in (t1.levels[0], t2.levels[0]))
-    assert moduli == [
-        (Q(-3), Q(-1), Q(1)),  # x^2 - x - 3
-        (Q(-3), Q(0), Q(1)),  # x^2 - 3
+    # the norm is linear algebra, so it runs on the ring Q[x]/(m) too: the
+    # norm of y - s is the characteristic polynomial of s, whose roots are
+    # the values of s on the components of m, 7 twice and -5 - theta
+    ring = Tower((Level(name="t0", minpoly=M_COEFFS, degree=4),))
+    s = s_of(ring.generator(0))
+    charpoly = exact._norm(UniPoly([-s, ring.one()], var="y", tower=ring), QQ_TOWER)
+    assert [(f.poly.coeffs, f.multiplicity) for f in factor_univariate(charpoly)] == [
+        ((-7, 1), 2),
+        ((27, 11, 1), 1),
     ]
 
 
+def test_mixed_rationality_splits_tower():
+    # the modulus m is not adjoined: it is reducible, and factor_roots
+    # adjoins each of its factors instead, on whose root s is rational on
+    # the one and irrational on the other
+    with pytest.raises(ExactError):
+        adjoin_root(QQ_TOWER, UniPoly(list(M_COEFFS)))
+    roots = factor_roots(UniPoly(list(M_COEFFS)))
+    assert [(str(r.factor), r.note) for r in roots] == [("x^2 - x - 3", "adjoined"), ("x^2 - 3", "adjoined")]
+    values = [s_of(r.value) for r in roots]
+    assert not is_rational_value(values[0])
+    assert values[0] == -5 - roots[0].value
+    assert values[1] == 7
+
+
 def test_uniformly_irrational_value_stays_put():
-    tower, theta = adjoin_root(QQ_TOWER, UniPoly(list(M_COEFFS)))
-    assert certified_is_rational(theta) is False
-    assert certified_is_rational(tower.from_fraction(Q(5))) is True
+    tower, theta = adjoin_root(QQ_TOWER, UniPoly([Q(-3), Q(-1), Q(1)]))
+    assert is_rational_value(theta) is False
+    assert is_rational_value(tower.from_fraction(Q(5))) is True
 
 
 def test_quartic_fixture_certified_run():
@@ -91,50 +104,47 @@ def test_quartic_fixture_certified_run():
     assert len(closed) == 1 and closed[0].conj_degree == 2
 
 
-def test_quartic_fixture_presumed_modulus_replays(monkeypatch):
-    real_factor = exact.factor_univariate
+def presumed_quartic(real_factor):
+    """A factorer that cannot certify a quartic."""
 
-    def presumed_quartic(poly, cap=8, **kw):
+    def factor(poly, cap=8):
         if poly.degree() == 4:
             return [Factor(poly.monic(), 1, certified=False)]
-        return real_factor(poly, cap, **kw)
+        return real_factor(poly, cap)
 
-    monkeypatch.setattr(exact, "factor_univariate", presumed_quartic)
+    return factor
+
+
+def test_quartic_fixture_presumed_modulus_replays(monkeypatch, capsys):
+    # a quartic the factorer cannot certify is not adjoined: its root is a
+    # capped leaf, so the count is a lower bound and the report exits 3
+    monkeypatch.setattr(exact, "factor_univariate", presumed_quartic(exact.factor_univariate))
     res = multiplicity_at(quartic_fixture(), ("point", Q(0), Q(0)))
-    assert res.status == "finite"
-    assert res.count == 2
-    # the replay must have produced the two factor towers
-    towers = set()
-    for b in res.branches:
-        coeff = b.terms[0][1]
-        towers.add(tuple(coeff.tower.levels[0].minpoly))
-    assert towers == {
-        (Q(-3), Q(0), Q(1)),
-        (Q(-3), Q(-1), Q(1)),
-    }
-    dead = [b for b in res.branches if b.status == "non-algebraic"]
-    assert len(dead) == 1 and dead[0].conj_degree == 2
+    assert (res.status, res.lower_bound, res.diagnostics) == ("capped", 0, ("irreducibility-cap",))
+    assert res.branches == ()
+    assert [r.code for r in res.reasons] == ["capped"]
+    system = "dw/dz = (-9*z^4 - 2*z^3*w + 6*z^2*w^2 + z*w^3 - w^4 + z^10) / (z^4)"
+    assert main(["mul", "--system", system, "--at", "0,0", "--json"]) == 3
+    assert '"mul_lower_bound": 0' in capsys.readouterr().out
 
 
 AXIS_QUARTIC = "dw/dz = (w^4 - w^3 - 6*w^2 + 3*w + 9 + z*(w^2 - 3)) / (z)"
 
 
 def test_axis_bound_replays_presumed_quartic_per_factor(monkeypatch):
-    # P(0, w) is the quartic m(w); given to the bound as one presumed factor,
-    # the axis point splits its tower at level 0 and each factor is replayed
-    # as its own entry, labelled and weighted by that factor
+    # P(0, w) is the quartic m(w): certified, each factor is its own entry;
+    # given to the bound as one factor it cannot certify, its four roots are
+    # one capped summand of lower bound 0, and the sum only a lower bound
     system, _ = parse_system(AXIS_QUARTIC)
     certified = axis_multiplicity_bound(system).to_report()
     summands = [(s["point"], s["weight"], s["mul"]) for s in certified["summands"]]
     assert summands == [("inf", 1, 0), ("root of w^2 - w - 3", 2, 1), ("root of w^2 - 3", 2, 0)]
     assert certified["sum_bound"] == 2
 
-    real_factor = bounds.factor_univariate
-
-    def presumed_quartic(poly, cap=8):
-        if poly.degree() == 4:
-            return [Factor(poly.monic(), 1, certified=False)]
-        return real_factor(poly, cap)
-
-    monkeypatch.setattr(bounds, "factor_univariate", presumed_quartic)
-    assert axis_multiplicity_bound(system).to_report() == certified
+    monkeypatch.setattr(bounds, "factor_univariate", presumed_quartic(bounds.factor_univariate))
+    report = axis_multiplicity_bound(system)
+    capped = report.to_report()["summands"][1]
+    assert capped == {"point": "root of w^4 - w^3 - 6*w^2 + 3*w + 9", "weight": 4, "status": "capped", "mul_lower_bound": 0}
+    assert report.points[1].mul.diagnostics == ("irreducibility-cap",)
+    assert (report.sum_bound, report.sum_lower_bound) == (None, 0)
+    assert [r.code for r in report.reasons] == ["capped", "sum-lower-bound"]

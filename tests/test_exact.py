@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import time
 
@@ -7,27 +9,25 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pbound import exact
+from pbound.polyode import coeff_profile
 from pbound.exact import (
     ExactError,
     ExtElem,
     Level,
     QQ_TOWER,
     Tower,
-    TowerSplitError,
     UniPoly,
     _int_squarefree_part,
     _mod_divmod,
     _primitive_int_coeffs,
     adjoin_root,
-    ensure_regular,
+    factor_roots,
     factor_univariate,
     in_q_minus,
     in_q_plus,
     modular_irreducibility,
     rational_roots,
     sort_key,
-    transport_elem,
-    value_charpoly,
 )
 
 
@@ -194,27 +194,29 @@ def test_modular_irreducibility_certifies():
 @pytest.mark.parametrize("coeffs", [(9, 0, 0, 0, 1), (1, 0, 0, 0, 1)], ids=["x^4 + 9", "x^4 + 1"])
 def test_full_kronecker_search_certifies_irreducibility(coeffs, monkeypatch):
     # both split mod every prime, so no degree pattern certifies them; the
-    # search tests every quadratic candidate and finds no factor
+    # full recombination of their modular factors finds no factor, as the
+    # full Kronecker search it replaced found none
     assert modular_irreducibility(list(coeffs)) is None
-    assert exact._kronecker_split(list(coeffs)) == (None, True)
+    assert exact._zassenhaus(list(coeffs)) == [(list(coeffs), True)]
+    assert ref_kronecker_split(list(coeffs)) == (None, True)
     (f,) = factor_univariate(poly(*coeffs))
     assert f.certified and f.poly.certified_irreducible
-    # a search that skips its degree for the effort cap certifies nothing
-    monkeypatch.setattr(exact, "KRONECKER_EFFORT", 10)
-    assert exact._kronecker_split(list(coeffs)) == (None, False)
+    # a recombination stopped by its effort cap certifies nothing
+    monkeypatch.setattr(exact, "RECOMBINATION_EFFORT", 0)
+    assert exact._zassenhaus(list(coeffs)) == [(list(coeffs), False)]
     (f,) = factor_univariate(poly(*coeffs))
     assert not f.certified and not f.poly.certified_irreducible
 
 
 def test_kronecker_split_tells_a_factor_from_a_skipped_degree():
-    split, full = exact._kronecker_split([15, 0, -8, 0, 1])  # (x^2 - 3)(x^2 - 5)
-    assert full and split in ([-3, 0, 1], [3, 0, -1], [-5, 0, 1], [5, 0, -1])
+    assert exact._zassenhaus([15, 0, -8, 0, 1]) == [([-3, 0, 1], True), ([-5, 0, 1], True)]
     # (x^4 + 4x^3 - 2x^2 - x + 3)(3x^4 + 3x^3 + 2x^2 - 3x + 3): the degree-4
-    # candidates exceed KRONECKER_EFFORT, so the product stays presumed
+    # candidates of the Kronecker search exceed its effort, which left the
+    # product uncertified; Zassenhaus splits it
     ints = [9, -12, 3, 25, -7, -4, 8, 15, 3]
-    assert exact._kronecker_split(ints) == (None, False)
-    (f,) = factor_univariate(UniPoly(ints))
-    assert not f.certified
+    assert ref_kronecker_split(ints) == (None, False)
+    assert exact._zassenhaus(ints) == [([3, -1, -2, 4, 1], True), ([3, -3, 2, 3, 3], True)]
+    assert [f.certified for f in factor_univariate(UniPoly(ints))] == [True, True]
 
 
 def test_mod_divmod_roundtrip():
@@ -258,7 +260,7 @@ def test_adjoin_half_integer_branch_case():
 
 
 def test_adjoin_rejects_rational_roots():
-    with pytest.raises(ExactError, match="reducible linear part"):
+    with pytest.raises(ExactError, match="not certified irreducible"):
         adjoin_root(QQ_TOWER, poly(-4, 0, 1))
 
 
@@ -273,19 +275,20 @@ def quadratic_over(tower, c1, c0):
 
 
 def test_adjoin_certifies_a_quadratic_of_nonsquare_discriminant_norm():
+    # every level is certified by Trager's norm over the tower below
     tower, t0 = certified_level(-2, 0, 1)
-    # x^2 - t0/8: the discriminant t0/2 has norm -1/2, no rational square
+    # x^2 - t0/8: its norm x^4 - 1/32 is irreducible over Q
     top, _ = adjoin_root(tower, quadratic_over(tower, 0, -t0 * Q(1, 8)))
-    assert [lv.presumed for lv in top.levels] == [False, False]
-    # x^2 - 3 over Q(t0), t0^2 = 2: the norm 144 of 12 is a square, and
-    # sqrt(3) is not in Q(sqrt(2)), but the rule does not tell: presumed
+    assert len(top.levels) == 2
+    # x^2 - 3 over Q(t0), t0^2 = 2: the norm (x^2 - 3)^2 is not squarefree,
+    # that of its shift (x - t0)^2 - 3 is x^4 - 10 x^2 + 1, irreducible
+    assert exact._norm(exact._taylor_shift(quadratic_over(tower, 0, -3), -t0), QQ_TOWER).coeffs == (1, 0, -10, 0, 1)
     top, _ = adjoin_root(tower, quadratic_over(tower, 0, -3))
-    assert top.levels[1].presumed
-    # a cubic over K and any level over a presumed one stay presumed
+    assert len(top.levels) == 2
+    # a cubic over K, and a quadratic over the two levels
     top, _ = adjoin_root(tower, UniPoly([-t0, 0, 0, tower.one()], tower=tower))
-    assert top.levels[1].presumed
     third, _ = adjoin_root(top, quadratic_over(top, 0, -top.coerce(t0)))
-    assert third.levels[2].presumed
+    assert [lv.degree for lv in third.levels] == [2, 3, 2]
 
 
 @pytest.mark.parametrize(
@@ -300,8 +303,8 @@ def test_adjoin_certifies_a_quadratic_of_nonsquare_discriminant_norm():
 )
 def test_adjoin_never_certifies_a_quadratic_with_a_root_in_k(modulus, square):
     tower, t0 = certified_level(*modulus)
-    top, _ = adjoin_root(tower, quadratic_over(tower, 0, -square(t0)))
-    assert top.levels[-1].presumed
+    with pytest.raises(ExactError, match="not certified irreducible"):
+        adjoin_root(tower, quadratic_over(tower, 0, -square(t0)))
 
 
 K_MODULI = [(-2, 0, 1), (1, 1, 1), (-2, 0, 0, 1), (1, -1, 0, 1), (2, 0, 0, 0, 1)]
@@ -316,8 +319,8 @@ def test_adjoin_never_certifies_a_quadratic_with_roots_in_k(modulus, r, s):
     r, s = (sum(c * t0**i for i, c in enumerate(v[: len(modulus) - 1])) + tower.zero() for v in (r, s))
     m = quadratic_over(tower, -(r + s), r * s)
     assume(not all(exact.is_rational_value(c) for c in m.coeffs))
-    top, _ = adjoin_root(tower, m)
-    assert top.levels[-1].presumed
+    with pytest.raises(ExactError):
+        adjoin_root(tower, m)
 
 
 def test_adjoin_requires_monic():
@@ -338,22 +341,16 @@ def test_try_invert_gaussian():
 
 
 def test_try_invert_splits_reducible_modulus():
-    # deliberately reducible: Q[x]/(x^2 - 1); the level is built directly
-    # to bypass the rational-root guard
-    lv = Level(name="t0", minpoly=((Q(-1)), (Q(0)), (Q(1))), degree=2, presumed=True)
-    t = Tower((lv,))
-    x = t.generator(0)
-    with pytest.raises(TowerSplitError) as split:
+    # the reducible x^2 - 1 is never adjoined, so no zero divisor is ever
+    # inverted: factor_roots splits it into x + 1 and x - 1 first.  On the
+    # ring Q[x]/(x^2 - 1), built directly, the zero divisor x - 1 has no
+    # inverse
+    with pytest.raises(ExactError):
+        adjoin_root(QQ_TOWER, poly(-1, 0, 1))
+    assert [(r.value, r.note) for r in factor_roots(poly(-1, 0, 1))] == [(1, "rational"), (-1, "rational")]
+    x = Tower((Level(name="t0", minpoly=(-1, 0, 1), degree=2),)).generator(0)
+    with pytest.raises(ZeroDivisionError):
         (x - 1).inverse()
-    assert split.value.level == 0
-    t1, t2 = split.value.factor_towers()
-    moduli = sorted(
-        tuple(lv.minpoly) for lv in (t1.levels[0], t2.levels[0])
-    )
-    assert moduli == [(Q(-1), Q(1)), (Q(1), Q(1))]  # x - 1 and x + 1
-    # x - 1 maps to zero in exactly one factor
-    images = [transport_elem(x - 1, tt) for tt in (t1, t2)]
-    assert sum(1 for e in images if e.is_zero()) == 1
 
 
 def test_invert_in_sqrt_minus_nine():
@@ -377,7 +374,7 @@ def test_field_axioms_randomized():
     elems = []
     for _ in range(6):
         e = t2.from_fraction(Q(rng.randint(-3, 3)))
-        e = e + rng.randint(-2, 2) * transport_elem(t2.coerce(rho), t2)
+        e = e + rng.randint(-2, 2) * t2.coerce(rho)
         elems.append(e)
     for a in elems:
         for b in elems:
@@ -427,13 +424,19 @@ def sp():
 
 
 def rational_level(name, low):
-    """The level Q[x]/(x^d + low[d-1] x^(d-1) + ... + low[0]), marked presumed
-    because nothing checks that the modulus is irreducible."""
-    return Level(name=name, minpoly=tuple(low) + (Q(1),), degree=len(low), presumed=True)
+    """The level Q[x]/(x^d + low[d-1] x^(d-1) + ... + low[0]), built
+    directly: nothing checks that the modulus is irreducible, and the
+    products tested need no field."""
+    return Level(name=name, minpoly=tuple(low) + (Q(1),), degree=len(low))
 
 
 def sympy_expr(sp, coeffs, var):
     return sum(sp.Rational(c.numerator, c.denominator) * var**i for i, c in enumerate(coeffs))
+
+
+def value_charpoly(e):
+    """The characteristic polynomial in y of e over Q: the norm of y - e."""
+    return exact._norm(UniPoly([-e, e.tower.one()], var="y", tower=e.tower), QQ_TOWER)
 
 
 def sympy_coeffs(sp, expr, var, d):
@@ -467,8 +470,7 @@ def test_rational_level_product_matches_sympy_rem(sp, data):
 def test_two_level_product_matches_sympy_reduction(sp, low0, low1, entries):
     # an element of Q(x)(y) with deg x = 2, deg y = 3 is three pairs over Q(x)
     lv0 = rational_level("x", low0)
-    lv1 = Level(name="y", minpoly=tuple(tuple(c) for c in low1) + ((Q(-1, 2), Q(3)), (Q(1), Q(0))),
-                degree=3, presumed=True)
+    lv1 = Level(name="y", minpoly=tuple(tuple(c) for c in low1) + ((Q(-1, 2), Q(3)), (Q(1), Q(0))), degree=3)
     t = Tower((lv0, lv1))
     a, b = tuple(map(tuple, entries[:3])), tuple(map(tuple, entries[3:]))
     got = (ExtElem(t, a) * ExtElem(t, b)).rep
@@ -494,9 +496,10 @@ def test_two_level_product_matches_sympy_reduction(sp, low0, low1, entries):
     lambda d: st.tuples(st.lists(fractions, min_size=d, max_size=d), st.lists(fractions, min_size=d, max_size=d))
 ), st.booleans())
 def test_value_charpoly_matches_sympy_resultant(sp, data, rational):
-    # charpoly(e) = Res_x(m(x), y - e(x)) for the monic modulus m; a rational
-    # element gives (y - e0)^d through the same Sylvester matrix.  Both sides
-    # put m's rows first, so the signs agree and the test compares exactly.
+    # the characteristic polynomial of e is the norm of y - e, which is
+    # Res_x(m(x), y - e(x)) for the monic modulus m; a rational element
+    # gives (y - e0)^d.  The norm is linear algebra, so the modulus need
+    # not be irreducible.
     low, coords = data
     if rational:
         coords = coords[:1] + [Q(0)] * (len(coords) - 1)
@@ -517,11 +520,15 @@ def test_value_charpoly_at_degree_16_needs_no_stride():
     t = Tower((rational_level("x", low),))
     coords = [Q(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(16)]
     e = ExtElem(t, tuple(int(c) if c.denominator == 1 else c for c in coords))
+    modulus = {(0, k): c for k, c in enumerate(t.levels[0].minpoly) if c}
+    shifted = {(0, k): -c for k, c in enumerate(e.rep) if c}
+    shifted[(1, 0)] = 1
     start = time.perf_counter()
-    charpoly = value_charpoly(e)
+    charpoly = exact._sylvester_resultant(modulus, shifted, "y")
     assert time.perf_counter() - start < 1.0
     assert charpoly.degree() == 16 and charpoly.coeffs[-1] == 1
     assert horner(charpoly, e).is_zero()  # Cayley-Hamilton
+    assert value_charpoly(e) == charpoly
 
 
 # ---------------------------------------------------------------------------
@@ -596,34 +603,35 @@ def count_inverses(monkeypatch):
 
 
 def test_ensure_regular_computes_no_inverse_over_a_certified_field(monkeypatch):
+    # every level is certified, flagged or not, so a nonzero coefficient is
+    # a unit: reading a profile's leading entries inverts nothing
     t, theta = adjoin_root(QQ_TOWER, certified(poly(-2, 0, 1)))
-    assert not t.levels[0].presumed
-    calls = count_inverses(monkeypatch)
-    assert ensure_regular(theta + 1) is False
-    assert ensure_regular(t.zero()) is True
-    assert calls == []
-    # a presumed modulus still pays for the inverse that tests regularity
     t2, rho = adjoin_root(QQ_TOWER, poly(-2, 0, 1))
-    assert ensure_regular(rho + 1) is False
-    assert calls
+    calls = count_inverses(monkeypatch)
+    for x in (theta, rho):
+        terms = {(1, 0): x + 1, (3, 0): x, (0, 1): x * 2}
+        assert coeff_profile(terms, terms).p == {0: (1, x + 1), 1: (0, x * 2)}
+    assert calls == []
 
 
 def test_ensure_regular_splits_on_zero_divisor_modulo_presumed_product():
-    # (x^2 - 2)(x^2 - 3) has no rational root, so it is adjoined presumed
-    t, theta = adjoin_root(QQ_TOWER, poly(6, 0, -5, 0, 1))
-    assert t.levels[0].presumed
-    with pytest.raises(TowerSplitError) as err:
-        ensure_regular(theta * theta - 2)
-    moduli = sorted(tuple(tt.levels[0].minpoly) for tt in err.value.factor_towers())
-    assert moduli == [(Q(-3), Q(0), Q(1)), (Q(-2), Q(0), Q(1))]
+    # (x^2 - 2)(x^2 - 3) has no rational root, but it is not adjoined: its
+    # factors are, and theta^2 - 2 is zero at one root and a unit at the other
+    with pytest.raises(ExactError):
+        adjoin_root(QQ_TOWER, poly(6, 0, -5, 0, 1))
+    roots = factor_roots(poly(6, 0, -5, 0, 1))
+    assert [r.value.tower.levels[0].minpoly for r in roots] == [(-3, 0, 1), (-2, 0, 1)]
+    assert [(r.value * r.value - 2).is_zero() for r in roots] == [False, True]
 
 
 def test_adjoin_certified_polynomial_over_an_extension_is_presumed():
-    # x^2 - 2 is irreducible over Q but splits over Q(sqrt 2)
+    # x^2 - 2 is irreducible over Q but splits over Q(sqrt 2): its flag,
+    # set over Q, does not certify it there, and the norm finds the split
     t, theta = adjoin_root(QQ_TOWER, certified(poly(-2, 0, 1)))
-    m = certified(UniPoly([t.from_fraction(Q(-2)), t.zero(), t.one()], tower=t))
-    t2, _ = adjoin_root(t, m)
-    assert [lv.presumed for lv in t2.levels] == [False, True]
+    with pytest.raises(ExactError, match="not certified irreducible"):
+        adjoin_root(t, certified(poly(-2, 0, 1)))
+    with pytest.raises(ExactError, match="not certified irreducible"):
+        adjoin_root(t, UniPoly([t.from_fraction(Q(-2)), t.zero(), t.one()], tower=t))
 
 
 # ---------------------------------------------------------------------------
@@ -669,11 +677,10 @@ def ref_mul(levels, a, b):
 
 def oracle_towers():
     """Q(sqrt 2), Q(cbrt 2) and Q(sqrt 2)(y), y^2 = sqrt 2, the last level
-    presumed."""
+    certified by its norm y^4 - 2."""
     sqrt2, theta = adjoin_root(QQ_TOWER, poly(-2, 0, 1))
     cbrt2, _ = adjoin_root(QQ_TOWER, poly(-2, 0, 0, 1))
     two_level, _ = adjoin_root(sqrt2, UniPoly([-theta, sqrt2.zero(), sqrt2.one()], tower=sqrt2))
-    assert two_level.levels[1].presumed
     return {"sqrt2": sqrt2, "cbrt2": cbrt2, "two-level": two_level}
 
 
@@ -890,9 +897,10 @@ def test_tower_constructors_give_int_coordinates():
 # ---------------------------------------------------------------------------
 
 def level_over_q(low):
-    """The presumed level Q[x]/(x^d + ... + low[0]) with canonical
-    coordinates, as ``adjoin_root`` builds it."""
-    return Level(name="t0", minpoly=canonical_rep(tuple(low) + (Q(1),)), degree=len(low), presumed=True)
+    """The level Q[x]/(x^d + ... + low[0]) with canonical coordinates, as
+    ``adjoin_root`` builds it, but built directly: its modulus may be
+    reducible, and the ring then has zero divisors."""
+    return Level(name="t0", minpoly=canonical_rep(tuple(low) + (Q(1),)), degree=len(low))
 
 
 def euclid_inverse(level, a):
@@ -928,10 +936,10 @@ def test_inverse_at_a_level_over_q_matches_euclid(data):
         return
     try:
         want = euclid_inverse(level, a)
-    except RefSplit as split:
-        with pytest.raises(TowerSplitError) as err:
+    except RefSplit:
+        # a zero divisor of a reducible modulus has no inverse
+        with pytest.raises(ZeroDivisionError):
             exact._inv((level,), a)
-        assert (err.value.level, fraction_rep(err.value.g), fraction_rep(err.value.h)) == (0, split.g, split.h)
         return
     got = exact._inv((level,), a)
     assert got == want
@@ -950,24 +958,30 @@ def test_zero_divisor_of_a_product_level_splits_as_euclid_does(f, g, u):
         return
     with pytest.raises(RefSplit) as want:
         euclid_inverse(level, a)
-    with pytest.raises(TowerSplitError) as got:
+    with pytest.raises(ZeroDivisionError):
         ExtElem(t, canonical_rep(a)).inverse()
-    assert got.value.level == want.value.level == 0
-    assert (fraction_rep(got.value.g), fraction_rep(got.value.h)) == (want.value.g, want.value.h)
-    assert_canonical(got.value.g + got.value.h)
+    # factor_univariate, which decides what is adjoined, splits m into the
+    # irreducible factors of the two parts that the Euclid split it into
+    parts = [f.poly for part in (want.value.g, want.value.h) for f in factor_univariate(UniPoly(list(part)))]
+    assert sorted(set(p.coeffs for p in parts)) == sorted(f.poly.coeffs for f in factor_univariate(UniPoly(m)))
 
 
 def test_zero_divisor_modulo_a_presumed_product_raises_the_factors():
-    # (x^2 - 2)(x^2 - 3) has no rational root, so it is adjoined presumed
-    t, theta = adjoin_root(QQ_TOWER, poly(6, 0, -5, 0, 1))
+    # (x^2 - 2)(x^2 - 3) has no rational root, but adjoin_root refuses it;
+    # on its ring, built directly, a zero divisor has no inverse, and the
+    # Euclid's split of the modulus is the factorization that adjoins
+    with pytest.raises(ExactError, match="not certified irreducible"):
+        adjoin_root(QQ_TOWER, poly(6, 0, -5, 0, 1))
+    level = level_over_q([6, 0, -5, 0])
+    theta = Tower((level,)).generator(0)
+    assert [f.poly.coeffs for f in factor_univariate(poly(6, 0, -5, 0, 1))] == [(-3, 0, 1), (-2, 0, 1)]
     for e, factors in [(theta * theta - 2, ((-2, 0, 1), (-3, 0, 1))), (theta * theta - 3, ((-3, 0, 1), (-2, 0, 1)))]:
-        with pytest.raises(TowerSplitError) as err:
+        with pytest.raises(ZeroDivisionError):
             e.inverse()
-        assert (err.value.level, (err.value.g, err.value.h)) == (0, factors)
         with pytest.raises(RefSplit) as ref:
-            euclid_inverse(t.levels[0], e.rep)
+            euclid_inverse(level, e.rep)
         assert (ref.value.g, ref.value.h) == factors
-    # a unit of the same level is inverted exactly
+    # a unit of the same ring is inverted exactly
     e = theta * theta * theta + theta - 1
     assert e * e.inverse() == 1
 
@@ -986,51 +1000,45 @@ def test_euclid_runs_only_for_zero_divisors_and_above_the_first_level(monkeypatc
         for e in (x, x + 1, x * Q(2, 3) - Q(1, 5)):
             assert e * e.inverse() == 1
     assert calls == []
-    t, theta = adjoin_root(QQ_TOWER, poly(6, 0, -5, 0, 1))
-    with pytest.raises(TowerSplitError):
+    # a zero divisor of a ring level built directly fails in Cramer's rule
+    theta = Tower((level_over_q([6, 0, -5, 0]),)).generator(0)
+    with pytest.raises(ZeroDivisionError):
         (theta * theta - 2).inverse()
-    assert calls and set(calls) == {0}
-    calls.clear()
+    assert calls == []
     y = ARITH_TOWERS["two-level"].generator(1)
     assert y * y.inverse() == 1
     assert calls and set(calls) == {1}
 
 
 def test_lower_level_split_inside_the_euclid_carries_the_whole_tower():
-    # level 0 is the reducible x^2 - 1, built directly as in
-    # test_try_invert_splits_reducible_modulus; the Euclid at level 1 must
-    # invert the zero divisor t0 - 1 of level 0
-    lv = Level(name="t0", minpoly=(-1, 0, 1), degree=2, presumed=True)
-    t = Tower((lv,))
-    x = t.generator(0)
+    # level 0 is Q(i), i^2 = -1, and level 1 adjoins y^2 = i, certified by
+    # its norm y^4 + 1; the Euclid at level 1 inverts t0 - 1 of level 0 on
+    # the way, and its result lies in the whole tower, as the reference's
+    t, x = adjoin_root(QQ_TOWER, poly(1, 0, 1))
     t2, y = adjoin_root(t, UniPoly([-x, t.zero(), t.one()], tower=t))
     e = (t2.generator(0) - 1) * y + 1
-    with pytest.raises(RefSplit) as want:
-        ref_inv(fraction_levels(t2.levels), fraction_rep(e.rep))
-    with pytest.raises(TowerSplitError) as got:
-        e.inverse()
-    assert got.value.tower == t2
-    assert (got.value.level, got.value.g, got.value.h) == (0, (-1, 1), (1, 1))
-    assert (want.value.level, want.value.g, want.value.h) == (0, (-1, 1), (1, 1))
-    # t0 = 1 and t0 = -1: y^2 - t0 becomes y^2 - 1 and y^2 + 1
-    moduli = [tt.levels[1].minpoly for tt in got.value.factor_towers()]
-    assert moduli == [((-1,), (0,), (1,)), ((1,), (0,), (1,))]
+    got = e.inverse()
+    assert got.tower == t2
+    assert fraction_rep(got.rep) == ref_inv(fraction_levels(t2.levels), fraction_rep(e.rep))
+    assert e * got == 1
 
 
 def test_presumed_second_level_splits_at_its_own_level():
-    # y^2 - 2 over Q(sqrt 2) is presumed and factors as (y - t0)(y + t0)
+    # y^2 - 2 over Q(sqrt 2) factors as (y - t0)(y + t0): it is not
+    # adjoined, and factor_roots finds its roots in Q(sqrt 2) itself, the
+    # factors that the reference Euclid splits the ring Q(sqrt 2)[y]/(y^2 -
+    # 2), built directly, into at its own level
     sqrt2 = ORACLE_TOWERS["sqrt2"]
-    t2, y = adjoin_root(sqrt2, UniPoly([sqrt2.from_fraction(-2), sqrt2.zero(), sqrt2.one()], tower=sqrt2))
-    assert t2.levels[1].presumed
-    e = y - t2.generator(0)
+    m = UniPoly([sqrt2.from_fraction(-2), sqrt2.zero(), sqrt2.one()], tower=sqrt2)
+    with pytest.raises(ExactError, match="not certified irreducible"):
+        adjoin_root(sqrt2, m)
+    t0 = sqrt2.generator(0)
+    assert [(r.value, r.note) for r in factor_roots(m, sqrt2)] == [(t0, "tower-linear"), (-t0, "tower-linear")]
+    ring = Tower(sqrt2.levels + (Level(name="t1", minpoly=((-2, 0), (0, 0), (1, 0)), degree=2),))
+    e = ring.generator(1) - ring.generator(0)
     with pytest.raises(RefSplit) as want:
-        ref_inv(fraction_levels(t2.levels), fraction_rep(e.rep))
-    with pytest.raises(TowerSplitError) as got:
-        e.inverse()
-    g, h = ((0, -1), (1, 0)), ((0, 1), (1, 0))
-    assert (got.value.level, got.value.g, got.value.h) == (1, g, h)
-    assert (want.value.level, want.value.g, want.value.h) == (1, g, h)
-    assert_canonical(got.value.g + got.value.h)
+        ref_inv(fraction_levels(ring.levels), fraction_rep(e.rep))
+    assert (want.value.level, want.value.g, want.value.h) == (1, ((0, -1), (1, 0)), ((0, 1), (1, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -1219,6 +1227,82 @@ def test_factor_univariate_leaves_the_flag_of_its_input(coeffs, flag):
 
 
 # ---------------------------------------------------------------------------
+# factoring over a tower by Trager's norm against sympy
+# ---------------------------------------------------------------------------
+
+def quadratic_tower(*ds):
+    """Q(sqrt d0)(sqrt d1)...: each level t_k^2 - d_k, adjoined by
+    ``adjoin_root``, which certifies it."""
+    tower = QQ_TOWER
+    for d in ds:
+        tower, _ = adjoin_root(tower, UniPoly([tower.from_fraction(-d), tower.zero(), tower.one()], tower=tower))
+    return tower
+
+
+TRAGER_TOWERS = {"sqrt%d" % d: quadratic_tower(d) for d in (2, 3, 5, -1, -2)}
+TRAGER_TOWERS["sqrt2-sqrt3"] = quadratic_tower(2, 3)
+
+
+def level_roots(sp, levels):
+    """sqrt(d_k) for each level t_k^2 - d_k of ``levels``."""
+    return [sp.sqrt(-exact._rational_value(levels[:k], lv.minpoly[0])) for k, lv in enumerate(levels)]
+
+
+def sympy_value(sp, levels, rep):
+    """A coordinate tuple over ``levels`` as a sympy number."""
+    if not levels:
+        return sp.Rational(rep.numerator, rep.denominator)
+    root = level_roots(sp, levels)[-1]
+    return sum(sympy_value(sp, levels[:-1], c) * root**i for i, c in enumerate(rep))
+
+
+@st.composite
+def tower_polys(draw):
+    """A tower and a monic squarefree polynomial of degree 2 to 4 over it,
+    a product of factors of degree 1 or 2 with coordinates in -2..2."""
+    tower = TRAGER_TOWERS[draw(st.sampled_from(sorted(TRAGER_TOWERS)))]
+    gens = [tower.generator(k) for k in range(len(tower.levels))]
+    basis = [tower.one()] + gens + ([gens[0] * gens[1]] if len(gens) == 2 else [])
+
+    def element():
+        return sum((b * draw(st.integers(-2, 2)) for b in basis), tower.zero())
+
+    p = UniPoly([tower.one()], tower=tower)
+    while p.degree() < 2:
+        for _ in range(draw(st.integers(1, 2))):
+            low = [element() for _ in range(draw(st.integers(1, 2)))]
+            if p.degree() + len(low) <= 4:
+                p = p * UniPoly(low + [tower.one()], tower=tower)
+    assume(p.gcd(p.derivative()).degree() == 0)
+    return tower, p
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(tower_polys())
+def test_tower_factor_degrees_match_sympy_factor_list(sp, drawn):
+    tower, p = drawn
+    factors = exact.split_tower(tower, p, exact.DEFAULT_TOWER_CAP)
+    assert all(certified for _, certified in factors)
+    product = UniPoly([tower.one()], tower=tower)
+    for f, _ in factors:
+        assert f.leading() == 1
+        product = product * f
+    assert product == p
+    x = sp.Symbol("x")
+    expr = sum(sympy_value(sp, tower.levels, tower.coerce(c).rep) * x**i for i, c in enumerate(p.coeffs))
+    _, want = sp.factor_list(sp.expand(expr), x, extension=level_roots(sp, tower.levels))
+    assert sorted(f.degree() for f, _ in factors) == sorted(sp.degree(g, x) for g, m in want for _ in range(m))
+    # the roots factor_roots gives: a level adjoined for each factor of
+    # degree >= 2, which adjoin_root refuses for p itself unless it is one
+    roots = factor_roots(p, tower)
+    assert sorted(r.factor.degree() for r in roots) == sorted(f.degree() for f, _ in factors)
+    assert all(r.note == ("tower-linear" if r.factor.degree() == 1 else "adjoined") for r in roots)
+    if len(factors) > 1:
+        with pytest.raises(ExactError, match="not certified irreducible"):
+            adjoin_root(tower, p)
+
+
+# ---------------------------------------------------------------------------
 # factoring on Z[x] against the Fraction path it replaced, kept here as it
 # was: Yun, rational roots and splitting on monic Fraction UniPolys
 # ---------------------------------------------------------------------------
@@ -1304,23 +1388,86 @@ def ref_factor_squarefree(p):
                 rest = q
             else:
                 break
-    work = [rest.monic()] if rest.degree() >= 1 else []
-    while work:
-        f = work.pop()
-        if f.degree() == 1:
-            pieces.append((f, True))
-            continue
-        if f.degree() <= 3 or modular_irreducibility(exact._primitive_int_coeffs(f)):
-            pieces.append((ref_flagged(f), True))
-            continue
-        split, full = exact._kronecker_split(exact._primitive_int_coeffs(f))
-        if split is None:
-            pieces.append((ref_flagged(f), True) if full else (f, False))
-            continue
-        g = UniPoly([Q(c) for c in split], var=p.var).monic()
-        work.append(g)
-        work.append(f.exact_div(g).monic())
+    # the rest of degree >= 4 is split and certified by Zassenhaus on both
+    # paths, which test_tower_factor_degrees_match_sympy_factor_list and
+    # test_factor_univariate_matches_sympy_factor_list check against sympy
+    f = rest.monic()
+    if f.degree() == 1:
+        pieces.append((f, True))
+    elif 2 <= f.degree() <= 3:
+        pieces.append((ref_flagged(f), True))
+    elif f.degree() >= 4:
+        for g, certified in exact._zassenhaus(exact._primitive_int_coeffs(f)):
+            g = UniPoly([Q(c) for c in g], var=p.var).monic()
+            pieces.append((ref_flagged(g), True) if certified else (g, False))
     return pieces
+
+
+def ref_kronecker_split(ints):
+    """The Kronecker search that ``factor_univariate`` ran before Zassenhaus,
+    as it was.  Search a nontrivial factor of a squarefree primitive integer polynomial
+    by divisor interpolation.  Returns (integer coefficient list, True) for a
+    factor found, else (None, full): ``full`` when every candidate of each
+    degree 2 to n/2 was tested, and False when a degree was skipped, for
+    ``REF_KRONECKER_EFFORT`` or for want of d + 1 nonzero values at |x| <= 40.
+
+    A full search that finds nothing certifies irreducibility when ints has
+    no rational root: a reducible ints then has a primitive factor g in Z[x]
+    of degree 2 to n/2, each g(x_i) divides ints(x_i), and g is the
+    interpolant of those d + 1 values, one of the candidates tested."""
+    n = len(ints) - 1
+    full = True
+    for d in range(2, n // 2 + 1):
+        points = []
+        x = 0
+        while len(points) < d + 1 and abs(x) <= 40:
+            v = exact._int_eval(ints, x)
+            if v != 0:
+                points.append((x, v))
+            x = -x + (1 if x <= 0 else 0)
+        if len(points) < d + 1:
+            return None, False
+        divisor_lists = []
+        total = 1
+        for _, v in points:
+            divs = exact._int_divisors(v)
+            divs = [s * t for t in divs for s in (1, -1)]
+            divisor_lists.append(divs)
+            total *= len(divs)
+            if total > REF_KRONECKER_EFFORT:
+                break
+        if total > REF_KRONECKER_EFFORT:
+            full = False
+            continue
+
+        # the Lagrange basis of the points over one common denominator
+        basis = []
+        for xi, _ in points:
+            num, den = [1], 1
+            for xj, _ in points:
+                if xj != xi:
+                    num = exact._int_poly_mul(num, [-xj, 1])
+                    den *= xi - xj
+            basis.append((num, den))
+        common = math.lcm(*(den for _, den in basis))
+        basis = [[c * (common // den) for c in num] for num, den in basis]
+        for values in itertools.product(*divisor_lists):
+            coeffs = [sum(v * row[k] for v, row in zip(values, basis)) for k in range(d + 1)]
+            if any(c % common for c in coeffs):
+                continue
+            gi = [c // common for c in coeffs]
+            while gi and gi[-1] == 0:
+                gi.pop()
+            if len(gi) - 1 < 1 or len(gi) - 1 >= n:
+                continue
+            # ints is primitive: by Gauss's lemma gi divides it over Q iff
+            # its primitive part divides it in Z[x]
+            if exact._int_poly_divexact(ints, exact._int_primitive(gi)) is not None:
+                return gi, True
+    return None, full
+
+
+REF_KRONECKER_EFFORT = 20000
 
 
 def ref_factor_univariate(p):
@@ -1467,14 +1614,13 @@ def count_euclid(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("presumed", [False, True])
-def test_rational_element_inverts_to_embedded_rational_inverse(monkeypatch, presumed):
-    if presumed:
-        # (x^2 - 2)(x^2 - 3): presumed, and not a field
-        t, _ = adjoin_root(QQ_TOWER, poly(6, 0, -5, 0, 1))
+@pytest.mark.parametrize("over_a_ring", [False, True])
+def test_rational_element_inverts_to_embedded_rational_inverse(monkeypatch, over_a_ring):
+    if over_a_ring:
+        # (x^2 - 2)(x^2 - 3), built directly: not a field
+        t = Tower((level_over_q([6, 0, -5, 0]),))
     else:
         t, _ = adjoin_root(QQ_TOWER, certified(poly(-2, 0, 1)))
-    assert t.levels[0].presumed is presumed
     calls = count_euclid(monkeypatch)
     for q in (Q(3, 4), Q(-2), 5, Q(1, 7)):
         got = t.from_fraction(q).inverse()
@@ -1497,15 +1643,17 @@ def test_rational_element_of_two_level_tower_inverts_without_euclid(monkeypatch)
 
 
 def test_zero_divisor_over_presumed_tower_splits_like_reference_euclid():
-    t, theta = adjoin_root(QQ_TOWER, poly(6, 0, -5, 0, 1))
+    # the ring of (x^2 - 2)(x^2 - 3), built directly: each zero divisor has
+    # no inverse, and the reference Euclid splits the modulus into the
+    # factors of factor_univariate, which adjoins those instead
+    t = Tower((level_over_q([6, 0, -5, 0]),))
+    theta = t.generator(0)
     levels = fraction_levels(t.levels)
+    factors = {f.poly.coeffs for f in factor_univariate(poly(6, 0, -5, 0, 1))}
     for e in (theta * theta - 2, theta * theta * 3 - 9, theta * theta * theta - theta * 2):
         with pytest.raises(RefSplit) as want:
             ref_inv(levels, fraction_rep(e.rep))
-        with pytest.raises(TowerSplitError) as got:
+        with pytest.raises(ZeroDivisionError):
             e.inverse()
-        assert got.value.level == want.value.level == 0
-        assert got.value.g == want.value.g
-        assert got.value.h == want.value.h
-        assert_canonical(got.value.g)
-        assert_canonical(got.value.h)
+        assert want.value.level == 0
+        assert {want.value.g, want.value.h} == factors

@@ -404,9 +404,10 @@ def test_translate_w_over_sqrt2_tower(sys, alpha, lam):
     assert out.P.tower == out.Q.tower == SQRT2_TOWER
 
 
-# Q[t]/(t^2 - 1), presumed irreducible though it is not: t - 1 and t + 1 are
-# zero divisors, so products of nonzero coefficients can vanish.
-PRESUMED_TOWER = Tower((Level(name="t0", minpoly=(Q(-1), Q(0), Q(1)), degree=2, presumed=True),))
+# Q[t]/(t^2 - 1), built directly, as no level of ``adjoin_root`` is: t - 1
+# and t + 1 are zero divisors, so products of nonzero coefficients can
+# vanish, and the kernel drops them.
+PRESUMED_TOWER = Tower((Level(name="t0", minpoly=(Q(-1), Q(0), Q(1)), degree=2),))
 
 
 @st.composite
@@ -428,7 +429,7 @@ def test_translate_w_over_presumed_tower(sys, alpha, lam):
 
 
 def test_translate_w_drops_products_of_zero_divisors():
-    # (t - 1)(t + 1) = 0 over the presumed tower: Q = (t + 1) w shifted by
+    # (t - 1)(t + 1) = 0 over the ring: Q = (t + 1) w shifted by
     # w -> (t - 1) + w1 loses its constant term
     t = PRESUMED_TOWER.generator(0)
     one = PRESUMED_TOWER.one()
@@ -468,7 +469,7 @@ def test_translate_w_with_large_denominators(sys, alpha, lam):
 # integral, so each reduction in the kernel multiplies by the table's
 # denominator 3
 NONINTEGRAL_TOWER, NONINTEGRAL = adjoin_root(QQ_TOWER, UniPoly([Q(-2, 3), Q(2, 3), Q(1)]))
-# Q(sqrt 2)(y) with y^2 = sqrt 2, its top level presumed: two levels, which
+# Q(sqrt 2)(y) with y^2 = sqrt 2, its top level certified by its norm: two levels, which
 # the kernel shifts in exact arithmetic
 TWO_LEVEL_TOWER, FOURTH_ROOT = adjoin_root(
     SQRT2_TOWER, UniPoly([-SQRT2, SQRT2_TOWER.zero(), SQRT2_TOWER.one()], tower=SQRT2_TOWER)
@@ -484,7 +485,7 @@ def linear_values(draw, tower, gen):
 
 def test_kernel_towers_cover_a_reduction_denominator_and_two_levels():
     assert NONINTEGRAL_TOWER.levels[0].reduction[1] == 3
-    assert len(TWO_LEVEL_TOWER.levels) == 2 and TWO_LEVEL_TOWER.levels[1].presumed
+    assert len(TWO_LEVEL_TOWER.levels) == 2
 
 
 @KERNEL_SETTINGS
@@ -1116,7 +1117,7 @@ def fully_lifted(sys, tower):
     return OdeSystem(lift(sys.P), lift(sys.Q), tower, sys.n)
 
 
-# y^2 = sqrt 2 over Q(sqrt 2), presumed
+# y^2 = sqrt 2 over Q(sqrt 2)
 Y_TOWER, Y = adjoin_root(SQRT2_TOWER, UniPoly([-SQRT2, SQRT2_TOWER.zero(), SQRT2_TOWER.one()], tower=SQRT2_TOWER))
 
 
@@ -1148,14 +1149,13 @@ def test_map_tower_keeps_rationals_until_the_first_shift(P, Q_, c, two_levels):
 
 
 def test_scale_and_negation_skip_no_vanishing_coefficient():
-    # (x^2 - 2)(x^2 - 3) has no rational root, so it is adjoined presumed,
-    # and theta^2 - 2, theta^2 - 3 are zero divisors with product 0
-    t, theta = adjoin_root(QQ_TOWER, UniPoly([Q(6), Q(0), Q(-5), Q(0), Q(1)]))
-    assert t.levels[0].presumed
-    a, b = theta * theta - 2, theta * theta - 3
+    # every level is certified, so Q(theta) is a field: a nonzero scale
+    # keeps every term, (theta - 1)(theta + 1) = 1 included
+    t, theta = adjoin_root(QQ_TOWER, UniPoly([Q(-2), Q(0), Q(1)]))
+    a, b = theta - 1, theta + 1
     p = BiPoly({(0, 0): a, (1, 0): t.one(), (0, 1): Q(3)}, tower=t)
     scaled = p.scale(b)
-    assert scaled.terms == {(1, 0): b, (0, 1): 3 * b}
+    assert scaled.terms == {(0, 0): 1, (1, 0): b, (0, 1): 3 * b}
     assert p.scale(Q(0)).is_zero() and p.scale(t.zero()).is_zero()
     assert p.scale(2).terms == {k: 2 * c for k, c in p.terms.items()}
     assert (-p).terms == {k: -c for k, c in p.terms.items()}

@@ -161,7 +161,7 @@ def ref_tower_description(tower):
                 else:
                     terms.append("%s*%s" % (s, base))
         joined = " + ".join(terms).replace("+ -", "- ")
-        out.append({"generator": level.name, "minpoly": joined, "presumed_irreducible": level.presumed})
+        out.append({"generator": level.name, "minpoly": joined, "presumed_irreducible": False})
     return out
 
 
@@ -182,7 +182,7 @@ def towers(draw):
         degree = draw(st.integers(2, 3))
         low = tuple(draw_rep(draw, levels) for _ in range(degree))
         minpoly = low + (Tower(levels).one().rep,)
-        levels += (Level(name="t%d" % k, minpoly=minpoly, degree=degree, presumed=draw(st.booleans())),)
+        levels += (Level(name="t%d" % k, minpoly=minpoly, degree=degree),)
     return Tower(levels)
 
 
@@ -271,7 +271,7 @@ def test_tower_minpolys_print_as_before_but_for_a_coefficient_minus_one(tower):
 
 
 def test_a_minus_one_coefficient_keeps_only_its_sign():
-    level = Level(name="t0", minpoly=(1, -1, 1), degree=2, presumed=False)
+    level = Level(name="t0", minpoly=(1, -1, 1), degree=2)
     tower = Tower((level,))
     assert ref_tower_description(tower)[0]["minpoly"] == "t0^2 - 1*t0 + 1"
     assert tower_description(tower)[0]["minpoly"] == "t0^2 - t0 + 1"

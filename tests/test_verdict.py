@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from pbound.bounds import axis_multiplicity_bound
 from pbound.branching import Caps, Reason, multiplicity_at
 from pbound.cli import main
-from pbound import exact
+from pbound import darboux, exact
 from pbound.darboux import SearchOutcome, detect_invariant_lines, search_darboux, verify_darboux
 from pbound.polyode import BiPoly, OdeError, bipoly_str, make_system
 from pbound.sysparse import parse_system
@@ -115,9 +116,10 @@ EXIT_3_QUERIES = [
     ["mul", "--system", EX45_M4, "--at", "0,0", "--caps", "ram=1"],
     ["mul", "--system", CENSUS_394, "--at", "0,inf", "--caps", "terms=1"],
     ["darboux", "--system", "dz/dt = w; dw/dt = 2*z", "--max-degree", "1"],
-    ["mul", "--system", CUBIC, "--at", "0,0"],
-    ["bound", "--system", CUBIC],
-    ["analyze", "--system", CUBIC, "--max-degree", "1"],
+    # the cubic level over Q(t0) is certified, and tower=4 caps it
+    ["mul", "--system", CUBIC, "--at", "0,0", "--caps", "tower=4"],
+    ["bound", "--system", CUBIC, "--caps", "tower=4"],
+    ["analyze", "--system", CUBIC, "--max-degree", "1", "--caps", "tower=4"],
     ["lv", "--params", "-1,5,0", "--triple", "--caps", "depth=0"],
     ["analyze", "--system", LV, "--max-degree", "3"],
     ["darboux", "--system", "dw/dz = (2*z^3 + z^2*w + 4*z*w^2 - w^3 + w^2 + 2) / (-4*z)", "--max-degree", "2"],
@@ -138,11 +140,18 @@ def test_exit_code_is_the_walk_on_the_exit_3_examples(argv):
 # ---------------------------------------------------------------------------
 
 def test_reasons_name_the_cap_the_presumed_level_and_the_summand():
+    # no level is presumed: the cubic one is certified, so the reasons are
+    # those of a cap, at the multiplicity and at the bound's summand
     system, _ = parse_system(CUBIC)
-    assert multiplicity_at(system, ("point", Q(0), Q(0))).reasons == (
-        Reason("presumed-level", "multiplicity", "t1"),
+    assert multiplicity_at(system, ("point", Q(0), Q(0))).reasons == ()
+    assert axis_multiplicity_bound(system).reasons == ()
+    assert multiplicity_at(system, ("point", Q(0), Q(0)), Caps(tower=4)).reasons == (
+        Reason("capped", "multiplicity", "tower-cap"),
     )
-    assert axis_multiplicity_bound(system).reasons == (Reason("presumed-summand", "bound", "0"),)
+    assert axis_multiplicity_bound(system, Caps(tower=4)).reasons == (
+        Reason("capped", "bound", "0"),
+        Reason("sum-lower-bound", "bound", "0"),
+    )
     system, _ = parse_system(EX45_M0)
     assert multiplicity_at(system, ("point", Q(0), Q(0)), Caps(depth=1)).reasons == (
         Reason("capped", "multiplicity", "depth-cap"),
@@ -182,14 +191,31 @@ HAMILTONIAN = "dz/dt = 4*w^3 - 8*w*z^2 - 12*w; dw/dt = 8*w^2*z - 16*z^3 + 24*z"
     [(2, "intercept factor beyond tower cap: r^2 - 3"), (1, "slope factor beyond tower cap: z^2 - 2")],
 )
 def test_a_line_factor_past_a_cap_is_a_reason(monkeypatch, cap, note):
-    real = exact.adjoin_root
-    monkeypatch.setattr(exact, "adjoin_root", lambda tower, m, limit: real(tower, m, min(limit, cap)))
+    real = darboux.factor_roots
+    monkeypatch.setattr(darboux, "factor_roots", lambda p, tower=None: real(p, tower, tower_cap=cap))
     system, _ = parse_system(HAMILTONIAN)
     detection = detect_invariant_lines(system)
     assert not detection.lines and not detection.families
     assert detection.notes == detection.capped == (note,)
     assert detection.reasons == (Reason("capped", "lines", note),)
     assert inconclusive(detection.to_report())
+    assert assert_verdict(["analyze", "--system", HAMILTONIAN, "--max-degree", "0"]) == 3
+
+
+def test_a_line_factor_past_the_irreducibility_cap_is_a_reason(monkeypatch):
+    # a slope factor the factorer cannot certify is not adjoined: its note
+    # names the irreducibility cap, and the analysis exits 3
+    real = exact.factor_univariate
+
+    def uncertified(poly, cap=8):
+        return [replace(f, certified=f.poly.degree() < 2) for f in real(poly, cap)]
+
+    monkeypatch.setattr(exact, "factor_univariate", uncertified)
+    system, _ = parse_system(HAMILTONIAN)
+    detection = detect_invariant_lines(system)
+    note = "slope factor beyond irreducibility cap: z^2 - 2"
+    assert detection.capped == (note,)
+    assert detection.reasons == (Reason("capped", "lines", note),)
     assert assert_verdict(["analyze", "--system", HAMILTONIAN, "--max-degree", "0"]) == 3
 
 
