@@ -4,13 +4,16 @@ For the autonomous system (zdot, wdot) = (Q, P) a polynomial f is Darboux when
 X(f) = Q f_z + P f_w equals R_f * f exactly; the zero set of f is then an
 invariant algebraic curve, strict when it has no component z = z0 or w = w0.
 
-The bounded-degree search builds the extactic determinant of the monomial
-basis under X (invariant curves of degree <= n divide it when it is nonzero),
-peels its invariant core by iterated gcd with its own derivative along X, and
-confirms every candidate factor by exact division.  Line detection solves
-for the degree-one Darboux polynomials by undetermined coefficients: it is
-the source of ``analyze``'s ``invariant_lines`` and of the known factors that
-the search peels off each determinant before its gcds.
+Line detection solves for the degree-one Darboux polynomials by
+undetermined coefficients.  It is the source of ``analyze``'s
+``invariant_lines``, and it is the bounded-degree search's degree-1 step:
+an irreducible invariant curve divides the extactic determinant E_1 exactly
+when it is a line, and E_1 vanishes identically exactly when the lines form
+a one-parameter family.  From degree 2 up, the search builds the extactic
+determinant E_n of the monomial basis under X (invariant curves of degree
+<= n divide it when it is nonzero), peels off the known factors, extracts
+the invariant core of the rest by iterated gcd with its own derivative
+along X, and confirms every candidate factor by exact division.
 """
 
 from __future__ import annotations
@@ -363,7 +366,8 @@ def _solve_two_var_system(polys):
     status "infinite" flags a positive-dimensional solution set (a common
     nonconstant factor); "finite" returns all solutions with coordinates in Q
     or in an adjoined tower.  The slope s = 0 is never solved: a horizontal
-    line is a factor of B's content in z, which gives it.
+    line is a factor of B's content in z, which gives it.  Slopes that no
+    condition bounds are a cap like the others: lines may be missing.
     """
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
@@ -393,7 +397,7 @@ def _solve_two_var_system(polys):
             if res is not None and not res.is_zero():
                 s_constraints.append(res)
     if not s_constraints:
-        return "partial", [], ("could not bound line slopes",), []
+        return "partial", [], (), ["could not bound line slopes"]
     gs = functools.reduce(UniPoly.gcd, s_constraints)
     if gs.degree() == 0:
         return "finite", [], notes, []
@@ -605,7 +609,8 @@ def search_darboux(
     """Invariant algebraic curves of total degree <= max_total_degree.
 
     ``detection`` is the system's ``detect_invariant_lines``, computed here
-    when not given.  E_n is needed only up to a constant, so its primitive
+    when not given; it decides degree 1 (``_degree_one``), so the first
+    determinant is E_2.  E_n is needed only up to a constant, so its primitive
     integer part is peeled before it goes to ``invariant_core``, which
     normalizes the core its candidates come from: z^a w^b by subtracting the
     least exponents (``_peel_axes``), then every other known factor by
@@ -622,7 +627,10 @@ def search_darboux(
     certs.extend(detection.lines)
     if detection.dicritical:
         notes.append("one-parameter family of invariant lines")
-    for n in range(1, max_total_degree + 1):
+        dicritical.append(1)
+    else:
+        partial = _degree_one(sys, detection, certs, notes)
+    for n in range(2, max_total_degree + 1):
         size = (n + 1) * (n + 2) // 2
         if size > DIM_CAP:
             notes.append("degree %d skipped: determinant dimension %d exceeds cap %d" % (n, size, DIM_CAP))
@@ -659,8 +667,9 @@ def search_darboux(
             partial = True
             continue
         core = invariant_core(sys, e)
-        core = _biv_squarefree(core)
-        candidates, leftover = _core_factors(core, n)
+        if core.total_degree() == 0:
+            continue
+        candidates, leftover = _core_factors(_biv_squarefree(core), n)
         if leftover:
             # the unsplit factor may hide Darboux factors of degree <= n
             notes.append("degree %d: %s" % (n, leftover))
@@ -676,6 +685,28 @@ def search_darboux(
         notes=tuple(notes),
         partial=partial,
     )
+
+
+def _degree_one(sys: OdeSystem, detection: LineDetection, certs, notes) -> bool:
+    """The search's degree 1 for a detection without a line family: appends
+    the certificates and notes that E_1's invariant core would give, and
+    returns whether they leave the search partial.
+
+    With zdot = A and wdot = B nonzero, E_1 = A X(B) - B X(A) is nonzero here,
+    and its irreducible invariant factors are exactly the invariant lines
+    (each point of such a factor is an inflection point of its trajectory).
+    The rational lines are ``detection.lines``; an axis-parallel family is a
+    factor of A's content in z or of B's in w, certified as it stands; the
+    sloped families are one factor of E_1's core that does not split over Q.
+    A capped detection may miss lines, which its notes name."""
+    for fam in detection.families:
+        if fam.kind != "sloped":
+            certs.append(verify_darboux(sys, _lift(fam.factor, fam.kind)))
+    unsplit = sum(fam.degree for fam in detection.families if fam.kind == "sloped")
+    if unsplit:
+        notes.append("degree 1: unsplit invariant factor of degree %d" % unsplit)
+    notes.extend("degree 1: %s" % note for note in detection.capped)
+    return bool(unsplit or detection.capped)
 
 
 def _core_factors(core: BiPoly, n: int):

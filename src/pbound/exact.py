@@ -1269,8 +1269,8 @@ def _int_yun(f):
     and d_i are divided by the same primitive a_i, which keeps one u."""
     if len(f) == 1:
         return []
-    if len(f) == 2:
-        return [(f, 1)]
+    if len(f) == 2 or (len(f) == 3 and f[1] * f[1] != 4 * f[0] * f[2]):
+        return [(f, 1)]  # linear, or a quadratic of nonzero discriminant
     df = _int_derivative(f)
     g = _int_gcd(f, _int_primitive(df))
     if len(g) == 1:
@@ -1292,26 +1292,12 @@ def _int_yun(f):
     return out
 
 
-def _int_squarefree_part(f):
-    """f over its gcd with f', for a primitive f; f itself for a constant."""
-    if len(f) <= 2:
-        return f
-    g = _int_gcd(f, _int_primitive(_int_derivative(f)))
-    return f if len(g) == 1 else _int_poly_divexact(f, g)
-
-
-def _int_divisors(n: int):
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    out.sort()
-    return out
+def _primes():
+    """The primes of ``_CERT_PRIMES``, then every larger prime."""
+    yield from _CERT_PRIMES
+    for q in itertools.count(_CERT_PRIMES[-1] + 2, 2):
+        if all(q % d for d in range(3, math.isqrt(q) + 1, 2)):
+            yield q
 
 
 def _int_linear_factors(f):
@@ -1319,8 +1305,14 @@ def _int_linear_factors(f):
     pairs (a, b) for a / b in lowest terms with b > 0, and the rest: f over
     the primitive b x - a of each root.
 
-    By the rational root theorem a divides the constant term and b the
-    leading coefficient of f over its power of x."""
+    A root a / b has b | lc(f), so it reduces to a root of f mod each prime p
+    that does not divide lc(f).  The first such p at which every root of f
+    mod p is simple is taken (f is squarefree, so all but finitely many p
+    qualify), and each root is lifted by Newton's iteration mod p^(2^j) past
+    twice lc(f) times Cauchy's bound 1 + max |f_i / lc(f)| on a root.  In
+    symmetric residues lc(f) times the lift is then lc(f) a / b itself, an
+    integer, and it gives a root exactly when a | f(0) and b x - a divides
+    f."""
     roots = []
     if not f[0]:
         roots.append((0, 1))
@@ -1328,36 +1320,61 @@ def _int_linear_factors(f):
     rest = f
     if len(f) == 1:
         return roots, rest
-    dens = _int_divisors(f[-1])
-    for num in _int_divisors(f[0]):
-        for den in dens:
-            if math.gcd(num, den) != 1:
-                continue
-            for a in (num, -num):
-                # den^deg * rest(a / den), on integers
-                acc = 0
-                den_pow = 1
-                for c in reversed(rest):
-                    acc = acc * a + c * den_pow
-                    den_pow *= den
-                if acc == 0:
-                    roots.append((a, den))
-                    rest = _int_poly_divexact(rest, [-a, den])
-                    if len(rest) == 1:
-                        return roots, rest
+    const, lead = f[0], f[-1]
+    df = _int_derivative(f)
+    high, dhigh = f[::-1], df[::-1]
+    for p in _primes():
+        if not lead % p:
+            continue
+        residues = []
+        for x in range(p):
+            v = 0
+            for c in high:
+                v = v * x + c
+            if not v % p:
+                d = 0
+                for c in dhigh:
+                    d = d * x + c
+                if not d % p:
+                    break  # a multiple root mod p
+                residues.append(x)
+        else:
+            break
+    bound = 2 * (abs(lead) + max(map(abs, f[:-1])))
+    for r in residues:
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _int_eval(f, r) * pow(_int_eval(df, r), -1, m)) % m
+        c = lead * r % m
+        if 2 * c > m:
+            c -= m
+        g = math.gcd(c, lead)
+        a, b = (c // g, lead // g) if lead > 0 else (-c // g, -lead // g)
+        if not a or const % a:
+            continue
+        quotient = _int_poly_divexact(rest, [-a, b])
+        if quotient is not None:
+            roots.append((a, b))
+            rest = quotient
+            if len(rest) == 1:
+                break
     return roots, rest
 
 
-def rational_roots(p: UniPoly):
-    """All rational roots of p over Q (no multiplicities), ascending, via
-    the rational root theorem on the squarefree part of the primitive
-    integer form."""
-    if p.is_zero():
-        raise ExactError("zero polynomial")
-    ints = _primitive_int_coeffs(p)
-    if len(ints) == 1:
-        return []
-    return sorted(Q(a, b) for a, b in _int_linear_factors(_int_squarefree_part(ints))[0])
+def _split_rational_roots(p: UniPoly):
+    """The monic linear factors of the nonzero p over Q, each with its
+    multiplicity, and p over their product."""
+    linear = []
+    rest = p
+    for sf, mult in _int_yun(_primitive_int_coeffs(p)):
+        for a, b in _int_linear_factors(sf)[0]:
+            fac = _monic_poly([-a, b], p.var)
+            linear.append((fac, mult))
+            for _ in range(mult):
+                rest = rest.exact_div(fac)
+    linear.sort(key=lambda f: f[0].coeffs)
+    return linear, rest
 
 
 def _mod_poly(ints, p):
@@ -1754,8 +1771,10 @@ class Root(NamedTuple):
 def factor_roots(p: UniPoly, tower: Optional[Tower] = None, factor_cap=DEFAULT_FACTOR_CAP, tower_cap=DEFAULT_TOWER_CAP):
     """One root of each irreducible factor of ``p`` over Q or over ``tower``.
 
-    Over Q: ``p`` of degree above ``factor_cap`` is one ``factor-cap``
-    entry; a linear ``p`` is solved as -c0 / c1; otherwise the factors are
+    Over Q: a linear ``p`` is solved as -c0 / c1; ``p`` of degree above
+    ``factor_cap`` first gives its rational roots, with their
+    multiplicities, and the rest is then one ``factor-cap`` entry if it is
+    still above ``factor_cap``; the factors of ``p`` or of that rest are
     those of ``factor_univariate``.  Over a tower: each part of the
     squarefree split of degree d >= 2 with d [K:Q] <= ``tower_cap`` is
     factored by Trager's norm (``split_tower``), its norm at
@@ -1764,13 +1783,19 @@ def factor_roots(p: UniPoly, tower: Optional[Tower] = None, factor_cap=DEFAULT_F
     irreducible an ``irreducibility-cap`` entry, and any other adjoins one
     representative root."""
     over_q = tower is None or tower.is_trivial()
+    capped = []
     if over_q:
-        if p.degree() > factor_cap:
-            return [Root(None, 1, "factor-cap", p)]
         if p.degree() == 1:
             c0, c1 = p.coeffs
             return [Root(-as_fraction(c0) / as_fraction(c1), 1, "rational", p)]
-        parts = [(fac.poly, fac.multiplicity, fac.certified) for fac in factor_univariate(p, cap=factor_cap)]
+        parts = []
+        if p.degree() > factor_cap:
+            linear, p = _split_rational_roots(p)
+            parts = [(fac, mult, True) for fac, mult in linear]
+        if p.degree() > factor_cap:
+            capped = [Root(None, 1, "factor-cap", p)]
+        elif p.degree() > 0:
+            parts += [(fac.poly, fac.multiplicity, fac.certified) for fac in factor_univariate(p, cap=factor_cap)]
         tower = QQ_TOWER
     else:
         parts = []
@@ -1791,4 +1816,4 @@ def factor_roots(p: UniPoly, tower: Optional[Tower] = None, factor_cap=DEFAULT_F
         else:
             g.certified_irreducible = True
             roots.append(Root(adjoin_root(tower, g, tower_cap)[1], mult, "adjoined", g))
-    return roots
+    return roots + capped

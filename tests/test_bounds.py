@@ -17,7 +17,7 @@ from pbound.bounds import (
     p_at_axis,
 )
 from pbound.branching import DEFAULT_CAPS, Caps, multiplicity_at
-from pbound.exact import QQ_TOWER, UniPoly, _int_squarefree_part, _primitive_int_coeffs, adjoin_root
+from pbound.exact import QQ_TOWER, UniPoly, _primitive_int_coeffs, adjoin_root
 from pbound.polyode import BiPoly, OdeError, OdeSystem, bipoly_str, make_system, transform_point
 from pbound.sysparse import multiplicity_report, parse_system
 from test_dynamic_evaluation import AXIS_QUARTIC
@@ -92,7 +92,7 @@ def test_axis_k_is_the_degree_of_the_squarefree_part(factors, z_term):
         terms[(1, 1)] = terms.get((1, 1), 0) + 3
     sys = make_system(BiPoly(terms), bp({(1, 0): 1}))
     points, k = axis_singular_points(sys)
-    assert k == len(_int_squarefree_part(_primitive_int_coeffs(p_at_axis(sys)))) - 1
+    assert k == sum(f.degree() for f, _ in p_at_axis(sys).squarefree_decomposition())
     assert k == sum(weight for kind, _, weight in points if kind != "inf")
 
 

@@ -26,7 +26,7 @@ from pbound.exact import (
     ExactError,
     UniPoly,
     adjoin_root,
-    rational_roots,
+    factor_univariate,
     sort_key,
 )
 from pbound.bounds import BoundsError, axis_singular_points
@@ -1107,6 +1107,11 @@ def reference_pair_acceptable(sys, lam, alpha):
     return val is None or val > min(orders)
 
 
+def linear_factor_roots(p):
+    """The roots of ``factor_univariate``'s linear factors of p, as Fractions."""
+    return [-Q(f.poly.coeffs[0]) for f in factor_univariate(p, cap=p.degree()) if f.poly.degree() == 1]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     small_systems(),
@@ -1123,7 +1128,7 @@ def test_pair_acceptable_reads_the_remainder(system, pairs):
             (edge.lam, alpha)
             for edge in diagram.edges
             if edge.admissible and nonzero_char_poly(edge).degree() >= 1
-            for alpha in rational_roots(nonzero_char_poly(edge))
+            for alpha in linear_factor_roots(nonzero_char_poly(edge))
         ]
         for lam, alpha in roots + [(lam, Q(a)) for lam, a in pairs if a]:
             out = system.translate_w(alpha, lam)
@@ -1632,3 +1637,18 @@ def test_a_node_below_the_root_without_an_edge_past_its_exponent_is_an_internal_
     monkeypatch.setattr(branching, "_newton", newton_without_edges_below_the_root)
     with pytest.raises(RuntimeError, match="no edge past its exponent"):
         multiplicity_at(make_system(bp({(0, 2): 1, (1, 1): -2, (2, 0): 1}), bp({(3, 0): 1})), ("point", Q(0), Q(0)))
+
+
+def test_an_edge_polynomial_past_the_factor_cap_gives_its_rational_root():
+    # dw/dz = z^8 / w^8 has the edge polynomial a^9 - 1 at the origin: its
+    # root 1 is split off before the factor cap, so the branch w = z is
+    # counted, and the rest, of degree 8, is factored at the default cap
+    # and capped at factor=4
+    sys, _ = parse_system("dw/dz = (z^8) / (w^8)")
+    full = multiplicity_at(sys, ("point", Q(0), Q(0)))
+    assert (full.status, full.count) == ("finite", 9)
+    assert [b.conj_degree for b in full.branches] == [1, 2, 6]
+    capped = multiplicity_at(sys, ("point", Q(0), Q(0)), Caps(factor=4))
+    assert (capped.status, capped.lower_bound) == ("capped", 1)
+    assert [r.detail for r in capped.reasons] == ["factor-cap"]
+    assert [(b.terms, b.conj_degree) for b in capped.branches] == [(((Q(1), Q(1)),), 1)]

@@ -17,7 +17,6 @@ from pbound.exact import (
     QQ_TOWER,
     Tower,
     UniPoly,
-    _int_squarefree_part,
     _mod_divmod,
     _primitive_int_coeffs,
     adjoin_root,
@@ -26,7 +25,6 @@ from pbound.exact import (
     in_q_minus,
     in_q_plus,
     modular_irreducibility,
-    rational_roots,
     sort_key,
 )
 
@@ -81,9 +79,9 @@ def squarefree_part(p):
     return out
 
 
-def rational_roots_with_multiplicities(p):
+def rational_roots_with_multiplicities(p, cap=8):
     """(root, multiplicity) of every linear factor of ``factor_univariate``."""
-    return sorted((-f.poly.coeffs[0], f.multiplicity) for f in factor_univariate(p) if f.poly.degree() == 1)
+    return sorted((-f.poly.coeffs[0], f.multiplicity) for f in factor_univariate(p, cap) if f.poly.degree() == 1)
 
 
 def test_squarefree_and_rational_roots_factored_input():
@@ -113,12 +111,13 @@ def test_zero_polynomial_rejected():
 
 
 def test_rational_roots_match_bruteforce():
+    # the roots of factor_univariate's linear factors
     rng = random.Random(7)
     for _ in range(40):
         deg = rng.randint(1, 5)
         coeffs = [Q(rng.randint(-6, 6)) for _ in range(deg)] + [Q(rng.choice([1, 2, 3, -1]))]
         p = UniPoly(coeffs)
-        found = set(rational_roots(p))
+        found = {r for r, _ in rational_roots_with_multiplicities(p)}
         brute = {
             Q(n, d)
             for n in range(-30, 31)
@@ -1333,8 +1332,16 @@ def ref_squarefree_decomposition(self):
     return out
 
 
+def ref_int_divisors(n):
+    """The positive divisors of n, ascending, by trial division."""
+    n = abs(n)
+    small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0]
+    return sorted(set(small + [n // i for i in small]))
+
+
 def ref_rational_roots(p):
-    """``rational_roots``, as it was."""
+    """``rational_roots``, as it was: the rational root theorem's
+    candidates, the divisors of the constant term over those of the lead."""
     ints = exact._primitive_int_coeffs(p)
     roots = []
     k = 0
@@ -1347,8 +1354,8 @@ def ref_rational_roots(p):
         return roots
     a0, an = ints[0], ints[-1]
     seen = set()
-    for num in exact._int_divisors(a0):
-        for den in exact._int_divisors(an):
+    for num in ref_int_divisors(a0):
+        for den in ref_int_divisors(an):
             for s in (1, -1):
                 cand = Q(s * num, den)
                 if cand in seen:
@@ -1430,7 +1437,7 @@ def ref_kronecker_split(ints):
         divisor_lists = []
         total = 1
         for _, v in points:
-            divs = exact._int_divisors(v)
+            divs = ref_int_divisors(v)
             divs = [s * t for t in divs for s in (1, -1)]
             divisor_lists.append(divs)
             total *= len(divs)
@@ -1531,26 +1538,95 @@ def test_factoring_on_z_x_matches_the_fraction_path(drawn, as_fractions):
     assert got == [(typed(f), m) for f, m in ref_squarefree_decomposition(p)]
     # the old divisor search on a big root's power takes seconds: its
     # squarefree part has the same roots
-    ref_input = p if big <= 1 else UniPoly(_int_squarefree_part(_primitive_int_coeffs(p)))
-    assert [(type(r), r) for r in rational_roots(p)] == [(type(r), r) for r in ref_rational_roots(ref_input)]
+    ref_input = p if big <= 1 else squarefree_part(p)
+    assert [r for r, _ in rational_roots_with_multiplicities(p)] == ref_rational_roots(ref_input)
 
 
-def test_rational_root_search_lists_each_divisor_set_once(monkeypatch):
-    # (241193 x + 536445)(999983 x - 123457)(x - 4): the leading
-    # coefficient's divisors by trial division up to 4.9e5, once, not once
-    # per divisor of the constant term
-    calls = []
-    real = exact._int_divisors
+def sympy_rational_roots(sp, ints):
+    """{root: multiplicity} of the rational roots of an int list, by sympy."""
+    x = sp.symbols("x")
+    roots = sp.roots(sp.Poly(list(reversed(ints)), x), filter="Q")
+    return {Q(int(r.p), int(r.q)): m for r, m in roots.items()}
 
-    def spy(n):
-        calls.append(n)
-        return real(n)
 
-    monkeypatch.setattr(exact, "_int_divisors", spy)
-    f = exact._int_poly_mul(exact._int_poly_mul([536445, 241193], [-123457, 999983]), [-4, 1])
-    got = [str(fac.poly) for fac in factor_univariate(UniPoly(f))]
-    assert got == ["x - 4", "x - 123457/999983", "x + 536445/241193"]
-    assert len(calls) == 2
+@pytest.mark.parametrize(
+    "ints",
+    [
+        # (241193 x + 536445)(999983 x - 123457)(x - 4)
+        exact._int_poly_mul(exact._int_poly_mul([536445, 241193], [-123457, 999983]), [-4, 1]),
+        # 3 x^2 + c0 with a 40-digit c0: no rational root, and no divisor of
+        # c0 is listed (trial division to its square root never ends)
+        [10**39 + 7, 0, 3],
+        # (3 x - (10^40 + 1))^2 (7 x + 2) (x^2 + 10^40 + 3)
+        exact._int_poly_mul(
+            exact._int_poly_mul([-(10**40 + 1), 3], [-(10**40 + 1), 3]),
+            exact._int_poly_mul([2, 7], [10**40 + 3, 0, 1]),
+        ),
+        # 10^40 x^3 - 1: the root 10^(-40/3) is not rational
+        [-1, 0, 0, 10**40],
+    ],
+    ids=["three-roots", "no-root", "double-40-digit-root", "big-lead"],
+)
+def test_rational_roots_of_large_coefficients_match_sympy(ints):
+    sp = pytest.importorskip("sympy")
+    start = time.perf_counter()
+    got = dict(rational_roots_with_multiplicities(UniPoly(ints)))
+    assert time.perf_counter() - start < 1
+    assert got == sympy_rational_roots(sp, ints)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(st.integers(-(10**25), 10**25), st.integers(1, 10**6), st.integers(1, 2)), max_size=3),
+    st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=4).filter(lambda c: c[-1]),
+)
+def test_rational_roots_of_planted_products_match_sympy(planted, rest):
+    # products of (b x - a)^m with big a and b and a random rest: every
+    # planted root is found, with its multiplicity, and nothing else
+    sp = pytest.importorskip("sympy")
+    ints = rest
+    for a, b, m in planted:
+        for _ in range(m):
+            ints = exact._int_poly_mul(ints, [-a, b])
+    assume(len(ints) > 1)
+    assert dict(rational_roots_with_multiplicities(UniPoly(ints), cap=len(ints))) == sympy_rational_roots(sp, ints)
+
+
+def test_factor_roots_split_rational_roots_before_the_factor_cap():
+    # (x - 1)^2 (2 x + 1) (x^8 + 3), degree 11: the roots 1 (twice) and
+    # -1/2 come first; the rest x^8 + 3 (Eisenstein at 3) is adjoined at the
+    # default cap 8 and is one factor-cap entry at cap 4
+    rest = poly(3, 0, 0, 0, 0, 0, 0, 0, 1)
+    p = poly(1, -2, 1) * poly(1, 2) * rest
+    linear = [(Q(1), 2, "rational", "x - 1"), (Q(-1, 2), 1, "rational", "x + 1/2")]
+    roots = factor_roots(p)
+    assert [(r.value, r.multiplicity, r.note, str(r.factor)) for r in roots[:2]] == linear
+    assert [(r.note, r.factor) for r in roots[2:]] == [("adjoined", rest)]
+    roots = factor_roots(p, factor_cap=4)
+    assert [(r.value, r.multiplicity, r.note, str(r.factor)) for r in roots[:2]] == linear
+    assert [(r.value, r.note, r.factor) for r in roots[2:]] == [(None, "factor-cap", rest.scale(Q(2)))]
+    # without a rational root the entry is the polynomial as given
+    assert factor_roots(rest.scale(Q(-1)), factor_cap=4) == [exact.Root(None, 1, "factor-cap", rest.scale(Q(-1)))]
+
+
+def test_rational_roots_need_a_prime_past_the_certification_primes(monkeypatch):
+    # prod (x - i) for i = 1 .. 33 has a double root mod every prime of
+    # _CERT_PRIMES (33 roots in at most 31 residues), so the roots are
+    # found mod 37
+    tried = []
+    real = exact._primes
+
+    def spy():
+        for p in real():
+            tried.append(p)
+            yield p
+
+    monkeypatch.setattr(exact, "_primes", spy)
+    ints = [1]
+    for i in range(1, 34):
+        ints = exact._int_poly_mul(ints, [-i, 1])
+    assert [r for r, _ in rational_roots_with_multiplicities(UniPoly(ints), cap=33)] == list(range(1, 34))
+    assert tried == list(exact._CERT_PRIMES) + [37]
 
 
 @FIELD_SETTINGS

@@ -100,7 +100,7 @@ def test_exit_code_is_the_walk_on_workload_queries(argv):
 
 
 CUBIC = "dw/dz = ((w^2 - 2*z^2)^3 + z^10) / z^7"
-NINE_SLOPES = "dz/dt = w^8; dw/dt = z^8"
+TEN_SLOPES = "dz/dt = w^9; dw/dt = 2*z^9"
 # every exit-3 example of test_cli.py, and the text-mode ones of the CI step
 EXIT_3_QUERIES = [
     ["mul", "--system", EX45, "--at", "0,0", "--caps", "depth=1"],
@@ -123,10 +123,10 @@ EXIT_3_QUERIES = [
     ["lv", "--params", "-1,5,0", "--triple", "--caps", "depth=0"],
     ["analyze", "--system", LV, "--max-degree", "3"],
     ["darboux", "--system", "dw/dz = (2*z^3 + z^2*w + 4*z*w^2 - w^3 + w^2 + 2) / (-4*z)", "--max-degree", "2"],
-    # the slope polynomial s^9 - 1 is past the factor cap: a noted line
-    # detection, and a bound that has no line to take
-    ["analyze", "--system", NINE_SLOPES, "--max-degree", "0"],
-    ["bound", "--system", NINE_SLOPES],
+    # the slope polynomial s^10 - 2, with no rational root, is past the
+    # factor cap: a noted line detection, and a bound that has no line to take
+    ["analyze", "--system", TEN_SLOPES, "--max-degree", "0"],
+    ["bound", "--system", TEN_SLOPES],
 ]
 
 
@@ -220,8 +220,8 @@ def test_a_line_factor_past_the_irreducibility_cap_is_a_reason(monkeypatch):
 
 
 def test_a_slope_polynomial_past_the_factor_cap_is_a_reason():
-    system, _ = parse_system(NINE_SLOPES)
+    system, _ = parse_system(TEN_SLOPES)
     detection = detect_invariant_lines(system)
-    assert detection.reasons == (Reason("capped", "lines", "slope polynomial beyond factor cap: -z^9 + 1"),)
+    assert detection.reasons == (Reason("capped", "lines", "slope polynomial beyond factor cap: -z^10 + 2"),)
     system, _ = parse_system(HAMILTONIAN)
     assert detect_invariant_lines(system).reasons == ()
