@@ -12,10 +12,11 @@ M(M+1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .branching import Caps, DEFAULT_CAPS, MultiplicityResult, Reason, multiplicity_at
+from .branching import Caps, DEFAULT_CAPS, MultiplicityResult, Reason, _linear_part_count, multiplicity_at
 from .darboux import DarbouxCertificate, verify_darboux
 from .exact import (
     Q,
@@ -28,7 +29,7 @@ from .exact import (
     as_fraction,
     factor_univariate,
 )
-from .polyode import BiPoly, OdeSystem, _int_rows, _int_terms, affine_map, bipoly_str, invert_at_infinity
+from .polyode import BiPoly, OdeSystem, _int_rows, affine_map, bipoly_str, invert_at_infinity
 from .sysparse import witness_report
 
 
@@ -163,74 +164,44 @@ def axis_degree(sys: OdeSystem) -> int:
 
 def _linear_rows(sys: OdeSystem):
     """The int rows of P and Q by z-power, dense in w (``polyode._int_rows``),
-    which ``_linear_part_count`` reads; None for a system over a tower or on
-    a scale n > 1, where the rule does not apply."""
+    both over the common denominator of their coefficients, so on one
+    scale, which ``_axis_root_count`` reads; None for a system over a tower
+    or on a scale n > 1, where the rule does not apply."""
     if sys.tower is not None or sys.n != 1:
         return None
-    return tuple(_int_rows(_int_terms(side), axis=1) for side in (sys.P, sys.Q))
+    sides = (sys.P.terms, sys.Q.terms)
+    den = math.lcm(*[c.denominator for side in sides for c in side.values()])
+    if den > 1:
+        sides = [{k: c.numerator * (den // c.denominator) for k, c in side.items()} for side in sides]
+    return tuple(_int_rows(side, axis=1) for side in sides)
 
 
-def _linear_part_count(rows, f, caps: Caps) -> Optional[MultiplicityResult]:
+def _axis_root_count(rows, f, caps: Caps) -> Optional[MultiplicityResult]:
     """The count at each root theta of f, an irreducible factor over Q of
-    P(0, w) given as its primitive int list with a positive lead, read off
-    the linear part of (zdot, wdot) = (Q, P) at (0, theta); ``rows`` are
+    P(0, w) given as its primitive int list with a positive lead, or at the
+    root w = 0 of a moved system, read off the linear part of (zdot, wdot) =
+    (Q, P) at (0, theta) (``branching._linear_part_count``); ``rows`` are
     ``_linear_rows`` of the system.  None where the branch tree must decide.
 
-    With P_i and Q_i the z^i-coefficients (Q_0 = 0 in axis form), the
-    Jacobian at (0, theta) is [[Q_1, 0], [P_1, P_0']] at theta: eigenvalue
-    mu_z = Q_1(theta) across the axis and mu_w = P_0'(theta) along it.  The
-    point is reduced when exactly one of them is zero (a saddle-node) or
-    both are nonzero and rho = mu_w / mu_z is not in Q+ (a saddle, in the
-    wide sense).  It then has exactly two formal separatrices, smooth and
-    tangent to the two eigendirections (Seidenberg, Amer. J. Math. 1968;
-    Camacho-Sad, Ann. of Math. 1982; Brunella, Birational Geometry of
-    Foliations, ch. 1: a saddle-node has its strong separatrix and one
-    formal center manifold).  One is the axis z = 0.  As mu_z != mu_w, the
-    eigendirection of mu_z, (mu_z - mu_w, P_1(theta)), is transverse to the
-    axis, so the other is one power series w = theta + a_1 z + ... .  That
-    series is the constant solution w = theta, which is never counted,
-    exactly when P(z, theta) = 0, that is when f divides every P_i.  So the
-    count is 0 then and 1 otherwise, the same at every conjugate root.
-
-    The tree finds that series in one step of integer exponent lam = k0,
-    the order of P(z, theta), from the only edge past 0, (0, k0) to (1, 0),
-    of a linear edge polynomial: (1, 0) is a Both point of ratio rho, which
-    is not critical, or a point of P alone (mu_z = 0) or of Q alone
-    (mu_w = 0).  The node after it, at depth 1, is closed, or exact where
-    the series is a polynomial; an exact node is also a depth-cap leaf
-    unless its depth is below caps.depth.  Where mu_z = 0 the node's closure
-    may be ``generic``: Q vanishes on the prefix w = s(z), a polynomial in
-    z, and the tree takes one more such step, at the next depth.  Each such
-    s gives another factor w - s(z) of Q / z, so there are at most deg_w Q
-    of them.  So the tree decides the point without a cap when caps.depth
-    >= 2, plus deg_w Q where mu_z = 0, and caps.factor >= 1, which a linear
-    edge polynomial over Q needs.  The system must be over Q
-    (``_linear_rows``) and f certified irreducible, so that Q[w]/(f) is a
-    field.
-    """
-    if rows is None or caps.factor < 1:
+    On Z[w] the pseudo-remainders against f of lists padded to one length
+    are the remainders mod f times one power of its positive lead, so mu_z
+    and mu_w, which the rule compares, share one scale; they keep all deg f
+    coordinates.  f must be certified irreducible, so that Q[w]/(f) is a
+    field."""
+    if rows is None:
         return None
     p_rows, q_rows = rows
-    # on Z[w]: a pseudo-remainder against the primitive f, which has a
-    # positive lead, is a positive multiple of the remainder mod f
-    if _int_poly_prem(p_rows[0], f):
-        return None  # a regular point of the axis
-    mu_z = _int_poly_prem(q_rows[1] if len(q_rows) > 1 else [], f)
-    mu_w = _int_poly_prem(_int_derivative(p_rows[0]), f)
-    if mu_z and mu_w:
-        # rho is in Q+ exactly when the coordinates of mu_w and mu_z in the
-        # basis 1, theta, ... are positively proportional
-        mu_z, mu_w = (r + [0] * (len(f) - 1 - len(r)) for r in (mu_z, mu_w))
-        lead = next(i for i, c in enumerate(mu_z) if c)
-        a, b = mu_z[lead], mu_w[lead]
-        if a * b > 0 and all(y * a == b * x for x, y in zip(mu_z, mu_w)):
-            return None
-    elif not mu_z and not mu_w:
-        return None
-    if caps.depth < 2 + (0 if mu_z else max(map(len, q_rows)) - 1):
-        return None
-    count = 0 if all(not _int_poly_prem(row, f) for row in p_rows) else 1
-    return MultiplicityResult(status="finite", count=count)
+    q1, dp0 = q_rows[1] if len(q_rows) > 1 else [], _int_derivative(p_rows[0])
+    if len(q1) != len(dp0):
+        width = max(len(q1), len(dp0))
+        q1, dp0 = q1 + [0] * (width - len(q1)), dp0 + [0] * (width - len(dp0))
+    d = len(f) - 1
+    mu_z, mu_w = _int_poly_prem(q1, f), _int_poly_prem(dp0, f)
+    mu_z, mu_w = mu_z + [0] * (d - len(mu_z)), mu_w + [0] * (d - len(mu_w))
+    p0 = _int_poly_prem(p_rows[0], f)
+    p_z = _int_poly_prem(p_rows[1], f) if len(p_rows) > 1 else []
+    on_solution = not (p0 or p_z) and all(not _int_poly_prem(row, f) for row in p_rows[2:])
+    return _linear_part_count(p0, mu_z, mu_w, p_z, on_solution, caps, max(map(len, q_rows)) - 1)
 
 
 def _mul_at_algebraic_point(sys: OdeSystem, minpoly: UniPoly, caps: Caps, rows) -> AxisPoint:
@@ -240,7 +211,7 @@ def _mul_at_algebraic_point(sys: OdeSystem, minpoly: UniPoly, caps: Caps, rows) 
     A factor of degree above ``caps.tower`` is not adjoined, and neither is
     one it could not certify irreducible: its roots count as a capped point
     with lower bound 0 (``tower-cap`` or ``irreducibility-cap``).  Where
-    the linear part decides the count (``_linear_part_count`` on ``rows``)
+    the linear part decides the count (``_axis_root_count`` on ``rows``)
     no root is adjoined; elsewhere ``multiplicity_at`` runs over Q(theta).
     """
     label, weight = "root of %s" % minpoly, minpoly.degree()
@@ -248,7 +219,7 @@ def _mul_at_algebraic_point(sys: OdeSystem, minpoly: UniPoly, caps: Caps, rows) 
         cap = "tower-cap" if weight > caps.tower else "irreducibility-cap"
         capped = MultiplicityResult(status="capped", lower_bound=0, diagnostics=(cap,))
         return AxisPoint(label, weight, capped)
-    res = _linear_part_count(rows, _primitive_int_coeffs(minpoly), caps)
+    res = _axis_root_count(rows, _primitive_int_coeffs(minpoly), caps)
     if res is None:
         tower, theta = adjoin_root(QQ_TOWER, minpoly, caps.tower)
         lifted = sys.map_tower(tower)
@@ -264,7 +235,7 @@ def axis_multiplicity_bound(sys: OdeSystem, caps: Caps = DEFAULT_CAPS, known=Non
     to the ``multiplicity_at`` results at those points at the same caps,
     which a caller that prints their branches has computed; they are taken
     as they are.  At every other point the linear part decides
-    (``_linear_part_count``) no branch tree runs: a rational root a/b is
+    (``_axis_root_count``) no branch tree runs: a rational root a/b is
     read as the factor b w - a of P(0, w), and (0, infinity) as the root
     w = 0 of the system that ``invert_at_infinity`` moves it to, where the
     tree runs at the origin of that system when the rule leaves the point
@@ -292,7 +263,7 @@ def axis_multiplicity_bound(sys: OdeSystem, caps: Caps = DEFAULT_CAPS, known=Non
                     moved_rows = _linear_rows(moved)
                 else:
                     moved, w0, moved_rows = sys, value, rows
-                mul = _linear_part_count(moved_rows, [-w0.numerator, w0.denominator], caps)
+                mul = _axis_root_count(moved_rows, [-w0.numerator, w0.denominator], caps)
                 if mul is None:
                     mul = multiplicity_at(moved, ("point", Q(0), w0), caps)
             entry = AxisPoint(label, 1, mul)

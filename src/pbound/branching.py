@@ -736,13 +736,14 @@ def multiplicity_at(sys: OdeSystem, point, caps: Caps = DEFAULT_CAPS) -> Multipl
 
     Transforms the point to the origin, expands the branch tree and counts the
     counted leaves weighted by conjugacy degree; the constant solution is never
-    counted.  Counted branches are extended to ``caps.terms`` terms.  A
-    regular point of an invariant axis has count 0 (``_regular_axis_point``)
-    and no tree is expanded there.
+    counted.  Counted branches are extended to ``caps.terms`` terms.  Where
+    the linear part says the count is 0 (``_origin_count``) no tree is
+    expanded.
     """
     moved = transform_point(sys, point)
-    if caps.depth >= 1 and _regular_axis_point(moved):
-        return MultiplicityResult(status="finite", count=0)
+    known = _origin_count(moved, caps)
+    if known is not None:
+        return known
     tree = expand_branches(moved, caps)
     if tree.critical is not None:
         return MultiplicityResult(status="critical", witness=tree.critical, flags=tree.flags)
@@ -776,18 +777,102 @@ def multiplicity_at(sys: OdeSystem, point, caps: Caps = DEFAULT_CAPS) -> Multipl
     )
 
 
-def _regular_axis_point(sys: OdeSystem) -> bool:
-    """True when the origin is a regular point of the invariant axis z = 0
-    of ``sys``: a system over Q with z | Q and P(0, 0) != 0.
-
-    There the tree has no leaf and no witness.  Every support point has
-    height >= 0, as z | Q puts each Q point at height l_i - 1 >= 0, and
-    (0, 0) is one of them, so no edge of exponent lam > 0 leaves it: the
-    root has no step.  A vertex (x, y) with x >= 1 has weight y + r x > 0
-    at every slope r > 0, more than (0, 0) has, so none dominates, and over
-    Q every vertex ratio is rational, so none is dicritical-suspect.  So the
-    tree returns count 0 with no branch, unless caps.depth = 0, where the
-    root itself is a depth-cap leaf."""
+def _origin_count(sys: OdeSystem, caps: Caps) -> Optional[MultiplicityResult]:
+    """The count 0 that ``_linear_part_count`` reads off the linear part at
+    the origin of ``sys``, a coprime pair over Q with n = 1 and z | Q, so
+    that the origin lies on the invariant axis z = 0; None elsewhere, and
+    where the count is 1, whose branch ``multiplicity_at`` prints.  The
+    four coefficients are read as they stand: P and Q share one scale."""
     if sys.tower is not None or sys.n != 1 or not sys.Q.terms:
-        return False
-    return all(ze for ze, _ in sys.Q.terms) and not f_is_zero(sys.P.terms.get((0, 0), 0))
+        return None
+    p, q = sys.P.terms, sys.Q.terms
+    if not all(ze for ze, _ in q):
+        return None
+    return _linear_part_count(
+        (p.get((0, 0), 0),),
+        (q.get((1, 0), 0),),
+        (p.get((0, 1), 0),),
+        (p.get((1, 0), 0),),
+        all(we for _, we in p),
+        caps,
+    )
+
+
+def _linear_part_count(p0, mu_z, mu_w, p_z, on_solution, caps: Caps, q_degree=None):
+    """The count at a point (0, theta) of the invariant axis z = 0 of a
+    coprime axis-form pair (zdot, wdot) = (Q, P) over Q, read off its linear
+    part, as a ``MultiplicityResult``; None where the branch tree must
+    decide.  theta is a root of an irreducible f over Q; p0 = P_0(theta),
+    mu_z = Q_1(theta), mu_w = P_0'(theta) and p_z = P_1(theta), with P_i and
+    Q_i the z^i-coefficients, are each given by their coordinates in the
+    basis 1, theta, ... of Q(theta), all on one positive scale;
+    ``on_solution`` says whether P(z, theta) = 0, that is whether w = theta
+    is a solution.  ``q_degree`` is deg_w Q; without it count 1 is not
+    answered.
+
+    A regular point, P_0(theta) != 0, has count 0: every support point of
+    the tree has height >= 0, as z | Q puts each Q point at height l_i - 1
+    >= 0, and (0, 0) is one of them, so no edge of exponent lam > 0 leaves
+    it and no vertex (x, y), x >= 1, dominates it.
+
+    At a singular point the Jacobian is [[Q_1, 0], [P_1, P_0']] at theta:
+    eigenvalue mu_z across the axis and mu_w along it.  The point is reduced
+    when exactly one of them is zero (a saddle-node) or both are nonzero and
+    rho = mu_w / mu_z is not in Q+ (a saddle, in the wide sense).  It then
+    has exactly two formal separatrices, smooth and tangent to the two
+    eigendirections (Seidenberg, Amer. J. Math. 1968; Camacho-Sad, Ann. of
+    Math. 1982; Brunella, Birational Geometry of Foliations, ch. 1: a
+    saddle-node has its strong separatrix and one formal center manifold).
+    One is the axis.  As mu_z != mu_w, the eigendirection of mu_z, (mu_z -
+    mu_w, P_1(theta)), is transverse to the axis, so the other is one power
+    series w = theta + a_1 z + ... .  That series is the constant solution
+    w = theta, which is never counted, exactly when P(z, theta) = 0: count
+    0, and 1 otherwise, the same at every conjugate root.  With P(z, theta)
+    = 0 the tree has no point at abscissa 0 and the Both point (1, 0), of
+    ratio rho or of P or Q alone, below every other point: no edge past 0
+    and no dominating vertex.
+
+    A 1:1 Jordan node, mu_z = mu_w != 0 with P_1(theta) != 0, is
+    linearizable to (z, w + z) (Poincare-Dulac: Ilyashenko-Yakovenko,
+    Lectures on Analytic Differential Equations, ch. 1), whose only
+    separatrix is the eigendirection, the axis: count 0.  In the tree the
+    only edge past 0 runs from (0, 1) to (1, 0), of exponent 1, and its
+    polynomial (mu_z - mu_w) a - P_1 is the nonzero constant -P_1, while
+    the vertex (1, 0) of ratio 1 ties with (0, 1) and does not dominate.  Its radial
+    twin, P_1(theta) = 0, is dicritical, and a node of ratio n >= 2 has a
+    resonant coefficient: both stay with the tree, which gives a witness.
+
+    A count-0 tree stops at its root, so it needs caps.depth >= 1.  For
+    count 1 the tree finds the transverse series in one step of integer
+    exponent lam = k0, the order of P(z, theta), from the only edge past 0,
+    (0, k0) to (1, 0), of a linear edge polynomial.  The node after it, at
+    depth 1, is closed, or exact where the series is a polynomial; an exact
+    node is also a depth-cap leaf unless its depth is below caps.depth.
+    Where mu_z = 0 the node's closure may be ``generic``: Q vanishes on the
+    prefix w = s(z), a polynomial in z, and the tree takes one more such
+    step, at the next depth.  Each such s gives another factor w - s(z) of
+    Q / z, so there are at most deg_w Q of them.  So the tree decides the
+    point without a cap when caps.depth >= 2, plus deg_w Q where mu_z = 0,
+    and caps.factor >= 1, which a linear edge polynomial over Q needs.
+    """
+    if caps.depth < 1:
+        return None
+    if any(p0):
+        return MultiplicityResult(status="finite", count=0)
+    across, along = any(mu_z), any(mu_w)
+    if across and along:
+        # rho is in Q+ exactly when the coordinates of mu_w and mu_z are
+        # positively proportional; on one scale rho = 1 when they are equal
+        lead = next(i for i, c in enumerate(mu_z) if c)
+        a, b = mu_z[lead], mu_w[lead]
+        if a * b > 0 and all(y * a == b * x for x, y in zip(mu_z, mu_w)):
+            if a == b and any(p_z):
+                return MultiplicityResult(status="finite", count=0)
+            return None
+    elif not (across or along):
+        return None
+    if on_solution:
+        return MultiplicityResult(status="finite", count=0)
+    if q_degree is None or caps.factor < 1 or caps.depth < 2 + (0 if across else q_degree):
+        return None
+    return MultiplicityResult(status="finite", count=1)

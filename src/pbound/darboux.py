@@ -31,6 +31,7 @@ from .exact import (
     Q,
     Tower,
     UniPoly,
+    _canon,
     _level_modulus,
     _rows_content,
     _sylvester_resultant,
@@ -52,6 +53,7 @@ from .polyode import (
     _int_rows,
     _int_terms,
     _integer_sides,
+    _lex_division,
     _over,
     bipoly_divexact,
     bipoly_divmod,
@@ -105,21 +107,38 @@ class NotDarboux:
     remainder: BiPoly
 
 
-def derive_along(sys: OdeSystem, f: BiPoly) -> BiPoly:
-    """X(f) = zdot f_z + wdot f_w with (zdot, wdot) = (sys.Q, sys.P)."""
-    return sys.Q * f.diff_z() + sys.P * f.diff_w()
-
-
 def verify_darboux(sys: OdeSystem, f: BiPoly):
-    """Exact division of X(f) by f: a certificate or the nonzero remainder."""
+    """Exact division of X(f) by f: a certificate or the nonzero remainder.
+
+    Over Q, f = c g with g its primitive integer part, and the field is
+    (1/s) times an integer pair (p, q) (``_integer_field``), so X(f) =
+    (c/s) X'(g) with X' the field of (p, q).  Division is linear,
+    so one (w, z)-lex walk of X'(g) by g on ints, k' g + r', gives the
+    cofactor k'/s and the remainder (c/s) r' of X(f) by f.  By Gauss's lemma
+    k' is an integer polynomial when g divides X'(g), so its coefficients
+    are ints.  Over a tower X(f) is derived and divided as it stands."""
     if f.is_zero():
         raise DarbouxError("zero candidate")
     if f.total_degree() == 0:
         raise DarbouxError("constant candidate")
-    xf = derive_along(sys, f)
-    quotient, remainder = bipoly_divmod(xf, f)
-    if not remainder.is_zero():
-        return NotDarboux(remainder=remainder)
+    field, g = _integer_field(sys), _primitive_int(f)
+    if field is not None and all(type(c) is int for c in g.terms.values()):
+        p, q, s = field
+        xf = BiPoly._from_clean(_derive_terms(p, q, g.terms), None)
+        quotient = {}
+        remainder = dict(_lex_division(xf, g, quotient))
+        if remainder:
+            key = next(iter(g.terms))
+            r = Q(f.terms[key], g.terms[key]) / s
+            return NotDarboux(remainder=BiPoly._from_clean({k: _canon(c * r) for k, c in remainder.items()}, None))
+        num, den = s.numerator, s.denominator
+        quotient = BiPoly._from_clean({k: _over(c * den, num) for k, c in quotient.items()}, None)
+    else:
+        tower = sys.tower or sys.P.tower or sys.Q.tower or f.tower
+        xf = BiPoly(_derive_terms(sys.P.terms, sys.Q.terms, f.terms), tower)
+        quotient, remainder = bipoly_divmod(xf, f)
+        if not remainder.is_zero():
+            return NotDarboux(remainder=remainder)
     m = sys.degree()
     if not xf.is_zero():
         assert quotient.total_degree() <= m - 1, "cofactor degree bound violated"
@@ -133,6 +152,21 @@ def verify_darboux(sys: OdeSystem, f: BiPoly):
         irreducible=irreducible,
         certified=certified,
     )
+
+
+def _integer_field(sys: OdeSystem):
+    """(p, q, s) with (p, q) = s (P, Q) integral, s the least common
+    denominator of the field's coefficients: over ints the term dicts as
+    they stand; None when a coefficient lies in a tower."""
+    sides = (sys.P.terms, sys.Q.terms)
+    values = [c for side in sides for c in side.values()]
+    if all(type(c) is int for c in values):
+        return sides[0], sides[1], 1
+    if not all(isinstance(c, Fraction) or type(c) is int for c in values):
+        return None
+    s = math.lcm(*[c.denominator for c in values])
+    p, q = ({k: c.numerator * (s // c.denominator) for k, c in side.items()} for side in sides)
+    return p, q, s
 
 
 def strictness_check(f: BiPoly):
@@ -276,8 +310,14 @@ class LineDetection:
 def detect_invariant_lines(sys: OdeSystem) -> LineDetection:
     """All degree-1 Darboux polynomials u z + v w + t by undetermined
     coefficients, eliminated exactly; a positive-dimensional solution set is
-    reported as a dicritical line family."""
-    A, B = sys.Q, sys.P  # zdot, wdot
+    reported as a dicritical line family.  Over Q the lines are read off
+    an integer multiple of the field (``_integer_field``: a constant factor
+    changes no zero and no content), which is computed once."""
+    ints = _integer_field(sys)
+    if ints is None:
+        A, B = sys.Q, sys.P  # zdot, wdot
+    else:
+        A, B = BiPoly._from_clean(ints[1], None), BiPoly._from_clean(ints[0], None)
     lines = []
     families = []
     notes = []
@@ -327,17 +367,17 @@ def _sloped_line_conditions(A: BiPoly, B: BiPoly):
     """
     conditions = {}
 
-    def accumulate(poly: BiPoly, extra_s_power: int, sign):
+    def accumulate(poly: BiPoly, extra_s_power: int, sign: int):
         for (ze, we), c in poly.terms.items():
             for k in range(we + 1):
                 koeff = sign * c * math.comb(we, k)
                 m = ze + k
                 key = (k + extra_s_power, we - k)
                 bucket = conditions.setdefault(m, {})
-                bucket[key] = bucket.get(key, Q(0)) + koeff
+                bucket[key] = bucket.get(key, 0) + koeff
 
-    accumulate(B, 0, Q(1))
-    accumulate(A, 1, Q(-1))
+    accumulate(B, 0, 1)
+    accumulate(A, 1, -1)
     out = []
     for m in sorted(conditions):
         poly = BiPoly(conditions[m])
@@ -347,10 +387,11 @@ def _sloped_line_conditions(A: BiPoly, B: BiPoly):
 
 
 def _dedupe_certs(certs):
+    """The certificates, one per curve, by degree and text: two polynomials
+    over Q give one curve when their primitive integer parts agree."""
     seen = {}
     for cert in certs:
-        key = tuple(sorted(_normalize_biv(cert.f).terms.items(), key=lambda kv: kv[0]))
-        key = tuple((k, sort_key(v)) for k, v in key)
+        key = tuple((k, sort_key(v)) for k, v in sorted(_primitive_int(cert.f).terms.items()))
         if key not in seen:
             seen[key] = cert
     return sorted(seen.values(), key=lambda c: (c.degree(), bipoly_str(c.f)))
@@ -575,10 +616,9 @@ def invariant_core(sys: OdeSystem, e: BiPoly) -> BiPoly:
     if not all(isinstance(c, (int, Fraction)) for c in [*sys.P.terms.values(), *sys.Q.terms.values()]):
         raise DarbouxError("extactic determinant requires rational coefficients")
     p, q, _ = _integer_sides(sys.P.terms, sys.Q.terms, None)
-    field = OdeSystem(BiPoly._from_clean(p, None), BiPoly._from_clean(q, None))
     g = _primitive_int(e)
     while g.total_degree() > 0:
-        nxt = _primitive_int(biv_gcd(g, derive_along(field, g)))
+        nxt = _primitive_int(biv_gcd(g, BiPoly._from_clean(_derive_terms(p, q, g.terms), None)))
         if nxt.total_degree() == g.total_degree():
             return _normalize_biv(nxt)
         g = nxt
@@ -678,7 +718,8 @@ def search_darboux(
             cert = verify_darboux(sys, cand)
             if isinstance(cert, DarbouxCertificate):
                 certs.append(cert)
-    certs = _dedupe_certs(certs)
+    if len(certs) > len(detection.lines):  # the detection's lines are deduplicated
+        certs = _dedupe_certs(certs)
     return SearchOutcome(
         certificates=certs,
         dicritical_degrees=tuple(dicritical),

@@ -1079,17 +1079,25 @@ def _int_poly_divexact(a, b):
 
 def _int_poly_prem(g, f):
     """The pseudo-remainder lead(f)^k g mod f in Z[x], trimmed, for f of
-    degree >= 1: g is multiplied by lead(f) only, so for a positive lead it
-    is a positive multiple of the remainder of g mod f over Q."""
-    r = list(g)
+    degree d >= 1 and k = max(len(g) - d, 0): g is multiplied by lead(f)
+    only, so for a positive lead it is a positive multiple of the remainder
+    of g mod f over Q, and lists of one length share the multiplier.  For a
+    linear f = b x - a that is b^k g(a / b), by Horner's rule."""
     lead = f[-1]
     d = len(f) - 1
+    if d == 1:
+        root, acc, scale = -f[0], 0, 1
+        for c in reversed(g):
+            acc = acc * root + c * scale
+            scale *= lead
+        return [acc] if acc else []
+    r = list(g)
     while len(r) > d:
         c = r.pop()
+        off = len(r) - d
+        if lead != 1:
+            r = [v * lead for v in r]
         if c:
-            off = len(r) - d
-            if lead != 1:
-                r = [v * lead for v in r]
             for j in range(d):
                 r[off + j] -= c * f[j]
     while r and not r[-1]:

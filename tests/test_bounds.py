@@ -8,7 +8,7 @@ from pbound import bounds, branching
 from pbound.bounds import (
     AxisPoint,
     BoundsError,
-    _linear_part_count,
+    _axis_root_count,
     _linear_rows,
     axis_multiplicity_bound,
     axis_singular_points,
@@ -322,7 +322,7 @@ def test_linear_part_rule_matches_the_engine_at_irrational_axis_roots():
     pairs = [_census_style(rng) for _ in range(800)] + [_small_corpus(rng) for _ in range(600)]
     decided = {0: 0, 1: 0}
     for sys, f in _irrational_classes(pairs):
-        rule = _linear_part_count(_linear_rows(sys), _primitive_int_coeffs(f), DEFAULT_CAPS)
+        rule = _axis_root_count(_linear_rows(sys), _primitive_int_coeffs(f), DEFAULT_CAPS)
         if rule is None:
             continue
         tower, theta = adjoin_root(QQ_TOWER, f, DEFAULT_CAPS.tower)
@@ -339,7 +339,7 @@ def test_linear_part_rule_on_a_factor_with_a_non_unit_integer_lead():
     sys, _ = parse_system("dw/dz = (2*w^3 - w^2 - z*w + 4*z^2 + 4*w) / (z*w + 4*z)")
     ((f,),) = [(f,) for kind, f, _ in axis_singular_points(sys)[0] if kind == "algebraic"]
     assert str(f) == "w^2 - 1/2*w + 2"
-    rule = _linear_part_count(_linear_rows(sys), _primitive_int_coeffs(f), DEFAULT_CAPS)
+    rule = _axis_root_count(_linear_rows(sys), _primitive_int_coeffs(f), DEFAULT_CAPS)
     tower, theta = adjoin_root(QQ_TOWER, f, DEFAULT_CAPS.tower)
     engine = multiplicity_at(sys.map_tower(tower), ("point", Q(0), theta), DEFAULT_CAPS)
     assert (rule.status, rule.count) == ("finite", 1)
@@ -378,10 +378,17 @@ def test_linear_part_rule_never_counts_the_constant_solution(adjoined):
     assert adjoined == []
 
 
+def _rule_off(patch):
+    """Switch the linear-part rule off in the bound and in
+    ``multiplicity_at``, so that the branch tree decides every point."""
+    for module in (bounds, branching):
+        patch.setattr(module, "_linear_part_count", lambda *args: None)
+
+
 def _engine_summand(monkeypatch, system, label, caps=DEFAULT_CAPS):
     """The summand the branch tree gives, with the linear-part rule off."""
     with monkeypatch.context() as patch:
-        patch.setattr(bounds, "_linear_part_count", lambda *args: None)
+        _rule_off(patch)
         return _summand(system, label, caps)
 
 
@@ -415,7 +422,9 @@ def test_linear_part_rule_keeps_the_depth_cap():
 # the linear-part rule and the regular-point count against the branch tree
 # ---------------------------------------------------------------------------
 
-RULE_CAPS = (DEFAULT_CAPS, Caps(depth=1), Caps(depth=2), Caps(depth=3), Caps(ram=1), Caps(factor=0))
+RULE_CAPS = (
+    DEFAULT_CAPS, Caps(depth=0), Caps(depth=1), Caps(depth=2), Caps(depth=3), Caps(ram=1), Caps(factor=0)
+)
 
 # The tree caps where the linear part sees no cap: the transverse separatrix
 # is the line w = theta + (theta + 1/2) z at the roots of w^2 + 1/4 (a
@@ -441,11 +450,46 @@ def _corpus_pair(rng):
     return p, BiPoly({(1, 0): c(), (2, 0): c(), (1, 1): c()})
 
 
+# factors of P(0, w) for planted nodes, as ascending int lists: the roots
+# 1, -1/2 and 0, and the irrational classes of w^2 - 2, w^2 + w - 1 and
+# w^2 + 1
+NODE_FACTORS = ([-1, 1], [1, 2], [0, 1], [-2, 0, 1], [-1, 1, 1], [1, 0, 1])
+
+
+def _w_poly(coeffs):
+    return BiPoly({(0, j): c for j, c in enumerate(coeffs) if c})
+
+
+def _planted_node(rng, f, ratio, jordan):
+    """A node of eigenvalue ratio mu_w / mu_z = ``ratio`` at the roots theta
+    of f: P = ratio f A + z B and Q = z (f' A + f D + z E), so that mu_z =
+    f'(theta) A and mu_w = ratio f'(theta) A.  P_1(theta) = B(0, theta) is
+    a nonzero constant for a Jordan node and 0 for a radial one."""
+    c = lambda: rng.choice((-2, -1, 1, 2))
+    a = c()
+    fw = _w_poly(f)
+    tail = BiPoly({(i, j): c() for i in range(1, 3) for j in range(2) if rng.random() < 0.5})
+    b = (BiPoly.const(c()) if jordan else fw.scale(c())) + tail
+    e = BiPoly({(i, j): c() for i in range(2) for j in range(2) if rng.random() < 0.5})
+    p = fw.scale(ratio * a) + b.shift_z(1)
+    q = (fw.diff_w().scale(a) + fw * _w_poly([c(), c()]) + e.shift_z(1)).shift_z(1)
+    return p, q
+
+
+def _planted_pairs():
+    """Three draws of each node kind, Jordan, radial and ratio 2, at the
+    roots of each factor of ``NODE_FACTORS``."""
+    rng = random.Random(45)
+    kinds = ((1, True), (1, False), (2, True))
+    return [_planted_node(rng, f, ratio, jordan) for f in NODE_FACTORS for ratio, jordan in kinds for _ in range(3)]
+
+
 def _rule_systems():
     """The pinned systems and the coprime axis-form systems of derandomized
-    census-style and small-corpus draws whose axis is isolated."""
+    census-style and small-corpus draws and of planted nodes whose axis is
+    isolated."""
     rng = random.Random(38)
-    pairs = [_census_style(rng) for _ in range(150)] + [_corpus_pair(rng) for _ in range(150)]
+    pairs = [_census_style(rng) for _ in range(150)] + [_corpus_pair(rng) for _ in range(150)] + _planted_pairs()
     out = [parse_system(text)[0] for text in PINNED_RULE_SYSTEMS]
     for p, q in pairs:
         try:
@@ -457,26 +501,32 @@ def _rule_systems():
     return out
 
 
-def _saddle_nodes(sys):
-    """The irrational classes with exactly one eigenvalue zero, from mu_z =
-    Q_1 mod f and mu_w = P_0' mod f over Q, as the primitive int lists of
+def _irrational_classes_by_kind(sys):
+    """The irrational classes with exactly one eigenvalue zero ("saddle-node
+    class") and the 1:1 Jordan ones ("Jordan class"), from mu_z = Q_1 mod f,
+    mu_w = P_0' mod f and P_1 mod f over Q, as the primitive int lists of
     their factors f."""
-    q1 = UniPoly([sys.Q.coeff(1, j) for j in range(sys.Q.w_degree() + 1)], var="w")
+    q1, p1 = (UniPoly([side.coeff(1, j) for j in range(side.w_degree() + 1)], var="w") for side in (sys.Q, sys.P))
     dp0 = p_at_axis(sys).derivative()
-    out = set()
+    out = {}
     for kind, f, _ in axis_singular_points(sys)[0]:
-        if kind == "algebraic" and (q1 % f).is_zero() != (dp0 % f).is_zero():
-            out.add(tuple(_primitive_int_coeffs(f)))
+        if kind != "algebraic":
+            continue
+        across, along = not (q1 % f).is_zero(), not (dp0 % f).is_zero()
+        if across != along:
+            out[tuple(_primitive_int_coeffs(f))] = "saddle-node class"
+        elif across and ((q1 - dp0) % f).is_zero() and not (p1 % f).is_zero():
+            out[tuple(_primitive_int_coeffs(f))] = "Jordan class"
     return out
 
 
 def test_linear_part_rule_matches_the_branch_tree(monkeypatch):
     # every bound report is the one the branch tree gives at every point, at
-    # default caps, at depth 1-3, at ram=1 and at factor=0; the rule
-    # decides points of every kind: 0, other rational roots, infinity and
-    # saddle-node classes of irrational roots
+    # default caps, at depth 0-3, at ram=1 and at factor=0; the rule
+    # decides points of every kind: 0, other rational roots, infinity, and
+    # saddle-node and 1:1 Jordan classes of irrational roots
     decisions = []
-    real_rule = bounds._linear_part_count
+    real_rule = bounds._axis_root_count
 
     def rule(rows, f, caps):
         res = real_rule(rows, f, caps)
@@ -484,17 +534,17 @@ def test_linear_part_rule_matches_the_branch_tree(monkeypatch):
             decisions.append((rows, tuple(f)))
         return res
 
-    decided = {"0": 0, "rational": 0, "inf": 0, "saddle-node class": 0}
+    decided = {"0": 0, "rational": 0, "inf": 0, "saddle-node class": 0, "Jordan class": 0}
     for sys in _rule_systems():
-        saddle_nodes = _saddle_nodes(sys)
+        classes = _irrational_classes_by_kind(sys)
         rows = _linear_rows(sys)
         for caps in RULE_CAPS:
             decisions.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(bounds, "_linear_part_count", rule)
+                patch.setattr(bounds, "_axis_root_count", rule)
                 report = axis_multiplicity_bound(sys, caps)
             with monkeypatch.context() as patch:
-                patch.setattr(bounds, "_linear_part_count", lambda *args: None)
+                _rule_off(patch)
                 assert report.to_report() == axis_multiplicity_bound(sys, caps).to_report()
             for on, f in decisions:
                 # (0, inf) is the root w = 0 of the inverted system
@@ -504,9 +554,85 @@ def test_linear_part_rule_matches_the_branch_tree(monkeypatch):
                     decided["0"] += 1
                 elif len(f) == 2:
                     decided["rational"] += 1
-                elif f in saddle_nodes:
-                    decided["saddle-node class"] += 1
+                elif f in classes:
+                    decided[classes[f]] += 1
     assert min(decided.values()) >= 20, decided
+
+
+def _rule_points(sys):
+    """(0, 0), (0, inf) and every rational root of P(0, w) on the axis."""
+    points = [("point", Q(0), Q(0)), ("inf", Q(0))]
+    for kind, value, _ in axis_singular_points(sys)[0]:
+        if kind == "rational" and value != 0:
+            points.append(("point", Q(0), value))
+    return points
+
+
+def _linear_part_kind(p0, mu_z, mu_w, p_z, on_solution, *rest):
+    """Which case of the rule a decided point is, from its arguments."""
+    if any(p0):
+        return "regular"
+    return "Jordan node" if mu_z == mu_w else "reduced, on the constant solution"
+
+
+def test_linear_part_rule_in_multiplicity_at_matches_the_branch_tree(monkeypatch):
+    # multiplicity_at answers count 0 off the linear part at the moved
+    # origin with the report the branch tree gives, at (0, 0), (0, inf) and
+    # the rational roots of every rule system, at every caps setting of
+    # RULE_CAPS, and runs no tree there; each case is decided
+    decided = {"regular": 0, "reduced, on the constant solution": 0, "Jordan node": 0}
+    real_rule, real_expand = branching._linear_part_count, branching.expand_branches
+    last, trees = [], []
+
+    def rule(*args):
+        res = real_rule(*args)
+        last.append(None if res is None else _linear_part_kind(*args))
+        return res
+
+    def expand(*args):
+        trees.append(args)
+        return real_expand(*args)
+
+    for sys in _rule_systems():
+        for point in _rule_points(sys):
+            for caps in RULE_CAPS:
+                last.clear()
+                trees.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(branching, "_linear_part_count", rule)
+                    patch.setattr(branching, "expand_branches", expand)
+                    got = multiplicity_report(multiplicity_at(sys, point, caps))
+                with monkeypatch.context() as patch:
+                    _rule_off(patch)
+                    assert got == multiplicity_report(multiplicity_at(sys, point, caps)), (sys, point, caps)
+                if last and last[0] is not None:
+                    assert got["mul"] == 0 and not trees
+                    decided[last[0]] += 1
+    assert min(decided.values()) >= 20, decided
+
+
+@pytest.mark.parametrize(
+    "system, status, mul",
+    [
+        # a 1:1 Jordan node: its only separatrix is the axis
+        ("dz/dt = z; dw/dt = w + z", "finite", 0),
+        ("dz/dt = -3*z; dw/dt = -3*w + 5*z", "finite", 0),
+        # its radial twin is dicritical, and a ratio-2 node has the
+        # separatrices w = c z^2 + ...: the tree gives the witness
+        ("dz/dt = z; dw/dt = w", "critical", None),
+        ("dz/dt = z; dw/dt = 2*w + z", "critical", None),
+    ],
+)
+def test_linear_part_rule_at_nodes(monkeypatch, system, status, mul):
+    sys, _ = parse_system(system)
+    trees = []
+    real_expand = branching.expand_branches
+    monkeypatch.setattr(branching, "expand_branches", lambda *args: trees.append(args) or real_expand(*args))
+    res = multiplicity_at(sys, ("point", Q(0), Q(0)))
+    assert (res.status, res.count) == (status, mul)
+    assert bool(trees) == (status == "critical")
+    if status == "critical":
+        assert res.witness is not None
 
 
 def _fresh_known(sys, caps):
@@ -565,9 +691,10 @@ def test_regular_axis_point_count_matches_the_branch_tree(monkeypatch):
             for point in REGULAR_TEST_POINTS:
                 got = multiplicity_report(multiplicity_at(sys, point, caps))
                 with monkeypatch.context() as patch:
-                    patch.setattr(branching, "_regular_axis_point", lambda moved: False)
+                    _rule_off(patch)
                     assert got == multiplicity_report(multiplicity_at(sys, point, caps)), (sys, point, caps)
-                skipped += branching._regular_axis_point(transform_point(sys, point))
+                moved = transform_point(sys, point)
+                skipped += moved.P.coeff(0, 0) != 0 and branching._origin_count(moved, caps) is not None
     assert skipped >= 200
 
 

@@ -788,8 +788,9 @@ def test_analyze_matches_the_old_order(text):
 def test_analyze_passes_both_multiplicities_to_the_bound(monkeypatch, capsys):
     # LV(-1,5,0): the bound's points are inf, -1 and 0.  Analyze computes
     # (0, 0) and infinity and passes them to the bound, which computes only
-    # -1 and leaves the linear-part rule alone at the two given points: no
-    # point's multiplicity is computed twice
+    # -1, a 1:1 Jordan node that the linear-part rule decides, and leaves
+    # the rule alone at the two given points: no point's multiplicity is
+    # computed twice
     calls = {bounds: [], cli: []}
     for module in calls:
         real = module.multiplicity_at
@@ -800,17 +801,17 @@ def test_analyze_passes_both_multiplicities_to_the_bound(monkeypatch, capsys):
 
         monkeypatch.setattr(module, "multiplicity_at", counting)
     ruled = []
-    real_rule = bounds._linear_part_count
+    real_rule = bounds._axis_root_count
 
     def rule(rows, f, caps):
         ruled.append(list(f))
         return real_rule(rows, f, caps)
 
-    monkeypatch.setattr(bounds, "_linear_part_count", rule)
+    monkeypatch.setattr(bounds, "_axis_root_count", rule)
     assert main(["analyze", "--system", DARBOUX_ANALYZE[0], "--json"]) == 0
     capsys.readouterr()
     assert calls[cli] == [("point", 0, 0), ("inf", 0)]
-    assert calls[bounds] == [("point", 0, -1)]
+    assert calls[bounds] == []
     # the rule reads only w + 1 at -1; at 0 and inf it would read f = w
     assert ruled == [[1, 1]]
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -15,7 +16,6 @@ from pbound.darboux import (
     invariant_core,
     search_darboux,
     strictness_check,
-    derive_along,
     verify_darboux,
 )
 from pbound.exact import QQ_TOWER, UniPoly, adjoin_root, packed_det
@@ -25,6 +25,7 @@ from pbound.polyode import (
     OdeSystem,
     _primitive_int,
     bipoly_divexact,
+    bipoly_divmod,
     bipoly_str,
     biv_gcd,
     make_system,
@@ -52,6 +53,24 @@ def saddle_line_system():
 
 
 LINE = bp({(0, 1): 1, (1, 0): 1, (0, 0): -1})  # w + z - 1
+
+
+def derive_along(sys, f):
+    """X(f) = zdot f_z + wdot f_w with (zdot, wdot) = (sys.Q, sys.P), by
+    BiPoly arithmetic over the system's own field: the reference for the
+    derivations on the integer field."""
+    return sys.Q * f.diff_z() + sys.P * f.diff_w()
+
+
+def verify_darboux_reference(sys, f):
+    """``verify_darboux`` as a Fraction computation: X(f) derived along the
+    field as it stands and divided by f itself."""
+    quotient, remainder = bipoly_divmod(derive_along(sys, f), f)
+    if not remainder.is_zero():
+        return NotDarboux(remainder=remainder)
+    strict, offenders = strictness_check(f)
+    irreducible, certified = darboux._irreducibility(f, offenders)
+    return DarbouxCertificate(f, quotient, strict, offenders, irreducible, certified)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +131,119 @@ def test_saddle_line_fixture():
     # cofactor w - 1
     assert cert.cofactor.terms == bp({(0, 1): 1, (0, 0): -1}).terms
     assert cert.strict
+
+
+# ---------------------------------------------------------------------------
+# certificates on the integer field against the Fraction reference
+# ---------------------------------------------------------------------------
+
+def assert_same_verdict(sys, f):
+    """verify_darboux gives the reference's certificate or remainder, with
+    an int coefficient wherever one is integral, as the reference has."""
+    got, want = verify_darboux(sys, f), verify_darboux_reference(sys, f)
+    assert type(got) is type(want)
+    assert got == want
+    poly = got.cofactor if isinstance(got, DarbouxCertificate) else got.remainder
+    assert all(type(c) is int or c.denominator != 1 for c in poly.terms.values())
+    assert bipoly_str(poly) == bipoly_str(want.cofactor if isinstance(want, DarbouxCertificate) else want.remainder)
+    return got
+
+
+def candidate_lines(rng):
+    """Random lines u z + v w + t with rational coefficients."""
+    c = lambda: Q(rng.randint(-3, 3), rng.randint(1, 3))
+    out = []
+    while len(out) < 4:
+        line = BiPoly({(1, 0): c(), (0, 1): c(), (0, 0): c()})
+        if line.total_degree() == 1:
+            out.append(line)
+    return out
+
+
+def census_like(rng):
+    """A random axis-form pair dw/dz = P / (z q0), deg P <= 3, deg q0 <= 2,
+    with small rational coefficients."""
+    def poly(degree, shift):
+        return BiPoly({(i + shift, j): Q(rng.randint(-4, 4), rng.randint(1, 2))
+                       for i in range(degree + 1) for j in range(degree + 1 - i) if rng.random() < 0.6})
+    return poly(3, 0), poly(2, 1)
+
+
+LV_GRID = [(a, b, c) for a in (Q(-3), Q(-1), Q(-1, 2), Q(2)) for b in (Q(0), Q(1), Q(5)) for c in (Q(0), Q(2, 3), Q(2))]
+
+
+def test_lv_grid_certificates_match_the_reference():
+    # the axes, the line a (z - 1) + w of the b = 0 systems, the conic
+    # member of LV(-1,0,0), non-monic multiples and random lines
+    rng = random.Random(45)
+    verdicts = set()
+    for a, b, c in LV_GRID:
+        sys = lv_system(a, b, c)
+        cands = [bp({(1, 0): 1}), bp({(0, 1): 1}), bp({(1, 0): a, (0, 1): 1, (0, 0): -a}),
+                 bp({(1, 1): -1, (0, 1): 2, (1, 0): -2, (0, 0): 2}), bp({(1, 0): Q(2, 3), (0, 1): Q(2, 3), (0, 0): -6})]
+        cands += [bp({(1, 0): -3 * a, (0, 1): -3, (0, 0): 3 * a})] + candidate_lines(rng)
+        for f in cands:
+            verdicts.add(type(assert_same_verdict(sys, f)).__name__)
+    assert verdicts == {"DarbouxCertificate", "NotDarboux"}
+
+
+def test_census_style_certificates_match_the_reference():
+    # every line that detection certifies and random non-invariant lines and
+    # conics, on systems with fractional coefficients
+    rng = random.Random(17)
+    certified = 0
+    for _ in range(80):
+        p, q = census_like(rng)
+        try:
+            sys = make_system(p, q)
+        except OdeError:
+            continue
+        cands = [cert.f for cert in detect_invariant_lines(sys).lines] + candidate_lines(rng)
+        cands.append(bp({(2, 0): Q(1, 2), (1, 1): -1, (0, 2): 3, (0, 0): Q(-5, 4)}))
+        for f in cands:
+            certified += isinstance(assert_same_verdict(sys, f), DarbouxCertificate)
+    assert certified >= 40
+
+
+def test_search_candidates_match_the_reference(monkeypatch):
+    # every candidate the search verifies, lines and the conics of the
+    # extactic cores, gets the reference's verdict
+    seen = []
+    real = darboux.verify_darboux
+
+    def checked(sys, f):
+        seen.append(bipoly_str(f))
+        assert_same_verdict(sys, f)
+        return real(sys, f)
+
+    monkeypatch.setattr(darboux, "verify_darboux", checked)
+    for sys in [lv_system(a, b, c) for a, b, c in LV_GRID[::3]] + [saddle_line_system()]:
+        search_darboux(sys, 2)
+    assert any(f.count("^2") for f in seen)
+
+
+def test_ci_line_remainder_matches_the_reference():
+    # z = 1 is not invariant for zdot = z (z + w - 1), wdot = w (w - 1):
+    # X(z - 1) = z (z + w - 1) leaves the lex remainder w on the line
+    sys = make_system(bp({(0, 2): 1, (0, 1): -1}), bp({(2, 0): 1, (1, 1): 1, (1, 0): -1}))
+    res = assert_same_verdict(sys, bp({(1, 0): 1, (0, 0): -1}))
+    assert bipoly_str(res.remainder) == "w"
+    res = assert_same_verdict(sys, bp({(1, 0): Q(-1, 3), (0, 0): Q(1, 3)}))
+    assert bipoly_str(res.remainder) == "-1/3*w"
+
+
+def test_certificates_over_a_tower_take_the_exact_path():
+    # over Q(sqrt 2) the field is derived and divided as it stands
+    # zdot = z (z - 1), wdot = w (w + t0 z + 1) with t0^2 = 2
+    tower, t0 = adjoin_root(QQ_TOWER, UniPoly([Q(-2), Q(0), Q(1)], var="w"), 2)
+    sys = OdeSystem(BiPoly({(0, 2): 1, (1, 1): t0, (0, 1): 1}, tower), BiPoly({(2, 0): 1, (1, 0): -1}, tower), tower)
+    verdicts = []
+    for f in (bp({(1, 0): 1}), bp({(0, 1): 1}), bp({(1, 0): 1, (0, 0): -1}), bp({(0, 1): 1, (0, 0): -1})):
+        got, want = verify_darboux(sys, f), verify_darboux_reference(sys, f)
+        assert type(got) is type(want) and got == want
+        verdicts.append(type(got).__name__)
+    assert verdicts == ["DarbouxCertificate"] * 3 + ["NotDarboux"]
+    assert bipoly_str(verify_darboux(sys, bp({(0, 1): 1})).cofactor) == "w + t0*z + 1"
 
 
 # ---------------------------------------------------------------------------

@@ -246,8 +246,11 @@ POINT_FAILS = {"multiplicity_at": ExactError("point failed")}
         ("-1,5,0", POINT_FAILS, "point failed"),
         ("-1,0,0", POINT_FAILS, "point failed"),
         ("1,0,0", POINT_FAILS, "point failed"),
-        # the old order's bound runs a tree at inf here, before the search
-        ("-1,5,0", {**POINT_FAILS, "search_darboux": ValueError("search failed")}, "point failed"),
+        # the old order's bound decides every point here off the linear part
+        # (a saddle at 0, a 1:1 Jordan node at -1), before the search: a
+        # point error there comes first
+        ("-1,5,0", {**POINT_FAILS, "_axis_root_count": ExactError("point failed"),
+                    "search_darboux": ValueError("search failed")}, "point failed"),
     ],
 )
 def test_triple_raises_the_error_the_old_order_raised_first(monkeypatch, capsys, params, patches, first):
