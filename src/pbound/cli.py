@@ -332,8 +332,9 @@ def _scan_table():
 def _scan(argv):
     """The namespace that the subcommand's parser gives a well-formed
     ``argv``, without argparse: every token after the subcommand is one of
-    its full long flags, each value is there, does not start with '-' and
-    converts, and the required flags are given.  None for any other argv."""
+    its full long flags, each value is there and converts, and the required
+    flags are given.  A value may start with '-' where argparse takes it: after
+    a flag of ``_VALUE_FLAGS`` or as '-digits'.  None for any other argv."""
     entry = _scan_table().get(argv[0]) if argv else None
     if entry is None:
         return None
@@ -350,10 +351,11 @@ def _scan(argv):
             values[dest] = True
             i += 1
         else:
-            if i + 1 == n or argv[i + 1].startswith("-"):
+            value = argv[i + 1] if i + 1 < n else None
+            if value is None or value[:1] == "-" and argv[i] not in _VALUE_FLAGS and not value[1:].isdigit():
                 return None
             try:
-                values[dest] = convert(argv[i + 1])
+                values[dest] = convert(value)
             except (TypeError, ValueError):
                 return None
             i += 2

@@ -155,18 +155,12 @@ def verify_darboux(sys: OdeSystem, f: BiPoly):
 
 
 def _integer_field(sys: OdeSystem):
-    """(p, q, s) with (p, q) = s (P, Q) integral, s the least common
-    denominator of the field's coefficients: over ints the term dicts as
-    they stand; None when a coefficient lies in a tower."""
-    sides = (sys.P.terms, sys.Q.terms)
-    values = [c for side in sides for c in side.values()]
-    if all(type(c) is int for c in values):
-        return sides[0], sides[1], 1
-    if not all(isinstance(c, Fraction) or type(c) is int for c in values):
+    """(p, q, s) with (p, q) = s (P, Q) the content-free integer field and
+    s a positive rational (``_integer_sides``); None when a coefficient
+    lies in a tower."""
+    if not all(isinstance(c, (int, Fraction)) for c in [*sys.P.terms.values(), *sys.Q.terms.values()]):
         return None
-    s = math.lcm(*[c.denominator for c in values])
-    p, q = ({k: c.numerator * (s // c.denominator) for k, c in side.items()} for side in sides)
-    return p, q, s
+    return _integer_sides(sys.P.terms, sys.Q.terms, None)
 
 
 def strictness_check(f: BiPoly):
@@ -571,9 +565,10 @@ def extactic_determinant(sys: OdeSystem, n: int) -> BiPoly:
     """
     if sys.n != 1:
         raise OdeError("extactic determinant requires integer exponents")
-    if not all(isinstance(c, (int, Fraction)) for c in [*sys.P.terms.values(), *sys.Q.terms.values()]):
+    field = _integer_field(sys)
+    if field is None:
         raise DarbouxError("extactic determinant requires rational coefficients")
-    p, q, s = _integer_sides(sys.P.terms, sys.Q.terms, None)
+    p, q, s = field
     monomials = [{(i, total - i): 1} for total in range(1, n + 1) for i in range(total + 1)]
     rows = [[_derive_terms(p, q, g) for g in monomials]]
     while len(rows) < len(monomials):
@@ -613,9 +608,10 @@ def invariant_core(sys: OdeSystem, e: BiPoly) -> BiPoly:
     Every step takes primitive integer parts and derives along the
     content-free integer field of ``_integer_sides``, since a gcd is defined
     up to a constant."""
-    if not all(isinstance(c, (int, Fraction)) for c in [*sys.P.terms.values(), *sys.Q.terms.values()]):
+    field = _integer_field(sys)
+    if field is None:
         raise DarbouxError("extactic determinant requires rational coefficients")
-    p, q, _ = _integer_sides(sys.P.terms, sys.Q.terms, None)
+    p, q, _ = field
     g = _primitive_int(e)
     while g.total_degree() > 0:
         nxt = _primitive_int(biv_gcd(g, BiPoly._from_clean(_derive_terms(p, q, g.terms), None)))

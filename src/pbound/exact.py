@@ -22,7 +22,7 @@ Q = Fraction
 
 FieldElement = Union[Fraction, "ExtElem"]
 
-#: primes used for modular irreducibility certification
+#: primes of the distinct-degree patterns that certify or split a factor over Q
 _CERT_PRIMES = (7, 11, 13, 17, 19, 23, 29, 31)
 
 DEFAULT_TOWER_CAP = 16
@@ -1475,15 +1475,6 @@ def _mod_ddf(ints, p):
     return parts
 
 
-def _distinct_degree_pattern(ints, p):
-    """Degrees of the irreducible factors of ints mod p, or None if ints mod
-    p degenerates (``_mod_ddf``)."""
-    parts = _mod_ddf(ints, p)
-    if parts is None:
-        return None
-    return [d for d, g in parts for _ in range((len(g) - 1) // d)]
-
-
 def _mod_edf(g, d, p, rng):
     """The monic irreducible factors of degree d of the monic g mod p, a
     product of such factors (Cantor-Zassenhaus, p odd): gcd(g, a^((p^d -
@@ -1541,9 +1532,11 @@ def _zassenhaus(f):
     degree >= 4, with a positive lead and no rational root, each with its
     certification (Zassenhaus, J. Number Theory 1 (1969)).
 
-    f is irreducible when the degree patterns mod the primes of
-    ``modular_irreducibility`` admit no proper factor.  Otherwise f mod the
-    prime with the fewest factors is factored (``_mod_edf``) and lifted
+    f mod each prime of ``_CERT_PRIMES`` that reduces it well has one
+    distinct-degree factorization (``_mod_ddf``).  f is irreducible as soon
+    as the degree patterns so far admit no proper factor: a factor's
+    degree is a subset sum of each pattern.  Otherwise f mod the prime
+    with the fewest factors is factored (``_mod_edf``) and lifted
     mod p^k past twice lc(f) 2^n |f|_2, which bounds lc(f) times any
     factor's coefficients (Mignotte), so a subset of lifted factors times
     lc(f), in symmetric residues, is that multiple of a true factor when
@@ -1551,10 +1544,16 @@ def _zassenhaus(f):
     found leaves the rest to split, and what is left when every size up to
     half is tried is irreducible.  Past ``RECOMBINATION_EFFORT`` subsets
     the rest is not certified."""
-    if modular_irreducibility(f):
-        return [(f, True)]
-    ddfs = [(p, _mod_ddf(f, p)) for p in _CERT_PRIMES if f[-1] % p]
-    ranked = [(sum((len(g) - 1) // d for d, g in parts), p, parts) for p, parts in ddfs if parts is not None]
+    possible = set(range(len(f)))
+    ranked = []
+    for p in _CERT_PRIMES:
+        parts = _mod_ddf(f, p)
+        if parts is not None:
+            pattern = [d for d, g in parts for _ in range((len(g) - 1) // d)]
+            ranked.append((len(pattern), p, parts))
+            possible &= functools.reduce(lambda sums, d: sums | {v + d for v in sums}, pattern, {0})
+            if possible == {0, len(f) - 1}:
+                return [(f, True)]
     if not ranked:
         return [(f, False)]
     _, p, parts = min(ranked)
@@ -1588,31 +1587,6 @@ def _zassenhaus(f):
         else:
             size += 1
     return out + [(f, True)]
-
-
-def _subset_sums(pattern):
-    sums = {0}
-    for d in pattern:
-        sums |= {s + d for s in sums}
-    return sums
-
-
-def modular_irreducibility(ints):
-    """True if the primitive integer polynomial ``ints`` is certified
-    irreducible over Q by reduction mod small primes, None when
-    inconclusive."""
-    n = len(ints) - 1
-    possible = set(range(n + 1))
-    for prime in _CERT_PRIMES:
-        if ints[-1] % prime == 0:
-            continue
-        pattern = _distinct_degree_pattern(ints, prime)
-        if pattern is None:
-            continue
-        possible &= _subset_sums(pattern)
-        if possible == {0, n}:
-            return True
-    return None
 
 
 @dataclass
@@ -1692,7 +1666,7 @@ def split_tower(tower, g, cap):
     for k in itertools.count():
         shift = t * ((k + 1) // 2 if k % 2 else -(k // 2))
         h = _taylor_shift(g, -shift)
-        norm = _norm(h, base)
+        norm = _norm(h)
         if norm.gcd(norm.derivative()).degree() == 0:
             break
     out = []
@@ -1702,52 +1676,48 @@ def split_tower(tower, g, cap):
     return out
 
 
-def _norm(h, base):
-    """N_{K/K'}(h) over K' = ``base`` for h over its tower K = K'(t): the
-    monic polynomial of degree D = deg h [K:K'] interpolated from its values
-    at x = 0, ..., D.  The value at x is the norm of h(x), the determinant
-    of multiplication by h(x) on K as a K'-vector space of basis 1, t, ...,
-    t^(d-1), whose columns are the coordinates of h(x) t^j."""
-    tower = h.tower
-    t = tower.generator(len(base.levels))
-    over = None if base.is_trivial() else base
+def _norm(h):
+    """N_{K/K'}(h) for h over its tower K = K'(t), K' the levels below the
+    top one: the monic polynomial over K' of degree D = deg h [K:K']
+    interpolated from its values at x = 0, ..., D.  The value at x is the
+    norm of h(x), its resultant Res_t(m, h(x)) with the monic modulus m of
+    t over K', h(x) a polynomial in t over K' (``_field_resultant``)."""
+    m = _level_modulus(h.tower.levels, "t")
     values = []
-    for x in range(h.degree() * tower.levels[-1].degree + 1):
-        a = tower.zero()
+    for x in range(h.degree() * m.degree() + 1):
+        a = h.tower.zero()
         for c in reversed(h.coeffs):
             a = a * x + c
-        cols = []
-        for _ in range(tower.levels[-1].degree):
-            cols.append([c if over is None else ExtElem(over, c) for c in a.rep])
-            a = a * t
-        values.append(_field_det(cols))
+        values.append(_field_resultant(m, _coords_poly(m.tower, a.rep, "t")))
     # Newton's divided differences on the nodes 0, ..., D
     for k in range(1, len(values)):
         for i in range(len(values) - 1, k - 1, -1):
             values[i] = (values[i] - values[i - 1]) * Q(1, k)
     nodes = [-x for x in range(len(values))]
-    return UniPoly(_horner(values, nodes, field_zero(over)), var=h.var, tower=over)
+    return UniPoly(_horner(values, nodes, field_zero(m.tower)), var=h.var, tower=m.tower)
 
 
-def _field_det(rows):
-    """The determinant of a square matrix over Q or over a tower by
-    Gaussian elimination."""
-    m = [list(row) for row in rows]
-    det = 1
-    for k in range(len(m)):
-        pivot = next((i for i in range(k, len(m)) if not f_is_zero(m[i][k])), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = -det
-        det = det * m[k][k]
-        inv = f_inv(m[k][k])
-        for row in m[k + 1 :]:
-            f = row[k] * inv
-            for j in range(k + 1, len(m)):
-                row[j] = row[j] - f * m[k][j]
-    return det
+def _field_resultant(f, g):
+    """Res(f, g) of UniPolys over one field by Euclid: Res(f, g) =
+    (-1)^(deg f deg g) lc(g)^(deg f - deg r) Res(g, r) for r = f mod g,
+    down to Res(f, c) = c^(deg f) for a constant c; 0 when f and g share
+    a factor or either is 0.  The powers are taken by repeated products
+    on an int 1, which a tower element scales cheaply."""
+    out = 1
+    while g.degree() > 0:
+        r = f % g
+        if r.is_zero():
+            return field_zero(f.tower)
+        if f.degree() * g.degree() % 2:
+            out = -out
+        for _ in range(f.degree() - r.degree()):
+            out = g.leading() * out
+        f, g = g, r
+    if f.is_zero() or g.is_zero():
+        return field_zero(f.tower)
+    for _ in range(f.degree()):
+        out = g.leading() * out
+    return out
 
 
 def _horner(coeffs, shifts, zero):

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from pbound import cli
+from pbound import cli, exact
 from pbound.cli import _merge_dash_values, _parse_args, main
 
 EX45 = "dw/dz = (z^2 + m*w) / (z + w^2); m = 0"
@@ -313,14 +313,42 @@ def test_every_benchmark_query_scans_as_argparse_parses(monkeypatch):
         for query in build().queries:
             argv = list(query.argv)
             scanned = cli._scan(argv)
-            if query.id.startswith("census/") or argv[0] != "lv":
-                assert scanned is not None, query.id  # only lv's '-a,b,c' goes to argparse
-            if scanned is not None:
-                assert vars(scanned) == vars(_argparse_alone(argv)), query.id
+            assert scanned is not None, query.id  # lv's '-a,b,c' included
+            assert vars(scanned) == vars(_argparse_alone(argv)), query.id
+
+
+# argv whose value starts with '-', and whether the scan takes it
+DASH_VALUE_ARGVS = {
+    "lv-params": (["lv", "--params", "-1,5,0"], True),
+    "mul-at": (["mul", "--system", EX45, "--at", "-1,0"], True),
+    "bound-line": (["bound", "--system", LV, "--line", "-1,0,0"], True),
+    "at-flag-as-value": (["mul", "--system", EX45, "--at", "--json"], True),
+    "max-degree-negative": (["darboux", "--system", EX45, "--max-degree", "-1"], True),
+    "max-degree-flag-as-value": (["darboux", "--system", EX45, "--max-degree", "--json"], False),
+    "params-dash": (["lv", "--params", "-"], True),
+}
+
+
+def _outcome(argv, capsys):
+    """The exit code, stdout and stderr of ``main`` on argv."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv, scans", DASH_VALUE_ARGVS.values(), ids=DASH_VALUE_ARGVS.keys())
+def test_dash_values_scan_as_argparse_answers(capsys, monkeypatch, argv, scans):
+    assert (cli._scan(list(argv)) is not None) == scans
+    got = _outcome(argv, capsys)
+    monkeypatch.setattr(cli, "_scan", lambda argv: None)
+    assert got == _outcome(argv, capsys)
 
 
 WELL_FORMED = ["mul", "mul-json-first", "bound", "analyze", "census-mul", "census-bound", "series-mul",
-               "darboux-analyze", "darboux-search", "repeated-flags", "repeated-max-degree", "empty-value"]
+               "darboux-analyze", "darboux-search", "repeated-flags", "repeated-max-degree", "empty-value",
+               "lv-dash-value", "darboux-lv"]
 
 
 def test_well_formed_argv_never_reaches_argparse(monkeypatch):
@@ -429,6 +457,36 @@ def test_exact_arithmetic_cap_is_inconclusive_not_a_crash(capsys):
     code, data = run_json(capsys, ["bound", "--system", "dw/dz = (w^9 + z + 2) / (z)"])
     assert code == 3
     assert data == {"error": {"type": "ExactError", "message": "factor cap exceeded"}}
+
+
+TALL = (
+    "dw/dz = (w^8 - 8*w^6*z^2 - 16*w^5*z^5 - 48*w^4*z^9 - 4*w^4*z^8 + 24*w^4*z^4 - 16*w^3*z^13"
+    " - 32*w^3*z^12 + 64*w^3*z^7 - 40*w^2*z^16 + 64*w^2*z^11 + 80*w^2*z^10 - 32*w^2*z^6 - 16*w*z^20"
+    " - 32*w*z^15 + 64*w*z^14 + 32*w*z^13 - 64*w*z^9 + z^30 - 2*z^24 + 48*z^18 + 32*z^17 + 4*z^16"
+    " + 64*z^13 - 16*z^12 + 16*z^8) / (z^20)"
+)
+
+
+def test_three_level_tower_is_certified_over_a_taller_base(capsys, monkeypatch):
+    # the 8 conjugates of w = 2^(1/2) z + 2^(1/4) z^2 + 2^(1/8) z^3 are one
+    # closed branch class; its third level t2^2 - t1 is split by Trager's
+    # norm over Q(t0, t1), which takes its norm over the base Q(t0)
+    bases = []
+    norm = exact._norm
+
+    def spy(h):
+        bases.append(len(h.tower.levels) - 1)
+        return norm(h)
+
+    monkeypatch.setattr(exact, "_norm", spy)
+    code, data = run_json(capsys, ["mul", "--system", TALL, "--at", "0,0"])
+    assert code == 0 and data["mul"] == 8
+    (branch,) = data["branches"]
+    assert (branch["status"], branch["conjugacy_degree"]) == ("closed", 8)
+    assert [lv["minpoly"] for lv in branch["tower"]] == ["t0^2 - 2", "t1^2 - t0", "t2^2 - t1"]
+    assert 1 in bases
+    code, data = run_json(capsys, ["bound", "--system", TALL])
+    assert code == 0 and data["bounds"]["sum_bound"] == 8
 
 
 def test_axis_root_over_the_tower_cap_is_a_capped_point(capsys):

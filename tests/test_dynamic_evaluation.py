@@ -61,12 +61,12 @@ def s_of(theta):
 
 
 def test_value_charpoly_components():
-    # the norm is linear algebra, so it runs on the ring Q[x]/(m) too: the
+    # the norm is a resultant over Q, so it runs on the ring Q[x]/(m) too: the
     # norm of y - s is the characteristic polynomial of s, whose roots are
     # the values of s on the components of m, 7 twice and -5 - theta
     ring = Tower((Level(name="t0", minpoly=M_COEFFS, degree=4),))
     s = s_of(ring.generator(0))
-    charpoly = exact._norm(UniPoly([-s, ring.one()], var="y", tower=ring), QQ_TOWER)
+    charpoly = exact._norm(UniPoly([-s, ring.one()], var="y", tower=ring))
     assert [(f.poly.coeffs, f.multiplicity) for f in factor_univariate(charpoly)] == [
         ((-7, 1), 2),
         ((27, 11, 1), 1),

@@ -24,7 +24,6 @@ from pbound.exact import (
     factor_univariate,
     in_q_minus,
     in_q_plus,
-    modular_irreducibility,
     sort_key,
 )
 
@@ -186,8 +185,24 @@ def test_factor_quartic_biquadratic():
     ]
 
 
-def test_modular_irreducibility_certifies():
-    assert modular_irreducibility([2, 0, 0, 0, 1]) is True  # x^4 + 2 (Eisenstein)
+def counted(monkeypatch, name):
+    """The argument tuples of every call to ``exact.<name>`` from now on."""
+    calls = []
+    inner = getattr(exact, name)
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(exact, name, counting)
+    return calls
+
+
+def test_modular_irreducibility_certifies(monkeypatch):
+    # x^4 + 2 (Eisenstein): the degree patterns alone certify it
+    lifts = counted(monkeypatch, "_hensel_lift")
+    assert exact._zassenhaus([2, 0, 0, 0, 1]) == [([2, 0, 0, 0, 1], True)]
+    assert lifts == []
 
 
 @pytest.mark.parametrize("coeffs", [(9, 0, 0, 0, 1), (1, 0, 0, 0, 1)], ids=["x^4 + 9", "x^4 + 1"])
@@ -195,8 +210,9 @@ def test_full_kronecker_search_certifies_irreducibility(coeffs, monkeypatch):
     # both split mod every prime, so no degree pattern certifies them; the
     # full recombination of their modular factors finds no factor, as the
     # full Kronecker search it replaced found none
-    assert modular_irreducibility(list(coeffs)) is None
+    lifts = counted(monkeypatch, "_hensel_lift")
     assert exact._zassenhaus(list(coeffs)) == [(list(coeffs), True)]
+    assert len(lifts) == 1
     assert ref_kronecker_split(list(coeffs)) == (None, True)
     (f,) = factor_univariate(poly(*coeffs))
     assert f.certified and f.poly.certified_irreducible
@@ -216,6 +232,24 @@ def test_kronecker_split_tells_a_factor_from_a_skipped_degree():
     assert ref_kronecker_split(ints) == (None, False)
     assert exact._zassenhaus(ints) == [([3, -1, -2, 4, 1], True), ([3, -3, 2, 3, 3], True)]
     assert [f.certified for f in factor_univariate(UniPoly(ints))] == [True, True]
+
+
+@pytest.mark.parametrize("ints", [
+    [2, 0, 0, 0, 1],
+    [9, 0, 0, 0, 1],
+    [15, 0, -8, 0, 1],
+    [9, -12, 3, 25, -7, -4, 8, 15, 3],
+    [7 * 11, 0, 0, 0, 0, 1],  # lead coprime to all, 7 and 11 not squarefree
+    [1, 1, 0, 0, 0, 0, 0, 0, 1],
+], ids=str)
+def test_zassenhaus_takes_one_ddf_per_prime(ints, monkeypatch):
+    # the pattern test and the choice of the lifting prime share the
+    # distinct-degree factorizations
+    ddfs = counted(monkeypatch, "_mod_ddf")
+    exact._zassenhaus(ints)
+    primes = [p for _, p in ddfs]
+    assert len(primes) == len(set(primes))
+    assert set(primes) <= set(exact._CERT_PRIMES)
 
 
 def test_mod_divmod_roundtrip():
@@ -281,7 +315,7 @@ def test_adjoin_certifies_a_quadratic_of_nonsquare_discriminant_norm():
     assert len(top.levels) == 2
     # x^2 - 3 over Q(t0), t0^2 = 2: the norm (x^2 - 3)^2 is not squarefree,
     # that of its shift (x - t0)^2 - 3 is x^4 - 10 x^2 + 1, irreducible
-    assert exact._norm(exact._taylor_shift(quadratic_over(tower, 0, -3), -t0), QQ_TOWER).coeffs == (1, 0, -10, 0, 1)
+    assert exact._norm(exact._taylor_shift(quadratic_over(tower, 0, -3), -t0)).coeffs == (1, 0, -10, 0, 1)
     top, _ = adjoin_root(tower, quadratic_over(tower, 0, -3))
     assert len(top.levels) == 2
     # a cubic over K, and a quadratic over the two levels
@@ -435,7 +469,7 @@ def sympy_expr(sp, coeffs, var):
 
 def value_charpoly(e):
     """The characteristic polynomial in y of e over Q: the norm of y - e."""
-    return exact._norm(UniPoly([-e, e.tower.one()], var="y", tower=e.tower), QQ_TOWER)
+    return exact._norm(UniPoly([-e, e.tower.one()], var="y", tower=e.tower))
 
 
 def sympy_coeffs(sp, expr, var, d):
@@ -497,8 +531,8 @@ def test_two_level_product_matches_sympy_reduction(sp, low0, low1, entries):
 def test_value_charpoly_matches_sympy_resultant(sp, data, rational):
     # the characteristic polynomial of e is the norm of y - e, which is
     # Res_x(m(x), y - e(x)) for the monic modulus m; a rational element
-    # gives (y - e0)^d.  The norm is linear algebra, so the modulus need
-    # not be irreducible.
+    # gives (y - e0)^d.  The norm is a resultant over Q, so the modulus
+    # need not be irreducible.
     low, coords = data
     if rational:
         coords = coords[:1] + [Q(0)] * (len(coords) - 1)
@@ -508,6 +542,150 @@ def test_value_charpoly_matches_sympy_resultant(sp, data, rational):
     want = sp.resultant(sympy_expr(sp, list(low) + [Q(1)], x), y - sympy_expr(sp, coords, x), x)
     assert list(value_charpoly(e).coeffs) == sympy_coeffs(sp, want, y, 0)
 
+
+
+# ---------------------------------------------------------------------------
+# Trager's norm: resultants by Euclid against sympy and Gaussian elimination
+# ---------------------------------------------------------------------------
+
+def root_2_tower(levels):
+    """Q(2^(1/2), 2^(1/4), ...) with ``levels`` levels, t0^2 = 2 and
+    t_k^2 = t_(k-1), each certified on adjoining."""
+    tower, root = certified_level(-2, 0, 1)
+    for _ in range(levels - 1):
+        tower, root = adjoin_root(tower, quadratic_over(tower, 0, -root))
+    return tower
+
+
+TOWERS = {n: root_2_tower(n) for n in (1, 2, 3)}
+SQRT2 = TOWERS[1]
+
+
+def poly_over(tower, coords):
+    """A UniPoly in x over the one-level ``tower`` from coordinate pairs
+    (a, b) meaning a + b t0."""
+    return UniPoly([ExtElem(tower, tuple(exact._canon(Q(c)) for c in pair)) for pair in coords], tower=tower)
+
+
+def sympy_res_x(sp, f, g, x):
+    """Res(f, g) by sympy's ``resultant`` with the operands ordered by
+    degree, Res(f, g) = (-1)^(deg f deg g) Res(g, f): for deg f < deg g it
+    gives Res(g, f) instead (sympy 1.14: -1 on x + 1 and x^3 + 2, whose
+    Sylvester determinant is 1)."""
+    m, n = sp.degree(f, x), sp.degree(g, x)
+    if m >= n:
+        return sp.resultant(f, g, x)
+    return (-1) ** (m * n) * sp.resultant(g, f, x)
+
+
+polys_over_q = st.lists(fractions, max_size=5)
+polys_over_sqrt2 = st.lists(st.tuples(fractions, fractions), max_size=4)
+
+
+@FIELD_SETTINGS
+@given(polys_over_q.filter(any), polys_over_q)
+def test_field_resultant_matches_sympy_over_q(sp, f, g):
+    x = sp.Symbol("x")
+    want = sympy_res_x(sp, sympy_expr(sp, f, x), sympy_expr(sp, g, x), x)
+    assert exact._field_resultant(UniPoly(f), UniPoly(g)) == Q(int(want.p), int(want.q))
+
+
+@FIELD_SETTINGS
+@given(polys_over_sqrt2.filter(lambda f: any(map(any, f))), polys_over_sqrt2)
+def test_field_resultant_matches_sympy_over_sqrt2(sp, f, g):
+    # the resultant is a polynomial in the coefficients, so it commutes
+    # with sending the symbol s to t0: reduce sympy's mod s^2 - 2
+    x, r2 = sp.symbols("x s")
+
+    def expr(coords):
+        return sum(sympy_expr(sp, pair, r2) * x**i for i, pair in enumerate(coords))
+
+    want = sp.rem(sp.expand(sympy_res_x(sp, expr(f), expr(g), x)), r2**2 - 2, r2)
+    got = exact._field_resultant(poly_over(SQRT2, f), poly_over(SQRT2, g))
+    assert SQRT2.coerce(got).rep == tuple(sympy_coeffs(sp, want, r2, 2))
+
+
+@pytest.mark.parametrize("f, g, want", [
+    ([1, 0, 1], [], 0),  # g = 0
+    ([1, 0, 1], [3], 9),  # a constant g: 3^deg f
+    ([1, 1, 0, 1], [0, 1], -1),  # odd x odd: the sign flips
+    ([1, 1, 0, 1], [-2, 0, 0, 1], -29),
+    ([-2, 0, 0, 1], [1, 1, 0, 1], 29),
+    ([1, 1, 0, 1], [-2, 0, 1], -17),
+    ([-2, 0, 1], [1, 1, 0, 1], -17),  # deg f < deg g
+    ([1, 1], [2, 0, 0, 1], 1),  # (x^3 + 2)(-1)
+    ([-1, 0, 1], [1, 1], 0),  # a common factor x + 1
+])
+def test_field_resultant_edge_cases(f, g, want):
+    assert exact._field_resultant(UniPoly(f), UniPoly(g)) == want
+
+
+def ref_field_det(rows):
+    """The determinant of a square matrix over Q or over a tower by
+    Gaussian elimination."""
+    m = [list(row) for row in rows]
+    det = 1
+    for k in range(len(m)):
+        pivot = next((i for i in range(k, len(m)) if not exact.f_is_zero(m[i][k])), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det = det * m[k][k]
+        inv = exact.f_inv(m[k][k])
+        for row in m[k + 1:]:
+            f = row[k] * inv
+            for j in range(k + 1, len(m)):
+                row[j] = row[j] - f * m[k][j]
+    return det
+
+
+def ref_norm(h, base):
+    """N_{K/K'}(h) by its definition: its value at x is the determinant of
+    multiplication by h(x) on K over K' = ``base``, whose columns are the
+    coordinates of h(x) t^j, and the values are interpolated by Lagrange."""
+    tower = h.tower
+    d = tower.levels[-1].degree
+    t = tower.generator(len(base.levels))
+    over = None if base.is_trivial() else base
+    nodes = list(range(h.degree() * d + 1))
+    out = UniPoly([], var=h.var, tower=over)
+    for x in nodes:
+        a = tower.zero()
+        for c in reversed(h.coeffs):
+            a = a * x + c
+        cols = []
+        for _ in range(d):
+            cols.append([c if over is None else ExtElem(over, c) for c in a.rep])
+            a = a * t
+        basis = UniPoly([exact.field_one(over)], var=h.var, tower=over)
+        for y in nodes:
+            if y != x:
+                basis = basis * UniPoly([Q(-y, x - y), Q(1, x - y)], var=h.var)
+        out = out + basis * ref_field_det(cols)
+    return out
+
+
+@pytest.mark.parametrize("levels", sorted(TOWERS))
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(degree=st.integers(1, 2), data=st.data())
+def test_norm_matches_gaussian_elimination(levels, degree, data):
+    # the norm over the tower below the top level, as a resultant with the
+    # top modulus, against the determinant of multiplication
+    tower = TOWERS[levels]
+    base = Tower(tower.levels[:-1])
+    size = tower.degree()
+    gens = [tower.generator(i) for i in range(levels)]
+    basis = [tower.one()]
+    for g, lv in zip(gens, tower.levels):
+        basis = [b * g**k for k in range(lv.degree) for b in basis]
+    coeffs = []
+    for _ in range(degree):
+        drawn = data.draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+        coeffs.append(sum((c * b for c, b in zip(drawn, basis)), tower.zero()))
+    h = UniPoly(coeffs + [tower.one()], tower=tower)
+    assert exact._norm(h) == ref_norm(h, base)
 
 
 def test_value_charpoly_at_degree_16_needs_no_stride():
