@@ -19,12 +19,15 @@ from typing import Optional
 from .branching import Caps, DEFAULT_CAPS, MultiplicityResult, Reason, _linear_part_count, multiplicity_at
 from .darboux import DarbouxCertificate, verify_darboux
 from .exact import (
+    DEFAULT_FACTOR_CAP,
     Q,
     QQ_TOWER,
     UniPoly,
     _int_derivative,
     _int_poly_prem,
+    _int_yun,
     _primitive_int_coeffs,
+    _split_rational_roots,
     adjoin_root,
     as_fraction,
     factor_univariate,
@@ -135,13 +138,24 @@ def p_at_axis(sys: OdeSystem) -> UniPoly:
 def axis_singular_points(sys: OdeSystem):
     """{infinity} plus the roots of P(0,w): rational roots exactly, irrational
     ones via their irreducible factors; also returns k (distinct roots), the
-    sum of the factors' degrees."""
+    degree of P(0, w)'s squarefree part.
+
+    Above the default factor cap the rational roots are split off first, as
+    ``factor_roots`` does, and a rest still above the cap is one "capped"
+    entry, weighted by its distinct roots."""
     _require_axis(sys)
     p0 = p_at_axis(sys)
     if p0.is_zero():
         raise BoundsError("axis is not isolated: P(0,w) vanishes identically")
     points = [("inf", None, 1)]
     k = 0
+    if p0.degree() > DEFAULT_FACTOR_CAP:
+        linear, p0 = _split_rational_roots(p0)
+        k = len(linear)
+        points += [("rational", -as_fraction(fac.coeffs[0]), 1) for fac, _ in linear]
+        if p0.degree() > DEFAULT_FACTOR_CAP:
+            distinct = sum(len(f) - 1 for f, _ in _int_yun(_primitive_int_coeffs(p0)))
+            return points + [("capped", p0.monic(), distinct)], k + distinct
     if p0.degree() > 0:
         for fac in factor_univariate(p0):
             k += fac.poly.degree()
@@ -254,6 +268,9 @@ def axis_multiplicity_bound(sys: OdeSystem, caps: Caps = DEFAULT_CAPS, known=Non
     for kind, value, weight in point_entries:
         if kind == "algebraic":
             entry = _mul_at_algebraic_point(sys, value, caps, rows)
+        elif kind == "capped":
+            capped = MultiplicityResult(status="capped", lower_bound=0, diagnostics=("factor-cap",))
+            entry = AxisPoint("root of %s" % value, weight, capped)
         else:
             label = "inf" if kind == "inf" else str(value)
             mul = known.get(label)

@@ -221,11 +221,17 @@ def _cmd_analyze(args) -> int:
     detection = detect_invariant_lines(system)
     report["invariant_lines"] = detection.to_report()
     results = [origin, at_inf, detection]
+    search_degree = args.max_degree
     if source.axis:
         # the bound's summands labelled "0" and "inf" are these two points
         bound = axis_multiplicity_bound(system, caps, {"0": origin, "inf": at_inf})
         report["bounds"] = bound.to_report()
         results.append(bound)
+        if bound.sum_bound == 0:
+            # no strict curve: an irreducible invariant curve lies in one
+            # variable, so it divides a side's content, which degree 1
+            # certifies
+            search_degree = min(search_degree, 1)
     else:
         for cert in detection.lines:
             f = cert.f
@@ -238,7 +244,7 @@ def _cmd_analyze(args) -> int:
             report["bounds_line"] = [str(x) for x in line]
             results.append(bound)
             break
-    outcome = search_darboux(system, args.max_degree, detection)
+    outcome = search_darboux(system, search_degree, detection)
     report["darboux"] = outcome.to_report()
     return _emit(args, report, *results, outcome)
 

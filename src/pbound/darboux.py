@@ -13,7 +13,10 @@ a one-parameter family.  From degree 2 up, the search builds the extactic
 determinant E_n of the monomial basis under X (invariant curves of degree
 <= n divide it when it is nonzero), peels off the known factors, extracts
 the invariant core of the rest by iterated gcd with its own derivative
-along X, and confirms every candidate factor by exact division.
+along X, and confirms every candidate factor by exact division.  A degree
+at or above that of a rational first integral, which an integer relation
+among the certified curves' cofactors gives, is identically zero without
+a determinant.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from .exact import (
     Tower,
     UniPoly,
     _canon,
+    _int_poly_mul,
+    _int_poly_sub,
     _level_modulus,
     _rows_content,
     _sylvester_resultant,
@@ -40,6 +45,7 @@ from .exact import (
     field_zero,
     factor_roots,
     factor_univariate,
+    int_echelon,
     is_rational_value,
     packed_det,
     sort_key,
@@ -511,11 +517,33 @@ def _eval_sr(p: BiPoly, s_val, r_val) -> bool:
 
 
 def _resultant_r(a: BiPoly, b: BiPoly) -> Optional[UniPoly]:
-    """Sylvester resultant eliminating r; a UniPoly in s."""
+    """The resultant eliminating r, a UniPoly in s: the Sylvester one, and
+    for a = a1 r + a0 its closed form a1^n b(-a0/a1), n = deg_r b, which
+    is the homogeneous sum of b_j (-a0)^j a1^(n - j), taken by Horner on
+    int lists: with la a and lb b integral it is la^n lb times the
+    resultant."""
     m, n = a.w_degree(), b.w_degree()
     if m < 0 or n < 0 or m + n == 0:
         return None
-    return _sylvester_resultant(a.terms, b.terms, "z")
+    if m != 1:
+        return _sylvester_resultant(a.terms, b.terms, "z")
+    (la, (a0, a1)), (lb, rows) = _r_rows(a), _r_rows(b)
+    out, power = rows[n], a1
+    for j in range(n - 1, -1, -1):
+        out = _int_poly_sub(_int_poly_mul(rows[j], power), _int_poly_mul(out, a0))
+        power = _int_poly_mul(power, a1)
+    scale = la**n * lb
+    return UniPoly([_over(c, scale) for c in out], var="z")
+
+
+def _r_rows(p: BiPoly):
+    """(l, rows): l the lcm of p's denominators, and the coefficients of
+    l p in r, ascending, as dense int lists in s."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    rows = [[0] * (int(p.z_degree()) + 1) for _ in range(p.w_degree() + 1)]
+    for (se, we), c in p.terms.items():
+        rows[we][int(se)] = c.numerator * (den // c.denominator)
+    return den, rows
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +674,9 @@ def search_darboux(
 
     ``detection`` is the system's ``detect_invariant_lines``, computed here
     when not given; it decides degree 1 (``_degree_one``), so the first
-    determinant is E_2.  E_n is needed only up to a constant, so its primitive
+    determinant is E_2, and none is built at a degree that
+    ``_first_integral_degree`` of the certificates so far already decides.
+    E_n is needed only up to a constant, so its primitive
     integer part is peeled before it goes to ``invariant_core``, which
     normalizes the core its candidates come from: z^a w^b by subtracting the
     least exponents (``_peel_axes``), then every other known factor by
@@ -672,10 +702,11 @@ def search_darboux(
             notes.append("degree %d skipped: determinant dimension %d exceeds cap %d" % (n, size, DIM_CAP))
             partial = True
             break
-        if dicritical:
+        if dicritical or n >= _first_integral_degree(certs):
             # Along a trajectory E_n is the Wronskian of the degree-<=n
             # monomials; once those of degree <= n - 1 are dependent along
-            # every trajectory (E_{n-1} == 0), so are these: E_n == 0.
+            # every trajectory (E_{n-1} == 0), so are these: E_n == 0.  A
+            # first integral of degree <= n makes them dependent as well.
             dicritical.append(n)
             continue
         e = extactic_determinant(sys, n)
@@ -722,6 +753,43 @@ def search_darboux(
         notes=tuple(notes),
         partial=partial,
     )
+
+
+def _first_integral_degree(certs):
+    """The least degree d of a rational first integral that the cofactors
+    of ``certs`` give, or inf: d = max(deg A, deg B) over the kernel basis
+    (``int_echelon``) of the cofactor matrix, with one row per monomial and
+    one column per certificate over Q that is certified irreducible and
+    unlike the ones before it.
+
+    X(f_i) = k_i f_i, so a kernel vector v makes F = prod f_i^(v_i) = A / B,
+    A over v_i > 0 and B over v_i < 0, a first integral: X(F) = F sum v_i
+    k_i = 0.  Distinct irreducible f_i make A and B coprime and F
+    nonconstant.  Then each A - c B is a nonzero invariant polynomial of
+    degree <= d, and one of them vanishes along each trajectory where B !=
+    0, so there the monomials of degree <= n >= d are dependent: E_n, their
+    Wronskian along it, vanishes on a dense set, so identically."""
+    cols, seen = [], set()
+    for cert in certs:
+        if not (cert.irreducible and cert.certified) or _int_terms(cert.f) is None:
+            continue
+        key = frozenset(_primitive_int(cert.f).terms.items())
+        if key not in seen and _int_terms(cert.cofactor) is not None:
+            seen.add(key)
+            cols.append(cert)
+    rows = {}
+    for j, cert in enumerate(cols):
+        for key, c in cert.cofactor.terms.items():
+            rows.setdefault(key, [0] * len(cols))[j] = c
+    int_rows = []
+    for row in rows.values():
+        den = math.lcm(*(c.denominator for c in row))
+        int_rows.append([c.numerator * (den // c.denominator) for c in row])
+    best = math.inf
+    for v in int_echelon(int_rows, len(cols)).kernel:
+        degrees = [x * cert.degree() for x, cert in zip(v, cols)]
+        best = min(best, max(sum(d for d in degrees if d > 0), -sum(d for d in degrees if d < 0)))
+    return best
 
 
 def _degree_one(sys: OdeSystem, detection: LineDetection, certs, notes) -> bool:

@@ -521,15 +521,16 @@ class ExtElem:
         return self.inverse() * other
 
     def __pow__(self, n: int):
+        """self^n by squaring from the top bit: x**2 is one product."""
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.tower.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        if n == 0:
+            return self.tower.one()
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other):
@@ -654,33 +655,75 @@ def _int_divexact(a: int, b: int) -> int:
     return q
 
 
-def bareiss_det(mat):
-    """Fraction-free determinant of a square integer matrix (Bareiss).
+class Echelon(NamedTuple):
+    """What ``int_echelon`` finds of an integer matrix."""
 
-    Each Sylvester numerator is divided by the previous pivot with
-    ``_int_divexact``, which raises on a remainder."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+    rank: int
+    pivots: tuple  # the pivot column of each echelon row, ascending
+    det: Optional[int]  # the determinant of a square input, else None
+    kernel: list  # a basis of the kernel over Q, of primitive integer vectors
+
+
+def int_echelon(rows, width=None) -> Echelon:
+    """Fraction-free Gauss-Bareiss elimination of an integer matrix, given
+    as its rows, ``width`` columns wide (the length of the first row when
+    None, so a matrix without rows needs it).
+
+    Column by column, the first row at or below the current one with a
+    nonzero entry there is swapped up as the pivot row; a column without one
+    is free.  Each Sylvester numerator below the pivot is divided by the
+    previous pivot with ``_int_divexact``, which raises on a remainder, so
+    every entry stays a minor of the input and the last pivot D is the
+    pivot rows' minor on the pivot columns.  A square input's determinant is
+    that last pivot with the swaps' sign when every column has a pivot, and
+    0 otherwise.  For each free column f, back substitution on the echelon
+    rows with x_f = D and the other free entries 0 gives the kernel vector
+    whose pivot entries are, by Cramer's rule, integers; it is divided by
+    its content and signed so that x_f > 0."""
+    m = [row[:] for row in rows]
+    n = len(m)
+    if width is None:
+        width = len(m[0]) if m else 0
+    sign = prev = 1
+    pivots = []
+    for j in range(width):
+        r = len(pivots)
+        if r == n:
+            break
+        if not m[r][j]:
+            swap = next((i for i in range(r + 1, n) if m[i][j]), None)
             if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
+                continue
+            m[r], m[swap] = m[swap], m[r]
             sign = -sign
-        top = m[k]
-        pivot = top[k]
-        for row in m[k + 1 :]:
-            a = row[k]
-            for j in range(k + 1, n):
-                row[j] = _int_divexact(pivot * row[j] - a * top[j], prev)
+        top = m[r]
+        pivot = top[j]
+        for row in m[r + 1 :]:
+            a = row[j]
+            for c in range(j + 1, width):
+                row[c] = _int_divexact(pivot * row[c] - a * top[c], prev)
         prev = pivot
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+        pivots.append(j)
+    rank = len(pivots)
+    det = None
+    if n == width:
+        det = (prev if sign > 0 else -prev) if rank == n else 0
+    kernel = []
+    for f in (j for j in range(width) if j not in pivots):
+        x = [0] * width
+        x[f] = prev
+        for i in range(rank - 1, -1, -1):
+            p, row = pivots[i], m[i]
+            x[p] = _int_divexact(-sum(row[c] * x[c] for c in range(p + 1, width) if x[c]), row[p])
+        g = math.gcd(*x) if prev > 0 else -math.gcd(*x)
+        kernel.append([v // g for v in x])
+    return Echelon(rank, tuple(pivots), det, kernel)
+
+
+def bareiss_det(mat):
+    """Fraction-free determinant of a square integer matrix: the ``det`` of
+    ``int_echelon``."""
+    return int_echelon(mat, len(mat)).det
 
 
 def packed_det(rows):
@@ -1701,8 +1744,7 @@ def _field_resultant(f, g):
     """Res(f, g) of UniPolys over one field by Euclid: Res(f, g) =
     (-1)^(deg f deg g) lc(g)^(deg f - deg r) Res(g, r) for r = f mod g,
     down to Res(f, c) = c^(deg f) for a constant c; 0 when f and g share
-    a factor or either is 0.  The powers are taken by repeated products
-    on an int 1, which a tower element scales cheaply."""
+    a factor or either is 0."""
     out = 1
     while g.degree() > 0:
         r = f % g
@@ -1710,14 +1752,11 @@ def _field_resultant(f, g):
             return field_zero(f.tower)
         if f.degree() * g.degree() % 2:
             out = -out
-        for _ in range(f.degree() - r.degree()):
-            out = g.leading() * out
+        out = g.leading() ** (f.degree() - r.degree()) * out
         f, g = g, r
     if f.is_zero() or g.is_zero():
         return field_zero(f.tower)
-    for _ in range(f.degree()):
-        out = g.leading() * out
-    return out
+    return g.leading() ** f.degree() * out
 
 
 def _horner(coeffs, shifts, zero):

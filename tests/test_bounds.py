@@ -16,7 +16,7 @@ from pbound.bounds import (
     line_transform,
     p_at_axis,
 )
-from pbound.branching import DEFAULT_CAPS, Caps, multiplicity_at
+from pbound.branching import DEFAULT_CAPS, Caps, Reason, multiplicity_at
 from pbound.exact import QQ_TOWER, UniPoly, _primitive_int_coeffs, adjoin_root
 from pbound.polyode import BiPoly, OdeError, OdeSystem, bipoly_str, make_system, transform_point
 from pbound.sysparse import multiplicity_report, parse_system
@@ -94,6 +94,45 @@ def test_axis_k_is_the_degree_of_the_squarefree_part(factors, z_term):
     points, k = axis_singular_points(sys)
     assert k == sum(f.degree() for f, _ in p_at_axis(sys).squarefree_decomposition())
     assert k == sum(weight for kind, _, weight in points if kind != "inf")
+
+
+@pytest.mark.parametrize(
+    "roots, rest, power, capped",
+    [
+        ([], [2, 0, 0, 0, 0, 0, 0, 0, 0, 1], 1, True),  # w^9 + 2: no rational root
+        ([(1, 2), (Q(-1, 2), 1)], [2, 0, 0, 0, 0, 0, 0, 0, 0, 1], 1, True),  # and a double root 1
+        ([(-1, 1)], [2, 0, 0, 0, 0, 0, 0, 0, 0, 1], 1, True),
+        ([(1, 1)], [1, 1, 1, 1, 1, 1, 1, 1, 1], 1, False),  # w^9 - 1: the rest is at the cap
+        ([(2, 3)], [5, 0, 0, 0, 0, 1], 1, False),  # degree 8 with a triple root 2
+        ([], [2, 0, 1, 0, 0, 0, 0, 0, 0, 1], 2, True),  # squared: 9 distinct roots of degree 18
+    ],
+    ids=["no-rational-root", "double-root", "one-root", "w^9-1", "at-the-cap", "not-squarefree"],
+)
+def test_axis_points_above_the_factor_cap(roots, rest, power, capped):
+    # rational roots are split off first, as factor_roots does; a rest still
+    # above the cap is one "capped" entry, weighted by its distinct roots,
+    # and k is the degree of P(0, w)'s squarefree part either way
+    p0 = UniPoly([1], var="w")
+    for _ in range(power):
+        p0 = p0 * UniPoly(rest, var="w")
+    for root, mult in roots:
+        for _ in range(mult):
+            p0 = p0 * UniPoly([-Q(root), 1], var="w")
+    terms = {(0, j): c for j, c in enumerate(p0.coeffs)}
+    terms[(1, 0)] = 1
+    sys = make_system(BiPoly(terms), bp({(1, 0): 1}))
+    points, k = axis_singular_points(sys)
+    assert k == sum(f.degree() for f, _ in p0.squarefree_decomposition())
+    assert k == sum(weight for kind, _, weight in points if kind != "inf")
+    assert sorted(v for kind, v, _ in points if kind == "rational") == sorted({Q(r) for r, _ in roots})
+    assert ("capped" in [kind for kind, _, _ in points]) == capped
+    bound = axis_multiplicity_bound(sys)
+    if capped:
+        entry = bound.points[-1]
+        assert (entry.mul.status, entry.mul.lower_bound, entry.mul.diagnostics) == ("capped", 0, ("factor-cap",))
+        assert entry.reasons == (Reason("capped", "bound", entry.label),)
+        # a lower bound, unless a critical point blocks the sum
+        assert bound.sum_bound is None and (bound.sum_lower_bound is None) == (bound.blocked_by is not None)
 
 
 def test_axis_points_no_roots():

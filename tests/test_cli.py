@@ -453,10 +453,31 @@ def test_text_output(capsys):
 
 
 def test_exact_arithmetic_cap_is_inconclusive_not_a_crash(capsys):
-    # P(0, w) = w^9 + 2 has degree 9, over the factor cap of 8
+    # P(0, w) = w^9 + 2 has degree 9, over the factor cap of 8, and no
+    # rational root: one capped summand for its 9 roots, and a lower bound
     code, data = run_json(capsys, ["bound", "--system", "dw/dz = (w^9 + z + 2) / (z)"])
     assert code == 3
-    assert data == {"error": {"type": "ExactError", "message": "factor cap exceeded"}}
+    bounds = data["bounds"]
+    assert bounds["k"] == 9 and bounds["sum_bound"] is None and bounds["sum_lower_bound"] == 0
+    assert bounds["summands"][1] == {"point": "root of w^9 + 2", "weight": 9, "status": "capped", "mul_lower_bound": 0}
+    # w^9 - 1 gives its root 1 first; the rest w^8 + ... + 1 is at the cap
+    # and factors as (w^2 + w + 1)(w^6 + w^3 + 1)
+    code, data = run_json(capsys, ["bound", "--system", "dw/dz = (w^9 + z - 1) / (z)"])
+    assert code == 0
+    assert [s["point"] for s in data["bounds"]["summands"]] == [
+        "inf", "1", "root of w^2 + w + 1", "root of w^6 + w^3 + 1"
+    ]
+    assert (data["bounds"]["k"], data["bounds"]["sum_bound"]) == (9, 8)
+
+
+def test_analyze_stops_at_degree_one_where_no_strict_curve_exists(capsys):
+    # LV(-1,5,0) has sum_bound 0: no strict curve, so the search ends at
+    # degree 1, complete, where a degree-3 search was partial
+    code, data = run_json(capsys, ["analyze", "--system", LV, "--max-degree", "3"])
+    assert code == 0
+    assert data["bounds"]["sum_bound"] == 0
+    assert data["darboux"]["partial"] is False and data["darboux"]["notes"] == []
+    assert [c["poly"] for c in data["darboux"]["certificates"]] == ["w", "z", "z - 1"]
 
 
 TALL = (

@@ -931,6 +931,32 @@ def test_resultant_r_matches_sympy_resultant(sp, sys):
     }
 
 
+def linear_and_other_conditions():
+    """Derandomized pairs (a, b) of conditions in (s, r), s on the z-slot:
+    a of degree 1 in r, b of degree 0 to 4, integral or with denominators."""
+    rng = random.Random(47)
+    coeff = lambda: rng.choice((0, 1, -1, 2, -3, 5, Q(1, 2), Q(-2, 3)))
+    out = []
+    for _ in range(40):
+        a = {(i, j): coeff() for i in range(rng.randint(1, 3)) for j in (0, 1)}
+        a[(rng.randint(0, 2), 1)] = rng.choice((1, -2, Q(3, 4)))
+        b = {(i, j): coeff() for i in range(rng.randint(1, 4)) for j in range(rng.randint(1, 5))}
+        out.append((BiPoly(a), BiPoly(b)))
+    return out
+
+
+def test_resultant_of_a_linear_condition_matches_sylvester():
+    # a1^n b(-a0/a1), the closed form for a linear base, is the Sylvester
+    # determinant exactly: sign, scale and canonical int coefficients
+    pairs = linear_and_other_conditions()
+    for a, b in pairs:
+        assert a.w_degree() == 1
+        got = darboux._resultant_r(a, b)
+        want = exact._sylvester_resultant(a.terms, b.terms, "z") if b.terms else None
+        assert got == want and [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs], (a, b)
+    assert any(b.w_degree() == 0 for _, b in pairs) and any(b.w_degree() >= 3 for _, b in pairs)
+
+
 @DET_SETTINGS
 @given(quadratic_systems())
 def test_extactic_degree_one_matches_sympy(sp, sys):

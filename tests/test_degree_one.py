@@ -193,9 +193,12 @@ def test_e1_vanishes_exactly_on_a_line_family_on_census_style_systems_and_probes
     assert any(flags) and not all(flags)
 
 
+LV_SPECIAL = lv_system(Q(-1), Q(0), Q(0))
+
+
 @pytest.mark.parametrize(
     "sys",
-    [lv_system(Q(-1), Q(0), Q(0)), lv_system(Q(-1), Q(5), Q(0)), saddle_line_system(), parse_system(HAMILTONIAN)[0]]
+    [LV_SPECIAL, lv_system(Q(-1), Q(5), Q(0)), saddle_line_system(), parse_system(HAMILTONIAN)[0]]
     + census_style_systems(46, 3),
 )
 def test_the_search_never_builds_e1(monkeypatch, sys):
@@ -208,8 +211,11 @@ def test_the_search_never_builds_e1(monkeypatch, sys):
 
     monkeypatch.setattr(darboux, "extactic_determinant", spy)
     out = search_darboux(sys, 2)
-    assert calls == [2]
+    assert 1 not in calls
     assert 1 not in out.dicritical_degrees
+    if sys is LV_SPECIAL:
+        # its lines' first integral w z / (w - z + 1) decides E_2 = 0
+        assert calls == [] and out.dicritical_degrees == (2,)
 
 
 def test_a_large_e1_residual_no_longer_makes_degree_one_partial():

@@ -1911,3 +1911,104 @@ def test_zero_divisor_over_presumed_tower_splits_like_reference_euclid():
             e.inverse()
         assert want.value.level == 0
         assert {want.value.g, want.value.h} == factors
+
+
+# ---------------------------------------------------------------------------
+# powers of a tower element
+# ---------------------------------------------------------------------------
+
+@FIELD_SETTINGS
+@given(st.sampled_from((1, 2, 3)), st.data())
+def test_pow_matches_repeated_products(levels, data):
+    t = TOWERS[levels]
+    x = ExtElem(t, random_rep(data.draw, t.levels))
+    assume(not x.is_zero())
+    want = t.one()
+    for n in range(7):
+        assert (x**n).rep == want.rep
+        want = want * x
+    inverse = x.inverse()
+    for n in range(1, 4):
+        assert (x**-n).rep == (inverse**n).rep
+        assert (x**-n * x**n).rep == t.one().rep
+
+
+def test_square_is_one_tower_product(monkeypatch):
+    t = TOWERS[2]
+    x = t.generator(1) + t.generator(0) + 1
+    calls = []
+    real = exact._mul
+    # the products of the top level; each reduces through the levels below
+    monkeypatch.setattr(
+        exact, "_mul", lambda levels, a, b: calls.append(len(levels)) or real(levels, a, b)
+    )
+    x**2
+    assert calls.count(2) == 1
+    calls.clear()
+    x**5  # squarings of x and x^2, and the product by x for the last bit
+    assert calls.count(2) == 3
+
+
+# ---------------------------------------------------------------------------
+# fraction-free elimination: rank, pivots, determinant and kernel
+# ---------------------------------------------------------------------------
+
+def echelon_matrices():
+    """Derandomized integer matrices: full rank, rank-deficient (a row a
+    combination of two others), with a zero column, 0 x n and 1 x 1."""
+    rng = random.Random(26)
+    out = [[], [[0]], [[7]], [[-3, 0, 5]], [[0, 0], [0, 0]]]
+    for _ in range(60):
+        n, width = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[rng.choice((0, 0, 1, -1, 2, -3, 5, 12)) for _ in range(width)] for _ in range(n)]
+        if n >= 3 and rng.random() < 0.5:
+            rows[-1] = [3 * a - 2 * b for a, b in zip(rows[0], rows[1])]
+        if rng.random() < 0.3:
+            j = rng.randrange(width)
+            for row in rows:
+                row[j] = 0
+        out.append(rows)
+    return out
+
+
+ECHELON_MATRICES = echelon_matrices()
+
+
+@pytest.mark.parametrize("rows", ECHELON_MATRICES)
+def test_int_echelon_matches_sympy(sp, rows):
+    width = len(rows[0]) if rows else 4
+    got = exact.int_echelon(rows, width)
+    matrix = sp.Matrix(rows) if rows else sp.zeros(0, width)
+    assert got.rank == matrix.rank()
+    assert got.pivots == tuple(sorted(got.pivots)) and len(got.pivots) == got.rank
+    if rows:
+        # the pivot columns are those of the reduced row echelon form
+        assert got.pivots == matrix.rref()[1]
+    want = matrix.nullspace()
+    assert len(got.kernel) == len(want) == width - got.rank
+    for v in got.kernel:
+        assert math.gcd(*v) == 1
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+    if got.kernel:
+        assert sp.Matrix(got.kernel).rank() == len(got.kernel)
+    if len(rows) == width:
+        assert got.det == matrix.det() == exact.bareiss_det(rows)
+    else:
+        assert got.det is None
+
+
+def test_int_echelon_with_a_zero_column_and_no_rows():
+    got = exact.int_echelon([[0, 2, 4], [0, 1, 2]])
+    assert (got.rank, got.pivots, got.det) == (1, (1,), None)
+    assert got.kernel == [[1, 0, 0], [0, -2, 1]]
+    got = exact.int_echelon([], 3)
+    assert (got.rank, got.pivots, got.det) == (0, (), None)
+    assert got.kernel == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert exact.int_echelon([], 0).det == exact.bareiss_det([]) == 1
+
+
+def test_bareiss_det_keeps_the_first_nonzero_pivot():
+    # column 0 is zero in row 0: row 1 is the first nonzero entry below, a
+    # swap, and every quotient goes through _int_divexact
+    assert exact.bareiss_det([[0, 1, 2], [3, 4, 5], [6, 7, 9]]) == -3
+    assert exact.bareiss_det([[0, 0], [0, 5]]) == 0

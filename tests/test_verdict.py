@@ -105,7 +105,7 @@ TEN_SLOPES = "dz/dt = w^9; dw/dt = 2*z^9"
 EXIT_3_QUERIES = [
     ["mul", "--system", EX45, "--at", "0,0", "--caps", "depth=1"],
     ["mul", "--system", EX45, "--at", "0,0", "--caps", "depth=1,ram=8"],
-    ["bound", "--system", "dw/dz = (w^9 + z + 2) / (z)"],  # an ExactError, exit 3 without a report
+    ["bound", "--system", "dw/dz = (w^9 + z + 2) / (z)"],  # a factor-capped summand and a sum_lower_bound
     ["bound", "--system", "dw/dz = (w^3 + z*w - 2) / (z*w + z)", "--caps", "tower=2"],
     ["darboux", "--system", "dz/dt = z^3 + 2; dw/dt = w", "--max-degree", "3"],
     ["mul", "--system", EX45_M0, "--at", "0,0", "--caps", "depth=0"],
@@ -121,7 +121,6 @@ EXIT_3_QUERIES = [
     ["bound", "--system", CUBIC, "--caps", "tower=4"],
     ["analyze", "--system", CUBIC, "--max-degree", "1", "--caps", "tower=4"],
     ["lv", "--params", "-1,5,0", "--triple", "--caps", "depth=0"],
-    ["analyze", "--system", LV, "--max-degree", "3"],
     ["darboux", "--system", "dw/dz = (2*z^3 + z^2*w + 4*z*w^2 - w^3 + w^2 + 2) / (-4*z)", "--max-degree", "2"],
     # the slope polynomial s^10 - 2, with no rational root, is past the
     # factor cap: a noted line detection, and a bound that has no line to take
@@ -133,6 +132,18 @@ EXIT_3_QUERIES = [
 @pytest.mark.parametrize("argv", EXIT_3_QUERIES, ids=lambda argv: " ".join(argv[:1] + argv[2:]))
 def test_exit_code_is_the_walk_on_the_exit_3_examples(argv):
     assert assert_verdict(argv) == 3
+
+
+EXIT_0_QUERIES = [
+    # sum_bound 0: the search stops at degree 1, complete (a degree-3 search
+    # was partial, exit 3)
+    ["analyze", "--system", LV, "--max-degree", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", EXIT_0_QUERIES, ids=lambda argv: " ".join(argv[:1] + argv[2:]))
+def test_exit_code_is_the_walk_on_the_exit_0_examples(argv):
+    assert assert_verdict(argv) == 0
 
 
 # ---------------------------------------------------------------------------
