@@ -35,7 +35,12 @@ degree d.  Every adjoined level is certified irreducible
 be certified is a capped leaf (``irreducibility-cap``).  Every number of a
 node, its pair and its prefix, lives in the node's tower: both move
 together (``_moved``) when a step adjoins a level, so a leaf's tower is its
-branch's.
+branch's.  Nor is a ramification orbit, the branches that z^(1/n) -> zeta
+z^(1/n) permutes, extended more than once, nor in a tower where Q will do:
+a leaf over one level t0^d = v0 with d | n walks over Q in the rational
+frame z = t0^(-n) z' (``_rational_frame``), and a leaf whose pair is the
+t -> -t image of an extended leaf's, t = z^(1/n), takes that extension
+(``_orbit_extension``).
 """
 
 from __future__ import annotations
@@ -118,11 +123,12 @@ class Leaf:
     ``sides`` is the fold walk's pair (p, q, n, tower) at the leaf, where
     ``extend_leaf`` resumes the walk: a positive rational multiple of the
     remainder, which gives the same branches, and over Q and over a
-    one-level tower its content-free integer pair.  At a node of the
-    expansion tree it is complete, as the node's step made it
-    (``_step_sides``), and a capped leaf at the root, which is not
-    extended, keeps the root system's terms; at a node of a resonance walk
-    (``_resolve_resonance``) it is truncated."""
+    one-level tower its content-free integer pair; over a level t0^d = v0
+    with d | n the walk runs on that pair's rational frame over Q
+    (``_rational_frame``).  At a node of the expansion tree it is complete,
+    as the node's step made it (``_step_sides``), and a capped leaf at the
+    root, which is not extended, keeps the root system's terms; at a node
+    of a resonance walk (``_resolve_resonance``) it is truncated."""
 
     terms: tuple  # ((mu, alpha), ...)
     status: str  # "closed" | "exact" | "non-algebraic" | "cap-exceeded"
@@ -452,7 +458,7 @@ class _Expander:
         ``_fold_walk`` says why k0 alone decides.  The nodes of the walk
         carry no pair: a returned leaf gets the sides it stops on."""
         cur = node
-        for sides, step in _fold_walk(sides, node.lam_prev, rho=rho):
+        for sides, step in _fold_walk(sides, node.lam_prev, terms=self.caps.depth, rho=rho):
             if cur.depth - node.depth == self.caps.depth:
                 return self._leaf(cur, "cap-exceeded", sides, ("resonance-cap",))
             if step is None or step[0] > rho:
@@ -631,10 +637,12 @@ def _fold_walk(sides, lam, terms=1, rho=None):
 
     The walk starts at ``sides``, the pair (p, q, n, tower) of a remainder
     after a 1-folded pair: a tree step takes that pair as the walk's first
-    step (``_step_sides``), and a leaf keeps it for ``extend_leaf``.  It runs
-    on those term dicts, on their integer scale N = n; every exponent k0 -
-    y1 a step reads lies in (1/N)Z, so N never grows, and no BiPoly,
-    OdeSystem or Fraction exponent is built between steps.  Weights and the
+    step (``_step_sides``), and a leaf keeps it for ``extend_leaf``, which
+    walks its rational frame over Q instead where it has one
+    (``_rational_frame``).  It runs on those term dicts, on their integer
+    scale N = n; every exponent k0 - y1 a step reads lies in (1/N)Z, so N
+    never grows, and no BiPoly, OdeSystem or Fraction exponent is built
+    between steps.  Weights and the
     bound K are integers on the same scale; a K off the lattice is floored,
     which keeps the same terms.
 
@@ -654,10 +662,10 @@ def _fold_walk(sides, lam, terms=1, rho=None):
     frame of ``sides``: what it reads is exact while k0 <= K, and no term
     above K is formed.
 
-    Extension (``rho`` None) guesses K at the first step, as the k0 of the
-    ``terms``-th term if every step gains as the first.  When P(z, 0) runs
-    out while the current pass dropped terms, K was short.  It rises to the
-    k0 that the terms still missing need if each gains what the steps so
+    The walk guesses K at the first step, as the k0 of the ``terms``-th
+    term if every step gains as the first.  When P(z, 0) runs out while the
+    current pass dropped terms, K was short.  It rises to the k0 that the
+    terms still missing need if each gains what the steps so
     far gained on average, and at least to the least weight dropped.  After
     a pass that found no new step, as on a series that terminates, that
     estimate does not move, so K rises by at least twice its last rise; any
@@ -665,21 +673,28 @@ def _fold_walk(sides, lam, terms=1, rho=None):
     are exact, so the new pass takes the ones already yielded again without
     yielding them.
 
-    A resonance of ratio ``rho`` = p1/q0 > lam (``_closure``) fixes K = y1 +
-    rho.  Substitutions of exponent above lam add to w^1 of P and w^0 of Q
+    A resonance of ratio ``rho`` = p1/q0 > lam (``_closure``) is walked for
+    ``terms`` = caps.depth steps at most (``_resolve_resonance``), none past
+    y1 + rho, so K never exceeds y1 + rho, and no pass breaks off once
+    ``terms`` steps are found: the next node is yielded for its tower only.
+    Substitutions of exponent above lam add to w^1 of P and w^0 of Q
     only above p1 and q0, so c1 = q0 (lam' - rho) at the next exponent
     lam' = k0 - y1.  A support point (x, y) with x >= 2 has y + x lam >=
     y1 + lam (``_fold_step``), so y + x r > y1 + r for every r > lam: no
     vertex at x >= 2 is critical (r its ratio), and lam' decides alone.
     Below rho the step is taken; at rho c1 cancels (alpha None); above rho,
-    which past the first node means that P(z, 0) runs out within K, and
-    where P(z, 0) is zero, (1, y1) is a critical vertex (r = rho).  So K is
-    never raised.
+    which past the first node means that P(z, 0) runs out within K = y1 +
+    rho, and where P(z, 0) is zero, (1, y1) is a critical vertex (r = rho).
+    Where P(z, 0) runs out below y1 + rho in a pass that dropped terms, K
+    rises as in extension, capped at y1 + rho.  A step is exact while k0 <=
+    K, so no decision depends on K.  Cut at y1 + rho, the pair keeps terms
+    that a capped walk never reads: at rho = 19684 it grew to 1793 terms of
+    14 000 bits in 32 steps.
     """
     entry, (n, tower) = sides[:2], sides[2:]
     start = lam.numerator * n // lam.denominator  # n lam, floored
     found = []  # (n lam, lam, alpha) of the steps yielded and taken
-    bound = None  # K on the scale n, set at the first step
+    bound, top = None, math.inf  # K on the scale n, set at the first step, and y1 + rho
     taken, rise = 0, 0  # steps found before this pass, and K's last rise
     while True:
         (p, q), low = entry, None  # low: the least weight dropped in this pass
@@ -688,15 +703,17 @@ def _fold_walk(sides, lam, terms=1, rho=None):
                 nu, mu, alpha = found[i]
             else:
                 prof = coeff_profile(p, q, n, fold=True)
-                if 0 not in prof.p and low is not None and rho is None:
+                if 0 not in prof.p and low is not None and len(found) < terms and bound < top:
                     break
                 prev = found[-1][0] if found else start
                 step = _fold_step(prof, prev) if 0 in prof.p else None
                 if step is not None:
                     k0, nu = prof.p[0][0], step[0].numerator * (n // step[0].denominator)
                     if bound is None:
-                        far = (rho - step[0]) * n if rho is not None else (terms - 1) * (nu - n * lam)
-                        bound = k0 + math.floor(far)
+                        bound = k0 + math.floor((terms - 1) * (nu - n * lam))
+                        if rho is not None:
+                            top = k0 + math.floor((rho - step[0]) * n)  # y1 + rho
+                            bound = min(bound, top)
                 yield (p, q, n, tower), step
                 if step is None or step[1] is None:
                     return
@@ -711,24 +728,74 @@ def _fold_walk(sides, lam, terms=1, rho=None):
         raised = max(low, k0 + -(-missing * gained // len(found)))  # ceil
         if len(found) == taken:
             raised = max(raised, bound + 2 * rise)
+        raised = min(raised, top)
         taken, rise, bound = len(found), raised - bound, raised
 
 
 def extend_leaf(leaf: Leaf, n_terms: int):
     """Continue a closed/exact leaf deterministically up to n_terms terms,
-    resuming the truncated walk from the leaf's pair (``_fold_walk``)."""
+    resuming the truncated walk (``_fold_walk``) on the leaf's pair, or over
+    Q on its rational frame where it has one (``_rational_frame``)."""
     terms = leaf.terms
     if not leaf.counted or len(terms) >= n_terms:
         return terms
     left = n_terms - len(terms)
+    sides, back = _rational_frame(leaf.sides) or (leaf.sides, None)
     found = []
-    for _, step in _fold_walk(leaf.sides, leaf.lam_last, terms=left):
+    for _, step in _fold_walk(sides, leaf.lam_last, terms=left):
         if step is None or step[1] is None:
             break
-        found.append(step)
+        found.append(step if back is None else back(*step))
         if len(found) == left:
             break
     return terms + tuple(found)
+
+
+def _rational_frame(sides):
+    """The walk's pair over Q for the pair ``sides`` over Q(t0), t0^d = v0
+    with d | n, and the map of its steps back; None when the tower is not
+    such a level or the pair is not rational up to one common power of t0,
+    and the walk runs in the tower.
+
+    The frame is z = lam z' with lam = t0^(-n) = v0^(-n/d), rational:
+    z^(s/n) = t0^(-s) z'^(s/n) and dw/dz' = lam P / Q, so the coefficient
+    of P at key (s, j) is multiplied by t0^(-s-n) and that of Q by t0^(-s).
+    On the integer coordinates of the pair each product is c_i t0^e, e = i
+    - s (- n), for its one nonzero coordinate c_i; where every e has one
+    residue r mod d, dividing both sides by t0^r leaves c_i v0^((e - r) /
+    d), and the content-free integer pair of that.  It is a constant
+    multiple of the same remainder in z', on the same keys, so the walk
+    reads the same exponents and weights, and its step (mu, beta), w = beta
+    z'^mu, is (mu, beta t0^(n mu)) on ``sides``."""
+    p, q, n, tower = sides
+    if tower is None or len(tower.levels) != 1:
+        return None
+    level = tower.levels[0]
+    d, v0 = level.degree, -Fraction(level.minpoly[0])
+    if n % d or any(level.minpoly[1:d]):
+        return None
+    out, residue = ([], []), None
+    for side, lift, frame in ((p, n, out[0]), (q, 0, out[1])):
+        for key, c in side.items():
+            (i, x), *more = [(i, x) for i, x in enumerate(c.rep) if x]
+            e = i - key[0] - lift
+            if residue is None:
+                residue = e % d
+            if more or e % d != residue:
+                return None
+            frame.append((key, x, (e - residue) // d))
+    # c_i v0^k on ints: times v0^-low den^(high - low), v0 = num / den
+    ks = [k for frame in out for _, _, k in frame]
+    low, high, num, den = min(ks), max(ks), v0.numerator, v0.denominator
+    out = [{key: x * num ** (k - low) * den ** (high - k) for key, x, k in frame} for frame in out]
+
+    def back(mu, beta):
+        k = mu.numerator * (n // mu.denominator)  # n mu
+        coords = [0] * d
+        coords[k % d] = _canon(beta * v0 ** (k // d))
+        return mu, ExtElem(tower, tuple(coords))
+
+    return (*_content_free(*out, None)[:2], n, None), back
 
 
 def multiplicity_at(sys: OdeSystem, point, caps: Caps = DEFAULT_CAPS) -> MultiplicityResult:
@@ -747,11 +814,15 @@ def multiplicity_at(sys: OdeSystem, point, caps: Caps = DEFAULT_CAPS) -> Multipl
     tree = expand_branches(moved, caps)
     if tree.critical is not None:
         return MultiplicityResult(status="critical", witness=tree.critical, flags=tree.flags)
-    branches = []
+    branches, extended = [], []
     for leaf in tree.leaves:
         if not leaf.terms:
             continue
-        terms = extend_leaf(leaf, caps.terms)
+        terms = _orbit_extension(leaf, extended)
+        if terms is None:
+            terms = extend_leaf(leaf, caps.terms)
+            if leaf.counted:
+                extended.append((leaf, terms))
         branches.append(
             PuiseuxBranch(
                 terms=terms,
@@ -775,6 +846,28 @@ def multiplicity_at(sys: OdeSystem, point, caps: Caps = DEFAULT_CAPS) -> Multipl
     return MultiplicityResult(
         status="finite", count=count, branches=tuple(branches), flags=tree.flags
     )
+
+
+def _orbit_extension(leaf: Leaf, extended):
+    """The extension of the counted ``leaf`` read off one of the
+    ``extended`` (leaf, terms) of its ramification orbit, or None.
+
+    On an even scale n, t -> -t (t = z^(1/n)) fixes z and the system and
+    maps a branch to another: it multiplies the coefficient at key (s, j)
+    by (-1)^s and a term at mu by (-1)^(n mu).  Where it maps the pair of an
+    extended leaf, with the same prefix length and last exponent, to plus or
+    minus the pair of ``leaf``, the walk from ``leaf`` is the image of the
+    other's walk: the continuation after a closed leaf is unique."""
+    p, q, n, tower = leaf.sides
+    if n % 2 or not leaf.counted:
+        return None
+    for other, terms in extended:
+        if (other.sides[2:], other.lam_last, len(other.terms)) != ((n, tower), leaf.lam_last, len(leaf.terms)):
+            continue
+        image = [{k: -c if k[0] % 2 else c for k, c in side.items()} for side in other.sides[:2]]
+        if [p, q] == image or [p, q] == [{k: -c for k, c in side.items()} for side in image]:
+            return leaf.terms + tuple((mu, -c if mu * n % 2 else c) for mu, c in terms[len(leaf.terms):])
+    return None
 
 
 def _origin_count(sys: OdeSystem, caps: Caps) -> Optional[MultiplicityResult]:

@@ -241,8 +241,11 @@ def _irreducibility(f: BiPoly, offenders):
     One in both variables is reducible when strictness_check found an
     offender, which is then a proper factor.  Without one it is primitive in
     both variables, so by Gauss's lemma a factor of degree 0 in a variable
-    is a constant: degree 1 in w or in z certifies it irreducible.  It is
-    presumed irreducible otherwise.
+    is a constant: degree 1 in w or in z certifies it irreducible.  Degree 2
+    in a variable over Q certifies either verdict: a proper factor then has
+    degree 1 in it, so f = a v^2 + b v + c splits over Q exactly when its
+    discriminant b^2 - 4 a c is a square in Q[other variable]
+    (``_is_square``).  It is presumed irreducible otherwise.
     """
     if f.total_degree() == 1:
         return True, True
@@ -255,7 +258,33 @@ def _irreducibility(f: BiPoly, offenders):
         return False, True
     if f.w_degree() == 1 or f.z_degree() == 1:
         return True, True
+    ints = _int_terms(f)
+    for axis, degree in ((0, f.w_degree()), (1, f.z_degree())):
+        if degree == 2 and ints is not None:
+            c, b, a = _int_rows(ints, axis)
+            return not _is_square(_int_poly_sub(_int_poly_mul(b, b), _int_poly_mul([4 * x for x in a], c))), True
     return True, False  # presumed irreducible
+
+
+def _is_square(f) -> bool:
+    """Whether the dense int list f, ascending and trimmed, is the square of
+    a polynomial over Q.  Over its gcd g, with a positive lead, it is then
+    the square of a primitive integer polynomial r (Gauss's lemma), and g a
+    square: r is read off f from the top, each coefficient one exact
+    division by 2 r_m, and checked."""
+    if not f:
+        return True
+    g = math.gcd(*f)
+    if len(f) % 2 == 0 or f[-1] < 0 or math.isqrt(g) ** 2 != g:
+        return False
+    f = [x // g for x in f]
+    m = len(f) // 2
+    r = [0] * m + [math.isqrt(f[-1])]
+    for k in range(m - 1, -1, -1):
+        r[k], rest = divmod(f[m + k] - sum(r[i] * r[m + k - i] for i in range(k + 1, m)), 2 * r[m])
+        if rest:
+            return False
+    return _int_poly_mul(r, r) == f
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import collections
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -889,12 +891,15 @@ def half_indicial(rho, f):
     ],
 )
 def test_resonance_off_the_lattice(sys, lam_prev, rho, caps, want, raise_counter):
-    # rho has a denominator that does not divide N, so K = y1 + rho (y1 = 0
-    # here) lies off (1/N)Z: the walk cuts at floor(N K) and never raises it
+    # rho has a denominator that does not divide N, so y1 + rho (y1 = 0
+    # here) lies off (1/N)Z: at the default depth the guess for 32 steps
+    # lies above it, and the walk cuts at floor(N (y1 + rho)) and never
+    # raises it.  At depth 1 one step is needed, and the walk cuts at its
+    # k0, 1 on either scale
     got = resolve_resonance(sys, lam_prev, rho, caps)
     status, found = got
     assert (status, len(found.prefix if status == "critical" else found.terms)) == want
-    assert set(raise_counter) == {math.floor(sys.n * rho)}
+    assert set(raise_counter) == {math.floor(sys.n * rho) if caps.depth > 1 else 1}
     assert _resolution_compared(got) == _resolution_compared(reference_resolve(sys, lam_prev, rho, caps))
 
 
@@ -1652,3 +1657,255 @@ def test_an_edge_polynomial_past_the_factor_cap_gives_its_rational_root():
     assert (capped.status, capped.lower_bound) == ("capped", 1)
     assert [r.detail for r in capped.reasons] == ["factor-cap"]
     assert [(b.terms, b.conj_degree) for b in capped.branches] == [(((Q(1), Q(1)),), 1)]
+
+
+# ---------------------------------------------------------------------------
+# ramification orbits: the rational frame and the t -> -t image
+# ---------------------------------------------------------------------------
+
+def _typed(terms):
+    """Each term with the repr of its coefficient's coordinates, so an int
+    and an integral Fraction differ, as they may in a report."""
+    return [(mu, repr(sort_key(c))) for mu, c in terms]
+
+
+def tower_extension(leaf, n_terms):
+    """``_fold_walk`` run on the leaf's own pair, as extension ran before
+    the rational frame."""
+    return leaf.terms + tuple(walk_of(leaf, n_terms)[1])
+
+
+@pytest.fixture
+def walk_counter(monkeypatch):
+    """(over a tower, resonance) of each ``_fold_walk`` started."""
+    walks = []
+    original = branching._fold_walk
+
+    def counted(sides, lam, terms=1, rho=None):
+        walks.append((sides[3] is not None, rho is not None))
+        return original(sides, lam, terms, rho)
+
+    monkeypatch.setattr(branching, "_fold_walk", counted)
+    return walks
+
+
+def assert_extensions_are_the_tower_walks(local, lengths=(10, 30)):
+    """Every counted leaf of ``local`` over a tower extends as the walk on
+    its own pair does; returns (n, modulus) of the leaves extended in a
+    rational frame."""
+    framed = []
+    for leaf in expand_branches(local).leaves:
+        if not (leaf.terms and leaf.counted and leaf.tower is not None):
+            continue
+        for k in lengths:
+            assert _typed(extend_leaf(leaf, k)) == _typed(tower_extension(leaf, k)), (leaf.terms, k)
+        if branching._rational_frame(leaf.sides) is not None:
+            framed.append((leaf.sides[2], leaf.tower.levels[0].minpoly))
+    return framed
+
+
+def frame_kind(leaf):
+    """Why the leaf over a tower is or is not extended in a rational frame."""
+    levels = leaf.tower.levels
+    if len(levels) > 1:
+        return "two levels"
+    d = levels[0].degree
+    if any(levels[0].minpoly[1:d]):
+        return "not a binomial"
+    if leaf.sides[2] % d:
+        return "d does not divide n"
+    if branching._rational_frame(leaf.sides) is None:
+        return "not one power of t0"
+    return "framed, d = %d" % d
+
+
+def test_rational_frame_extends_as_the_tower_walk_on_census_systems(monkeypatch):
+    # the benchmark's seeded census generator, seeds 1-3, at (0, 0), (0, inf)
+    # and each axis root of degree <= 3: every leaf in a rational frame is
+    # compared, and the first three of each fallback
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import census
+
+    kinds = collections.Counter()
+    for seed in (1, 2, 3):
+        for axis in census.generate(seed, 650):
+            for local in axis_locals(parse_system(axis.text)[0]):
+                for leaf in expand_branches(local).leaves:
+                    if not (leaf.terms and leaf.counted and leaf.tower is not None):
+                        continue
+                    kind = frame_kind(leaf)
+                    kinds[kind] += 1
+                    if kind.startswith("framed") or kinds[kind] <= 3:
+                        for k in (10, 30):
+                            assert _typed(extend_leaf(leaf, k)) == _typed(tower_extension(leaf, k)), kind
+    assert set(kinds) == {
+        "framed, d = 2", "framed, d = 3", "not a binomial", "d does not divide n", "not one power of t0"
+    }, kinds
+
+
+def three_halves_system():
+    """(3 z - 2 w^2) w' = 3 z^2: its ramified branch is w = t0 z^(1/2) + ...
+    with t0^2 = 3/2."""
+    return make_system(bp({(2, 0): 3}), bp({(1, 0): 3, (0, 2): -2}))
+
+
+CUBIC_RAMIFIED = "dw/dz = (z^3 + 3*z^2*w - 3*z*w^2 + w^3 - z*w + 4*z) / (-3*z^3 - 3*z^2*w - 2*z*w^2)"
+
+
+@pytest.mark.parametrize(
+    "system, framed",
+    [
+        # d = 2: v0 = -1, -9, 3/2, -3/2 and the positive non-square 3
+        (example45(Q(0)), [(2, (1, 0, 1))]),
+        (example45(Q(-4)), [(2, (9, 0, 1))]),
+        (example45(Q(-1, 4)), [(2, (Q(3, 2), 0, 1))]),
+        (three_halves_system(), [(2, (Q(-3, 2), 0, 1))]),
+        (example45(Q(2)), [(2, (-3, 0, 1))]),
+        # d = 3 on n = 3: t0^3 = -12/5
+        (parse_system(CUBIC_RAMIFIED)[0], [(3, (Q(12, 5), 0, 0, 1))]),
+    ],
+    ids=["v0=-1", "v0=-9", "v0=-3/2", "v0=3/2", "v0=3", "cubic"],
+)
+def test_rational_frame_on_pure_ramification_levels(system, framed):
+    local = transform_point(system, ("point", Q(0), Q(0)))
+    assert assert_extensions_are_the_tower_walks(local) == framed
+
+
+def test_rational_frame_walks_over_q(walk_counter):
+    # the cubic's one leaf is extended by a walk over Q, whose step (mu,
+    # beta) maps to beta t0^(3 mu) in Q(t0)
+    local = transform_point(parse_system(CUBIC_RAMIFIED)[0], ("point", Q(0), Q(0)))
+    (leaf,) = expand_branches(local).leaves
+    pair, back = branching._rational_frame(leaf.sides)
+    assert pair[2:] == (3, None)
+    assert_content_free_integer_pair(pair[0], pair[1], None)
+    # t0^4 = -12/5 t0 and t0^6 = 144/25
+    assert back(Q(4, 3), Q(5))[1].rep == (0, -12, 0) and back(Q(2), Q(1, 2))[1].rep == (Q(72, 25), 0, 0)
+    walk_counter.clear()
+    terms = extend_leaf(leaf, 30)
+    assert walk_counter == [(False, False)] and len(terms) == 30
+    assert all(c.tower == leaf.tower for _, c in terms)
+
+
+@pytest.mark.parametrize(
+    "system, point, kinds",
+    [
+        # t0 a root of 3 t^2 + 2 t - 2, not a binomial, and the ramified
+        # branch adjoins t1 over it
+        (example45_over_root_of([Q(-2, 3), Q(2, 3), Q(1)]), ("point", Q(0), Q(0)), {"not a binomial", "two levels"}),
+        # the transverse separatrix at the root t0 of w^2 - 2 lies on n = 1
+        (make_system(bp({(0, 2): 1, (0, 0): -2, (1, 0): 1}), bp({(1, 0): 1})), "sqrt2", {"d does not divide n"}),
+    ],
+    ids=["two-levels-not-a-binomial", "d-does-not-divide-n"],
+)
+def test_rational_frame_falls_back_to_the_tower_walk(system, point, kinds, walk_counter):
+    if point == "sqrt2":
+        tower, theta = adjoin_root(QQ_TOWER, UniPoly([Q(-2), Q(0), Q(1)]))
+        system, point = system.map_tower(tower), ("point", Q(0), theta)
+    fell_back = set()
+    for leaf in expand_branches(transform_point(system, point)).leaves:
+        if not (leaf.terms and leaf.counted) or leaf.tower is None:
+            continue
+        assert branching._rational_frame(leaf.sides) is None
+        walk_counter.clear()
+        assert _typed(extend_leaf(leaf, 12)) == _typed(tower_extension(leaf, 12))
+        assert walk_counter[0] == (True, False)
+        fell_back.add(frame_kind(leaf))
+    assert fell_back == kinds
+
+
+def test_rational_frame_needs_one_power_of_t0():
+    # over Q(t0), t0^2 = -1, on n = 2: the coefficient 1 + t0 has two
+    # coordinates, and t0 at key (1, 0) next to 1 at (0, 1) has the
+    # residues 0 and 1 of e = i - s (- n on P).  With t0 at (1, 0) every
+    # e is -2: the pair is t0^-2 times a rational pair, up to a constant
+    tower, t0 = adjoin_root(QQ_TOWER, UniPoly([Q(1), Q(0), Q(1)]))
+    one = tower.one()
+    q = {(2, 0): one}
+    assert branching._rational_frame(({(0, 1): one + t0}, q, 2, tower)) is None
+    assert branching._rational_frame(({(0, 1): one, (1, 0): one}, q, 2, tower)) is None
+    pair, back = branching._rational_frame(({(0, 1): one, (1, 0): t0}, q, 2, tower))
+    assert pair == ({(0, 1): 1, (1, 0): 1}, {(2, 0): 1}, 2, None)
+    # w = beta z'^mu = beta t0^(2 mu) z^mu
+    assert back(Q(1, 2), 3) == (Q(1, 2), 3 * t0) and back(Q(3, 2), 3) == (Q(3, 2), -3 * t0)
+
+
+@pytest.mark.parametrize("n_terms", [10, 30])
+def test_the_t_minus_t_pair_of_ex45_is_walked_once(n_terms, walk_counter):
+    # at m = 5 the leaves w = -3 z^(1/2) + ... and w = 3 z^(1/2) + ... are
+    # one ramification orbit over Q: one extension walk for both
+    sys = example45(Q(5))
+    leaves = [lf for lf in expand_branches(sys).leaves if lf.counted]
+    assert [lf.terms[0][1] for lf in leaves] == [-3, 3]
+    walk_counter.clear()
+    res = multiplicity_at(sys, ("point", Q(0), Q(0)), Caps(terms=n_terms))
+    assert [rho for _, rho in walk_counter].count(False) == 1
+    got = [_typed(b.terms) for b in res.branches if b.status == "closed"]
+    assert got == [_typed(tower_extension(lf, n_terms)) for lf in leaves]
+    (first, second) = leaves
+    assert branching._orbit_extension(second, [(first, extend_leaf(first, n_terms))]) is not None
+    # the orbit is read off the pair: a pair that differs at one key is not
+    p, q, n, tower = second.sides
+    key = next(iter(p))
+    moved = replace(second, sides=({**p, key: p[key] + 1}, q, n, tower))
+    assert branching._orbit_extension(moved, [(first, extend_leaf(first, n_terms))]) is None
+
+
+SERIES_SYSTEMS = [
+    (make_system(bp({(k, n - k): math.comb(n, k) for k in range(n + 1)}), bp({(1, 0): 1, (0, 2): 1})), "binomial-%d" % n)
+    for n in (4, 5, 6)
+] + [(example45(Q(m)), "ex45-mu=%s" % m) for m in (0, -4, 5, 2)] + [
+    (three_halves_system(), "three-halves"),
+    (parse_system(CUBIC_RAMIFIED)[0], "cubic"),
+]
+
+
+@pytest.mark.parametrize("system, name", SERIES_SYSTEMS, ids=[name for _, name in SERIES_SYSTEMS])
+def test_branches_extended_to_thirty_terms_pass_the_residual_oracle(system, name):
+    res = multiplicity_at(system, ("point", Q(0), Q(0)), Caps(terms=30))
+    assert res.status == "finite"
+    for branch in res.branches:
+        if branch.status not in ("closed", "exact"):
+            continue
+        work = system if branch.tower is None else system.map_tower(branch.tower)
+        vals = [residual_valuation(work, branch.terms[:t]) for t in range(1, len(branch.terms) + 1)]
+        assert None not in vals[:-1], name
+        assert (vals[-1] is None) == (len(branch.terms) < 30), (name, vals)
+        finite = [v for v in vals if v is not None]
+        assert all(a < b for a, b in zip(finite, finite[1:])), (name, vals)
+
+
+@pytest.mark.parametrize("system, name", SERIES_SYSTEMS, ids=[name for _, name in SERIES_SYSTEMS])
+def test_no_extension_outlives_its_multiplicity_call(system, name, walk_counter):
+    counts = []
+    for _ in range(2):
+        walk_counter.clear()
+        multiplicity_at(system, ("point", Q(0), Q(0)))
+        counts.append(len(walk_counter))
+    assert counts[0] == counts[1] and counts[0] >= 1, name
+    # and no extension walk of a series system runs over a tower
+    assert (True, False) not in walk_counter, name
+
+
+def test_a_long_resonance_walk_keeps_its_pair_small(raise_counter, monkeypatch):
+    # rho = 19684 at (0, 3) of (w - 3)(w^9 + 2) + z over z: the walk stops
+    # at caps.depth = 32 steps, so it keeps the terms up to the K its first
+    # step's gain gives over 32 steps, not up to y1 + rho.  Cut at y1 + rho
+    # its pair grew to 1793 terms of up to 14 000 bits
+    sizes = []
+    original = branching._walk_step
+
+    def recorded(p, q, nu, lam, alpha, bound, n, tower):
+        out = original(p, q, nu, lam, alpha, bound, n, tower)
+        sizes.append(len(out[0]) + len(out[1]))
+        return out
+
+    monkeypatch.setattr(branching, "_walk_step", recorded)
+    sys, _ = parse_system("dw/dz = ((w - 3)*(w^9 + 2) + z) / z")
+    res = multiplicity_at(sys, ("point", Q(0), Q(3)))
+    assert (res.status, res.lower_bound, res.diagnostics) == ("capped", 0, ("resonance-cap",))
+    (branch,) = res.branches
+    assert [mu for mu, _ in branch.terms] == [Q(k) for k in range(1, 34)]
+    assert branch.terms[:3] == ((1, Q(-1, 19684)), (2, Q(-3, 387459856)), (3, Q(-19683, 10722134749423552)))
+    assert len(sizes) == 32 and max(sizes) < 200
+    assert set(raise_counter) == {33}

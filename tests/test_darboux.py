@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pbound import cli, darboux, exact
 from pbound.darboux import (
@@ -343,6 +343,62 @@ def test_bivariate_with_axis_parallel_component_certified_reducible():
     assert isinstance(cert, DarbouxCertificate)
     assert cert.offending == ("z-factor z^2 + 1",)
     assert not cert.irreducible and cert.certified
+
+
+@pytest.mark.parametrize(
+    "f, irreducible",
+    [
+        # 3 w^2 - 2 z^3 + 3 z^2: the discriminant in w is 12 z^2 (2 z - 3)
+        (bp({(0, 2): 3, (3, 0): -2, (2, 0): 3}), True),
+        # (w - z^2)(2 w + z^2 + 1): the discriminant in w is (3 z^2 + 1)^2
+        (bp({(0, 1): 1, (2, 0): -1}) * bp({(0, 1): 2, (2, 0): 1, (0, 0): 1}), False),
+        # w^2 - z^2 + z + 2: 4 (z - 2)(z + 1), twice a simple root
+        (bp({(0, 2): 1, (2, 0): -1, (1, 0): 1, (0, 0): 2}), True),
+        # (z - w^2)(z + w^3) is of degree 2 in z: (w^3 + w^2)^2
+        (bp({(1, 0): 1, (0, 2): -1}) * bp({(1, 0): 1, (0, 3): 1}), False),
+        # z^2 + w^3 + 1: the discriminant in z is -4 (w^3 + 1), negative
+        (bp({(2, 0): 1, (0, 3): 1, (0, 0): 1}), True),
+    ],
+)
+def test_quadratic_in_a_variable_certified_by_its_discriminant(f, irreducible):
+    # no offender: f is primitive in both variables, so a proper factor has
+    # degree 1 in the quadratic variable, and the discriminant decides
+    cert = verify_darboux(hamiltonian(f), f)
+    assert isinstance(cert, DarbouxCertificate)
+    assert cert.offending == ()
+    assert (cert.irreducible, cert.certified) == (irreducible, True)
+
+
+@st.composite
+def quadratics(draw):
+    """f over Z of degree 2 in w, or in z after the swap: a product of two
+    factors of degree 1 in w (a square discriminant), or drawn whole."""
+    def row(degree):
+        return [draw(st.integers(-3, 3)) for _ in range(degree + 1)]
+
+    def linear():
+        return bp({(0, 1): draw(st.sampled_from([1, 2, 3, -1])), **{(e, 0): c for e, c in enumerate(row(2)) if c}})
+
+    if draw(st.booleans()):
+        f = linear() * linear()
+    else:
+        rows = [row(3), row(2), [0, 0, draw(st.sampled_from([1, 2, -3]))]]
+        f = bp({(e, j): c for j, cs in enumerate(rows) for e, c in enumerate(cs) if c})
+    if draw(st.booleans()):
+        f = bp({(we, int(ze)): c for (ze, we), c in f.terms.items()})
+    return f
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(quadratics())
+@example(bp({(0, 2): 3, (3, 0): -2, (2, 0): 3}))
+def test_quadratic_irreducibility_matches_sympy(sp, f):
+    _, offenders = strictness_check(f)
+    assume(not offenders and min(f.w_degree(), f.z_degree()) == 2)
+    irreducible, certified = darboux._irreducibility(f, offenders)
+    assert certified
+    _, factors = sp.factor_list(sympy_expr(sp, f))
+    assert irreducible == (len(factors) == 1 and factors[0][1] == 1), bipoly_str(f)
 
 
 # ---------------------------------------------------------------------------

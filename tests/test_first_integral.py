@@ -73,15 +73,19 @@ def test_lv_without_a_relation_has_no_first_integral():
     assert _first_integral_degree(outcome.certificates) == float("inf")
 
 
-def test_a_presumed_energy_gives_no_relation(monkeypatch):
-    # H = 3 w^2 - 2 z^3 + 3 z^2 is a first integral (cofactor 0), but its
-    # irreducibility is only presumed, so it does not count: the search
-    # builds E_3, which is zero
+def test_a_certified_energy_gives_its_relation(monkeypatch):
+    # H = 3 w^2 - 2 z^3 + 3 z^2 is a first integral (cofactor 0), and its
+    # discriminant in w, 12 z^2 (2 z - 3), is not a square, so it is
+    # certified irreducible: it gives the relation of degree 3, and with H
+    # among the curves the shortcut skips E_3, which is zero.  The search
+    # finds no curve at degree 2, so alone it still builds E_3
     energy = verify_darboux(CUBIC_ENERGY, bp({(0, 2): 3, (3, 0): -2, (2, 0): 3}))
-    assert energy.cofactor.is_zero() and (energy.irreducible, energy.certified) == (True, False)
-    assert _first_integral_degree([energy]) == float("inf")
+    assert energy.cofactor.is_zero() and (energy.irreducible, energy.certified) == (True, True)
+    assert _first_integral_degree([energy]) == 3
+    assert extactic_determinant(CUBIC_ENERGY, 3).is_zero()
     outcome, built = spied_search(monkeypatch, CUBIC_ENERGY, 3)
     assert built == [2, 3] and outcome.dicritical_degrees == (3,)
+    assert outcome.certificates == []
 
 
 def test_a_certified_polynomial_first_integral_is_its_own_relation():

@@ -177,12 +177,17 @@ def test_reasons_name_the_cap_the_presumed_level_and_the_summand():
 
 
 def test_presumed_irreducibility_and_a_partial_search_are_reasons():
-    # w^2 + z^2 - 1 is invariant (X(f) = 2 z f) and of degree 2 in both
-    # variables, so its irreducibility is presumed
+    # w^2 + z^2 - 1 is invariant (X(f) = 2 z f); of degree 2 in w, it is
+    # certified by its discriminant -4 (z^2 - 1), not a square.  The first
+    # integral w^3 + z^3 - 1 of zdot = -3 w^2, wdot = 3 z^2 is of degree 3
+    # in both variables, so its irreducibility is presumed
     system, _ = parse_system("dz/dt = z^2 + w^2 - 2*w - 1; dw/dt = 2*z")
-    cert = verify_darboux(system, BiPoly({(2, 0): 1, (0, 2): 1, (0, 0): -1}))
+    circle = verify_darboux(system, BiPoly({(2, 0): 1, (0, 2): 1, (0, 0): -1}))
+    assert circle.to_report()["irreducibility"] == "certified" and circle.reasons == ()
+    cubic, _ = parse_system("dz/dt = -3*w^2; dw/dt = 3*z^2")
+    cert = verify_darboux(cubic, BiPoly({(3, 0): 1, (0, 3): 1, (0, 0): -1}))
     assert cert.to_report()["irreducibility"] == "presumed"
-    assert cert.reasons == (Reason("presumed-irreducible", "certificate", "w^2 + z^2 - 1"),)
+    assert cert.reasons == (Reason("presumed-irreducible", "certificate", "w^3 + z^3 - 1"),)
     outcome = SearchOutcome(certificates=[cert], dicritical_degrees=())
     assert outcome.reasons == cert.reasons and inconclusive(outcome.to_report())
     outcome = search_darboux(system, 2)
