@@ -36,10 +36,8 @@ from .newton import (
 from .branching import (
     Caps,
     MultiplicityResult,
-    closure_check,
     expand_branches,
     multiplicity_at,
-    resolve_resonance,
 )
 from .bounds import (
     BoundReport,
@@ -55,7 +53,7 @@ from .darboux import (
     strictness_check,
     verify_darboux,
 )
-from .lotka import LvParams, apply_symmetry, classify, genericity_check
+from .lotka import LvParams, classify, genericity_check
 from .sysparse import emit_report, parse_system, print_system
 
 __version__ = "0.1.0"
@@ -81,10 +79,8 @@ __all__ = [
     "vertex_critical_check",
     "Caps",
     "MultiplicityResult",
-    "closure_check",
     "expand_branches",
     "multiplicity_at",
-    "resolve_resonance",
     "BoundReport",
     "axis_multiplicity_bound",
     "axis_singular_points",
@@ -96,7 +92,6 @@ __all__ = [
     "strictness_check",
     "verify_darboux",
     "LvParams",
-    "apply_symmetry",
     "classify",
     "genericity_check",
     "emit_report",

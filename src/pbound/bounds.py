@@ -7,13 +7,15 @@ none of those points is algebraic critical the coarser product bound M(k+1)
 also holds, with M = max(deg P, deg zQ).  Carrying an invariant straight
 line onto the axis, by one affine change of coordinates
 (``polyode.affine_map``), turns the same machinery into a total-degree bound
-M(M+1).
+M(M+1).  Which roots of P(0, w) exist, and which a cap stops, is decided
+once, by ``exact.root_policy``, for the bound, the branch tree and line
+detection alike.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .branching import Caps, DEFAULT_CAPS, MultiplicityResult, Reason, _linear_part_count, multiplicity_at
@@ -25,12 +27,9 @@ from .exact import (
     UniPoly,
     _int_derivative,
     _int_poly_prem,
-    _int_yun,
     _primitive_int_coeffs,
-    _split_rational_roots,
     adjoin_root,
-    as_fraction,
-    factor_univariate,
+    root_policy,
 )
 from .polyode import BiPoly, OdeSystem, _int_rows, affine_map, bipoly_str, invert_at_infinity
 from .sysparse import witness_report
@@ -135,36 +134,31 @@ def p_at_axis(sys: OdeSystem) -> UniPoly:
     return UniPoly([cols.get(i, 0) for i in range(deg + 1)], var="w")
 
 
-def axis_singular_points(sys: OdeSystem):
-    """{infinity} plus the roots of P(0,w): rational roots exactly, irrational
-    ones via their irreducible factors; also returns k (distinct roots), the
-    degree of P(0, w)'s squarefree part.
+def axis_singular_points(sys: OdeSystem, caps: Caps = DEFAULT_CAPS):
+    """{infinity} plus the roots of P(0, w), each as (kind, value, weight),
+    and k, the number of distinct roots of P(0, w).
 
-    Above the default factor cap the rational roots are split off first, as
-    ``factor_roots`` does, and a rest still above the cap is one "capped"
-    entry, weighted by its distinct roots."""
+    Infinity is ("inf", None, 1).  The roots are the entries of
+    ``exact.root_policy`` for P(0, w) at the default factor cap and
+    ``caps.tower``, the root policy of the branch tree and line detection:
+    kind is the entry's note, value the rational root or the monic
+    factor, and weight the number of distinct roots the entry stands for.
+    k is the sum of the roots' weights."""
     _require_axis(sys)
     p0 = p_at_axis(sys)
     if p0.is_zero():
         raise BoundsError("axis is not isolated: P(0,w) vanishes identically")
     points = [("inf", None, 1)]
-    k = 0
-    if p0.degree() > DEFAULT_FACTOR_CAP:
-        linear, p0 = _split_rational_roots(p0)
-        k = len(linear)
-        points += [("rational", -as_fraction(fac.coeffs[0]), 1) for fac, _ in linear]
-        if p0.degree() > DEFAULT_FACTOR_CAP:
-            distinct = sum(len(f) - 1 for f, _ in _int_yun(_primitive_int_coeffs(p0)))
-            return points + [("capped", p0.monic(), distinct)], k + distinct
-    if p0.degree() > 0:
-        for fac in factor_univariate(p0):
-            k += fac.poly.degree()
-            if fac.poly.degree() == 1:
-                root = -as_fraction(fac.poly.coeffs[0])
-                points.append(("rational", root, 1))
-            else:
-                points.append(("algebraic", fac.poly, fac.poly.degree()))
-    return points, k
+    for root in root_policy(p0, None, DEFAULT_FACTOR_CAP, caps.tower):
+        if root.note == "rational":
+            points.append(("rational", root.value, 1))
+        elif root.note == "factor-cap":
+            # the rest past the cap may repeat its roots
+            rest = root.factor.monic()
+            points.append(("factor-cap", rest, rest.degree() - rest.gcd(rest.derivative()).degree()))
+        else:
+            points.append((root.note, root.factor, root.factor.degree()))
+    return points, sum(weight for _, _, weight in points[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -218,27 +212,33 @@ def _axis_root_count(rows, f, caps: Caps) -> Optional[MultiplicityResult]:
     return _linear_part_count(p0, mu_z, mu_w, p_z, on_solution, caps, max(map(len, q_rows)) - 1)
 
 
-def _mul_at_algebraic_point(sys: OdeSystem, minpoly: UniPoly, caps: Caps, rows) -> AxisPoint:
-    """The summand over the conjugacy class of an axis root, a factor of
-    ``factor_univariate`` of degree >= 2.
+def _axis_count(sys: OdeSystem, kind, value, caps: Caps, rows) -> MultiplicityResult:
+    """The count at the entry (kind, value) of ``axis_singular_points``.
 
-    A factor of degree above ``caps.tower`` is not adjoined, and neither is
-    one it could not certify irreducible: its roots count as a capped point
-    with lower bound 0 (``tower-cap`` or ``irreducibility-cap``).  Where
-    the linear part decides the count (``_axis_root_count`` on ``rows``)
-    no root is adjoined; elsewhere ``multiplicity_at`` runs over Q(theta).
-    """
-    label, weight = "root of %s" % minpoly, minpoly.degree()
-    if weight > caps.tower or not minpoly.certified_irreducible:
-        cap = "tower-cap" if weight > caps.tower else "irreducibility-cap"
-        capped = MultiplicityResult(status="capped", lower_bound=0, diagnostics=(cap,))
-        return AxisPoint(label, weight, capped)
-    res = _axis_root_count(rows, _primitive_int_coeffs(minpoly), caps)
-    if res is None:
-        tower, theta = adjoin_root(QQ_TOWER, minpoly, caps.tower)
-        lifted = sys.map_tower(tower)
-        res = multiplicity_at(lifted, ("point", Q(0), theta), caps)
-    return AxisPoint(label, weight, res)
+    An entry a cap stopped is a capped point with lower bound 0, its note
+    the diagnostic.  Elsewhere the linear part decides
+    (``_axis_root_count`` on ``rows``) where it can: a rational root a/b is
+    read as the factor b w - a of P(0, w), and (0, infinity) as the root
+    w = 0 of the system that ``invert_at_infinity`` moves it to.  Where it
+    leaves the point open the branch tree runs there, over Q(theta) for an
+    irrational root, whose root is adjoined only then; at ``terms`` 0,
+    since summands print no branches and ``terms`` moves no count."""
+    if kind == "inf":
+        sys, value = invert_at_infinity(sys), Q(0)
+        rows = _linear_rows(sys)
+    if kind == "irrational":
+        f = _primitive_int_coeffs(value)
+    elif kind in ("inf", "rational"):
+        f = [-value.numerator, value.denominator]
+    else:
+        return MultiplicityResult(status="capped", lower_bound=0, diagnostics=(kind,))
+    mul = _axis_root_count(rows, f, caps)
+    if mul is None:
+        if kind == "irrational":
+            tower, value = adjoin_root(QQ_TOWER, value, caps.tower)
+            sys = sys.map_tower(tower)
+        mul = multiplicity_at(sys, ("point", Q(0), value), replace(caps, terms=0))
+    return mul
 
 
 def axis_multiplicity_bound(sys: OdeSystem, caps: Caps = DEFAULT_CAPS, known=None) -> BoundReport:
@@ -248,15 +248,10 @@ def axis_multiplicity_bound(sys: OdeSystem, caps: Caps = DEFAULT_CAPS, known=Non
     ``known`` maps summand labels, "inf" or the ``str`` of a rational root,
     to the ``multiplicity_at`` results at those points at the same caps,
     which a caller that prints their branches has computed; they are taken
-    as they are.  At every other point the linear part decides
-    (``_axis_root_count``) no branch tree runs: a rational root a/b is
-    read as the factor b w - a of P(0, w), and (0, infinity) as the root
-    w = 0 of the system that ``invert_at_infinity`` moves it to, where the
-    tree runs at the origin of that system when the rule leaves the point
-    open.  Summands print no branches: the branches of that count have the
-    base (0, 0), not ("inf", 0), and must reach no branch list."""
-    _require_axis(sys)
-    point_entries, k = axis_singular_points(sys)
+    as they are.  Every other summand is ``_axis_count``'s.  Summands print
+    no branches: the branches of a count at (0, infinity) have the base
+    (0, 0), not ("inf", 0), and must reach no branch list."""
+    points, k = axis_singular_points(sys, caps)
     m_axis = axis_degree(sys)
     report = BoundReport(m_axis=m_axis, m_plain=sys.degree(), k=k)
     rows = _linear_rows(sys)
@@ -265,25 +260,12 @@ def axis_multiplicity_bound(sys: OdeSystem, caps: Caps = DEFAULT_CAPS, known=Non
     lower = 0
     all_finite = True
     any_capped = False
-    for kind, value, weight in point_entries:
-        if kind == "algebraic":
-            entry = _mul_at_algebraic_point(sys, value, caps, rows)
-        elif kind == "capped":
-            capped = MultiplicityResult(status="capped", lower_bound=0, diagnostics=("factor-cap",))
-            entry = AxisPoint("root of %s" % value, weight, capped)
-        else:
-            label = "inf" if kind == "inf" else str(value)
-            mul = known.get(label)
-            if mul is None:
-                if kind == "inf":
-                    moved, w0 = invert_at_infinity(sys), Q(0)
-                    moved_rows = _linear_rows(moved)
-                else:
-                    moved, w0, moved_rows = sys, value, rows
-                mul = _axis_root_count(moved_rows, [-w0.numerator, w0.denominator], caps)
-                if mul is None:
-                    mul = multiplicity_at(moved, ("point", Q(0), w0), caps)
-            entry = AxisPoint(label, 1, mul)
+    for kind, value, weight in points:
+        label = "inf" if kind == "inf" else str(value) if kind == "rational" else "root of %s" % value
+        mul = known.get(label)
+        if mul is None:
+            mul = _axis_count(sys, kind, value, caps, rows)
+        entry = AxisPoint(label, weight, mul)
         report.points.append(entry)
         if entry.mul.status == "finite":
             total += entry.weight * entry.mul.count

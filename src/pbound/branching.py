@@ -76,7 +76,6 @@ from .polyode import (
     OdeSystem,
     PuiseuxBranch,
     _content_free,
-    _integer_sides,
     _shift_sides,
     _shifted_pair,
     coeff_profile,
@@ -151,9 +150,6 @@ class BranchTree:
     leaves: list
     critical: Optional[Witness]
     flags: tuple = ()
-
-    def cap_hits(self):
-        return [lf for lf in self.leaves if lf.status == "cap-exceeded"]
 
 
 class Reason(NamedTuple):
@@ -523,12 +519,6 @@ def _leaf_key(leaf: Leaf):
     return (toks, leaf.status)
 
 
-def closure_check(sys: OdeSystem, lam_prev=Q(0)):
-    """``_closure`` on the profile of ``sys``."""
-    prof = coeff_profile(sys.P.terms, sys.Q.terms, sys.n, fold=True)
-    return _closure(prof, lam_prev, _indicial_ratio(prof))
-
-
 def _closure(prof, lam_prev, rho):
     """Continuation after a 1-folded pair, from its profile and its
     certified indicial ratio ``rho`` (``_indicial_ratio``): "closed",
@@ -552,21 +542,6 @@ def _indicial_ratio(prof):
         return None
     ratio = k1[1] * f_inv(l0[1])
     return as_fraction(ratio) if is_rational_value(ratio) else ratio
-
-
-def resolve_resonance(sys: OdeSystem, lam_prev, rho, caps: Caps = DEFAULT_CAPS):
-    """Resolve a resonant remainder system standalone.
-
-    Returns ("critical", witness), ("non-algebraic", leaf) or
-    ("cap-exceeded", leaf); leaf terms describe the resonant tail only.
-    """
-    engine = _Expander(sys, caps)
-    node = _Node(sides=None, prefix=(), lam_prev=Q(lam_prev), folded=1, depth=0)
-    try:
-        leaf = engine._resolve_resonance(node, _walk_sides(sys), Q(rho))
-    except CriticalFound as hit:
-        return "critical", hit.witness
-    return leaf.status, leaf
 
 
 def _walk_step(p, q, nu, lam, alpha, bound, n, tower):
@@ -603,21 +578,13 @@ def _walk_step(p, q, nu, lam, alpha, bound, n, tower):
     return p1, q1, low
 
 
-def _walk_sides(sys: OdeSystem):
-    """The walk's pair (p, q, n, tower) of ``sys``: its content-free integer
-    pair over Q and over a one-level tower (``_integer_sides``), its exact
-    terms above."""
-    p, q, _ = _integer_sides(sys.P.terms, sys.Q.terms, sys.tower)
-    return p, q, sys.n, sys.tower
-
-
 def _step_sides(sides, lam, alpha):
     """The walk's pair of the remainder after the tree step w = alpha z^lam
     + w1 from the pair ``sides``: the kernel's uncut shift of its
     content-free integer pair (``_shifted_pair``), without its content, in
-    the frame of ``substitute_branch`` (lowest z-exponent 0).  It is
-    ``_walk_sides`` of a positive rational multiple of the exact remainder,
-    which is not built."""
+    the frame of ``substitute_branch`` (lowest z-exponent 0).  It is the
+    content-free integer pair (``polyode._integer_sides``) of a positive
+    rational multiple of the exact remainder, which is not built."""
     tower = sides[3]
     p, q, n, _ = _shifted_pair(sides, alpha, lam)
     p, q, _ = _content_free(p, q, tower)
@@ -650,7 +617,7 @@ def _fold_walk(sides, lam, terms=1, rho=None):
     a ratio of P and Q (alpha = p0 / c1, the ratio of ``_closure``, whether
     P(z, 0) vanishes, the weights), and scaling both sides by one nonzero
     constant changes none of them.  So over Q and over a one-level tower
-    the pair is content-free and integral (``_walk_sides``): ints, or tower
+    the pair is content-free and integral (``_integer_sides``): ints, or tower
     elements with int coordinates, which the walk shifts on integers
     (``_walk_step``), with no Fraction formed between steps.  The yielded
     sides are a constant multiple of the exact remainder.  Over a taller
@@ -834,7 +801,7 @@ def multiplicity_at(sys: OdeSystem, point, caps: Caps = DEFAULT_CAPS) -> Multipl
             )
         )
     count = sum(lf.conj_degree for lf in tree.leaves if lf.counted)
-    caps_hit = tree.cap_hits()
+    caps_hit = [lf for lf in tree.leaves if lf.status == "cap-exceeded"]
     if caps_hit:
         return MultiplicityResult(
             status="capped",

@@ -1776,17 +1776,20 @@ def _taylor_shift(g, c):
 
 
 class Root(NamedTuple):
-    """One representative root of a factor: ``value`` is None when a cap
-    stopped it, and ``note`` says how it was found or which cap."""
+    """One irreducible factor with its representative root: ``value`` is
+    None where no root is taken, and ``note`` says how it was found, which
+    cap stopped it, or that the factor is certified ``irrational``."""
 
     value: object
     multiplicity: int
-    note: str  # rational, adjoined, tower-linear, factor-cap, tower-cap or irreducibility-cap
+    note: str  # rational, tower-linear, irrational, adjoined, factor-cap, tower-cap or irreducibility-cap
     factor: UniPoly
 
 
-def factor_roots(p: UniPoly, tower: Optional[Tower] = None, factor_cap=DEFAULT_FACTOR_CAP, tower_cap=DEFAULT_TOWER_CAP):
-    """One root of each irreducible factor of ``p`` over Q or over ``tower``.
+def root_policy(p: UniPoly, tower: Optional[Tower] = None, factor_cap=DEFAULT_FACTOR_CAP, tower_cap=DEFAULT_TOWER_CAP):
+    """Which roots of ``p`` exist over Q or over ``tower``, and which a cap
+    stops: one entry per irreducible factor, for the branch tree, line
+    detection and the axis bound alike.
 
     Over Q: a linear ``p`` is solved as -c0 / c1; ``p`` of degree above
     ``factor_cap`` first gives its rational roots, with their
@@ -1797,8 +1800,9 @@ def factor_roots(p: UniPoly, tower: Optional[Tower] = None, factor_cap=DEFAULT_F
     factored by Trager's norm (``split_tower``), its norm at
     ``tower_cap``.  A linear factor gives its root; a factor whose adjoin
     would pass ``tower_cap`` is a ``tower-cap`` entry, one not certified
-    irreducible an ``irreducibility-cap`` entry, and any other adjoins one
-    representative root."""
+    irreducible an ``irreducibility-cap`` entry, and any other an
+    ``irrational`` entry, flagged ``certified_irreducible``, whose root is
+    not adjoined here."""
     over_q = tower is None or tower.is_trivial()
     capped = []
     if over_q:
@@ -1832,5 +1836,17 @@ def factor_roots(p: UniPoly, tower: Optional[Tower] = None, factor_cap=DEFAULT_F
             roots.append(Root(None, mult, "irreducibility-cap", g))
         else:
             g.certified_irreducible = True
-            roots.append(Root(adjoin_root(tower, g, tower_cap)[1], mult, "adjoined", g))
+            roots.append(Root(None, mult, "irrational", g))
     return roots + capped
+
+
+def factor_roots(p: UniPoly, tower: Optional[Tower] = None, factor_cap=DEFAULT_FACTOR_CAP, tower_cap=DEFAULT_TOWER_CAP):
+    """One root of each irreducible factor of ``p`` over Q or over
+    ``tower``: the entries of ``root_policy``, where each ``irrational``
+    one adjoins a representative root (note ``adjoined``)."""
+    base = QQ_TOWER if tower is None else tower
+    roots = root_policy(p, tower, factor_cap, tower_cap)
+    for i, root in enumerate(roots):
+        if root.note == "irrational":
+            roots[i] = Root(adjoin_root(base, root.factor, tower_cap)[1], root.multiplicity, "adjoined", root.factor)
+    return roots

@@ -27,7 +27,7 @@ from .bounds import BoundReport, axis_multiplicity_bound
 from .branching import Caps, DEFAULT_CAPS, multiplicity_at
 from .darboux import DarbouxCertificate, search_darboux, verify_darboux
 from .exact import Q, in_q_minus, in_q_plus
-from .polyode import BiPoly, OdeSystem, affine_map, make_system
+from .polyode import BiPoly, OdeSystem, make_system
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,6 @@ def lv_equation(p: LvParams) -> OdeSystem:
 class GenericityVerdict:
     holds: bool
     clauses: tuple  # (name, ok: bool | None, detail)
-
-    def violated(self):
-        return tuple(name for name, ok, _ in self.clauses if ok is not True)
 
     def to_report(self):
         return {
@@ -160,84 +157,6 @@ def classify(p: LvParams, caps: Caps = DEFAULT_CAPS, known=None, system=None) ->
         bound=bound,
         search_notes=notes,
     )
-
-
-# ---------------------------------------------------------------------------
-# parameter symmetries
-# ---------------------------------------------------------------------------
-
-def apply_symmetry(p: LvParams, which: str):
-    """The two parameter symmetries of the system.
-
-    "axes-swap": (z, w) -> (w/a, z/a) with parameters (1/a, c, b), a != 0.
-    "inversion": (z, w) -> (1/z, (1-c) w/z) with (1-b, 1-a, c/(c-1)), c != 1.
-    Returns (new params, coordinate map as strings).
-    """
-    if which == "axes-swap":
-        if p.a == 0:
-            raise ValueError("axes-swap needs a != 0")
-        new = LvParams(a=1 / p.a, b=p.c, c=p.b)
-        mapping = {"z": "w/%s" % _paren(p.a), "w": "z/%s" % _paren(p.a)}
-        return new, mapping
-    if which == "inversion":
-        if p.c == 1:
-            raise ValueError("inversion needs c != 1")
-        new = LvParams(a=1 - p.b, b=1 - p.a, c=p.c / (p.c - 1))
-        mapping = {"z": "1/z", "w": "%s*w/z" % _paren(1 - p.c)}
-        return new, mapping
-    raise ValueError("unknown symmetry %r" % which)
-
-
-def _paren(x):
-    s = str(x)
-    return "(%s)" % s if ("/" in s or s.startswith("-")) else s
-
-
-def verify_symmetry(p: LvParams, which: str) -> bool:
-    """Exact check that the coordinate map conjugates the equation for the old
-    parameters into the equation for the new ones."""
-    new, _ = apply_symmetry(p, which)
-    old_sys = lv_equation(p)
-    new_sys = lv_equation(new)
-    if which == "axes-swap":
-        # (Z, W) = (w/a, z/a); the new field must be parallel to new_sys's
-        inv = 1 / p.a
-        moved = affine_map(old_sys, ((0, inv), (inv, 0)), (0, 0))
-        return (moved.P * new_sys.Q).terms == (moved.Q * new_sys.P).terms
-    if which == "inversion":
-        # (Z, W) = (1/z, (1-c) w/z): dW/dZ = -(1-c)(z P - w Q)/Q at the
-        # substitution z = 1/Z, w = W/((1-c) Z)
-        c = p.c
-        zP = BiPoly({(1, 0): Q(1)}) * old_sys.P
-        wQ = BiPoly({(0, 1): Q(1)}) * old_sys.Q
-        num = (zP - wQ).scale(-(1 - c))
-        den = old_sys.Q
-        num_s = _subst_inversion(num, c)
-        den_s = _subst_inversion(den, c)
-        deg_gap = _inv_clearing_degree(num) - _inv_clearing_degree(den)
-        if deg_gap > 0:
-            den_s = den_s.shift_z(deg_gap)
-        elif deg_gap < 0:
-            num_s = num_s.shift_z(-deg_gap)
-        lhs = num_s * new_sys.Q
-        rhs = den_s * new_sys.P
-        return lhs.terms == rhs.terms
-    raise ValueError("unknown symmetry %r" % which)
-
-
-def _inv_clearing_degree(p: BiPoly) -> int:
-    return max((ze + we for (ze, we) in p.terms), default=0)
-
-
-def _subst_inversion(p: BiPoly, c) -> BiPoly:
-    """p(1/Z, W/((1-c) Z)) * Z^deg, a polynomial in (Z, W)."""
-    d = _inv_clearing_degree(p)
-    terms = {}
-    for (ze, we), coeff in p.terms.items():
-        key = (d - ze - we, we)
-        val = coeff * (1 - c) ** (-we)
-        terms[key] = terms.get(key, Q(0)) + val
-    return BiPoly(terms)
 
 
 def lv_multiplicity_triple(p: LvParams, caps: Caps = DEFAULT_CAPS, system=None):

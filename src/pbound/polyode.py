@@ -793,9 +793,9 @@ class PuiseuxBranch:
 
 # ---------------------------------------------------------------------------
 # point transforms: every affine change of coordinates is one matrix for
-# ``affine_map`` (a point off the axis, the invariant line of
-# ``bounds.line_transform`` and the axes swap of ``lotka.verify_symmetry``);
-# a point on the axis takes ``translate_w``, (z0, infinity) an inversion
+# ``affine_map`` (a point off the axis and the invariant line of
+# ``bounds.line_transform``); a point on the axis takes ``translate_w``,
+# (z0, infinity) an inversion
 # ---------------------------------------------------------------------------
 
 def affine_map(sys: OdeSystem, m, at) -> OdeSystem:

@@ -333,29 +333,16 @@ def multiplicity_report(result):
     return out
 
 
-def build_report(obj):
-    """Normalize any analysis outcome into a plain dict."""
-    if isinstance(obj, dict):
-        return obj
-    if hasattr(obj, "to_report"):
-        return obj.to_report()
-    from .branching import MultiplicityResult
-
-    if isinstance(obj, MultiplicityResult):
-        return multiplicity_report(obj)
-    raise TypeError("cannot report %r" % type(obj).__name__)
-
-
 def emit_report(obj, fmt="text") -> bytes:
-    report = build_report(obj)
+    """The text of the report dict ``obj`` in ``fmt``, "json" or "text"."""
     if fmt == "json":
         out = []
-        _write_json(report, out, "\n")
+        _write_json(obj, out, "\n")
         out.append("\n")
         return "".join(out).encode()
     if fmt == "text":
         lines = []
-        _render_text(report, lines, 0)
+        _render_text(obj, lines, 0)
         return ("\n".join(lines) + "\n").encode()
     raise ValueError("unknown report format %r" % fmt)
 

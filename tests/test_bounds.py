@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pbound import bounds, branching
 from pbound.bounds import (
@@ -61,7 +61,7 @@ def test_axis_points_irrational():
     points, k = axis_singular_points(sys)
     assert k == 2
     kinds = [kind for kind, _, _ in points]
-    assert kinds == ["inf", "algebraic"]
+    assert kinds == ["inf", "irrational"]
     assert points[1][2] == 2  # conjugate pair weight
 
 
@@ -109,8 +109,8 @@ def test_axis_k_is_the_degree_of_the_squarefree_part(factors, z_term):
     ids=["no-rational-root", "double-root", "one-root", "w^9-1", "at-the-cap", "not-squarefree"],
 )
 def test_axis_points_above_the_factor_cap(roots, rest, power, capped):
-    # rational roots are split off first, as factor_roots does; a rest still
-    # above the cap is one "capped" entry, weighted by its distinct roots,
+    # rational roots are split off first (exact.root_policy); a rest still
+    # above the cap is one "factor-cap" entry, weighted by its distinct roots,
     # and k is the degree of P(0, w)'s squarefree part either way
     p0 = UniPoly([1], var="w")
     for _ in range(power):
@@ -125,7 +125,7 @@ def test_axis_points_above_the_factor_cap(roots, rest, power, capped):
     assert k == sum(f.degree() for f, _ in p0.squarefree_decomposition())
     assert k == sum(weight for kind, _, weight in points if kind != "inf")
     assert sorted(v for kind, v, _ in points if kind == "rational") == sorted({Q(r) for r, _ in roots})
-    assert ("capped" in [kind for kind, _, _ in points]) == capped
+    assert ("factor-cap" in [kind for kind, _, _ in points]) == capped
     bound = axis_multiplicity_bound(sys)
     if capped:
         entry = bound.points[-1]
@@ -152,6 +152,97 @@ def test_axis_rejects_vanishing_p():
     sys = OdeSystem(bp({(1, 1): 1}), bp({(1, 0): 1, (2, 0): 1}))
     with pytest.raises(BoundsError, match="vanishes identically"):
         axis_singular_points(sys)
+
+
+@pytest.fixture(scope="module")
+def sp():
+    return pytest.importorskip("sympy")
+
+
+def oracle_summands(sp, p0, tower_cap):
+    """The axis summands but (0, inf) that sympy's factor_list of P(0, w)
+    gives, as sorted (label, weight, status, diagnostics), and k.
+
+    Above the factor cap 8 the rational roots are split off, and a rest
+    still above it is one capped entry of its distinct roots; a factor of
+    degree above ``tower_cap`` is capped; any other summand is counted."""
+    w = sp.symbols("w")
+    poly = sp.Poly(sp.Add(*[sp.Rational(c.numerator, c.denominator) * w**i for i, c in enumerate(p0.coeffs)]), w)
+    _, factors = sp.factor_list(poly.as_expr(), w, domain="QQ")
+    factors = [(sp.Poly(g, w, domain="QQ").monic(), m) for g, m in factors]
+    linear = [(g, m) for g, m in factors if g.degree() == 1]
+    rest = [(g, m) for g, m in factors if g.degree() > 1]
+    out = [(str(Q(str(-g.all_coeffs()[1]))), 1, "finite", ()) for g, _ in linear]
+    uni = lambda g: UniPoly([Q(str(c)) for c in reversed(g.all_coeffs())], var="w")
+    if p0.degree() > 8 and sum(g.degree() * m for g, m in rest) > 8:
+        whole = sp.Poly(sp.Mul(*[g.as_expr() ** m for g, m in rest]), w)
+        out.append(("root of %s" % uni(whole), sum(g.degree() for g, _ in rest), "capped", ("factor-cap",)))
+    else:
+        for g, _ in rest:
+            capped = g.degree() > tower_cap
+            out.append(("root of %s" % uni(g), g.degree(), "capped" if capped else "finite", ("tower-cap",) * capped))
+    return sorted(out), sum(weight for _, weight, _, _ in out)
+
+
+AXIS_FACTORS = [[-2, 0, 1], [1, 0, 1], [2, 1, 3], [-2, 0, 0, 1], [1, 1, 0, 1], [5, -3, 0, 2]]
+AXIS_RESTS = [None, [2] + [0] * 8 + [1], [-1] + [0] * 8 + [1]]  # w^9 + 2, w^9 - 1
+
+
+# Derandomized and without an example database, so every run draws the
+# same examples.
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.sampled_from([Q(0), Q(1), Q(-2), Q(1, 2)]), max_size=3, unique=True),
+    st.lists(st.sampled_from(AXIS_FACTORS), max_size=2, unique_by=str),
+    st.sampled_from(AXIS_RESTS),
+    st.sampled_from([DEFAULT_CAPS, Caps(tower=2)]),
+)
+def test_axis_summands_follow_the_one_root_policy(sp, roots, factors, rest, caps):
+    # P(0, w) with rational roots, irreducible quadratics and cubics and a
+    # rest above the factor cap: which summands exist, what they weigh and
+    # which a cap stops is exact.root_policy's decision, the same as
+    # sympy's factors with the bound's caps.  zdot = z p0'(w), wdot = p0(w)
+    # + z makes each simple root a 1:1 Jordan node, counted 0 off its
+    # linear part, so every summand no cap stops is finite
+    assume(roots or factors or rest)
+    p0 = UniPoly([1], var="w")
+    for coeffs in [[-root, 1] for root in roots] + factors + [rest] * (rest is not None):
+        p0 = p0 * UniPoly(coeffs, var="w")
+    terms = {(0, j): c for j, c in enumerate(p0.coeffs)}
+    terms[(1, 0)] = 1
+    zdot = BiPoly({(1, j): c for j, c in enumerate(p0.derivative().coeffs)})
+    report = axis_multiplicity_bound(make_system(BiPoly(terms), zdot), caps)
+    got = sorted((p.label, p.weight, p.mul.status, p.mul.diagnostics) for p in report.points[1:])
+    want, k = oracle_summands(sp, p0, caps.tower)
+    assert got == want
+    assert report.k == k
+    assert report.points[0].label == "inf"
+
+
+def test_the_bound_extends_no_leaf(monkeypatch):
+    # summands print no branches, so the trees the bound runs itself extend
+    # no leaf past its prefix, whatever caps.terms is; the counter sees the
+    # terms that multiplicity_at adds at the same caps
+    added = []
+    real = branching.extend_leaf
+
+    def counted(leaf, n_terms):
+        out = real(leaf, n_terms)
+        added.append(len(out) - len(leaf.terms))
+        return out
+
+    monkeypatch.setattr(branching, "extend_leaf", counted)
+    systems = [
+        "dw/dz = ((w^2 - 2*z^2)^2 + z^7) / z^5",
+        "dw/dz = ((w^2 - 2)^2 + z^2*w) / z^3",
+        "dw/dz = (w^2 + z*w - 2) / (z)",
+        "dw/dz = (z^2*w + 2*z*w^2 + z^2 + 3*w) / (-4*z^3 + z^2)",
+    ]
+    for text in systems:
+        axis_multiplicity_bound(parse_system(text)[0], DEFAULT_CAPS)
+    assert added and sum(added) == 0
+    multiplicity_at(parse_system(systems[0])[0], ("point", Q(0), Q(0)), DEFAULT_CAPS)
+    assert sum(added) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +440,7 @@ def _irrational_classes(pairs):
             points, _ = axis_singular_points(sys)
         except (OdeError, BoundsError):
             continue
-        out.extend((sys, f) for kind, f, _ in points if kind == "algebraic" and f.certified_irreducible)
+        out.extend((sys, f) for kind, f, _ in points if kind == "irrational")
     return out
 
 
@@ -376,7 +467,7 @@ def test_linear_part_rule_on_a_factor_with_a_non_unit_integer_lead():
     # census system: w^2 - 1/2*w + 2 is 2w^2 - w + 4 on Z[w], so the
     # pseudo-remainders are scaled by powers of 2
     sys, _ = parse_system("dw/dz = (2*w^3 - w^2 - z*w + 4*z^2 + 4*w) / (z*w + 4*z)")
-    ((f,),) = [(f,) for kind, f, _ in axis_singular_points(sys)[0] if kind == "algebraic"]
+    ((f,),) = [(f,) for kind, f, _ in axis_singular_points(sys)[0] if kind == "irrational"]
     assert str(f) == "w^2 - 1/2*w + 2"
     rule = _axis_root_count(_linear_rows(sys), _primitive_int_coeffs(f), DEFAULT_CAPS)
     tower, theta = adjoin_root(QQ_TOWER, f, DEFAULT_CAPS.tower)
@@ -549,7 +640,7 @@ def _irrational_classes_by_kind(sys):
     dp0 = p_at_axis(sys).derivative()
     out = {}
     for kind, f, _ in axis_singular_points(sys)[0]:
-        if kind != "algebraic":
+        if kind != "irrational":
             continue
         across, along = not (q1 % f).is_zero(), not (dp0 % f).is_zero()
         if across != along:

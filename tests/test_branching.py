@@ -14,13 +14,12 @@ from pbound.branching import (
     Caps,
     _Expander,
     _fold_step,
+    _closure,
+    _indicial_ratio,
     _newton,
-    _walk_sides,
-    closure_check,
     expand_branches,
     extend_leaf,
     multiplicity_at,
-    resolve_resonance,
 )
 from pbound.exact import (
     QQ_TOWER,
@@ -38,6 +37,7 @@ from pbound.polyode import (
     CoeffProfile,
     OdeError,
     OdeSystem,
+    _integer_sides,
     coeff_profile,
     make_system,
     substitute_branch,
@@ -62,6 +62,33 @@ def lv_system(a, b, c):
         bp({(1, 1): b, (0, 2): 1, (0, 1): -a}),
         bp({(2, 0): 1, (1, 1): c, (1, 0): -1}),
     )
+
+
+def _walk_sides(sys):
+    """The walk's pair (p, q, n, tower) of ``sys``: its content-free integer
+    pair over Q and over a one-level tower (``_integer_sides``), its exact
+    terms above."""
+    p, q, _ = _integer_sides(sys.P.terms, sys.Q.terms, sys.tower)
+    return p, q, sys.n, sys.tower
+
+
+def closure(sys, lam_prev):
+    """``_closure`` on the fold profile of the remainder system ``sys``."""
+    prof = coeff_profile(sys.P.terms, sys.Q.terms, sys.n, fold=True)
+    return _closure(prof, lam_prev, _indicial_ratio(prof))
+
+
+def engine_resolve(sys, lam_prev, rho, caps=DEFAULT_CAPS):
+    """``_Expander._resolve_resonance`` on the resonant remainder system
+    ``sys``: ("critical", witness), or the leaf's status and the leaf, whose
+    terms describe the resonant tail only."""
+    engine = _Expander(sys, caps)
+    node = branching._Node(sides=None, prefix=(), lam_prev=Q(lam_prev), folded=1, depth=0)
+    try:
+        leaf = engine._resolve_resonance(node, _walk_sides(sys), Q(rho))
+    except branching.CriticalFound as hit:
+        return "critical", hit.witness
+    return leaf.status, leaf
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +120,7 @@ def test_example45_mu0_branch_shapes():
 def test_example45_mu0_closure_via_condition_one():
     sys = example45(0)
     rem = substitute_branch(sys, Q(2), Q(1, 2))
-    kind, rho = closure_check(rem, lam_prev=Q(2))
+    kind, rho = closure(rem, Q(2))
     assert kind == "closed"
 
 
@@ -101,18 +128,18 @@ def test_resonance_resolution_standalone():
     # each outcome is also the one of the diagram-based loop (reference_resolve)
     # mu = 3: the remainder after (2, -1) is resonant with ratio 3
     rem = substitute_branch(example45(Q(3)), Q(2), Q(-1))
-    kind, rho = closure_check(rem, lam_prev=Q(2))
+    kind, rho = closure(rem, Q(2))
     assert kind == "resonance" and rho == Q(3)
-    status, outcome = resolve_resonance(rem, Q(2), rho)
+    status, outcome = engine_resolve(rem, Q(2), rho)
     assert status == "critical"
     assert outcome.lam_star == Q(3)
     assert _resolution_compared((status, outcome)) == _resolution_compared(reference_resolve(rem, Q(2), rho))
 
     # mu = 5: the resonant order is hit exactly and no continuation exists
     rem5 = substitute_branch(example45(Q(5)), Q(2), Q(-1, 3))
-    kind5, rho5 = closure_check(rem5, lam_prev=Q(2))
+    kind5, rho5 = closure(rem5, Q(2))
     assert kind5 == "resonance" and rho5 == Q(5)
-    status5, leaf5 = resolve_resonance(rem5, Q(2), rho5)
+    status5, leaf5 = engine_resolve(rem5, Q(2), rho5)
     assert status5 == "non-algebraic"
     assert "resonance-order-hit" in leaf5.flags
     assert _resolution_compared((status5, leaf5)) == _resolution_compared(reference_resolve(rem5, Q(2), rho5))
@@ -456,7 +483,7 @@ class _ReferenceExpander(_Expander):
 
 
 def reference_resolve(sys, lam_prev, rho, caps=DEFAULT_CAPS):
-    """``resolve_resonance`` on ``_ReferenceExpander``."""
+    """``engine_resolve`` on ``_ReferenceExpander``."""
     engine = _ReferenceExpander(sys, caps)
     node = SystemNode(system=sys, prefix=(), lam_prev=Q(lam_prev), folded=1, depth=0)
     try:
@@ -580,7 +607,7 @@ def test_resonance_stepping_matches_diagram_loop_census_394(caps, status):
     assert len(engine.resonances) == 1
     sys, lam_prev, rho = engine.resonances[0]
     assert rho == 36
-    got = resolve_resonance(sys, lam_prev, rho, caps)
+    got = engine_resolve(sys, lam_prev, rho, caps)
     assert got[0] == status
     assert _resolution_compared(got) == _resolution_compared(reference_resolve(sys, lam_prev, rho, caps))
 
@@ -608,7 +635,7 @@ def indicial(rho, f):
 )
 def test_resonance_walk_outcomes(rho, f, caps, want):
     sys = indicial(rho, f)
-    got = resolve_resonance(sys, Q(1, 2), rho, caps)
+    got = engine_resolve(sys, Q(1, 2), rho, caps)
     status, found = got
     assert (status, len(found.prefix if status == "critical" else found.terms)) == want
     if status == "critical":
@@ -632,7 +659,7 @@ def test_series_terminating_inside_a_resonance_is_critical():
     assert (w.kind, w.lam_star, w.depth, _as_compared(w.prefix)) == ("resonance", Q(3), 2, _as_compared(series))
     engine = recorded_expansion(sys, ("point", Q(0), Q(0)))
     assert len(engine.resonances) == 1
-    got = resolve_resonance(*engine.resonances[0])
+    got = engine_resolve(*engine.resonances[0])
     assert got[0] == "critical"
     assert _resolution_compared(got) == _resolution_compared(reference_resolve(*engine.resonances[0]))
 
@@ -896,7 +923,7 @@ def test_resonance_off_the_lattice(sys, lam_prev, rho, caps, want, raise_counter
     # lies above it, and the walk cuts at floor(N (y1 + rho)) and never
     # raises it.  At depth 1 one step is needed, and the walk cuts at its
     # k0, 1 on either scale
-    got = resolve_resonance(sys, lam_prev, rho, caps)
+    got = engine_resolve(sys, lam_prev, rho, caps)
     status, found = got
     assert (status, len(found.prefix if status == "critical" else found.terms)) == want
     assert set(raise_counter) == {math.floor(sys.n * rho) if caps.depth > 1 else 1}
@@ -994,7 +1021,7 @@ def axis_systems(draw):
 def test_resonance_walk_matches_diagram_loop_on_random_axis_systems(system, point):
     for caps in (DEFAULT_CAPS, Caps(depth=64)):
         for sys, lam_prev, rho in recorded_expansion(system, point, caps).resonances:
-            got = resolve_resonance(sys, lam_prev, rho, caps)
+            got = engine_resolve(sys, lam_prev, rho, caps)
             assert _resolution_compared(got) == _resolution_compared(reference_resolve(sys, lam_prev, rho, caps))
 
 
@@ -1267,7 +1294,7 @@ def axis_locals(system):
     for kind, value, _ in points:
         if kind == "rational" and value != 0:
             out.append(transform_point(system, ("point", Q(0), value)))
-        elif kind == "algebraic" and value.degree() <= 3:
+        elif kind == "irrational" and value.degree() <= 3:
             tower, theta = adjoin_root(QQ_TOWER, value)
             out.append(transform_point(system.map_tower(tower), ("point", Q(0), theta)))
     return out

@@ -14,7 +14,6 @@ from fractions import Fraction as Q
 
 import pytest
 
-import pbound.bounds as bounds
 import pbound.exact as exact
 from pbound import parse_system
 from pbound.bounds import axis_multiplicity_bound
@@ -141,7 +140,7 @@ def test_axis_bound_replays_presumed_quartic_per_factor(monkeypatch):
     assert summands == [("inf", 1, 0), ("root of w^2 - w - 3", 2, 1), ("root of w^2 - 3", 2, 0)]
     assert certified["sum_bound"] == 2
 
-    monkeypatch.setattr(bounds, "factor_univariate", presumed_quartic(bounds.factor_univariate))
+    monkeypatch.setattr(exact, "factor_univariate", presumed_quartic(exact.factor_univariate))
     report = axis_multiplicity_bound(system)
     capped = report.to_report()["summands"][1]
     assert capped == {"point": "root of w^4 - w^3 - 6*w^2 + 3*w + 9", "weight": 4, "status": "capped", "mul_lower_bound": 0}

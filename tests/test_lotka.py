@@ -8,12 +8,10 @@ from pbound.bounds import BoundsError
 from pbound.exact import ExactError
 from pbound.lotka import (
     LvParams,
-    apply_symmetry,
     classify,
     genericity_check,
     lv_equation,
     lv_multiplicity_triple,
-    verify_symmetry,
 )
 from pbound.polyode import bipoly_str
 from pbound.sysparse import multiplicity_report
@@ -34,13 +32,13 @@ def test_genericity_holds_at_reference_point():
 def test_genericity_violated_positive_a():
     v = genericity_check(LvParams(Q(1, 2), Q(0), Q(0)))
     assert not v.holds
-    assert "a not in Q+" in v.violated()
+    assert ("a not in Q+", False) in [(name, ok) for name, ok, _ in v.clauses]
 
 
 def test_genericity_violated_negative_c():
     v = genericity_check(LvParams(Q(-1), Q(0), Q(-3)))
     assert not v.holds
-    assert "c not in Q-" in v.violated()
+    assert ("c not in Q-", False) in [(name, ok) for name, ok, _ in v.clauses]
 
 
 def test_genericity_third_clause():
@@ -89,63 +87,6 @@ def test_classify_second_stratum_point():
     assert bipoly_str(with_curve.curve.f) == "w - 2*z + 2"
     without = classify(LvParams(Q(-2), Q(3), Q(1, 2)))
     assert without.verdict == "no-strict-curve"
-
-
-# ---------------------------------------------------------------------------
-# symmetries
-# ---------------------------------------------------------------------------
-
-def test_axes_swap_parameters():
-    new, mapping = apply_symmetry(LvParams(Q(-1), Q(0), Q(0)), "axes-swap")
-    assert new == LvParams(Q(-1), Q(0), Q(0))
-    assert mapping == {"z": "w/(-1)", "w": "z/(-1)"}
-
-
-def test_inversion_parameters():
-    new, _ = apply_symmetry(LvParams(Q(-1), Q(0), Q(0)), "inversion")
-    assert new == LvParams(Q(1), Q(2), Q(0))
-
-
-def test_inversion_requires_c_not_one():
-    with pytest.raises(ValueError, match="c != 1"):
-        apply_symmetry(LvParams(Q(-1), Q(0), Q(1)), "inversion")
-
-
-def test_axes_swap_requires_a_nonzero():
-    with pytest.raises(ValueError, match="a != 0"):
-        apply_symmetry(LvParams(Q(0), Q(0), Q(0)), "axes-swap")
-
-
-@pytest.mark.parametrize(
-    "params",
-    [
-        LvParams(Q(-1), Q(0), Q(0)),
-        LvParams(Q(-2), Q(3), Q(1, 2)),
-        LvParams(Q(2), Q(-1), Q(5)),
-        LvParams(Q(1, 3), Q(2), Q(-7, 2)),
-    ],
-)
-def test_symmetry_soundness(params):
-    assert verify_symmetry(params, "axes-swap")
-    if params.c != 1:
-        assert verify_symmetry(params, "inversion")
-
-
-def test_symmetry_maps_curve_to_curve():
-    # image of a(z-1)+w under axes-swap is invariant for the image parameters
-    from pbound.darboux import DarbouxCertificate, verify_darboux
-    from pbound.polyode import BiPoly
-
-    p = LvParams(Q(-2), Q(0), Q(1, 2))
-    new, _ = apply_symmetry(p, "axes-swap")
-    # curve a(z-1)+w = 0 maps under (z,w) -> (w/a, z/a): substitute
-    # z = a W, w = a Z into a(z-1)+w: a(aW - 1) + aZ = a(aW + Z - 1)
-    a = p.a
-    image = BiPoly({(Q(0), 1): a, (Q(1), 0): Q(1), (Q(0), 0): Q(-1)})
-    cert = verify_darboux(lv_equation(new), image)
-    assert isinstance(cert, DarbouxCertificate)
-    # and indeed it is the strict curve a'(z-1)+w for a' = 1/a
-    assert new.a * (1 - new.c) + (1 - new.b) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from pbound.sysparse import (
     MAX_NESTING,
     ParseError,
     emit_report,
+    multiplicity_report,
     parse_system,
     print_system,
 )
@@ -173,7 +174,7 @@ def test_roundtrip_print_parse():
 def test_report_finite_json_schema():
     sys, _ = parse_system("dw/dz = (z^2) / (z + w^2)")
     res = multiplicity_at(sys, ("point", Q(0), Q(0)))
-    blob = emit_report(res, "json")
+    blob = emit_report(multiplicity_report(res), "json")
     data = json.loads(blob)
     assert data["status"] == "finite"
     assert data["mul"] == 3
@@ -189,7 +190,7 @@ def test_report_finite_json_schema():
 def test_report_critical_witness():
     sys, _ = parse_system("dw/dz = (z^2 + 3/2*w) / (z + w^2)")
     res = multiplicity_at(sys, ("point", Q(0), Q(0)))
-    data = json.loads(emit_report(res, "json"))
+    data = json.loads(emit_report(multiplicity_report(res), "json"))
     assert data["status"] == "critical"
     assert data["criticality_witness"]["lambda"] == "3/2"
     assert data["criticality_witness"]["test"] == "vertex-dominance"
@@ -198,7 +199,7 @@ def test_report_critical_witness():
 def test_report_text_format():
     sys, _ = parse_system("dw/dz = (z^2) / (z + w^2)")
     res = multiplicity_at(sys, ("point", Q(0), Q(0)))
-    text = emit_report(res, "text").decode()
+    text = emit_report(multiplicity_report(res), "text").decode()
     assert "status: finite" in text
     assert "mul: 3" in text
 
@@ -206,7 +207,7 @@ def test_report_text_format():
 def test_report_deterministic():
     sys, _ = parse_system("dw/dz = (z^2) / (z + w^2)")
     blobs = {
-        emit_report(multiplicity_at(sys, ("point", Q(0), Q(0))), "json") for _ in range(3)
+        emit_report(multiplicity_report(multiplicity_at(sys, ("point", Q(0), Q(0)))), "json") for _ in range(3)
     }
     assert len(blobs) == 1
 
