@@ -165,11 +165,6 @@ def axis_singular_points(sys: OdeSystem, caps: Caps = DEFAULT_CAPS):
 # the axis multiplicity bound (sum and product forms)
 # ---------------------------------------------------------------------------
 
-def axis_degree(sys: OdeSystem) -> int:
-    """M = max(deg P, deg zQ) for an axis-form system."""
-    return max(sys.P.total_degree(), sys.Q.total_degree())
-
-
 def _linear_rows(sys: OdeSystem):
     """The int rows of P and Q by z-power, dense in w (``polyode._int_rows``),
     both over the common denominator of their coefficients, so on one
@@ -252,8 +247,8 @@ def axis_multiplicity_bound(sys: OdeSystem, caps: Caps = DEFAULT_CAPS, known=Non
     no branches: the branches of a count at (0, infinity) have the base
     (0, 0), not ("inf", 0), and must reach no branch list."""
     points, k = axis_singular_points(sys, caps)
-    m_axis = axis_degree(sys)
-    report = BoundReport(m_axis=m_axis, m_plain=sys.degree(), k=k)
+    m_axis = sys.degree()
+    report = BoundReport(m_axis=m_axis, m_plain=m_axis, k=k)
     rows = _linear_rows(sys)
     known = known or {}
     total = 0

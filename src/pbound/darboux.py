@@ -39,7 +39,6 @@ from .exact import (
     _int_poly_sub,
     _level_modulus,
     _rows_content,
-    _sylvester_resultant,
     as_fraction,
     f_is_zero,
     field_zero,
@@ -317,7 +316,6 @@ class LineDetection:
     lines: list  # DarbouxCertificate for rational lines
     families: list  # LineFamily for conjugate (irrational) ones
     dicritical: bool
-    notes: tuple = ()
     capped: tuple = ()  # the notes of the factors whose roots a cap stopped
 
     def to_report(self):
@@ -325,7 +323,7 @@ class LineDetection:
             "lines": [c.to_report() for c in self.lines],
             "conjugate_families": [f.to_report() for f in self.families],
             "dicritical_line_family": self.dicritical,
-            "notes": list(self.notes),
+            "notes": list(self.capped),
         }
 
     @property
@@ -349,7 +347,6 @@ def detect_invariant_lines(sys: OdeSystem) -> LineDetection:
         A, B = BiPoly._from_clean(ints[1], None), BiPoly._from_clean(ints[0], None)
     lines = []
     families = []
-    notes = []
     dicritical = False
 
     # axis-parallel lines: (z - z0) | A and (w - w0) | B
@@ -364,9 +361,7 @@ def detect_invariant_lines(sys: OdeSystem) -> LineDetection:
 
     # sloped lines w = s z + r: (B - s A)(z, s z + r) == 0 identically in z
     conditions = _sloped_line_conditions(A, B)
-    status, pairs, extra_notes, capped = _solve_two_var_system(conditions)
-    notes.extend(extra_notes)
-    notes.extend(capped)
+    status, pairs, capped = _solve_two_var_system(conditions)
     if status == "infinite":
         dicritical = True
     else:
@@ -383,9 +378,7 @@ def detect_invariant_lines(sys: OdeSystem) -> LineDetection:
                 families.append(LineFamily(kind="sloped", factor=minpoly, degree=tower.degree(), tower=tower))
 
     lines = _dedupe_certs(lines)
-    return LineDetection(
-        lines=lines, families=families, dicritical=dicritical, notes=tuple(notes), capped=tuple(capped)
-    )
+    return LineDetection(lines=lines, families=families, dicritical=dicritical, capped=tuple(capped))
 
 
 def _sloped_line_conditions(A: BiPoly, B: BiPoly):
@@ -393,6 +386,16 @@ def _sloped_line_conditions(A: BiPoly, B: BiPoly):
 
     The unknown pair lives in a helper BiPoly with s on the z-slot and r on
     the w-slot.
+
+    Every field (``OdeSystem`` refuses A = B = 0) has a condition free of
+    r or one linear in r.  With M the degree of the field and A_M, B_M its
+    homogeneous parts of degree M, the z^M coefficient is T(s) = B_M(1, s)
+    - s A_M(1, s), free of r: the direction of an invariant line is a
+    singular point on the line at infinity (Artés-Grünbaum-Llibre, Pacific
+    J. Math. 184 (1998)).  T vanishes identically only for a radial top,
+    z B_M = w A_M, that is A_M = z H and B_M = w H with H nonzero; the
+    z^(M-1) coefficient is then H(1, s) r + B_(M-1)(1, s) - s A_(M-1)(1, s),
+    of degree 1 in r.
     """
     conditions = {}
 
@@ -429,48 +432,40 @@ def _dedupe_certs(certs):
 # -- exact solving of a bivariate polynomial system ---------------------------
 
 def _solve_two_var_system(polys):
-    """Common zeros of polynomials in (s, r) with s != 0; returns (status,
-    pairs, notes, capped), where capped notes each slope or intercept
-    factor whose root a cap stopped.
+    """Common zeros in (s, r), s != 0, of the nonzero conditions of
+    ``_sloped_line_conditions``; returns (status, pairs, capped), where
+    capped notes each slope or intercept factor whose root a cap stopped.
 
     status "infinite" flags a positive-dimensional solution set (a common
     nonconstant factor); "finite" returns all solutions with coordinates in Q
     or in an adjoined tower.  The slope s = 0 is never solved: a horizontal
-    line is a factor of B's content in z, which gives it.  Slopes that no
-    condition bounds are a cap like the others: lines may be missing.
+    line is a factor of B's content in z, which gives it.  The slopes are
+    bounded by the conditions free of r and by the resultants
+    (``_resultant_r``) with the first condition linear in r; by the lemma of
+    ``_sloped_line_conditions`` one of the two exists.  Where none is free
+    of r, the resultants do not all vanish: if they did, the primitive part
+    of the linear condition would divide every condition, a common factor
+    that the gcd chain reports first.
     """
-    polys = [p for p in polys if not p.is_zero()]
-    if not polys:
-        return "infinite", [], ("no constraints on lines",), []
     g = polys[0]
     for p in polys[1:]:
         g = biv_gcd(g, p)
         if g.total_degree() == 0:
             break
     if g.total_degree() > 0:
-        return "infinite", [], (), []
-    # candidate s-values from r-free conditions and resultants
-    s_constraints = []
-    r_positive = []
-    for p in polys:
-        if p.w_degree() == 0:
-            s_constraints.append(UniPoly(_row_coeffs(p, 0), var="z"))
-        else:
-            r_positive.append(p)
-    notes = []
-    if r_positive:
-        base = min(r_positive, key=lambda p: p.w_degree())
-        for other in r_positive:
-            if other is base:
-                continue
-            res = _resultant_r(base, other)
-            if res is not None and not res.is_zero():
-                s_constraints.append(res)
-    if not s_constraints:
-        return "partial", [], (), ["could not bound line slopes"]
+        return "infinite", [], []
+    # candidate slopes: the r-free conditions and the resultants with base
+    s_constraints = [UniPoly(_row_coeffs(p, 0), var="z") for p in polys if p.w_degree() == 0]
+    base = next((p for p in polys if p.w_degree() == 1), None)
+    if base is not None:
+        for other in polys:
+            if other is not base and other.w_degree() > 0:
+                res = _resultant_r(base, other)
+                if not res.is_zero():
+                    s_constraints.append(res)
     gs = functools.reduce(UniPoly.gcd, s_constraints)
     if gs.degree() == 0:
-        return "finite", [], notes, []
+        return "finite", [], []
     capped = []
     pairs = []
     for s in _roots(gs, None, "slope", capped):
@@ -481,7 +476,7 @@ def _solve_two_var_system(polys):
     for s_val, r_val in pairs:
         if all(_eval_sr(p, s_val, r_val) for p in polys):
             verified.append((s_val, r_val))
-    return "finite", verified, notes, capped
+    return "finite", verified, capped
 
 
 def _roots(p: UniPoly, tower, what, capped):
@@ -503,7 +498,9 @@ def _roots(p: UniPoly, tower, what, capped):
 
 def _solve_r_given_s(polys, s_val, capped):
     """The pairs (s_val, r) of common zeros, r over s_val's field or
-    adjoined over it, with s_val then lifted to r's tower."""
+    adjoined over it, with s_val then lifted to r's tower.  Some condition
+    is nonzero at s_val: if all vanished there, the minimal polynomial of
+    s_val would divide every condition, a common factor."""
     tower = s_val.tower if isinstance(s_val, ExtElem) else None
     r_polys = []
     for p in polys:
@@ -512,8 +509,6 @@ def _solve_r_given_s(polys, s_val, capped):
             return []  # inconsistent at this s
         if not u.is_zero():
             r_polys.append(u)
-    if not r_polys:
-        return []
     g = functools.reduce(UniPoly.gcd, r_polys)
     if g.degree() == 0:
         return []
@@ -545,17 +540,13 @@ def _eval_sr(p: BiPoly, s_val, r_val) -> bool:
     return total is None or f_is_zero(total)
 
 
-def _resultant_r(a: BiPoly, b: BiPoly) -> Optional[UniPoly]:
-    """The resultant eliminating r, a UniPoly in s: the Sylvester one, and
-    for a = a1 r + a0 its closed form a1^n b(-a0/a1), n = deg_r b, which
-    is the homogeneous sum of b_j (-a0)^j a1^(n - j), taken by Horner on
-    int lists: with la a and lb b integral it is la^n lb times the
+def _resultant_r(a: BiPoly, b: BiPoly) -> UniPoly:
+    """The resultant eliminating r of a = a1 r + a0 and a nonzero b, a
+    UniPoly in s, in closed form: a1^n b(-a0/a1), n = deg_r b, which is
+    the homogeneous sum of b_j (-a0)^j a1^(n - j), taken by Horner on int
+    lists: with la a and lb b integral it is la^n lb times the
     resultant."""
-    m, n = a.w_degree(), b.w_degree()
-    if m < 0 or n < 0 or m + n == 0:
-        return None
-    if m != 1:
-        return _sylvester_resultant(a.terms, b.terms, "z")
+    n = b.w_degree()
     (la, (a0, a1)), (lb, rows) = _r_rows(a), _r_rows(b)
     out, power = rows[n], a1
     for j in range(n - 1, -1, -1):

@@ -245,7 +245,7 @@ def _inv(levels, a):
     irreducible, so the tower is a field.
 
     A rational element's inverse is the rational inverse embedded.  At a
-    level over Q the inverse is solved on integers by Cramer's rule
+    level over Q the inverse is solved on integers by ``int_echelon``
     (``_inv_rational``); above the first level extended Euclid
     (``_euclid_inverse``) runs."""
     q = _rational_value(levels, a)
@@ -273,39 +273,37 @@ def _euclid_inverse(levels, a):
 
 
 def _inv_rational(level, a):
-    """The inverse of a in Q[x]/(m) by Cramer's rule on Z.
+    """The inverse of a in Q[x]/(m), solved on Z by ``int_echelon``.
 
     With a scaled to an integer vector over the lcm s of its denominators
     and the level's reduction table on its denominator r, N = s r M is the
-    integer matrix of multiplication by a.  Then y = M^-1 e0 has
-    y_i = s r C_i / det N for the cofactors C_i of N's first row, and
-    det N is the sum of that row's entries times their cofactors."""
+    integer matrix of multiplication by a.  M y = e0 is N y = s r e0; the
+    kernel of [N | -e0] is one primitive vector (y', D) with D > 0 exactly
+    when N is invertible, and then y = s r y' / D.  Any other kernel is a
+    zero divisor, which a level built directly as a ring can hold."""
     s = math.lcm(*[x.denominator for x in a])
     ia = [x.numerator * (s // x.denominator) for x in a]
     d = level.degree
-    rows, r = level.reduction
-    # column j of N: a x^j reduced modulo m, times s r
-    cols = []
+    table, r = level.reduction
+    # column j < d of N: a x^j reduced modulo m, times s r
+    rows = [[0] * (d + 1) for _ in range(d)]
+    rows[0][d] = -1
     for j in range(d):
-        col = [0] * d
         for i, x in enumerate(ia):
             if not x:
                 continue
             if i + j < d:
-                col[i + j] += x * r
+                rows[i + j][j] += x * r
             else:
-                for k, v in enumerate(rows[i + j - d]):
-                    col[k] += x * v
-        cols.append(col)
-    lower = [[col[i] for col in cols] for i in range(1, d)]
-    cofactors = []
-    for i in range(d):
-        minor = bareiss_det([row[:i] + row[i + 1:] for row in lower])
-        cofactors.append(-minor if i & 1 else minor)
-    det = sum(col[0] * c for col, c in zip(cols, cofactors))
+                for k, v in enumerate(table[i + j - d]):
+                    rows[k][j] += x * v
+    kernel = int_echelon(rows, d + 1).kernel
+    if len(kernel) != 1 or not kernel[0][d]:
+        raise ZeroDivisionError("division by a zero divisor")
+    *y, det = kernel[0]
     scale = s * r
     out = []
-    for c in cofactors:
+    for c in y:
         v = c * scale
         out.append(v // det if v % det == 0 else Q(v, det))
     return tuple(out)
@@ -720,23 +718,18 @@ def int_echelon(rows, width=None) -> Echelon:
     return Echelon(rank, tuple(pivots), det, kernel)
 
 
-def bareiss_det(mat):
-    """Fraction-free determinant of a square integer matrix: the ``det`` of
-    ``int_echelon``."""
-    return int_echelon(mat, len(mat)).det
-
-
 def packed_det(rows):
     """The determinant of a square matrix of integer term dicts
     {(ze, we): int}, as such a dict without zeros.
 
     Let phi be the ring map Z[z, w] -> Z sending z to 2^b and w to
     2^(b DZ).  As a ring map it commutes with the determinant, so Bareiss
-    on the integer matrix phi(M) gives phi(det M) whatever its pivots are,
-    and phi has to be injective on det M alone.  It is when det M has
-    z-degree below DZ and coefficients of absolute value below 2^(b-1):
-    z^a w^c lands on the base-2^b digit a + DZ c, and each digit is
-    recovered as the balanced residue in [-2^(b-1), 2^(b-1)).
+    (``int_echelon``) on the integer matrix phi(M) gives phi(det M)
+    whatever its pivots are, and phi has to be injective on det M alone.
+    It is when det M has z-degree below DZ and coefficients of absolute
+    value below 2^(b-1): z^a w^c lands on the base-2^b digit a + DZ c, and
+    each digit is recovered as the balanced residue in [-2^(b-1),
+    2^(b-1)).
 
     DZ - 1 is the largest z-degree of a product of nonzero entries along a
     permutation (``_assignment_z_degree``), which bounds the z-degree of
@@ -755,7 +748,8 @@ def packed_det(rows):
         dz = 0
     squares = math.prod(sum(sum(abs(c) for c in g.values()) ** 2 for g in row) for row in rows)
     b = math.isqrt(squares).bit_length() + 1
-    packed = bareiss_det([[sum(c << b * (ze + dz * we) for (ze, we), c in g.items()) for g in row] for row in rows])
+    ints = [[sum(c << b * (ze + dz * we) for (ze, we), c in g.items()) for g in row] for row in rows]
+    packed = int_echelon(ints, len(ints)).det
     mask, half, full = (1 << b) - 1, 1 << (b - 1), 1 << b
     terms = {}
     k = 0
@@ -788,41 +782,6 @@ def _assignment_z_degree(degrees) -> int:
                         nxt[key] = total + deg
         best = nxt
     return max(best.values(), default=0)
-
-
-def _sylvester_resultant(a, b, var):
-    """Resultant in j of two polynomials over Q, given as term dicts
-    {(i, j): c} without zeros: the determinant of their Sylvester matrix in
-    j, a UniPoly in i named ``var``, with canonical coefficients.
-
-    With la and lb the lcms of the denominators in a and in b, la a and
-    lb b are integral; their Sylvester matrix has n = deg_j b rows of a's
-    coefficients and m = deg_j a rows of b's, each entry an integer term
-    dict in i, so its determinant, taken by ``packed_det``, is la^n lb^m
-    times the resultant."""
-    def integral(terms):
-        lcm = math.lcm(*[c.denominator for c in terms.values()])
-        rows = [{} for _ in range(max(j for _, j in terms) + 1)]
-        for (i, j), c in terms.items():
-            rows[j][(i, 0)] = c.numerator * (lcm // c.denominator)
-        return lcm, rows
-
-    (la, ia), (lb, ib) = integral(a), integral(b)
-    m, n = len(ia) - 1, len(ib) - 1
-    size = m + n
-    mat = [[{}] * size for _ in range(size)]
-    for i in range(n):
-        for j, c in enumerate(ia):
-            mat[i][i + (m - j)] = c
-    for i in range(m):
-        for j, c in enumerate(ib):
-            mat[n + i][i + (n - j)] = c
-    det = packed_det(mat)
-    scale = la**n * lb**m
-    coeffs = [0] * (max(det, default=(-1,))[0] + 1)
-    for (i, _), c in det.items():
-        coeffs[i] = c // scale if c % scale == 0 else Q(c, scale)
-    return UniPoly(coeffs, var=var)
 
 
 # ---------------------------------------------------------------------------

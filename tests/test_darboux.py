@@ -620,13 +620,15 @@ DET_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, databa
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
+QUADRATIC_MONOMIALS = [(i, d - i) for d in range(3) for i in range(d + 1)]
+
+
 @st.composite
 def quadratic_systems(draw):
     """zdot = Q, wdot = P with random rational terms of total degree <= 2."""
-    monomials = [(i, d - i) for d in range(3) for i in range(d + 1)]
 
     def poly():
-        keys = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=4, unique=True))
+        keys = draw(st.lists(st.sampled_from(QUADRATIC_MONOMIALS), min_size=1, max_size=4, unique=True))
         return BiPoly({(Q(i), j): draw(rationals) for i, j in keys})
 
     P, Q_ = poly(), poly()
@@ -968,20 +970,35 @@ def sympy_extactic(sp, sys, n):
     return {(Q(ze), we): Q(int(c.p), int(c.q)) for (ze, we), c in det.terms() if c}
 
 
-@DET_SETTINGS
-@given(quadratic_systems())
-@example(OdeSystem(bp({(0, 1): Q(3, 2), (0, 0): 2}), bp({(1, 1): Q(14, 3)})))  # w-degrees 1 and 1
-@example(OdeSystem(bp({(0, 2): 1, (1, 0): -3}), bp({(1, 1): 2, (0, 0): Q(1, 2)})))  # 2 and 1
-def test_resultant_r_matches_sympy_resultant(sp, sys):
-    # Res_w(P, Q) as a polynomial in z; both sides put P's rows first in the
-    # Sylvester matrix, so the signs agree and the test compares exactly
-    got = darboux._resultant_r(sys.P, sys.Q)
-    if got is None:
-        # a zero polynomial, or nothing to eliminate
-        assert sys.P.is_zero() or sys.Q.is_zero() or sys.P.w_degree() == sys.Q.w_degree() == 0
-        return
+@st.composite
+def linear_bases(draw):
+    """a1 w + a0 with random rational terms of total degree <= 2, a1 != 0."""
+    a1 = draw(st.dictionaries(st.integers(0, 1), rationals.filter(bool), min_size=1, max_size=2))
+    a0 = draw(st.dictionaries(st.integers(0, 2), rationals, max_size=3))
+    return bp({**{(i, 1): c for i, c in a1.items()}, **{(i, 0): c for i, c in a0.items()}})
+
+
+def sympy_res_w(sp, a, b):
+    """Res_w(a, b) for a linear in w, as a Poly in z over QQ.  sympy's
+    ``resultant`` orders its operands by degree (sympy 1.14), so for
+    deg_w b > 1 it gives Res(b, a) = (-1)^(deg_w b) Res(a, b)."""
     z, w = sp.symbols("z w")
-    want = sp.Poly(sp.resultant(sympy_expr(sp, sys.P), sympy_expr(sp, sys.Q), w), z, domain="QQ")
+    res = sp.resultant(sympy_expr(sp, a), sympy_expr(sp, b), w)
+    return sp.Poly((-1) ** b.w_degree() * res if b.w_degree() > 1 else res, z, domain="QQ")
+
+
+@DET_SETTINGS
+@given(
+    linear_bases(),
+    st.dictionaries(st.sampled_from(QUADRATIC_MONOMIALS), rationals.filter(bool), min_size=1, max_size=4).map(bp),
+)
+@example(bp({(0, 1): Q(3, 2), (0, 0): 2}), bp({(1, 1): Q(14, 3)}))  # w-degrees 1 and 1
+@example(bp({(1, 1): 2, (0, 0): Q(1, 2)}), bp({(0, 2): 1, (1, 0): -3}))  # 1 and 2
+def test_resultant_r_matches_sympy_resultant(sp, a, b):
+    # Res_w(a, b) as a polynomial in z for a linear base a, a's rows first
+    # in the Sylvester matrix on both sides, so the test compares exactly
+    got = darboux._resultant_r(a, b)
+    want = sympy_res_w(sp, a, b)
     assert {i: c for i, c in enumerate(got.coeffs) if c} == {
         int(e[0]): Q(int(c.p), int(c.q)) for e, c in want.terms() if c
     }
@@ -1001,15 +1018,17 @@ def linear_and_other_conditions():
     return out
 
 
-def test_resultant_of_a_linear_condition_matches_sylvester():
-    # a1^n b(-a0/a1), the closed form for a linear base, is the Sylvester
-    # determinant exactly: sign, scale and canonical int coefficients
+def test_resultant_of_a_linear_condition_matches_sylvester(sp):
+    # a1^n b(-a0/a1), the closed form for a linear base, is sympy's
+    # resultant, the Sylvester determinant, exactly: sign and scale, with
+    # canonical coefficients, an int where integral
     pairs = linear_and_other_conditions()
     for a, b in pairs:
         assert a.w_degree() == 1
         got = darboux._resultant_r(a, b)
-        want = exact._sylvester_resultant(a.terms, b.terms, "z") if b.terms else None
-        assert got == want and [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs], (a, b)
+        want = sympy_res_w(sp, a, b).all_coeffs()[::-1]
+        assert list(got.coeffs) == [int(c.p) if c.q == 1 else Q(int(c.p), int(c.q)) for c in want], (a, b)
+        assert all(type(c) is int or c.denominator != 1 for c in got.coeffs)
     assert any(b.w_degree() == 0 for _, b in pairs) and any(b.w_degree() >= 3 for _, b in pairs)
 
 
@@ -1134,8 +1153,14 @@ def sympy_sloped_lines(sp, sys):
 W2_MINUS_2Z2_PLUS_3 = bp({(0, 2): 1, (2, 0): -2, (0, 0): 3})
 
 SLOPED_LINE_SYSTEMS = {
-    # the saddle's rational line w = 1 - z, certified
+    # the saddle's rational line w = 1 - z, certified; its top part (z w,
+    # w^2) is radial, (z H, w H) with H = w, so no condition is free of r
     "rational-line": saddle_line_system(),
+    # radial tops (z H, w H): with H = z + w, the line w = z + 1 of
+    # zdot = z (z + w + 1), wdot = w (z + w - 1); with H = w - z, the lines
+    # w = z +- sqrt 2, since wdot - zdot = (w - z)^2 - 2
+    "radial-line": make_system(bp({(1, 1): 1, (0, 2): 1, (0, 1): -1}), bp({(2, 0): 1, (1, 1): 1, (1, 0): 1})),
+    "radial-family": make_system(bp({(0, 2): 1, (1, 1): -1, (0, 0): -1}), bp({(1, 1): 1, (2, 0): -1, (0, 0): 1})),
     # dw/dz = (w - z)^2 - 1: the lines w = z +- sqrt 2, a rational slope
     # whose intercept, a root of r^2 - 2, is adjoined over Q
     "rational-slope": make_system(bp({(0, 2): 1, (1, 1): -2, (2, 0): 1, (0, 0): -1}), bp({(0, 0): 1})),

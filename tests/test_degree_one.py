@@ -27,7 +27,7 @@ from pbound.darboux import (
     search_darboux,
     verify_darboux,
 )
-from pbound.polyode import OdeError, _primitive_int, bipoly_divexact, bipoly_str, make_system
+from pbound.polyode import BiPoly, OdeError, _primitive_int, bipoly_divexact, bipoly_str, make_system
 from pbound.sysparse import parse_system
 from test_bounds import _census_style, _corpus_pair
 from test_darboux import DET_SETTINGS, bp, lv_system, quadratic_systems, saddle_line_system, small_polys
@@ -243,17 +243,32 @@ def test_a_capped_detection_leaves_degree_one_partial():
     assert reference_degree_one(sys, detection).partial
 
 
-def test_unbounded_slopes_are_a_capped_detection(monkeypatch):
-    # r (r - 1), r (r - s) and (r - 1)(r + s), in (s, r) on the (z, w) slots,
-    # have no common factor, but each pair does: no resultant bounds s, and
-    # the common zero (1, 1) is not found.  The detection is capped, so the
-    # search is partial
-    r, s = bp({(0, 1): 1}), bp({(1, 0): 1})
-    one = bp({(0, 0): 1})
-    conditions = [r * (r - one), r * (r - s), (r - one) * (r + s)]
-    assert darboux._solve_two_var_system(conditions) == ("partial", [], (), ["could not bound line slopes"])
-    monkeypatch.setattr(darboux, "_sloped_line_conditions", lambda a, b: conditions)
-    detection = detect_invariant_lines(lv_system(Q(-1), Q(5), Q(0)))
-    assert detection.capped == detection.notes == ("could not bound line slopes",)
-    out = search_darboux(lv_system(Q(-1), Q(5), Q(0)), 1, detection)
-    assert out.partial and out.notes == ("degree 1: could not bound line slopes",)
+def test_every_field_has_a_condition_free_of_r_or_linear_in_r():
+    # the lemma of _sloped_line_conditions, on census-style axis systems,
+    # dense fields of degree 1 to 5 and fields with a radial top (A_M = z H,
+    # B_M = w H): some condition is free of r or linear in r, and on a
+    # radial top the z^(M-1) condition, the last one, is linear in r
+    rng = random.Random(50)
+
+    def dense(degree, low=0):
+        return BiPoly({(i, t - i): rng.randint(-3, 3) for t in range(low, degree + 1) for i in range(t + 1)})
+
+    z, w = BiPoly({(1, 0): 1}), BiPoly({(0, 1): 1})
+    fields = [(q, p) for p, q in (_census_style(rng) for _ in range(300))]
+    fields += [(dense(d), dense(d)) for d in range(1, 6) for _ in range(40)]
+    radial = []
+    for d in range(1, 6):
+        for _ in range(40):
+            h = dense(d - 1, d - 1)
+            if not h.is_zero():
+                radial.append((z * h + dense(d - 1), w * h + dense(d - 1)))
+    free = []
+    for a, b in fields + radial:
+        if a.is_zero() and b.is_zero():
+            continue
+        degrees = [c.w_degree() for c in darboux._sloped_line_conditions(a, b)]
+        assert min(degrees) <= 1, (a, b)
+        free.append(0 in degrees)
+    for a, b in radial:
+        assert darboux._sloped_line_conditions(a, b)[-1].w_degree() == 1, (a, b)
+    assert len(radial) > 150 and any(free) and not all(free)

@@ -24,6 +24,7 @@ from pbound.exact import (
     factor_univariate,
     in_q_minus,
     in_q_plus,
+    packed_det,
     sort_key,
 )
 
@@ -689,7 +690,7 @@ def test_norm_matches_gaussian_elimination(levels, degree, data):
 
 
 def test_value_charpoly_at_degree_16_needs_no_stride():
-    # the Sylvester matrix is 31 x 31 with entries in Q[y] only: packed
+    # the Sylvester matrix is 31 x 31 with entries in Z[y] only: packed
     # without an assignment search (2^31 column subsets), it takes
     # milliseconds
     rng = random.Random(16)
@@ -697,69 +698,31 @@ def test_value_charpoly_at_degree_16_needs_no_stride():
     t = Tower((rational_level("x", low),))
     coords = [Q(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(16)]
     e = ExtElem(t, tuple(int(c) if c.denominator == 1 else c for c in coords))
-    modulus = {(0, k): c for k, c in enumerate(t.levels[0].minpoly) if c}
-    shifted = {(0, k): -c for k, c in enumerate(e.rep) if c}
-    shifted[(1, 0)] = 1
+    # Res_x(m, y - e(x)) on Z[y]: la m and lb (y - e) integral, the 15 rows
+    # of m's coefficients first, then the 16 rows of y - e's, descending in x
+    modulus, shifted = t.levels[0].minpoly, [-Q(c) for c in e.rep]
+    la, lb = (math.lcm(*(Q(c).denominator for c in p)) for p in (modulus, shifted))
+    a = [{(0, 0): int(c * la)} if c else {} for c in modulus]
+    b = [{(0, 0): int(c * lb)} if c else {} for c in shifted]
+    b[0] = {**b[0], (1, 0): lb}
+    mat = [[{}] * 31 for _ in range(31)]
+    for i in range(15):
+        for j, c in enumerate(a):
+            mat[i][i + 16 - j] = c
+    for i in range(16):
+        for j, c in enumerate(b):
+            mat[15 + i][i + 15 - j] = c
     start = time.perf_counter()
-    charpoly = exact._sylvester_resultant(modulus, shifted, "y")
+    det = packed_det(mat)
     assert time.perf_counter() - start < 1.0
+    scale = la**15 * lb**16
+    coeffs = [0] * 17
+    for (i, _), c in det.items():
+        coeffs[i] = c // scale if c % scale == 0 else Q(c, scale)
+    charpoly = UniPoly(coeffs, var="y")
     assert charpoly.degree() == 16 and charpoly.coeffs[-1] == 1
     assert horner(charpoly, e).is_zero()  # Cayley-Hamilton
     assert value_charpoly(e) == charpoly
-
-
-# ---------------------------------------------------------------------------
-# the Sylvester resultant on the packed determinant
-# ---------------------------------------------------------------------------
-
-def in_s(*ascending):
-    return UniPoly([Q(c) for c in ascending], var="s")
-
-
-def sr_terms(rows):
-    """Rows in s by ascending power of r as a term dict {(s-exponent, r-exponent): c}."""
-    return {(i, j): c for j, p in enumerate(rows) for i, c in enumerate(p.coeffs) if c}
-
-
-def sympy_resultant(sp, a, b):
-    """Res_r(a, b) by sympy, as canonical coefficients ascending in s."""
-    s, r = sp.symbols("s r")
-
-    def expr(rows):
-        return sum(sympy_expr(sp, p.coeffs, s) * r**j for j, p in enumerate(rows))
-
-    want = sp.resultant(expr(a), expr(b), r)
-    coeffs = sympy_coeffs(sp, want, s, 0) if want != 0 else []
-    return [c.numerator if c.denominator == 1 else c for c in coeffs]
-
-
-@pytest.mark.parametrize(
-    "a, b",
-    [
-        # la = 210 for a, lb = 36 for b: the scale la^2 lb^2
-        ([in_s(Q(1, 6), 1), in_s(0, Q(-5, 7)), in_s(Q(2, 5))], [in_s(3, Q(1, 4)), in_s(Q(-7, 9)), in_s(1, 0, 2)]),
-        # degrees 3 and 1: la^1 lb^3
-        ([in_s(Q(1, 2)), in_s(0, 1), in_s(), in_s(Q(-3, 8))], [in_s(Q(5, 3), Q(1, 3)), in_s(2)]),
-        # m = 0: a constant in r gives a0^n, scaled by la^2 only
-        ([in_s(Q(1, 3), 0, Q(2, 5))], [in_s(1), in_s(Q(1, 7), 1), in_s(4)]),
-        # integral inputs stay ints
-        ([in_s(-2, 1), in_s(1)], [in_s(0, 3), in_s(5, -1), in_s(1)]),
-    ],
-    ids=["2x2-mixed-denominators", "3x1", "m=0", "integral"],
-)
-def test_sylvester_resultant_matches_sympy(sp, a, b):
-    got = exact._sylvester_resultant(sr_terms(a), sr_terms(b), "s")
-    assert got.var == "s"
-    assert list(got.coeffs) == sympy_resultant(sp, a, b)
-    assert all(type(c) is int or c.denominator != 1 for c in got.coeffs)
-
-
-def test_sylvester_resultant_of_a_common_factor_is_zero(sp):
-    # (r - s/2)(r + 1/3) and (r - s/2)(2 r - 5/4) share the root r = s/2
-    a = [in_s(0, Q(-1, 6)), in_s(Q(1, 3), Q(-1, 2)), in_s(1)]
-    b = [in_s(0, Q(5, 8)), in_s(Q(-5, 4), -1), in_s(2)]
-    assert exact._sylvester_resultant(sr_terms(a), sr_terms(b), "s").is_zero()
-    assert sympy_resultant(sp, a, b) == []
 
 
 def certified(p):
@@ -1992,7 +1955,7 @@ def test_int_echelon_matches_sympy(sp, rows):
     if got.kernel:
         assert sp.Matrix(got.kernel).rank() == len(got.kernel)
     if len(rows) == width:
-        assert got.det == matrix.det() == exact.bareiss_det(rows)
+        assert got.det == matrix.det()
     else:
         assert got.det is None
 
@@ -2004,11 +1967,11 @@ def test_int_echelon_with_a_zero_column_and_no_rows():
     got = exact.int_echelon([], 3)
     assert (got.rank, got.pivots, got.det) == (0, (), None)
     assert got.kernel == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert exact.int_echelon([], 0).det == exact.bareiss_det([]) == 1
+    assert exact.int_echelon([], 0).det == 1
 
 
 def test_bareiss_det_keeps_the_first_nonzero_pivot():
     # column 0 is zero in row 0: row 1 is the first nonzero entry below, a
     # swap, and every quotient goes through _int_divexact
-    assert exact.bareiss_det([[0, 1, 2], [3, 4, 5], [6, 7, 9]]) == -3
-    assert exact.bareiss_det([[0, 0], [0, 5]]) == 0
+    assert exact.int_echelon([[0, 1, 2], [3, 4, 5], [6, 7, 9]]).det == -3
+    assert exact.int_echelon([[0, 0], [0, 5]]).det == 0

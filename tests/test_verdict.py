@@ -212,7 +212,7 @@ def test_a_line_factor_past_a_cap_is_a_reason(monkeypatch, cap, note):
     system, _ = parse_system(HAMILTONIAN)
     detection = detect_invariant_lines(system)
     assert not detection.lines and not detection.families
-    assert detection.notes == detection.capped == (note,)
+    assert detection.capped == (note,) and detection.to_report()["notes"] == [note]
     assert detection.reasons == (Reason("capped", "lines", note),)
     assert inconclusive(detection.to_report())
     assert assert_verdict(["analyze", "--system", HAMILTONIAN, "--max-degree", "0"]) == 3
