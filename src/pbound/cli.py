@@ -34,6 +34,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
 
+#: the errors ``main`` reports, with exit code 3 for ExactError and 2 otherwise
+REPORTED_ERRORS = (ParseError, OdeError, BoundsError, ValueError, ExactError)
+
 
 @functools.lru_cache(maxsize=64)  # Caps is frozen, so one value serves every query with the same texts
 def _parse_caps(texts) -> Caps:
@@ -218,13 +221,22 @@ def _cmd_analyze(args) -> int:
     at_inf = multiplicity_at(system, ("inf", Q(0)), caps)
     report["mul_at_origin"] = multiplicity_report(origin)
     report["mul_at_infinity"] = multiplicity_report(at_inf)
-    detection = detect_invariant_lines(system)
+    bound = bound_error = None
+    if source.axis:
+        # the bound's summands labelled "0" and "inf" are these two points.
+        # The lines read the bound, so it is taken first; an error it
+        # raises is raised after the lines', in the order of the report
+        try:
+            bound = axis_multiplicity_bound(system, caps, {"0": origin, "inf": at_inf})
+        except REPORTED_ERRORS as exc:
+            bound_error = exc
+    detection = detect_invariant_lines(system, bound)
     report["invariant_lines"] = detection.to_report()
     results = [origin, at_inf, detection]
     search_degree = args.max_degree
     if source.axis:
-        # the bound's summands labelled "0" and "inf" are these two points
-        bound = axis_multiplicity_bound(system, caps, {"0": origin, "inf": at_inf})
+        if bound_error is not None:
+            raise bound_error
         report["bounds"] = bound.to_report()
         results.append(bound)
         if bound.sum_bound == 0:
@@ -395,7 +407,7 @@ def main(argv=None) -> int:
     json_out = getattr(args, "json", False)
     try:
         return args.func(args)
-    except (ParseError, OdeError, BoundsError, ValueError, ExactError) as exc:
+    except REPORTED_ERRORS as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         if json_out:
             sys.stdout.write(emit_report(payload, "json").decode())

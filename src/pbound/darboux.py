@@ -25,7 +25,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .branching import Reason
 from .exact import (
@@ -57,7 +57,6 @@ from .polyode import (
     _primitive_int,
     _int_rows,
     _int_terms,
-    _integer_sides,
     _lex_division,
     _over,
     bipoly_divexact,
@@ -66,6 +65,9 @@ from .polyode import (
     biv_gcd,
 )
 from .sysparse import tower_description
+
+if TYPE_CHECKING:  # bounds imports this module
+    from .bounds import BoundReport
 
 
 class DarbouxError(Exception):
@@ -116,7 +118,7 @@ def verify_darboux(sys: OdeSystem, f: BiPoly):
     """Exact division of X(f) by f: a certificate or the nonzero remainder.
 
     Over Q, f = c g with g its primitive integer part, and the field is
-    (1/s) times an integer pair (p, q) (``_integer_field``), so X(f) =
+    (1/s) times an integer pair (p, q) (``OdeSystem.integer_field``), so X(f) =
     (c/s) X'(g) with X' the field of (p, q).  Division is linear,
     so one (w, z)-lex walk of X'(g) by g on ints, k' g + r', gives the
     cofactor k'/s and the remainder (c/s) r' of X(f) by f.  By Gauss's lemma
@@ -126,7 +128,7 @@ def verify_darboux(sys: OdeSystem, f: BiPoly):
         raise DarbouxError("zero candidate")
     if f.total_degree() == 0:
         raise DarbouxError("constant candidate")
-    field, g = _integer_field(sys), _primitive_int(f)
+    field, g = sys.integer_field, _primitive_int(f)
     if field is not None and all(type(c) is int for c in g.terms.values()):
         p, q, s = field
         xf = BiPoly._from_clean(_derive_terms(p, q, g.terms), None)
@@ -159,15 +161,6 @@ def verify_darboux(sys: OdeSystem, f: BiPoly):
     )
 
 
-def _integer_field(sys: OdeSystem):
-    """(p, q, s) with (p, q) = s (P, Q) the content-free integer field and
-    s a positive rational (``_integer_sides``); None when a coefficient
-    lies in a tower."""
-    if not all(isinstance(c, (int, Fraction)) for c in [*sys.P.terms.values(), *sys.Q.terms.values()]):
-        return None
-    return _integer_sides(sys.P.terms, sys.Q.terms, None)
-
-
 def strictness_check(f: BiPoly):
     """Strict iff f carries no component z = z0 or w = w0 (over C).
 
@@ -175,11 +168,22 @@ def strictness_check(f: BiPoly):
     nonconstant, so no root isolation is needed.  The offenders are "z" and
     "w" for a power of the variable and "z-factor c" / "w-factor c" for the
     rest c of the content.
+
+    A line u z + v w + t is read off its coefficients: strict when u and v
+    are both nonzero; otherwise its one row in the variable it has is its
+    own content, kept as it stands, the variable itself when t = 0.
     """
     if f.is_zero():
         raise DarbouxError("zero candidate")
     if f.total_degree() == 0:
         raise DarbouxError("constant candidate")
+    if f.total_degree() == 1:
+        if (1, 0) in f.terms and (0, 1) in f.terms:
+            return True, ()
+        var, lead = ("z", f.terms[1, 0]) if (1, 0) in f.terms else ("w", f.terms[0, 1])
+        if (0, 0) not in f.terms:
+            return False, (var,)
+        return False, ("%s-factor %s" % (var, UniPoly([f.terms[0, 0], lead], var=var, tower=f.tower)),)
     offenders = []
     for var in ("z", "w"):
         k, c = _univariate_content(f, var)
@@ -219,15 +223,18 @@ def _row_coeffs(f: BiPoly, axis: int):
 
 
 def _lift(p: UniPoly, var: str) -> BiPoly:
-    """The UniPoly p in var as a BiPoly."""
-    return BiPoly({(i, 0) if var == "z" else (0, i): c for i, c in enumerate(p.coeffs)}, tower=p.tower)
+    """The UniPoly p in var as a BiPoly, its integral rationals ints."""
+    return BiPoly(
+        {(i, 0) if var == "z" else (0, i): _canon(c) if type(c) is Fraction else c for i, c in enumerate(p.coeffs)},
+        tower=p.tower,
+    )
 
 
 def _content_factors(f: BiPoly, var: str):
     """[(factor, multiplicity)] of the content of f in var over Q: var itself
     first when it divides f, then the irreducible factors of the rest."""
     k, c = _univariate_content(f, var)
-    out = [(UniPoly([Q(0), Q(1)], var=var), k)] if k > 0 else []
+    out = [(UniPoly([0, 1], var=var), k)] if k > 0 else []
     if c.degree() > 0:
         out.extend((fac.poly, fac.multiplicity) for fac in factor_univariate(c))
     return out
@@ -334,13 +341,22 @@ class LineDetection:
         )
 
 
-def detect_invariant_lines(sys: OdeSystem) -> LineDetection:
+def detect_invariant_lines(sys: OdeSystem, bound: Optional[BoundReport] = None) -> LineDetection:
     """All degree-1 Darboux polynomials u z + v w + t by undetermined
     coefficients, eliminated exactly; a positive-dimensional solution set is
     reported as a dicritical line family.  Over Q the lines are read off
-    an integer multiple of the field (``_integer_field``: a constant factor
-    changes no zero and no content), which is computed once."""
-    ints = _integer_field(sys)
+    an integer multiple of the field (``OdeSystem.integer_field``: a
+    constant factor changes no zero and no content).
+
+    ``bound`` is this system's own ``axis_multiplicity_bound``, when the
+    caller has it.  A ``sum_bound`` of 0 bounds deg_w of every strict
+    invariant curve by 0, so there is no sloped line w = s z + r, no
+    conjugate family of them (its product over Q is strict) and no
+    dicritical family (all but finitely many of its lines are sloped): the
+    sloped lines are not solved for.  The report of any other bound, such
+    as ``invariant_line_bound``'s of transformed coordinates, calls other
+    curves strict and must not be passed."""
+    ints = sys.integer_field
     if ints is None:
         A, B = sys.Q, sys.P  # zdot, wdot
     else:
@@ -360,15 +376,17 @@ def detect_invariant_lines(sys: OdeSystem) -> LineDetection:
                 families.append(LineFamily(kind=var, factor=fac, degree=fac.degree()))
 
     # sloped lines w = s z + r: (B - s A)(z, s z + r) == 0 identically in z
-    conditions = _sloped_line_conditions(A, B)
-    status, pairs, capped = _solve_two_var_system(conditions)
+    if bound is not None and bound.sum_bound == 0:
+        status, pairs, capped = "finite", [], []
+    else:
+        status, pairs, capped = _solve_two_var_system(_sloped_line_conditions(A, B))
     if status == "infinite":
         dicritical = True
     else:
         for s_val, r_val in pairs:
             if is_rational_value(s_val) and is_rational_value(r_val):
                 s0, r0 = as_fraction(s_val), as_fraction(r_val)
-                cand = BiPoly({(0, 1): Q(1), (1, 0): -s0, (0, 0): -r0})
+                cand = BiPoly({(0, 1): 1, (1, 0): _canon(-s0), (0, 0): _canon(-r0)})
                 cert = verify_darboux(sys, cand)
                 if isinstance(cert, DarbouxCertificate):
                     lines.append(cert)
@@ -420,10 +438,12 @@ def _sloped_line_conditions(A: BiPoly, B: BiPoly):
 
 def _dedupe_certs(certs):
     """The certificates, one per curve, by degree and text: two polynomials
-    over Q give one curve when their primitive integer parts agree."""
+    over Q give one curve when their primitive integer parts agree.  Their
+    int coefficients are keys as they are; a tower coefficient is keyed by
+    ``sort_key``."""
     seen = {}
     for cert in certs:
-        key = tuple((k, sort_key(v)) for k, v in sorted(_primitive_int(cert.f).terms.items()))
+        key = tuple((k, v if type(v) is int else sort_key(v)) for k, v in sorted(_primitive_int(cert.f).terms.items()))
         if key not in seen:
             seen[key] = cert
     return sorted(seen.values(), key=lambda c: (c.degree(), bipoly_str(c.f)))
@@ -613,7 +633,7 @@ def extactic_determinant(sys: OdeSystem, n: int) -> BiPoly:
     """
     if sys.n != 1:
         raise OdeError("extactic determinant requires integer exponents")
-    field = _integer_field(sys)
+    field = sys.integer_field
     if field is None:
         raise DarbouxError("extactic determinant requires rational coefficients")
     p, q, s = field
@@ -656,7 +676,7 @@ def invariant_core(sys: OdeSystem, e: BiPoly) -> BiPoly:
     Every step takes primitive integer parts and derives along the
     content-free integer field of ``_integer_sides``, since a gcd is defined
     up to a constant."""
-    field = _integer_field(sys)
+    field = sys.integer_field
     if field is None:
         raise DarbouxError("extactic determinant requires rational coefficients")
     p, q, _ = field

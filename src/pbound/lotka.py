@@ -25,8 +25,8 @@ from typing import Optional
 
 from .bounds import BoundReport, axis_multiplicity_bound
 from .branching import Caps, DEFAULT_CAPS, multiplicity_at
-from .darboux import DarbouxCertificate, search_darboux, verify_darboux
-from .exact import Q, in_q_minus, in_q_plus
+from .darboux import DarbouxCertificate, detect_invariant_lines, search_darboux, verify_darboux
+from .exact import Q, _canon, in_q_minus, in_q_plus
 from .polyode import BiPoly, OdeSystem, make_system
 
 
@@ -41,10 +41,11 @@ class LvParams:
 
 
 def lv_equation(p: LvParams) -> OdeSystem:
-    """dw/dz = w(bz + w - a) / (z(z + cw - 1)) with exact coefficients."""
-    a, b, c = p.a, p.b, p.c
-    P = BiPoly({(1, 1): b, (0, 2): Q(1), (0, 1): -a})
-    Qd = BiPoly({(2, 0): Q(1), (1, 1): c, (1, 0): Q(-1)})
+    """dw/dz = w(bz + w - a) / (z(z + cw - 1)) with exact coefficients,
+    ints where they are integral."""
+    a, b, c = _canon(p.a), _canon(p.b), _canon(p.c)
+    P = BiPoly({(1, 1): b, (0, 2): 1, (0, 1): -a})
+    Qd = BiPoly({(2, 0): 1, (1, 1): c, (1, 0): -1})
     return make_system(P, Qd)
 
 
@@ -119,7 +120,8 @@ class LvClassification:
 def classify(p: LvParams, caps: Caps = DEFAULT_CAPS, known=None, system=None) -> LvClassification:
     """Strict-curve classification: evaluate a(1-c) + (1-b) under the
     genericity condition; emit the curve certificate or certify absence by a
-    bounded search.  ``known`` goes to the axis bound
+    bounded search, whose line detection reads the bound.  ``known`` goes to
+    the axis bound
     (``axis_multiplicity_bound``): the multiplicities at axis points that
     the caller has computed at the same caps, by summand label.  ``system``
     is ``lv_equation(p)`` when the caller has built it."""
@@ -138,12 +140,13 @@ def classify(p: LvParams, caps: Caps = DEFAULT_CAPS, known=None, system=None) ->
     bound = axis_multiplicity_bound(sys, caps, known)
     notes = ()
     if s == 0:
-        curve = verify_darboux(sys, BiPoly({(1, 0): p.a, (0, 1): Q(1), (0, 0): -p.a}))
+        a = _canon(p.a)
+        curve = verify_darboux(sys, BiPoly({(1, 0): a, (0, 1): 1, (0, 0): -a}))
         if not isinstance(curve, DarbouxCertificate):
             raise AssertionError("a(z-1) + w failed verification at %s" % (p,))
     else:
         search_degree = max(1, bound.sum_bound or 0)
-        outcome = search_darboux(sys, search_degree)
+        outcome = search_darboux(sys, search_degree, detect_invariant_lines(sys, bound))
         # a strict certificate here violates the only-if direction of the
         # classification
         curve = next((c for c in outcome.certificates if c.strict), None)

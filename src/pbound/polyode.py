@@ -10,6 +10,7 @@ elements otherwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -468,6 +469,15 @@ class OdeSystem:
     def degree(self):
         """max of total degrees (systems with n = 1)."""
         return max(self.P.total_degree(), self.Q.total_degree())
+
+    @functools.cached_property
+    def integer_field(self):
+        """(p, q, s) with (p, q) = s (P, Q) the content-free integer field
+        and s a positive rational (``_integer_sides``), computed once per
+        system; None when a coefficient lies in a tower."""
+        if not all(isinstance(c, (int, Fraction)) for c in [*self.P.terms.values(), *self.Q.terms.values()]):
+            return None
+        return _integer_sides(self.P.terms, self.Q.terms, None)
 
     def map_tower(self, tower: Tower) -> "OdeSystem":
         return OdeSystem(self.P.map_tower(tower), self.Q.map_tower(tower), tower, self.n)

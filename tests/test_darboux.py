@@ -495,9 +495,9 @@ def counted_line_detection(monkeypatch):
     real = darboux.detect_invariant_lines
     calls = []
 
-    def counted(sys):
+    def counted(sys, *bound):
         calls.append(sys)
-        return real(sys)
+        return real(sys, *bound)
 
     monkeypatch.setattr(cli, "detect_invariant_lines", counted)
     monkeypatch.setattr(darboux, "detect_invariant_lines", counted)

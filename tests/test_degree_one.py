@@ -10,13 +10,16 @@ wherever E_1's residual is within ``CORE_DEGREE_CAP`` and no cap stopped the
 detection.
 """
 
+import contextlib
+import io
 import random
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, strategies as st
 
-from pbound import darboux
+from pbound import cli, darboux, polyode
+from pbound.bounds import BoundsError, axis_multiplicity_bound
 from pbound.darboux import (
     CORE_DEGREE_CAP,
     DarbouxCertificate,
@@ -25,8 +28,11 @@ from pbound.darboux import (
     extactic_determinant,
     invariant_core,
     search_darboux,
+    strictness_check,
     verify_darboux,
 )
+from pbound.exact import ExactError
+from pbound.lotka import LvParams, classify, lv_equation
 from pbound.polyode import BiPoly, OdeError, _primitive_int, bipoly_divexact, bipoly_str, make_system
 from pbound.sysparse import parse_system
 from test_bounds import _census_style, _corpus_pair
@@ -272,3 +278,95 @@ def test_every_field_has_a_condition_free_of_r_or_linear_in_r():
     for a, b in radial:
         assert darboux._sloped_line_conditions(a, b)[-1].w_degree() == 1, (a, b)
     assert len(radial) > 150 and any(free) and not all(free)
+
+
+def test_a_zero_sum_bound_decides_the_sloped_lines(monkeypatch):
+    # sum_bound 0 leaves no strict curve, so no sloped line: the detection
+    # that reads the axis bound solves no sloped-line condition, and gives
+    # the report and reasons of the full one, on census-style systems and
+    # on LV systems of the generic stratum c = 1 + 1/a
+    systems = census_style_systems(51, 300)
+    systems += [
+        lv_equation(LvParams(a, b, 1 + 1 / a)) for a in (Q(-1), Q(-3, 2), Q(-2), Q(-3)) for b in (Q(1), Q(3), Q(5), Q(-1, 2))
+    ]
+    cases = []
+    for sys in systems:
+        try:
+            bound = axis_multiplicity_bound(sys)
+        except (BoundsError, ExactError):
+            continue
+        if bound.sum_bound == 0:
+            cases.append((sys, bound, detect_invariant_lines(sys)))
+    assert len(cases) > 60 and any(full.families for _, _, full in cases)
+
+    def unreachable(*args):
+        raise AssertionError("sloped lines solved under a zero sum bound")
+
+    monkeypatch.setattr(darboux, "_sloped_line_conditions", unreachable)
+    for sys, bound, full in cases:
+        detection = detect_invariant_lines(sys, bound)
+        assert (detection.to_report(), detection.reasons) == (full.to_report(), full.reasons), sys
+    # lv and analyze pass the system's own bound: LV(-3,3,2/3) and
+    # LV(-1,5,0) have sum_bound 0
+    assert classify(LvParams(Q(-3), Q(3), Q(2, 3))).verdict == "no-strict-curve"
+    lv = "dz/dt = z*(z + 0*w - 1); dw/dt = w*(5*z + w + 1)"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["analyze", "--system", lv, "--max-degree", "2", "--json"]) == 0
+
+
+def test_the_strictness_of_a_line_is_read_off_its_coefficients(monkeypatch):
+    # u z + v w + t against the content route it skips, on derandomized
+    # rational lines: vertical, horizontal and sloped, leads other than 1,
+    # zero intercepts, int and Fraction coefficients
+    content = darboux._univariate_content
+
+    def by_contents(f):
+        offenders = []
+        for var in ("z", "w"):
+            k, c = content(f, var)
+            if k > 0:
+                offenders.append(var)
+            if c.degree() > 0:
+                offenders.append("%s-factor %s" % (var, c))
+        return not offenders, tuple(sorted(offenders))
+
+    rng = random.Random(51)
+    values = [0, 0, 1, -1, 2, -3, Q(1, 2), Q(-2, 3), Q(5, 4), 7]
+    lines = [BiPoly({key: rng.choice(values) for key in ((1, 0), (0, 1), (0, 0))}) for _ in range(2000)]
+    lines = [f for f in lines if f.total_degree() == 1]
+    want = [by_contents(f) for f in lines]
+    monkeypatch.setattr(darboux, "_univariate_content", None)  # a line never reaches it
+    got = [strictness_check(f) for f in lines]
+    assert got == want
+    kinds = {offenders[0].split()[0] if offenders else "strict" for _, offenders in want}
+    assert kinds == {"strict", "z", "w", "z-factor", "w-factor"}
+    assert strictness_check(BiPoly({(1, 0): 2, (0, 0): Q(1, 2)})) == (False, ("z-factor 2*z + 1/2",))
+
+
+def test_one_line_detection_takes_the_integer_field_once(monkeypatch):
+    # LV(-1,0,0) has five lines, each certified by verify_darboux; they,
+    # a later certificate, E_2 and the invariant core all read the field
+    # the system computed once
+    calls = []
+    real = polyode._integer_sides
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    verified = []
+    real_verify = darboux.verify_darboux
+
+    def verify(sys, f):
+        verified.append(f)
+        return real_verify(sys, f)
+
+    monkeypatch.setattr(polyode, "_integer_sides", counting)
+    monkeypatch.setattr(darboux, "verify_darboux", verify)
+    sys = lv_system(-1, 0, 0)
+    detection = detect_invariant_lines(sys)
+    assert len(detection.lines) == 5 and len(verified) >= 5
+    e = extactic_determinant(sys, 2)
+    invariant_core(sys, _primitive_int(e))
+    verify(sys, detection.lines[0].f)
+    assert len(calls) == 1

@@ -5,6 +5,7 @@ import pytest
 
 from pbound import bounds, cli, lotka
 from pbound.bounds import BoundsError
+from pbound.darboux import detect_invariant_lines
 from pbound.exact import ExactError
 from pbound.lotka import (
     LvParams,
@@ -14,7 +15,7 @@ from pbound.lotka import (
     lv_multiplicity_triple,
 )
 from pbound.polyode import bipoly_str
-from pbound.sysparse import multiplicity_report
+from pbound.sysparse import multiplicity_report, parse_system
 from test_cli import _raises
 from verdict_oracle import emit_by_the_walk
 
@@ -230,3 +231,18 @@ def test_lv_builds_its_system_once(monkeypatch, capsys, params, triple, built):
     cli.main(["lv", "--params", params, "--json"] + (["--triple"] if triple else []))
     capsys.readouterr()
     assert len(calls) == built
+
+
+def test_lv_systems_and_their_lines_have_canonical_coefficients():
+    # an integral rational is an int, as the parser gives it, so no integer
+    # route of the system, its lines or the curve takes an lcm
+    def typed(poly):
+        return sorted((key, type(c), c) for key, c in poly.terms.items())
+
+    sys = lv_equation(LvParams(Q(-3), Q(3), Q(2, 3)))
+    parsed, _ = parse_system("dz/dt = z*(z + 2/3*w - 1); dw/dt = w*(3*z + w + 3)")
+    assert (typed(sys.P), typed(sys.Q)) == (typed(parsed.P), typed(parsed.Q))
+    lines = detect_invariant_lines(lv_equation(LvParams(Q(-1), Q(0), Q(0)))).lines
+    assert len(lines) == 5
+    for poly in [cert.f for cert in lines] + [classify(LvParams(Q(-3, 2), Q(0), Q(1, 3))).curve.f]:
+        assert all(type(c) is (int if c.denominator == 1 else Q) for c in poly.terms.values()), bipoly_str(poly)
